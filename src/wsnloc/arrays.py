@@ -1,6 +1,6 @@
 """Sensor-array signal model: steering vectors for uniform linear and
 circular arrays, snapshot synthesis for correlated or uncorrelated
-sources, sample covariance, and beampatterns.
+sources, and sample covariance.
 
 Conventions
 -----------
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, TooManySources, WrongGeometry
+from .errors import LengthMismatch, TooManySources
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,6 @@ class SourceSet:
         return int(self.azimuths.size)
 
 
-def ula_steering(theta: float, geometry: ArrayGeometry) -> np.ndarray:
-    """ULA steering vector; raises WrongGeometry for non-linear arrays."""
-    if not isinstance(geometry, UniformLinearArray):
-        raise WrongGeometry("ula_steering needs a UniformLinearArray")
-    return geometry.steering(theta)
-
-
-def uca_steering(theta: float, geometry: ArrayGeometry) -> np.ndarray:
-    """UCA steering vector; raises WrongGeometry for non-circular arrays."""
-    if not isinstance(geometry, UniformCircularArray):
-        raise WrongGeometry("uca_steering needs a UniformCircularArray")
-    return geometry.steering(theta)
-
-
 def steering_matrix(geometry, azimuths) -> np.ndarray:
     """Stack steering vectors for several azimuths into an (N, M) matrix."""
     return geometry.steering(np.atleast_1d(np.asarray(azimuths, dtype=float)))
@@ -224,12 +210,3 @@ def analytic_covariance(
         r = (a * rho**2) @ a.conj().T
     r = r + noise_var * np.eye(geometry.size)
     return 0.5 * (r + r.conj().T)
-
-
-def beampattern(geometry: ArrayGeometry, weights, grid) -> np.ndarray:
-    """Array response w^H a(theta) over a grid of azimuths."""
-    w = np.asarray(weights)
-    if w.shape != (geometry.size,):
-        raise LengthMismatch(f"expected {geometry.size} weights, got shape {w.shape}")
-    a = steering_matrix(geometry, grid)
-    return w.conj() @ a

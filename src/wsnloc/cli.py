@@ -7,8 +7,8 @@ Subcommands mirror the experiment kinds::
     wsnloc hybrid   --config scenario.json --out rmse.csv [--hybrid ...]
     wsnloc spectrum --config scenario.json --out spectrum.csv
 
-``--seed`` overrides the config seed and ``--workers`` sizes the trial
-pool (results are identical for any worker count). Exit codes: 0 success,
+``--seed`` overrides the config seed. ``--workers`` is accepted for
+compatibility and ignored: trials run serially. Exit codes: 0 success,
 1 configuration error, 2 every trial failed at some SNR.
 """
 
@@ -24,7 +24,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1, help="trial worker threads")
+    parser.add_argument("--workers", type=int, default=1, help="ignored; trials run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,10 +20,6 @@ class LengthMismatch(WsnlocError):
     """Paired sequences (anchors/distances, weights/elements, ...) disagree in length."""
 
 
-class ParallelBearings(WsnlocError):
-    """All bearing lines are parallel; no unique intersection exists."""
-
-
 # --- channel ----------------------------------------------------------------
 
 class NonPositiveDistance(WsnlocError):

@@ -1,5 +1,5 @@
 """Planar geometry shared by all estimators: distances, line-of-position
-systems for trilateration, and bearing-line triangulation.
+systems for trilateration, and point-to-point bearings.
 
 Positions are 2-vectors ``[x, y]`` in meters. Azimuths are measured
 counter-clockwise from the +x axis, in radians (the CLI converts degrees).
@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CollinearAnchors, LengthMismatch, ParallelBearings
+from .errors import CollinearAnchors, LengthMismatch
 
 
 class LinearSystem(NamedTuple):
@@ -82,32 +82,6 @@ def build_lop_system(anchors, distances: Sequence[float]) -> LinearSystem:
     if s[-1] <= 1e-12 * max(s[0], 1.0):
         raise CollinearAnchors("anchors are collinear; LOP system is rank deficient")
     return LinearSystem(A=a_mat, b=b_vec)
-
-
-def bearing_lines_locate(anchors, azimuths: Sequence[float]) -> np.ndarray:
-    """Intersect bearing lines cast from each anchor (triangulation).
-
-    Each anchor contributes the line through itself with direction
-    ``(cos az, sin az)``; with more than two bearings the stacked line
-    equations are solved in the least-squares sense.
-
-    Raises ``ParallelBearings`` when the line system is rank deficient.
-    """
-    pts = as_anchor_array(anchors)
-    az = np.asarray(azimuths, dtype=float)
-    if az.ndim != 1 or az.shape[0] != pts.shape[0]:
-        raise LengthMismatch(f"{pts.shape[0]} anchors but {az.shape[0]} bearings")
-    if pts.shape[0] < 2:
-        raise LengthMismatch("triangulation needs at least 2 bearings")
-
-    # Line through p_i with direction u_i: sin(az) x - cos(az) y = sin(az) x_i - cos(az) y_i
-    a_mat = np.column_stack([np.sin(az), -np.cos(az)])
-    b_vec = np.sin(az) * pts[:, 0] - np.cos(az) * pts[:, 1]
-    s = np.linalg.svd(a_mat, compute_uv=False)
-    if s[-1] <= 1e-12 * max(s[0], 1.0):
-        raise ParallelBearings("bearing lines are parallel")
-    sol, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    return sol
 
 
 def bearing_to(origin, target) -> float:

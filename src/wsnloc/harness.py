@@ -9,11 +9,15 @@ subcommands:
 * ``hybrid`` - RSS+DOA fusion around one hybrid node, position RMSE vs SNR.
 * ``spectrum`` - one seeded MUSIC spectrum dump (angle_deg, power_db).
 
+A scenario is compiled once per kind into a :class:`Pipeline`, which checks
+every method/geometry combination and builds what all trials share; a trial
+then only draws randomness and calls kernels, through one table, :data:`_STEPS`.
+
 Randomness: every trial owns an independent PCG64 stream derived as
 ``SeedSequence(entropy=seed, spawn_key=(snr_index, trial_index))``, so
-results are bit-identical across reruns and across serial/parallel
-execution. The SNR axis drives both the array noise floor and the RSS
-shadowing std through ``sigma_db = sigma_ref_db * 10^(-snr/20)``.
+results are bit-identical across reruns and do not depend on the order in
+which trials run. The SNR axis drives both the array noise floor and the
+RSS shadowing std through ``sigma_db = sigma_ref_db * 10^(-snr/20)``.
 
 A failed trial (a spectrum without enough peaks at low SNR, a ray with no
 forward intersection, ...) is counted per SNR row and excluded from the
@@ -24,10 +28,8 @@ import csv
 import dataclasses
 import json
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import jsonschema
 import numpy as np
@@ -42,15 +44,15 @@ from .arrays import (
 )
 from .channel import (
     ChannelModel,
+    RssMeasurement,
     invert_distance,
     path_loss,
     sigma_from_snr,
     wavelength_from_frequency,
 )
-from .channel import RssMeasurement
 from .doa import Spectrum, esprit, music, root_music, uca_esprit, uca_root_music
 from .errors import AllTrialsFailed, ConfigError, WsnlocError
-from .geometry import bearing_to, build_lop_system, distance
+from .geometry import as_anchor_array, bearing_to, build_lop_system, distance
 from .hybrid import (
     HybridNode,
     hybrid_anchor_fusion,
@@ -58,7 +60,7 @@ from .hybrid import (
     hybrid_with_fbss,
     two_lines,
 )
-from .pme import VandermondeArray, build_transform
+from .pme import PmeTransform, VandermondeArray, build_transform
 from .rss import huber_irls, ls_solve, wls_solve, wls_weights
 
 _XY = {
@@ -167,7 +169,8 @@ CONFIG_SCHEMA: dict[str, Any] = {
                 },
                 "decorrelate": {"enum": ["none", "fss", "fbss", "toeplitz"]},
                 "hybrid": {"enum": ["single", "fbss", "ls", "wls", "two-lines"]},
-                "grid_step_deg": {"type": "number", "exclusiveMinimum": 0},
+                # 0.01 degrees caps the MUSIC grid at 36,000 points over 360 degrees
+                "grid_step_deg": {"type": "number", "minimum": 0.01},
                 "huber_epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "subarray_len": {"type": "integer", "minimum": 2},
             },
@@ -207,6 +210,9 @@ class ScenarioConfig:
     interferer_amplitudes: tuple[float, ...] | None
     snapshots: int
     method: dict
+    # Compiled pipelines by kind. Not an init field, so ``with_method`` and
+    # ``dataclasses.replace`` start a new config with an empty cache.
+    _pipelines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -280,20 +286,7 @@ class ScenarioConfig:
             wavelength=self.wavelength,
         )
 
-    def build_array(self):
-        spec = self.array_spec
-        if spec is None:
-            raise ConfigError("scenario needs an 'array' section")
-        if spec["kind"] == "ula":
-            if "spacing_wavelengths" not in spec:
-                raise ConfigError("ula array needs spacing_wavelengths")
-            return UniformLinearArray(
-                n=spec["n_elements"],
-                spacing=spec["spacing_wavelengths"] * self.wavelength,
-                wavelength=self.wavelength,
-            )
-        if "radius_wavelengths" not in spec:
-            raise ConfigError("uca array needs radius_wavelengths")
+    def _ring(self, spec: dict) -> UniformCircularArray:
         return UniformCircularArray(
             n=spec["n_elements"],
             radius=spec["radius_wavelengths"] * self.wavelength,
@@ -301,29 +294,30 @@ class ScenarioConfig:
             wavelength=self.wavelength,
         )
 
+    def build_array(self):
+        spec = self.array_spec
+        if spec is None:
+            raise ConfigError("scenario needs an 'array' section")
+        size = "spacing_wavelengths" if spec["kind"] == "ula" else "radius_wavelengths"
+        if size not in spec:
+            raise ConfigError(f"{spec['kind']} array needs {size}")
+        if spec["kind"] == "uca":
+            return self._ring(spec)
+        spacing = spec[size] * self.wavelength
+        return UniformLinearArray(n=spec["n_elements"], spacing=spacing, wavelength=self.wavelength)
+
     def build_sources(self) -> SourceSet:
         spec = self.sources_spec
         if spec is None:
             raise ConfigError("scenario needs a 'sources' section")
-        return SourceSet(
-            azimuths=np.radians(spec["azimuths_deg"]),
-            amplitudes=np.asarray(spec["amplitudes"], dtype=float)
-            if "amplitudes" in spec
-            else None,
-            coherent=spec.get("coherent", False),
-        )
+        azimuths = np.radians(spec["azimuths_deg"])
+        return SourceSet(azimuths, spec.get("amplitudes"), coherent=spec.get("coherent", False))
 
     def build_hybrid_node(self) -> HybridNode:
         spec = self.hybrid_spec
         if spec is None:
             raise ConfigError("scenario needs a 'hybrid_node' section")
-        geometry = UniformCircularArray(
-            n=spec["n_elements"],
-            radius=spec["radius_wavelengths"] * self.wavelength,
-            elevation=math.radians(spec.get("elevation_deg", 90.0)),
-            wavelength=self.wavelength,
-        )
-        return HybridNode(center=np.asarray(spec["center"], dtype=float), geometry=geometry)
+        return HybridNode(center=np.asarray(spec["center"], dtype=float), geometry=self._ring(spec))
 
 
 def load_config(path) -> ScenarioConfig:
@@ -349,7 +343,6 @@ class MonteCarloRow:
     rmse: float
     trials: int
     failures: int
-    mean_runtime_ms: float
 
 
 @dataclass(frozen=True)
@@ -364,16 +357,136 @@ def rng_for_trial(seed: int, snr_index: int, trial_index: int) -> np.random.Gene
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _draw_target(cfg: ScenarioConfig, rng: np.random.Generator, keep_clear_of) -> np.ndarray:
-    if isinstance(cfg.target, np.ndarray):
-        return cfg.target
-    if cfg.target != "random":
+# --- pipelines ---------------------------------------------------------------
+
+
+@dataclass
+class Pipeline:
+    """A scenario compiled for one kind: ``trial(pipeline, snr_index, rng)`` hands the
+    method's part to ``step`` (doa preprocessing to ``prepare``), both from :data:`_STEPS`;
+    the other fields are what all trials share, ``None`` where a kind has no use for them."""
+
+    cfg: ScenarioConfig
+    grid_step: float  # MUSIC grid step, radians
+    trial: Callable | None = None
+    step: Callable | None = None
+    models: tuple = ()  # per SNR: ChannelModel, or (generating, inverting) pair for rss
+    clearance: tuple = ((), ())  # points a random target keeps clear of, and radii
+    prepare: Callable | None = None
+    geometry: Any = None  # the array (doa) or the hybrid ring
+    sources: SourceSet | None = None  # doa sources, or the hybrid node's interferers
+    transform: PmeTransform | None = None
+    plan: decorrelate.SmoothingPlan | None = None
+    scan: Any = None  # the geometry MUSIC and Root-MUSIC see after preprocessing
+    node: HybridNode | None = None
+    positions: np.ndarray | None = None  # hybrid ring element positions
+
+
+def _clearance(cfg: ScenarioConfig, points: list, radii: list) -> tuple[list, list]:
+    """Check the target setting; add the anchors to the points a random target keeps clear of."""
+    if not isinstance(cfg.target, np.ndarray) and cfg.target != "random":
         raise ConfigError("scenario needs a 'target' (coordinates or 'random')")
-    width, height = cfg.region
-    points, clearance = keep_clear_of
+    anchors = [] if cfg.anchors is None else list(cfg.anchors)
+    return points + anchors, radii + [cfg.d0] * len(anchors)
+
+
+def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
+    if cfg.anchors is None or cfg.anchors.shape[0] < 3:
+        raise ConfigError("rss scenario needs at least 3 anchors")
+    as_anchor_array(cfg.anchors)
+    p.trial, p.step = _rss_trial, _STEPS["estimator", cfg.method["estimator"]]
+    p.clearance = _clearance(cfg, [], [])
+    # eta_true, when set, generates the losses; ranging inverts them with eta
+    p.models = tuple(
+        (cfg.channel_at(snr, eta=cfg.eta_true), cfg.channel_at(snr)) for snr in cfg.snr_grid_db
+    )
+
+
+def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
+    """Linear arrays smooth (or Toeplitz-rebuild) their own covariance;
+    circular arrays reach spatial smoothing only through the phase-mode
+    beamspace, and Toeplitz reconstruction is not offered for them."""
+    method, prep = cfg.method["doa"], cfg.method["decorrelate"]
+    p.trial, p.step, p.prepare = _doa_trial, _STEPS["doa", method], _STEPS["decorrelate", prep]
+    p.geometry = p.scan = geometry = cfg.build_array()
+    p.sources = sources = cfg.build_sources()
+    ring = isinstance(geometry, UniformCircularArray)
+    if sources.count >= geometry.size:
+        raise ConfigError(f"{sources.count} sources need more than {geometry.size} elements")
+    if method != "music" and ring != method.startswith("uca-"):
+        raise ConfigError(f"{method} does not run on a {cfg.array_spec['kind']} array")
+    if method not in ("music", "root-music") and prep != "none":
+        raise ConfigError(f"{method} operates on raw snapshots; decorrelate must be none")
+    if prep == "toeplitz" and ring:
+        raise ConfigError("toeplitz preprocessing is only supported on ula arrays")
+
+    smoothed = prep in ("fss", "fbss")
+    if ring and (smoothed or method != "music"):
+        p.transform = build_transform(geometry)
+    if smoothed:
+        p.plan = decorrelate.SmoothingPlan.design(
+            p.transform.vula_size if ring else geometry.size,
+            sources.count,
+            cfg.method.get("subarray_len"),
+            forward_backward=prep == "fbss",
+        )
+        sub = p.plan.subarray_len
+        p.scan = VandermondeArray(sub) if ring else dataclasses.replace(geometry, n=sub)
+
+
+def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
+    scheme = cfg.method["hybrid"]
+    p.trial, p.step = _hybrid_trial, _STEPS["hybrid", scheme]
+    p.node = node = cfg.build_hybrid_node()
+    p.geometry, p.positions = node.geometry, node.element_positions
+    p.clearance = _clearance(cfg, [node.center], [max(cfg.d0, 3.0 * node.geometry.radius)])
+    p.models = tuple(cfg.channel_at(snr) for snr in cfg.snr_grid_db)
+    needed = {"ls": 2, "wls": 2, "two-lines": 1}.get(scheme, 0)
+    if (0 if cfg.anchors is None else cfg.anchors.shape[0]) < needed:
+        raise ConfigError(f"{scheme} fusion needs at least {needed} RSS anchor(s)")
+    if needed:
+        as_anchor_array(np.vstack([cfg.anchors, node.center]))  # no anchor on the node
+    if scheme == "fbss":
+        amps = cfg.interferer_amplitudes
+        if amps is not None and len(amps) != len(cfg.interferers_deg):
+            raise ConfigError("interferer_amplitudes must match interferers_deg")
+        p.sources = SourceSet(np.radians(cfg.interferers_deg), amps, coherent=True)
+        n_sources = p.sources.count + 1  # the target's bearing comes first
+        if n_sources >= node.geometry.size:
+            raise ConfigError(f"{n_sources} sources need more than {node.geometry.size} elements")
+        p.transform = build_transform(node.geometry)
+        # hybrid_with_fbss designs this plan in every trial; an invalid one fails here
+        decorrelate.SmoothingPlan.design(
+            p.transform.vula_size, n_sources, cfg.method.get("subarray_len"), forward_backward=True
+        )
+
+
+def _pipeline(cfg: ScenarioConfig, kind: str) -> Pipeline:
+    """The scenario compiled for ``kind``, built on first use and cached on the config.
+    Compiling draws no randomness, so whatever fails in it fails for the config alone
+    and is reported as a :class:`ConfigError` (a ``KeyError`` means an unknown method)."""
+    if kind not in _COMPILERS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    if kind not in cfg._pipelines:
+        pipeline = Pipeline(cfg, math.radians(cfg.method["grid_step_deg"]))
+        try:
+            _COMPILERS[kind](pipeline, cfg)
+        except ConfigError:
+            raise
+        except (KeyError, ValueError, WsnlocError) as exc:
+            raise ConfigError(f"{kind} scenario: {exc}") from exc
+        cfg._pipelines[kind] = pipeline
+    return cfg._pipelines[kind]
+
+
+def _draw_target(p: Pipeline, rng: np.random.Generator) -> np.ndarray:
+    if isinstance(p.cfg.target, np.ndarray):
+        return p.cfg.target
+    width, height = p.cfg.region
+    points, radii = p.clearance
     for _ in range(1000):
         cand = np.array([rng.uniform(0, width), rng.uniform(0, height)])
-        if all(distance(cand, p) >= c for p, c in zip(points, clearance)):
+        if all(distance(cand, q) >= c for q, c in zip(points, radii)):
             return cand
     raise ConfigError("could not place a random target clear of the ranging nodes")
 
@@ -383,254 +496,138 @@ def _range_to(point, target, gen_model, inv_model, rng) -> RssMeasurement:
     return RssMeasurement(path_loss_db=pl, est_distance=float(invert_distance(pl, inv_model)))
 
 
-# --- pipelines ---------------------------------------------------------------
-
-
-def _rss_trial(cfg: ScenarioConfig, snr_db: float, rng) -> TrialResult:
-    if cfg.anchors is None or cfg.anchors.shape[0] < 3:
-        raise ConfigError("rss scenario needs at least 3 anchors")
-    inv_model = cfg.channel_at(snr_db)
-    gen_model = cfg.channel_at(snr_db, eta=cfg.eta_true) if cfg.eta_true else inv_model
-    clearance = [(a, cfg.d0) for a in cfg.anchors]
-    target = _draw_target(cfg, rng, ([p for p, _ in clearance], [c for _, c in clearance]))
-    meas = [_range_to(a, target, gen_model, inv_model, rng) for a in cfg.anchors]
-    est_d = [m.est_distance for m in meas]
-    system = build_lop_system(cfg.anchors, est_d)
-    kind = cfg.method["estimator"]
-    if kind == "ls":
-        est = ls_solve(system)
-    elif kind == "wls":
-        est = wls_solve(system, wls_weights(inv_model, est_d))
-    else:
-        weights = wls_weights(inv_model, est_d) if inv_model.sigma_db > 0 else None
-        est = huber_irls(
-            system, epsilon=cfg.method["huber_epsilon"], initial_weights=weights
-        ).position
+def _rss_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
+    gen_model, inv_model = p.models[snr_index]
+    target = _draw_target(p, rng)
+    est_d = [_range_to(a, target, gen_model, inv_model, rng).est_distance for a in p.cfg.anchors]
+    est = p.step(p, build_lop_system(p.cfg.anchors, est_d), inv_model, est_d)
     return TrialResult(estimate=est, truth=target, error=distance(est, target))
 
 
-def _smoothing_plan(cfg, n_elements, n_sources, forward_backward):
-    return decorrelate.SmoothingPlan.design(
-        n_elements,
-        n_sources,
-        subarray_len=cfg.method.get("subarray_len"),
-        forward_backward=forward_backward,
-    )
+def _rss_huber(p, system, model, est_d):
+    weights = wls_weights(model, est_d) if model.sigma_db > 0 else None
+    epsilon = p.cfg.method["huber_epsilon"]
+    return huber_irls(system, epsilon=epsilon, initial_weights=weights).position
 
 
-def _spectral_covariance(cfg: ScenarioConfig, geometry, n_sources: int, x):
-    """Apply the configured decorrelation; return (R, geometry to scan).
-
-    Linear arrays smooth (or Toeplitz-rebuild) their own covariance;
-    circular arrays reach spatial smoothing only through the phase-mode
-    beamspace, and Toeplitz reconstruction is not offered for them.
-    """
-    prep = cfg.method["decorrelate"]
-    is_ula = isinstance(geometry, UniformLinearArray)
-    if prep == "toeplitz" and not is_ula:
-        raise ConfigError("toeplitz preprocessing is only supported on ula arrays")
-
-    if is_ula or prep == "none":
-        r = sample_covariance(x)
-        if prep in ("fss", "fbss"):
-            plan = _smoothing_plan(cfg, geometry.size, n_sources, prep == "fbss")
-            r = decorrelate.fss(r, plan) if prep == "fss" else decorrelate.fbss(r, plan)
-            return r, UniformLinearArray(
-                n=plan.subarray_len,
-                spacing=geometry.spacing,
-                wavelength=geometry.wavelength,
-            )
-        if prep == "toeplitz":
-            return decorrelate.toeplitz_reconstruct(r), geometry
-        return r, geometry
-
-    # circular array with smoothing: map into the beamspace first
-    transform = build_transform(geometry)
-    plan = _smoothing_plan(cfg, transform.vula_size, n_sources, prep == "fbss")
-    rv = sample_covariance(np.asarray(transform.Tv @ x))
-    r = decorrelate.fss(rv, plan) if prep == "fss" else decorrelate.fbss(rv, plan)
-    return r, VandermondeArray(plan.subarray_len)
-
-
-def _doa_estimate(cfg: ScenarioConfig, geometry, src: SourceSet, x) -> np.ndarray:
-    """Run the configured estimator/preprocessing chain, return sorted radians."""
-    method = cfg.method["doa"]
-    prep = cfg.method["decorrelate"]
-    m = src.count
-    is_ula = isinstance(geometry, UniformLinearArray)
-
-    if method in ("uca-root-music", "uca-esprit"):
-        if is_ula:
-            raise ConfigError(f"{method} needs a uca array")
-        if prep != "none":
-            raise ConfigError(f"{method} does not combine with decorrelate={prep}")
-        transform = build_transform(geometry)
-        est = (
-            uca_root_music(x, transform, m)
-            if method == "uca-root-music"
-            else uca_esprit(x, transform, m)
-        )
-        return est.azimuths
-
-    if method == "esprit":
-        if not is_ula:
-            raise ConfigError("esprit needs a ula array (use uca-esprit for rings)")
-        if prep != "none":
-            raise ConfigError("esprit operates on raw snapshots; decorrelate must be none")
-        return esprit(x, geometry, m).azimuths
-
-    r, sub_geometry = _spectral_covariance(cfg, geometry, m, x)
-    if method == "music":
-        _, est = music(r, sub_geometry, m, math.radians(cfg.method["grid_step_deg"]))
-        return est.azimuths
-    if method == "root-music":
-        if not isinstance(sub_geometry, UniformLinearArray):
-            raise ConfigError("root-music needs a ula array (use uca-root-music for rings)")
-        return root_music(r, sub_geometry, m).azimuths
-    raise ConfigError(f"unknown doa method {method!r}")
-
-
-def _doa_trial(cfg: ScenarioConfig, snr_db: float, rng) -> TrialResult:
-    geometry = cfg.build_array()
-    src = cfg.build_sources()
-    x = synthesize_snapshots(geometry, src, cfg.snapshots, snr_db, rng)
-    est = _doa_estimate(cfg, geometry, src, x)
-    truth = np.sort(src.azimuths)
+def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
+    snr_db = p.cfg.snr_grid_db[snr_index]
+    x = synthesize_snapshots(p.geometry, p.sources, p.cfg.snapshots, snr_db, rng)
+    est = p.step(p, x).azimuths
+    truth = np.sort(p.sources.azimuths)
     err = math.degrees(math.sqrt(float(np.mean((est - truth) ** 2))))
     return TrialResult(estimate=np.degrees(est), truth=np.degrees(truth), error=err)
 
 
-def _music_bearing(cfg, node, bearing, snr_db, rng) -> float:
-    src = SourceSet(azimuths=np.array([bearing]))
-    x = synthesize_snapshots(node.geometry, src, cfg.snapshots, snr_db, rng)
-    _, est = music(
-        sample_covariance(x),
-        node.geometry,
-        1,
-        math.radians(cfg.method["grid_step_deg"]),
-    )
-    return float(est.azimuths[0])
+def _covariance(p, x):
+    """Sample covariance; of the beamspace snapshots when a ring is smoothed."""
+    return sample_covariance(x if p.transform is None else np.asarray(p.transform.Tv @ x))
 
 
-def _hybrid_trial(cfg: ScenarioConfig, snr_db: float, rng) -> TrialResult:
-    node = cfg.build_hybrid_node()
-    model = cfg.channel_at(snr_db)
-    scheme = cfg.method["hybrid"]
-    clear_pts = [node.center]
-    clear_rad = [max(cfg.d0, 3.0 * node.geometry.radius)]
-    if cfg.anchors is not None:
-        clear_pts += [a for a in cfg.anchors]
-        clear_rad += [cfg.d0] * cfg.anchors.shape[0]
-    target = _draw_target(cfg, rng, (clear_pts, clear_rad))
-    bearing = bearing_to(node.center, target)
-
-    if scheme == "fbss":
-        azimuths = np.concatenate([[bearing], np.radians(cfg.interferers_deg)])
-        amps = None
-        if cfg.interferer_amplitudes is not None:
-            if len(cfg.interferer_amplitudes) != len(cfg.interferers_deg):
-                raise ConfigError("interferer_amplitudes must match interferers_deg")
-            amps = np.concatenate([[1.0], cfg.interferer_amplitudes])
-        src = SourceSet(azimuths=azimuths, amplitudes=amps, coherent=True)
-        x = synthesize_snapshots(node.geometry, src, cfg.snapshots, snr_db, rng)
-        element_rss = [_range_to(p, target, model, model, rng) for p in node.element_positions]
-        transform = build_transform(node.geometry)
-        est = hybrid_with_fbss(
-            node,
-            x,
-            element_rss,
-            transform,
-            src.count,
-            subarray_len=cfg.method.get("subarray_len"),
-        )
-    elif scheme == "single":
-        doa_hat = _music_bearing(cfg, node, bearing, snr_db, rng)
-        element_rss = [_range_to(p, target, model, model, rng) for p in node.element_positions]
-        est = hybrid_single_node(node, doa_hat, element_rss)
-    elif scheme in ("ls", "wls"):
-        if cfg.anchors is None or cfg.anchors.shape[0] < 2:
-            raise ConfigError("anchor fusion needs at least 2 RSS anchors")
-        doa_hat = _music_bearing(cfg, node, bearing, snr_db, rng)
-        points = list(cfg.anchors) + [node.center]
-        dists = [_range_to(p, target, model, model, rng).est_distance for p in points]
-        est = hybrid_anchor_fusion(
-            node, cfg.anchors, dists, doa_hat, estimator=scheme, model=model
-        )
-    elif scheme == "two-lines":
-        if cfg.anchors is None or cfg.anchors.shape[0] < 1:
-            raise ConfigError("two-lines fusion needs one RSS anchor")
-        doa_hat = _music_bearing(cfg, node, bearing, snr_db, rng)
-        d_anchor = _range_to(cfg.anchors[0], target, model, model, rng).est_distance
-        # The hybrid node's own range pools its per-element measurements
-        # (the ring radius is negligible against the node-target distance).
-        d_hybrid = float(
-            np.mean(
-                [
-                    _range_to(p, target, model, model, rng).est_distance
-                    for p in node.element_positions
-                ]
-            )
-        )
-        est = two_lines(node, cfg.anchors[0], d_anchor, d_hybrid, doa_hat)
-    else:
-        raise ConfigError(f"unknown hybrid scheme {scheme!r}")
+def _hybrid_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
+    target = _draw_target(p, rng)
+    bearing = bearing_to(p.node.center, target)
+    est = p.step(p, p.cfg.snr_grid_db[snr_index], p.models[snr_index], target, bearing, rng)
     return TrialResult(estimate=est, truth=target, error=distance(est, target))
 
 
-_PIPELINES = {"rss": _rss_trial, "doa": _doa_trial, "hybrid": _hybrid_trial}
+def _music_bearing(p, bearing, snr_db, rng) -> float:
+    src = SourceSet(azimuths=np.array([bearing]))
+    x = synthesize_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng)
+    _, est = music(sample_covariance(x), p.geometry, 1, p.grid_step)
+    return float(est.azimuths[0])
 
 
-def run_trial(
-    cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int
-) -> TrialResult:
+def _element_ranges(p, target, model, rng) -> list[RssMeasurement]:
+    return [_range_to(q, target, model, model, rng) for q in p.positions]
+
+
+def _hybrid_single(p, snr_db, model, target, bearing, rng):
+    doa_hat = _music_bearing(p, bearing, snr_db, rng)
+    return hybrid_single_node(p.node, doa_hat, _element_ranges(p, target, model, rng))
+
+
+def _hybrid_fbss(p, snr_db, model, target, bearing, rng):
+    azimuths = np.concatenate([[bearing], p.sources.azimuths])
+    src = SourceSet(azimuths, np.concatenate([[1.0], p.sources.amplitudes]), coherent=True)
+    x = synthesize_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng)
+    element_rss = _element_ranges(p, target, model, rng)
+    subarray_len = p.cfg.method.get("subarray_len")
+    return hybrid_with_fbss(p.node, x, element_rss, p.transform, src.count, subarray_len)
+
+
+def _hybrid_anchors(p, snr_db, model, target, bearing, rng):
+    doa_hat = _music_bearing(p, bearing, snr_db, rng)
+    points = list(p.cfg.anchors) + [p.node.center]
+    dists = [_range_to(q, target, model, model, rng).est_distance for q in points]
+    scheme = p.cfg.method["hybrid"]
+    return hybrid_anchor_fusion(p.node, p.cfg.anchors, dists, doa_hat, scheme, model)
+
+
+def _hybrid_two_lines(p, snr_db, model, target, bearing, rng):
+    doa_hat = _music_bearing(p, bearing, snr_db, rng)
+    d_anchor = _range_to(p.cfg.anchors[0], target, model, model, rng).est_distance
+    # The hybrid node's own range pools its per-element measurements
+    # (the ring radius is negligible against the node-target distance).
+    d_hybrid = float(np.mean([m.est_distance for m in _element_ranges(p, target, model, rng)]))
+    return two_lines(p.node, p.cfg.anchors[0], d_anchor, d_hybrid, doa_hat)
+
+
+# (method setting, value) -> the part of a trial the method decides; each entry looks its
+# kernels up by module-global name when it runs. Arguments: estimator (pipeline, LOP system,
+# inverting model, ranges) -> position; decorrelate and doa (pipeline, snapshots) ->
+# covariance and DoaEstimate; hybrid (pipeline, snr_db, model, target, bearing, rng) -> position.
+_STEPS: dict[tuple[str, str], Callable] = {
+    ("estimator", "ls"): lambda p, system, model, d: ls_solve(system),
+    ("estimator", "wls"): lambda p, system, model, d: wls_solve(system, wls_weights(model, d)),
+    ("estimator", "huber"): _rss_huber,
+    ("decorrelate", "none"): _covariance,
+    ("decorrelate", "fss"): lambda p, x: decorrelate.fss(_covariance(p, x), p.plan),
+    ("decorrelate", "fbss"): lambda p, x: decorrelate.fbss(_covariance(p, x), p.plan),
+    ("decorrelate", "toeplitz"): lambda p, x: decorrelate.toeplitz_reconstruct(_covariance(p, x)),
+    ("doa", "music"): lambda p, x: music(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)[1],
+    ("doa", "root-music"): lambda p, x: root_music(p.prepare(p, x), p.scan, p.sources.count),
+    ("doa", "esprit"): lambda p, x: esprit(x, p.geometry, p.sources.count),
+    ("doa", "uca-root-music"): lambda p, x: uca_root_music(x, p.transform, p.sources.count),
+    ("doa", "uca-esprit"): lambda p, x: uca_esprit(x, p.transform, p.sources.count),
+    ("hybrid", "single"): _hybrid_single,
+    ("hybrid", "fbss"): _hybrid_fbss,
+    ("hybrid", "ls"): _hybrid_anchors,
+    ("hybrid", "wls"): _hybrid_anchors,
+    ("hybrid", "two-lines"): _hybrid_two_lines,
+}
+
+_COMPILERS = {"rss": _compile_rss, "doa": _compile_doa, "hybrid": _compile_hybrid}
+
+
+def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) -> TrialResult:
     """One deterministic trial of the configured pipeline."""
-    if kind not in _PIPELINES:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    rng = rng_for_trial(cfg.seed, snr_index, trial_index)
-    return _PIPELINES[kind](cfg, cfg.snr_grid_db[snr_index], rng)
+    p = _pipeline(cfg, kind)
+    return p.trial(p, snr_index, rng_for_trial(cfg.seed, snr_index, trial_index))
 
 
 def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloResult:
     """RMSE over seeded trials for every SNR in the grid.
 
-    ``workers > 1`` fans trials out to a thread pool; per-trial RNG streams
-    make the result identical to the serial run.
+    The scenario is compiled before the first trial; a :class:`ConfigError`,
+    from compiling or from a trial, propagates, and any other
+    :class:`WsnlocError` counts as a failed trial. ``workers`` is accepted
+    for compatibility and ignored: trials run serially.
     """
-    if kind not in _PIPELINES:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    jobs = [(si, ti) for si in range(len(cfg.snr_grid_db)) for ti in range(cfg.trials)]
-
-    def one(job):
-        si, ti = job
-        start = time.perf_counter()
-        try:
-            res = run_trial(cfg, kind, si, ti)
-            return si, res.error, time.perf_counter() - start
-        except WsnlocError:
-            return si, None, time.perf_counter() - start
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, jobs))
-    else:
-        outcomes = [one(job) for job in jobs]
-
+    _pipeline(cfg, kind)
     rows = []
     for si, snr in enumerate(cfg.snr_grid_db):
-        errors = [e for s, e, _ in outcomes if s == si and e is not None]
-        runtimes = [t for s, _, t in outcomes if s == si]
-        failures = cfg.trials - len(errors)
+        errors = []
+        for ti in range(cfg.trials):
+            try:
+                errors.append(run_trial(cfg, kind, si, ti).error)
+            except WsnlocError as exc:
+                if isinstance(exc, ConfigError):
+                    raise
         if not errors:
             raise AllTrialsFailed(f"all {cfg.trials} trials failed at snr={snr} dB")
-        rows.append(
-            MonteCarloRow(
-                snr_db=snr,
-                rmse=math.sqrt(float(np.mean(np.square(errors)))),
-                trials=cfg.trials,
-                failures=failures,
-                mean_runtime_ms=1e3 * float(np.mean(runtimes)),
-            )
-        )
+        rmse = math.sqrt(float(np.mean(np.square(errors))))
+        rows.append(MonteCarloRow(snr, rmse, cfg.trials, failures=cfg.trials - len(errors)))
     return MonteCarloResult(unit="deg" if kind == "doa" else "m", rows=tuple(rows))
 
 
@@ -638,14 +635,10 @@ def compute_spectrum(cfg: ScenarioConfig) -> Spectrum:
     """The seeded MUSIC spectrum for trial 0 at the first grid SNR."""
     if cfg.method["doa"] != "music":
         raise ConfigError("spectrum dumps need method.doa == 'music'")
-    geometry = cfg.build_array()
-    src = cfg.build_sources()
+    p = _pipeline(cfg, "doa")
     rng = rng_for_trial(cfg.seed, 0, 0)
-    x = synthesize_snapshots(geometry, src, cfg.snapshots, cfg.snr_grid_db[0], rng)
-    r, sub_geometry = _spectral_covariance(cfg, geometry, src.count, x)
-    spectrum, _ = music(
-        r, sub_geometry, src.count, math.radians(cfg.method["grid_step_deg"])
-    )
+    x = synthesize_snapshots(p.geometry, p.sources, cfg.snapshots, cfg.snr_grid_db[0], rng)
+    spectrum, _ = music(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)
     return spectrum
 
 

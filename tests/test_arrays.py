@@ -8,14 +8,11 @@ from wsnloc.arrays import (
     UniformCircularArray,
     UniformLinearArray,
     analytic_covariance,
-    beampattern,
     sample_covariance,
     steering_matrix,
     synthesize_snapshots,
-    ula_steering,
-    uca_steering,
 )
-from wsnloc.errors import LengthMismatch, TooManySources, WrongGeometry
+from wsnloc.errors import LengthMismatch, TooManySources
 
 ULA8 = UniformLinearArray(n=8, spacing=0.5, wavelength=1.0)
 UCA4 = UniformCircularArray(n=4, radius=1.0 / (2 * np.pi), elevation=np.pi / 2, wavelength=1.0)
@@ -28,16 +25,12 @@ def signal_rank(r, rel=1e-10):
 
 class TestUlaSteering:
     def test_broadside_all_ones(self):
-        assert np.allclose(ula_steering(0.0, ULA8), np.ones(8))
+        assert np.allclose(ULA8.steering(0.0), np.ones(8))
 
     def test_two_element_30deg(self):
         g = UniformLinearArray(n=2, spacing=0.5, wavelength=1.0)
-        a = ula_steering(np.radians(30.0), g)
+        a = g.steering(np.radians(30.0))
         assert np.allclose(a, [1.0, -1j], atol=1e-12)
-
-    def test_wrong_geometry(self):
-        with pytest.raises(WrongGeometry):
-            ula_steering(0.0, UCA4)
 
     @settings(max_examples=40, deadline=None)
     @given(theta=st.floats(-1.5, 1.5))
@@ -48,27 +41,23 @@ class TestUlaSteering:
 class TestUcaSteering:
     def test_zero_elevation_degenerates_to_ones(self):
         g = UniformCircularArray(n=5, radius=0.4, elevation=0.0, wavelength=1.0)
-        assert np.allclose(uca_steering(0.7, g), np.ones(5))
+        assert np.allclose(g.steering(0.7), np.ones(5))
 
     def test_unit_ring_phases(self):
         # zeta = 1, theta = 0: phases cos(-theta_n) over the four quadrants
-        phases = np.angle(uca_steering(0.0, UCA4))
+        phases = np.angle(UCA4.steering(0.0))
         assert np.allclose(phases, [1.0, 0.0, -1.0, 0.0], atol=1e-12)
 
     def test_rotation_by_element_angle_permutes(self):
         g = UniformCircularArray(n=6, radius=0.7, elevation=0.9, wavelength=1.0)
-        base = uca_steering(0.3, g)
-        rotated = uca_steering(0.3 + 2 * np.pi / 6, g)
+        base = g.steering(0.3)
+        rotated = g.steering(0.3 + 2 * np.pi / 6)
         assert np.allclose(rotated, np.roll(base, 1), atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(theta=st.floats(-np.pi, np.pi))
     def test_unit_modulus(self, theta):
         assert np.allclose(np.abs(UCA4.steering(theta)), 1.0)
-
-    def test_wrong_geometry(self):
-        with pytest.raises(WrongGeometry):
-            uca_steering(0.0, ULA8)
 
 
 class TestSynthesizeSnapshots:
@@ -140,10 +129,11 @@ class TestSampleCovariance:
 
 
 class TestBeampattern:
+    # The array response w^H a(theta) of the steering model
     def test_cophasal_weights_unit_peak(self):
         theta0 = np.radians(20.0)
         w = ULA8.steering(theta0) / ULA8.n
-        pattern = beampattern(ULA8, w, [theta0])
+        pattern = w.conj() @ steering_matrix(ULA8, [theta0])
         assert np.abs(pattern[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dirichlet_closed_form(self):
@@ -152,20 +142,13 @@ class TestBeampattern:
         theta0 = 0.0
         w = g.steering(theta0) / g.n
         grid = np.arange(-np.pi / 2 + 0.01, np.pi / 2, 0.01)
-        pattern = np.abs(beampattern(g, w, grid))
+        pattern = np.abs(w.conj() @ g.steering(grid))
         v = 2 * g.spacing * np.sin(grid) / g.wavelength
         arg = np.pi * v / 2
         with np.errstate(invalid="ignore"):
             closed = np.abs(np.sin(g.n * arg) / (g.n * np.sin(arg)))
         closed[np.abs(arg) < 1e-12] = 1.0
         assert np.allclose(pattern, closed, atol=1e-9)
-
-    def test_zero_weights(self):
-        assert np.allclose(beampattern(ULA8, np.zeros(8), np.linspace(-1, 1, 5)), 0.0)
-
-    def test_weight_length_checked(self):
-        with pytest.raises(LengthMismatch):
-            beampattern(ULA8, np.ones(5), [0.0])
 
 
 class TestSourceSet:

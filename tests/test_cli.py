@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from wsnloc.cli import main
 
 RSS_RAW = {
@@ -135,3 +137,82 @@ def test_spectrum_subcommand(tmp_path):
     data = [(float(a), float(p)) for a, p in rows[1:]]
     peak = max(data, key=lambda t: t[1])[0]
     assert abs(peak - 100.0) < 1.0
+
+
+DOA_RAW = {
+    "seed": 3,
+    "trials": 4,
+    "snr_grid_db": [10.0],
+    "array": {"kind": "ula", "n_elements": 6, "spacing_wavelengths": 0.5},
+    "sources": {"azimuths_deg": [-10.0, 10.0], "snapshots": 50},
+}
+UCA = {"kind": "uca", "n_elements": 8, "radius_wavelengths": 0.55, "elevation_deg": 40.0}
+HYBRID_RAW = {
+    "seed": 21,
+    "trials": 4,
+    "snr_grid_db": [10.0],
+    "region": [30.0, 30.0],
+    "target": [20.0, 18.0],
+    "channel": {"frequency_hz": 1e9, "sigma_ref_db": 0.3},
+    "hybrid_node": {"center": [18.0, 16.0], "n_elements": 8, "radius_wavelengths": 0.5},
+    "snapshots": 32,
+}
+
+
+def with_keys(raw, drop=(), **changes):
+    out = {k: v for k, v in json.loads(json.dumps(raw)).items() if k not in drop}
+    out.update(changes)
+    return out
+
+
+# Each scenario is valid under the schema but cannot run; every one must be
+# reported as a configuration error before any trial, not as failed trials.
+STRUCTURAL_ERRORS = {
+    "rss_two_anchors": ("rss", with_keys(RSS_RAW, anchors=[[0.0, 0.0], [100.0, 0.0]]), []),
+    "esprit_on_uca": ("doa", with_keys(DOA_RAW, array=UCA), ["--doa", "esprit"]),
+    "toeplitz_on_uca": ("doa", with_keys(DOA_RAW, array=UCA), ["--decorrelate", "toeplitz"]),
+    "ula_without_spacing": (
+        "doa",
+        with_keys(DOA_RAW, array={"kind": "ula", "n_elements": 6}),
+        [],
+    ),
+    "three_sources_three_elements": (
+        "doa",
+        with_keys(
+            DOA_RAW,
+            array={"kind": "ula", "n_elements": 3, "spacing_wavelengths": 0.5},
+            sources={"azimuths_deg": [-20.0, 0.0, 20.0]},
+        ),
+        [],
+    ),
+    "hybrid_without_node": ("hybrid", with_keys(HYBRID_RAW, drop=("hybrid_node",)), []),
+    "two_lines_without_anchor": ("hybrid", HYBRID_RAW, ["--hybrid", "two-lines"]),
+    "mismatched_interferer_amplitudes": (
+        "hybrid",
+        with_keys(HYBRID_RAW, interferers_deg=[30.0, 60.0], interferer_amplitudes=[0.5]),
+        ["--hybrid", "fbss"],
+    ),
+    "rss_without_target": ("rss", with_keys(RSS_RAW, drop=("target",)), []),
+    "subarray_longer_than_array": (
+        "doa",
+        with_keys(DOA_RAW, method={"subarray_len": 9}),
+        ["--decorrelate", "fss"],
+    ),
+    "duplicate_azimuths": (
+        "doa",
+        with_keys(DOA_RAW, sources={"azimuths_deg": [10.0, 10.0]}),
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURAL_ERRORS))
+def test_structural_config_errors_exit_1(tmp_path, capsys, name):
+    command, raw, extra = STRUCTURAL_ERRORS[name]
+    cfg = write_cfg(tmp_path, raw)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()

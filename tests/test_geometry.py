@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnloc.errors import CollinearAnchors, LengthMismatch, ParallelBearings
+from wsnloc.errors import CollinearAnchors, LengthMismatch
 from wsnloc.geometry import (
-    bearing_lines_locate,
     bearing_to,
     build_lop_system,
     distance,
@@ -87,12 +86,19 @@ class TestBuildLopSystem:
         assert np.allclose(ls_solve(system), truth, atol=1e-9)
 
 
+def walk_bearing(origin, node):
+    """The point reached from ``origin`` along ``bearing_to(origin, node)``
+    after ``distance(origin, node)``."""
+    b = bearing_to(origin, node)
+    step = distance(origin, node) * np.array([np.cos(b), np.sin(b)])
+    return np.asarray(origin, dtype=float) + step
+
+
 class TestBearingLines:
     def test_symmetric_intersection(self):
-        est = bearing_lines_locate(
-            [[0.0, 0.0], [10.0, 0.0]], np.radians([45.0, 135.0])
-        )
-        assert np.allclose(est, [5.0, 5.0], atol=1e-9)
+        node = [5.0, 5.0]
+        assert np.degrees(bearing_to([0.0, 0.0], node)) == pytest.approx(45.0, abs=1e-12)
+        assert np.degrees(bearing_to([10.0, 0.0], node)) == pytest.approx(135.0, abs=1e-12)
 
     def test_forward_computed_bearings_invert(self):
         anchors = np.array([[0.0, 10.0], [10.0, 10.0]])
@@ -100,25 +106,13 @@ class TestBearingLines:
         bearings = [bearing_to(a, node) for a in anchors]
         assert np.degrees(bearings[0]) == pytest.approx(-63.43494882, abs=1e-6)
         assert np.degrees(bearings[1]) == pytest.approx(-116.56505118, abs=1e-6)
-        assert np.allclose(bearing_lines_locate(anchors, bearings), node, atol=1e-9)
-
-    def test_three_consistent_bearings_match_any_pair(self):
-        anchors = np.array([[0.0, 0.0], [10.0, 0.0], [3.0, 9.0]])
-        node = np.array([6.0, 4.0])
-        bearings = [bearing_to(a, node) for a in anchors]
-        full = bearing_lines_locate(anchors, bearings)
-        pair = bearing_lines_locate(anchors[:2], bearings[:2])
-        assert np.allclose(full, pair, atol=1e-9)
-        assert np.allclose(full, node, atol=1e-9)
-
-    def test_parallel_bearings_rejected(self):
-        with pytest.raises(ParallelBearings):
-            bearing_lines_locate([[0.0, 0.0], [5.0, 5.0]], [0.3, 0.3])
+        for a in anchors:
+            assert np.allclose(walk_bearing(a, node), node, atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(x=st.floats(-40.0, 40.0), y=st.floats(-40.0, 40.0))
     def test_round_trip(self, x, y):
         anchors = np.array([[-50.0, -60.0], [55.0, -45.0], [0.0, 70.0]])
         node = np.array([x, y])
-        bearings = [bearing_to(a, node) for a in anchors]
-        assert np.allclose(bearing_lines_locate(anchors, bearings), node, atol=1e-9)
+        for a in anchors:
+            assert np.allclose(walk_bearing(a, node), node, atol=1e-9)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestConfig:
         assert CONFIG_SCHEMA["additionalProperties"] is False
         assert CONFIG_SCHEMA["properties"]["method"]["additionalProperties"] is False
 
+    def test_grid_step_bounded_below(self):
+        # 1e-9 degrees would ask for a 1.8e11-point grid; only validate it
+        bad = json.loads(json.dumps(DOA_RAW))
+        bad["method"] = {"grid_step_deg": 1e-9}
+        with pytest.raises(ConfigError, match="grid_step_deg|0.01"):
+            ScenarioConfig.from_dict(bad)
+        bad["method"] = {"grid_step_deg": 0.01}
+        assert ScenarioConfig.from_dict(bad).method["grid_step_deg"] == 0.01
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
@@ -114,6 +124,12 @@ class TestRunTrial:
         assert 0 <= a.truth[0] <= 100 and 0 <= a.truth[1] <= 100
         other = run_trial(cfg, "rss", 0, 5)
         assert not np.array_equal(a.truth, other.truth)
+
+    def test_method_override_compiles_afresh(self):
+        cfg = ScenarioConfig.from_dict(DOA_RAW)
+        music_est = run_trial(cfg, "doa", 0, 0).estimate
+        esprit_est = run_trial(cfg.with_method(doa="esprit"), "doa", 0, 0).estimate
+        assert not np.array_equal(music_est, esprit_est)
 
     def test_unknown_kind(self):
         cfg = ScenarioConfig.from_dict(RSS_RAW)
@@ -172,6 +188,30 @@ class TestMonteCarlo:
         result = monte_carlo(cfg, "doa")
         assert result.unit == "deg"
         assert result.rows[1].rmse < result.rows[0].rmse + 1.0
+
+    def test_phase_mode_clamp_warns_once_per_run(self):
+        # 6 elements on a 0.55-wavelength ring excite modes up to 3, so
+        # build_transform clamps h to 2; the transform is built once per run.
+        raw = json.loads(json.dumps(DOA_RAW))
+        raw["array"] = {"kind": "uca", "n_elements": 6, "radius_wavelengths": 0.55}
+        raw["sources"] = {"azimuths_deg": [30.0], "snapshots": 50}
+        raw["method"] = {"doa": "uca-root-music"}
+        cfg = ScenarioConfig.from_dict(raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            monte_carlo(cfg, "doa")
+        clamps = [w for w in caught if "clamping phase-mode order" in str(w.message)]
+        assert len(clamps) == 1
+
+    def test_config_error_in_trial_is_not_a_failure(self):
+        # a random target cannot be placed clear of anchors covering the region
+        raw = json.loads(json.dumps(RSS_RAW))
+        raw["region"] = [1.0, 1.0]
+        raw["target"] = "random"
+        raw["channel"]["d0_m"] = 5.0
+        cfg = ScenarioConfig.from_dict(raw)
+        with pytest.raises(ConfigError, match="could not place"):
+            monte_carlo(cfg, "rss")
 
     def test_failures_counted_and_all_failed_raises(self):
         # collinear anchors defeat every trilateration trial
