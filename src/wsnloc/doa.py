@@ -13,6 +13,7 @@ beamspace circular-array forms.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +77,21 @@ def _angle_grid(geometry, step: float) -> np.ndarray:
     return np.arange(lo + step, stop, step)
 
 
+@lru_cache(maxsize=8)
+def _scan(geometry, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The MUSIC scan of a geometry: grid, steering matrix and the a^H a numerator.
+
+    They depend only on the (hashable, frozen) geometry and the step, so every
+    equal geometry shares one read-only copy.
+    """
+    grid = _angle_grid(geometry, step)
+    a = geometry.steering(grid)
+    num = np.sum(np.abs(a) ** 2, axis=0)
+    for arr in (grid, a, num):
+        arr.flags.writeable = False
+    return grid, a, num
+
+
 def _pick_peaks(grid: np.ndarray, power: np.ndarray, n_sources: int) -> np.ndarray:
     interior = power[1:-1]
     is_peak = (interior > power[:-2]) & (interior > power[2:])
@@ -97,15 +113,16 @@ def music(
     """MUSIC pseudospectrum and the angles of its n_sources largest peaks.
 
     P(theta) = (a^H a) / (a^H Vn Vn^H a) evaluated on a regular grid over
-    the geometry's field of view. Works for any geometry that provides a
-    steering model (linear, circular, or beamspace virtual arrays).
+    the geometry's field of view. Works for any hashable geometry that
+    provides a steering model (linear, circular, or beamspace virtual arrays).
+    The grid, its steering matrix and the numerator are built once per
+    (geometry, grid_step) and cached, so equal geometries share them; they
+    are read-only, and so is the returned ``Spectrum.grid``.
     """
     if n_sources >= geometry.size:
         raise TooManySources(f"{n_sources} sources with {geometry.size} elements")
     split = eig_split(r, n_sources)
-    grid = _angle_grid(geometry, grid_step)
-    a = geometry.steering(grid)
-    num = np.sum(np.abs(a) ** 2, axis=0)
+    grid, a, num = _scan(geometry, grid_step)
     den = np.sum(np.abs(split.noise.conj().T @ a) ** 2, axis=0)
     power = num / np.maximum(den, 1e-300)
     spectrum = Spectrum(grid=grid, power_db=10.0 * np.log10(power))

@@ -382,12 +382,18 @@ class Pipeline:
     positions: np.ndarray | None = None  # hybrid ring element positions
 
 
-def _clearance(cfg: ScenarioConfig, points: list, radii: list) -> tuple[list, list]:
-    """Check the target setting; add the anchors to the points a random target keeps clear of."""
+def _clearance(cfg: ScenarioConfig, points: list, radii: list, ranged=()) -> tuple[list, list]:
+    """Check the target setting; add the anchors to the points a random target keeps clear of.
+    A fixed target may not sit on any of those points or on the other ``ranged`` points."""
     if not isinstance(cfg.target, np.ndarray) and cfg.target != "random":
         raise ConfigError("scenario needs a 'target' (coordinates or 'random')")
     anchors = [] if cfg.anchors is None else list(cfg.anchors)
-    return points + anchors, radii + [cfg.d0] * len(anchors)
+    points, radii = points + anchors, radii + [cfg.d0] * len(anchors)
+    if isinstance(cfg.target, np.ndarray):
+        for q in [*points, *ranged]:
+            if distance(cfg.target, q) == 0.0:
+                raise ConfigError(f"target {cfg.target.tolist()} sits on ranging point {q.tolist()}")
+    return points, radii
 
 
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
@@ -423,12 +429,15 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     smoothed = prep in ("fss", "fbss")
     if ring and (smoothed or method != "music"):
         p.transform = build_transform(geometry)
+    # ESPRIT gives up one element to the subarray shift; the ring estimators work on
+    # the 2h+1-element virtual array (MUSIC and Root-MUSIC were checked above)
+    size = geometry.size if p.transform is None else p.transform.vula_size
+    capacity = {"esprit": size - 2, "uca-esprit": size - 2, "uca-root-music": size - 1}.get(method)
+    if capacity is not None and sources.count > capacity:
+        raise ConfigError(f"{method} resolves at most {capacity} sources, not {sources.count}")
     if smoothed:
         p.plan = decorrelate.SmoothingPlan.design(
-            p.transform.vula_size if ring else geometry.size,
-            sources.count,
-            cfg.method.get("subarray_len"),
-            forward_backward=prep == "fbss",
+            size, sources.count, cfg.method.get("subarray_len"), forward_backward=prep == "fbss"
         )
         sub = p.plan.subarray_len
         p.scan = VandermondeArray(sub) if ring else dataclasses.replace(geometry, n=sub)
@@ -439,7 +448,8 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.trial, p.step = _hybrid_trial, _STEPS["hybrid", scheme]
     p.node = node = cfg.build_hybrid_node()
     p.geometry, p.positions = node.geometry, node.element_positions
-    p.clearance = _clearance(cfg, [node.center], [max(cfg.d0, 3.0 * node.geometry.radius)])
+    radius = max(cfg.d0, 3.0 * node.geometry.radius)
+    p.clearance = _clearance(cfg, [node.center], [radius], ranged=p.positions)
     p.models = tuple(cfg.channel_at(snr) for snr in cfg.snr_grid_db)
     needed = {"ls": 2, "wls": 2, "two-lines": 1}.get(scheme, 0)
     if (0 if cfg.anchors is None else cfg.anchors.shape[0]) < needed:

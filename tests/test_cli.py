@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from wsnloc.channel import wavelength_from_frequency
 from wsnloc.cli import main
 
 RSS_RAW = {
@@ -147,6 +148,8 @@ DOA_RAW = {
     "sources": {"azimuths_deg": [-10.0, 10.0], "snapshots": 50},
 }
 UCA = {"kind": "uca", "n_elements": 8, "radius_wavelengths": 0.55, "elevation_deg": 40.0}
+SMALL_RING = {"kind": "uca", "n_elements": 8, "radius_wavelengths": 0.3, "elevation_deg": 90.0}
+THREE_SOURCES = {"azimuths_deg": [-40.0, 0.0, 40.0], "snapshots": 50}
 HYBRID_RAW = {
     "seed": 21,
     "trials": 4,
@@ -201,6 +204,40 @@ STRUCTURAL_ERRORS = {
     "duplicate_azimuths": (
         "doa",
         with_keys(DOA_RAW, sources={"azimuths_deg": [10.0, 10.0]}),
+        [],
+    ),
+    # estimator capacities: ESPRIT resolves N-2 sources, the ring variants 2h-1 and 2h
+    "esprit_three_sources_four_elements": (
+        "doa",
+        with_keys(
+            DOA_RAW,
+            array={"kind": "ula", "n_elements": 4, "spacing_wavelengths": 0.5},
+            sources=THREE_SOURCES,
+        ),
+        ["--doa", "esprit"],
+    ),
+    "uca_esprit_three_sources_small_ring": (
+        "doa",
+        with_keys(DOA_RAW, array=SMALL_RING, sources=THREE_SOURCES),
+        ["--doa", "uca-esprit"],
+    ),
+    "uca_root_music_three_sources_small_ring": (
+        "doa",
+        with_keys(DOA_RAW, array=SMALL_RING, sources=THREE_SOURCES),
+        ["--doa", "uca-root-music"],
+    ),
+    # a fixed target at zero distance from a point it is ranged from
+    "rss_target_on_anchor": ("rss", with_keys(RSS_RAW, target=[0.0, 0.0]), []),
+    "hybrid_target_on_anchor": (
+        "hybrid",
+        with_keys(HYBRID_RAW, anchors=[[2.0, 3.0], [25.0, 4.0]], target=[25.0, 4.0]),
+        ["--hybrid", "ls"],
+    ),
+    "hybrid_target_on_node_center": ("hybrid", with_keys(HYBRID_RAW, target=[18.0, 16.0]), []),
+    "hybrid_target_on_ring_element": (
+        "hybrid",
+        # element 0 sits at center + (radius, 0), radius 0.5 wavelengths at 1 GHz
+        with_keys(HYBRID_RAW, target=[18.0 + 0.5 * wavelength_from_frequency(1e9), 16.0]),
         [],
     ),
 }

@@ -11,8 +11,10 @@ from wsnloc.arrays import (
     sample_covariance,
     synthesize_snapshots,
 )
+from wsnloc import doa
 from wsnloc.doa import (
     _centro_hermitian_unitary,
+    _pick_peaks,
     _roots_inside_unit_circle,
     eig_split,
     esprit,
@@ -117,6 +119,69 @@ class TestMusic:
     def test_too_many_sources(self):
         with pytest.raises(TooManySources):
             music(np.eye(4), ula(4), 4)
+
+
+def uncached_music(r, g, n_sources, step):
+    """MUSIC with its grid, steering matrix and numerator built inline."""
+    lo, hi = g.fov
+    stop = hi + step / 2 if np.isclose(hi, np.pi) else hi - step / 2
+    grid = np.arange(lo + step, stop, step)
+    a = g.steering(grid)
+    num = np.sum(np.abs(a) ** 2, axis=0)
+    noise = eig_split(r, n_sources).noise
+    power = num / np.maximum(np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0), 1e-300)
+    return 10.0 * np.log10(power), _pick_peaks(grid, power, n_sources)
+
+
+SCAN_GEOMETRIES = {
+    "ula": lambda: ula(8),
+    "uca": lambda: UniformCircularArray(n=8, radius=0.55, elevation=np.radians(40.0), wavelength=1.0),
+    "vandermonde": lambda: VandermondeArray(7),
+}
+
+
+class TestMusicScanCache:
+    @pytest.mark.parametrize("name", sorted(SCAN_GEOMETRIES))
+    def test_bit_identical_to_uncached(self, name):
+        g = SCAN_GEOMETRIES[name]()
+        src = SourceSet(azimuths=np.radians([-20.0, 35.0]))
+        x = synthesize_snapshots(g, src, 60, 5.0, rng_for_trial(4, 0, 0))
+        r = sample_covariance(x)
+        step = np.radians(0.1)
+        power_db, azimuths = uncached_music(r, g, 2, step)
+        doa._scan.cache_clear()
+        for _ in range(2):  # a miss, then a hit
+            spectrum, est = music(r, SCAN_GEOMETRIES[name](), 2, step)
+            assert np.array_equal(spectrum.power_db, power_db)
+            assert np.array_equal(est.azimuths, azimuths)
+
+    def test_equal_geometry_reuses_scan(self, monkeypatch):
+        r = analytic_covariance(ula(6), SourceSet(azimuths=[np.radians(12.0)]), 0.1)
+        calls = []
+        original = UniformLinearArray.steering
+
+        def counted(self, theta):
+            calls.append(self)
+            return original(self, theta)
+
+        monkeypatch.setattr(UniformLinearArray, "steering", counted)
+        doa._scan.cache_clear()
+        first, second = ula(6), ula(6)
+        assert first == second and first is not second
+        music(r, first, 1)
+        music(r, second, 1)
+        assert calls == [first]
+        music(r, second, 1, grid_step=np.radians(0.2))  # a new step is a new entry
+        assert len(calls) == 2
+        music(r, first, 1, grid_step=np.radians(0.2))
+        assert len(calls) == 2
+
+    def test_spectrum_grid_read_only(self):
+        g = ula(6)
+        spectrum, _ = music(analytic_covariance(g, SourceSet(azimuths=[0.3]), 0.1), g, 1)
+        assert not spectrum.grid.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum.grid[0] = 0.0
 
 
 class TestRootMusic:
