@@ -5,7 +5,7 @@ estimates a bearing) localizes a target on its own; companion RSS nodes
 enable the trilateration-averaging and two-line variants. The demo runs
 a small seeded sweep of every scheme against the RSS-only baseline.
 
-Run:  python demos/05_hybrid_fusion.py   (about half a minute)
+Run:  python demos/05_hybrid_fusion.py   (a few seconds)
 """
 
 from wsnloc.harness import ScenarioConfig, monte_carlo

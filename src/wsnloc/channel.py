@@ -94,11 +94,17 @@ def invert_distance(pl_db: float, model: ChannelModel) -> float:
 
     Composing with a noiseless ``path_loss`` is the identity on d. Under
     shadowing the result is log-normal about the true distance with
-    log-std ``sigma_db * ln(10) / (10 eta)``.
+    log-std ``sigma_db * ln(10) / (10 eta)``. A loss too large for the
+    float range inverts to ``inf`` (with numpy's overflow warning).
+
+    ``10**x`` is evaluated one element at a time with the scalar power
+    (libm ``pow``): numpy's vectorised power loop differs from it by one ulp
+    on about 5% of inputs, and this way inverting an array gives exactly
+    the values of inverting each element on its own.
     """
     pl_db = np.asarray(pl_db, dtype=float)
     exponent = (pl_db - free_space_path_loss(model.d0, model)) / (10.0 * model.eta)
-    return model.d0 * 10.0**exponent
+    return model.d0 * np.array([10.0**x for x in exponent.flat]).reshape(exponent.shape)
 
 
 def measure_rss(

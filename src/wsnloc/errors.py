@@ -102,6 +102,10 @@ class NearSingular(WsnlocError):
     """Matrix is too close to singular for a stable inverse square root."""
 
 
+class NumericOverflow(WsnlocError):
+    """A quantity left the finite float range (an extreme shadowing draw, say)."""
+
+
 # --- hybrid fusion --------------------------------------------------------------
 
 class BehindRay(WsnlocError):

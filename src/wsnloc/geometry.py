@@ -41,6 +41,50 @@ def as_anchor_array(anchors) -> np.ndarray:
     return arr
 
 
+class LopMatrix(NamedTuple):
+    """The anchor half of the line-of-position system, fixed by the anchor layout.
+
+    Built once by :func:`lop_matrix`; :meth:`system` adds the right-hand side
+    for one set of ranges.
+    """
+
+    A: np.ndarray  # (S-1, 2) rows 2 (p_S - p_i)
+    ref_sq: float  # |p_S|^2
+    pts_sq: np.ndarray  # (S-1,) |p_i|^2
+
+    def system(self, distances: Sequence[float]) -> LinearSystem:
+        """``A p = b`` with ``b_i = d_i^2 - d_S^2 + |p_S|^2 - |p_i|^2``."""
+        d = np.asarray(distances, dtype=float)
+        if d.ndim != 1 or d.shape[0] != self.A.shape[0] + 1:
+            raise LengthMismatch(
+                f"{self.A.shape[0] + 1} anchors but {d.shape[0]} distances"
+            )
+        if np.any(d <= 0):
+            raise ValueError("distances must be positive")
+        return LinearSystem(A=self.A, b=d[:-1] ** 2 - d[-1] ** 2 + self.ref_sq - self.pts_sq)
+
+
+def lop_matrix(anchors) -> LopMatrix:
+    """The range-independent part of :func:`build_lop_system` for an anchor layout.
+
+    Raises
+    ------
+    LengthMismatch
+        If there are fewer than 3 anchors.
+    CollinearAnchors
+        If the anchor layout leaves rank(A) < 2.
+    """
+    pts = as_anchor_array(anchors)
+    if pts.shape[0] < 3:
+        raise LengthMismatch("trilateration needs at least 3 anchors")
+    ref = pts[-1]
+    a_mat = 2.0 * (ref[None, :] - pts[:-1])
+    s = np.linalg.svd(a_mat, compute_uv=False)
+    if s[-1] <= 1e-12 * max(s[0], 1.0):
+        raise CollinearAnchors("anchors are collinear; LOP system is rank deficient")
+    return LopMatrix(A=a_mat, ref_sq=np.sum(ref**2), pts_sq=np.sum(pts[:-1] ** 2, axis=1))
+
+
 def build_lop_system(anchors, distances: Sequence[float]) -> LinearSystem:
     """Line-of-position linear system from anchor positions and ranges.
 
@@ -58,30 +102,7 @@ def build_lop_system(anchors, distances: Sequence[float]) -> LinearSystem:
     CollinearAnchors
         If the anchor layout leaves rank(A) < 2.
     """
-    pts = as_anchor_array(anchors)
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 1 or d.shape[0] != pts.shape[0]:
-        raise LengthMismatch(
-            f"{pts.shape[0]} anchors but {d.shape[0]} distances"
-        )
-    if pts.shape[0] < 3:
-        raise LengthMismatch("trilateration needs at least 3 anchors")
-    if np.any(d <= 0):
-        raise ValueError("distances must be positive")
-
-    ref = pts[-1]
-    d_ref = d[-1]
-    a_mat = 2.0 * (ref[None, :] - pts[:-1])
-    b_vec = (
-        d[:-1] ** 2
-        - d_ref**2
-        + np.sum(ref**2)
-        - np.sum(pts[:-1] ** 2, axis=1)
-    )
-    s = np.linalg.svd(a_mat, compute_uv=False)
-    if s[-1] <= 1e-12 * max(s[0], 1.0):
-        raise CollinearAnchors("anchors are collinear; LOP system is rank deficient")
-    return LinearSystem(A=a_mat, b=b_vec)
+    return lop_matrix(anchors).system(distances)
 
 
 def bearing_to(origin, target) -> float:

@@ -20,7 +20,8 @@ which trials run. The SNR axis drives both the array noise floor and the
 RSS shadowing std through ``sigma_db = sigma_ref_db * 10^(-snr/20)``.
 
 A failed trial (a spectrum without enough peaks at low SNR, a ray with no
-forward intersection, ...) is counted per SNR row and excluded from the
+forward intersection, a range or estimate that extreme shadowing drives out
+of the float range, ...) is counted per SNR row and excluded from the
 RMSE; only a row where every trial fails raises :class:`AllTrialsFailed`.
 """
 
@@ -51,8 +52,15 @@ from .channel import (
     wavelength_from_frequency,
 )
 from .doa import Spectrum, esprit, music, root_music, uca_esprit, uca_root_music
-from .errors import AllTrialsFailed, ConfigError, WsnlocError
-from .geometry import as_anchor_array, bearing_to, build_lop_system, distance
+from .errors import (
+    AllTrialsFailed,
+    CollinearAnchors,
+    ConfigError,
+    NonPositiveDistance,
+    NumericOverflow,
+    WsnlocError,
+)
+from .geometry import LopMatrix, as_anchor_array, bearing_to, distance, lop_matrix
 from .hybrid import (
     HybridNode,
     hybrid_anchor_fusion,
@@ -379,7 +387,9 @@ class Pipeline:
     plan: decorrelate.SmoothingPlan | None = None
     scan: Any = None  # the geometry MUSIC and Root-MUSIC see after preprocessing
     node: HybridNode | None = None
-    positions: np.ndarray | None = None  # hybrid ring element positions
+    ranged: np.ndarray | None = None  # (k, 2) points a trial ranges the target from
+    # rss: the anchors' LOP matrix, or the collinearity verdict every trial raises
+    lop: LopMatrix | CollinearAnchors | None = None
 
 
 def _clearance(cfg: ScenarioConfig, points: list, radii: list, ranged=()) -> tuple[list, list]:
@@ -399,8 +409,12 @@ def _clearance(cfg: ScenarioConfig, points: list, radii: list, ranged=()) -> tup
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.anchors is None or cfg.anchors.shape[0] < 3:
         raise ConfigError("rss scenario needs at least 3 anchors")
-    as_anchor_array(cfg.anchors)
+    try:
+        p.lop = lop_matrix(cfg.anchors)
+    except CollinearAnchors as exc:
+        p.lop = exc  # a failed trilateration, not a config error: every trial counts it
     p.trial, p.step = _rss_trial, _STEPS["estimator", cfg.method["estimator"]]
+    p.ranged = cfg.anchors
     p.clearance = _clearance(cfg, [], [])
     # eta_true, when set, generates the losses; ranging inverts them with eta
     p.models = tuple(
@@ -447,15 +461,21 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     scheme = cfg.method["hybrid"]
     p.trial, p.step = _hybrid_trial, _STEPS["hybrid", scheme]
     p.node = node = cfg.build_hybrid_node()
-    p.geometry, p.positions = node.geometry, node.element_positions
+    p.geometry, positions = node.geometry, node.element_positions
     radius = max(cfg.d0, 3.0 * node.geometry.radius)
-    p.clearance = _clearance(cfg, [node.center], [radius], ranged=p.positions)
+    p.clearance = _clearance(cfg, [node.center], [radius], ranged=positions)
     p.models = tuple(cfg.channel_at(snr) for snr in cfg.snr_grid_db)
     needed = {"ls": 2, "wls": 2, "two-lines": 1}.get(scheme, 0)
     if (0 if cfg.anchors is None else cfg.anchors.shape[0]) < needed:
         raise ConfigError(f"{scheme} fusion needs at least {needed} RSS anchor(s)")
     if needed:
         as_anchor_array(np.vstack([cfg.anchors, node.center]))  # no anchor on the node
+    if scheme in ("ls", "wls"):  # the anchors' circles, then the node's own
+        p.ranged = np.vstack([cfg.anchors, node.center])
+    elif scheme == "two-lines":  # anchor 0, then the ring elements
+        p.ranged = np.vstack([cfg.anchors[:1], positions])
+    else:
+        p.ranged = positions
     if scheme == "fbss":
         amps = cfg.interferer_amplitudes
         if amps is not None and len(amps) != len(cfg.interferers_deg):
@@ -501,17 +521,34 @@ def _draw_target(p: Pipeline, rng: np.random.Generator) -> np.ndarray:
     raise ConfigError("could not place a random target clear of the ranging nodes")
 
 
-def _range_to(point, target, gen_model, inv_model, rng) -> RssMeasurement:
-    pl = float(path_loss(distance(point, target), gen_model, rng))
-    return RssMeasurement(path_loss_db=pl, est_distance=float(invert_distance(pl, inv_model)))
+def _ranges(p: Pipeline, target, gen_model, inv_model, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Path losses and estimated ranges from each of ``p.ranged`` to ``target``: one
+    ``path_loss`` call draws a shadowing term per point in point order (the draws k
+    scalar calls would make), and one inversion maps them back to ranges."""
+    diff = p.ranged - target
+    pl = path_loss(np.hypot(diff[:, 0], diff[:, 1]), gen_model, rng)
+    d = invert_distance(pl, inv_model)
+    if not np.all((d > 0) & (d < math.inf)):
+        raise NonPositiveDistance("shadowing drove an estimated range to 0 or infinity")
+    return pl, d
+
+
+def _result(est: np.ndarray, target: np.ndarray) -> TrialResult:
+    """A position trial's result; an estimate with no finite error fails the trial."""
+    error = distance(est, target)
+    if not math.isfinite(error):
+        raise NumericOverflow("the position estimate left the float range")
+    return TrialResult(estimate=est, truth=target, error=error)
 
 
 def _rss_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
     gen_model, inv_model = p.models[snr_index]
     target = _draw_target(p, rng)
-    est_d = [_range_to(a, target, gen_model, inv_model, rng).est_distance for a in p.cfg.anchors]
-    est = p.step(p, build_lop_system(p.cfg.anchors, est_d), inv_model, est_d)
-    return TrialResult(estimate=est, truth=target, error=distance(est, target))
+    _, est_d = _ranges(p, target, gen_model, inv_model, rng)
+    if isinstance(p.lop, CollinearAnchors):
+        raise p.lop.with_traceback(None)
+    est = p.step(p, p.lop.system(est_d), inv_model, est_d)
+    return _result(est, target)
 
 
 def _rss_huber(p, system, model, est_d):
@@ -538,7 +575,7 @@ def _hybrid_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
     target = _draw_target(p, rng)
     bearing = bearing_to(p.node.center, target)
     est = p.step(p, p.cfg.snr_grid_db[snr_index], p.models[snr_index], target, bearing, rng)
-    return TrialResult(estimate=est, truth=target, error=distance(est, target))
+    return _result(est, target)
 
 
 def _music_bearing(p, bearing, snr_db, rng) -> float:
@@ -548,39 +585,39 @@ def _music_bearing(p, bearing, snr_db, rng) -> float:
     return float(est.azimuths[0])
 
 
-def _element_ranges(p, target, model, rng) -> list[RssMeasurement]:
-    return [_range_to(q, target, model, model, rng) for q in p.positions]
+def _element_rss(p, target, model, rng) -> list[RssMeasurement]:
+    pl, d = _ranges(p, target, model, model, rng)
+    return [RssMeasurement(*m) for m in zip(pl.tolist(), d.tolist())]
 
 
 def _hybrid_single(p, snr_db, model, target, bearing, rng):
     doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    return hybrid_single_node(p.node, doa_hat, _element_ranges(p, target, model, rng))
+    return hybrid_single_node(p.node, doa_hat, _element_rss(p, target, model, rng))
 
 
 def _hybrid_fbss(p, snr_db, model, target, bearing, rng):
     azimuths = np.concatenate([[bearing], p.sources.azimuths])
     src = SourceSet(azimuths, np.concatenate([[1.0], p.sources.amplitudes]), coherent=True)
     x = synthesize_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng)
-    element_rss = _element_ranges(p, target, model, rng)
+    element_rss = _element_rss(p, target, model, rng)
     subarray_len = p.cfg.method.get("subarray_len")
     return hybrid_with_fbss(p.node, x, element_rss, p.transform, src.count, subarray_len)
 
 
 def _hybrid_anchors(p, snr_db, model, target, bearing, rng):
     doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    points = list(p.cfg.anchors) + [p.node.center]
-    dists = [_range_to(q, target, model, model, rng).est_distance for q in points]
+    _, dists = _ranges(p, target, model, model, rng)
     scheme = p.cfg.method["hybrid"]
     return hybrid_anchor_fusion(p.node, p.cfg.anchors, dists, doa_hat, scheme, model)
 
 
 def _hybrid_two_lines(p, snr_db, model, target, bearing, rng):
     doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    d_anchor = _range_to(p.cfg.anchors[0], target, model, model, rng).est_distance
+    _, d = _ranges(p, target, model, model, rng)
     # The hybrid node's own range pools its per-element measurements
     # (the ring radius is negligible against the node-target distance).
-    d_hybrid = float(np.mean([m.est_distance for m in _element_ranges(p, target, model, rng)]))
-    return two_lines(p.node, p.cfg.anchors[0], d_anchor, d_hybrid, doa_hat)
+    # Both ranges stay numpy scalars, whose square past the float range is inf.
+    return two_lines(p.node, p.cfg.anchors[0], d[0], np.mean(d[1:]), doa_hat)
 
 
 # (method setting, value) -> the part of a trial the method decides; each entry looks its
@@ -626,18 +663,25 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
     """
     _pipeline(cfg, kind)
     rows = []
-    for si, snr in enumerate(cfg.snr_grid_db):
-        errors = []
-        for ti in range(cfg.trials):
-            try:
-                errors.append(run_trial(cfg, kind, si, ti).error)
-            except WsnlocError as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-        if not errors:
-            raise AllTrialsFailed(f"all {cfg.trials} trials failed at snr={snr} dB")
-        rmse = math.sqrt(float(np.mean(np.square(errors))))
-        rows.append(MonteCarloRow(snr, rmse, cfg.trials, failures=cfg.trials - len(errors)))
+    # Extreme shadowing drives ranges and estimates out of the float range; a trial
+    # fails on an explicit check of them and is counted, so numpy's warnings on the
+    # way there would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for si, snr in enumerate(cfg.snr_grid_db):
+            errors = []
+            for ti in range(cfg.trials):
+                try:
+                    errors.append(run_trial(cfg, kind, si, ti).error)
+                except WsnlocError as exc:
+                    if isinstance(exc, ConfigError):
+                        raise
+            if not errors:
+                raise AllTrialsFailed(f"all {cfg.trials} trials failed at snr={snr} dB")
+            rmse = math.sqrt(float(np.mean(np.square(errors))))
+            if math.isinf(rmse):  # squares of finite errors overflowed: scale by the largest
+                top = max(errors)
+                rmse = top * math.sqrt(float(np.mean(np.square(np.divide(errors, top)))))
+            rows.append(MonteCarloRow(snr, rmse, cfg.trials, failures=cfg.trials - len(errors)))
     return MonteCarloResult(unit="deg" if kind == "doa" else "m", rows=tuple(rows))
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, lognormal_sigma_d
-from .errors import LengthMismatch, SingularSystem
+from .errors import LengthMismatch, NumericOverflow, SingularSystem
 from .geometry import LinearSystem
 
 MAX_CONDITION = 1e12
@@ -24,14 +24,8 @@ class EstimatorReport:
     final_residual_norm: float
 
 
-def _solve_weighted(a: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Solve argmin (Ap-b)^T W (Ap-b); W=None means identity."""
-    if w is None:
-        gram = a.T @ a
-        rhs = a.T @ b
-    else:
-        gram = a.T @ w @ a
-        rhs = a.T @ w @ b
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the normal equations ``gram p = rhs`` unless they are ill-conditioned."""
     if np.linalg.cond(gram) > MAX_CONDITION:
         raise SingularSystem("normal equations condition number exceeds 1e12")
     return np.linalg.solve(gram, rhs)
@@ -39,7 +33,8 @@ def _solve_weighted(a: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> np.nd
 
 def ls_solve(system: LinearSystem) -> np.ndarray:
     """Least-squares node position (A^T A)^-1 A^T b."""
-    return _solve_weighted(system.A, system.b, None)
+    a, b = system
+    return _solve_normal(a.T @ a, a.T @ b)
 
 
 def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
@@ -57,6 +52,9 @@ def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
     weights collapse to a multiple of the identity and WLS reduces to
     plain LS). With sigma_db = 0 every variance vanishes and the identity
     is returned.
+
+    Raises ``NumericOverflow`` when a variance or weight leaves the float
+    range (shadowing beyond about 41 eta dB, or ranges near 1e77 or 1e-77).
     """
     d = np.asarray(est_distances, dtype=float)
     if d.ndim != 1 or d.size < 3:
@@ -66,10 +64,15 @@ def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
     sigma_d = lognormal_sigma_d(model)
     if sigma_d == 0.0:
         return np.eye(d.size - 1)
-    var = np.exp(4.0 * np.log(d)) * (
-        math.exp(8.0 * sigma_d**2) - math.exp(4.0 * sigma_d**2)
-    )
-    return np.diag(1.0 / (var[:-1] + var[-1]))
+    try:
+        spread = math.exp(8.0 * sigma_d**2) - math.exp(4.0 * sigma_d**2)
+    except OverflowError:
+        raise NumericOverflow(f"ranging variance overflows at {model.sigma_db:g} dB") from None
+    var = np.exp(4.0 * np.log(d)) * spread
+    weights = 1.0 / (var[:-1] + var[-1])
+    if not np.all((weights > 0) & (weights < math.inf)):
+        raise NumericOverflow("ranging variance leaves the float range; WLS weights are degenerate")
+    return np.diag(weights)
 
 
 def wls_solve(system: LinearSystem, weights: np.ndarray) -> np.ndarray:
@@ -83,7 +86,8 @@ def wls_solve(system: LinearSystem, weights: np.ndarray) -> np.ndarray:
         raise ValueError("weight matrix must be symmetric")
     if np.any(np.linalg.eigvalsh(w) <= 0):
         raise ValueError("weight matrix must be positive definite")
-    return _solve_weighted(system.A, system.b, w)
+    a, b = system
+    return _solve_normal(a.T @ w @ a, a.T @ w @ b)
 
 
 def huber_irls(
@@ -110,6 +114,13 @@ def huber_irls(
     is applied to comparably-scaled rows and epsilon is expressed in
     standardized units. Under purely Gaussian noise this tracks the WLS
     solution; heavy-tailed rows still get downweighted.
+
+    A pass applies its weights by scaling the columns of A^T, ``(A^T * w) A``,
+    instead of building ``diag(w)``: the products that form leaves out are
+    exact zeros, so with the scaled matrix in C order (the layout the
+    product with ``diag(w)`` has) the normal equations are bit for bit
+    those of ``A^T diag(w) A``. Each pass keeps the condition-number check of the LS
+    and WLS solves and raises ``SingularSystem`` past 1e12.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -125,8 +136,9 @@ def huber_irls(
     iterations = 0
     for _ in range(max_iter):
         resid = (a @ pos - b) / row_std
-        w = np.diag(1.0 / (np.abs(resid) + epsilon) / row_std**2)
-        new_pos = _solve_weighted(a, b, w)
+        # C order, the layout of A^T diag(w): BLAS then sums in the same order
+        scaled = np.multiply(a.T, 1.0 / (np.abs(resid) + epsilon) / row_std**2, order="C")
+        new_pos = _solve_normal(scaled @ a, scaled @ b)
         iterations += 1
         step = float(np.linalg.norm(new_pos - pos))
         pos = new_pos

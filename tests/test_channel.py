@@ -112,6 +112,28 @@ class TestInvertDistance:
         assert np.var(d_est**2) == pytest.approx(expected, rel=0.05)
 
 
+class TestArrayMatchesScalar:
+    """Ranging a vector of points must give exactly the values of ranging them
+    one at a time: the harness ranges every anchor in one call."""
+
+    def test_invert_distance_array_equals_scalar_calls(self):
+        m = ChannelModel(1.0, 2.0, 8.0, 0.3)
+        # numpy's vectorised power differs from the scalar one by an ulp here
+        pinned = 73.22521507449241
+        losses = np.concatenate([[pinned], np.random.default_rng(2).uniform(20.0, 140.0, 2000)])
+        scalar = np.array([invert_distance(float(pl), m) for pl in losses])
+        assert np.array_equal(invert_distance(losses, m), scalar)
+        assert invert_distance(losses[:1], m)[0] == invert_distance(pinned, m)
+
+    def test_path_loss_vector_equals_scalar_calls(self):
+        m = model(sigma_db=6.0)
+        d = np.random.default_rng(4).uniform(1.0, 200.0, 9)
+        vector = path_loss(d, m, np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        scalar = np.array([path_loss(float(x), m, rng) for x in d])
+        assert np.array_equal(vector, scalar)
+
+
 class TestScenarioHelpers:
     def test_sigma_from_snr_reference(self):
         assert sigma_from_snr(0.0) == pytest.approx(8.0)

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +255,34 @@ def test_structural_config_errors_exit_1(tmp_path, capsys, name):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Shipped scenarios with sigma_ref_db 100 or 1000 down to -20 dB SNR (a shadowing std of
+# 1000 or 10000 dB): ranges overflow to infinity or underflow to 0, and squared ranges
+# and ranging variances leave the float range
+HYBRID_SCHEMES = ("single", "fbss", "ls", "wls", "two-lines")
+EXTREME_SHADOWING = [
+    *(("rss", "rss_heterogeneous", "--estimator", e) for e in ("ls", "wls", "huber")),
+    *(("hybrid", "hybrid_single", "--hybrid", h) for h in HYBRID_SCHEMES),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma_ref", [100.0, 1000.0])
+@pytest.mark.parametrize("command, config, flag, value", EXTREME_SHADOWING)
+def test_extreme_shadowing_fails_cleanly(tmp_path, capsys, command, config, flag, value, sigma_ref):
+    raw = json.loads((CONFIGS / f"{config}.json").read_text())
+    raw.update(snr_grid_db=[-20, 0], trials=40)
+    raw["channel"]["sigma_ref_db"] = sigma_ref
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    code = main([command, "--config", str(cfg), "--out", str(out), flag, value])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert all(math.isfinite(float(row["rmse"])) for row in csv.DictReader(out.open()))
+    else:
+        assert code in (1, 2)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from wsnloc.errors import AllTrialsFailed, ConfigError
+from wsnloc import geometry, harness
+from wsnloc.errors import AllTrialsFailed, CollinearAnchors, ConfigError
 from wsnloc.harness import (
     CONFIG_SCHEMA,
     ScenarioConfig,
@@ -35,6 +36,18 @@ DOA_RAW = {
     "snr_grid_db": [10.0, 20.0],
     "array": {"kind": "ula", "n_elements": 8, "spacing_wavelengths": 0.5},
     "sources": {"azimuths_deg": [-10.0, 10.0], "snapshots": 100},
+}
+
+HYBRID_RAW = {
+    "seed": 21,
+    "trials": 4,
+    "snr_grid_db": [10.0],
+    "region": [30.0, 30.0],
+    "target": [20.0, 18.0],
+    "channel": {"frequency_hz": 1e9, "sigma_ref_db": 0.3},
+    "anchors": [[2.0, 28.0], [28.0, 4.0], [22.0, 20.0]],
+    "hybrid_node": {"center": [18.0, 16.0], "n_elements": 4, "radius_wavelengths": 0.3183},
+    "snapshots": 32,
 }
 
 
@@ -277,3 +290,55 @@ class TestCsvOutputs:
         cfg = ScenarioConfig.from_dict(raw)
         with pytest.raises(ConfigError):
             dump_spectrum(cfg, tmp_path / "x.csv")
+
+
+def counting(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name`` while the test runs."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestTrialCallCounts:
+    """A trial ranges all its points in one call; the anchors' LOP matrix is built
+    once, when the scenario is compiled."""
+
+    @pytest.mark.parametrize("estimator", ["ls", "wls", "huber"])
+    def test_rss_trial(self, monkeypatch, estimator):
+        cfg = ScenarioConfig.from_dict(RSS_RAW).with_method(estimator=estimator)
+        verdicts = counting(monkeypatch, harness, "lop_matrix")
+        run_trial(cfg, "rss", 0, 0)  # compiles the pipeline
+        assert len(verdicts) == 1
+        ranged = counting(monkeypatch, harness, "path_loss")
+        systems = counting(monkeypatch, geometry, "build_lop_system")
+        run_trial(cfg, "rss", 1, 2)
+        assert [len(args[0]) for args in ranged] == [4]
+        assert systems == []
+        monte_carlo(cfg, "rss")
+        assert len(verdicts) == 1
+
+    @pytest.mark.parametrize(
+        "scheme, points", [("single", 4), ("fbss", 4), ("ls", 4), ("wls", 4), ("two-lines", 5)]
+    )
+    def test_hybrid_trial(self, monkeypatch, scheme, points):
+        cfg = ScenarioConfig.from_dict(HYBRID_RAW).with_method(hybrid=scheme)
+        ranged = counting(monkeypatch, harness, "path_loss")
+        run_trial(cfg, "hybrid", 0, 0)
+        assert [len(args[0]) for args in ranged] == [points]
+
+    def test_collinear_anchors_fail_every_trial(self, monkeypatch):
+        raw = json.loads(json.dumps(RSS_RAW))
+        raw["anchors"] = [[0.0, 0.0], [50.0, 50.0], [100.0, 100.0]]
+        raw["target"] = [30.0, 60.0]
+        cfg = ScenarioConfig.from_dict(raw)
+        verdicts = counting(monkeypatch, harness, "lop_matrix")
+        for trial in range(2):
+            with pytest.raises(CollinearAnchors):
+                run_trial(cfg, "rss", 0, trial)
+        assert len(verdicts) == 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnloc.channel import ChannelModel, invert_distance, path_loss
-from wsnloc.errors import SingularSystem
+from wsnloc.errors import NumericOverflow, SingularSystem
 from wsnloc.geometry import LinearSystem, build_lop_system, distance
 from wsnloc.rss import huber_irls, ls_solve, wls_solve, wls_weights
 
@@ -102,6 +102,19 @@ class TestWlsWeights:
         noiseless = ChannelModel(d0=1.0, eta=2.0, sigma_db=0.0, wavelength=0.3)
         assert np.allclose(wls_weights(noiseless, np.array([5.0, 9.0, 3.0])), np.eye(2))
 
+    @pytest.mark.parametrize(
+        "sigma_db, d",
+        [
+            (100.0, [10.0, 20.0, 30.0]),  # exp(8 s^2) overflows
+            (8.0, [1e90, 20.0, 30.0]),  # d^4 overflows: a zero weight
+            (8.0, [1e-90, 20.0, 1e-90]),  # d^4 underflows: an infinite weight
+        ],
+    )
+    def test_out_of_range_variance_raises(self, sigma_db, d):
+        model = ChannelModel(d0=1.0, eta=2.0, sigma_db=sigma_db, wavelength=0.3)
+        with np.errstate(over="ignore", divide="ignore"), pytest.raises(NumericOverflow):
+            wls_weights(model, np.array(d))
+
 
 class TestWlsSolve:
     def test_identity_weights_reduce_to_ls(self):
@@ -180,6 +193,37 @@ class TestHuberIrls:
                 w = np.diag(1.0 / (np.abs(resid) + eps))
                 pos = np.linalg.solve(a.T @ w @ a, a.T @ w @ b)
             assert np.all(np.diff(objectives) <= 1e-8)
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_bit_identical_to_diagonal_matrix_weights(self, standardized):
+        def reference(system, epsilon, initial_weights):
+            a, b = system
+            if initial_weights is None:
+                pos, row_std = ls_solve(system), np.ones(a.shape[0])
+            else:
+                pos = wls_solve(system, initial_weights)
+                row_std = np.sqrt(np.diag(np.linalg.inv(initial_weights)))
+            for iterations in range(1, 51):
+                resid = (a @ pos - b) / row_std
+                w = np.diag(1.0 / (np.abs(resid) + epsilon) / row_std**2)
+                new_pos = np.linalg.solve(a.T @ w @ a, a.T @ w @ b)
+                step, pos = float(np.linalg.norm(new_pos - pos)), new_pos
+                if step < 1e-6:
+                    break
+            return pos, iterations
+
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            anchors = rng.uniform(0.0, 100.0, (int(rng.integers(3, 9)), 2))
+            truth = rng.uniform(0.0, 100.0, 2)
+            d = np.hypot(*(anchors - truth).T) * np.exp(rng.normal(0.0, 0.4, len(anchors)))
+            system = build_lop_system(anchors, d)
+            weights = wls_weights(MODEL, d) if standardized else None
+            for epsilon in (1e-3, 1.345):
+                report = huber_irls(system, epsilon=epsilon, initial_weights=weights)
+                pos, iterations = reference(system, epsilon, weights)
+                assert np.array_equal(report.position, pos)
+                assert report.iterations == iterations
 
     def test_statistically_equal_to_wls_under_gaussian_noise(self):
         import scipy.stats
