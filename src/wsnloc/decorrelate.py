@@ -15,7 +15,6 @@ row/column of the measured covariance.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InvalidPlan
 from .numerics import _check_hermitian
@@ -118,5 +117,7 @@ def toeplitz_reconstruct(r: np.ndarray) -> np.ndarray:
     r = _check_hermitian(r)
     row = r[0].copy()
     row[0] = row[0].real
-    out = scipy.linalg.toeplitz(np.conj(row), row)
+    lag = np.arange(row.size)[:, None] - np.arange(row.size)  # i - j
+    # on and below the diagonal the conjugated row, above it the row itself
+    out = np.where(lag >= 0, np.conj(row)[lag], row[-lag])
     return 0.5 * (out + out.conj().T)

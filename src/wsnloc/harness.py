@@ -32,14 +32,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import decorrelate
 from .arrays import (
     SourceSet,
     UniformCircularArray,
     UniformLinearArray,
+    noise_power,
     sample_covariance,
     synthesize_snapshots,
 )
@@ -186,6 +188,10 @@ CONFIG_SCHEMA: dict[str, Any] = {
     },
 }
 
+# Checked against the metaschema and compiled once, not on every config load.
+Draft202012Validator.check_schema(CONFIG_SCHEMA)
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
 _DEFAULT_METHOD = {
     "estimator": "ls",
     "doa": "music",
@@ -224,10 +230,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"invalid scenario config: {exc.message}") from exc
+        error = best_match(_VALIDATOR.iter_errors(raw))  # what jsonschema.validate raises
+        if error is not None:
+            raise ConfigError(f"invalid scenario config: {error.message}") from error
 
         channel = raw.get("channel", {})
         if "wavelength_m" in channel and "frequency_hz" in channel:
@@ -406,6 +411,19 @@ def _clearance(cfg: ScenarioConfig, points: list, radii: list, ranged=()) -> tup
     return points, radii
 
 
+def _per_row(cfg: ScenarioConfig, quantity: str, fn: Callable) -> tuple:
+    """``fn(snr_db)`` for each row of the SNR grid, worked out at compile: an SNR so far
+    out that the row's ``quantity`` leaves the float range is a config error, not an
+    ``OverflowError`` in a trial."""
+    rows = []
+    for snr in cfg.snr_grid_db:
+        try:
+            rows.append(fn(snr))
+        except OverflowError as exc:
+            raise ConfigError(f"snr {snr:g} dB puts the {quantity} out of the float range") from exc
+    return tuple(rows)
+
+
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.anchors is None or cfg.anchors.shape[0] < 3:
         raise ConfigError("rss scenario needs at least 3 anchors")
@@ -417,8 +435,8 @@ def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.ranged = cfg.anchors
     p.clearance = _clearance(cfg, [], [])
     # eta_true, when set, generates the losses; ranging inverts them with eta
-    p.models = tuple(
-        (cfg.channel_at(snr, eta=cfg.eta_true), cfg.channel_at(snr)) for snr in cfg.snr_grid_db
+    p.models = _per_row(
+        cfg, "shadowing std", lambda snr: (cfg.channel_at(snr, eta=cfg.eta_true), cfg.channel_at(snr))
     )
 
 
@@ -433,6 +451,7 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     ring = isinstance(geometry, UniformCircularArray)
     if sources.count >= geometry.size:
         raise ConfigError(f"{sources.count} sources need more than {geometry.size} elements")
+    _per_row(cfg, "noise power", lambda snr: noise_power(sources, snr))  # a check; trials redo it
     if method != "music" and ring != method.startswith("uca-"):
         raise ConfigError(f"{method} does not run on a {cfg.array_spec['kind']} array")
     if method not in ("music", "root-music") and prep != "none":
@@ -464,7 +483,9 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.geometry, positions = node.geometry, node.element_positions
     radius = max(cfg.d0, 3.0 * node.geometry.radius)
     p.clearance = _clearance(cfg, [node.center], [radius], ranged=positions)
-    p.models = tuple(cfg.channel_at(snr) for snr in cfg.snr_grid_db)
+    p.models = _per_row(cfg, "shadowing std", cfg.channel_at)
+    # a check; the overflow is in 10^(-snr/10), whatever power a trial's sources carry
+    _per_row(cfg, "noise power", lambda snr: noise_power(None, snr))
     needed = {"ls": 2, "wls": 2, "two-lines": 1}.get(scheme, 0)
     if (0 if cfg.anchors is None else cfg.anchors.shape[0]) < needed:
         raise ConfigError(f"{scheme} fusion needs at least {needed} RSS anchor(s)")

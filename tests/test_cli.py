@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,6 +173,22 @@ def with_keys(raw, drop=(), **changes):
     return out
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped(config, **changes):
+    return with_keys(json.loads((CONFIGS / f"{config}.json").read_text()), **changes)
+
+
+# A shipped config of each kind, to be run at an extreme SNR
+EXTREME_SNR = [
+    ("rss", "rss_heterogeneous"),
+    ("doa", "doa_ula_music"),
+    ("hybrid", "hybrid_single"),
+    ("spectrum", "spectrum_uca"),
+]
+
+
 # Each scenario is valid under the schema but cannot run; every one must be
 # reported as a configuration error before any trial, not as failed trials.
 STRUCTURAL_ERRORS = {
@@ -242,6 +261,13 @@ STRUCTURAL_ERRORS = {
         with_keys(HYBRID_RAW, target=[18.0 + 0.5 * wavelength_from_frequency(1e9), 16.0]),
         [],
     ),
+    # an SNR so low that the shadowing std (below about -6,165 dB) or the array noise
+    # power (below about -3,083 dB) leaves the float range
+    **{
+        f"{config}_snr_{snr:g}": (command, shipped(config, snr_grid_db=[snr], trials=3), [])
+        for command, config in EXTREME_SNR
+        for snr in (-7000.0, -1e300)
+    },
 }
 
 
@@ -253,11 +279,20 @@ def test_structural_config_errors_exit_1(tmp_path, capsys, name):
     assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+@pytest.mark.parametrize("command, config", EXTREME_SNR)
+def test_extreme_high_snr_runs(tmp_path, capsys, command, config):
+    # noiseless: the shadowing std and the noise power underflow to 0
+    cfg = write_cfg(tmp_path, shipped(config, snr_grid_db=[1e300], trials=3))
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
 
 # Shipped scenarios with sigma_ref_db 100 or 1000 down to -20 dB SNR (a shadowing std of
 # 1000 or 10000 dB): ranges overflow to infinity or underflow to 0, and squared ranges
@@ -273,8 +308,7 @@ EXTREME_SHADOWING = [
 @pytest.mark.parametrize("sigma_ref", [100.0, 1000.0])
 @pytest.mark.parametrize("command, config, flag, value", EXTREME_SHADOWING)
 def test_extreme_shadowing_fails_cleanly(tmp_path, capsys, command, config, flag, value, sigma_ref):
-    raw = json.loads((CONFIGS / f"{config}.json").read_text())
-    raw.update(snr_grid_db=[-20, 0], trials=40)
+    raw = shipped(config, snr_grid_db=[-20, 0], trials=40)
     raw["channel"]["sigma_ref_db"] = sigma_ref
     cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
     code = main([command, "--config", str(cfg), "--out", str(out), flag, value])
@@ -286,3 +320,15 @@ def test_extreme_shadowing_fails_cleanly(tmp_path, capsys, command, config, flag
         assert code in (1, 2)
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only; importing the package and its CLI must not load it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(CONFIGS.parent / "src")
+    code = "import sys, wsnloc, wsnloc.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

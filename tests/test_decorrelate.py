@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wsnloc.arrays import SourceSet, UniformLinearArray, analytic_covariance
 from wsnloc.decorrelate import SmoothingPlan, fbss, fss, toeplitz_reconstruct
@@ -105,11 +109,26 @@ class TestFbss:
 
 class TestToeplitzReconstruct:
     def test_hermitian_toeplitz_fixed_point(self):
-        import scipy.linalg
-
         row = np.array([2.0, 0.5 - 0.2j, 0.1 + 0.3j])
         r = scipy.linalg.toeplitz(np.conj(row), row)
         assert np.allclose(toeplitz_reconstruct(r), r, atol=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), complex_valued=st.booleans())
+    def test_matches_scipy_toeplitz_bit_for_bit(self, data, n, complex_valued):
+        # the index-built matrix equals the scipy construction it replaced, dtype included
+        elements = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        a = data.draw(arrays(np.float64, (n, n), elements=elements))
+        if complex_valued:
+            a = a + 1j * data.draw(arrays(np.float64, (n, n), elements=elements))
+        r = a + a.conj().T  # exactly Hermitian
+        row = r[0].copy()
+        row[0] = row[0].real
+        t = scipy.linalg.toeplitz(np.conj(row), row)
+        expected = 0.5 * (t + t.conj().T)
+        got = toeplitz_reconstruct(r)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
     def test_restores_rank_six_of_seven(self):
         r = coherent_cov(7)

@@ -2,7 +2,9 @@ import csv
 import json
 import math
 import warnings
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -104,6 +106,67 @@ class TestConfig:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+
+
+def with_keys(raw, drop=(), **changes):
+    out = {k: v for k, v in json.loads(json.dumps(raw)).items() if k not in drop}
+    out.update(changes)
+    return out
+
+
+# Invalid under the schema, one fault each
+INVALID = {
+    "missing_required_key": with_keys(RSS_RAW, drop=("trials",)),
+    "unknown_key": with_keys(RSS_RAW, surprise=True),
+    "bad_enum": with_keys(RSS_RAW, method={"estimator": "median"}),
+    "below_minimum": with_keys(RSS_RAW, trials=0),
+    "bad_target_one_of": with_keys(RSS_RAW, target=[30.0]),
+    "grid_step_too_fine": with_keys(DOA_RAW, method={"grid_step_deg": 1e-9}),
+}
+
+
+class TestValidator:
+    def test_schema_passes_metaschema(self):
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("name", sorted(INVALID))
+    def test_message_matches_jsonschema_validate(self, tmp_path, name):
+        raw = INVALID[name]
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        expected = "invalid scenario config: " + reference.value.message
+        with pytest.raises(ConfigError) as from_dict:
+            ScenarioConfig.from_dict(raw)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError) as loaded:
+            load_config(path)
+        assert str(from_dict.value) == str(loaded.value) == expected
+
+    def test_load_config_builds_no_validator(self, monkeypatch):
+        calls = []
+        check_schema = jsonschema.Draft202012Validator.check_schema.__func__
+        validator_for = jsonschema.validators.validator_for
+
+        def counted_check_schema(cls, *args, **kwargs):
+            calls.append("check_schema")
+            return check_schema(cls, *args, **kwargs)
+
+        def counted_validator_for(schema, *args, **kwargs):
+            # jsonschema's own descent looks up a class for each subschema; only a
+            # lookup for the whole schema means a validator is being built afresh
+            if schema is CONFIG_SCHEMA:
+                calls.append("validator_for")
+            return validator_for(schema, *args, **kwargs)
+
+        monkeypatch.setattr(
+            jsonschema.Draft202012Validator, "check_schema", classmethod(counted_check_schema)
+        )
+        monkeypatch.setattr(jsonschema.validators, "validator_for", counted_validator_for)
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        for path in sorted(configs.glob("*.json")):
+            load_config(path)
+        assert calls == []
 
 
 class TestRunTrial:
