@@ -44,13 +44,16 @@ def as_anchor_array(anchors) -> np.ndarray:
 class LopMatrix(NamedTuple):
     """The anchor half of the line-of-position system, fixed by the anchor layout.
 
-    Built once by :func:`lop_matrix`; :meth:`system` adds the right-hand side
-    for one set of ranges.
+    Built once by :func:`lop_matrix`, with the least-squares normal matrix
+    ``A^T A`` and its condition number; :meth:`system` adds the right-hand
+    side for one set of ranges, :meth:`rhs` for a block of them.
     """
 
     A: np.ndarray  # (S-1, 2) rows 2 (p_S - p_i)
     ref_sq: float  # |p_S|^2
     pts_sq: np.ndarray  # (S-1,) |p_i|^2
+    gram: np.ndarray  # (2, 2) A^T A
+    gram_cond: float  # 2-norm condition number of A^T A
 
     def system(self, distances: Sequence[float]) -> LinearSystem:
         """``A p = b`` with ``b_i = d_i^2 - d_S^2 + |p_S|^2 - |p_i|^2``."""
@@ -61,7 +64,17 @@ class LopMatrix(NamedTuple):
             )
         if np.any(d <= 0):
             raise ValueError("distances must be positive")
-        return LinearSystem(A=self.A, b=d[:-1] ** 2 - d[-1] ** 2 + self.ref_sq - self.pts_sq)
+        return LinearSystem(A=self.A, b=self.rhs(d[None])[0])
+
+    def rhs(self, distances: np.ndarray) -> np.ndarray:
+        """``b`` for each row of a (T, S) block of ranges, unchecked: (T, S-1).
+
+        Each row's ``d_S^2`` is the scalar power of its last range, the value
+        squaring that range on its own gives; numpy's array square is one ulp
+        off it on some inputs.
+        """
+        last_sq = np.array([d_s**2 for d_s in distances[:, -1]])
+        return distances[:, :-1] ** 2 - last_sq[:, None] + self.ref_sq - self.pts_sq
 
 
 def lop_matrix(anchors) -> LopMatrix:
@@ -82,7 +95,14 @@ def lop_matrix(anchors) -> LopMatrix:
     s = np.linalg.svd(a_mat, compute_uv=False)
     if s[-1] <= 1e-12 * max(s[0], 1.0):
         raise CollinearAnchors("anchors are collinear; LOP system is rank deficient")
-    return LopMatrix(A=a_mat, ref_sq=np.sum(ref**2), pts_sq=np.sum(pts[:-1] ** 2, axis=1))
+    gram = a_mat.T @ a_mat
+    return LopMatrix(
+        A=a_mat,
+        ref_sq=np.sum(ref**2),
+        pts_sq=np.sum(pts[:-1] ** 2, axis=1),
+        gram=gram,
+        gram_cond=np.linalg.cond(gram),
+    )
 
 
 def build_lop_system(anchors, distances: Sequence[float]) -> LinearSystem:

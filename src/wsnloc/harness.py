@@ -13,11 +13,20 @@ A scenario is compiled once per kind into a :class:`Pipeline`, which checks
 every method/geometry combination and builds what all trials share; a trial
 then only draws randomness and calls kernels, through one table, :data:`_STEPS`.
 
+Trials run one SNR row at a time. rss compiles a stacked row function: it
+draws each trial's target and shadowing, then solves the row's LS, WLS or
+Huber systems as one stack, bit for bit what each trial's own solve gives,
+and an rss :func:`run_trial` is that row with one trial in it. A row is
+stacked in chunks of at most :data:`ROW_CHUNK` trials, so its memory does not
+grow with ``trials``. doa and hybrid rows run trial by trial through
+:func:`run_trial`. ``workers`` is still ignored.
+
 Randomness: every trial owns an independent PCG64 stream derived as
 ``SeedSequence(entropy=seed, spawn_key=(snr_index, trial_index))``, so
 results are bit-identical across reruns and do not depend on the order in
-which trials run. The SNR axis drives both the array noise floor and the
-RSS shadowing std through ``sigma_db = sigma_ref_db * 10^(-snr/20)``.
+which trials run or on how many share a row. The SNR axis drives both the
+array noise floor and the RSS shadowing std through
+``sigma_db = sigma_ref_db * 10^(-snr/20)``.
 
 A failed trial (a spectrum without enough peaks at low SNR, a ray with no
 forward intersection, a range or estimate that extreme shadowing drives out
@@ -27,6 +36,7 @@ RMSE; only a row where every trial fails raises :class:`AllTrialsFailed`.
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,6 +68,7 @@ from .errors import (
     AllTrialsFailed,
     CollinearAnchors,
     ConfigError,
+    LengthMismatch,
     NonPositiveDistance,
     NumericOverflow,
     WsnlocError,
@@ -71,7 +82,15 @@ from .hybrid import (
     two_lines,
 )
 from .pme import PmeTransform, VandermondeArray, build_transform
-from .rss import huber_irls, ls_solve, wls_solve, wls_weights
+from .rss import huber_stack, solve_stack, wls_row_weights
+
+# Extreme shadowing drives ranges and estimates out of the float range; a trial fails
+# on an explicit check of them and is counted, so numpy's warnings on the way there
+# would only repeat that.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+_BAD_RANGE = "shadowing drove an estimated range to 0 or infinity"
+_BAD_ESTIMATE = "the position estimate left the float range"
+ROW_CHUNK = 1024  # most trials one stacked row call holds in memory at once
 
 _XY = {
     "type": "array",
@@ -375,12 +394,14 @@ def rng_for_trial(seed: int, snr_index: int, trial_index: int) -> np.random.Gene
 
 @dataclass
 class Pipeline:
-    """A scenario compiled for one kind: ``trial(pipeline, snr_index, rng)`` hands the
-    method's part to ``step`` (doa preprocessing to ``prepare``), both from :data:`_STEPS`;
-    the other fields are what all trials share, ``None`` where a kind has no use for them."""
+    """A scenario compiled for one kind: ``row(pipeline, snr_index, trial_indices)`` (rss)
+    or ``trial(pipeline, snr_index, rng)`` (doa, hybrid) hands the method's part to
+    ``step`` (doa preprocessing to ``prepare``), both from :data:`_STEPS`; the other
+    fields are what all trials share, ``None`` where a kind has no use for them."""
 
     cfg: ScenarioConfig
     grid_step: float  # MUSIC grid step, radians
+    row: Callable | None = None
     trial: Callable | None = None
     step: Callable | None = None
     models: tuple = ()  # per SNR: ChannelModel, or (generating, inverting) pair for rss
@@ -393,8 +414,9 @@ class Pipeline:
     scan: Any = None  # the geometry MUSIC and Root-MUSIC see after preprocessing
     node: HybridNode | None = None
     ranged: np.ndarray | None = None  # (k, 2) points a trial ranges the target from
-    # rss: the anchors' LOP matrix, or the collinearity verdict every trial raises
-    lop: LopMatrix | CollinearAnchors | None = None
+    # rss, hybrid ls/wls/fbss: the LOP matrix of p.ranged, or the error building it
+    # raised, which every trial raises again as its own failure
+    lop: LopMatrix | WsnlocError | None = None
 
 
 def _clearance(cfg: ScenarioConfig, points: list, radii: list, ranged=()) -> tuple[list, list]:
@@ -431,7 +453,7 @@ def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
         p.lop = lop_matrix(cfg.anchors)
     except CollinearAnchors as exc:
         p.lop = exc  # a failed trilateration, not a config error: every trial counts it
-    p.trial, p.step = _rss_trial, _STEPS["estimator", cfg.method["estimator"]]
+    p.row, p.step = _rss_row, _STEPS["estimator", cfg.method["estimator"]]
     p.ranged = cfg.anchors
     p.clearance = _clearance(cfg, [], [])
     # eta_true, when set, generates the losses; ranging inverts them with eta
@@ -497,6 +519,11 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         p.ranged = np.vstack([cfg.anchors[:1], positions])
     else:
         p.ranged = positions
+    if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
+        try:
+            p.lop = lop_matrix(p.ranged)
+        except (CollinearAnchors, LengthMismatch) as exc:
+            p.lop = exc  # raised in each trial just before fusion, where it built it
     if scheme == "fbss":
         amps = cfg.interferer_amplitudes
         if amps is not None and len(amps) != len(cfg.interferers_deg):
@@ -542,15 +569,24 @@ def _draw_target(p: Pipeline, rng: np.random.Generator) -> np.ndarray:
     raise ConfigError("could not place a random target clear of the ranging nodes")
 
 
-def _ranges(p: Pipeline, target, gen_model, inv_model, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Path losses and estimated ranges from each of ``p.ranged`` to ``target``: one
-    ``path_loss`` call draws a shadowing term per point in point order (the draws k
-    scalar calls would make), and one inversion maps them back to ranges."""
+def _losses(p: Pipeline, target, model, rng) -> np.ndarray:
+    """Path losses from each of ``p.ranged`` to ``target``: one ``path_loss`` call draws
+    a shadowing term per point in point order (the draws k scalar calls would make)."""
     diff = p.ranged - target
-    pl = path_loss(np.hypot(diff[:, 0], diff[:, 1]), gen_model, rng)
-    d = invert_distance(pl, inv_model)
-    if not np.all((d > 0) & (d < math.inf)):
-        raise NonPositiveDistance("shadowing drove an estimated range to 0 or infinity")
+    return path_loss(np.hypot(diff[:, 0], diff[:, 1]), model, rng)
+
+
+def _usable(d: np.ndarray) -> np.ndarray:
+    """Whether every range in the last axis of ``d`` is positive and finite."""
+    return np.all((d > 0) & (d < math.inf), axis=-1)
+
+
+def _ranges(p: Pipeline, target, model, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Path losses and the estimated ranges one inversion maps them back to."""
+    pl = _losses(p, target, model, rng)
+    d = invert_distance(pl, model)
+    if not _usable(d):
+        raise NonPositiveDistance(_BAD_RANGE)
     return pl, d
 
 
@@ -558,24 +594,48 @@ def _result(est: np.ndarray, target: np.ndarray) -> TrialResult:
     """A position trial's result; an estimate with no finite error fails the trial."""
     error = distance(est, target)
     if not math.isfinite(error):
-        raise NumericOverflow("the position estimate left the float range")
+        raise NumericOverflow(_BAD_ESTIMATE)
     return TrialResult(estimate=est, truth=target, error=error)
 
 
-def _rss_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
+def _rss_row(p: Pipeline, snr_index: int, trials) -> list:
+    """Each trial draws its target and shadowing from its own stream; the row then
+    inverts, checks and solves all its ranges as one (T, k) block. A trial that fails
+    a check gets the error its own solve would raise, and leaves the others alone.
+    Returns each trial's result, or that error."""
     gen_model, inv_model = p.models[snr_index]
-    target = _draw_target(p, rng)
-    _, est_d = _ranges(p, target, gen_model, inv_model, rng)
-    if isinstance(p.lop, CollinearAnchors):
-        raise p.lop.with_traceback(None)
-    est = p.step(p, p.lop.system(est_d), inv_model, est_d)
-    return _result(est, target)
+    targets, losses = [], []
+    for ti in trials:
+        rng = rng_for_trial(p.cfg.seed, snr_index, ti)
+        targets.append(_draw_target(p, rng))
+        losses.append(_losses(p, targets[-1], gen_model, rng))
+    targets, d = np.array(targets), invert_distance(np.array(losses), inv_model)
+    failed = np.full(len(d), None, dtype=object)
+    failed[~_usable(d)] = NonPositiveDistance(_BAD_RANGE)
+    est = np.full((len(d), 2), np.nan)
+    live = np.flatnonzero(np.equal(failed, None))
+    if isinstance(p.lop, WsnlocError):
+        failed[live] = type(p.lop)(*p.lop.args)
+    else:
+        est[live], failed[live] = p.step(p, inv_model, d[live])
+    errors = np.hypot(est[:, 0] - targets[:, 0], est[:, 1] - targets[:, 1])
+    failed[np.equal(failed, None) & ~np.isfinite(errors)] = NumericOverflow(_BAD_ESTIMATE)
+    return [
+        TrialResult(estimate=e, truth=t, error=float(err)) if f is None else f
+        for e, t, err, f in zip(est, targets, errors, failed)
+    ]
 
 
-def _rss_huber(p, system, model, est_d):
-    weights = wls_weights(model, est_d) if model.sigma_db > 0 else None
-    epsilon = p.cfg.method["huber_epsilon"]
-    return huber_irls(system, epsilon=epsilon, initial_weights=weights).position
+def _rss_huber(p, model, d):
+    weighted = wls_row_weights(model, d) if model.sigma_db > 0 else ()
+    return huber_stack(p.lop, p.lop.rhs(d), p.cfg.method["huber_epsilon"], *weighted)
+
+
+def _lop(p: Pipeline) -> LopMatrix:
+    """``p.lop``, or a fresh copy of the error that building it raised."""
+    if isinstance(p.lop, WsnlocError):
+        raise type(p.lop)(*p.lop.args)
+    return p.lop
 
 
 def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
@@ -607,7 +667,7 @@ def _music_bearing(p, bearing, snr_db, rng) -> float:
 
 
 def _element_rss(p, target, model, rng) -> list[RssMeasurement]:
-    pl, d = _ranges(p, target, model, model, rng)
+    pl, d = _ranges(p, target, model, rng)
     return [RssMeasurement(*m) for m in zip(pl.tolist(), d.tolist())]
 
 
@@ -621,20 +681,20 @@ def _hybrid_fbss(p, snr_db, model, target, bearing, rng):
     src = SourceSet(azimuths, np.concatenate([[1.0], p.sources.amplitudes]), coherent=True)
     x = synthesize_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng)
     element_rss = _element_rss(p, target, model, rng)
-    subarray_len = p.cfg.method.get("subarray_len")
-    return hybrid_with_fbss(p.node, x, element_rss, p.transform, src.count, subarray_len)
+    subarray_len, lop = p.cfg.method.get("subarray_len"), _lop(p)
+    return hybrid_with_fbss(p.node, x, element_rss, p.transform, src.count, subarray_len, lop=lop)
 
 
 def _hybrid_anchors(p, snr_db, model, target, bearing, rng):
     doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    _, dists = _ranges(p, target, model, model, rng)
-    scheme = p.cfg.method["hybrid"]
-    return hybrid_anchor_fusion(p.node, p.cfg.anchors, dists, doa_hat, scheme, model)
+    _, dists = _ranges(p, target, model, rng)
+    scheme, lop = p.cfg.method["hybrid"], _lop(p)
+    return hybrid_anchor_fusion(p.node, p.cfg.anchors, dists, doa_hat, scheme, model, lop=lop)
 
 
 def _hybrid_two_lines(p, snr_db, model, target, bearing, rng):
     doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    _, d = _ranges(p, target, model, model, rng)
+    _, d = _ranges(p, target, model, rng)
     # The hybrid node's own range pools its per-element measurements
     # (the ring radius is negligible against the node-target distance).
     # Both ranges stay numpy scalars, whose square past the float range is inf.
@@ -642,12 +702,15 @@ def _hybrid_two_lines(p, snr_db, model, target, bearing, rng):
 
 
 # (method setting, value) -> the part of a trial the method decides; each entry looks its
-# kernels up by module-global name when it runs. Arguments: estimator (pipeline, LOP system,
-# inverting model, ranges) -> position; decorrelate and doa (pipeline, snapshots) ->
-# covariance and DoaEstimate; hybrid (pipeline, snr_db, model, target, bearing, rng) -> position.
+# kernels up by module-global name when it runs. Arguments: estimator (pipeline, inverting
+# model, (T, k) ranges) -> (T, 2) positions and per-trial failures, as rss.solve_stack;
+# decorrelate and doa (pipeline, snapshots) -> covariance and DoaEstimate; hybrid
+# (pipeline, snr_db, model, target, bearing, rng) -> position.
 _STEPS: dict[tuple[str, str], Callable] = {
-    ("estimator", "ls"): lambda p, system, model, d: ls_solve(system),
-    ("estimator", "wls"): lambda p, system, model, d: wls_solve(system, wls_weights(model, d)),
+    ("estimator", "ls"): lambda p, model, d: solve_stack(p.lop, p.lop.rhs(d)),
+    ("estimator", "wls"): lambda p, model, d: solve_stack(
+        p.lop, p.lop.rhs(d), *wls_row_weights(model, d)
+    ),
     ("estimator", "huber"): _rss_huber,
     ("decorrelate", "none"): _covariance,
     ("decorrelate", "fss"): lambda p, x: decorrelate.fss(_covariance(p, x), p.plan),
@@ -668,10 +731,26 @@ _STEPS: dict[tuple[str, str], Callable] = {
 _COMPILERS = {"rss": _compile_rss, "doa": _compile_doa, "hybrid": _compile_hybrid}
 
 
+def _row_outcomes(p: Pipeline, snr_index: int):
+    """Each trial's outcome in row ``snr_index`` from the stacked row function, a
+    chunk of trials at a time, or ``None`` for every trial where there is none."""
+    if p.row is None:
+        yield from itertools.repeat(None, p.cfg.trials)
+        return
+    for start in range(0, p.cfg.trials, ROW_CHUNK):
+        yield from p.row(p, snr_index, range(start, min(start + ROW_CHUNK, p.cfg.trials)))
+
+
 def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) -> TrialResult:
-    """One deterministic trial of the configured pipeline."""
+    """One deterministic trial of the configured pipeline; raises the error that fails
+    it. Where the kind stacks its rows, this is a row of one trial."""
     p = _pipeline(cfg, kind)
-    return p.trial(p, snr_index, rng_for_trial(cfg.seed, snr_index, trial_index))
+    if p.row is None:
+        return p.trial(p, snr_index, rng_for_trial(cfg.seed, snr_index, trial_index))
+    (outcome,) = p.row(p, snr_index, [trial_index])
+    if isinstance(outcome, WsnlocError):
+        raise outcome
+    return outcome
 
 
 def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloResult:
@@ -679,23 +758,26 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
 
     The scenario is compiled before the first trial; a :class:`ConfigError`,
     from compiling or from a trial, propagates, and any other
-    :class:`WsnlocError` counts as a failed trial. ``workers`` is accepted
-    for compatibility and ignored: trials run serially.
+    :class:`WsnlocError` counts as a failed trial. Each row is stacked where
+    the kind allows it; every trial a stacked row did not solve goes through
+    :func:`run_trial`, so each failed trial's error leaves it once, for a
+    caller that watches it (a failed rss trial is solved twice). ``workers``
+    is accepted for compatibility and ignored: trials run serially.
     """
-    _pipeline(cfg, kind)
+    p = _pipeline(cfg, kind)
     rows = []
-    # Extreme shadowing drives ranges and estimates out of the float range; a trial
-    # fails on an explicit check of them and is counted, so numpy's warnings on the
-    # way there would only repeat that.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(**_QUIET):
         for si, snr in enumerate(cfg.snr_grid_db):
             errors = []
-            for ti in range(cfg.trials):
-                try:
-                    errors.append(run_trial(cfg, kind, si, ti).error)
-                except WsnlocError as exc:
-                    if isinstance(exc, ConfigError):
-                        raise
+            for ti, outcome in enumerate(_row_outcomes(p, si)):
+                if not isinstance(outcome, TrialResult):
+                    try:
+                        outcome = run_trial(cfg, kind, si, ti)
+                    except WsnlocError as exc:
+                        if isinstance(exc, ConfigError):
+                            raise
+                        continue
+                errors.append(outcome.error)
             if not errors:
                 raise AllTrialsFailed(f"all {cfg.trials} trials failed at snr={snr} dB")
             rmse = math.sqrt(float(np.mean(np.square(errors))))
@@ -712,8 +794,13 @@ def compute_spectrum(cfg: ScenarioConfig) -> Spectrum:
         raise ConfigError("spectrum dumps need method.doa == 'music'")
     p = _pipeline(cfg, "doa")
     rng = rng_for_trial(cfg.seed, 0, 0)
-    x = synthesize_snapshots(p.geometry, p.sources, cfg.snapshots, cfg.snr_grid_db[0], rng)
-    spectrum, _ = music(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)
+    snr_db = cfg.snr_grid_db[0]
+    with np.errstate(**_QUIET):
+        x = synthesize_snapshots(p.geometry, p.sources, cfg.snapshots, snr_db, rng)
+        try:
+            spectrum, _ = music(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)
+        except NumericOverflow as exc:  # the sample covariance left the float range
+            raise ConfigError(f"snr {snr_db:g} dB: {exc}") from exc
     return spectrum
 
 

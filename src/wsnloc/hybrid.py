@@ -32,9 +32,9 @@ from .errors import (
     LengthMismatch,
     SingularFusionMatrix,
 )
-from .geometry import bearing_to, build_lop_system
+from .geometry import LopMatrix, bearing_to, lop_matrix
 from .pme import PmeTransform, VandermondeArray, to_vula
-from .rss import ls_solve, wls_solve, wls_weights
+from .rss import ls_solve_lop, wls_solve, wls_weights
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,8 @@ def hybrid_with_fbss(
     transform: PmeTransform,
     n_sources: int,
     subarray_len: int | None = None,
+    *,
+    lop: LopMatrix | None = None,
 ) -> np.ndarray:
     """Single-node fusion in a coherent environment.
 
@@ -155,7 +157,9 @@ def hybrid_with_fbss(
     element circles.
 
     ``subarray_len`` trades decorrelation headroom for aperture; the
-    default is the shortest valid subarray, n_sources + 1.
+    default is the shortest valid subarray, n_sources + 1. ``lop`` is the
+    ring elements' LOP matrix, for a caller that builds it once; it must be
+    ``lop_matrix(node.element_positions)``, as nothing checks that it is.
     """
     xv = to_vula(x, transform, prewhitened=False)
     plan = SmoothingPlan.design(
@@ -165,7 +169,9 @@ def hybrid_with_fbss(
     _, estimate = music(r, VandermondeArray(plan.subarray_len), n_sources)
 
     distances = [m.est_distance for m in element_rss]
-    coarse = ls_solve(build_lop_system(node.element_positions, distances))
+    if lop is None:
+        lop = lop_matrix(node.element_positions)
+    coarse = ls_solve_lop(lop, lop.system(distances).b)
     implied = bearing_to(node.center, coarse)
     gaps = [_wrapped_gap(theta, implied) for theta in estimate.azimuths]
     chosen = float(estimate.azimuths[int(np.argmin(gaps))])
@@ -179,6 +185,8 @@ def hybrid_anchor_fusion(
     doa: float,
     estimator: str = "ls",
     model: ChannelModel | None = None,
+    *,
+    lop: LopMatrix | None = None,
 ) -> np.ndarray:
     """Average a trilateration fix with the bearing point at equal range.
 
@@ -186,12 +194,16 @@ def hybrid_anchor_fusion(
     range to the hybrid node's center (the hybrid node ranges too, giving
     the third circle). The trilateration fix p0 comes from LS or WLS; the
     bearing point lies along the DOA ray at radius |p0 - center|, and the
-    result is the midpoint of the two.
+    result is the midpoint of the two. ``lop`` is the LOP matrix of the
+    anchors followed by the center, for a caller that builds it once; it must
+    be built from ``rss_anchors`` and ``node.center``, as nothing checks that
+    it is.
     """
-    anchors = np.vstack([np.asarray(rss_anchors, dtype=float), node.center])
-    system = build_lop_system(anchors, distances)
+    if lop is None:
+        lop = lop_matrix(np.vstack([np.asarray(rss_anchors, dtype=float), node.center]))
+    system = lop.system(distances)
     if estimator == "ls":
-        fix = ls_solve(system)
+        fix = ls_solve_lop(lop, system.b)
     elif estimator == "wls":
         if model is None:
             raise ValueError("wls fusion needs the channel model for its weights")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLeadingCoefficient, NearSingular, NonHermitian
+from .errors import DegenerateLeadingCoefficient, NearSingular, NonHermitian, NumericOverflow
 
 HERMITIAN_RTOL = 1e-10
 
@@ -37,8 +37,12 @@ def herm_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted in
     descending order and orthonormal eigenvectors as the columns of the
-    second array, so ``r ~= Q diag(w) Q^H``.
+    second array, so ``r ~= Q diag(w) Q^H``. Raises ``NumericOverflow`` when
+    an entry is not finite (a sample covariance whose products overflowed).
     """
+    r = np.asarray(r)
+    if not np.all(np.isfinite(r)):
+        raise NumericOverflow("matrix has entries outside the float range")
     r = _check_hermitian(r)
     w, q = np.linalg.eigh(r)
     return w[::-1], q[:, ::-1]

@@ -1,6 +1,15 @@
 """Trilateration estimators on the line-of-position system: ordinary least
 squares, weighted least squares with log-normal ranging variances, and a
 robust l1 solver via iteratively reweighted least squares.
+
+Each estimator comes twice: for one :class:`LinearSystem` (``ls_solve``,
+``wls_solve``, ``huber_irls``), and for a stack of right-hand sides against
+one :class:`LopMatrix` (``solve_stack``, ``huber_stack``). The stacked forms
+give each system the bits its one-system form gives: numpy's stacked
+``matmul``, ``cond``, ``solve`` and ``inv`` call the same BLAS or LAPACK
+routine once per matrix. Where the one-system form raises, the stacked form
+records the same error for that system alone, in an object array that
+holds ``None`` for the systems that solved.
 """
 
 import math
@@ -10,9 +19,13 @@ import numpy as np
 
 from .channel import ChannelModel, lognormal_sigma_d
 from .errors import LengthMismatch, NumericOverflow, SingularSystem
-from .geometry import LinearSystem
+from .geometry import LinearSystem, LopMatrix
 
 MAX_CONDITION = 1e12
+HUBER_MAX_ITER = 50  # IRLS passes before huber_irls and huber_stack stop
+HUBER_TOL = 1e-6  # a pass that moves the position less than this is the last
+_SINGULAR = "normal equations condition number exceeds 1e12"
+_DEGENERATE = "ranging variance leaves the float range; WLS weights are degenerate"
 
 
 @dataclass(frozen=True)
@@ -27,7 +40,7 @@ class EstimatorReport:
 def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the normal equations ``gram p = rhs`` unless they are ill-conditioned."""
     if np.linalg.cond(gram) > MAX_CONDITION:
-        raise SingularSystem("normal equations condition number exceeds 1e12")
+        raise SingularSystem(_SINGULAR)
     return np.linalg.solve(gram, rhs)
 
 
@@ -61,18 +74,32 @@ def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
         raise LengthMismatch("need estimated distances for at least 3 anchors")
     if np.any(d <= 0):
         raise ValueError("distances must be positive")
+    weights, failed = wls_row_weights(model, d[None])
+    if failed[0] is not None:
+        raise failed[0]
+    return np.diag(weights[0])
+
+
+def wls_row_weights(model: ChannelModel, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of :func:`wls_weights` for each row of a (T, S) block of ranges.
+
+    Returns the (T, S-1) weights and, per row, the ``NumericOverflow`` that
+    ``wls_weights`` raises for it, or ``None``. The ranges are not checked.
+    """
+    rows, cols = distances.shape[0], distances.shape[1] - 1
     sigma_d = lognormal_sigma_d(model)
     if sigma_d == 0.0:
-        return np.eye(d.size - 1)
+        return np.ones((rows, cols)), np.full(rows, None, dtype=object)
     try:
         spread = math.exp(8.0 * sigma_d**2) - math.exp(4.0 * sigma_d**2)
     except OverflowError:
-        raise NumericOverflow(f"ranging variance overflows at {model.sigma_db:g} dB") from None
-    var = np.exp(4.0 * np.log(d)) * spread
-    weights = 1.0 / (var[:-1] + var[-1])
-    if not np.all((weights > 0) & (weights < math.inf)):
-        raise NumericOverflow("ranging variance leaves the float range; WLS weights are degenerate")
-    return np.diag(weights)
+        error = NumericOverflow(f"ranging variance overflows at {model.sigma_db:g} dB")
+        return np.full((rows, cols), np.nan), np.full(rows, error, dtype=object)
+    var = np.exp(4.0 * np.log(distances)) * spread
+    weights = 1.0 / (var[:, :-1] + var[:, -1:])
+    failed = np.full(rows, None, dtype=object)
+    failed[~np.all((weights > 0) & (weights < math.inf), axis=1)] = NumericOverflow(_DEGENERATE)
+    return weights, failed
 
 
 def wls_solve(system: LinearSystem, weights: np.ndarray) -> np.ndarray:
@@ -93,8 +120,8 @@ def wls_solve(system: LinearSystem, weights: np.ndarray) -> np.ndarray:
 def huber_irls(
     system: LinearSystem,
     epsilon: float = 1e-3,
-    max_iter: int = 50,
-    tol: float = 1e-6,
+    max_iter: int = HUBER_MAX_ITER,
+    tol: float = HUBER_TOL,
     initial_weights: np.ndarray | None = None,
 ) -> EstimatorReport:
     """Robust l1 solve of the LOP system by iteratively reweighted LS.
@@ -149,3 +176,84 @@ def huber_irls(
         iterations=iterations,
         final_residual_norm=float(np.linalg.norm(a @ pos - b)),
     )
+
+
+def solve_stack(
+    lop: LopMatrix,
+    b: np.ndarray,
+    weights: np.ndarray | None = None,
+    failed: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``A p = b_t`` for each row of ``b`` (T, S-1), ``A = lop.A``.
+
+    Without ``weights`` each system is :func:`ls_solve`'s, from the ``A^T A``
+    and condition number ``lop`` holds; with (T, S-1) row weights it is
+    :func:`wls_solve`'s with ``diag(weights[t])``, the weights applied by
+    scaling the columns of ``A^T`` as in :func:`huber_irls`. Systems that
+    ``failed`` already marks are left alone. Returns the (T, 2) positions,
+    NaN where a system failed, and the failures updated with each system
+    the condition check rejects.
+    """
+    failed = np.full(len(b), None, dtype=object) if failed is None else failed.copy()
+    live = np.flatnonzero(np.equal(failed, None))
+    if weights is None:
+        gram = lop.gram
+        singular = np.full(live.size, lop.gram_cond > MAX_CONDITION)
+        rhs = lop.A.T @ b[live, :, None]
+    else:
+        scaled = np.multiply(lop.A.T, weights[live, None, :], order="C")
+        gram, rhs = scaled @ lop.A, scaled @ b[live, :, None]
+        singular = np.linalg.cond(gram) > MAX_CONDITION
+        gram = gram[~singular]
+    failed[live[singular]] = SingularSystem(_SINGULAR)
+    pos = np.full((len(b), 2), np.nan)
+    pos[live[~singular]] = np.linalg.solve(gram, rhs[~singular])[..., 0]
+    return pos, failed
+
+
+def huber_stack(
+    lop: LopMatrix,
+    b: np.ndarray,
+    epsilon: float,
+    weights: np.ndarray | None = None,
+    failed: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`huber_irls` for each row of ``b`` (T, S-1), with ``diag(weights[t])``
+    as the initial weights when ``weights`` is given, and ``huber_irls``'s default
+    ``HUBER_MAX_ITER`` and ``HUBER_TOL``.
+
+    Each system iterates while it is still moving, so it stops at the pass
+    it stops at alone; one that fails the condition check in any pass drops
+    out with that failure. Returns positions and failures as
+    :func:`solve_stack` does.
+    """
+    a = lop.A
+    pos, failed = solve_stack(lop, b, weights, failed)
+    moving = np.equal(failed, None)
+    row_std = np.ones_like(b)
+    if weights is not None:  # huber_irls's sqrt(diag(inv(W))), one LAPACK inverse per system
+        w = weights[moving]
+        inverse = np.linalg.inv(w[:, :, None] * np.eye(w.shape[1]))
+        row_std[moving] = np.sqrt(np.diagonal(inverse, axis1=1, axis2=2))
+    for _ in range(HUBER_MAX_ITER):
+        live = np.flatnonzero(moving)
+        if live.size == 0:
+            break
+        std = row_std[live]
+        resid = ((a @ pos[live, :, None])[..., 0] - b[live]) / std
+        new, new_failed = solve_stack(lop, b[live], 1.0 / (np.abs(resid) + epsilon) / std**2)
+        delta = new - pos[live]
+        # a 1x2 @ 2x1 product is the BLAS dot product np.linalg.norm takes of a 2-vector
+        step = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+        pos[live], failed[live] = new, new_failed
+        moving[live] = np.equal(new_failed, None) & ~(step < HUBER_TOL)
+    return pos, failed
+
+
+def ls_solve_lop(lop: LopMatrix, b: np.ndarray) -> np.ndarray:
+    """``ls_solve(LinearSystem(lop.A, b))``, from the ``A^T A`` and condition
+    number ``lop`` holds instead of working them out again."""
+    pos, failed = solve_stack(lop, b[None])
+    if failed[0] is not None:
+        raise failed[0]
+    return pos[0]

@@ -322,6 +322,23 @@ def test_extreme_shadowing_fails_cleanly(tmp_path, capsys, command, config, flag
         assert not out.exists()
 
 
+# From about -3,082 to -3,060 dB the noise power is finite but the sample covariance
+# overflows: a trial fails on it (counted), and a spectrum of it is a config error
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, config, code",
+    [("doa", "doa_ula_music", 2), ("hybrid", "hybrid_single", 2), ("spectrum", "spectrum_uca", 1)],
+)
+def test_overflowing_covariance_fails_cleanly(tmp_path, capsys, command, config, code):
+    cfg = write_cfg(tmp_path, shipped(config, snr_grid_db=[-3070], trials=3))
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:" if code == 1 else "error: all 3 trials failed")
+    assert not out.exists()
+
+
 def test_runtime_imports_no_scipy():
     # scipy is a test dependency only; importing the package and its CLI must not load it
     env = dict(os.environ)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from wsnloc.errors import DegenerateLeadingCoefficient, NearSingular, NonHermitian
+from wsnloc.errors import (
+    DegenerateLeadingCoefficient,
+    NearSingular,
+    NonHermitian,
+    NumericOverflow,
+)
 from wsnloc.numerics import herm_eig, inv_sqrt_psd, poly_roots
 
 
@@ -38,6 +43,14 @@ class TestHermEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             herm_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        # an overflowed sample covariance: eigh would raise LinAlgError on it
+        r = np.eye(3, dtype=complex)
+        r[1, 1] = bad
+        with pytest.raises(NumericOverflow):
+            herm_eig(r)
 
 
 class TestPolyRoots:
