@@ -12,6 +12,7 @@ draw is reproducible; the harness derives one PCG64 stream per trial.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,12 @@ class ChannelModel:
             raise ValueError("d0, eta and wavelength must be positive")
         if self.sigma_db < 0:
             raise ValueError("sigma_db must be non-negative")
+
+    @cached_property
+    def reference_loss_db(self) -> float:
+        """The free-space loss at ``d0`` that anchors the mean model, worked out
+        once per model instead of on every ranging call."""
+        return free_space_path_loss(self.d0, self)
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,7 @@ def path_loss(d: float, model: ChannelModel, rng: np.random.Generator) -> float:
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise NonPositiveDistance("path loss needs d > 0")
-    mean = free_space_path_loss(model.d0, model) + 10.0 * model.eta * np.log10(d / model.d0)
+    mean = model.reference_loss_db + 10.0 * model.eta * np.log10(d / model.d0)
     shadow = rng.normal(0.0, 1.0, size=d.shape if d.ndim else None) * model.sigma_db
     return mean + shadow
 
@@ -103,7 +110,7 @@ def invert_distance(pl_db: float, model: ChannelModel) -> float:
     the values of inverting each element on its own.
     """
     pl_db = np.asarray(pl_db, dtype=float)
-    exponent = (pl_db - free_space_path_loss(model.d0, model)) / (10.0 * model.eta)
+    exponent = (pl_db - model.reference_loss_db) / (10.0 * model.eta)
     return model.d0 * np.array([10.0**x for x in exponent.flat]).reshape(exponent.shape)
 
 

@@ -12,6 +12,8 @@ subcommands:
 A scenario is compiled once per kind into a :class:`Pipeline`, which checks
 every method/geometry combination and builds what all trials share; a trial
 then only draws randomness and calls kernels, through one table, :data:`_STEPS`.
+An anchor layout that every trial's trilateration would reject is a
+:class:`ConfigError` there too.
 
 Trials run one SNR row at a time. rss compiles a stacked row function: it
 draws each trial's target and shadowing, then solves the row's LS, WLS or
@@ -19,7 +21,8 @@ Huber systems as one stack, bit for bit what each trial's own solve gives,
 and an rss :func:`run_trial` is that row with one trial in it. A row is
 stacked in chunks of at most :data:`ROW_CHUNK` trials, so its memory does not
 grow with ``trials``. doa and hybrid rows run trial by trial through
-:func:`run_trial`. ``workers`` is still ignored.
+:func:`run_trial`; a hybrid trilateration fix is a stack of one through the
+same solver. ``workers`` is still ignored.
 
 Randomness: every trial owns an independent PCG64 stream derived as
 ``SeedSequence(entropy=seed, spawn_key=(snr_index, trial_index))``, so
@@ -57,7 +60,6 @@ from .arrays import (
 )
 from .channel import (
     ChannelModel,
-    RssMeasurement,
     invert_distance,
     path_loss,
     sigma_from_snr,
@@ -66,9 +68,7 @@ from .channel import (
 from .doa import Spectrum, esprit, music, root_music, uca_esprit, uca_root_music
 from .errors import (
     AllTrialsFailed,
-    CollinearAnchors,
     ConfigError,
-    LengthMismatch,
     NonPositiveDistance,
     NumericOverflow,
     WsnlocError,
@@ -82,7 +82,7 @@ from .hybrid import (
     two_lines,
 )
 from .pme import PmeTransform, VandermondeArray, build_transform
-from .rss import huber_stack, solve_stack, wls_row_weights
+from .rss import MAX_CONDITION, huber_stack, solve_stack, wls_row_weights
 
 # Extreme shadowing drives ranges and estimates out of the float range; a trial fails
 # on an explicit check of them and is counted, so numpy's warnings on the way there
@@ -414,9 +414,7 @@ class Pipeline:
     scan: Any = None  # the geometry MUSIC and Root-MUSIC see after preprocessing
     node: HybridNode | None = None
     ranged: np.ndarray | None = None  # (k, 2) points a trial ranges the target from
-    # rss, hybrid ls/wls/fbss: the LOP matrix of p.ranged, or the error building it
-    # raised, which every trial raises again as its own failure
-    lop: LopMatrix | WsnlocError | None = None
+    lop: LopMatrix | None = None  # rss, hybrid ls/wls/fbss: the LOP matrix of p.ranged
 
 
 def _clearance(cfg: ScenarioConfig, points: list, radii: list, ranged=()) -> tuple[list, list]:
@@ -446,13 +444,20 @@ def _per_row(cfg: ScenarioConfig, quantity: str, fn: Callable) -> tuple:
     return tuple(rows)
 
 
+def _trilateration(points, ls: bool) -> LopMatrix:
+    """The LOP matrix of ``points`` (collinear ones raise); for an unweighted ``ls`` fix,
+    an ``A^T A`` that every solve rejects is a config error. Weighted solves check their
+    own drawn weights."""
+    lop = lop_matrix(points)
+    if ls and lop.gram_cond > MAX_CONDITION:
+        raise ConfigError(f"anchor layout ill-conditioned for LS: cond(A^T A) {lop.gram_cond:.3g}")
+    return lop
+
+
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.anchors is None or cfg.anchors.shape[0] < 3:
         raise ConfigError("rss scenario needs at least 3 anchors")
-    try:
-        p.lop = lop_matrix(cfg.anchors)
-    except CollinearAnchors as exc:
-        p.lop = exc  # a failed trilateration, not a config error: every trial counts it
+    p.lop = _trilateration(cfg.anchors, ls=cfg.method["estimator"] == "ls")
     p.row, p.step = _rss_row, _STEPS["estimator", cfg.method["estimator"]]
     p.ranged = cfg.anchors
     p.clearance = _clearance(cfg, [], [])
@@ -519,11 +524,6 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         p.ranged = np.vstack([cfg.anchors[:1], positions])
     else:
         p.ranged = positions
-    if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
-        try:
-            p.lop = lop_matrix(p.ranged)
-        except (CollinearAnchors, LengthMismatch) as exc:
-            p.lop = exc  # raised in each trial just before fusion, where it built it
     if scheme == "fbss":
         amps = cfg.interferer_amplitudes
         if amps is not None and len(amps) != len(cfg.interferers_deg):
@@ -537,6 +537,8 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         decorrelate.SmoothingPlan.design(
             p.transform.vula_size, n_sources, cfg.method.get("subarray_len"), forward_backward=True
         )
+    if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
+        p.lop = _trilateration(p.ranged, ls=scheme != "wls")
 
 
 def _pipeline(cfg: ScenarioConfig, kind: str) -> Pipeline:
@@ -581,13 +583,12 @@ def _usable(d: np.ndarray) -> np.ndarray:
     return np.all((d > 0) & (d < math.inf), axis=-1)
 
 
-def _ranges(p: Pipeline, target, model, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Path losses and the estimated ranges one inversion maps them back to."""
-    pl = _losses(p, target, model, rng)
-    d = invert_distance(pl, model)
+def _ranges(p: Pipeline, target, model, rng) -> np.ndarray:
+    """Estimated ranges from each of ``p.ranged``: one inversion of the path losses."""
+    d = invert_distance(_losses(p, target, model, rng), model)
     if not _usable(d):
         raise NonPositiveDistance(_BAD_RANGE)
-    return pl, d
+    return d
 
 
 def _result(est: np.ndarray, target: np.ndarray) -> TrialResult:
@@ -614,10 +615,7 @@ def _rss_row(p: Pipeline, snr_index: int, trials) -> list:
     failed[~_usable(d)] = NonPositiveDistance(_BAD_RANGE)
     est = np.full((len(d), 2), np.nan)
     live = np.flatnonzero(np.equal(failed, None))
-    if isinstance(p.lop, WsnlocError):
-        failed[live] = type(p.lop)(*p.lop.args)
-    else:
-        est[live], failed[live] = p.step(p, inv_model, d[live])
+    est[live], failed[live] = p.step(p, inv_model, d[live])
     errors = np.hypot(est[:, 0] - targets[:, 0], est[:, 1] - targets[:, 1])
     failed[np.equal(failed, None) & ~np.isfinite(errors)] = NumericOverflow(_BAD_ESTIMATE)
     return [
@@ -629,13 +627,6 @@ def _rss_row(p: Pipeline, snr_index: int, trials) -> list:
 def _rss_huber(p, model, d):
     weighted = wls_row_weights(model, d) if model.sigma_db > 0 else ()
     return huber_stack(p.lop, p.lop.rhs(d), p.cfg.method["huber_epsilon"], *weighted)
-
-
-def _lop(p: Pipeline) -> LopMatrix:
-    """``p.lop``, or a fresh copy of the error that building it raised."""
-    if isinstance(p.lop, WsnlocError):
-        raise type(p.lop)(*p.lop.args)
-    return p.lop
 
 
 def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
@@ -666,35 +657,28 @@ def _music_bearing(p, bearing, snr_db, rng) -> float:
     return float(est.azimuths[0])
 
 
-def _element_rss(p, target, model, rng) -> list[RssMeasurement]:
-    pl, d = _ranges(p, target, model, rng)
-    return [RssMeasurement(*m) for m in zip(pl.tolist(), d.tolist())]
-
-
 def _hybrid_single(p, snr_db, model, target, bearing, rng):
     doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    return hybrid_single_node(p.node, doa_hat, _element_rss(p, target, model, rng))
+    return hybrid_single_node(p.node, doa_hat, _ranges(p, target, model, rng))
 
 
 def _hybrid_fbss(p, snr_db, model, target, bearing, rng):
     azimuths = np.concatenate([[bearing], p.sources.azimuths])
     src = SourceSet(azimuths, np.concatenate([[1.0], p.sources.amplitudes]), coherent=True)
     x = synthesize_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng)
-    element_rss = _element_rss(p, target, model, rng)
-    subarray_len, lop = p.cfg.method.get("subarray_len"), _lop(p)
-    return hybrid_with_fbss(p.node, x, element_rss, p.transform, src.count, subarray_len, lop=lop)
+    d, subarray_len = _ranges(p, target, model, rng), p.cfg.method.get("subarray_len")
+    return hybrid_with_fbss(p.node, x, d, p.transform, src.count, subarray_len, lop=p.lop)
 
 
 def _hybrid_anchors(p, snr_db, model, target, bearing, rng):
     doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    _, dists = _ranges(p, target, model, rng)
-    scheme, lop = p.cfg.method["hybrid"], _lop(p)
-    return hybrid_anchor_fusion(p.node, p.cfg.anchors, dists, doa_hat, scheme, model, lop=lop)
+    d, scheme = _ranges(p, target, model, rng), p.cfg.method["hybrid"]
+    return hybrid_anchor_fusion(p.node, p.cfg.anchors, d, doa_hat, scheme, model, lop=p.lop)
 
 
 def _hybrid_two_lines(p, snr_db, model, target, bearing, rng):
     doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    _, d = _ranges(p, target, model, rng)
+    d = _ranges(p, target, model, rng)
     # The hybrid node's own range pools its per-element measurements
     # (the ring radius is negligible against the node-target distance).
     # Both ranges stay numpy scalars, whose square past the float range is inf.

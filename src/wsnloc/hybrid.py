@@ -14,6 +14,9 @@ whole estimates a bearing.
   ray reaches at the fix's range.
 * ``two_lines`` intersects one line of position (hybrid vs one RSS anchor)
   with the bearing line.
+
+Every scheme takes its RSS ranges as plain estimated distances. The
+trilateration fixes are one system through :func:`rss.solve_stack`.
 """
 
 import math
@@ -23,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import UniformCircularArray, sample_covariance
-from .channel import ChannelModel, RssMeasurement
+from .channel import ChannelModel
 from .decorrelate import SmoothingPlan, fbss
 from .doa import music
 from .errors import (
@@ -34,7 +37,7 @@ from .errors import (
 )
 from .geometry import LopMatrix, bearing_to, lop_matrix
 from .pme import PmeTransform, VandermondeArray, to_vula
-from .rss import ls_solve_lop, wls_solve, wls_weights
+from .rss import solve_stack, wls_row_weights
 
 
 @dataclass(frozen=True)
@@ -106,26 +109,24 @@ def ray_circle_point(ray: BearingRay, center, radius: float) -> np.ndarray:
     raise BehindRay("circle lies behind the ray origin")
 
 
-def hybrid_single_node(
-    node: HybridNode, doa: float, element_rss: Sequence[RssMeasurement]
-) -> np.ndarray:
+def hybrid_single_node(node: HybridNode, doa: float, ranges: Sequence[float]) -> np.ndarray:
     """Fuse one bearing with per-element ranging circles.
 
-    The bearing ray is cast from the array center; every element's RSS
-    range defines a circle around that element, and the forward ray/circle
-    interssection points are averaged uniformly. Elements whose circle
-    falls behind the ray are skipped; if all do, ``AllIntersectionsFailed``.
+    ``ranges`` holds each ring element's estimated distance to the target,
+    in element order. The bearing ray is cast from the array center; every
+    element's range defines a circle around that element, and the forward
+    ray/circle intersection points are averaged uniformly. Elements whose
+    circle falls behind the ray are skipped; if all do,
+    ``AllIntersectionsFailed``.
     """
     positions = node.element_positions
-    if len(element_rss) != positions.shape[0]:
-        raise LengthMismatch(
-            f"{len(element_rss)} RSS measurements for {positions.shape[0]} elements"
-        )
+    if len(ranges) != positions.shape[0]:
+        raise LengthMismatch(f"{len(ranges)} ranges for {positions.shape[0]} elements")
     ray = BearingRay.from_azimuth(node.center, doa)
     hits = []
-    for pos, meas in zip(positions, element_rss):
+    for pos, radius in zip(positions, ranges):
         try:
-            hits.append(ray_circle_point(ray, pos, meas.est_distance))
+            hits.append(ray_circle_point(ray, pos, radius))
         except BehindRay:
             continue
     if not hits:
@@ -137,10 +138,21 @@ def _wrapped_gap(a: float, b: float) -> float:
     return abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
 
 
+def _trilaterate(lop: LopMatrix, ranges: Sequence[float], model: ChannelModel | None) -> np.ndarray:
+    """LS fix of ``ranges`` against ``lop`` (WLS with ``model``'s ranging weights, if any),
+    one system through the stacked solver; raises the error it records for that system."""
+    b = lop.system(ranges).b[None]  # checks the ranges
+    weighted = () if model is None else wls_row_weights(model, np.asarray([ranges], dtype=float))
+    pos, failed = solve_stack(lop, b, *weighted)
+    if failed[0] is not None:
+        raise failed[0]
+    return pos[0]
+
+
 def hybrid_with_fbss(
     node: HybridNode,
     x: np.ndarray,
-    element_rss: Sequence[RssMeasurement],
+    ranges: Sequence[float],
     transform: PmeTransform,
     n_sources: int,
     subarray_len: int | None = None,
@@ -153,8 +165,9 @@ def hybrid_with_fbss(
     transform, keeping the shift structure), forward/backward smoothing
     restores the covariance rank, and MUSIC on the smoothed subarray
     recovers all coherent bearings. The bearing used for fusion is the one
-    nearest the direction implied by a coarse RSS-only fix from the
-    element circles.
+    nearest the direction implied by a coarse LS fix from the element
+    circles; ``ranges`` holds each ring element's estimated distance to the
+    target, in element order, as for :func:`hybrid_single_node`.
 
     ``subarray_len`` trades decorrelation headroom for aperture; the
     default is the shortest valid subarray, n_sources + 1. ``lop`` is the
@@ -168,14 +181,12 @@ def hybrid_with_fbss(
     r = fbss(sample_covariance(xv), plan)
     _, estimate = music(r, VandermondeArray(plan.subarray_len), n_sources)
 
-    distances = [m.est_distance for m in element_rss]
     if lop is None:
         lop = lop_matrix(node.element_positions)
-    coarse = ls_solve_lop(lop, lop.system(distances).b)
-    implied = bearing_to(node.center, coarse)
+    implied = bearing_to(node.center, _trilaterate(lop, ranges, None))
     gaps = [_wrapped_gap(theta, implied) for theta in estimate.azimuths]
     chosen = float(estimate.azimuths[int(np.argmin(gaps))])
-    return hybrid_single_node(node, chosen, element_rss)
+    return hybrid_single_node(node, chosen, ranges)
 
 
 def hybrid_anchor_fusion(
@@ -190,26 +201,23 @@ def hybrid_anchor_fusion(
 ) -> np.ndarray:
     """Average a trilateration fix with the bearing point at equal range.
 
-    ``distances`` holds one range estimate per RSS anchor followed by the
-    range to the hybrid node's center (the hybrid node ranges too, giving
-    the third circle). The trilateration fix p0 comes from LS or WLS; the
-    bearing point lies along the DOA ray at radius |p0 - center|, and the
-    result is the midpoint of the two. ``lop`` is the LOP matrix of the
-    anchors followed by the center, for a caller that builds it once; it must
-    be built from ``rss_anchors`` and ``node.center``, as nothing checks that
-    it is.
+    ``distances`` holds one estimated distance per RSS anchor followed by the
+    one to the hybrid node's center (the hybrid node ranges too, giving
+    the third circle). The trilateration fix p0 comes from LS or from WLS
+    with ``model``'s ranging weights; the bearing point lies along the DOA
+    ray at radius |p0 - center|, and the result is the midpoint of the two.
+    ``lop`` is the LOP matrix of the anchors followed by the center, for a
+    caller that builds it once; it must be
+    ``lop_matrix(np.vstack([rss_anchors, node.center]))``, as nothing checks
+    that it is.
     """
+    if estimator not in ("ls", "wls"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if estimator == "wls" and model is None:
+        raise ValueError("wls fusion needs the channel model for its weights")
     if lop is None:
         lop = lop_matrix(np.vstack([np.asarray(rss_anchors, dtype=float), node.center]))
-    system = lop.system(distances)
-    if estimator == "ls":
-        fix = ls_solve_lop(lop, system.b)
-    elif estimator == "wls":
-        if model is None:
-            raise ValueError("wls fusion needs the channel model for its weights")
-        fix = wls_solve(system, wls_weights(model, distances))
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
+    fix = _trilaterate(lop, distances, model if estimator == "wls" else None)
     radius = float(np.linalg.norm(fix - node.center))
     bearing_point = node.center + radius * np.array([math.cos(doa), math.sin(doa)])
     return 0.5 * (fix + bearing_point)

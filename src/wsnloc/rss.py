@@ -9,7 +9,9 @@ give each system the bits its one-system form gives: numpy's stacked
 ``matmul``, ``cond``, ``solve`` and ``inv`` call the same BLAS or LAPACK
 routine once per matrix. Where the one-system form raises, the stacked form
 records the same error for that system alone, in an object array that
-holds ``None`` for the systems that solved.
+holds ``None`` for the systems that solved. The rss rows and the hybrid
+trilateration fixes (a stack of one system) both solve through the stacked
+forms; the one-system forms are the reference the tests hold them to.
 """
 
 import math
@@ -249,11 +251,3 @@ def huber_stack(
         moving[live] = np.equal(new_failed, None) & ~(step < HUBER_TOL)
     return pos, failed
 
-
-def ls_solve_lop(lop: LopMatrix, b: np.ndarray) -> np.ndarray:
-    """``ls_solve(LinearSystem(lop.A, b))``, from the ``A^T A`` and condition
-    number ``lop`` holds instead of working them out again."""
-    pos, failed = solve_stack(lop, b[None])
-    if failed[0] is not None:
-        raise failed[0]
-    return pos[0]

@@ -21,7 +21,6 @@ from wsnloc.arrays import (
     sample_covariance,
     synthesize_snapshots,
 )
-from wsnloc.channel import RssMeasurement
 from wsnloc.decorrelate import SmoothingPlan, fbss, fss, toeplitz_reconstruct
 from wsnloc.doa import eig_split, esprit, music, root_music, uca_esprit, uca_root_music
 from wsnloc.errors import InvalidPlan
@@ -194,9 +193,7 @@ class TestCriterion1Exactness:
             ),
         )
         target = np.array([3.0, 3.0])
-        rss = [
-            RssMeasurement(0.0, distance(p, target)) for p in node.element_positions
-        ]
+        rss = [distance(p, target) for p in node.element_positions]
         doa = bearing_to(node.center, target)
         check("hybrid-single", distance(hybrid_single_node(node, doa, rss), target))
 
@@ -206,10 +203,7 @@ class TestCriterion1Exactness:
                 n=16, radius=0.70 * lam, elevation=np.pi / 2, wavelength=lam
             ),
         )
-        rss16 = [
-            RssMeasurement(0.0, distance(p, target))
-            for p in big_node.element_positions
-        ]
+        rss16 = [distance(p, target) for p in big_node.element_positions]
         tr = build_transform(big_node.geometry)
         xh = synthesize_snapshots(
             big_node.geometry,

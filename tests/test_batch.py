@@ -1,5 +1,6 @@
-"""The rss row solves its trials as one stack; these tests hold it to the trials
-solved one at a time by the one-system solvers, byte for byte."""
+"""The rss row solves its trials as one stack, and a hybrid trilateration fix is a
+stack of one system; these tests hold both to the systems solved one at a time by
+the one-system solvers, byte for byte."""
 
 import dataclasses
 import json
@@ -9,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsnloc import geometry, harness, hybrid
+from wsnloc import geometry, harness, hybrid, rss
 from wsnloc.channel import invert_distance, path_loss
 from wsnloc.errors import (
-    CollinearAnchors,
+    ConfigError,
     NonPositiveDistance,
     NumericOverflow,
     SingularSystem,
@@ -140,10 +141,17 @@ def test_shipped_sweeps_equal_looped_trials(estimator):
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
-def test_collinear_anchors_fail_every_stacked_trial(estimator):
-    cfg = scenario(anchors=[[0.0, 0.0], [50.0, 50.0], [100.0, 100.0]], target=[30.0, 60.0])
-    classes = check_rows(cfg.with_method(estimator=estimator))
-    assert set(classes) == {CollinearAnchors}
+def test_ill_conditioned_layout_fails_ls_at_compile(estimator):
+    # cond(A^T A) about 2.5e13: past the bound every unweighted LS solve checks, though
+    # the layout is not collinear; WLS and Huber check their drawn weights per trial
+    cfg = scenario(anchors=[[0.0, 0.0], [50.0, 50.0], [100.0, 100.0001]], target=[30.0, 60.0])
+    cfg = cfg.with_method(estimator=estimator)
+    assert geometry.lop_matrix(cfg.anchors).gram_cond > rss.MAX_CONDITION
+    if estimator == "ls":
+        with pytest.raises(ConfigError, match="ill-conditioned"):
+            monte_carlo(cfg, "rss")
+    else:
+        assert set(check_rows(cfg)) <= {harness.TrialResult, SingularSystem}
 
 
 @pytest.mark.parametrize(
@@ -222,23 +230,81 @@ def test_hybrid_trials_build_no_lop_matrix(monkeypatch, scheme):
     assert built == []
 
 
+# both anchors and the hybrid node's centre on the line y = x
+COLLINEAR_HYBRID = dict(
+    HYBRID_RAW,
+    anchors=[[2.0, 2.0], [28.0, 28.0]],
+    target=[8.0, 20.0],
+    hybrid_node=dict(HYBRID_RAW["hybrid_node"], center=[18.0, 18.0]),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, method",
+    [("rss", "ls"), ("rss", "wls"), ("rss", "huber"), ("hybrid", "ls"), ("hybrid", "wls")],
+    ids=lambda v: v,
+)
+def test_collinear_layout_is_a_config_error(monkeypatch, kind, method):
+    # the layout alone fails every trilateration, so the scenario fails to compile:
+    # no trial draws a range or reaches a solver
+    if kind == "rss":
+        cfg = scenario(anchors=[[0.0, 0.0], [50.0, 50.0], [100.0, 100.0]])
+        cfg = cfg.with_method(estimator=method)
+    else:
+        cfg = ScenarioConfig.from_dict(COLLINEAR_HYBRID).with_method(hybrid=method)
+    monkeypatch.setattr(harness, "path_loss", lambda *a: pytest.fail("a trial drew ranges"))
+    for call in (lambda: run_trial(cfg, kind, 0, 0), lambda: monte_carlo(cfg, kind)):
+        with pytest.raises(ConfigError, match="collinear"):
+            call()
+
+
+def recording(monkeypatch, module, name) -> list:
+    """Each call to ``module.name`` while the test runs, as (args, result)."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def run_rows(cfg: ScenarioConfig, kind: str) -> None:
+    for si in range(len(cfg.snr_grid_db)):
+        for ti in range(cfg.trials):
+            run_trial(cfg, kind, si, ti)
+
+
 @pytest.mark.parametrize("scheme", ["ls", "wls"])
-def test_hybrid_collinear_fusion_fails_every_trial(monkeypatch, scheme):
-    # both anchors and the node centre on the line y = x: the LOP matrix is built
-    # once, at compile, and each trial raises its verdict where fusion would build it
-    raw = dict(HYBRID_RAW, anchors=[[2.0, 2.0], [28.0, 28.0]], target=[8.0, 20.0])
-    raw["hybrid_node"] = dict(HYBRID_RAW["hybrid_node"], center=[18.0, 18.0])
-    cfg = ScenarioConfig.from_dict(raw).with_method(hybrid=scheme)
-    built = []
-    original = harness.lop_matrix
-    monkeypatch.setattr(harness, "lop_matrix", lambda pts: built.append(pts) or original(pts))
-    monkeypatch.setattr(hybrid, "lop_matrix", lambda pts: pytest.fail("fusion built a LOP matrix"))
-    for trial in range(cfg.trials):
-        with pytest.raises(CollinearAnchors):
-            run_trial(cfg, "hybrid", 0, trial)
-    assert len(built) == 1
-    with pytest.raises(harness.AllTrialsFailed):
-        monte_carlo(cfg, "hybrid")
+def test_hybrid_anchor_fix_equals_one_system_solve(monkeypatch, scheme):
+    # the fused point is the midpoint of the fix and the bearing point at the fix's range
+    cfg = harness.load_config(CONFIGS / "hybrid_single.json")
+    cfg = dataclasses.replace(cfg, seed=7, trials=3).with_method(hybrid=scheme)
+    ranged = harness._pipeline(cfg, "hybrid").ranged
+    calls = recording(monkeypatch, harness, "hybrid_anchor_fusion")
+    run_rows(cfg, "hybrid")
+    assert len(calls) == len(cfg.snr_grid_db) * cfg.trials
+    for (node, _, d, doa, _, model), fused in calls:
+        system = geometry.build_lop_system(ranged, d)
+        fix = ls_solve(system) if scheme == "ls" else wls_solve(system, wls_weights(model, d))
+        radius = float(np.linalg.norm(fix - node.center))
+        point = node.center + radius * np.array([math.cos(doa), math.sin(doa)])
+        assert fused.tobytes() == (0.5 * (fix + point)).tobytes()
+
+
+def test_hybrid_fbss_coarse_fix_equals_ls_solve(monkeypatch):
+    # the coarse fix only picks a bearing, from the direction the node sees it in
+    cfg = harness.load_config(CONFIGS / "hybrid_coherent_fbss.json")
+    cfg = dataclasses.replace(cfg, seed=7, trials=3)
+    fusions = recording(monkeypatch, harness, "hybrid_with_fbss")
+    bearings = recording(monkeypatch, hybrid, "bearing_to")
+    run_rows(cfg, "hybrid")
+    assert len(fusions) == len(bearings) == len(cfg.snr_grid_db) * cfg.trials
+    for ((node, _, d, *_), _), ((center, coarse), _) in zip(fusions, bearings):
+        assert center is node.center
+        fix = ls_solve(geometry.build_lop_system(node.element_positions, d))
+        assert coarse.tobytes() == fix.tobytes()
 
 
 def test_rows_stack_in_chunks(monkeypatch):

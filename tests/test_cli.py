@@ -75,11 +75,16 @@ def test_missing_config_exit_code(tmp_path):
     )
 
 
-def test_all_trials_failed_exit_code(tmp_path):
-    raw = dict(RSS_RAW)
-    raw["anchors"] = [[0.0, 0.0], [50.0, 50.0], [100.0, 100.0]]
-    cfg = write_cfg(tmp_path, raw)
-    assert main(["rss", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+def test_all_trials_failed_exit_code(tmp_path, capsys):
+    # schema-valid and compiled, but the drawn shadowing fails every trial
+    raw = dict(RSS_RAW, channel=dict(RSS_RAW["channel"], sigma_ref_db=1e5))
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    for estimator in ("ls", "wls", "huber"):
+        assert main(["rss", "--config", str(cfg), "--out", str(out), "--estimator", estimator]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: all 8 trials failed")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 def test_doa_subcommand_with_decorrelation(tmp_path):
@@ -246,6 +251,34 @@ STRUCTURAL_ERRORS = {
         "doa",
         with_keys(DOA_RAW, array=SMALL_RING, sources=THREE_SOURCES),
         ["--doa", "uca-root-music"],
+    ),
+    # an anchor layout every trilateration rejects: collinear (anchors, or anchors and the
+    # hybrid node's centre, on one line), or past the condition bound of unweighted LS
+    **{
+        f"rss_collinear_anchors_{e}": (
+            "rss",
+            with_keys(RSS_RAW, anchors=[[0.0, 0.0], [50.0, 50.0], [100.0, 100.0]]),
+            ["--estimator", e],
+        )
+        for e in ("ls", "wls", "huber")
+    },
+    **{
+        f"hybrid_collinear_anchors_{h}": (
+            "hybrid",
+            with_keys(HYBRID_RAW, anchors=[[2.0, 0.0], [10.0, 8.0]]),
+            ["--hybrid", h],
+        )
+        for h in ("ls", "wls")
+    },
+    "rss_ill_conditioned_ls": (
+        "rss",
+        with_keys(RSS_RAW, anchors=[[0.0, 0.0], [50.0, 50.0], [100.0, 100.0001]]),
+        ["--estimator", "ls"],
+    ),
+    "hybrid_ill_conditioned_ls": (
+        "hybrid",
+        with_keys(HYBRID_RAW, anchors=[[2.0, 0.0], [10.0, 8.00001]]),
+        ["--hybrid", "ls"],
     ),
     # a fixed target at zero distance from a point it is ranged from
     "rss_target_on_anchor": ("rss", with_keys(RSS_RAW, target=[0.0, 0.0]), []),

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnloc.arrays import SourceSet, UniformCircularArray, synthesize_snapshots
-from wsnloc.channel import RssMeasurement
 from wsnloc.errors import BehindRay, SingularFusionMatrix
 from wsnloc.geometry import bearing_to, distance
 from wsnloc.hybrid import (
@@ -30,10 +29,7 @@ def make_node(center, n=4, radius_wl=1.0 / np.pi, elevation=np.pi / 2):
 
 
 def exact_rss(node, target):
-    return [
-        RssMeasurement(path_loss_db=0.0, est_distance=distance(p, target))
-        for p in node.element_positions
-    ]
+    return [distance(p, target) for p in node.element_positions]
 
 
 class TestRayCirclePoint:
@@ -171,10 +167,7 @@ class TestHybridWithFbss:
         rng = rng_for_trial(13, 0, 0)
         x = synthesize_snapshots(node.geometry, src, 300, 25.0, rng)
         rss = [
-            RssMeasurement(
-                path_loss_db=0.0,
-                est_distance=distance(p, target) * float(np.exp(0.01 * rng.standard_normal())),
-            )
+            distance(p, target) * float(np.exp(0.01 * rng.standard_normal()))
             for p in node.element_positions
         ]
         est = hybrid_with_fbss(node, x, rss, transform, 3, subarray_len=6)
