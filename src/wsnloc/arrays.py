@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, TooManySources
+from .errors import CoincidentSources, LengthMismatch, TooManySources
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class SourceSet:
         if amp.shape != az.shape:
             raise LengthMismatch("amplitudes must match azimuths in length")
         if az.size != np.unique(az).size:
-            raise ValueError("source azimuths must be distinct")
+            raise CoincidentSources("source azimuths must be distinct")
         if np.any(amp <= 0):
             raise ValueError("amplitudes must be positive")
         object.__setattr__(self, "azimuths", az)
@@ -149,6 +149,40 @@ def noise_power(src: SourceSet | None, snr_db: float) -> float:
     return total * 10.0 ** (-snr_db / 10.0)
 
 
+def draw_snapshots(
+    geometry: ArrayGeometry,
+    src: SourceSet,
+    k: int,
+    snr_db: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The factors of :func:`synthesize_snapshots`, drawn from ``rng`` as it draws them.
+
+    Returns the (N, M) steering matrix A, the (M, K) waveforms s(t) and the
+    (N, K) scaled noise n(t), ``None`` when the noise power is 0; then
+    ``A @ s (+ n)`` is the snapshot matrix. A caller that holds many trials'
+    factors forms their products as one stack.
+    """
+    if k < 1:
+        raise ValueError("need at least one snapshot")
+    m = src.count
+    if m >= geometry.size:
+        raise TooManySources(f"{m} sources with only {geometry.size} elements")
+    if m:
+        a = steering_matrix(geometry, src.azimuths)
+        if src.coherent:
+            shared = _complex_gaussian(rng, (1, k))
+            s = src.amplitudes[:, None] * shared
+        else:
+            s = src.amplitudes[:, None] * _complex_gaussian(rng, (m, k))
+    else:
+        a, s = np.zeros((geometry.size, 0), dtype=complex), np.zeros((0, k), dtype=complex)
+    sigma2 = noise_power(src, snr_db)
+    if sigma2 > 0.0:
+        return a, s, math.sqrt(sigma2) * _complex_gaussian(rng, (geometry.size, k))
+    return a, s, None
+
+
 def synthesize_snapshots(
     geometry: ArrayGeometry,
     src: SourceSet,
@@ -163,34 +197,22 @@ def synthesize_snapshots(
     waveforms are drawn before the noise, so the signal realization for a
     given rng state does not depend on the SNR.
     """
-    if k < 1:
-        raise ValueError("need at least one snapshot")
-    m = src.count
-    if m >= geometry.size:
-        raise TooManySources(f"{m} sources with only {geometry.size} elements")
-    if m:
-        a = steering_matrix(geometry, src.azimuths)
-        if src.coherent:
-            shared = _complex_gaussian(rng, (1, k))
-            s = src.amplitudes[:, None] * shared
-        else:
-            s = src.amplitudes[:, None] * _complex_gaussian(rng, (m, k))
-        x = a @ s
-    else:
-        x = np.zeros((geometry.size, k), dtype=complex)
-    sigma2 = noise_power(src, snr_db)
-    if sigma2 > 0.0:
-        x = x + math.sqrt(sigma2) * _complex_gaussian(rng, (geometry.size, k))
-    return x
+    a, s, noise = draw_snapshots(geometry, src, k, snr_db, rng)
+    x = a @ s
+    return x if noise is None else x + noise
 
 
 def sample_covariance(x: np.ndarray) -> np.ndarray:
-    """Sample covariance (1/K) X X^H, symmetrized to kill roundoff skew."""
+    """Sample covariance (1/K) X X^H, symmetrized to kill roundoff skew.
+
+    ``x`` is one (N, K) snapshot matrix or a (T, N, K) stack of them; a stack
+    makes one product per matrix, each with the bits of its own call.
+    """
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("snapshot matrix must be (N, K) with K >= 1")
-    r = x @ x.conj().T / x.shape[1]
-    return 0.5 * (r + r.conj().T)
+    if x.ndim not in (2, 3) or x.shape[-1] < 1:
+        raise ValueError("snapshot matrix must be (N, K) or (T, N, K) with K >= 1")
+    r = x @ x.conj().swapaxes(-1, -2) / x.shape[-1]
+    return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 
 def analytic_covariance(

@@ -79,20 +79,28 @@ def _check_input(r: np.ndarray, plan: SmoothingPlan) -> np.ndarray:
     return r
 
 
-def _forward_average(r: np.ndarray, plan: SmoothingPlan) -> np.ndarray:
+def smooth(r: np.ndarray, plan: SmoothingPlan, forward_backward: bool = False) -> np.ndarray:
+    """The smoothing of :func:`fss` (or, ``forward_backward``, :func:`fbss`) without
+    their checks, of one covariance or of each in a (T, n, n) stack: a stack gives
+    each matrix the bits of its own call."""
     p, l = plan.subarray_len, plan.subarray_count
-    acc = np.zeros((p, p), dtype=complex)
+    acc = np.zeros(r.shape[:-2] + (p, p), dtype=complex)
     for k in range(l):
-        acc += r[k : k + p, k : k + p]
+        acc += r[..., k : k + p, k : k + p]
     acc /= l
-    return 0.5 * (acc + acc.conj().T)
+    out = 0.5 * (acc + acc.conj().swapaxes(-1, -2))
+    if not forward_backward:
+        return out
+    rb = out[..., ::-1, ::-1].conj()  # J R* J: reverse both axes and conjugate
+    out = 0.5 * (out + rb)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def fss(r: np.ndarray, plan: SmoothingPlan) -> np.ndarray:
     """Forward spatial smoothing: average the L leading-diagonal p x p blocks."""
     r = _check_input(r, plan)
     _validate(plan, forward_backward=False)
-    return _forward_average(r, plan)
+    return smooth(r, plan)
 
 
 def fbss(r: np.ndarray, plan: SmoothingPlan) -> np.ndarray:
@@ -100,10 +108,7 @@ def fbss(r: np.ndarray, plan: SmoothingPlan) -> np.ndarray:
     exchange-conjugated (backward) counterpart J R* J."""
     r = _check_input(r, plan)
     _validate(plan, forward_backward=True)
-    rf = _forward_average(r, plan)
-    rb = np.flip(rf).conj()  # J R* J: reverse both axes and conjugate
-    out = 0.5 * (rf + rb)
-    return 0.5 * (out + out.conj().T)
+    return smooth(r, plan, forward_backward=True)
 
 
 def toeplitz_reconstruct(r: np.ndarray) -> np.ndarray:

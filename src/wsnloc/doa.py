@@ -104,6 +104,22 @@ def _pick_peaks(grid: np.ndarray, power: np.ndarray, n_sources: int) -> np.ndarr
     return np.sort(grid[chosen])
 
 
+def _music_power(noise: np.ndarray, geometry, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid and P(theta) = (a^H a) / (a^H Vn Vn^H a) for a noise subspace Vn."""
+    grid, a, num = _scan(geometry, grid_step)
+    den = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
+    return grid, num / np.maximum(den, 1e-300)
+
+
+def music_peaks(
+    noise: np.ndarray, geometry, n_sources: int, grid_step: float = DEFAULT_GRID_STEP
+) -> np.ndarray:
+    """The azimuths :func:`music` estimates from a covariance whose noise subspace
+    (the eigenvectors past the n_sources largest eigenvalues, as columns) is ``noise``;
+    for a caller that has split many covariances at once."""
+    return _pick_peaks(*_music_power(noise, geometry, grid_step), n_sources)
+
+
 def music(
     r: np.ndarray,
     geometry,
@@ -121,10 +137,7 @@ def music(
     """
     if n_sources >= geometry.size:
         raise TooManySources(f"{n_sources} sources with {geometry.size} elements")
-    split = eig_split(r, n_sources)
-    grid, a, num = _scan(geometry, grid_step)
-    den = np.sum(np.abs(split.noise.conj().T @ a) ** 2, axis=0)
-    power = num / np.maximum(den, 1e-300)
+    grid, power = _music_power(eig_split(r, n_sources).noise, geometry, grid_step)
     spectrum = Spectrum(grid=grid, power_db=10.0 * np.log10(power))
     estimate = DoaEstimate(
         azimuths=_pick_peaks(grid, power, n_sources), method="music"

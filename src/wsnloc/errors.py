@@ -46,6 +46,10 @@ class TooFewSources(WsnlocError):
     """At least one source must be requested."""
 
 
+class CoincidentSources(WsnlocError, ValueError):
+    """Two sources share an azimuth (a target seen along an interferer's bearing, say)."""
+
+
 # --- phase-mode beamspace -----------------------------------------------------
 
 class InsufficientElements(WsnlocError):

@@ -15,14 +15,22 @@ then only draws randomness and calls kernels, through one table, :data:`_STEPS`.
 An anchor layout that every trial's trilateration would reject is a
 :class:`ConfigError` there too.
 
-Trials run one SNR row at a time. rss compiles a stacked row function: it
-draws each trial's target and shadowing, then solves the row's LS, WLS or
-Huber systems as one stack, bit for bit what each trial's own solve gives,
-and an rss :func:`run_trial` is that row with one trial in it. A row is
-stacked in chunks of at most :data:`ROW_CHUNK` trials, so its memory does not
-grow with ``trials``. doa and hybrid rows run trial by trial through
-:func:`run_trial`; a hybrid trilateration fix is a stack of one through the
-same solver. ``workers`` is still ignored.
+Trials run one SNR row at a time. rss and hybrid compile a stacked row
+function, and their :func:`run_trial` is that row with one trial in it. Each
+trial draws on its own stream; the row then does its numerics as stacks, bit
+for bit what each trial's own pass gives:
+
+* an rss row solves its LS, WLS or Huber systems as one stack;
+* a hybrid row forms its snapshots (one product per trial) and sample
+  covariances, fbss's beamspace map and smoothing, and the checks and
+  eigendecompositions of :func:`numerics.herm_eig` as stacks; the MUSIC scan
+  of each trial's noise subspace and the fusion run trial by trial, and a
+  trilateration fix is a stack of one through the rss solver.
+
+A row is stacked in chunks, :data:`ROW_CHUNK` trials for rss and at most
+:data:`ROW_SNAPSHOTS` complex snapshot values for hybrid, so its memory does
+not grow with ``trials``. doa rows run trial by trial through
+:func:`run_trial`. ``workers`` is still ignored.
 
 Randomness: every trial owns an independent PCG64 stream derived as
 ``SeedSequence(entropy=seed, spawn_key=(snr_index, trial_index))``, so
@@ -54,6 +62,7 @@ from .arrays import (
     SourceSet,
     UniformCircularArray,
     UniformLinearArray,
+    draw_snapshots,
     noise_power,
     sample_covariance,
     synthesize_snapshots,
@@ -61,13 +70,15 @@ from .arrays import (
 from .channel import (
     ChannelModel,
     invert_distance,
+    lognormal_sigma_d,
     path_loss,
     sigma_from_snr,
     wavelength_from_frequency,
 )
-from .doa import Spectrum, esprit, music, root_music, uca_esprit, uca_root_music
+from .doa import Spectrum, esprit, music, music_peaks, root_music, uca_esprit, uca_root_music
 from .errors import (
     AllTrialsFailed,
+    CoincidentSources,
     ConfigError,
     NonPositiveDistance,
     NumericOverflow,
@@ -76,11 +87,12 @@ from .errors import (
 from .geometry import LopMatrix, as_anchor_array, bearing_to, distance, lop_matrix
 from .hybrid import (
     HybridNode,
+    fbss_bearing,
     hybrid_anchor_fusion,
     hybrid_single_node,
-    hybrid_with_fbss,
     two_lines,
 )
+from .numerics import herm_eig_stack, hermitian_failures
 from .pme import PmeTransform, VandermondeArray, build_transform
 from .rss import MAX_CONDITION, huber_stack, solve_stack, wls_row_weights
 
@@ -90,7 +102,8 @@ from .rss import MAX_CONDITION, huber_stack, solve_stack, wls_row_weights
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 _BAD_RANGE = "shadowing drove an estimated range to 0 or infinity"
 _BAD_ESTIMATE = "the position estimate left the float range"
-ROW_CHUNK = 1024  # most trials one stacked row call holds in memory at once
+ROW_CHUNK = 1024  # most trials one stacked rss row call holds in memory at once
+ROW_SNAPSHOTS = 8192  # most complex snapshot values one stacked hybrid row call holds
 
 _XY = {
     "type": "array",
@@ -394,8 +407,8 @@ def rng_for_trial(seed: int, snr_index: int, trial_index: int) -> np.random.Gene
 
 @dataclass
 class Pipeline:
-    """A scenario compiled for one kind: ``row(pipeline, snr_index, trial_indices)`` (rss)
-    or ``trial(pipeline, snr_index, rng)`` (doa, hybrid) hands the method's part to
+    """A scenario compiled for one kind: ``row(pipeline, snr_index, trial_indices)`` (rss,
+    hybrid) or ``trial(pipeline, snr_index, rng)`` (doa) hands the method's part to
     ``step`` (doa preprocessing to ``prepare``), both from :data:`_STEPS`; the other
     fields are what all trials share, ``None`` where a kind has no use for them."""
 
@@ -410,7 +423,7 @@ class Pipeline:
     geometry: Any = None  # the array (doa) or the hybrid ring
     sources: SourceSet | None = None  # doa sources, or the hybrid node's interferers
     transform: PmeTransform | None = None
-    plan: decorrelate.SmoothingPlan | None = None
+    plan: decorrelate.SmoothingPlan | None = None  # doa fss/fbss, hybrid fbss
     scan: Any = None  # the geometry MUSIC and Root-MUSIC see after preprocessing
     node: HybridNode | None = None
     ranged: np.ndarray | None = None  # (k, 2) points a trial ranges the target from
@@ -444,20 +457,27 @@ def _per_row(cfg: ScenarioConfig, quantity: str, fn: Callable) -> tuple:
     return tuple(rows)
 
 
-def _trilateration(points, ls: bool) -> LopMatrix:
-    """The LOP matrix of ``points`` (collinear ones raise); for an unweighted ``ls`` fix,
-    an ``A^T A`` that every solve rejects is a config error. Weighted solves check their
-    own drawn weights."""
+def _trilateration(points, ls: bool, inverting=()) -> LopMatrix:
+    """The LOP matrix of ``points`` (collinear ones raise). An ``A^T A`` that every
+    unweighted solve rejects is a config error for an ``ls`` fix, and for a weighted one
+    if any row's ``inverting`` channel has no shadowing: there WLS weighs every range
+    alike and Huber starts from LS. Other weighted solves check their own drawn weights."""
     lop = lop_matrix(points)
-    if ls and lop.gram_cond > MAX_CONDITION:
-        raise ConfigError(f"anchor layout ill-conditioned for LS: cond(A^T A) {lop.gram_cond:.3g}")
+    if lop.gram_cond > MAX_CONDITION:
+        cond = f"cond(A^T A) {lop.gram_cond:.3g}"
+        if ls:
+            raise ConfigError(f"anchor layout ill-conditioned for LS: {cond}")
+        if any(lognormal_sigma_d(model) == 0.0 for model in inverting):
+            raise ConfigError(
+                f"anchor layout ill-conditioned for the unweighted fix of a row without "
+                f"shadowing: {cond}"
+            )
     return lop
 
 
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.anchors is None or cfg.anchors.shape[0] < 3:
         raise ConfigError("rss scenario needs at least 3 anchors")
-    p.lop = _trilateration(cfg.anchors, ls=cfg.method["estimator"] == "ls")
     p.row, p.step = _rss_row, _STEPS["estimator", cfg.method["estimator"]]
     p.ranged = cfg.anchors
     p.clearance = _clearance(cfg, [], [])
@@ -465,6 +485,8 @@ def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.models = _per_row(
         cfg, "shadowing std", lambda snr: (cfg.channel_at(snr, eta=cfg.eta_true), cfg.channel_at(snr))
     )
+    inverting = [model for _, model in p.models]
+    p.lop = _trilateration(cfg.anchors, cfg.method["estimator"] == "ls", inverting)
 
 
 def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
@@ -505,9 +527,10 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
 
 def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     scheme = cfg.method["hybrid"]
-    p.trial, p.step = _hybrid_trial, _STEPS["hybrid", scheme]
+    p.row, p.step = _hybrid_row, _STEPS["hybrid", scheme]
     p.node = node = cfg.build_hybrid_node()
-    p.geometry, positions = node.geometry, node.element_positions
+    p.geometry = p.scan = node.geometry
+    positions = node.element_positions
     radius = max(cfg.d0, 3.0 * node.geometry.radius)
     p.clearance = _clearance(cfg, [node.center], [radius], ranged=positions)
     p.models = _per_row(cfg, "shadowing std", cfg.channel_at)
@@ -533,12 +556,20 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         if n_sources >= node.geometry.size:
             raise ConfigError(f"{n_sources} sources need more than {node.geometry.size} elements")
         p.transform = build_transform(node.geometry)
-        # hybrid_with_fbss designs this plan in every trial; an invalid one fails here
-        decorrelate.SmoothingPlan.design(
+        p.plan = decorrelate.SmoothingPlan.design(
             p.transform.vula_size, n_sources, cfg.method.get("subarray_len"), forward_backward=True
         )
+        p.scan = VandermondeArray(p.plan.subarray_len)
+        if isinstance(cfg.target, np.ndarray):  # every trial sees the target on one bearing
+            bearing = bearing_to(node.center, cfg.target)
+            try:
+                _hybrid_sources(p, bearing)
+            except CoincidentSources as exc:
+                raise ConfigError(
+                    f"target bearing {math.degrees(bearing):g} deg is an interferer's"
+                ) from exc
     if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
-        p.lop = _trilateration(p.ranged, ls=scheme != "wls")
+        p.lop = _trilateration(p.ranged, scheme != "wls", p.models)
 
 
 def _pipeline(cfg: ScenarioConfig, kind: str) -> Pipeline:
@@ -581,14 +612,6 @@ def _losses(p: Pipeline, target, model, rng) -> np.ndarray:
 def _usable(d: np.ndarray) -> np.ndarray:
     """Whether every range in the last axis of ``d`` is positive and finite."""
     return np.all((d > 0) & (d < math.inf), axis=-1)
-
-
-def _ranges(p: Pipeline, target, model, rng) -> np.ndarray:
-    """Estimated ranges from each of ``p.ranged``: one inversion of the path losses."""
-    d = invert_distance(_losses(p, target, model, rng), model)
-    if not _usable(d):
-        raise NonPositiveDistance(_BAD_RANGE)
-    return d
 
 
 def _result(est: np.ndarray, target: np.ndarray) -> TrialResult:
@@ -643,53 +666,89 @@ def _covariance(p, x):
     return sample_covariance(x if p.transform is None else np.asarray(p.transform.Tv @ x))
 
 
-def _hybrid_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
-    target = _draw_target(p, rng)
-    bearing = bearing_to(p.node.center, target)
-    est = p.step(p, p.cfg.snr_grid_db[snr_index], p.models[snr_index], target, bearing, rng)
-    return _result(est, target)
-
-
-def _music_bearing(p, bearing, snr_db, rng) -> float:
-    src = SourceSet(azimuths=np.array([bearing]))
-    x = synthesize_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng)
-    _, est = music(sample_covariance(x), p.geometry, 1, p.grid_step)
-    return float(est.azimuths[0])
-
-
-def _hybrid_single(p, snr_db, model, target, bearing, rng):
-    doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    return hybrid_single_node(p.node, doa_hat, _ranges(p, target, model, rng))
-
-
-def _hybrid_fbss(p, snr_db, model, target, bearing, rng):
+def _hybrid_sources(p: Pipeline, bearing: float) -> SourceSet:
+    """A hybrid trial's sources: the target's bearing, then (fbss) the coherent
+    interferers; ``CoincidentSources`` if the bearing is an interferer's."""
+    if p.sources is None:
+        return SourceSet(azimuths=np.array([bearing]))
     azimuths = np.concatenate([[bearing], p.sources.azimuths])
-    src = SourceSet(azimuths, np.concatenate([[1.0], p.sources.amplitudes]), coherent=True)
-    x = synthesize_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng)
-    d, subarray_len = _ranges(p, target, model, rng), p.cfg.method.get("subarray_len")
-    return hybrid_with_fbss(p.node, x, d, p.transform, src.count, subarray_len, lop=p.lop)
+    return SourceSet(azimuths, np.concatenate([[1.0], p.sources.amplitudes]), coherent=True)
 
 
-def _hybrid_anchors(p, snr_db, model, target, bearing, rng):
-    doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    d, scheme = _ranges(p, target, model, rng), p.cfg.method["hybrid"]
-    return hybrid_anchor_fusion(p.node, p.cfg.anchors, d, doa_hat, scheme, model, lop=p.lop)
+def _noise_subspaces(p: Pipeline, draws: list, failed: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (T, n, n) eigenvectors, descending, of the covariances of T trials' snapshots
+    (fbss: mapped into the beamspace and smoothed), from each trial's factors as
+    :func:`draw_snapshots` gives them; ``failed`` updated by the checks each trial's
+    own covariance passes through."""
+    a, s, noise = zip(*draws)
+    x = np.array(a) @ np.array(s)  # one product per trial, as synthesize_snapshots makes
+    if noise[0] is not None:  # the noise power is the row's, the same for every trial
+        x += np.array(noise)
+    r = _covariance(p, x)
+    if p.plan is not None:
+        failed = hermitian_failures(r, failed)  # fbss's check of its input
+        r = decorrelate.smooth(r, p.plan, forward_backward=True)
+    _, q, failed = herm_eig_stack(r, failed)
+    return q, failed
 
 
-def _hybrid_two_lines(p, snr_db, model, target, bearing, rng):
-    doa_hat = _music_bearing(p, bearing, snr_db, rng)
-    d = _ranges(p, target, model, rng)
+def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
+    """Each trial draws its target, signal, noise and shadowing from its own stream; the
+    row then forms its snapshots and covariances (fbss: beamspace-mapped and smoothed)
+    as stacks, splits them with one eigendecomposition and inverts its ranges as one
+    (T, k) block. The MUSIC scan and the fusion run trial by trial. A trial gets the
+    error its own pass would raise first: the spectrum's before the ranges', except for
+    fbss, which ranges first. Returns each trial's result, or that error."""
+    snr_db, model = p.cfg.snr_grid_db[snr_index], p.models[snr_index]
+    failed = np.full(len(trials), None, dtype=object)
+    targets, draws, losses = [], [], []
+    for i, ti in enumerate(trials):
+        rng = rng_for_trial(p.cfg.seed, snr_index, ti)
+        targets.append(_draw_target(p, rng))
+        try:
+            src = _hybrid_sources(p, bearing_to(p.node.center, targets[-1]))
+        except CoincidentSources as exc:  # a random target on an interferer's bearing
+            failed[i] = exc
+            losses.append(np.full(len(p.ranged), np.nan))
+            continue
+        draws.append(draw_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng))
+        losses.append(_losses(p, targets[-1], model, rng))
+    d = invert_distance(np.array(losses), model)
+    bad_ranges = ~_usable(d)
+    drawn = np.flatnonzero(np.equal(failed, None))
+    if p.plan is not None:  # fbss ranges before its spectrum
+        failed[drawn[bad_ranges[drawn]]] = NonPositiveDistance(_BAD_RANGE)
+    if drawn.size:
+        q, failed[drawn] = _noise_subspaces(p, draws, failed[drawn])
+        del draws  # free the row's snapshots before the per-trial scans
+    outcomes = list(failed)
+    n_sources = 1 if p.sources is None else 1 + p.sources.count
+    for j, i in enumerate(drawn):
+        if failed[i] is not None:
+            continue
+        try:
+            azimuths = music_peaks(q[j][:, n_sources:], p.scan, n_sources, p.grid_step)
+            if bad_ranges[i]:
+                raise NonPositiveDistance(_BAD_RANGE)
+            outcomes[i] = _result(p.step(p, model, azimuths, d[i]), targets[i])
+        except WsnlocError as exc:
+            outcomes[i] = exc
+    return outcomes
+
+
+def _fuse_two_lines(p, model, azimuths, d):
     # The hybrid node's own range pools its per-element measurements
     # (the ring radius is negligible against the node-target distance).
     # Both ranges stay numpy scalars, whose square past the float range is inf.
-    return two_lines(p.node, p.cfg.anchors[0], d[0], np.mean(d[1:]), doa_hat)
+    return two_lines(p.node, p.cfg.anchors[0], d[0], np.mean(d[1:]), float(azimuths[0]))
 
 
 # (method setting, value) -> the part of a trial the method decides; each entry looks its
 # kernels up by module-global name when it runs. Arguments: estimator (pipeline, inverting
 # model, (T, k) ranges) -> (T, 2) positions and per-trial failures, as rss.solve_stack;
 # decorrelate and doa (pipeline, snapshots) -> covariance and DoaEstimate; hybrid
-# (pipeline, snr_db, model, target, bearing, rng) -> position.
+# (pipeline, model, one trial's MUSIC azimuths, its ranges) -> position, the target's
+# bearing first among the azimuths except for fbss, which picks it.
 _STEPS: dict[tuple[str, str], Callable] = {
     ("estimator", "ls"): lambda p, model, d: solve_stack(p.lop, p.lop.rhs(d)),
     ("estimator", "wls"): lambda p, model, d: solve_stack(
@@ -705,11 +764,17 @@ _STEPS: dict[tuple[str, str], Callable] = {
     ("doa", "esprit"): lambda p, x: esprit(x, p.geometry, p.sources.count),
     ("doa", "uca-root-music"): lambda p, x: uca_root_music(x, p.transform, p.sources.count),
     ("doa", "uca-esprit"): lambda p, x: uca_esprit(x, p.transform, p.sources.count),
-    ("hybrid", "single"): _hybrid_single,
-    ("hybrid", "fbss"): _hybrid_fbss,
-    ("hybrid", "ls"): _hybrid_anchors,
-    ("hybrid", "wls"): _hybrid_anchors,
-    ("hybrid", "two-lines"): _hybrid_two_lines,
+    ("hybrid", "single"): lambda p, model, az, d: hybrid_single_node(p.node, float(az[0]), d),
+    ("hybrid", "fbss"): lambda p, model, az, d: hybrid_single_node(
+        p.node, fbss_bearing(p.node, az, d, lop=p.lop), d
+    ),
+    ("hybrid", "ls"): lambda p, model, az, d: hybrid_anchor_fusion(
+        p.node, p.cfg.anchors, d, float(az[0]), "ls", model, lop=p.lop
+    ),
+    ("hybrid", "wls"): lambda p, model, az, d: hybrid_anchor_fusion(
+        p.node, p.cfg.anchors, d, float(az[0]), "wls", model, lop=p.lop
+    ),
+    ("hybrid", "two-lines"): _fuse_two_lines,
 }
 
 _COMPILERS = {"rss": _compile_rss, "doa": _compile_doa, "hybrid": _compile_hybrid}
@@ -717,12 +782,18 @@ _COMPILERS = {"rss": _compile_rss, "doa": _compile_doa, "hybrid": _compile_hybri
 
 def _row_outcomes(p: Pipeline, snr_index: int):
     """Each trial's outcome in row ``snr_index`` from the stacked row function, a
-    chunk of trials at a time, or ``None`` for every trial where there is none."""
+    chunk of trials at a time, or ``None`` for every trial where there is none. An rss
+    chunk holds :data:`ROW_CHUNK` trials; a hybrid one as many as keep its snapshots
+    within :data:`ROW_SNAPSHOTS` complex values, and at least one."""
     if p.row is None:
         yield from itertools.repeat(None, p.cfg.trials)
         return
-    for start in range(0, p.cfg.trials, ROW_CHUNK):
-        yield from p.row(p, snr_index, range(start, min(start + ROW_CHUNK, p.cfg.trials)))
+    if p.geometry is None:
+        size = ROW_CHUNK
+    else:
+        size = max(1, ROW_SNAPSHOTS // (p.geometry.size * p.cfg.snapshots))
+    for start in range(0, p.cfg.trials, size):
+        yield from p.row(p, snr_index, range(start, min(start + size, p.cfg.trials)))
 
 
 def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) -> TrialResult:

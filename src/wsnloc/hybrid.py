@@ -6,9 +6,10 @@ whole estimates a bearing.
 
 * ``hybrid_single_node`` casts the bearing ray from the ring center and
   intersects it with one ranging circle per element, averaging the hits.
-* ``hybrid_with_fbss`` recovers the bearing in a coherent multipath
-  environment (beamspace mapping, forward/backward smoothing, MUSIC)
-  before running the same ray/circle fusion.
+* ``hybrid_with_fbss`` recovers the bearings in a coherent multipath
+  environment (beamspace mapping, forward/backward smoothing, MUSIC),
+  picks the target's with ``fbss_bearing``, then runs the same ray/circle
+  fusion.
 * ``hybrid_anchor_fusion`` trilaterates with the help of extra RSS-only
   anchors, then averages the trilateration fix with the point the bearing
   ray reaches at the fix's range.
@@ -28,7 +29,7 @@ import numpy as np
 from .arrays import UniformCircularArray, sample_covariance
 from .channel import ChannelModel
 from .decorrelate import SmoothingPlan, fbss
-from .doa import music
+from .doa import DEFAULT_GRID_STEP, music
 from .errors import (
     AllIntersectionsFailed,
     BehindRay,
@@ -149,6 +150,26 @@ def _trilaterate(lop: LopMatrix, ranges: Sequence[float], model: ChannelModel | 
     return pos[0]
 
 
+def fbss_bearing(
+    node: HybridNode,
+    azimuths: Sequence[float],
+    ranges: Sequence[float],
+    *,
+    lop: LopMatrix | None = None,
+) -> float:
+    """The one of several bearing estimates nearest the direction in which the node
+    sees a coarse LS fix from its element circles (``ranges`` in element order).
+
+    ``lop`` is the ring elements' LOP matrix, for a caller that builds it once;
+    it must be ``lop_matrix(node.element_positions)``, as nothing checks that it is.
+    """
+    if lop is None:
+        lop = lop_matrix(node.element_positions)
+    implied = bearing_to(node.center, _trilaterate(lop, ranges, None))
+    gaps = [_wrapped_gap(theta, implied) for theta in azimuths]
+    return float(azimuths[int(np.argmin(gaps))])
+
+
 def hybrid_with_fbss(
     node: HybridNode,
     x: np.ndarray,
@@ -158,34 +179,29 @@ def hybrid_with_fbss(
     subarray_len: int | None = None,
     *,
     lop: LopMatrix | None = None,
+    grid_step: float = DEFAULT_GRID_STEP,
 ) -> np.ndarray:
     """Single-node fusion in a coherent environment.
 
     The ring snapshots are mapped into the virtual linear array (plain
     transform, keeping the shift structure), forward/backward smoothing
-    restores the covariance rank, and MUSIC on the smoothed subarray
-    recovers all coherent bearings. The bearing used for fusion is the one
-    nearest the direction implied by a coarse LS fix from the element
-    circles; ``ranges`` holds each ring element's estimated distance to the
-    target, in element order, as for :func:`hybrid_single_node`.
+    restores the covariance rank, and MUSIC on the smoothed subarray, with
+    a grid of ``grid_step`` radians, recovers all coherent bearings. The
+    bearing used for fusion is :func:`fbss_bearing`'s pick; ``ranges`` holds
+    each ring element's estimated distance to the target, in element order,
+    as for :func:`hybrid_single_node`.
 
     ``subarray_len`` trades decorrelation headroom for aperture; the
-    default is the shortest valid subarray, n_sources + 1. ``lop`` is the
-    ring elements' LOP matrix, for a caller that builds it once; it must be
-    ``lop_matrix(node.element_positions)``, as nothing checks that it is.
+    default is the shortest valid subarray, n_sources + 1. ``lop`` is as
+    for :func:`fbss_bearing`.
     """
     xv = to_vula(x, transform, prewhitened=False)
     plan = SmoothingPlan.design(
         transform.vula_size, n_sources, subarray_len=subarray_len, forward_backward=True
     )
     r = fbss(sample_covariance(xv), plan)
-    _, estimate = music(r, VandermondeArray(plan.subarray_len), n_sources)
-
-    if lop is None:
-        lop = lop_matrix(node.element_positions)
-    implied = bearing_to(node.center, _trilaterate(lop, ranges, None))
-    gaps = [_wrapped_gap(theta, implied) for theta in estimate.azimuths]
-    chosen = float(estimate.azimuths[int(np.argmin(gaps))])
+    _, estimate = music(r, VandermondeArray(plan.subarray_len), n_sources, grid_step)
+    chosen = fbss_bearing(node, estimate.azimuths, ranges, lop=lop)
     return hybrid_single_node(node, chosen, ranges)
 
 

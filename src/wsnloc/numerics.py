@@ -1,5 +1,6 @@
-"""Shared numerical kernels: Hermitian eigendecomposition, polynomial roots,
-and the inverse matrix square root of a Hermitian positive definite matrix.
+"""Shared numerical kernels: Hermitian eigendecomposition (of one matrix or of a
+stack of them), polynomial roots, and the inverse matrix square root of a
+Hermitian positive definite matrix.
 
 These delegate to LAPACK through numpy; the contracts (ordering, residual
 bounds, error conditions) are what the rest of the package relies on.
@@ -12,6 +13,8 @@ import numpy as np
 from .errors import DegenerateLeadingCoefficient, NearSingular, NonHermitian, NumericOverflow
 
 HERMITIAN_RTOL = 1e-10
+_NOT_FINITE = "matrix has entries outside the float range"
+_NOT_HERMITIAN = "matrix is not Hermitian within tolerance"
 
 
 @dataclass(frozen=True)
@@ -28,8 +31,23 @@ def _check_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
         raise NonHermitian(f"expected a square matrix, got shape {m.shape}")
     scale = max(np.linalg.norm(m), 1.0)
     if np.linalg.norm(m - m.conj().T) > rtol * scale:
-        raise NonHermitian("matrix is not Hermitian within tolerance")
+        raise NonHermitian(_NOT_HERMITIAN)
     return m
+
+
+def hermitian_failures(
+    r: np.ndarray, failed: np.ndarray, rtol: float = HERMITIAN_RTOL
+) -> np.ndarray:
+    """The Hermitian check over a (T, n, n) stack: ``failed`` (an error or ``None`` per
+    matrix), copied, with ``NonHermitian`` on each matrix it does not mark yet that is
+    not Hermitian within ``rtol``; each matrix is measured by its own norm."""
+    failed = failed.copy()
+    live = np.flatnonzero(np.equal(failed, None))
+    axes = (-2, -1)
+    scale = np.maximum(np.linalg.norm(r[live], axis=axes), 1.0)
+    skew = np.linalg.norm(r[live] - r[live].conj().swapaxes(-1, -2), axis=axes)
+    failed[live[skew > rtol * scale]] = NonHermitian(_NOT_HERMITIAN)
+    return failed
 
 
 def herm_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,10 +60,31 @@ def herm_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     r = np.asarray(r)
     if not np.all(np.isfinite(r)):
-        raise NumericOverflow("matrix has entries outside the float range")
+        raise NumericOverflow(_NOT_FINITE)
     r = _check_hermitian(r)
     w, q = np.linalg.eigh(r)
     return w[::-1], q[:, ::-1]
+
+
+def herm_eig_stack(r: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`herm_eig` of every matrix in a (T, n, n) stack, in one LAPACK call.
+
+    ``failed`` holds an error or ``None`` per matrix. A matrix it marks, or one
+    that ``herm_eig`` rejects (entries not finite, then not Hermitian), gets NaN
+    eigenpairs and its error in the returned copy of ``failed``. Returns
+    ``(eigenvalues, eigenvectors, failed)``, descending as ``herm_eig``'s; the
+    others get the bits ``herm_eig`` gives each on its own.
+    """
+    failed = failed.copy()
+    failed[np.equal(failed, None) & ~np.all(np.isfinite(r), axis=(-2, -1))] = NumericOverflow(
+        _NOT_FINITE
+    )
+    failed = hermitian_failures(r, failed)
+    ok = np.equal(failed, None)
+    w, q = np.full(r.shape[:-1], np.nan), np.full(r.shape, np.nan, dtype=r.dtype)
+    if ok.any():
+        w[ok], q[ok] = np.linalg.eigh(r[ok])
+    return w[:, ::-1], q[:, :, ::-1], failed
 
 
 def poly_roots(coeffs: np.ndarray) -> PolyRoots:

@@ -1,6 +1,8 @@
 """The rss row solves its trials as one stack, and a hybrid trilateration fix is a
 stack of one system; these tests hold both to the systems solved one at a time by
-the one-system solvers, byte for byte."""
+the one-system solvers, byte for byte. A hybrid row forms, maps, smooths and splits
+its covariances as stacks; these tests hold each of its trials to the public kernels
+composed for that trial alone, byte for byte."""
 
 import dataclasses
 import json
@@ -11,7 +13,10 @@ import numpy as np
 import pytest
 
 from wsnloc import geometry, harness, hybrid, rss
+from wsnloc.arrays import SourceSet, draw_snapshots, sample_covariance, synthesize_snapshots
 from wsnloc.channel import invert_distance, path_loss
+from wsnloc.decorrelate import fbss
+from wsnloc.doa import music
 from wsnloc.errors import (
     ConfigError,
     NonPositiveDistance,
@@ -19,8 +24,11 @@ from wsnloc.errors import (
     SingularSystem,
     WsnlocError,
 )
-from wsnloc.geometry import LinearSystem, distance
+from wsnloc.geometry import LinearSystem, bearing_to, distance
 from wsnloc.harness import ScenarioConfig, monte_carlo, rng_for_trial, run_trial
+from wsnloc.hybrid import hybrid_anchor_fusion, hybrid_single_node, hybrid_with_fbss, two_lines
+from wsnloc.numerics import herm_eig
+from wsnloc.pme import build_transform, to_vula
 from wsnloc.rss import huber_irls, ls_solve, wls_solve, wls_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -96,18 +104,19 @@ def assert_same(batched, looped):
     assert batched.error == error
 
 
-def check_rows(cfg: ScenarioConfig) -> list[type]:
+def check_rows(cfg: ScenarioConfig, kind: str = "rss") -> list[type]:
     """Every row's stacked trials against the looped ones; returns the failure classes."""
-    p = harness._pipeline(cfg, "rss")
+    p = harness._pipeline(cfg, kind)
+    looped_trial = {"rss": one_trial, "hybrid": one_hybrid_trial}[kind]
     classes = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for si in range(len(cfg.snr_grid_db)):
             row = p.row(p, si, range(cfg.trials))
             assert len(row) == cfg.trials
             for ti, batched in enumerate(row):
-                looped = outcome(one_trial, cfg, si, ti)
+                looped = outcome(looped_trial, cfg, si, ti)
                 assert_same(batched, looped)
-                assert_same(outcome(run_trial, cfg, "rss", si, ti), looped)
+                assert_same(outcome(run_trial, cfg, kind, si, ti), looped)
                 classes.append(type(batched))
     return classes
 
@@ -152,6 +161,24 @@ def test_ill_conditioned_layout_fails_ls_at_compile(estimator):
             monte_carlo(cfg, "rss")
     else:
         assert set(check_rows(cfg)) <= {harness.TrialResult, SingularSystem}
+
+
+FOUND_LAYOUT = [[0.0, 0.0], [50.0, 50.0], [100.0, 100.0001]]  # cond(A^T A) about 2.5e13
+
+
+@pytest.mark.parametrize("estimator", ["wls", "huber"])
+def test_ill_conditioned_layout_without_shadowing_is_a_config_error(estimator):
+    # with no shadowing WLS weighs every range alike and Huber starts from LS, so every
+    # trial's fix is the unweighted LS one, past the condition bound
+    flat = scenario(anchors=FOUND_LAYOUT, target=[30.0, 60.0], channel={"sigma_ref_db": 0.0})
+    with pytest.raises(ConfigError, match="ill-conditioned .* without shadowing"):
+        monte_carlo(flat.with_method(estimator=estimator), "rss")
+    # with shadowing the weights are drawn, and the trials run
+    shadowed = scenario(anchors=FOUND_LAYOUT, target=[30.0, 60.0], channel={"sigma_ref_db": 4.0})
+    assert set(check_rows(shadowed.with_method(estimator=estimator))) <= {
+        harness.TrialResult,
+        SingularSystem,
+    }
 
 
 @pytest.mark.parametrize(
@@ -214,6 +241,215 @@ HYBRID_RAW = {
     "hybrid_node": {"center": [18.0, 16.0], "n_elements": 4, "radius_wavelengths": 0.3183},
     "snapshots": 32,
 }
+
+
+def one_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> tuple:
+    """One hybrid trial on its own, the way trials ran before rows were stacked: its
+    snapshots, then MUSIC on their covariance (fbss: the ranges, then hybrid_with_fbss),
+    the ranges and the scheme's fusion."""
+    scheme, snr_db = cfg.method["hybrid"], cfg.snr_grid_db[snr_index]
+    node, model = cfg.build_hybrid_node(), cfg.channel_at(snr_db)
+    grid_step = math.radians(cfg.method["grid_step_deg"])
+    rng = rng_for_trial(cfg.seed, snr_index, trial_index)
+    target = cfg.target
+    clear = max(cfg.d0, 3.0 * node.geometry.radius)
+    anchors = [] if cfg.anchors is None else list(cfg.anchors)
+    while isinstance(target, str):  # a random target, drawn clear of the node and anchors
+        cand = np.array([rng.uniform(0, cfg.region[0]), rng.uniform(0, cfg.region[1])])
+        if distance(cand, node.center) >= clear and all(
+            distance(cand, a) >= cfg.d0 for a in anchors
+        ):
+            target = cand
+    bearing = bearing_to(node.center, target)
+    if scheme == "fbss":
+        amps = cfg.interferer_amplitudes or [1.0] * len(cfg.interferers_deg)
+        azimuths = np.concatenate([[bearing], np.radians(cfg.interferers_deg)])
+        src = SourceSet(azimuths, [1.0, *amps], coherent=True)
+    else:
+        src = SourceSet(np.array([bearing]))
+    x = synthesize_snapshots(node.geometry, src, cfg.snapshots, snr_db, rng)
+
+    def ranges(points):
+        diff = points - target
+        d = invert_distance(path_loss(np.hypot(diff[:, 0], diff[:, 1]), model, rng), model)
+        if not np.all((d > 0) & (d < math.inf)):
+            raise NonPositiveDistance("range out of the float range")
+        return d
+
+    positions = node.element_positions
+    if scheme == "fbss":
+        d = ranges(positions)
+        transform = build_transform(node.geometry)
+        subarray_len = cfg.method.get("subarray_len")
+        est = hybrid_with_fbss(node, x, d, transform, src.count, subarray_len, grid_step=grid_step)
+    else:
+        doa = float(music(sample_covariance(x), node.geometry, 1, grid_step)[1].azimuths[0])
+        if scheme == "single":
+            est = hybrid_single_node(node, doa, ranges(positions))
+        elif scheme in ("ls", "wls"):
+            d = ranges(np.vstack([cfg.anchors, node.center]))
+            est = hybrid_anchor_fusion(node, cfg.anchors, d, doa, scheme, model)
+        else:
+            d = ranges(np.vstack([cfg.anchors[:1], positions]))
+            est = two_lines(node, cfg.anchors[0], d[0], np.mean(d[1:]), doa)
+    error = distance(est, target)
+    if not math.isfinite(error):
+        raise NumericOverflow("estimate out of the float range")
+    return est, target, error
+
+
+HYBRID_SCHEMES = ("single", "fbss", "ls", "wls", "two-lines")
+# a 16-element ring (8 modes) for fbss, with interferers; the 4-element one cannot
+# smooth three coherent sources
+FBSS_RAW = dict(
+    HYBRID_RAW,
+    hybrid_node={"center": [5.0, 5.0], "n_elements": 16, "radius_wavelengths": 0.7},
+    interferers_deg=[116.57, 32.0],
+    interferer_amplitudes=[0.6, 0.6],
+    method={"subarray_len": 6},
+)
+
+
+def hybrid_scenario(scheme: str, **changes) -> ScenarioConfig:
+    raw = json.loads(json.dumps(FBSS_RAW if scheme == "fbss" else HYBRID_RAW))
+    raw["channel"].update(changes.pop("channel", {}))
+    raw["method"] = dict(raw.get("method", {}), **changes.pop("method", {}))
+    raw.update(changes)
+    return ScenarioConfig.from_dict(raw).with_method(hybrid=scheme)
+
+
+@pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"trials": 9, "snr_grid_db": [5.0, 15.0, 30.0]},
+        {"trials": 9, "snr_grid_db": [10.0, 20.0], "target": "random"},
+        {"trials": 6, "snr_grid_db": [10.0], "method": {"grid_step_deg": 2.0}},
+        {"trials": 5, "snr_grid_db": [1e300]},  # noiseless: no noise draws, no shadowing
+    ],
+    ids=["fixed", "random", "coarse-grid", "noiseless"],
+)
+def test_hybrid_rows_equal_looped_trials(scheme, changes):
+    classes = check_rows(hybrid_scenario(scheme, **changes), "hybrid")
+    assert harness.TrialResult in classes
+
+
+@pytest.mark.parametrize("scheme", ["single", "fbss"])
+@pytest.mark.parametrize("snr_db", [5.0, 30.0, 1e300])
+def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
+    # MUSIC picks grid points, so an estimate hides small changes in the covariances:
+    # the row's eigenvectors themselves must be the bytes of each trial's own kernels
+    cfg = hybrid_scenario(scheme, trials=7, snr_grid_db=[snr_db])
+    p = harness._pipeline(cfg, "hybrid")
+    draws, looped = [], []
+    for ti in range(cfg.trials):
+        for stack in (True, False):
+            rng = rng_for_trial(cfg.seed, 0, ti)
+            src = harness._hybrid_sources(p, bearing_to(p.node.center, harness._draw_target(p, rng)))
+            if stack:
+                draws.append(draw_snapshots(p.geometry, src, cfg.snapshots, snr_db, rng))
+                continue
+            x = synthesize_snapshots(p.geometry, src, cfg.snapshots, snr_db, rng)
+            if scheme == "fbss":
+                r = fbss(sample_covariance(to_vula(x, p.transform)), p.plan)
+            else:
+                r = sample_covariance(x)
+            looped.append(herm_eig(r)[1])
+    q, failed = harness._noise_subspaces(p, draws, np.full(cfg.trials, None, dtype=object))
+    assert list(failed) == [None] * cfg.trials
+    for q_row, q_trial in zip(q, looped):
+        assert np.ascontiguousarray(q_row).tobytes() == np.ascontiguousarray(q_trial).tobytes()
+
+
+@pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
+def test_shipped_hybrid_sweeps_equal_looped_trials(scheme):
+    name = "hybrid_coherent_fbss" if scheme == "fbss" else "hybrid_single"
+    cfg = harness.load_config(CONFIGS / f"{name}.json")
+    check_rows(dataclasses.replace(cfg, seed=7, trials=8).with_method(hybrid=scheme), "hybrid")
+
+
+@pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
+def test_hybrid_failure_precedence(scheme):
+    # At -3070 dB the sample covariance overflows and the shadowing sends every range to
+    # 0 or infinity: the spectrum fails first, except under fbss, which ranges first
+    cfg = hybrid_scenario(scheme, trials=4, snr_grid_db=[-3070.0])
+    expected = NonPositiveDistance if scheme == "fbss" else NumericOverflow
+    assert set(check_rows(cfg, "hybrid")) == {expected}
+
+
+@pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
+def test_hybrid_rows_fail_as_looped_trials(scheme):
+    # heavy shadowing sends some ranges to 0 or infinity, and some estimates (or, for
+    # wls, ranging variances) out of the float range
+    cfg = hybrid_scenario(
+        scheme,
+        trials=20,
+        snr_grid_db=[-20.0, -5.0, 10.0],
+        target="random",
+        channel={"sigma_ref_db": 300.0},
+    )
+    classes = set(check_rows(cfg, "hybrid"))
+    assert {NonPositiveDistance, NumericOverflow} <= classes
+    assert (harness.TrialResult in classes) == (scheme != "wls")
+
+
+@pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
+def test_hybrid_rows_stack_in_chunks(monkeypatch, scheme):
+    # one trial per chunk gives the rows of one stack per row
+    cfg = hybrid_scenario(
+        scheme, trials=11, snr_grid_db=[-5.0, 10.0], channel={"sigma_ref_db": 30.0}
+    )
+    monkeypatch.setattr(harness, "ROW_SNAPSHOTS", 10**9)
+    p = harness._pipeline(cfg, "hybrid")
+    chunks = []
+    row = p.row
+    monkeypatch.setattr(p, "row", lambda p, si, trials: chunks.append(trials) or row(p, si, trials))
+    whole = monte_carlo(cfg, "hybrid")
+    assert [list(t) for t in chunks if isinstance(t, range)] == 2 * [list(range(11))]
+    chunks.clear()
+    monkeypatch.setattr(harness, "ROW_SNAPSHOTS", 1)
+    assert monte_carlo(cfg, "hybrid") == whole
+    assert [list(t) for t in chunks if isinstance(t, range)] == [[ti] for ti in 2 * list(range(11))]
+
+
+def test_hybrid_row_chunk_holds_bounded_snapshots():
+    # 8,192 complex values: 20 trials of a 4-element ring with 100 snapshots, 5 of a
+    # 16-element one; a trial larger than the limit still runs, one at a time
+    for scheme, snapshots, size in [("single", 100, 20), ("fbss", 100, 5), ("single", 4096, 1)]:
+        cfg = dataclasses.replace(hybrid_scenario(scheme, snapshots=snapshots), trials=45)
+        p = harness._pipeline(cfg, "hybrid")
+        sizes = []
+        row = p.row
+        p.row = lambda p, si, trials: sizes.append(len(trials)) or row(p, si, trials)
+        list(harness._row_outcomes(p, 0))
+        assert sizes[0] == size and sum(sizes) == 45
+
+
+def test_hybrid_fbss_follows_the_grid_step():
+    # the fbss MUSIC scan uses the configured grid step, as the single-node one does
+    base = harness.load_config(CONFIGS / "hybrid_coherent_fbss.json")
+    for scheme in ("fbss", "single"):
+        cfg = dataclasses.replace(base, trials=6, snr_grid_db=(30.0,)).with_method(hybrid=scheme)
+        fine = monte_carlo(cfg, "hybrid")
+        coarse = monte_carlo(cfg.with_method(grid_step_deg=2.0), "hybrid")
+        assert fine.rows[0].rmse != coarse.rows[0].rmse
+
+
+@pytest.mark.parametrize("sigma_ref, raises", [(0.0, True), (4.0, False)])
+def test_hybrid_wls_ill_conditioned_without_shadowing(sigma_ref, raises):
+    # the anchors and the node's centre make the ill-conditioned layout above
+    cfg = hybrid_scenario(
+        "wls",
+        anchors=FOUND_LAYOUT[:2],
+        hybrid_node=dict(HYBRID_RAW["hybrid_node"], center=FOUND_LAYOUT[2]),
+        channel={"sigma_ref_db": sigma_ref},
+        trials=6,
+    )
+    if raises:
+        with pytest.raises(ConfigError, match="ill-conditioned .* without shadowing"):
+            monte_carlo(cfg, "hybrid")
+    else:
+        assert set(check_rows(cfg, "hybrid")) <= {harness.TrialResult, SingularSystem}
 
 
 @pytest.mark.parametrize("scheme", ["ls", "wls", "fbss"])
@@ -297,11 +533,11 @@ def test_hybrid_fbss_coarse_fix_equals_ls_solve(monkeypatch):
     # the coarse fix only picks a bearing, from the direction the node sees it in
     cfg = harness.load_config(CONFIGS / "hybrid_coherent_fbss.json")
     cfg = dataclasses.replace(cfg, seed=7, trials=3)
-    fusions = recording(monkeypatch, harness, "hybrid_with_fbss")
+    picks = recording(monkeypatch, harness, "fbss_bearing")
     bearings = recording(monkeypatch, hybrid, "bearing_to")
     run_rows(cfg, "hybrid")
-    assert len(fusions) == len(bearings) == len(cfg.snr_grid_db) * cfg.trials
-    for ((node, _, d, *_), _), ((center, coarse), _) in zip(fusions, bearings):
+    assert len(picks) == len(bearings) == len(cfg.snr_grid_db) * cfg.trials
+    for ((node, _, d), _), ((center, coarse), _) in zip(picks, bearings):
         assert center is node.center
         fix = ls_solve(geometry.build_lop_system(node.element_positions, d))
         assert coarse.tobytes() == fix.tobytes()

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from wsnloc import harness
 from wsnloc.channel import wavelength_from_frequency
 from wsnloc.cli import main
+from wsnloc.errors import CoincidentSources
 
 RSS_RAW = {
     "seed": 5,
@@ -280,6 +282,39 @@ STRUCTURAL_ERRORS = {
         with_keys(HYBRID_RAW, anchors=[[2.0, 0.0], [10.0, 8.00001]]),
         ["--hybrid", "ls"],
     ),
+    # with no shadowing (sigma_ref_db 0) WLS and Huber fix every trial by unweighted LS
+    **{
+        f"rss_ill_conditioned_unshadowed_{e}": (
+            "rss",
+            with_keys(
+                RSS_RAW,
+                anchors=[[0.0, 0.0], [50.0, 50.0], [100.0, 100.0001]],
+                channel={"frequency_hz": 1e9, "sigma_ref_db": 0.0},
+            ),
+            ["--estimator", e],
+        )
+        for e in ("wls", "huber")
+    },
+    "hybrid_ill_conditioned_unshadowed_wls": (
+        "hybrid",
+        with_keys(
+            HYBRID_RAW,
+            anchors=[[2.0, 0.0], [10.0, 8.00001]],
+            channel={"frequency_hz": 1e9, "sigma_ref_db": 0.0},
+        ),
+        ["--hybrid", "wls"],
+    ),
+    # a fixed target the fbss node sees along an interferer's bearing (45 degrees)
+    "fbss_target_on_interferer_bearing": (
+        "hybrid",
+        with_keys(
+            HYBRID_RAW,
+            hybrid_node=dict(HYBRID_RAW["hybrid_node"], center=[0.0, 0.0]),
+            target=[10.0, 10.0],
+            interferers_deg=[45.0, 120.0],
+        ),
+        ["--hybrid", "fbss"],
+    ),
     # a fixed target at zero distance from a point it is ranged from
     "rss_target_on_anchor": ("rss", with_keys(RSS_RAW, target=[0.0, 0.0]), []),
     "hybrid_target_on_anchor": (
@@ -315,6 +350,35 @@ def test_structural_config_errors_exit_1(tmp_path, capsys, name):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_random_target_on_interferer_bearing_fails_its_trial(tmp_path, capsys):
+    # a region 1e-300 m wide puts every random target straight above or below the fbss
+    # node, at 90 or -90 degrees: a trial above it sees the target along the interferer
+    raw = with_keys(
+        HYBRID_RAW,
+        region=[1e-300, 30.0],
+        target="random",
+        hybrid_node=dict(HYBRID_RAW["hybrid_node"], center=[0.0, 15.0]),
+        interferers_deg=[90.0],
+        trials=12,
+        snr_grid_db=[10.0, 20.0],
+    )
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    assert main(["hybrid", "--config", str(cfg), "--out", str(out), "--hybrid", "fbss"]) == 0
+    assert capsys.readouterr().err == ""
+    scenario = harness.ScenarioConfig.from_dict(raw).with_method(hybrid="fbss")
+    p = harness._pipeline(scenario, "hybrid")
+    for si, row in enumerate(csv.DictReader(out.open())):
+        above = [
+            ti
+            for ti in range(12)
+            if harness._draw_target(p, harness.rng_for_trial(21, si, ti))[1] > 15.0
+        ]
+        assert 0 < len(above) <= int(row["failures"]) < 12
+        for ti in above:
+            with pytest.raises(CoincidentSources):
+                harness.run_trial(scenario, "hybrid", si, ti)
 
 
 @pytest.mark.parametrize("command, config", EXTREME_SNR)
