@@ -17,7 +17,9 @@ import dataclasses
 import sys
 
 from .errors import AllTrialsFailed, ConfigError
-from .harness import dump_spectrum, load_config, monte_carlo, write_rmse_csv
+from .harness import CONFIG_SCHEMA, dump_spectrum, load_config, monte_carlo, write_rmse_csv
+
+_METHODS = CONFIG_SCHEMA["properties"]["method"]["properties"]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -27,36 +29,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1, help="ignored; trials run serially")
 
 
+def _add_method(parser: argparse.ArgumentParser, key: str) -> None:
+    """``--key``, choosing among the values the config schema allows for ``method.key``."""
+    parser.add_argument(f"--{key}", choices=_METHODS[key]["enum"], default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wsnloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     rss = sub.add_parser("rss", help="RSS trilateration RMSE vs SNR")
     _add_common(rss)
-    rss.add_argument("--estimator", choices=["ls", "wls", "huber"], default=None)
+    _add_method(rss, "estimator")
 
     doa = sub.add_parser("doa", help="DOA estimation RMSE vs SNR")
     _add_common(doa)
-    doa.add_argument(
-        "--doa",
-        choices=["music", "root-music", "esprit", "uca-root-music", "uca-esprit"],
-        default=None,
-    )
-    doa.add_argument(
-        "--decorrelate", choices=["none", "fss", "fbss", "toeplitz"], default=None
-    )
+    _add_method(doa, "doa")
+    _add_method(doa, "decorrelate")
 
     hybrid = sub.add_parser("hybrid", help="hybrid RSS+DOA RMSE vs SNR")
     _add_common(hybrid)
-    hybrid.add_argument(
-        "--hybrid", choices=["single", "fbss", "ls", "wls", "two-lines"], default=None
-    )
+    _add_method(hybrid, "hybrid")
 
     spectrum = sub.add_parser("spectrum", help="dump one seeded MUSIC spectrum")
     _add_common(spectrum)
-    spectrum.add_argument(
-        "--decorrelate", choices=["none", "fss", "fbss", "toeplitz"], default=None
-    )
+    _add_method(spectrum, "decorrelate")
     return parser
 
 

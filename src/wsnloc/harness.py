@@ -16,21 +16,25 @@ An anchor layout that every trial's trilateration would reject is a
 :class:`ConfigError` there too.
 
 Trials run one SNR row at a time. rss and hybrid compile a stacked row
-function, and their :func:`run_trial` is that row with one trial in it. Each
-trial draws on its own stream; the row then does its numerics as stacks, bit
-for bit what each trial's own pass gives:
+function, and their :func:`run_trial` is that row with one trial in it. Both
+kinds range through each row's (generating, inverting) channel pair, so
+``channel.eta_true`` applies to either. Each trial draws on its own stream;
+the row then does its numerics as stacks, bit for bit what each trial's own
+pass gives:
 
-* an rss row solves its LS, WLS or Huber systems as one stack;
-* a hybrid row forms its snapshots (one product per trial) and sample
+* both rows solve their trilateration fixes (rss LS, WLS or Huber; hybrid
+  ls, wls and the fbss coarse fix) as one stack, and score their (T, 2)
+  estimates in one pass;
+* a hybrid row also forms its snapshots (one product per trial) and sample
   covariances, fbss's beamspace map and smoothing, and the checks and
   eigendecompositions of :func:`numerics.herm_eig` as stacks; the MUSIC scan
-  of each trial's noise subspace and the fusion run trial by trial, and a
-  trilateration fix is a stack of one through the rss solver.
+  of each trial's noise subspace and the fusion run trial by trial.
 
-A row is stacked in chunks, :data:`ROW_CHUNK` trials for rss and at most
-:data:`ROW_SNAPSHOTS` complex snapshot values for hybrid, so its memory does
-not grow with ``trials``. doa rows run trial by trial through
-:func:`run_trial`. ``workers`` is still ignored.
+A row is stacked in chunks of as many trials as draw at most
+:data:`ROW_VALUES` values (path losses, plus complex snapshot values for
+hybrid), and at least one, so its memory does not grow with ``trials``. doa
+rows run trial by trial through :func:`run_trial`. ``workers`` is still
+ignored.
 
 Randomness: every trial owns an independent PCG64 stream derived as
 ``SeedSequence(entropy=seed, spawn_key=(snr_index, trial_index))``, so
@@ -85,14 +89,8 @@ from .errors import (
     WsnlocError,
 )
 from .geometry import LopMatrix, as_anchor_array, bearing_to, distance, lop_matrix
-from .hybrid import (
-    HybridNode,
-    fbss_bearing,
-    hybrid_anchor_fusion,
-    hybrid_single_node,
-    two_lines,
-)
-from .numerics import herm_eig_stack, hermitian_failures
+from .hybrid import HybridNode, bearing_midpoint, fbss_bearing, hybrid_single_node, two_lines
+from .numerics import herm_eig_stack
 from .pme import PmeTransform, VandermondeArray, build_transform
 from .rss import MAX_CONDITION, huber_stack, solve_stack, wls_row_weights
 
@@ -102,8 +100,7 @@ from .rss import MAX_CONDITION, huber_stack, solve_stack, wls_row_weights
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 _BAD_RANGE = "shadowing drove an estimated range to 0 or infinity"
 _BAD_ESTIMATE = "the position estimate left the float range"
-ROW_CHUNK = 1024  # most trials one stacked rss row call holds in memory at once
-ROW_SNAPSHOTS = 8192  # most complex snapshot values one stacked hybrid row call holds
+ROW_VALUES = 8192  # most values (path losses, complex snapshot values) one row call draws
 
 _XY = {
     "type": "array",
@@ -408,16 +405,19 @@ def rng_for_trial(seed: int, snr_index: int, trial_index: int) -> np.random.Gene
 @dataclass
 class Pipeline:
     """A scenario compiled for one kind: ``row(pipeline, snr_index, trial_indices)`` (rss,
-    hybrid) or ``trial(pipeline, snr_index, rng)`` (doa) hands the method's part to
-    ``step`` (doa preprocessing to ``prepare``), both from :data:`_STEPS`; the other
-    fields are what all trials share, ``None`` where a kind has no use for them."""
+    hybrid) or ``trial(pipeline, snr_index, rng)`` (doa) hands the trilateration to
+    ``fix`` and the method's part to ``step`` (doa preprocessing to ``prepare``), all
+    from :data:`_STEPS`; the other fields are what all trials share, ``None`` where a
+    kind has no use for them."""
 
     cfg: ScenarioConfig
     grid_step: float  # MUSIC grid step, radians
     row: Callable | None = None
     trial: Callable | None = None
-    step: Callable | None = None
-    models: tuple = ()  # per SNR: ChannelModel, or (generating, inverting) pair for rss
+    step: Callable | None = None  # doa estimator, hybrid fusion
+    fix: Callable | None = None  # rss, hybrid ls/wls/fbss: a row's fixes as one stack
+    chunk: int = 1  # trials one row call stacks
+    models: tuple = ()  # per SNR (rss, hybrid): the (generating, inverting) channel pair
     clearance: tuple = ((), ())  # points a random target keeps clear of, and radii
     prepare: Callable | None = None
     geometry: Any = None  # the array (doa) or the hybrid ring
@@ -457,17 +457,26 @@ def _per_row(cfg: ScenarioConfig, quantity: str, fn: Callable) -> tuple:
     return tuple(rows)
 
 
-def _trilateration(points, ls: bool, inverting=()) -> LopMatrix:
+def _channels(cfg: ScenarioConfig) -> tuple:
+    """Each row's (generating, inverting) channel pair: ``eta_true``, when set, generates
+    the path losses; ranging inverts them with ``eta``."""
+    return _per_row(
+        cfg, "shadowing std", lambda snr: (cfg.channel_at(snr, eta=cfg.eta_true), cfg.channel_at(snr))
+    )
+
+
+def _trilateration(points, ls: bool, models) -> LopMatrix:
     """The LOP matrix of ``points`` (collinear ones raise). An ``A^T A`` that every
     unweighted solve rejects is a config error for an ``ls`` fix, and for a weighted one
-    if any row's ``inverting`` channel has no shadowing: there WLS weighs every range
-    alike and Huber starts from LS. Other weighted solves check their own drawn weights."""
+    if any row's inverting channel (of its ``models`` pair) has no shadowing: there WLS
+    weighs every range alike and Huber starts from LS. Other weighted solves check their
+    own drawn weights."""
     lop = lop_matrix(points)
     if lop.gram_cond > MAX_CONDITION:
         cond = f"cond(A^T A) {lop.gram_cond:.3g}"
         if ls:
             raise ConfigError(f"anchor layout ill-conditioned for LS: {cond}")
-        if any(lognormal_sigma_d(model) == 0.0 for model in inverting):
+        if any(lognormal_sigma_d(inverting) == 0.0 for _, inverting in models):
             raise ConfigError(
                 f"anchor layout ill-conditioned for the unweighted fix of a row without "
                 f"shadowing: {cond}"
@@ -478,15 +487,12 @@ def _trilateration(points, ls: bool, inverting=()) -> LopMatrix:
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.anchors is None or cfg.anchors.shape[0] < 3:
         raise ConfigError("rss scenario needs at least 3 anchors")
-    p.row, p.step = _rss_row, _STEPS["estimator", cfg.method["estimator"]]
+    p.row, p.fix = _rss_row, _STEPS["estimator", cfg.method["estimator"]]
     p.ranged = cfg.anchors
+    p.chunk = max(1, ROW_VALUES // len(p.ranged))
     p.clearance = _clearance(cfg, [], [])
-    # eta_true, when set, generates the losses; ranging inverts them with eta
-    p.models = _per_row(
-        cfg, "shadowing std", lambda snr: (cfg.channel_at(snr, eta=cfg.eta_true), cfg.channel_at(snr))
-    )
-    inverting = [model for _, model in p.models]
-    p.lop = _trilateration(cfg.anchors, cfg.method["estimator"] == "ls", inverting)
+    p.models = _channels(cfg)
+    p.lop = _trilateration(cfg.anchors, cfg.method["estimator"] == "ls", p.models)
 
 
 def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
@@ -533,7 +539,7 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     positions = node.element_positions
     radius = max(cfg.d0, 3.0 * node.geometry.radius)
     p.clearance = _clearance(cfg, [node.center], [radius], ranged=positions)
-    p.models = _per_row(cfg, "shadowing std", cfg.channel_at)
+    p.models = _channels(cfg)
     # a check; the overflow is in 10^(-snr/10), whatever power a trial's sources carry
     _per_row(cfg, "noise power", lambda snr: noise_power(None, snr))
     needed = {"ls": 2, "wls": 2, "two-lines": 1}.get(scheme, 0)
@@ -547,6 +553,7 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         p.ranged = np.vstack([cfg.anchors[:1], positions])
     else:
         p.ranged = positions
+    p.chunk = max(1, ROW_VALUES // (len(p.ranged) + node.geometry.size * cfg.snapshots))
     if scheme == "fbss":
         amps = cfg.interferer_amplitudes
         if amps is not None and len(amps) != len(cfg.interferers_deg):
@@ -569,6 +576,7 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
                     f"target bearing {math.degrees(bearing):g} deg is an interferer's"
                 ) from exc
     if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
+        p.fix = _STEPS["estimator", "wls" if scheme == "wls" else "ls"]
         p.lop = _trilateration(p.ranged, scheme != "wls", p.models)
 
 
@@ -614,12 +622,26 @@ def _usable(d: np.ndarray) -> np.ndarray:
     return np.all((d > 0) & (d < math.inf), axis=-1)
 
 
-def _result(est: np.ndarray, target: np.ndarray) -> TrialResult:
-    """A position trial's result; an estimate with no finite error fails the trial."""
-    error = distance(est, target)
-    if not math.isfinite(error):
-        raise NumericOverflow(_BAD_ESTIMATE)
-    return TrialResult(estimate=est, truth=target, error=error)
+def _fixes(p: Pipeline, model, d: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``p.fix`` of the ranges of every trial that ``failed`` does not mark yet, as one
+    stack: the (T, 2) fixes, NaN where there is none (or no ``p.fix``), and ``failed``
+    with each fix's failure added."""
+    fixes = np.full((len(d), 2), np.nan)
+    live = np.flatnonzero(np.equal(failed, None))
+    if p.fix is not None:
+        fixes[live], failed[live] = p.fix(p, model, d[live])
+    return fixes, failed
+
+
+def _score(targets: np.ndarray, est: np.ndarray, failed: np.ndarray) -> list:
+    """Each trial's result from its row of the (T, 2) estimates, or its error in
+    ``failed``; an estimate with no finite error fails its trial."""
+    errors = np.hypot(est[:, 0] - targets[:, 0], est[:, 1] - targets[:, 1])
+    failed[np.equal(failed, None) & ~np.isfinite(errors)] = NumericOverflow(_BAD_ESTIMATE)
+    return [
+        TrialResult(estimate=e, truth=t, error=float(err)) if f is None else f
+        for e, t, err, f in zip(est, targets, errors, failed)
+    ]
 
 
 def _rss_row(p: Pipeline, snr_index: int, trials) -> list:
@@ -634,17 +656,8 @@ def _rss_row(p: Pipeline, snr_index: int, trials) -> list:
         targets.append(_draw_target(p, rng))
         losses.append(_losses(p, targets[-1], gen_model, rng))
     targets, d = np.array(targets), invert_distance(np.array(losses), inv_model)
-    failed = np.full(len(d), None, dtype=object)
-    failed[~_usable(d)] = NonPositiveDistance(_BAD_RANGE)
-    est = np.full((len(d), 2), np.nan)
-    live = np.flatnonzero(np.equal(failed, None))
-    est[live], failed[live] = p.step(p, inv_model, d[live])
-    errors = np.hypot(est[:, 0] - targets[:, 0], est[:, 1] - targets[:, 1])
-    failed[np.equal(failed, None) & ~np.isfinite(errors)] = NumericOverflow(_BAD_ESTIMATE)
-    return [
-        TrialResult(estimate=e, truth=t, error=float(err)) if f is None else f
-        for e, t, err, f in zip(est, targets, errors, failed)
-    ]
+    failed = np.where(_usable(d), None, NonPositiveDistance(_BAD_RANGE))
+    return _score(targets, *_fixes(p, inv_model, d, failed))
 
 
 def _rss_huber(p, model, d):
@@ -685,8 +698,7 @@ def _noise_subspaces(p: Pipeline, draws: list, failed: np.ndarray) -> tuple[np.n
     if noise[0] is not None:  # the noise power is the row's, the same for every trial
         x += np.array(noise)
     r = _covariance(p, x)
-    if p.plan is not None:
-        failed = hermitian_failures(r, failed)  # fbss's check of its input
+    if p.plan is not None:  # a sample covariance is Hermitian: smooth skips fbss's check
         r = decorrelate.smooth(r, p.plan, forward_backward=True)
     _, q, failed = herm_eig_stack(r, failed)
     return q, failed
@@ -695,11 +707,12 @@ def _noise_subspaces(p: Pipeline, draws: list, failed: np.ndarray) -> tuple[np.n
 def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
     """Each trial draws its target, signal, noise and shadowing from its own stream; the
     row then forms its snapshots and covariances (fbss: beamspace-mapped and smoothed)
-    as stacks, splits them with one eigendecomposition and inverts its ranges as one
-    (T, k) block. The MUSIC scan and the fusion run trial by trial. A trial gets the
-    error its own pass would raise first: the spectrum's before the ranges', except for
-    fbss, which ranges first. Returns each trial's result, or that error."""
-    snr_db, model = p.cfg.snr_grid_db[snr_index], p.models[snr_index]
+    as stacks, splits them with one eigendecomposition, inverts its ranges as one (T, k)
+    block and solves its trilateration fixes as one stack. The MUSIC scan and the fusion
+    run trial by trial. A trial gets the error its own pass would raise first: its
+    ranges' (fbss only), its spectrum's, its ranges', its fix's, its fusion's, its
+    score's. Returns each trial's result, or that error."""
+    snr_db, (gen_model, inv_model) = p.cfg.snr_grid_db[snr_index], p.models[snr_index]
     failed = np.full(len(trials), None, dtype=object)
     targets, draws, losses = [], [], []
     for i, ti in enumerate(trials):
@@ -712,8 +725,8 @@ def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
             losses.append(np.full(len(p.ranged), np.nan))
             continue
         draws.append(draw_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng))
-        losses.append(_losses(p, targets[-1], model, rng))
-    d = invert_distance(np.array(losses), model)
+        losses.append(_losses(p, targets[-1], gen_model, rng))
+    targets, d = np.array(targets), invert_distance(np.array(losses), inv_model)
     bad_ranges = ~_usable(d)
     drawn = np.flatnonzero(np.equal(failed, None))
     if p.plan is not None:  # fbss ranges before its spectrum
@@ -721,22 +734,25 @@ def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
     if drawn.size:
         q, failed[drawn] = _noise_subspaces(p, draws, failed[drawn])
         del draws  # free the row's snapshots before the per-trial scans
-    outcomes = list(failed)
+    # what fails a trial once its spectrum has peaks: its ranges, then its fix
+    pending = np.where(bad_ranges, NonPositiveDistance(_BAD_RANGE), failed)
+    fixes, pending = _fixes(p, inv_model, d, pending)
+    est = np.full((len(d), 2), np.nan)
     n_sources = 1 if p.sources is None else 1 + p.sources.count
     for j, i in enumerate(drawn):
         if failed[i] is not None:
             continue
         try:
             azimuths = music_peaks(q[j][:, n_sources:], p.scan, n_sources, p.grid_step)
-            if bad_ranges[i]:
-                raise NonPositiveDistance(_BAD_RANGE)
-            outcomes[i] = _result(p.step(p, model, azimuths, d[i]), targets[i])
+            if pending[i] is not None:
+                raise pending[i]
+            est[i] = p.step(p, azimuths, d[i], fixes[i])
         except WsnlocError as exc:
-            outcomes[i] = exc
-    return outcomes
+            failed[i] = exc
+    return _score(targets, est, failed)
 
 
-def _fuse_two_lines(p, model, azimuths, d):
+def _fuse_two_lines(p, azimuths, d, fix):
     # The hybrid node's own range pools its per-element measurements
     # (the ring radius is negligible against the node-target distance).
     # Both ranges stay numpy scalars, whose square past the float range is inf.
@@ -745,10 +761,11 @@ def _fuse_two_lines(p, model, azimuths, d):
 
 # (method setting, value) -> the part of a trial the method decides; each entry looks its
 # kernels up by module-global name when it runs. Arguments: estimator (pipeline, inverting
-# model, (T, k) ranges) -> (T, 2) positions and per-trial failures, as rss.solve_stack;
-# decorrelate and doa (pipeline, snapshots) -> covariance and DoaEstimate; hybrid
-# (pipeline, model, one trial's MUSIC azimuths, its ranges) -> position, the target's
-# bearing first among the azimuths except for fbss, which picks it.
+# model, (T, k) ranges) -> (T, 2) positions and per-trial failures, as rss.solve_stack,
+# also the hybrid fix; decorrelate and doa (pipeline, snapshots) -> covariance and
+# DoaEstimate; hybrid (pipeline, one trial's MUSIC azimuths, its ranges, its fix or NaN)
+# -> position, the target's bearing first among the azimuths except for fbss, which
+# picks it.
 _STEPS: dict[tuple[str, str], Callable] = {
     ("estimator", "ls"): lambda p, model, d: solve_stack(p.lop, p.lop.rhs(d)),
     ("estimator", "wls"): lambda p, model, d: solve_stack(
@@ -764,16 +781,12 @@ _STEPS: dict[tuple[str, str], Callable] = {
     ("doa", "esprit"): lambda p, x: esprit(x, p.geometry, p.sources.count),
     ("doa", "uca-root-music"): lambda p, x: uca_root_music(x, p.transform, p.sources.count),
     ("doa", "uca-esprit"): lambda p, x: uca_esprit(x, p.transform, p.sources.count),
-    ("hybrid", "single"): lambda p, model, az, d: hybrid_single_node(p.node, float(az[0]), d),
-    ("hybrid", "fbss"): lambda p, model, az, d: hybrid_single_node(
-        p.node, fbss_bearing(p.node, az, d, lop=p.lop), d
+    ("hybrid", "single"): lambda p, az, d, fix: hybrid_single_node(p.node, float(az[0]), d),
+    ("hybrid", "fbss"): lambda p, az, d, fix: hybrid_single_node(
+        p.node, fbss_bearing(p.node, az, fix), d
     ),
-    ("hybrid", "ls"): lambda p, model, az, d: hybrid_anchor_fusion(
-        p.node, p.cfg.anchors, d, float(az[0]), "ls", model, lop=p.lop
-    ),
-    ("hybrid", "wls"): lambda p, model, az, d: hybrid_anchor_fusion(
-        p.node, p.cfg.anchors, d, float(az[0]), "wls", model, lop=p.lop
-    ),
+    ("hybrid", "ls"): lambda p, az, d, fix: bearing_midpoint(p.node, fix, float(az[0])),
+    ("hybrid", "wls"): lambda p, az, d, fix: bearing_midpoint(p.node, fix, float(az[0])),
     ("hybrid", "two-lines"): _fuse_two_lines,
 }
 
@@ -781,19 +794,13 @@ _COMPILERS = {"rss": _compile_rss, "doa": _compile_doa, "hybrid": _compile_hybri
 
 
 def _row_outcomes(p: Pipeline, snr_index: int):
-    """Each trial's outcome in row ``snr_index`` from the stacked row function, a
-    chunk of trials at a time, or ``None`` for every trial where there is none. An rss
-    chunk holds :data:`ROW_CHUNK` trials; a hybrid one as many as keep its snapshots
-    within :data:`ROW_SNAPSHOTS` complex values, and at least one."""
+    """Each trial's outcome in row ``snr_index`` from the stacked row function,
+    ``p.chunk`` trials at a time, or ``None`` for every trial where there is none."""
     if p.row is None:
         yield from itertools.repeat(None, p.cfg.trials)
         return
-    if p.geometry is None:
-        size = ROW_CHUNK
-    else:
-        size = max(1, ROW_SNAPSHOTS // (p.geometry.size * p.cfg.snapshots))
-    for start in range(0, p.cfg.trials, size):
-        yield from p.row(p, snr_index, range(start, min(start + size, p.cfg.trials)))
+    for start in range(0, p.cfg.trials, p.chunk):
+        yield from p.row(p, snr_index, range(start, min(start + p.chunk, p.cfg.trials)))
 
 
 def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) -> TrialResult:

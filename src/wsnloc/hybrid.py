@@ -8,16 +8,20 @@ whole estimates a bearing.
   intersects it with one ranging circle per element, averaging the hits.
 * ``hybrid_with_fbss`` recovers the bearings in a coherent multipath
   environment (beamspace mapping, forward/backward smoothing, MUSIC),
-  picks the target's with ``fbss_bearing``, then runs the same ray/circle
-  fusion.
+  picks the target's with ``fbss_bearing`` from a coarse fix off the
+  element circles, then runs the same ray/circle fusion.
 * ``hybrid_anchor_fusion`` trilaterates with the help of extra RSS-only
   anchors, then averages the trilateration fix with the point the bearing
-  ray reaches at the fix's range.
+  ray reaches at the fix's range (``bearing_midpoint``).
 * ``two_lines`` intersects one line of position (hybrid vs one RSS anchor)
   with the bearing line.
 
 Every scheme takes its RSS ranges as plain estimated distances. The
 trilateration fixes are one system through :func:`rss.solve_stack`.
+``fbss_bearing`` and ``bearing_midpoint`` take the fix itself, so a caller
+that solves many trials' fixes as one stack (the harness's hybrid rows)
+fuses each with them; the two fusion schemes above are the one-trial
+reference.
 """
 
 import math
@@ -150,22 +154,10 @@ def _trilaterate(lop: LopMatrix, ranges: Sequence[float], model: ChannelModel | 
     return pos[0]
 
 
-def fbss_bearing(
-    node: HybridNode,
-    azimuths: Sequence[float],
-    ranges: Sequence[float],
-    *,
-    lop: LopMatrix | None = None,
-) -> float:
+def fbss_bearing(node: HybridNode, azimuths: Sequence[float], fix: np.ndarray) -> float:
     """The one of several bearing estimates nearest the direction in which the node
-    sees a coarse LS fix from its element circles (``ranges`` in element order).
-
-    ``lop`` is the ring elements' LOP matrix, for a caller that builds it once;
-    it must be ``lop_matrix(node.element_positions)``, as nothing checks that it is.
-    """
-    if lop is None:
-        lop = lop_matrix(node.element_positions)
-    implied = bearing_to(node.center, _trilaterate(lop, ranges, None))
+    sees ``fix``, a coarse LS fix from its element circles."""
+    implied = bearing_to(node.center, fix)
     gaps = [_wrapped_gap(theta, implied) for theta in azimuths]
     return float(azimuths[int(np.argmin(gaps))])
 
@@ -178,7 +170,6 @@ def hybrid_with_fbss(
     n_sources: int,
     subarray_len: int | None = None,
     *,
-    lop: LopMatrix | None = None,
     grid_step: float = DEFAULT_GRID_STEP,
 ) -> np.ndarray:
     """Single-node fusion in a coherent environment.
@@ -187,13 +178,12 @@ def hybrid_with_fbss(
     transform, keeping the shift structure), forward/backward smoothing
     restores the covariance rank, and MUSIC on the smoothed subarray, with
     a grid of ``grid_step`` radians, recovers all coherent bearings. The
-    bearing used for fusion is :func:`fbss_bearing`'s pick; ``ranges`` holds
-    each ring element's estimated distance to the target, in element order,
-    as for :func:`hybrid_single_node`.
+    bearing used for fusion is :func:`fbss_bearing`'s pick, by the LS fix of
+    the element circles; ``ranges`` holds each ring element's estimated
+    distance to the target, in element order, as for :func:`hybrid_single_node`.
 
     ``subarray_len`` trades decorrelation headroom for aperture; the
-    default is the shortest valid subarray, n_sources + 1. ``lop`` is as
-    for :func:`fbss_bearing`.
+    default is the shortest valid subarray, n_sources + 1.
     """
     xv = to_vula(x, transform, prewhitened=False)
     plan = SmoothingPlan.design(
@@ -201,7 +191,8 @@ def hybrid_with_fbss(
     )
     r = fbss(sample_covariance(xv), plan)
     _, estimate = music(r, VandermondeArray(plan.subarray_len), n_sources, grid_step)
-    chosen = fbss_bearing(node, estimate.azimuths, ranges, lop=lop)
+    fix = _trilaterate(lop_matrix(node.element_positions), ranges, None)
+    chosen = fbss_bearing(node, estimate.azimuths, fix)
     return hybrid_single_node(node, chosen, ranges)
 
 
@@ -212,8 +203,6 @@ def hybrid_anchor_fusion(
     doa: float,
     estimator: str = "ls",
     model: ChannelModel | None = None,
-    *,
-    lop: LopMatrix | None = None,
 ) -> np.ndarray:
     """Average a trilateration fix with the bearing point at equal range.
 
@@ -221,19 +210,21 @@ def hybrid_anchor_fusion(
     one to the hybrid node's center (the hybrid node ranges too, giving
     the third circle). The trilateration fix p0 comes from LS or from WLS
     with ``model``'s ranging weights; the bearing point lies along the DOA
-    ray at radius |p0 - center|, and the result is the midpoint of the two.
-    ``lop`` is the LOP matrix of the anchors followed by the center, for a
-    caller that builds it once; it must be
-    ``lop_matrix(np.vstack([rss_anchors, node.center]))``, as nothing checks
-    that it is.
+    ray at radius |p0 - center|, and the result is the midpoint of the two
+    (:func:`bearing_midpoint`).
     """
     if estimator not in ("ls", "wls"):
         raise ValueError(f"unknown estimator {estimator!r}")
     if estimator == "wls" and model is None:
         raise ValueError("wls fusion needs the channel model for its weights")
-    if lop is None:
-        lop = lop_matrix(np.vstack([np.asarray(rss_anchors, dtype=float), node.center]))
+    lop = lop_matrix(np.vstack([np.asarray(rss_anchors, dtype=float), node.center]))
     fix = _trilaterate(lop, distances, model if estimator == "wls" else None)
+    return bearing_midpoint(node, fix, doa)
+
+
+def bearing_midpoint(node: HybridNode, fix: np.ndarray, doa: float) -> np.ndarray:
+    """The midpoint of a trilateration ``fix`` and the point the bearing ray from the
+    node's center reaches at the fix's range."""
     radius = float(np.linalg.norm(fix - node.center))
     bearing_point = node.center + radius * np.array([math.cos(doa), math.sin(doa)])
     return 0.5 * (fix + bearing_point)

@@ -35,21 +35,6 @@ def _check_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     return m
 
 
-def hermitian_failures(
-    r: np.ndarray, failed: np.ndarray, rtol: float = HERMITIAN_RTOL
-) -> np.ndarray:
-    """The Hermitian check over a (T, n, n) stack: ``failed`` (an error or ``None`` per
-    matrix), copied, with ``NonHermitian`` on each matrix it does not mark yet that is
-    not Hermitian within ``rtol``; each matrix is measured by its own norm."""
-    failed = failed.copy()
-    live = np.flatnonzero(np.equal(failed, None))
-    axes = (-2, -1)
-    scale = np.maximum(np.linalg.norm(r[live], axis=axes), 1.0)
-    skew = np.linalg.norm(r[live] - r[live].conj().swapaxes(-1, -2), axis=axes)
-    failed[live[skew > rtol * scale]] = NonHermitian(_NOT_HERMITIAN)
-    return failed
-
-
 def herm_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -70,16 +55,21 @@ def herm_eig_stack(r: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.nd
     """:func:`herm_eig` of every matrix in a (T, n, n) stack, in one LAPACK call.
 
     ``failed`` holds an error or ``None`` per matrix. A matrix it marks, or one
-    that ``herm_eig`` rejects (entries not finite, then not Hermitian), gets NaN
-    eigenpairs and its error in the returned copy of ``failed``. Returns
-    ``(eigenvalues, eigenvectors, failed)``, descending as ``herm_eig``'s; the
-    others get the bits ``herm_eig`` gives each on its own.
+    that ``herm_eig`` rejects (entries not finite, then not Hermitian, each
+    matrix measured by its own norm), gets NaN eigenpairs and its error in the
+    returned copy of ``failed``. Returns ``(eigenvalues, eigenvectors, failed)``,
+    descending as ``herm_eig``'s; the others get the bits ``herm_eig`` gives each
+    on its own.
     """
+    axes = (-2, -1)
     failed = failed.copy()
-    failed[np.equal(failed, None) & ~np.all(np.isfinite(r), axis=(-2, -1))] = NumericOverflow(
+    failed[np.equal(failed, None) & ~np.all(np.isfinite(r), axis=axes)] = NumericOverflow(
         _NOT_FINITE
     )
-    failed = hermitian_failures(r, failed)
+    live = np.flatnonzero(np.equal(failed, None))
+    scale = np.maximum(np.linalg.norm(r[live], axis=axes), 1.0)
+    skew = np.linalg.norm(r[live] - r[live].conj().swapaxes(-1, -2), axis=axes)
+    failed[live[skew > HERMITIAN_RTOL * scale]] = NonHermitian(_NOT_HERMITIAN)
     ok = np.equal(failed, None)
     w, q = np.full(r.shape[:-1], np.nan), np.full(r.shape, np.nan, dtype=r.dtype)
     if ok.any():

@@ -1,8 +1,8 @@
-"""The rss row solves its trials as one stack, and a hybrid trilateration fix is a
-stack of one system; these tests hold both to the systems solved one at a time by
-the one-system solvers, byte for byte. A hybrid row forms, maps, smooths and splits
-its covariances as stacks; these tests hold each of its trials to the public kernels
-composed for that trial alone, byte for byte."""
+"""The rss and hybrid rows solve their trials' trilateration fixes as one stack;
+these tests hold them to the systems solved one at a time by the one-system solvers,
+byte for byte. A hybrid row forms, maps, smooths and splits its covariances as
+stacks; these tests hold each of its trials to the public kernels composed for that
+trial alone, byte for byte."""
 
 import dataclasses
 import json
@@ -15,11 +15,12 @@ import pytest
 from wsnloc import geometry, harness, hybrid, rss
 from wsnloc.arrays import SourceSet, draw_snapshots, sample_covariance, synthesize_snapshots
 from wsnloc.channel import invert_distance, path_loss
-from wsnloc.decorrelate import fbss
+from wsnloc.decorrelate import SmoothingPlan, fbss, smooth
 from wsnloc.doa import music
 from wsnloc.errors import (
     ConfigError,
     NonPositiveDistance,
+    NoPeaksFound,
     NumericOverflow,
     SingularSystem,
     WsnlocError,
@@ -246,9 +247,11 @@ HYBRID_RAW = {
 def one_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> tuple:
     """One hybrid trial on its own, the way trials ran before rows were stacked: its
     snapshots, then MUSIC on their covariance (fbss: the ranges, then hybrid_with_fbss),
-    the ranges and the scheme's fusion."""
+    the ranges and the scheme's fusion. As for rss, ``eta_true`` (when set) generates
+    the path losses and ``eta`` inverts them."""
     scheme, snr_db = cfg.method["hybrid"], cfg.snr_grid_db[snr_index]
-    node, model = cfg.build_hybrid_node(), cfg.channel_at(snr_db)
+    node = cfg.build_hybrid_node()
+    gen_model, inv_model = cfg.channel_at(snr_db, eta=cfg.eta_true), cfg.channel_at(snr_db)
     grid_step = math.radians(cfg.method["grid_step_deg"])
     rng = rng_for_trial(cfg.seed, snr_index, trial_index)
     target = cfg.target
@@ -271,7 +274,7 @@ def one_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> t
 
     def ranges(points):
         diff = points - target
-        d = invert_distance(path_loss(np.hypot(diff[:, 0], diff[:, 1]), model, rng), model)
+        d = invert_distance(path_loss(np.hypot(diff[:, 0], diff[:, 1]), gen_model, rng), inv_model)
         if not np.all((d > 0) & (d < math.inf)):
             raise NonPositiveDistance("range out of the float range")
         return d
@@ -288,7 +291,7 @@ def one_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> t
             est = hybrid_single_node(node, doa, ranges(positions))
         elif scheme in ("ls", "wls"):
             d = ranges(np.vstack([cfg.anchors, node.center]))
-            est = hybrid_anchor_fusion(node, cfg.anchors, d, doa, scheme, model)
+            est = hybrid_anchor_fusion(node, cfg.anchors, d, doa, scheme, inv_model)
         else:
             d = ranges(np.vstack([cfg.anchors[:1], positions]))
             est = two_lines(node, cfg.anchors[0], d[0], np.mean(d[1:]), doa)
@@ -326,12 +329,35 @@ def hybrid_scenario(scheme: str, **changes) -> ScenarioConfig:
         {"trials": 9, "snr_grid_db": [10.0, 20.0], "target": "random"},
         {"trials": 6, "snr_grid_db": [10.0], "method": {"grid_step_deg": 2.0}},
         {"trials": 5, "snr_grid_db": [1e300]},  # noiseless: no noise draws, no shadowing
+        {"trials": 9, "snr_grid_db": [10.0, 20.0], "target": "random", "channel": {"eta_true": 2.3}},
     ],
-    ids=["fixed", "random", "coarse-grid", "noiseless"],
+    ids=["fixed", "random", "coarse-grid", "noiseless", "eta-true"],
 )
 def test_hybrid_rows_equal_looped_trials(scheme, changes):
     classes = check_rows(hybrid_scenario(scheme, **changes), "hybrid")
     assert harness.TrialResult in classes
+
+
+@pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
+def test_hybrid_honours_eta_true(scheme):
+    # a true path-loss exponent other than the one ranging assumes biases every range
+    plain = hybrid_scenario(scheme, trials=6, snr_grid_db=[10.0, 20.0])
+    steeper = hybrid_scenario(scheme, trials=6, snr_grid_db=[10.0, 20.0], channel={"eta_true": 2.3})
+    assert monte_carlo(steeper, "hybrid") != monte_carlo(plain, "hybrid")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_covariances_are_exactly_hermitian(seed):
+    # the hybrid row splits these without a Hermitian check before smoothing: for finite
+    # input a sample covariance and its smoothing equal their conjugate transpose exactly
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-150, 150)
+    x = scale * (rng.standard_normal((5, 9, 40)) + 1j * rng.standard_normal((5, 9, 40)))
+    stack = sample_covariance(x)
+    plan = SmoothingPlan.design(9, 3, forward_backward=True)
+    for r in [sample_covariance(x[0]), stack, smooth(stack, plan), smooth(stack, plan, True)]:
+        assert np.all(np.isfinite(r))
+        assert np.array_equal(r, r.conj().swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("scheme", ["single", "fbss"])
@@ -378,6 +404,28 @@ def test_hybrid_failure_precedence(scheme):
 
 
 @pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
+def test_hybrid_peaks_fail_before_ranges_and_fix(monkeypatch, scheme):
+    # a spectrum without its peaks fails a trial before its ranges or its fix can; only
+    # fbss ranges before its spectrum
+    cfg = hybrid_scenario(
+        scheme, trials=20, snr_grid_db=[-20.0], target="random", channel={"sigma_ref_db": 300.0}
+    )
+    p = harness._pipeline(cfg, "hybrid")
+
+    def no_peaks(*args):
+        raise NoPeaksFound("no spectral peaks")
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        before = p.row(p, 0, range(cfg.trials))
+        monkeypatch.setattr(harness, "music_peaks", no_peaks)
+        after = p.row(p, 0, range(cfg.trials))
+    assert NonPositiveDistance in {type(o) for o in before}
+    for one, other in zip(before, after):
+        ranged_first = scheme == "fbss" and isinstance(one, NonPositiveDistance)
+        assert type(other) is (NonPositiveDistance if ranged_first else NoPeaksFound)
+
+
+@pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
 def test_hybrid_rows_fail_as_looped_trials(scheme):
     # heavy shadowing sends some ranges to 0 or infinity, and some estimates (or, for
     # wls, ranging variances) out of the float range
@@ -393,28 +441,35 @@ def test_hybrid_rows_fail_as_looped_trials(scheme):
     assert (harness.TrialResult in classes) == (scheme != "wls")
 
 
+def chunked(monkeypatch, cfg: ScenarioConfig, kind: str, budget: int) -> tuple:
+    """``monte_carlo`` of ``cfg`` compiled afresh under a ``ROW_VALUES`` of ``budget``,
+    and the trial ranges its stacked row calls got (not run_trial's reruns)."""
+    monkeypatch.setattr(harness, "ROW_VALUES", budget)
+    cfg = dataclasses.replace(cfg)  # an empty pipeline cache: compiled under the budget
+    p = harness._pipeline(cfg, kind)
+    chunks, row = [], p.row
+    monkeypatch.setattr(p, "row", lambda p, si, trials: chunks.append(trials) or row(p, si, trials))
+    result = monte_carlo(cfg, kind)
+    return result, [list(t) for t in chunks if isinstance(t, range)]
+
+
 @pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
 def test_hybrid_rows_stack_in_chunks(monkeypatch, scheme):
     # one trial per chunk gives the rows of one stack per row
     cfg = hybrid_scenario(
         scheme, trials=11, snr_grid_db=[-5.0, 10.0], channel={"sigma_ref_db": 30.0}
     )
-    monkeypatch.setattr(harness, "ROW_SNAPSHOTS", 10**9)
-    p = harness._pipeline(cfg, "hybrid")
-    chunks = []
-    row = p.row
-    monkeypatch.setattr(p, "row", lambda p, si, trials: chunks.append(trials) or row(p, si, trials))
-    whole = monte_carlo(cfg, "hybrid")
-    assert [list(t) for t in chunks if isinstance(t, range)] == 2 * [list(range(11))]
-    chunks.clear()
-    monkeypatch.setattr(harness, "ROW_SNAPSHOTS", 1)
-    assert monte_carlo(cfg, "hybrid") == whole
-    assert [list(t) for t in chunks if isinstance(t, range)] == [[ti] for ti in 2 * list(range(11))]
+    whole, chunks = chunked(monkeypatch, cfg, "hybrid", 10**9)
+    assert chunks == 2 * [list(range(11))]
+    single, chunks = chunked(monkeypatch, cfg, "hybrid", 1)
+    assert single == whole
+    assert chunks == [[ti] for ti in 2 * list(range(11))]
 
 
 def test_hybrid_row_chunk_holds_bounded_snapshots():
-    # 8,192 complex values: 20 trials of a 4-element ring with 100 snapshots, 5 of a
-    # 16-element one; a trial larger than the limit still runs, one at a time
+    # 8,192 drawn values: 20 trials of a 4-element ring with 100 snapshots (4 path losses
+    # and 400 snapshot values each), 5 of a 16-element one; a trial larger than the limit
+    # still runs, one at a time
     for scheme, snapshots, size in [("single", 100, 20), ("fbss", 100, 5), ("single", 4096, 1)]:
         cfg = dataclasses.replace(hybrid_scenario(scheme, snapshots=snapshots), trials=45)
         p = harness._pipeline(cfg, "hybrid")
@@ -506,41 +561,55 @@ def recording(monkeypatch, module, name) -> list:
     return calls
 
 
-def run_rows(cfg: ScenarioConfig, kind: str) -> None:
+def stacked_fixes(monkeypatch, cfg: ScenarioConfig) -> tuple[list, list]:
+    """Every hybrid row of ``cfg`` run as one stack. Returns, in row and trial order,
+    ``(snr_index, ranges, fix)`` for each trial the rows' stacked fix solved (none may
+    fail), and each trial's outcome."""
+    p = harness._pipeline(cfg, "hybrid")
+    solved, outcomes, fix = [], [], p.fix
+
+    def recorded(p, model, d):
+        pos, failed = fix(p, model, d)
+        assert list(failed) == [None] * len(d)
+        solved.extend((si, d_t, pos_t) for d_t, pos_t in zip(d, pos))
+        return pos, failed
+
+    monkeypatch.setattr(p, "fix", recorded)
     for si in range(len(cfg.snr_grid_db)):
-        for ti in range(cfg.trials):
-            run_trial(cfg, kind, si, ti)
+        outcomes.extend(p.row(p, si, range(cfg.trials)))
+    return solved, outcomes
 
 
 @pytest.mark.parametrize("scheme", ["ls", "wls"])
 def test_hybrid_anchor_fix_equals_one_system_solve(monkeypatch, scheme):
-    # the fused point is the midpoint of the fix and the bearing point at the fix's range
+    # the rows' stacked fixes are the one-system solves; each fused point is the
+    # midpoint of its trial's fix and the bearing point at the fix's range
     cfg = harness.load_config(CONFIGS / "hybrid_single.json")
-    cfg = dataclasses.replace(cfg, seed=7, trials=3).with_method(hybrid=scheme)
+    cfg = dataclasses.replace(cfg, seed=7, trials=5).with_method(hybrid=scheme)
     ranged = harness._pipeline(cfg, "hybrid").ranged
-    calls = recording(monkeypatch, harness, "hybrid_anchor_fusion")
-    run_rows(cfg, "hybrid")
-    assert len(calls) == len(cfg.snr_grid_db) * cfg.trials
-    for (node, _, d, doa, _, model), fused in calls:
+    fusions = recording(monkeypatch, harness, "bearing_midpoint")
+    solved, outcomes = stacked_fixes(monkeypatch, cfg)
+    assert len(solved) == len(fusions) == len(outcomes) == len(cfg.snr_grid_db) * cfg.trials
+    for (si, d, stacked), ((node, fix, doa), fused), result in zip(solved, fusions, outcomes):
         system = geometry.build_lop_system(ranged, d)
-        fix = ls_solve(system) if scheme == "ls" else wls_solve(system, wls_weights(model, d))
-        radius = float(np.linalg.norm(fix - node.center))
+        model = cfg.channel_at(cfg.snr_grid_db[si])
+        one = ls_solve(system) if scheme == "ls" else wls_solve(system, wls_weights(model, d))
+        assert stacked.tobytes() == fix.tobytes() == one.tobytes()
+        radius = float(np.linalg.norm(one - node.center))
         point = node.center + radius * np.array([math.cos(doa), math.sin(doa)])
-        assert fused.tobytes() == (0.5 * (fix + point)).tobytes()
+        assert fused.tobytes() == result.estimate.tobytes() == (0.5 * (one + point)).tobytes()
 
 
 def test_hybrid_fbss_coarse_fix_equals_ls_solve(monkeypatch):
     # the coarse fix only picks a bearing, from the direction the node sees it in
     cfg = harness.load_config(CONFIGS / "hybrid_coherent_fbss.json")
-    cfg = dataclasses.replace(cfg, seed=7, trials=3)
+    cfg = dataclasses.replace(cfg, seed=7, trials=5)
     picks = recording(monkeypatch, harness, "fbss_bearing")
-    bearings = recording(monkeypatch, hybrid, "bearing_to")
-    run_rows(cfg, "hybrid")
-    assert len(picks) == len(bearings) == len(cfg.snr_grid_db) * cfg.trials
-    for ((node, _, d), _), ((center, coarse), _) in zip(picks, bearings):
-        assert center is node.center
+    solved, _ = stacked_fixes(monkeypatch, cfg)
+    assert len(solved) == len(picks) == len(cfg.snr_grid_db) * cfg.trials
+    for (_, d, stacked), ((node, _, coarse), _) in zip(solved, picks):
         fix = ls_solve(geometry.build_lop_system(node.element_positions, d))
-        assert coarse.tobytes() == fix.tobytes()
+        assert stacked.tobytes() == coarse.tobytes() == fix.tobytes()
 
 
 def test_rows_stack_in_chunks(monkeypatch):
@@ -549,11 +618,17 @@ def test_rows_stack_in_chunks(monkeypatch):
     cfg = cfg.with_method(estimator="wls")
     whole = monte_carlo(cfg, "rss")
     assert any(row.failures for row in whole.rows)
-    monkeypatch.setattr(harness, "ROW_CHUNK", 7)
+    chunked_result, chunks = chunked(monkeypatch, cfg, "rss", 7 * 4)  # 4 path losses a trial
+    assert chunked_result == whole
+    assert chunks == 2 * [list(range(s, min(s + 7, 40))) for s in range(0, 40, 7)]
+
+
+@pytest.mark.parametrize("anchors, size", [(4, 2048), (3, 2730)])
+def test_rss_row_chunk_holds_bounded_path_losses(anchors, size):
+    # 8,192 drawn values: 2,048 trials of 4 path losses, 2,730 of 3
+    cfg = dataclasses.replace(scenario(anchors=RSS_RAW["anchors"][:anchors]), trials=5000)
     p = harness._pipeline(cfg, "rss")
-    chunks = []
-    row = p.row
-    monkeypatch.setattr(p, "row", lambda p, si, trials: chunks.append(trials) or row(p, si, trials))
-    assert monte_carlo(cfg, "rss") == whole
-    stacked = [list(t) for t in chunks if isinstance(t, range)]  # not run_trial's reruns
-    assert stacked == 2 * [list(range(s, min(s + 7, 40))) for s in range(0, 40, 7)]
+    sizes = []
+    p.row = lambda p, si, trials: sizes.append(len(trials)) or [None] * len(trials)
+    list(harness._row_outcomes(p, 0))
+    assert sizes == [size] * (5000 // size) + [5000 % size]

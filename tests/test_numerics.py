@@ -7,7 +7,7 @@ from wsnloc.errors import (
     NonHermitian,
     NumericOverflow,
 )
-from wsnloc.numerics import herm_eig, inv_sqrt_psd, poly_roots
+from wsnloc.numerics import herm_eig, herm_eig_stack, inv_sqrt_psd, poly_roots
 
 
 def random_hermitian(n, rng):
@@ -51,6 +51,25 @@ class TestHermEig:
         r[1, 1] = bad
         with pytest.raises(NumericOverflow):
             herm_eig(r)
+
+    def test_stack_fails_each_matrix_as_herm_eig_does(self):
+        # a matrix already failed, one not finite, one not Hermitian, and two good ones:
+        # each fails with herm_eig's error or gets herm_eig's bits
+        rng = np.random.default_rng(2)
+        r = np.array([random_hermitian(4, rng) for _ in range(5)])
+        r[1, 2, 2] = np.inf
+        r[2, 0, 1] += 1.0
+        marked = ValueError("failed upstream")
+        w, q, failed = herm_eig_stack(r, np.array([None, None, None, marked, None], dtype=object))
+        assert failed[3] is marked
+        assert [type(f) for f in failed[:3]] == [type(None), NumericOverflow, NonHermitian]
+        assert failed[4] is None
+        for i in (1, 2, 3):
+            assert np.all(np.isnan(w[i])) and np.all(np.isnan(q[i]))
+        for i in (0, 4):
+            w_i, q_i = herm_eig(r[i])
+            assert w[i].tobytes() == w_i.tobytes()
+            assert np.ascontiguousarray(q[i]).tobytes() == np.ascontiguousarray(q_i).tobytes()
 
 
 class TestPolyRoots:
