@@ -44,15 +44,14 @@ def as_anchor_array(anchors) -> np.ndarray:
 class LopMatrix(NamedTuple):
     """The anchor half of the line-of-position system, fixed by the anchor layout.
 
-    Built once by :func:`lop_matrix`, with the least-squares normal matrix
-    ``A^T A`` and its condition number; :meth:`system` adds the right-hand
+    Built once by :func:`lop_matrix`, with the condition number of the
+    least-squares normal matrix ``A^T A``; :meth:`system` adds the right-hand
     side for one set of ranges, :meth:`rhs` for a block of them.
     """
 
     A: np.ndarray  # (S-1, 2) rows 2 (p_S - p_i)
     ref_sq: float  # |p_S|^2
     pts_sq: np.ndarray  # (S-1,) |p_i|^2
-    gram: np.ndarray  # (2, 2) A^T A
     gram_cond: float  # 2-norm condition number of A^T A
 
     def system(self, distances: Sequence[float]) -> LinearSystem:
@@ -95,13 +94,11 @@ def lop_matrix(anchors) -> LopMatrix:
     s = np.linalg.svd(a_mat, compute_uv=False)
     if s[-1] <= 1e-12 * max(s[0], 1.0):
         raise CollinearAnchors("anchors are collinear; LOP system is rank deficient")
-    gram = a_mat.T @ a_mat
     return LopMatrix(
         A=a_mat,
         ref_sq=np.sum(ref**2),
         pts_sq=np.sum(pts[:-1] ** 2, axis=1),
-        gram=gram,
-        gram_cond=np.linalg.cond(gram),
+        gram_cond=np.linalg.cond(a_mat.T @ a_mat),
     )
 
 

@@ -662,7 +662,7 @@ def _rss_row(p: Pipeline, snr_index: int, trials) -> list:
 
 def _rss_huber(p, model, d):
     weighted = wls_row_weights(model, d) if model.sigma_db > 0 else ()
-    return huber_stack(p.lop, p.lop.rhs(d), p.cfg.method["huber_epsilon"], *weighted)
+    return huber_stack(p.lop.A, p.lop.rhs(d), p.cfg.method["huber_epsilon"], *weighted)[:2]
 
 
 def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
@@ -767,9 +767,9 @@ def _fuse_two_lines(p, azimuths, d, fix):
 # -> position, the target's bearing first among the azimuths except for fbss, which
 # picks it.
 _STEPS: dict[tuple[str, str], Callable] = {
-    ("estimator", "ls"): lambda p, model, d: solve_stack(p.lop, p.lop.rhs(d)),
+    ("estimator", "ls"): lambda p, model, d: solve_stack(p.lop.A, p.lop.rhs(d)),
     ("estimator", "wls"): lambda p, model, d: solve_stack(
-        p.lop, p.lop.rhs(d), *wls_row_weights(model, d)
+        p.lop.A, p.lop.rhs(d), *wls_row_weights(model, d)
     ),
     ("estimator", "huber"): _rss_huber,
     ("decorrelate", "none"): _covariance,

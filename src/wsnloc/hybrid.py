@@ -16,12 +16,12 @@ whole estimates a bearing.
 * ``two_lines`` intersects one line of position (hybrid vs one RSS anchor)
   with the bearing line.
 
-Every scheme takes its RSS ranges as plain estimated distances. The
-trilateration fixes are one system through :func:`rss.solve_stack`.
-``fbss_bearing`` and ``bearing_midpoint`` take the fix itself, so a caller
-that solves many trials' fixes as one stack (the harness's hybrid rows)
-fuses each with them; the two fusion schemes above are the one-trial
-reference.
+Every scheme takes its RSS ranges as plain estimated distances. The two
+fusion schemes above solve their trilateration fix with
+:func:`rss.ls_solve` or :func:`rss.wls_solve` on the LOP system of those
+ranges. ``fbss_bearing`` and ``bearing_midpoint`` take the fix itself, so a
+caller that solves many trials' fixes as one stack (the harness's hybrid
+rows, through :func:`rss.solve_stack`) fuses each with them.
 """
 
 import math
@@ -40,9 +40,9 @@ from .errors import (
     LengthMismatch,
     SingularFusionMatrix,
 )
-from .geometry import LopMatrix, bearing_to, lop_matrix
+from .geometry import bearing_to, lop_matrix
 from .pme import PmeTransform, VandermondeArray, to_vula
-from .rss import solve_stack, wls_row_weights
+from .rss import ls_solve, wls_solve, wls_weights
 
 
 @dataclass(frozen=True)
@@ -143,17 +143,6 @@ def _wrapped_gap(a: float, b: float) -> float:
     return abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def _trilaterate(lop: LopMatrix, ranges: Sequence[float], model: ChannelModel | None) -> np.ndarray:
-    """LS fix of ``ranges`` against ``lop`` (WLS with ``model``'s ranging weights, if any),
-    one system through the stacked solver; raises the error it records for that system."""
-    b = lop.system(ranges).b[None]  # checks the ranges
-    weighted = () if model is None else wls_row_weights(model, np.asarray([ranges], dtype=float))
-    pos, failed = solve_stack(lop, b, *weighted)
-    if failed[0] is not None:
-        raise failed[0]
-    return pos[0]
-
-
 def fbss_bearing(node: HybridNode, azimuths: Sequence[float], fix: np.ndarray) -> float:
     """The one of several bearing estimates nearest the direction in which the node
     sees ``fix``, a coarse LS fix from its element circles."""
@@ -191,7 +180,7 @@ def hybrid_with_fbss(
     )
     r = fbss(sample_covariance(xv), plan)
     _, estimate = music(r, VandermondeArray(plan.subarray_len), n_sources, grid_step)
-    fix = _trilaterate(lop_matrix(node.element_positions), ranges, None)
+    fix = ls_solve(lop_matrix(node.element_positions).system(ranges))
     chosen = fbss_bearing(node, estimate.azimuths, fix)
     return hybrid_single_node(node, chosen, ranges)
 
@@ -217,8 +206,9 @@ def hybrid_anchor_fusion(
         raise ValueError(f"unknown estimator {estimator!r}")
     if estimator == "wls" and model is None:
         raise ValueError("wls fusion needs the channel model for its weights")
-    lop = lop_matrix(np.vstack([np.asarray(rss_anchors, dtype=float), node.center]))
-    fix = _trilaterate(lop, distances, model if estimator == "wls" else None)
+    anchors = np.vstack([np.asarray(rss_anchors, dtype=float), node.center])
+    system = lop_matrix(anchors).system(distances)
+    fix = ls_solve(system) if estimator == "ls" else wls_solve(system, wls_weights(model, distances))
     return bearing_midpoint(node, fix, doa)
 
 

@@ -1,14 +1,16 @@
 """The rss and hybrid rows solve their trials' trilateration fixes as one stack;
-these tests hold them to the systems solved one at a time by the one-system solvers,
-byte for byte. A hybrid row forms, maps, smooths and splits its covariances as
-stacks; these tests hold each of its trials to the public kernels composed for that
-trial alone, byte for byte."""
+these tests hold them to the systems solved one at a time, byte for byte: the rss
+rows by ``lop_oracle``, which shares no code with the package's solvers, and the
+hybrid fixes by the one-system solvers. A hybrid row forms, maps, smooths and splits
+its covariances as stacks; these tests hold each of its trials to the public kernels
+composed for that trial alone, byte for byte."""
 
 import dataclasses
 import json
 import math
 from pathlib import Path
 
+import lop_oracle
 import numpy as np
 import pytest
 
@@ -25,12 +27,12 @@ from wsnloc.errors import (
     SingularSystem,
     WsnlocError,
 )
-from wsnloc.geometry import LinearSystem, bearing_to, distance
+from wsnloc.geometry import bearing_to, distance
 from wsnloc.harness import ScenarioConfig, monte_carlo, rng_for_trial, run_trial
 from wsnloc.hybrid import hybrid_anchor_fusion, hybrid_single_node, hybrid_with_fbss, two_lines
 from wsnloc.numerics import herm_eig
 from wsnloc.pme import build_transform, to_vula
-from wsnloc.rss import huber_irls, ls_solve, wls_solve, wls_weights
+from wsnloc.rss import ls_solve, wls_solve, wls_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -56,7 +58,7 @@ def scenario(**changes) -> ScenarioConfig:
 
 def one_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> tuple:
     """One trial ranged and solved on its own, the way trials ran before rows were
-    stacked: its LOP system, then ls_solve, wls_solve or huber_irls on it."""
+    stacked: its LOP system, then ``lop_oracle``'s LS, WLS or Huber solve of it."""
     gen_model, inv_model = harness._pipeline(cfg, "rss").models[snr_index]
     rng = rng_for_trial(cfg.seed, snr_index, trial_index)
     target = cfg.target
@@ -69,16 +71,15 @@ def one_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> tuple:
     if not np.all((d > 0) & (d < math.inf)):
         raise NonPositiveDistance("range out of the float range")
     lop = geometry.lop_matrix(cfg.anchors)  # raises CollinearAnchors
-    system = LinearSystem(lop.A, d[:-1] ** 2 - d[-1] ** 2 + lop.ref_sq - lop.pts_sq)
+    a, b = lop.A, d[:-1] ** 2 - d[-1] ** 2 + lop.ref_sq - lop.pts_sq
     estimator = cfg.method["estimator"]
     if estimator == "ls":
-        est = ls_solve(system)
+        est = lop_oracle.normal_solve(a, b)
     elif estimator == "wls":
-        est = wls_solve(system, wls_weights(inv_model, d))
+        est = lop_oracle.normal_solve(a, b, np.diag(wls_weights(inv_model, d)))
     else:
-        weights = wls_weights(inv_model, d) if inv_model.sigma_db > 0 else None
-        epsilon = cfg.method["huber_epsilon"]
-        est = huber_irls(system, epsilon=epsilon, initial_weights=weights).position
+        weights = np.diag(wls_weights(inv_model, d)) if inv_model.sigma_db > 0 else None
+        est, _ = lop_oracle.huber(a, b, cfg.method["huber_epsilon"], weights)
     error = distance(est, target)
     if not math.isfinite(error):
         raise NumericOverflow("estimate out of the float range")

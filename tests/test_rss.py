@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import lop_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from wsnloc.channel import ChannelModel, invert_distance, path_loss
 from wsnloc.errors import NumericOverflow, SingularSystem
-from wsnloc.geometry import LinearSystem, build_lop_system, distance
-from wsnloc.rss import huber_irls, ls_solve, wls_solve, wls_weights
+from wsnloc.geometry import LinearSystem, build_lop_system, distance, lop_matrix
+from wsnloc.rss import huber_irls, huber_stack, ls_solve, solve_stack, wls_solve, wls_weights
 
 ANCHORS = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
 MODEL = ChannelModel(d0=1.0, eta=2.0, sigma_db=4.0, wavelength=0.3)
@@ -34,6 +36,10 @@ def grid_search_ls(system, lo=-50.0, hi=150.0, rounds=8, n=61):
         cx, cy = best
         half *= 2.5 / (n - 1)
     return best
+
+
+def huber_from(system, weights):
+    return huber_irls(system, initial_weights=weights).position
 
 
 class TestLsSolve:
@@ -121,13 +127,37 @@ class TestWlsSolve:
         system = build_lop_system(ANCHORS, np.array([10.0, 90.0, 95.0, 130.0]))
         assert np.allclose(wls_solve(system, np.eye(3)), ls_solve(system), atol=1e-12)
 
-    def test_noiseless_any_spd_weights_exact(self):
+    def test_noiseless_any_positive_diagonal_weights_exact(self):
         truth = np.array([20.0, 30.0])
         system = noiseless_system(ANCHORS, truth)
-        rng = np.random.default_rng(2)
-        m = rng.normal(size=(3, 3))
-        w = m @ m.T + 3 * np.eye(3)
+        w = np.diag(np.random.default_rng(2).uniform(0.1, 10.0, 3))
         assert np.allclose(wls_solve(system, w), truth, atol=1e-9)
+
+    @pytest.mark.parametrize("solve", [wls_solve, huber_from], ids=["wls", "huber"])
+    def test_rejects_off_diagonal_weights(self, solve):
+        # symmetric and positive definite, but WLS weights are per row
+        m = np.random.default_rng(2).normal(size=(3, 3))
+        system = noiseless_system(ANCHORS, np.array([20.0, 30.0]))
+        with pytest.raises(ValueError, match="diagonal"):
+            solve(system, m @ m.T + 3 * np.eye(3))
+
+    @pytest.mark.parametrize("solve", [wls_solve, huber_from], ids=["wls", "huber"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (math.nan, "NaN or infinite"),
+            (math.inf, "NaN or infinite"),
+            (-math.inf, "NaN or infinite"),
+            (0.0, "positive diagonal"),
+            (-1.0, "positive diagonal"),
+        ],
+    )
+    def test_rejects_bad_weights_by_name(self, solve, entry, message):
+        system = noiseless_system(ANCHORS, np.array([20.0, 30.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any arithmetic warns
+            with pytest.raises(ValueError, match=message):
+                solve(system, np.diag([entry, 1.0, 1.0]))
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(1e-3, 1e3))
@@ -196,22 +226,6 @@ class TestHuberIrls:
 
     @pytest.mark.parametrize("standardized", [False, True])
     def test_bit_identical_to_diagonal_matrix_weights(self, standardized):
-        def reference(system, epsilon, initial_weights):
-            a, b = system
-            if initial_weights is None:
-                pos, row_std = ls_solve(system), np.ones(a.shape[0])
-            else:
-                pos = wls_solve(system, initial_weights)
-                row_std = np.sqrt(np.diag(np.linalg.inv(initial_weights)))
-            for iterations in range(1, 51):
-                resid = (a @ pos - b) / row_std
-                w = np.diag(1.0 / (np.abs(resid) + epsilon) / row_std**2)
-                new_pos = np.linalg.solve(a.T @ w @ a, a.T @ w @ b)
-                step, pos = float(np.linalg.norm(new_pos - pos)), new_pos
-                if step < 1e-6:
-                    break
-            return pos, iterations
-
         rng = np.random.default_rng(13)
         for _ in range(40):
             anchors = rng.uniform(0.0, 100.0, (int(rng.integers(3, 9)), 2))
@@ -221,7 +235,8 @@ class TestHuberIrls:
             weights = wls_weights(MODEL, d) if standardized else None
             for epsilon in (1e-3, 1.345):
                 report = huber_irls(system, epsilon=epsilon, initial_weights=weights)
-                pos, iterations = reference(system, epsilon, weights)
+                w = None if weights is None else np.diag(weights)
+                pos, iterations = lop_oracle.huber(*system, epsilon, w)
                 assert np.array_equal(report.position, pos)
                 assert report.iterations == iterations
 
@@ -286,3 +301,68 @@ class TestComparativePerformance:
         assert np.allclose(ls_solve(system), truth, atol=1e-9)
         assert np.allclose(wls_solve(system, w), truth, atol=1e-9)
         assert np.allclose(huber_irls(system).position, truth, atol=1e-9)
+
+
+def matrix(kind: str, rows: int, rng) -> np.ndarray:
+    """An (rows, 2) system matrix: a LOP one, a Gaussian one, or one whose columns are
+    parallel to within 1e-9 to 1e-3, which puts cond(A^T A) on both sides of 1e12."""
+    if kind == "lop":
+        return lop_matrix(rng.uniform(0.0, 100.0, (rows + 1, 2))).A
+    a = rng.normal(size=(rows, 2))
+    if kind == "near-singular":
+        a[:, 1] = rng.uniform(-2.0, 2.0) * a[:, 0] + 10.0 ** rng.uniform(-9, -3) * a[:, 1]
+    return a
+
+
+def oracle_outcome(solve):
+    try:
+        return solve()
+    except SingularSystem as exc:
+        return exc
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 6),
+    rows=st.integers(2, 6),
+    kind=st.sampled_from(["lop", "gaussian", "near-singular"]),
+    weighted=st.booleans(),
+    epsilon=st.sampled_from([1e-3, 1.345]),
+)
+def test_stacked_rows_equal_stacks_of_one(seed, trials, rows, kind, weighted, epsilon):
+    # row t of a stack is the stack of one for row t, and what the oracle makes of that
+    # system alone: the same bytes, failure class and Huber pass count
+    rng = np.random.default_rng(seed)
+    a = matrix(kind, rows, rng)
+    b = rng.normal(0.0, 100.0, (trials, rows))
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, (trials, rows)) if weighted else None
+    marked = np.full(trials, None, dtype=object)
+    marked[rng.random(trials) < 0.2] = NumericOverflow("failed before the solve")
+    with np.errstate(all="ignore"):
+        pos, failed = solve_stack(a, b, weights, marked)
+        h_pos, h_failed, passes = huber_stack(a, b, epsilon, weights, marked)
+        for t in range(trials):
+            row = slice(t, t + 1)
+            w = None if weights is None else weights[row]
+            one, one_failed = solve_stack(a, b[row], w, marked[row])
+            assert pos[t].tobytes() == one[0].tobytes()
+            assert type(failed[t]) is type(one_failed[0])
+            one, one_failed, one_passes = huber_stack(a, b[row], epsilon, w, marked[row])
+            assert h_pos[t].tobytes() == one[0].tobytes()
+            assert type(h_failed[t]) is type(one_failed[0])
+            assert passes[t] == one_passes[0]
+            if marked[t] is not None:
+                continue
+            w = None if weights is None else weights[t]
+            expected = oracle_outcome(lambda: lop_oracle.normal_solve(a, b[t], w))
+            if isinstance(expected, SingularSystem):
+                assert isinstance(failed[t], SingularSystem)
+            else:
+                assert failed[t] is None and pos[t].tobytes() == expected.tobytes()
+            expected = oracle_outcome(lambda: lop_oracle.huber(a, b[t], epsilon, w))
+            if isinstance(expected, SingularSystem):
+                assert isinstance(h_failed[t], SingularSystem)
+            else:
+                assert h_failed[t] is None and h_pos[t].tobytes() == expected[0].tobytes()
+                assert passes[t] == expected[1]
