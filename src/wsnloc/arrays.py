@@ -45,12 +45,9 @@ class UniformLinearArray:
         return (-np.pi / 2, np.pi / 2)
 
     def steering(self, theta) -> np.ndarray:
-        """Steering vector(s); (N,) for scalar theta, (N, len(theta)) for arrays."""
+        """Steering vector(s), shaped (N,) + theta.shape: (N,) for one angle, (N, K) for K."""
         phi = 2.0 * np.pi * (self.spacing / self.wavelength) * np.sin(np.asarray(theta))
-        idx = np.arange(self.n)
-        if phi.ndim == 0:
-            return np.exp(-1j * idx * phi)
-        return np.exp(-1j * np.outer(idx, phi))
+        return np.exp(-1j * np.multiply.outer(np.arange(self.n), phi))
 
 
 @dataclass(frozen=True)
@@ -88,11 +85,10 @@ class UniformCircularArray:
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
     def steering(self, theta) -> np.ndarray:
+        """Steering vector(s), shaped (N,) + theta.shape: (N,) for one angle, (N, K) for K."""
         theta = np.asarray(theta)
-        tn = self.element_angles
-        if theta.ndim == 0:
-            return np.exp(1j * self.zeta * np.cos(theta - tn))
-        return np.exp(1j * self.zeta * np.cos(theta[None, :] - tn[:, None]))
+        offsets = theta[None] - self.element_angles.reshape((-1,) + (1,) * theta.ndim)
+        return np.exp(1j * self.zeta * np.cos(offsets))
 
 
 ArrayGeometry = UniformLinearArray | UniformCircularArray

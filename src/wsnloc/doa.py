@@ -7,6 +7,11 @@ reported inside the geometry's unambiguous field of view: (-90, 90) degrees
 for linear arrays (a cone ambiguity mirrors angles about the array axis),
 (-180, 180] for circular and virtual arrays.
 
+Each estimator resolves at most :func:`capacity` sources: one fewer than
+the elements it works on, and two fewer for the ESPRIT forms, whose subarray
+shift gives up one element. The harness checks a scenario against the same
+rule when it compiles it.
+
 References: Schmidt (1986) for MUSIC, Barabell (1983) for Root-MUSIC,
 Roy & Kailath (1989) for ESPRIT, Mathews & Zoltowski (1994) for the
 beamspace circular-array forms.
@@ -56,6 +61,20 @@ class DoaEstimate:
 
     azimuths: np.ndarray
     method: str
+
+
+def capacity(method: str, size: int) -> int:
+    """The most sources ``method`` resolves on an array (or virtual array) of ``size``
+    elements: ``size - 2`` for ``esprit`` and ``uca-esprit``, ``size - 1`` otherwise."""
+    return size - 2 if method in ("esprit", "uca-esprit") else size - 1
+
+
+def _check_sources(method: str, size: int, n_sources: int) -> None:
+    if n_sources < 1:
+        raise TooFewSources("need at least one source")
+    most = capacity(method, size)
+    if n_sources > most:
+        raise TooManySources(f"{method} resolves at most {most} sources, not {n_sources}")
 
 
 def eig_split(r: np.ndarray, n_sources: int) -> SubspaceSplit:
@@ -135,8 +154,7 @@ def music(
     (geometry, grid_step) and cached, so equal geometries share them; they
     are read-only, and so is the returned ``Spectrum.grid``.
     """
-    if n_sources >= geometry.size:
-        raise TooManySources(f"{n_sources} sources with {geometry.size} elements")
+    _check_sources("music", geometry.size, n_sources)
     grid, power = _music_power(eig_split(r, n_sources).noise, geometry, grid_step)
     spectrum = Spectrum(grid=grid, power_db=10.0 * np.log10(power))
     estimate = DoaEstimate(
@@ -202,8 +220,7 @@ def root_music(r: np.ndarray, geometry, n_sources: int) -> DoaEstimate:
     """
     if not isinstance(geometry, UniformLinearArray):
         raise WrongGeometry("root_music needs a UniformLinearArray")
-    if n_sources >= geometry.size:
-        raise TooManySources(f"{n_sources} sources with {geometry.size} elements")
+    _check_sources("root-music", geometry.size, n_sources)
     split = eig_split(r, n_sources)
     c = split.noise @ split.noise.conj().T
     # The physical steering phase decreases along the array, so conjugate
@@ -234,12 +251,7 @@ def esprit(x: np.ndarray, geometry, n_sources: int) -> DoaEstimate:
     """
     if not isinstance(geometry, UniformLinearArray):
         raise WrongGeometry("esprit needs a UniformLinearArray")
-    if n_sources < 1:
-        raise TooFewSources("need at least one source")
-    if n_sources >= geometry.size - 1:
-        raise TooManySources(
-            f"{n_sources} sources need more than {geometry.size} elements"
-        )
+    _check_sources("esprit", geometry.size, n_sources)
     split = eig_split(sample_covariance(x), n_sources)
     eigs = _invariance_eigs(split.signal, n_sources)
     # Steering phase decreases along the array, so negate before arcsin.
@@ -259,12 +271,7 @@ def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> Do
     averaged with its conjugate-reciprocal partner, which cancels the
     ~sqrt(eps) split of the double root a noiseless source produces.
     """
-    if n_sources < 1:
-        raise TooFewSources("need at least one source")
-    if n_sources >= transform.vula_size:
-        raise TooManySources(
-            f"{n_sources} sources with a {transform.vula_size}-element virtual array"
-        )
+    _check_sources("uca-root-music", transform.vula_size, n_sources)
     xv = to_vula(x, transform, prewhitened=True)
     split = eig_split(sample_covariance(xv), n_sources)
     whiten = inv_sqrt_psd(transform.Tv @ transform.Tv.conj().T)
@@ -273,52 +280,22 @@ def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> Do
     return DoaEstimate(azimuths=np.sort(np.angle(roots)), method="uca-root-music")
 
 
-def _centro_hermitian_unitary(n: int) -> np.ndarray:
-    """Unitary Q with Q = J Q* (J the exchange matrix), Q Q^H = I."""
-    m = n // 2
-    eye = np.eye(m)
-    exch = np.fliplr(eye)
-    q = np.zeros((n, n), dtype=complex)
-    if n % 2:
-        q[:m, :m] = eye
-        q[:m, m + 1 :] = 1j * eye
-        q[m, m] = np.sqrt(2.0)
-        q[m + 1 :, :m] = exch
-        q[m + 1 :, m + 1 :] = -1j * exch
-    else:
-        q[:m, :m] = eye
-        q[:m, m:] = 1j * eye
-        q[m:, :m] = exch
-        q[m:, m:] = -1j * exch
-    return q / np.sqrt(2.0)
-
-
 def uca_esprit(x: np.ndarray, transform: PmeTransform, n_sources: int) -> DoaEstimate:
     """ESPRIT for a circular array through the beamspace transform.
 
     The virtual-array noise is colored by the mode equalizer (covariance
     proportional to Tv Tv^H), which would bias an eigendecomposition of
-    the plain-mapped covariance. The signal subspace is therefore
-    estimated from the prewhitened mapping and carried back into the
-    plain (vandermonde) basis with (Tv Tv^H)^(1/2); a per-row whitening
-    of the doublets themselves would destroy the shift invariance the
-    rotation relation depends on. The unitary centro-Hermitian
-    conjugation applied around the covariance is a real-arithmetic
-    device and leaves the recovered subspace unchanged; its unitarity is
-    the only contract.
+    the plain-mapped covariance. The signal subspace is therefore taken
+    from the sample covariance of the prewhitened mapping and carried back
+    into the plain (vandermonde) basis with (Tv Tv^H)^(1/2); a per-row
+    whitening of the doublets themselves would destroy the shift
+    invariance the rotation relation depends on.
     """
-    if n_sources < 1:
-        raise TooFewSources("need at least one source")
-    if n_sources >= transform.vula_size - 1:
-        raise TooManySources(
-            f"{n_sources} sources with a {transform.vula_size}-element virtual array"
-        )
+    _check_sources("uca-esprit", transform.vula_size, n_sources)
     xv = to_vula(x, transform, prewhitened=True)
-    qc = _centro_hermitian_unitary(transform.vula_size)
-    r = sample_covariance(qc @ xv)
-    split = eig_split(r, n_sources)
+    split = eig_split(sample_covariance(xv), n_sources)
     w, q = herm_eig(transform.Tv @ transform.Tv.conj().T)
     color = (q * np.sqrt(w)) @ q.conj().T  # (Tv Tv^H)^(1/2)
-    vs = color @ (qc.conj().T @ split.signal)
+    vs = color @ split.signal
     eigs = _invariance_eigs(vs, n_sources)
     return DoaEstimate(azimuths=np.sort(np.angle(eigs)), method="uca-esprit")

@@ -45,10 +45,12 @@ array noise floor and the RSS shadowing std through
 
 A failed trial (a spectrum without enough peaks at low SNR, a ray with no
 forward intersection, a range or estimate that extreme shadowing drives out
-of the float range, ...) is counted per SNR row and excluded from the
-RMSE; only a row where every trial fails raises :class:`AllTrialsFailed`.
+of the float range, ...) is counted per SNR row, also by exception class,
+and excluded from the RMSE; only a row where every trial fails raises
+:class:`AllTrialsFailed`.
 """
 
+import collections
 import csv
 import dataclasses
 import itertools
@@ -79,7 +81,8 @@ from .channel import (
     sigma_from_snr,
     wavelength_from_frequency,
 )
-from .doa import Spectrum, esprit, music, music_peaks, root_music, uca_esprit, uca_root_music
+from .doa import Spectrum, capacity, esprit, music, music_peaks, root_music
+from .doa import uca_esprit, uca_root_music
 from .errors import (
     AllTrialsFailed,
     CoincidentSources,
@@ -381,10 +384,14 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class MonteCarloRow:
+    """One SNR row; ``failures_by_class`` pairs each exception class name that failed
+    a trial with its count, sorted by name (not written to the CSV)."""
+
     snr_db: float
     rmse: float
     trials: int
     failures: int
+    failures_by_class: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -504,8 +511,6 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.geometry = p.scan = geometry = cfg.build_array()
     p.sources = sources = cfg.build_sources()
     ring = isinstance(geometry, UniformCircularArray)
-    if sources.count >= geometry.size:
-        raise ConfigError(f"{sources.count} sources need more than {geometry.size} elements")
     _per_row(cfg, "noise power", lambda snr: noise_power(sources, snr))  # a check; trials redo it
     if method != "music" and ring != method.startswith("uca-"):
         raise ConfigError(f"{method} does not run on a {cfg.array_spec['kind']} array")
@@ -517,12 +522,11 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     smoothed = prep in ("fss", "fbss")
     if ring and (smoothed or method != "music"):
         p.transform = build_transform(geometry)
-    # ESPRIT gives up one element to the subarray shift; the ring estimators work on
-    # the 2h+1-element virtual array (MUSIC and Root-MUSIC were checked above)
+    # a transform's 2h+1-element virtual array is what the estimator works on
     size = geometry.size if p.transform is None else p.transform.vula_size
-    capacity = {"esprit": size - 2, "uca-esprit": size - 2, "uca-root-music": size - 1}.get(method)
-    if capacity is not None and sources.count > capacity:
-        raise ConfigError(f"{method} resolves at most {capacity} sources, not {sources.count}")
+    most = capacity(method, size)
+    if sources.count > most:
+        raise ConfigError(f"{method} resolves at most {most} sources, not {sources.count}")
     if smoothed:
         p.plan = decorrelate.SmoothingPlan.design(
             size, sources.count, cfg.method.get("subarray_len"), forward_backward=prep == "fbss"
@@ -560,9 +564,10 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
             raise ConfigError("interferer_amplitudes must match interferers_deg")
         p.sources = SourceSet(np.radians(cfg.interferers_deg), amps, coherent=True)
         n_sources = p.sources.count + 1  # the target's bearing comes first
-        if n_sources >= node.geometry.size:
-            raise ConfigError(f"{n_sources} sources need more than {node.geometry.size} elements")
         p.transform = build_transform(node.geometry)
+        most = capacity("music", p.transform.vula_size)
+        if n_sources > most:
+            raise ConfigError(f"fbss resolves at most {most} sources, not {n_sources}")
         p.plan = decorrelate.SmoothingPlan.design(
             p.transform.vula_size, n_sources, cfg.method.get("subarray_len"), forward_backward=True
         )
@@ -830,7 +835,7 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
     rows = []
     with np.errstate(**_QUIET):
         for si, snr in enumerate(cfg.snr_grid_db):
-            errors = []
+            errors, failed = [], collections.Counter()
             for ti, outcome in enumerate(_row_outcomes(p, si)):
                 if not isinstance(outcome, TrialResult):
                     try:
@@ -838,6 +843,7 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
                     except WsnlocError as exc:
                         if isinstance(exc, ConfigError):
                             raise
+                        failed[type(exc).__name__] += 1
                         continue
                 errors.append(outcome.error)
             if not errors:
@@ -846,7 +852,8 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
             if math.isinf(rmse):  # squares of finite errors overflowed: scale by the largest
                 top = max(errors)
                 rmse = top * math.sqrt(float(np.mean(np.square(np.divide(errors, top)))))
-            rows.append(MonteCarloRow(snr, rmse, cfg.trials, failures=cfg.trials - len(errors)))
+            by_class = tuple(sorted(failed.items()))
+            rows.append(MonteCarloRow(snr, rmse, cfg.trials, cfg.trials - len(errors), by_class))
     return MonteCarloResult(unit="deg" if kind == "doa" else "m", rows=tuple(rows))
 
 

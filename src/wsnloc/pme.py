@@ -132,11 +132,7 @@ class VandermondeArray:
         return (-np.pi, np.pi)
 
     def steering(self, theta) -> np.ndarray:
-        theta = np.asarray(theta)
-        idx = np.arange(self.n)
-        if theta.ndim == 0:
-            return np.exp(1j * idx * theta)
-        return np.exp(1j * np.outer(idx, theta))
+        return np.exp(1j * np.multiply.outer(np.arange(self.n), np.asarray(theta)))
 
 
 @dataclass(frozen=True)
@@ -228,8 +224,5 @@ def to_vula(x: np.ndarray, transform: PmeTransform, prewhitened: bool = False) -
 
 def vula_steering(theta, transform: PmeTransform) -> np.ndarray:
     """Ideal virtual steering [e^{j p theta}] ordered p = -h..h."""
-    theta = np.asarray(theta)
     modes = np.arange(-transform.h, transform.h + 1)
-    if theta.ndim == 0:
-        return np.exp(1j * modes * theta)
-    return np.exp(1j * np.outer(modes, theta))
+    return np.exp(1j * np.multiply.outer(modes, np.asarray(theta)))

@@ -352,6 +352,82 @@ def test_structural_config_errors_exit_1(tmp_path, capsys, name):
     assert not out.exists()
 
 
+ULA = {n: {"kind": "ula", "n_elements": n, "spacing_wavelengths": 0.5} for n in (2, 3, 5)}
+RING5 = {"kind": "uca", "n_elements": 5, "radius_wavelengths": 0.3, "elevation_deg": 90.0}
+# 0.2 wavelengths excite modes up to h = 1: a 3-element virtual array
+TINY_RING = {"kind": "uca", "n_elements": 4, "radius_wavelengths": 0.2, "elevation_deg": 90.0}
+
+# Every valid doa method x array x decorrelate combination, with the most sources its
+# estimator resolves (capacity: elements - 1, or - 2 for ESPRIT; the virtual array's
+# elements where a transform is built), on an array small enough that the smoothing
+# plan admits that many: forward smoothing of L = N - M subarrays needs L >= M, and
+# forward-backward smoothing 2L >= M.
+DOA_CAPACITY = [
+    *((m, p, ULA[5], 4) for m in ("music", "root-music") for p in ("none", "toeplitz")),
+    *((m, "fss", ULA[2], 1) for m in ("music", "root-music")),
+    *((m, "fbss", ULA[3], 2) for m in ("music", "root-music")),
+    ("esprit", "none", ULA[5], 3),
+    ("music", "none", RING5, 4),
+    ("music", "fbss", TINY_RING, 2),
+    ("music", "fss", TINY_RING, 2),
+    ("uca-root-music", "none", TINY_RING, 2),
+    ("uca-esprit", "none", TINY_RING, 1),
+]
+
+
+def doa_with_sources(array, count, method, prep):
+    lo, hi = (-60.0, 60.0) if array["kind"] == "ula" else (-150.0, 150.0)
+    azimuths = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
+    return with_keys(
+        DOA_RAW,
+        array=array,
+        sources={"azimuths_deg": azimuths, "snapshots": 50},
+        method={"doa": method, "decorrelate": prep},
+    )
+
+
+@pytest.mark.parametrize(
+    "method, prep, array, most",
+    DOA_CAPACITY,
+    ids=[f"{m}-{p}-{a['kind']}{a['n_elements']}" for m, p, a, _ in DOA_CAPACITY],
+)
+def test_doa_capacity_boundary(tmp_path, capsys, method, prep, array, most):
+    at_capacity = harness.ScenarioConfig.from_dict(doa_with_sources(array, most, method, prep))
+    if prep == "fss" and array["kind"] == "uca":
+        # a (2h+1)-element virtual array forward-smoothed for its 2h sources leaves one
+        # subarray: the plan, not the estimator, is the tighter limit on every ring
+        with pytest.raises(harness.ConfigError, match="cannot decorrelate"):
+            harness._pipeline(at_capacity, "doa")
+    else:
+        harness._pipeline(at_capacity, "doa")
+    cfg = write_cfg(tmp_path, doa_with_sources(array, most + 1, method, prep))
+    assert main(["doa", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"resolves at most {most} sources" in err
+
+
+TINY_NODE = {"center": [18.0, 16.0], "n_elements": 4, "radius_wavelengths": 0.2}
+
+
+@pytest.mark.parametrize(
+    "node, most", [(TINY_NODE, 2), (HYBRID_RAW["hybrid_node"], 6)], ids=["h1", "h3"]
+)
+def test_fbss_capacity_boundary(tmp_path, capsys, node, most):
+    # the target's bearing (45 degrees from the node) and the interferers share the
+    # virtual array; forward-backward smoothing of the 7-element one (h = 3) admits
+    # fewer than its 6, so only the 3-element one is compiled at capacity
+    interferers = [100.0, -100.0, 160.0, -40.0, -160.0, 10.0][:most]
+    at_capacity = with_keys(HYBRID_RAW, hybrid_node=node, interferers_deg=interferers[:-1])
+    if most == 2:
+        cfg = harness.ScenarioConfig.from_dict(at_capacity).with_method(hybrid="fbss")
+        harness._pipeline(cfg, "hybrid")
+    cfg = write_cfg(tmp_path, with_keys(at_capacity, interferers_deg=interferers))
+    out = tmp_path / "x.csv"
+    assert main(["hybrid", "--config", str(cfg), "--out", str(out), "--hybrid", "fbss"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"fbss resolves at most {most} sources" in err
+
+
 def test_random_target_on_interferer_bearing_fails_its_trial(tmp_path, capsys):
     # a region 1e-300 m wide puts every random target straight above or below the fbss
     # node, at 90 or -90 degrees: a trial above it sees the target along the interferer

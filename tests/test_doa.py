@@ -13,7 +13,6 @@ from wsnloc.arrays import (
 )
 from wsnloc import doa
 from wsnloc.doa import (
-    _centro_hermitian_unitary,
     _pick_peaks,
     _roots_inside_unit_circle,
     eig_split,
@@ -26,9 +25,12 @@ from wsnloc.doa import (
 from wsnloc.errors import (
     NoPeaksFound,
     NonHermitian,
+    NumericOverflow,
+    RankDeficientSubspace,
     TooFewSources,
     TooManySources,
     WrongGeometry,
+    WsnlocError,
 )
 from wsnloc.harness import rng_for_trial
 from wsnloc.numerics import poly_roots
@@ -384,10 +386,112 @@ class TestUcaVariants:
         est = uca_root_music(x, build_transform(g), 1)
         assert wrapped_deg(est.azimuths[0], theta) < 1e-6
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 9])
-    def test_centro_hermitian_unitary(self, n):
-        q = _centro_hermitian_unitary(n)
-        assert np.allclose(q @ q.conj().T, np.eye(n), atol=1e-12)
+
+def centro_hermitian_unitary(n):
+    """Unitary Q with Q = J Q* (J the exchange matrix), as Unitary ESPRIT builds it
+    (Haardt & Nossek, IEEE TSP 43(5), 1995)."""
+    m = n // 2
+    eye, exch = np.eye(m), np.fliplr(np.eye(m))
+    q = np.zeros((n, n), dtype=complex)
+    q[:m, :m], q[n - m :, :m] = eye, exch
+    q[:m, n - m :], q[n - m :, n - m :] = 1j * eye, -1j * exch
+    if n % 2:
+        q[m, m] = np.sqrt(2.0)
+    return q / np.sqrt(2.0)
+
+
+def uca_esprit_oracle(x, t, n_sources):
+    """uca_esprit written out in numpy alone, with the centro-Hermitian conjugation
+    applied around the beamspace covariance and undone on its signal subspace."""
+    qc = centro_hermitian_unitary(t.vula_size)
+    y = qc @ (t.Tw @ x)
+    r = y @ y.conj().T / y.shape[1]
+    r = 0.5 * (r + r.conj().T)
+    if not np.all(np.isfinite(r)):
+        raise NumericOverflow("covariance left the float range")
+    signal = np.linalg.eigh(r)[1][:, ::-1][:, :n_sources]
+    w, q = np.linalg.eigh(t.Tv @ t.Tv.conj().T)
+    vs = ((q * np.sqrt(w)) @ q.conj().T) @ (qc.conj().T @ signal)
+    if np.linalg.matrix_rank(vs[:-1]) < n_sources:
+        raise RankDeficientSubspace("leading subarray subspace lost rank")
+    psi = np.linalg.lstsq(vs[:-1], vs[1:], rcond=None)[0]
+    return np.sort(np.angle(np.linalg.eigvals(psi)))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WsnlocError as exc:  # compared by class
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_uca_esprit_matches_centro_hermitian_oracle(n):
+    """The conjugation is unitary, so leaving it out moves estimates by rounding only.
+
+    Sources are drawn at least 10 degrees apart: two sources 0.02 degrees apart make
+    the rotation's eigenvalues ill-conditioned enough to amplify rounding to 6.5e-10
+    rad between the two forms.
+    """
+    g = UniformCircularArray(n=n, radius=0.55 * n / 8, elevation=np.radians(40.0), wavelength=1.0)
+    t = build_transform(g)
+    for trial in range(30):
+        for si, snr in enumerate((-10.0, 0.0, 20.0, 100.0, 300.0, np.inf)):
+            rng = rng_for_trial(trial, si, n)
+            m = 1 + trial % 3
+            while True:
+                az = rng.uniform(-np.pi, np.pi, m)
+                gaps = np.abs(np.angle(np.exp(1j * np.subtract.outer(az, az))))
+                if np.min(gaps + 10.0 * np.eye(m)) > np.radians(10.0):
+                    break
+            x = synthesize_snapshots(g, SourceSet(azimuths=az), 50, snr, rng)
+            ref = outcome(uca_esprit_oracle, x, t, m)
+            est = outcome(lambda *a: uca_esprit(*a).azimuths, x, t, m)
+            if isinstance(ref, type) or isinstance(est, type):
+                assert est is ref
+            else:
+                assert np.max(np.abs(np.angle(np.exp(1j * (est - ref))))) < 1e-12
+    with np.errstate(all="ignore"):  # snapshots whose covariance overflows fail alike
+        x = synthesize_snapshots(g, SourceSet(azimuths=[0.5]), 50, 10.0, rng_for_trial(0, 9, n))
+        x *= 1e200
+        assert outcome(uca_esprit_oracle, x, t, 1) is NumericOverflow
+        assert outcome(uca_esprit, x, t, 1) is NumericOverflow
+
+
+RING = UniformCircularArray(n=9, radius=0.6, elevation=np.radians(40.0), wavelength=1.0)
+RING_T = build_transform(RING)  # h = 3: a 7-element virtual array
+
+# method, the geometry its input is drawn on, the estimator as (input, n_sources)
+CAPACITY_CASES = {
+    "music-ula": ("music", ula(5), lambda r, m: music(r, ula(5), m)[1]),
+    "music-uca": ("music", RING, lambda r, m: music(r, RING, m)[1]),
+    "music-vandermonde": (
+        "music", VandermondeArray(7), lambda r, m: music(r, VandermondeArray(7), m)[1]
+    ),
+    "root-music": ("root-music", ula(5), lambda r, m: root_music(r, ula(5), m)),
+    "esprit": ("esprit", ula(6), lambda x, m: esprit(x, ula(6), m)),
+    "uca-root-music": ("uca-root-music", RING, lambda x, m: uca_root_music(x, RING_T, m)),
+    "uca-esprit": ("uca-esprit", RING, lambda x, m: uca_esprit(x, RING_T, m)),
+}
+
+
+def test_capacity_rule():
+    methods = ("music", "root-music", "esprit", "uca-root-music", "uca-esprit")
+    assert [doa.capacity(m, 7) for m in methods] == [6, 6, 5, 6, 5]
+
+
+@pytest.mark.parametrize("name", sorted(CAPACITY_CASES))
+def test_estimator_resolves_its_capacity_and_no_more(name):
+    method, geometry, estimate = CAPACITY_CASES[name]
+    size = RING_T.vula_size if method.startswith("uca-") else geometry.size
+    most = doa.capacity(method, size)
+    lo, hi = geometry.fov
+    src = SourceSet(azimuths=np.linspace(lo, hi, most + 2)[1:-1])  # spread over the view
+    x = synthesize_snapshots(geometry, src, 400, 40.0, rng_for_trial(40, 0, most))
+    data = sample_covariance(x) if method in ("music", "root-music") else x
+    assert estimate(data, most).azimuths.size == most
+    with pytest.raises(TooManySources):
+        estimate(data, most + 1)
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from wsnloc import geometry, harness
-from wsnloc.errors import AllTrialsFailed, ConfigError
+from wsnloc.errors import AllTrialsFailed, ConfigError, WsnlocError
 from wsnloc.harness import (
     CONFIG_SCHEMA,
     ScenarioConfig,
@@ -300,6 +301,43 @@ class TestMonteCarlo:
             harness._pipeline(cfg, "rss")  # the scenario compiles; its trials fail
             with pytest.raises(AllTrialsFailed, match="all 20 trials failed"):
                 monte_carlo(cfg, "rss")
+
+
+    @pytest.mark.parametrize("kind", ["doa", "rss"])
+    def test_failures_by_class_count_each_failed_trial(self, kind):
+        # doa: three sources on four elements at 0 dB, where MUSIC often finds too few
+        # peaks; rss: WLS under a shadowing std of 80 dB, which overflows some ranging
+        # variances and puts some normal equations past the condition bound
+        if kind == "doa":
+            raw = dict(
+                DOA_RAW,
+                seed=5,
+                trials=20,
+                snr_grid_db=[0.0, 30.0],
+                array={"kind": "ula", "n_elements": 4, "spacing_wavelengths": 0.5},
+                sources={"azimuths_deg": [-20.0, 0.0, 20.0], "snapshots": 10},
+            )
+            expected = {"NoPeaksFound"}
+        else:
+            raw = json.loads(json.dumps(RSS_RAW))
+            raw.update(trials=40, snr_grid_db=[0.0, 0.5], method={"estimator": "wls"})
+            raw["channel"]["sigma_ref_db"] = 80.0
+            expected = {"NumericOverflow", "SingularSystem"}
+        cfg = ScenarioConfig.from_dict(raw)
+        result = monte_carlo(cfg, kind)
+        seen = set()
+        for si, row in enumerate(result.rows):
+            counts = collections.Counter()
+            for ti in range(cfg.trials):
+                try:
+                    with np.errstate(all="ignore"):
+                        run_trial(cfg, kind, si, ti)
+                except WsnlocError as exc:
+                    counts[type(exc).__name__] += 1
+            assert row.failures_by_class == tuple(sorted(counts.items()))
+            assert sum(n for _, n in row.failures_by_class) == row.failures
+            seen.update(name for name, _ in row.failures_by_class)
+        assert result.rows[0].failures > 0 and seen == expected
 
 
 class TestRngStreams:
