@@ -116,7 +116,10 @@ class SourceSet:
         )
         if amp.shape != az.shape:
             raise LengthMismatch("amplitudes must match azimuths in length")
-        if az.size != np.unique(az).size:
+        # Sorted, NaNs last: a repeat sits next to its twin, and two NaNs count as one
+        # azimuth, as np.unique counts them (which imports numpy.ma on first use).
+        ordered = np.sort(az)
+        if np.any((ordered[1:] == ordered[:-1]) | np.isnan(ordered[:-1])):
             raise CoincidentSources("source azimuths must be distinct")
         if np.any(amp <= 0):
             raise ValueError("amplitudes must be positive")

@@ -32,7 +32,7 @@ from .errors import (
     TooManySources,
     WrongGeometry,
 )
-from .numerics import herm_eig, inv_sqrt_psd, poly_roots
+from .numerics import herm_eig, poly_roots
 from .pme import PmeTransform, to_vula
 
 DEFAULT_GRID_STEP = np.radians(0.1)
@@ -69,6 +69,15 @@ def capacity(method: str, size: int) -> int:
     return size - 2 if method in ("esprit", "uca-esprit") else size - 1
 
 
+def scan_capacity(geometry, grid_step: float) -> int:
+    """The most strict peaks a MUSIC scan of ``geometry`` at ``grid_step`` can show. No two
+    neighbours of its g grid points are both peaks, and neither end of a linear field of
+    view is one: at most (g - 1) // 2 there, and g // 2 on a full circle, whose two ends
+    are neighbours."""
+    g = _angle_grid(geometry, grid_step).size
+    return g // 2 if _circular(geometry) else max(g - 1, 0) // 2
+
+
 def _check_sources(method: str, size: int, n_sources: int) -> None:
     if n_sources < 1:
         raise TooFewSources("need at least one source")
@@ -87,12 +96,17 @@ def eig_split(r: np.ndarray, n_sources: int) -> SubspaceSplit:
     return SubspaceSplit(signal=q[:, :n_sources], noise=q[:, n_sources:], eigenvalues=w)
 
 
+def _circular(geometry) -> bool:
+    """Whether the geometry sees the full circle, (-pi, pi], rather than a linear field."""
+    return geometry.fov[1] == np.pi
+
+
 def _angle_grid(geometry, step: float) -> np.ndarray:
     lo, hi = geometry.fov
     if step <= 0:
         raise ValueError("grid step must be positive")
     # Circular fields of view include the +180 degree endpoint.
-    stop = hi + step / 2 if np.isclose(hi, np.pi) else hi - step / 2
+    stop = hi + step / 2 if _circular(geometry) else hi - step / 2
     return np.arange(lo + step, stop, step)
 
 
@@ -111,16 +125,25 @@ def _scan(geometry, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return grid, a, num
 
 
-def _pick_peaks(grid: np.ndarray, power: np.ndarray, n_sources: int) -> np.ndarray:
-    interior = power[1:-1]
-    is_peak = (interior > power[:-2]) & (interior > power[2:])
-    peaks = np.nonzero(is_peak)[0] + 1
+def _pick_peaks(
+    grid: np.ndarray, power: np.ndarray, n_sources: int, circular: bool = False
+) -> np.ndarray:
+    """The grid angles of the n_sources largest strict peaks of ``power``, sorted. On a
+    linear field of view the two ends have one neighbour and are never peaks; on a
+    ``circular`` one they are each other's neighbours, and the last grid point, which a
+    step that does not divide the circle puts past pi, is reported in (-pi, pi]."""
+    padded = np.concatenate([power[-1:], power, power[:1]]) if circular else power
+    interior = padded[1:-1]
+    is_peak = (interior > padded[:-2]) & (interior > padded[2:])
+    peaks = np.nonzero(is_peak)[0] + (0 if circular else 1)
     if peaks.size < n_sources:
         raise NoPeaksFound(f"found {peaks.size} spectral peaks, need {n_sources}")
     # Largest power first; equal powers resolve toward the smaller angle.
     order = np.lexsort((grid[peaks], -power[peaks]))
-    chosen = peaks[order[:n_sources]]
-    return np.sort(grid[chosen])
+    chosen = grid[peaks[order[:n_sources]]]
+    if circular and chosen.size and grid[-1] > np.pi + 1e-9:  # past pi beyond rounding
+        chosen = np.where(chosen > np.pi, chosen - 2.0 * np.pi, chosen)
+    return np.sort(chosen)
 
 
 def _music_power(noise: np.ndarray, geometry, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +159,22 @@ def music_peaks(
     """The azimuths :func:`music` estimates from a covariance whose noise subspace
     (the eigenvectors past the n_sources largest eigenvalues, as columns) is ``noise``;
     for a caller that has split many covariances at once."""
-    return _pick_peaks(*_music_power(noise, geometry, grid_step), n_sources)
+    return _pick_peaks(*_music_power(noise, geometry, grid_step), n_sources, _circular(geometry))
+
+
+def _spectrum(r: np.ndarray, geometry, n_sources: int, grid_step: float) -> tuple:
+    """MUSIC's source check, eigensplit and scan: the pseudospectrum and its linear power."""
+    _check_sources("music", geometry.size, n_sources)
+    grid, power = _music_power(eig_split(r, n_sources).noise, geometry, grid_step)
+    return Spectrum(grid=grid, power_db=10.0 * np.log10(power)), power
+
+
+def music_spectrum(
+    r: np.ndarray, geometry, n_sources: int, grid_step: float = DEFAULT_GRID_STEP
+) -> Spectrum:
+    """The pseudospectrum :func:`music` returns, without its peak search: a spectrum with
+    fewer peaks than ``n_sources`` is still returned."""
+    return _spectrum(r, geometry, n_sources, grid_step)[0]
 
 
 def music(
@@ -150,17 +188,15 @@ def music(
     P(theta) = (a^H a) / (a^H Vn Vn^H a) evaluated on a regular grid over
     the geometry's field of view. Works for any hashable geometry that
     provides a steering model (linear, circular, or beamspace virtual arrays).
+    On a circular field of view the grid's two ends are neighbours, so a
+    source near +-180 degrees is a peak like any other.
     The grid, its steering matrix and the numerator are built once per
     (geometry, grid_step) and cached, so equal geometries share them; they
     are read-only, and so is the returned ``Spectrum.grid``.
     """
-    _check_sources("music", geometry.size, n_sources)
-    grid, power = _music_power(eig_split(r, n_sources).noise, geometry, grid_step)
-    spectrum = Spectrum(grid=grid, power_db=10.0 * np.log10(power))
-    estimate = DoaEstimate(
-        azimuths=_pick_peaks(grid, power, n_sources), method="music"
-    )
-    return spectrum, estimate
+    spectrum, power = _spectrum(r, geometry, n_sources, grid_step)
+    peaks = _pick_peaks(spectrum.grid, power, n_sources, _circular(geometry))
+    return spectrum, DoaEstimate(azimuths=peaks, method="music")
 
 
 def _lag_polynomial(c: np.ndarray) -> np.ndarray:
@@ -266,16 +302,15 @@ def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> Do
 
     Snapshots are mapped with the row-orthonormal transform so the noise
     stays white; the rooted polynomial carries the (Tv Tv^H)^(-1/2)
-    equalizer on both sides of the noise projector, and each selected root
-    gives the azimuth directly as its phase. As in root_music, each root is
+    equalizer (``transform.whiten``) on both sides of the noise projector,
+    and each selected root gives the azimuth directly as its phase. As in root_music, each root is
     averaged with its conjugate-reciprocal partner, which cancels the
     ~sqrt(eps) split of the double root a noiseless source produces.
     """
     _check_sources("uca-root-music", transform.vula_size, n_sources)
     xv = to_vula(x, transform, prewhitened=True)
     split = eig_split(sample_covariance(xv), n_sources)
-    whiten = inv_sqrt_psd(transform.Tv @ transform.Tv.conj().T)
-    c = whiten @ (split.noise @ split.noise.conj().T) @ whiten
+    c = transform.whiten @ (split.noise @ split.noise.conj().T) @ transform.whiten
     roots = _roots_inside_unit_circle(_lag_polynomial(c), n_sources)
     return DoaEstimate(azimuths=np.sort(np.angle(roots)), method="uca-root-music")
 
@@ -287,15 +322,13 @@ def uca_esprit(x: np.ndarray, transform: PmeTransform, n_sources: int) -> DoaEst
     proportional to Tv Tv^H), which would bias an eigendecomposition of
     the plain-mapped covariance. The signal subspace is therefore taken
     from the sample covariance of the prewhitened mapping and carried back
-    into the plain (vandermonde) basis with (Tv Tv^H)^(1/2); a per-row
-    whitening of the doublets themselves would destroy the shift
-    invariance the rotation relation depends on.
+    into the plain (vandermonde) basis with (Tv Tv^H)^(1/2)
+    (``transform.color``); a per-row whitening of the doublets themselves
+    would destroy the shift invariance the rotation relation depends on.
     """
     _check_sources("uca-esprit", transform.vula_size, n_sources)
     xv = to_vula(x, transform, prewhitened=True)
     split = eig_split(sample_covariance(xv), n_sources)
-    w, q = herm_eig(transform.Tv @ transform.Tv.conj().T)
-    color = (q * np.sqrt(w)) @ q.conj().T  # (Tv Tv^H)^(1/2)
-    vs = color @ split.signal
+    vs = transform.color @ split.signal
     eigs = _invariance_eigs(vs, n_sources)
     return DoaEstimate(azimuths=np.sort(np.angle(eigs)), method="uca-esprit")

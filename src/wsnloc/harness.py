@@ -9,9 +9,13 @@ subcommands:
 * ``hybrid`` - RSS+DOA fusion around one hybrid node, position RMSE vs SNR.
 * ``spectrum`` - one seeded MUSIC spectrum dump (angle_deg, power_db).
 
-A scenario is compiled once per kind into a :class:`Pipeline`, which checks
-every method/geometry combination and builds what all trials share; a trial
-then only draws randomness and calls kernels, through one table, :data:`_STEPS`.
+Loading a scenario builds each of its sections (the array, the sources, the
+hybrid node, the interferers) into its library object, once. A scenario is
+then compiled once per kind into a :class:`Pipeline`, which checks that the
+kind has the parts it needs and every method/geometry combination (a MUSIC
+grid included: it must be able to show a peak per source), and builds what
+all trials share; a trial then only draws randomness and calls kernels,
+through one table, :data:`_STEPS`.
 An anchor layout that every trial's trilateration would reject is a
 :class:`ConfigError` there too.
 
@@ -81,8 +85,8 @@ from .channel import (
     sigma_from_snr,
     wavelength_from_frequency,
 )
-from .doa import Spectrum, capacity, esprit, music, music_peaks, root_music
-from .doa import uca_esprit, uca_root_music
+from .doa import Spectrum, capacity, esprit, music, music_peaks, music_spectrum, root_music
+from .doa import scan_capacity, uca_esprit, uca_root_music
 from .errors import (
     AllTrialsFailed,
     CoincidentSources,
@@ -157,7 +161,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
                 "n_elements": {"type": "integer", "minimum": 2},
                 "spacing_wavelengths": {"type": "number", "exclusiveMinimum": 0},
                 "radius_wavelengths": {"type": "number", "exclusiveMinimum": 0},
-                "elevation_deg": {"type": "number", "minimum": 0, "maximum": 90},
+                "elevation_deg": {"type": "number", "exclusiveMinimum": 0, "maximum": 90},
             },
         },
         "sources": {
@@ -186,7 +190,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
                 "center": _XY,
                 "n_elements": {"type": "integer", "minimum": 2},
                 "radius_wavelengths": {"type": "number", "exclusiveMinimum": 0},
-                "elevation_deg": {"type": "number", "minimum": 0, "maximum": 90},
+                "elevation_deg": {"type": "number", "exclusiveMinimum": 0, "maximum": 90},
             },
         },
         "interferers_deg": {"type": "array", "items": {"type": "number"}},
@@ -234,9 +238,28 @@ _DEFAULT_METHOD = {
 }
 
 
+def _ring(spec: dict, wavelength: float) -> UniformCircularArray:
+    return UniformCircularArray(
+        n=spec["n_elements"],
+        radius=spec["radius_wavelengths"] * wavelength,
+        elevation=math.radians(spec.get("elevation_deg", 90.0)),
+        wavelength=wavelength,
+    )
+
+
+def _array(spec: dict, wavelength: float) -> UniformLinearArray | UniformCircularArray:
+    size = "spacing_wavelengths" if spec["kind"] == "ula" else "radius_wavelengths"
+    if size not in spec:
+        raise ConfigError(f"{spec['kind']} array needs {size}")
+    if spec["kind"] == "uca":
+        return _ring(spec, wavelength)
+    return UniformLinearArray(spec["n_elements"], spec[size] * wavelength, wavelength)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed scenario: everything a pipeline needs, plus the raw document."""
+    """Parsed scenario: each section built into its library object at load (``None``
+    where the section is absent; ``interferers`` is empty where there are none)."""
 
     seed: int
     trials: int
@@ -249,11 +272,10 @@ class ScenarioConfig:
     sigma_ref_db: float
     wavelength: float
     anchors: np.ndarray | None
-    array_spec: dict | None
-    sources_spec: dict | None
-    hybrid_spec: dict | None
-    interferers_deg: tuple[float, ...]
-    interferer_amplitudes: tuple[float, ...] | None
+    array: UniformLinearArray | UniformCircularArray | None
+    sources: SourceSet | None
+    node: HybridNode | None
+    interferers: SourceSet  # coherent with the target's signal (hybrid fbss)
     snapshots: int
     method: dict
     # Compiled pipelines by kind. Not an init field, so ``with_method`` and
@@ -288,10 +310,17 @@ class ScenarioConfig:
         method = dict(_DEFAULT_METHOD)
         method.update(raw.get("method", {}))
 
-        sources = raw.get("sources")
-        if sources is not None and "amplitudes" in sources:
-            if len(sources["amplitudes"]) != len(sources["azimuths_deg"]):
-                raise ConfigError("amplitudes must match azimuths_deg in length")
+        array, src, hub = raw.get("array"), raw.get("sources"), raw.get("hybrid_node")
+        try:
+            array = None if array is None else _array(array, wavelength)
+            sources = None if src is None else SourceSet(
+                np.radians(src["azimuths_deg"]), src.get("amplitudes"), src.get("coherent", False)
+            )
+            node = None if hub is None else HybridNode(hub["center"], _ring(hub, wavelength))
+            interferers = np.radians(raw.get("interferers_deg", []))
+            interferers = SourceSet(interferers, raw.get("interferer_amplitudes"), coherent=True)
+        except (ValueError, WsnlocError) as exc:
+            raise ConfigError(f"invalid scenario config: {exc}") from exc
 
         return cls(
             seed=raw["seed"],
@@ -305,13 +334,10 @@ class ScenarioConfig:
             sigma_ref_db=channel.get("sigma_ref_db", 8.0),
             wavelength=wavelength,
             anchors=np.asarray(raw["anchors"], dtype=float) if "anchors" in raw else None,
-            array_spec=raw.get("array"),
-            sources_spec=sources,
-            hybrid_spec=raw.get("hybrid_node"),
-            interferers_deg=tuple(raw.get("interferers_deg", ())),
-            interferer_amplitudes=tuple(raw["interferer_amplitudes"])
-            if "interferer_amplitudes" in raw
-            else None,
+            array=array,
+            sources=sources,
+            node=node,
+            interferers=interferers,
             snapshots=raw.get("snapshots", raw.get("sources", {}).get("snapshots", 100)),
             method=method,
         )
@@ -321,8 +347,6 @@ class ScenarioConfig:
         method.update({k: v for k, v in overrides.items() if v is not None})
         return dataclasses.replace(self, method=method)
 
-    # -- derived pieces -----------------------------------------------------
-
     def channel_at(self, snr_db: float, eta: float | None = None) -> ChannelModel:
         return ChannelModel(
             d0=self.d0,
@@ -330,39 +354,6 @@ class ScenarioConfig:
             sigma_db=sigma_from_snr(snr_db, self.sigma_ref_db),
             wavelength=self.wavelength,
         )
-
-    def _ring(self, spec: dict) -> UniformCircularArray:
-        return UniformCircularArray(
-            n=spec["n_elements"],
-            radius=spec["radius_wavelengths"] * self.wavelength,
-            elevation=math.radians(spec.get("elevation_deg", 90.0)),
-            wavelength=self.wavelength,
-        )
-
-    def build_array(self):
-        spec = self.array_spec
-        if spec is None:
-            raise ConfigError("scenario needs an 'array' section")
-        size = "spacing_wavelengths" if spec["kind"] == "ula" else "radius_wavelengths"
-        if size not in spec:
-            raise ConfigError(f"{spec['kind']} array needs {size}")
-        if spec["kind"] == "uca":
-            return self._ring(spec)
-        spacing = spec[size] * self.wavelength
-        return UniformLinearArray(n=spec["n_elements"], spacing=spacing, wavelength=self.wavelength)
-
-    def build_sources(self) -> SourceSet:
-        spec = self.sources_spec
-        if spec is None:
-            raise ConfigError("scenario needs a 'sources' section")
-        azimuths = np.radians(spec["azimuths_deg"])
-        return SourceSet(azimuths, spec.get("amplitudes"), coherent=spec.get("coherent", False))
-
-    def build_hybrid_node(self) -> HybridNode:
-        spec = self.hybrid_spec
-        if spec is None:
-            raise ConfigError("scenario needs a 'hybrid_node' section")
-        return HybridNode(center=np.asarray(spec["center"], dtype=float), geometry=self._ring(spec))
 
 
 def load_config(path) -> ScenarioConfig:
@@ -491,6 +482,15 @@ def _trilateration(points, ls: bool, models) -> LopMatrix:
     return lop
 
 
+def _check_scan(p: Pipeline, n_sources: int) -> None:
+    """A MUSIC scan of ``p.scan`` on the method's grid must be able to show ``n_sources``
+    peaks (:func:`doa.scan_capacity`), or every trial would find too few."""
+    most = scan_capacity(p.scan, p.grid_step)
+    if n_sources > most:
+        step = p.cfg.method["grid_step_deg"]
+        raise ConfigError(f"a {step:g} deg MUSIC grid shows at most {most} peaks, not {n_sources}")
+
+
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.anchors is None or cfg.anchors.shape[0] < 3:
         raise ConfigError("rss scenario needs at least 3 anchors")
@@ -506,14 +506,16 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     """Linear arrays smooth (or Toeplitz-rebuild) their own covariance;
     circular arrays reach spatial smoothing only through the phase-mode
     beamspace, and Toeplitz reconstruction is not offered for them."""
+    if cfg.array is None or cfg.sources is None:
+        raise ConfigError("doa scenario needs an 'array' and a 'sources' section")
     method, prep = cfg.method["doa"], cfg.method["decorrelate"]
     p.trial, p.step, p.prepare = _doa_trial, _STEPS["doa", method], _STEPS["decorrelate", prep]
-    p.geometry = p.scan = geometry = cfg.build_array()
-    p.sources = sources = cfg.build_sources()
+    p.geometry = p.scan = geometry = cfg.array
+    p.sources = sources = cfg.sources
     ring = isinstance(geometry, UniformCircularArray)
     _per_row(cfg, "noise power", lambda snr: noise_power(sources, snr))  # a check; trials redo it
     if method != "music" and ring != method.startswith("uca-"):
-        raise ConfigError(f"{method} does not run on a {cfg.array_spec['kind']} array")
+        raise ConfigError(f"{method} does not run on a {'uca' if ring else 'ula'} array")
     if method not in ("music", "root-music") and prep != "none":
         raise ConfigError(f"{method} operates on raw snapshots; decorrelate must be none")
     if prep == "toeplitz" and ring:
@@ -533,12 +535,16 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
         )
         sub = p.plan.subarray_len
         p.scan = VandermondeArray(sub) if ring else dataclasses.replace(geometry, n=sub)
+    if method == "music":
+        _check_scan(p, sources.count)
 
 
 def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     scheme = cfg.method["hybrid"]
+    if cfg.node is None:
+        raise ConfigError("hybrid scenario needs a 'hybrid_node' section")
     p.row, p.step = _hybrid_row, _STEPS["hybrid", scheme]
-    p.node = node = cfg.build_hybrid_node()
+    p.node = node = cfg.node
     p.geometry = p.scan = node.geometry
     positions = node.element_positions
     radius = max(cfg.d0, 3.0 * node.geometry.radius)
@@ -559,10 +565,7 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         p.ranged = positions
     p.chunk = max(1, ROW_VALUES // (len(p.ranged) + node.geometry.size * cfg.snapshots))
     if scheme == "fbss":
-        amps = cfg.interferer_amplitudes
-        if amps is not None and len(amps) != len(cfg.interferers_deg):
-            raise ConfigError("interferer_amplitudes must match interferers_deg")
-        p.sources = SourceSet(np.radians(cfg.interferers_deg), amps, coherent=True)
+        p.sources = cfg.interferers
         n_sources = p.sources.count + 1  # the target's bearing comes first
         p.transform = build_transform(node.geometry)
         most = capacity("music", p.transform.vula_size)
@@ -583,6 +586,7 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
         p.fix = _STEPS["estimator", "wls" if scheme == "wls" else "ls"]
         p.lop = _trilateration(p.ranged, scheme != "wls", p.models)
+    _check_scan(p, 1 if p.sources is None else 1 + p.sources.count)
 
 
 def _pipeline(cfg: ScenarioConfig, kind: str) -> Pipeline:
@@ -867,7 +871,7 @@ def compute_spectrum(cfg: ScenarioConfig) -> Spectrum:
     with np.errstate(**_QUIET):
         x = synthesize_snapshots(p.geometry, p.sources, cfg.snapshots, snr_db, rng)
         try:
-            spectrum, _ = music(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)
+            spectrum = music_spectrum(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)
         except NumericOverflow as exc:  # the sample covariance left the float range
             raise ConfigError(f"snr {snr_db:g} dB: {exc}") from exc
     return spectrum

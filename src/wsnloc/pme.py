@@ -31,7 +31,7 @@ from .errors import (
     OutOfSupportedRange,
     WrongGeometry,
 )
-from .numerics import inv_sqrt_psd
+from .numerics import herm_eig, inv_sqrt_psd
 
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ARG = 128.0
@@ -153,6 +153,8 @@ class PmeTransform:
         Beamspace transform diag(J) @ F (vandermonde output, colored noise).
     Tw : ndarray (2h+1, N)
         Row-orthonormal prewhitened variant (white noise stays white).
+    whiten, color : ndarray (2h+1, 2h+1)
+        (Tv Tv^H)^(-1/2), so Tw = whiten @ Tv, and its inverse (Tv Tv^H)^(1/2).
     """
 
     h: int
@@ -161,6 +163,8 @@ class PmeTransform:
     J: np.ndarray
     Tv: np.ndarray
     Tw: np.ndarray
+    whiten: np.ndarray
+    color: np.ndarray
 
     @property
     def n_elements(self) -> int:
@@ -206,8 +210,14 @@ def build_transform(geometry: UniformCircularArray, h: int | None = None) -> Pme
     f_mat = np.exp(2j * np.pi * np.outer(modes, np.arange(n)) / n) / n
     j_diag = 1.0 / (1j**modes * amp)
     tv = j_diag[:, None] * f_mat
-    tw = inv_sqrt_psd(tv @ tv.conj().T) @ tv
-    return PmeTransform(h=int(h), zeta=float(zeta), F=f_mat, J=j_diag, Tv=tv, Tw=tw)
+    gram = tv @ tv.conj().T
+    whiten = inv_sqrt_psd(gram)
+    w, q = herm_eig(gram)
+    color = (q * np.sqrt(w)) @ q.conj().T
+    return PmeTransform(
+        h=int(h), zeta=float(zeta), F=f_mat, J=j_diag, Tv=tv, Tw=whiten @ tv,
+        whiten=whiten, color=color,
+    )
 
 
 def to_vula(x: np.ndarray, transform: PmeTransform, prewhitened: bool = False) -> np.ndarray:

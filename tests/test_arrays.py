@@ -12,7 +12,7 @@ from wsnloc.arrays import (
     steering_matrix,
     synthesize_snapshots,
 )
-from wsnloc.errors import LengthMismatch, TooManySources
+from wsnloc.errors import CoincidentSources, LengthMismatch, TooManySources
 
 ULA8 = UniformLinearArray(n=8, spacing=0.5, wavelength=1.0)
 UCA4 = UniformCircularArray(n=4, radius=1.0 / (2 * np.pi), elevation=np.pi / 2, wavelength=1.0)
@@ -155,6 +155,20 @@ class TestSourceSet:
     def test_rejects_duplicate_azimuths(self):
         with pytest.raises(ValueError):
             SourceSet(azimuths=[0.1, 0.1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.pi, np.inf, -np.inf, np.nan]), max_size=6)
+    )
+    def test_repeats_are_what_np_unique_collapses(self, azimuths):
+        # np.unique is the reference: +-0 are one azimuth, and so are two NaNs
+        repeated = len(azimuths) != np.unique(np.asarray(azimuths, dtype=float)).size
+        try:
+            SourceSet(azimuths=azimuths)
+        except CoincidentSources:
+            assert repeated
+        else:
+            assert not repeated
 
     def test_rejects_mismatched_amplitudes(self):
         with pytest.raises(LengthMismatch):

@@ -251,7 +251,7 @@ def one_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> t
     the ranges and the scheme's fusion. As for rss, ``eta_true`` (when set) generates
     the path losses and ``eta`` inverts them."""
     scheme, snr_db = cfg.method["hybrid"], cfg.snr_grid_db[snr_index]
-    node = cfg.build_hybrid_node()
+    node = cfg.node
     gen_model, inv_model = cfg.channel_at(snr_db, eta=cfg.eta_true), cfg.channel_at(snr_db)
     grid_step = math.radians(cfg.method["grid_step_deg"])
     rng = rng_for_trial(cfg.seed, snr_index, trial_index)
@@ -266,9 +266,8 @@ def one_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> t
             target = cand
     bearing = bearing_to(node.center, target)
     if scheme == "fbss":
-        amps = cfg.interferer_amplitudes or [1.0] * len(cfg.interferers_deg)
-        azimuths = np.concatenate([[bearing], np.radians(cfg.interferers_deg)])
-        src = SourceSet(azimuths, [1.0, *amps], coherent=True)
+        azimuths = np.concatenate([[bearing], cfg.interferers.azimuths])
+        src = SourceSet(azimuths, [1.0, *cfg.interferers.amplitudes], coherent=True)
     else:
         src = SourceSet(np.array([bearing]))
     x = synthesize_snapshots(node.geometry, src, cfg.snapshots, snr_db, rng)

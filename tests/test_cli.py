@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnloc import harness
 from wsnloc.channel import wavelength_from_frequency
@@ -315,6 +320,70 @@ STRUCTURAL_ERRORS = {
         ),
         ["--hybrid", "fbss"],
     ),
+    # a section is built at load, so its errors fail every kind, also one that never reads it
+    "rss_duplicate_source_azimuths": (
+        "rss",
+        with_keys(RSS_RAW, sources={"azimuths_deg": [10.0, 10.0]}),
+        [],
+    ),
+    "doa_interferer_amplitudes_without_interferers": (
+        "doa",
+        with_keys(DOA_RAW, interferer_amplitudes=[0.5]),
+        [],
+    ),
+    "hybrid_mismatched_source_amplitudes": (
+        "hybrid",
+        with_keys(HYBRID_RAW, sources={"azimuths_deg": [10.0, 20.0], "amplitudes": [1.0]}),
+        [],
+    ),
+    "spectrum_uca_without_radius": (
+        "spectrum",
+        with_keys(DOA_RAW, array={"kind": "uca", "n_elements": 8}),
+        [],
+    ),
+    # a MUSIC grid too coarse to show a peak per source: g points show at most (g - 1) // 2
+    # on a linear field of view, g // 2 on a full circle
+    **{
+        f"doa_music_grid_{step}_deg": (
+            "doa",
+            shipped("doa_ula_music", trials=3, method={"grid_step_deg": step}),
+            [],
+        )
+        for step in (60, 90, 179, 200)
+    },
+    "doa_fbss_ring_grid_120_deg": (
+        "doa",
+        with_keys(DOA_RAW, array=UCA, method={"decorrelate": "fbss", "grid_step_deg": 120.0}),
+        [],
+    ),
+    "spectrum_grid_180_deg": (
+        "spectrum",
+        shipped("spectrum_uca", method={"grid_step_deg": 180.0}),
+        [],
+    ),
+    "hybrid_single_grid_400_deg": (
+        "hybrid",
+        shipped("hybrid_single", trials=3, method={"grid_step_deg": 400.0}),
+        [],
+    ),
+    "hybrid_fbss_grid_120_deg": (
+        "hybrid",
+        shipped("hybrid_coherent_fbss", trials=3, method={"subarray_len": 6, "grid_step_deg": 120}),
+        ["--hybrid", "fbss"],
+    ),
+    # a ring at zero elevation has no aperture
+    **{
+        f"{command}_zero_elevation": (
+            command,
+            shipped(config, trials=3, **{section: dict(spec, elevation_deg=0.0)}),
+            [],
+        )
+        for command, config, section, spec in (
+            ("doa", "spectrum_uca", "array", UCA),
+            ("spectrum", "spectrum_uca", "array", UCA),
+            ("hybrid", "hybrid_single", "hybrid_node", HYBRID_RAW["hybrid_node"]),
+        )
+    },
     # a fixed target at zero distance from a point it is ranged from
     "rss_target_on_anchor": ("rss", with_keys(RSS_RAW, target=[0.0, 0.0]), []),
     "hybrid_target_on_anchor": (
@@ -510,6 +579,33 @@ def test_overflowing_covariance_fails_cleanly(tmp_path, capsys, command, config,
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:" if code == 1 else "error: all 3 trials failed")
     assert not out.exists()
+
+
+SHIPPED = sorted(path.stem for path in CONFIGS.glob("*.json"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    config=st.sampled_from(SHIPPED),
+    command=st.sampled_from(["rss", "doa", "hybrid", "spectrum"]),
+    grid_step=st.sampled_from([0.01, 30.0, 90.0, 179.0, 360.0, 1e6]),
+    elevation=st.sampled_from([90.0, 1e-300, 0.0]),
+)
+def test_schema_edges_end_in_an_exit_code(config, command, grid_step, elevation):
+    # any shipped scenario under any subcommand, at an extreme grid step or elevation: exit
+    # 0, 1 or 2, with at most one line on stderr (a RuntimeWarning would raise here)
+    raw = shipped(config, trials=2)
+    raw.setdefault("method", {})["grid_step_deg"] = grid_step
+    for section in ("array", "hybrid_node"):
+        if section in raw:
+            raw[section]["elevation_deg"] = elevation
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = write_cfg(Path(tmp), raw)
+        code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "x.csv")])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= (0 if code == 0 else 1)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_runtime_imports_no_scipy():

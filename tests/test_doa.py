@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +35,7 @@ from wsnloc.errors import (
     WsnlocError,
 )
 from wsnloc.harness import rng_for_trial
-from wsnloc.numerics import poly_roots
+from wsnloc.numerics import herm_eig, inv_sqrt_psd, poly_roots
 from wsnloc.pme import build_transform, VandermondeArray
 
 
@@ -525,3 +527,130 @@ class TestPairwiseAgreement:
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert np.max(np.abs(np.degrees(results[i] - results[j]))) < 0.5
+
+
+SEAM_RING = UniformCircularArray(n=8, radius=0.55, elevation=np.radians(90.0), wavelength=1.0)
+SEAM_GEOMETRIES = {"uca": SEAM_RING, "vandermonde": VandermondeArray(7)}
+
+
+@pytest.mark.parametrize("azimuth_deg", [180.0, 179.95, -179.95, -179.9, 179.9])
+@pytest.mark.parametrize("name", sorted(SEAM_GEOMETRIES))
+def test_music_finds_a_source_at_the_seam(name, azimuth_deg):
+    # the scan's two ends are neighbours on a full circle: a source next to +-180 degrees
+    # peaks at an end of the grid, and is reported in (-180, 180]
+    g, step = SEAM_GEOMETRIES[name], np.radians(0.1)
+    theta = np.radians(azimuth_deg)
+    for trial in range(5):
+        rng = rng_for_trial(9, 0, trial)
+        x = synthesize_snapshots(g, SourceSet(azimuths=[theta]), 100, 30.0, rng)
+        (est,) = music(sample_covariance(x), g, 1, step)[1].azimuths
+        assert -np.pi < est <= np.pi
+        assert wrapped_deg(est, theta) <= 0.1 + 1e-9
+
+
+def test_music_reports_a_grid_point_past_pi_in_range():
+    # 1.3 degrees does not divide the circle: the last grid point is 180.1 degrees
+    g, step = SEAM_GEOMETRIES["vandermonde"], np.radians(1.3)
+    assert np.degrees(doa._angle_grid(g, step)[-1]) == pytest.approx(180.1)
+    theta = np.radians(-179.9)
+    _, est = music(analytic_covariance(g, SourceSet(azimuths=[theta]), 1e-3), g, 1, step)
+    assert est.azimuths[0] == pytest.approx(theta)
+
+
+def test_pick_peaks_counts_the_ends_only_on_a_circle():
+    grid, power = np.radians([-90.0, -30.0, 30.0, 90.0]), np.array([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(NoPeaksFound):
+        _pick_peaks(grid, power, 1)
+    assert _pick_peaks(grid, power, 1, circular=True) == pytest.approx([np.pi / 2])
+    assert _pick_peaks(grid, power[::-1], 1, circular=True) == pytest.approx([-np.pi / 2])
+
+
+def most_strict_peaks(g: int, circular: bool) -> int:
+    """The most strict local maxima any g-point sequence has, by trying every sequence
+    over three levels (enough to alternate)."""
+    best = 0
+    for values in itertools.product(range(3), repeat=g):
+        candidates = range(g) if circular else range(1, g - 1)
+        peaks = sum(
+            values[i] > values[(i - 1) % g] and values[i] > values[(i + 1) % g] for i in candidates
+        )
+        best = max(best, peaks)
+    return best
+
+
+@pytest.mark.parametrize("g", range(8))
+def test_scan_capacity_is_the_most_peaks_a_grid_shows(g):
+    for geometry, step in ((ula(4), np.pi / (g + 1)), (VandermondeArray(4), 2 * np.pi / max(g, 1))):
+        circular = isinstance(geometry, VandermondeArray)
+        if g == 0 and circular:
+            step = 5 * np.pi  # the first point would lie past the end of the circle
+        assert doa._angle_grid(geometry, step).size == g
+        most = doa.scan_capacity(geometry, step)
+        assert most == most_strict_peaks(g, circular)
+        grid, alternating = doa._angle_grid(geometry, step), np.arange(g) % 2.0
+        assert _pick_peaks(grid, alternating, most, circular).size == most
+        with pytest.raises(NoPeaksFound):
+            _pick_peaks(grid, alternating, most + 1, circular)
+
+
+def test_scan_capacity_of_coarse_grids():
+    # a (90 - step/2)-degree span seen through steps of 30, 60 and 90 degrees: 5, 2, 1 points
+    steps = (30, 60, 90, 179, 200)
+    assert [doa.scan_capacity(ula(8), np.radians(s)) for s in steps] == [2, 0, 0, 0, 0]
+    ring = SEAM_GEOMETRIES["uca"]
+    assert [doa.scan_capacity(ring, np.radians(s)) for s in (0.1, 120, 180, 360, 400)] == [
+        1800, 1, 1, 0, 0,
+    ]
+
+
+def test_music_spectrum_is_music_without_its_peaks():
+    g = ula(8)
+    src = SourceSet(azimuths=np.radians([-10.0, 10.0]))
+    r = sample_covariance(synthesize_snapshots(g, src, 100, 10.0, rng_for_trial(2, 0, 0)))
+    spectrum = doa.music_spectrum(r, g, 2)
+    assert np.array_equal(spectrum.grid, music(r, g, 2)[0].grid)
+    assert np.array_equal(spectrum.power_db, music(r, g, 2)[0].power_db)
+    # two coherent sources on four elements fuse into one hump: no estimate, but a spectrum
+    coherent = analytic_covariance(ula(4), SourceSet(src.azimuths, coherent=True))
+    with pytest.raises(NoPeaksFound):
+        music(coherent, ula(4), 2)
+    assert np.all(np.isfinite(doa.music_spectrum(coherent, ula(4), 2).power_db))
+    with pytest.raises(TooManySources):
+        doa.music_spectrum(np.eye(4), ula(4), 4)
+
+
+def uca_root_music_per_call(x, t, n_sources):
+    """uca_root_music with (Tv Tv^H)^(-1/2) recomputed from the transform on every call."""
+    split = eig_split(sample_covariance(t.Tw @ x), n_sources)
+    whiten = inv_sqrt_psd(t.Tv @ t.Tv.conj().T)
+    c = whiten @ (split.noise @ split.noise.conj().T) @ whiten
+    return np.sort(np.angle(_roots_inside_unit_circle(doa._lag_polynomial(c), n_sources)))
+
+
+def uca_esprit_per_call(x, t, n_sources):
+    """uca_esprit with (Tv Tv^H)^(1/2) recomputed from the transform on every call."""
+    split = eig_split(sample_covariance(t.Tw @ x), n_sources)
+    w, q = herm_eig(t.Tv @ t.Tv.conj().T)
+    vs = ((q * np.sqrt(w)) @ q.conj().T) @ split.signal
+    return np.sort(np.angle(doa._invariance_eigs(vs, n_sources)))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_beamspace_powers_built_once_give_the_per_call_bits(n):
+    g = UniformCircularArray(n=n, radius=0.55 * n / 8, elevation=np.radians(40.0), wavelength=1.0)
+    t = build_transform(g)
+    assert np.array_equal(t.Tw, t.whiten @ t.Tv)
+    assert np.allclose(t.color @ t.whiten, np.eye(t.vula_size), atol=1e-9)
+    for trial in range(20):
+        rng = rng_for_trial(trial, 0, n)
+        m = 1 + trial % 3
+        az = np.radians(-150.0 + 100.0 * np.arange(m) + rng.uniform(0.0, 40.0))
+        x = synthesize_snapshots(g, SourceSet(azimuths=az), 50, (0.0, 20.0, 100.0)[trial % 3], rng)
+        pairs = ((uca_root_music, uca_root_music_per_call), (uca_esprit, uca_esprit_per_call))
+        for library, oracle in pairs:
+            ref = outcome(oracle, x, t, m)
+            est = outcome(lambda *a: library(*a).azimuths, x, t, m)
+            if isinstance(ref, type) or isinstance(est, type):
+                assert est is ref
+            else:
+                assert np.array_equal(est, ref)

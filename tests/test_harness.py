@@ -9,7 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wsnloc import geometry, harness
+from wsnloc import doa, geometry, harness
+from wsnloc.arrays import UniformCircularArray, UniformLinearArray
 from wsnloc.errors import AllTrialsFailed, ConfigError, WsnlocError
 from wsnloc.harness import (
     CONFIG_SCHEMA,
@@ -22,6 +23,8 @@ from wsnloc.harness import (
     run_trial,
     write_rmse_csv,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 RSS_RAW = {
     "seed": 1234,
@@ -107,6 +110,22 @@ class TestConfig:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+
+    def test_sections_built_at_load(self):
+        doa_cfg = ScenarioConfig.from_dict(DOA_RAW)
+        assert doa_cfg.array == UniformLinearArray(8, 0.5 * doa_cfg.wavelength, doa_cfg.wavelength)
+        assert np.array_equal(doa_cfg.sources.azimuths, np.radians([-10.0, 10.0]))
+        assert not doa_cfg.sources.coherent and doa_cfg.node is None
+        assert doa_cfg.interferers.count == 0 and doa_cfg.interferers.coherent
+        raw = with_keys(HYBRID_RAW, interferers_deg=[30.0, 60.0], interferer_amplitudes=[0.5, 0.7])
+        cfg = ScenarioConfig.from_dict(raw)
+        assert cfg.array is None and cfg.sources is None
+        assert np.array_equal(cfg.node.center, [18.0, 16.0])
+        ring = cfg.node.geometry
+        assert isinstance(ring, UniformCircularArray)
+        assert (ring.n, ring.radius, ring.elevation) == (4, 0.3183 * cfg.wavelength, math.pi / 2)
+        assert np.array_equal(cfg.interferers.azimuths, np.radians([30.0, 60.0]))
+        assert np.array_equal(cfg.interferers.amplitudes, [0.5, 0.7])
 
 
 def with_keys(raw, drop=(), **changes):
@@ -340,6 +359,17 @@ class TestMonteCarlo:
         assert result.rows[0].failures > 0 and seen == expected
 
 
+@pytest.mark.parametrize("scheme", ["single", "ls", "wls", "two-lines"])
+def test_hybrid_target_due_west_of_the_node(scheme):
+    # the node at (18, 16) sees the target at (10, 16) along 180 degrees, the two ends of its
+    # MUSIC scan; missing that peak once put the errors at metres, growing with SNR
+    raw = json.loads((CONFIGS / "hybrid_single.json").read_text())
+    raw.update(target=[10.0, 16.0], trials=30, snr_grid_db=[1.0, 10.0])
+    low, high = monte_carlo(ScenarioConfig.from_dict(raw).with_method(hybrid=scheme), "hybrid").rows
+    assert low.failures == high.failures == 0
+    assert high.rmse < low.rmse < 1.0
+
+
 class TestRngStreams:
     def test_streams_independent_of_each_other(self):
         a = rng_for_trial(9, 0, 0).standard_normal(4)
@@ -387,6 +417,18 @@ class TestCsvOutputs:
         data = np.array([[float(a), float(p)] for a, p in rows[1:]])
         peak_angle = data[np.argmax(data[:, 1]), 0]
         assert abs(peak_angle - 10.0) <= 0.1 + 1e-9
+
+    def test_spectrum_with_fewer_peaks_than_sources(self):
+        # six coherent sources on seven elements without decorrelation: the spectrum shows
+        # only five peaks, which a dump does not need
+        raw = json.loads((CONFIGS / "doa_coherent_toeplitz.json").read_text())
+        cfg = ScenarioConfig.from_dict(raw).with_method(decorrelate="none")
+        p = harness._pipeline(cfg, "doa")
+        with pytest.raises(WsnlocError, match="found 5 spectral peaks, need 6"):
+            run_trial(cfg, "doa", 0, 0)
+        spectrum = compute_spectrum(cfg)
+        assert np.array_equal(spectrum.grid, doa._angle_grid(p.scan, p.grid_step))
+        assert np.all(np.isfinite(spectrum.power_db))
 
     def test_spectrum_requires_music(self, tmp_path):
         raw = json.loads(json.dumps(DOA_RAW))
