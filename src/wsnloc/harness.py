@@ -40,10 +40,13 @@ hybrid), and at least one, so its memory does not grow with ``trials``. doa
 rows run trial by trial through :func:`run_trial`. ``workers`` is still
 ignored.
 
-Randomness: every trial owns an independent PCG64 stream derived as
-``SeedSequence(entropy=seed, spawn_key=(snr_index, trial_index))``, so
-results are bit-identical across reruns and do not depend on the order in
-which trials run or on how many share a row. The SNR axis drives both the
+Randomness: every trial owns an independent PCG64 stream, documented as
+:func:`rng_for_trial`, ``SeedSequence(entropy=seed, spawn_key=(snr_index,
+trial_index))``, so results are bit-identical across reruns and do not
+depend on the order in which trials run or on how many share a row. Trials
+draw on streams derived per row, bit-identical to it: :func:`_trial_rngs`
+mixes a row's seed and SNR-index words once and each trial's own index
+words after them, and seeds a fresh PCG64 per trial. The SNR axis drives both the
 array noise floor and the RSS shadowing std through
 ``sigma_db = sigma_ref_db * 10^(-snr/20)``.
 
@@ -57,15 +60,17 @@ and excluded from the RMSE; only a row where every trial fails raises
 import collections
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
+from numpy.random.bit_generator import ISeedSequence
 
 from . import decorrelate
 from .arrays import (
@@ -256,6 +261,26 @@ def _array(spec: dict, wavelength: float) -> UniformLinearArray | UniformCircula
     return UniformLinearArray(spec["n_elements"], spec[size] * wavelength, wavelength)
 
 
+def _non_finite_at(value, path: tuple = ()) -> tuple | None:
+    """The key path of the first number in a raw config ``value`` that is NaN, infinite
+    (``json`` reads a literal past the float range, such as ``1e400``, as infinity) or an
+    integer past the float range; ``None`` if there is none."""
+    if isinstance(value, (int, float)):
+        try:
+            return None if math.isfinite(value) else path
+        except OverflowError:
+            return path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        found = _non_finite_at(item, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parsed scenario: each section built into its library object at load (``None``
@@ -284,6 +309,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        where = _non_finite_at(raw)
+        if where is not None:
+            at = "/".join(map(str, where))
+            raise ConfigError(f"invalid scenario config: {at} is NaN, infinite or too large")
         error = best_match(_VALIDATOR.iter_errors(raw))  # what jsonschema.validate raises
         if error is not None:
             raise ConfigError(f"invalid scenario config: {error.message}") from error
@@ -395,6 +424,103 @@ def rng_for_trial(seed: int, snr_index: int, trial_index: int) -> np.random.Gene
     """The documented per-trial stream: PCG64 keyed by (snr_index, trial_index)."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(snr_index, trial_index))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+# SeedSequence's uint32 hash-mix, as numpy's SeedSequence documents it after M. O'Neill,
+# "Developing a seed_seq Alternative" (pcg-random.org, 2015). Written out so that a row
+# mixes its seed and SNR-index words once, and each trial only its own index words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's default pool size, in uint32 words
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n >= 0`` as little-endian uint32 words, at least one, as SeedSequence coerces it."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: int, hc: int) -> tuple[int, int]:
+    """One word hashed with the hash constant ``hc``; returns it and the next constant."""
+    nxt = hc * _MULT_A & _MASK32
+    value = (value ^ hc) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x: int, y: int) -> int:
+    x = _MIX_L * x - _MIX_R * y & _MASK32
+    return x ^ x >> 16
+
+
+def _absorb(pool, hc: int, words) -> tuple[list[int], int]:
+    """Mix every word of ``words`` into each pool word, as SeedSequence does with the
+    entropy past its pool: ``_mix(p, _hashmix(w, hc))``, written out because it runs
+    once per trial. Returns the pool and the next hash constant."""
+    pool = list(pool)
+    for w in words:
+        for i, p in enumerate(pool):
+            h = w ^ hc
+            hc = hc * _MULT_A & _MASK32
+            h = h * hc & _MASK32
+            p = _MIX_L * p - _MIX_R * (h ^ h >> 16) & _MASK32
+            pool[i] = p ^ p >> 16
+    return pool, hc
+
+
+@functools.lru_cache(maxsize=64)
+def _row_pool(seed: int, snr_index: int) -> tuple[tuple[int, ...], int]:
+    """The pool and hash constant of ``SeedSequence(seed, spawn_key=(snr_index, ...))``
+    once the seed and SNR-index words are mixed in, before the trial index words."""
+    words = _uint32_words(seed)
+    words += [0] * (_POOL - len(words)) + _uint32_words(snr_index)  # a spawn key pads the seed
+    hc, pool = _INIT_A, []
+    for w in words[:_POOL]:
+        h, hc = _hashmix(w, hc)
+        pool.append(h)
+    for src in range(_POOL):  # every pool word into every other one
+        for dst in range(_POOL):
+            if src != dst:
+                h, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], h)
+    pool, hc = _absorb(pool, hc, words[_POOL:])
+    return tuple(pool), hc
+
+
+# generate_state's (xor, multiplier) hash constants for its 8 uint32 output words
+_STATE_HASHES = tuple(
+    (_INIT_B * _MULT_B**i & _MASK32, _INIT_B * _MULT_B ** (i + 1) & _MASK32) for i in range(8)
+)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 the four uint64 seed words a trial's SeedSequence generates for it,
+    so numpy still does PCG64's own seeding."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 uint64 words
+        return self.words
+
+
+def _trial_rngs(seed: int, snr_index: int, trial_indices) -> Iterator[np.random.Generator]:
+    """A fresh Generator per trial index, each in the state :func:`rng_for_trial` gives it,
+    bit for bit: the row's seed and SNR-index words are mixed once (:func:`_row_pool`),
+    each trial mixes only its own index words."""
+    pool, hc = _row_pool(seed, snr_index)
+    for ti in trial_indices:
+        mixed, w = _absorb(pool, hc, _uint32_words(ti))[0], []
+        for i, (x, m) in enumerate(_STATE_HASHES):  # generate_state cycles the pool
+            v = (mixed[i % _POOL] ^ x) * m & _MASK32
+            w.append(v ^ v >> 16)
+        words = np.array(
+            [w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32],
+            dtype=np.uint64,
+        )
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 # --- pipelines ---------------------------------------------------------------
@@ -660,8 +786,7 @@ def _rss_row(p: Pipeline, snr_index: int, trials) -> list:
     Returns each trial's result, or that error."""
     gen_model, inv_model = p.models[snr_index]
     targets, losses = [], []
-    for ti in trials:
-        rng = rng_for_trial(p.cfg.seed, snr_index, ti)
+    for rng in _trial_rngs(p.cfg.seed, snr_index, trials):
         targets.append(_draw_target(p, rng))
         losses.append(_losses(p, targets[-1], gen_model, rng))
     targets, d = np.array(targets), invert_distance(np.array(losses), inv_model)
@@ -674,12 +799,26 @@ def _rss_huber(p, model, d):
     return huber_stack(p.lop.A, p.lop.rhs(d), p.cfg.method["huber_epsilon"], *weighted)[:2]
 
 
+def _ring_error(est: np.ndarray, truth: np.ndarray) -> float:
+    """RMS error, degrees, of sorted azimuths on a circle against the sorted truths: the
+    best cyclic pairing, each difference wrapped into [-pi, pi] (one within it is kept
+    as it is)."""
+    d = np.array([np.roll(est, k) - truth for k in range(len(truth))])
+    d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))
+    return math.degrees(math.sqrt(float(np.min(np.mean(d**2, axis=1)))))
+
+
 def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
+    """One doa trial, scored against the sorted truths; on a ring, by the pairing of
+    :func:`_ring_error` where that is lower (an estimate near +180 deg of a source near
+    -180 deg)."""
     snr_db = p.cfg.snr_grid_db[snr_index]
     x = synthesize_snapshots(p.geometry, p.sources, p.cfg.snapshots, snr_db, rng)
     est = p.step(p, x).azimuths
     truth = np.sort(p.sources.azimuths)
     err = math.degrees(math.sqrt(float(np.mean((est - truth) ** 2))))
+    if isinstance(p.geometry, UniformCircularArray):
+        err = min(err, _ring_error(est, truth))
     return TrialResult(estimate=np.degrees(est), truth=np.degrees(truth), error=err)
 
 
@@ -724,8 +863,7 @@ def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
     snr_db, (gen_model, inv_model) = p.cfg.snr_grid_db[snr_index], p.models[snr_index]
     failed = np.full(len(trials), None, dtype=object)
     targets, draws, losses = [], [], []
-    for i, ti in enumerate(trials):
-        rng = rng_for_trial(p.cfg.seed, snr_index, ti)
+    for i, rng in enumerate(_trial_rngs(p.cfg.seed, snr_index, trials)):
         targets.append(_draw_target(p, rng))
         try:
             src = _hybrid_sources(p, bearing_to(p.node.center, targets[-1]))
@@ -817,7 +955,8 @@ def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) 
     it. Where the kind stacks its rows, this is a row of one trial."""
     p = _pipeline(cfg, kind)
     if p.row is None:
-        return p.trial(p, snr_index, rng_for_trial(cfg.seed, snr_index, trial_index))
+        (rng,) = _trial_rngs(cfg.seed, snr_index, [trial_index])
+        return p.trial(p, snr_index, rng)
     (outcome,) = p.row(p, snr_index, [trial_index])
     if isinstance(outcome, WsnlocError):
         raise outcome

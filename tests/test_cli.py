@@ -421,6 +421,29 @@ def test_structural_config_errors_exit_1(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, key, literal",
+    [
+        # json reads NaN and +-Infinity, and a literal past the float range as infinity
+        ("doa", "doa_ula_music", "snr_grid_db", "[NaN]"),
+        ("spectrum", "spectrum_uca", "snr_grid_db", "[20, Infinity]"),
+        ("rss", "rss_heterogeneous", "anchors", "[[0, 0], [50, -Infinity], [100, 0]]"),
+        ("hybrid", "hybrid_single", "target", "[1e400, 5]"),
+        ("rss", "rss_equal_distance", "channel", '{"eta": -1e400}'),
+        ("rss", "rss_equal_distance", "snr_grid_db", f"[1{'0' * 400}]"),  # no float holds it
+    ],
+)
+def test_non_finite_numbers_exit_1(tmp_path, capsys, command, config, key, literal):
+    cfg, out = tmp_path / "scenario.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps(shipped(config, **{key: "@"})).replace('"@"', literal))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid scenario config: {key}")
+    assert err.rstrip().endswith("is NaN, infinite or too large")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 ULA = {n: {"kind": "ula", "n_elements": n, "spacing_wavelengths": 0.5} for n in (2, 3, 5)}
 RING5 = {"kind": "uca", "n_elements": 5, "radius_wavelengths": 0.3, "elevation_deg": 90.0}
 # 0.2 wavelengths excite modes up to h = 1: a 3-element virtual array

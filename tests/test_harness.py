@@ -8,6 +8,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnloc import doa, geometry, harness
 from wsnloc.arrays import UniformCircularArray, UniformLinearArray
@@ -370,6 +372,17 @@ def test_hybrid_target_due_west_of_the_node(scheme):
     assert high.rmse < low.rmse < 1.0
 
 
+def test_ring_doa_pairs_estimates_across_the_seam():
+    # sources at -179.95 and 0 deg: a MUSIC peak at +180 deg is 0.05 deg from the first,
+    # wrapped; pairing sorted estimates with sorted truths read the row's RMSE as 127 deg
+    raw = json.loads((CONFIGS / "spectrum_uca.json").read_text())
+    raw.update(trials=20, snr_grid_db=[30.0])
+    raw["sources"]["azimuths_deg"] = [-179.95, 0.0]
+    (row,) = monte_carlo(ScenarioConfig.from_dict(raw), "doa").rows
+    assert row.failures == 0
+    assert row.rmse < 0.1
+
+
 class TestRngStreams:
     def test_streams_independent_of_each_other(self):
         a = rng_for_trial(9, 0, 0).standard_normal(4)
@@ -383,6 +396,24 @@ class TestRngStreams:
             rng_for_trial(9, 2, 7).standard_normal(8),
             rng_for_trial(9, 2, 7).standard_normal(8),
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        snr_index=st.integers(0, 50),
+        trials=st.lists(
+            st.integers(0, 10**6) | st.integers(2**32 - 2, 2**32 + 2) | st.integers(2**64 - 2, 2**70),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_row_streams_are_rng_for_trial(self, seed, snr_index, trials):
+        # numpy's own SeedSequence, behind rng_for_trial, is the oracle of the row deriver
+        for ti, rng in zip(trials, harness._trial_rngs(seed, snr_index, trials), strict=True):
+            oracle = rng_for_trial(seed, snr_index, ti)
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            assert np.array_equal(rng.standard_normal(8), oracle.standard_normal(8))
+            assert rng.uniform() == oracle.uniform()
 
 
 class TestCsvOutputs:
@@ -477,6 +508,12 @@ class TestTrialCallCounts:
         ranged = counting(monkeypatch, harness, "path_loss")
         run_trial(cfg, "hybrid", 0, 0)
         assert [len(args[0]) for args in ranged] == [points]
+
+    @pytest.mark.parametrize("kind, raw", [("rss", RSS_RAW), ("hybrid", HYBRID_RAW), ("doa", DOA_RAW)])
+    def test_trials_draw_on_row_streams(self, monkeypatch, kind, raw):
+        seeded = counting(monkeypatch, harness, "rng_for_trial")
+        monte_carlo(ScenarioConfig.from_dict(raw), kind)
+        assert seeded == []
 
     def test_collinear_anchors_fail_at_compile(self, monkeypatch):
         raw = json.loads(json.dumps(RSS_RAW))
