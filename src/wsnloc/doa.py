@@ -146,10 +146,41 @@ def _pick_peaks(
     return np.sort(chosen)
 
 
+# OpenBLAS 0.3.31 hands part of a complex product to a worker thread once the work
+# passes these sizes: zgemm at m*n*k = 65,568 but not 65,520, and zgemv (numpy's route
+# for a one-row product) at m*n = 4,102 but not 4,095, measured from the worker's CPU
+# ticks in /proc/self/task on a 2-core machine. The worker then spins between calls.
+_ZGEMM_SERIAL = 65_536  # largest m*n*k the scan gives one zgemm
+_ZGEMV_SERIAL = 4_095  # largest m*n the scan gives one zgemv
+
+
+@lru_cache(maxsize=32)
+def _scan_blocks(rows: int, n: int, g: int) -> tuple[slice, ...]:
+    """Column blocks of a g-point scan of n-element steering vectors against ``rows``
+    noise vectors: the whole grid if OpenBLAS runs it on the calling thread, else blocks
+    of the largest power of two that it runs there (other widths change the bits)."""
+    limit, work = (_ZGEMM_SERIAL, rows * n) if rows > 1 else (_ZGEMV_SERIAL, n)
+    width = g if work * g <= limit else 1 << max((limit // work).bit_length() - 1, 0)
+    return tuple(slice(s, s + width) for s in range(0, g, max(width, 1)))
+
+
 def _music_power(noise: np.ndarray, geometry, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scan grid and P(theta) = (a^H a) / (a^H Vn Vn^H a) for a noise subspace Vn."""
+    """The scan grid and P(theta) = (a^H a) / (a^H Vn Vn^H a) for a noise subspace Vn.
+
+    The product Vn^H a is one BLAS call where OpenBLAS keeps all of it on the calling
+    thread, and otherwise runs in column blocks of the steering matrix that it keeps
+    there (:func:`_scan_blocks`), so its bits do not depend on the BLAS thread count
+    and no worker thread spins between trials."""
     grid, a, num = _scan(geometry, grid_step)
-    den = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
+    vh = noise.conj().T
+    blocks = _scan_blocks(*vh.shape, grid.size)
+    if len(blocks) == 1:
+        prod = vh @ a
+    else:
+        prod = np.empty((vh.shape[0], grid.size), dtype=complex)
+        for block in blocks:
+            np.matmul(vh, a[:, block], out=prod[:, block])
+    den = np.sum(np.abs(prod) ** 2, axis=0)
     return grid, num / np.maximum(den, 1e-300)
 
 
@@ -192,7 +223,9 @@ def music(
     source near +-180 degrees is a peak like any other.
     The grid, its steering matrix and the numerator are built once per
     (geometry, grid_step) and cached, so equal geometries share them; they
-    are read-only, and so is the returned ``Spectrum.grid``.
+    are read-only, and so is the returned ``Spectrum.grid``. The scan runs in
+    column blocks small enough for OpenBLAS to keep on the calling thread, so
+    the spectrum's bits do not depend on the BLAS thread count.
     """
     spectrum, power = _spectrum(r, geometry, n_sources, grid_step)
     peaks = _pick_peaks(spectrum.grid, power, n_sources, _circular(geometry))

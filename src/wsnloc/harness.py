@@ -386,13 +386,17 @@ class ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Read and validate a scenario JSON file."""
+    """Read and validate a scenario JSON file. A file that cannot be opened, is not
+    UTF-8 JSON, or nests past the interpreter's recursion limit is a :class:`ConfigError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return ScenarioConfig.from_dict(raw)
+    try:
+        return ScenarioConfig.from_dict(raw)
+    except RecursionError as exc:  # it parsed just under the limit; checking it goes past
+        raise ConfigError(f"cannot check config {path}: it nests too deeply") from exc
 
 
 @dataclass(frozen=True)

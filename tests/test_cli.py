@@ -82,6 +82,41 @@ def test_missing_config_exit_code(tmp_path):
     )
 
 
+def nested_region(depth):
+    return json.dumps(dict(RSS_RAW, region="@")).replace('"@"', "[" * depth + "]" * depth)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe" + json.dumps(RSS_RAW).encode(),  # a UTF-16 byte-order mark: not UTF-8
+        nested_region(990).encode(),  # past the recursion limit once the CLI's frames count
+        nested_region(100_000).encode(),
+    ],
+    ids=["not_utf8", "nested_990", "nested_100000"],
+)
+def test_unreadable_config_exit_1(tmp_path, capsys, content):
+    cfg, out = tmp_path / "scenario.json", tmp_path / "x.csv"
+    cfg.write_bytes(content)
+    assert main(["rss", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_nesting_near_the_recursion_limit_exits_1(tmp_path, capsys):
+    # Somewhere in this range the JSON still parses and checking it recurses too deep;
+    # where exactly depends on the caller's stack, so every depth is tried.
+    cfg, out = tmp_path / "scenario.json", tmp_path / "x.csv"
+    for depth in range(800, 1001):
+        cfg.write_text(nested_region(depth))
+        assert main(["rss", "--config", str(cfg), "--out", str(out)]) == 1, depth
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1, depth
+    assert not out.exists()
+
+
 def test_all_trials_failed_exit_code(tmp_path, capsys):
     # schema-valid and compiled, but the drawn shadowing fails every trial
     raw = dict(RSS_RAW, channel=dict(RSS_RAW["channel"], sigma_ref_db=1e5))

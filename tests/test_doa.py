@@ -1,4 +1,9 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +191,129 @@ class TestMusicScanCache:
         assert not spectrum.grid.flags.writeable
         with pytest.raises(ValueError):
             spectrum.grid[0] = 0.0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (elements, noise columns, grid points) of ULA scans
+THREAD_SHAPES = [
+    (7, 1, 1801),  # a two-thread zgemv over the whole grid changes these three's bits
+    (7, 1, 3601),
+    (16, 1, 2570),
+    (7, 1, 3599),  # doa_coherent_toeplitz
+    (8, 6, 1799),  # doa_ula_music
+    (6, 3, 3600),  # under the zgemm limit, as every hybrid scan: one block
+    (16, 12, 2570),
+    (9, 2, 5000),
+]
+
+SCAN_CHILD = """
+import sys
+import numpy as np
+from wsnloc import doa
+from wsnloc.arrays import UniformLinearArray
+inputs = np.load(sys.argv[1])
+for i, points in enumerate(inputs["points"]):
+    noise = inputs[f"noise{i}"]
+    ula = UniformLinearArray(n=noise.shape[0], spacing=0.5, wavelength=1.0)
+    print(doa._music_power(noise, ula, np.pi / (points + 1))[1].tobytes().hex())
+"""
+
+WORKER_CHILD = """
+import dataclasses, json, os, sys, time
+from wsnloc import harness
+
+def ticks():
+    main = workers = 0
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        used = int(fields[11]) + int(fields[12])  # utime + stime
+        if int(tid) == os.getpid():
+            main += used
+        else:
+            workers += used
+    return main, workers
+
+sweeps = [dataclasses.replace(harness.load_config(path), trials=40) for path in sys.argv[1:]]
+for cfg in sweeps:
+    harness.run_trial(cfg, "doa", 0, 0)
+time.sleep(0.2)
+before = ticks()
+for cfg in sweeps:
+    harness.monte_carlo(cfg, "doa")
+after = ticks()
+threads = len(os.listdir("/proc/self/task"))
+print(json.dumps({"threads": threads, "main": after[0] - before[0], "workers": after[1] - before[1]}))
+"""
+
+
+def run_child(code, *args, **env):
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def serial(rows, n, width):
+    """Whether OpenBLAS 0.3.31 keeps a block of ``width`` scan columns on the calling thread:
+    one zgemm up to m*n*k = 65,536, one zgemv (a one-row product) below m*n = 4,096."""
+    return rows * n * width <= 65_536 if rows > 1 else n * width < 4_096
+
+
+class TestScanBlocks:
+    def test_bits_equal_single_thread_blas(self, tmp_path):
+        # A thread split changes the bits of only a column or two, and only for some
+        # subspaces, so each shape gets three.
+        rng = np.random.default_rng(15)
+        shapes = [shape for shape in THREAD_SHAPES for _ in range(3)]
+        noises = [rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)) for n, r, _ in shapes]
+        inputs = {f"noise{i}": noise for i, noise in enumerate(noises)}
+        np.savez(tmp_path / "scan.npz", points=[g for *_, g in shapes], **inputs)
+        lines = run_child(SCAN_CHILD, tmp_path / "scan.npz", OPENBLAS_NUM_THREADS="1").split()
+        assert len(lines) == len(shapes)
+        changed = []
+        for (n, r, g), noise, line in zip(shapes, noises, lines):
+            grid, power = doa._music_power(noise, ula(n), np.pi / (g + 1))
+            assert grid.size == g
+            if power.tobytes().hex() != line:
+                changed.append((n, r, g))
+        assert not changed, changed
+
+    @given(rows=st.integers(1, 16), extra=st.integers(1, 32), points=st.integers(0, 40_000))
+    def test_blocks_cover_the_grid_under_the_thread_limits(self, rows, extra, points):
+        n = rows + extra
+        blocks = doa._scan_blocks(rows, n, points)
+        assert [i for block in blocks for i in range(points)[block]] == list(range(points))
+        if serial(rows, n, points):
+            assert blocks == ((slice(0, points),) if points else ())
+            return
+        width = blocks[0].stop - blocks[0].start
+        assert width & (width - 1) == 0
+        assert {block.stop - block.start for block in blocks} == {width}
+        assert serial(rows, n, width) and not serial(rows, n, 2 * width)
+
+    @pytest.mark.parametrize(
+        "rows, n, points, width, count",
+        [(6, 8, 1799, 1024, 2), (1, 7, 3599, 512, 8), (3, 6, 3600, 3600, 1), (3, 4, 3600, 3600, 1)],
+    )
+    def test_shipped_scans(self, rows, n, points, width, count):
+        blocks = doa._scan_blocks(rows, n, points)
+        assert len(blocks) == count
+        assert blocks[0] == slice(0, width)
+
+    def test_doa_sweeps_leave_the_blas_worker_idle(self):
+        if not Path("/proc/self/task").is_dir():
+            pytest.skip("no per-thread CPU times in /proc/self/task")
+        configs = [ROOT / "configs" / f"{name}.json" for name in ("doa_ula_music", "doa_coherent_toeplitz")]
+        ticks = json.loads(run_child(WORKER_CHILD, *configs))
+        if ticks["threads"] == 1:
+            pytest.skip("BLAS runs on the main thread only")
+        assert 4 * ticks["workers"] < ticks["main"], ticks
 
 
 class TestRootMusic:
