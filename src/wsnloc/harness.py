@@ -1,8 +1,11 @@
 """Seeded Monte-Carlo experiment harness.
 
-A scenario is a JSON document validated against :data:`CONFIG_SCHEMA`
-(unknown keys are rejected). Four experiment kinds exist, matching the CLI
-subcommands:
+A scenario is a JSON document checked against :data:`CONFIG_SCHEMA` (unknown
+keys are rejected) by :func:`_schema_error`, a walk over the schema itself that
+knows only the keywords the schema uses and gives draft 2020-12's verdict; no
+JSON Schema library is loaded. A schema error names its path and keyword and
+shows the offending value cut short. Four experiment kinds exist, matching the
+CLI subcommands:
 
 * ``rss``    - trilateration from RSS ranging, position RMSE vs SNR.
 * ``doa``    - array DOA estimation, angular RMSE vs SNR.
@@ -64,12 +67,13 @@ import functools
 import itertools
 import json
 import math
+import operator
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 from numpy.random.bit_generator import ISeedSequence
 
 from . import decorrelate
@@ -229,10 +233,6 @@ CONFIG_SCHEMA: dict[str, Any] = {
     },
 }
 
-# Checked against the metaschema and compiled once, not on every config load.
-Draft202012Validator.check_schema(CONFIG_SCHEMA)
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
-
 _DEFAULT_METHOD = {
     "estimator": "ls",
     "doa": "music",
@@ -261,23 +261,81 @@ def _array(spec: dict, wavelength: float) -> UniformLinearArray | UniformCircula
     return UniformLinearArray(spec["n_elements"], spec[size] * wavelength, wavelength)
 
 
-def _non_finite_at(value, path: tuple = ()) -> tuple | None:
-    """The key path of the first number in a raw config ``value`` that is NaN, infinite
-    (``json`` reads a literal past the float range, such as ``1e400``, as infinity) or an
-    integer past the float range; ``None`` if there is none."""
-    if isinstance(value, (int, float)):
-        try:
-            return None if math.isfinite(value) else path
-        except OverflowError:
-            return path
+_TYPES = {"object": dict, "array": list, "number": (int, float), "integer": int, "boolean": bool}
+# keyword: (whether it bounds a list's length rather than a number, the test a value
+# within the bound passes, how a value past it reads)
+_BOUNDS = {
+    "minimum": (False, operator.ge, "is less than"),
+    "exclusiveMinimum": (False, operator.gt, "is not greater than"),
+    "maximum": (False, operator.le, "is greater than"),
+    "minItems": (True, operator.ge, "has fewer items than"),
+    "maxItems": (True, operator.le, "has more items than"),
+}
+_SHOWN = reprlib.Repr()  # stops at 2 levels and 4 items however large the value
+_SHOWN.maxlevel, _SHOWN.maxlist, _SHOWN.maxstring = 2, 4, 36
+
+
+def _shown(value) -> str:
+    text = _SHOWN.repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _same(value, fixed) -> bool:
+    return isinstance(value, bool) == isinstance(fixed, bool) and value == fixed
+
+
+def _is_type(value, kind: str) -> bool:
+    if isinstance(value, bool):  # JSON's true is neither an integer nor a number
+        return kind == "boolean"
+    if kind == "integer" and isinstance(value, float):
+        return value.is_integer()  # but 1.0 is an integer
+    return isinstance(value, _TYPES[kind])
+
+
+def _schema_error(value, schema: dict, path: tuple = ()) -> str | None:
+    """How ``value`` first breaks ``schema`` (:data:`CONFIG_SCHEMA` or a part of it), as
+    ``"<path>: <keyword>: <what failed>"``, or ``None`` if it conforms; the verdict is
+    draft 2020-12's. Only the keywords the schema uses are known. The walk follows the
+    schema, so it never goes deeper than the schema does, however deep ``value`` nests.
+
+    A number it reaches that is NaN, infinite (``json`` reads a literal past the float
+    range, such as ``1e400``, as infinity) or an integer past the float range raises
+    :class:`ConfigError` at once, before any other check of that number."""
+    at = "/".join(map(str, path)) or "(top level)"
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"invalid scenario config: {at} is NaN, infinite or too large")
+    if "oneOf" in schema:
+        fits = sum(_schema_error(value, part, path) is None for part in schema["oneOf"])
+        if fits != 1:
+            return f"{at}: oneOf: {_shown(value)} matches {fits} of its schemas, not 1"
+    if "const" in schema and not _same(value, schema["const"]):
+        return f"{at}: const: {_shown(value)} is not {schema['const']!r}"
+    if "enum" in schema and not any(_same(value, choice) for choice in schema["enum"]):
+        return f"{at}: enum: {_shown(value)} is not one of {schema['enum']}"
+    if "type" in schema and not _is_type(value, schema["type"]):
+        return f"{at}: type: {_shown(value)} is not of type {schema['type']}"
+    for keyword, (of_list, within, reads) in _BOUNDS.items():
+        if keyword in schema and (isinstance(value, list) if of_list else number):
+            if not within(len(value) if of_list else value, schema[keyword]):
+                return f"{at}: {keyword}: {_shown(value)} {reads} {schema[keyword]}"
+    if isinstance(value, list) and "items" in schema:
+        for index, item in enumerate(value):
+            error = _schema_error(item, schema["items"], (*path, index))
+            if error is not None:
+                return error
     if isinstance(value, dict):
-        items = value.items()
-    else:
-        items = enumerate(value) if isinstance(value, list) else ()
-    for key, item in items:
-        found = _non_finite_at(item, (*path, key))
-        if found is not None:
-            return found
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            return f"{at}: required: {missing[0]!r} is missing"
+        known = schema.get("properties", {})
+        for key, item in value.items():
+            if key in known:
+                error = _schema_error(item, known[key], (*path, key))
+                if error is not None:
+                    return error
+            elif schema.get("additionalProperties") is False:
+                return f"{at}: additionalProperties: {_shown(key)} is not in the schema"
     return None
 
 
@@ -309,13 +367,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        where = _non_finite_at(raw)
-        if where is not None:
-            at = "/".join(map(str, where))
-            raise ConfigError(f"invalid scenario config: {at} is NaN, infinite or too large")
-        error = best_match(_VALIDATOR.iter_errors(raw))  # what jsonschema.validate raises
+        error = _schema_error(raw, CONFIG_SCHEMA)
         if error is not None:
-            raise ConfigError(f"invalid scenario config: {error.message}") from error
+            raise ConfigError(f"invalid scenario config: {error}")
 
         channel = raw.get("channel", {})
         if "wavelength_m" in channel and "frequency_hz" in channel:
@@ -387,16 +441,14 @@ class ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     """Read and validate a scenario JSON file. A file that cannot be opened, is not
-    UTF-8 JSON, or nests past the interpreter's recursion limit is a :class:`ConfigError`."""
+    UTF-8 JSON, holds an integer literal too long for ``int`` to parse, or nests past
+    the interpreter's recursion limit is a :class:`ConfigError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: decoding, JSON, int
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        return ScenarioConfig.from_dict(raw)
-    except RecursionError as exc:  # it parsed just under the limit; checking it goes past
-        raise ConfigError(f"cannot check config {path}: it nests too deeply") from exc
+    return ScenarioConfig.from_dict(raw)
 
 
 @dataclass(frozen=True)

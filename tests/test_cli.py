@@ -92,8 +92,9 @@ def nested_region(depth):
         b"\xff\xfe" + json.dumps(RSS_RAW).encode(),  # a UTF-16 byte-order mark: not UTF-8
         nested_region(990).encode(),  # past the recursion limit once the CLI's frames count
         nested_region(100_000).encode(),
+        json.dumps(dict(RSS_RAW, seed="@")).replace('"@"', "1" * 5000).encode(),
     ],
-    ids=["not_utf8", "nested_990", "nested_100000"],
+    ids=["not_utf8", "nested_990", "nested_100000", "int_of_5000_digits"],
 )
 def test_unreadable_config_exit_1(tmp_path, capsys, content):
     cfg, out = tmp_path / "scenario.json", tmp_path / "x.csv"
@@ -106,14 +107,25 @@ def test_unreadable_config_exit_1(tmp_path, capsys, content):
 
 
 def test_nesting_near_the_recursion_limit_exits_1(tmp_path, capsys):
-    # Somewhere in this range the JSON still parses and checking it recurses too deep;
-    # where exactly depends on the caller's stack, so every depth is tried.
+    # Somewhere in this range the JSON stops parsing, and below it the schema check
+    # rejects the region; where exactly depends on the caller's stack, so every depth
+    # is tried.
     cfg, out = tmp_path / "scenario.json", tmp_path / "x.csv"
     for depth in range(800, 1001):
         cfg.write_text(nested_region(depth))
         assert main(["rss", "--config", str(cfg), "--out", str(out)]) == 1, depth
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.splitlines()) == 1, depth
+    assert not out.exists()
+
+
+def test_long_value_gives_a_short_message(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(RSS_RAW, region=[100.0] * 200_000))
+    out = tmp_path / "x.csv"
+    assert main(["rss", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid scenario config: region: maxItems: ")
+    assert len(err.splitlines()) == 1 and len(err.encode()) <= 200
     assert not out.exists()
 
 

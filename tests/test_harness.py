@@ -2,6 +2,9 @@ import collections
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -144,51 +147,195 @@ INVALID = {
     "below_minimum": with_keys(RSS_RAW, trials=0),
     "bad_target_one_of": with_keys(RSS_RAW, target=[30.0]),
     "grid_step_too_fine": with_keys(DOA_RAW, method={"grid_step_deg": 1e-9}),
+    "boolean_trials": with_keys(RSS_RAW, trials=True),
+    "fractional_trials": with_keys(RSS_RAW, trials=1.5),
+    "empty_snr_grid": with_keys(RSS_RAW, snr_grid_db=[]),
+    "region_of_three": with_keys(RSS_RAW, region=[1.0, 2.0, 3.0]),
+    "zero_region_side": with_keys(RSS_RAW, region=[0, 100.0]),
+    "seed_past_64_bits": with_keys(RSS_RAW, seed=2**64),
 }
+
+# What the config walker handles; a schema keyword outside these would go unchecked
+BOUNDS = {"minimum", "maximum", "exclusiveMinimum", "minItems", "maxItems"}
+WALKER_KEYWORDS = BOUNDS | {
+    "type", "properties", "additionalProperties", "required", "items", "enum", "const", "oneOf"
+}
+ANNOTATIONS = {"$schema", "title"}  # at the top level only; they check nothing
+VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+SHIPPED = [json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))]
+
+
+def subschemas(schema):
+    yield schema
+    for part in [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]:
+        yield from subschemas(part)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+
+
+def bound_extremes():
+    """Every bound in the schema, as an int and a float, and its nearest neighbours."""
+    out = set()
+    for b in {part[k] for part in subschemas(CONFIG_SCHEMA) for k in BOUNDS & set(part)}:
+        out |= {b, -b, b - 1, b + 1, float(b)}
+        out |= {math.nextafter(b, -math.inf), math.nextafter(b, math.inf)}
+    return sorted(out)
+
+
+# Replacement values: the schema's bounds and their neighbours, magnitude extremes,
+# integral and fractional floats, booleans, null, strings (enum members among them) and
+# containers of the wrong shape or nested one level too deep
+LEAVES = [
+    *bound_extremes(), 1e-300, 1e300, -1e300, 0.5, 2.0, 1.5, True, False, None,
+    "random", "ula", "uca", "ls", "music", "fbss", "none", "", "1",
+    [], {}, [1.0], [1.0, 2.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [True, 1.0], [[1.0], [2.0]],
+    {"kind": "ula", "n_elements": 2}, {"frequency_hz": 1e9},
+]
+KEYS = sorted({k for part in subschemas(CONFIG_SCHEMA) for k in part.get("properties", {})})
+
+
+def nodes(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from nodes(child, (*path, key))
+
+
+def replaced(raw, path, new):
+    if not path:
+        return new
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return raw
+
+
+@st.composite
+def mutated_configs(draw):
+    raw = json.loads(json.dumps(draw(st.sampled_from(SHIPPED))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(nodes(raw))))
+        node = raw
+        for key in path:
+            node = node[key]
+        how = draw(st.sampled_from(["leaf", "flip", "wrap", "add", "drop"]))
+        if how == "leaf":
+            raw = replaced(raw, path, draw(st.sampled_from(LEAVES)))
+        elif how == "flip" and isinstance(node, (int, float)) and not isinstance(node, bool):
+            raw = replaced(raw, path, int(node) if isinstance(node, float) else float(node))
+        elif how == "wrap":
+            raw = replaced(raw, path, [node])
+        elif how == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from([*KEYS, "surprise"]))] = draw(st.sampled_from(LEAVES))
+        elif how == "drop" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+    return raw
+
+
+def walker_accepts(raw):
+    return harness._schema_error(raw, CONFIG_SCHEMA) is None
 
 
 class TestValidator:
     def test_schema_passes_metaschema(self):
         jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
+    def test_schema_uses_only_keywords_the_walker_knows(self):
+        parts = list(subschemas(CONFIG_SCHEMA))
+        assert set(CONFIG_SCHEMA) - WALKER_KEYWORDS == ANNOTATIONS
+        assert all(set(part) <= WALKER_KEYWORDS for part in parts[1:])
+        # the forms the walker reads them in
+        assert all(part.get("additionalProperties", False) is False for part in parts)
+        assert {part["type"] for part in parts if "type" in part} <= set(harness._TYPES)
+        fixed = [part["const"] for part in parts if "const" in part]
+        fixed += [choice for part in parts for choice in part.get("enum", ())]
+        assert all(isinstance(choice, str) for choice in fixed)
+
     @pytest.mark.parametrize("name", sorted(INVALID))
     def test_message_matches_jsonschema_validate(self, tmp_path, name):
+        # The message names the path and keyword of the error jsonschema.validate raises
+        # (the oneOf, where jsonschema reports a branch's error), and the key it concerns
         raw = INVALID[name]
         with pytest.raises(jsonschema.ValidationError) as reference:
             jsonschema.validate(raw, CONFIG_SCHEMA)
-        expected = "invalid scenario config: " + reference.value.message
+        error = reference.value
+        at = "/".join(map(str, error.absolute_path)) or "(top level)"
+        keyword = "oneOf" if "oneOf" in error.absolute_schema_path else error.validator
         with pytest.raises(ConfigError) as from_dict:
             ScenarioConfig.from_dict(raw)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError) as loaded:
             load_config(path)
-        assert str(from_dict.value) == str(loaded.value) == expected
+        message = str(from_dict.value)
+        assert message == str(loaded.value)
+        assert message.startswith(f"invalid scenario config: {at}: {keyword}: ")
+        if keyword in ("required", "additionalProperties"):
+            assert error.message.split("'")[1] in message
+        assert len(message) <= 120
 
-    def test_load_config_builds_no_validator(self, monkeypatch):
-        calls = []
-        check_schema = jsonschema.Draft202012Validator.check_schema.__func__
-        validator_for = jsonschema.validators.validator_for
+    @settings(max_examples=500, deadline=None)
+    @given(raw=mutated_configs())
+    def test_verdict_is_draft_2020_12(self, raw):
+        assert walker_accepts(raw) == VALIDATOR.is_valid(raw)
 
-        def counted_check_schema(cls, *args, **kwargs):
-            calls.append("check_schema")
-            return check_schema(cls, *args, **kwargs)
+    def test_every_leaf_replacement_gets_the_draft_2020_12_verdict(self):
+        # every place in the shipped configs (the first two items of a list stand for
+        # the rest) set to every replacement value
+        verdicts, places = collections.Counter(), set()
+        for config in SHIPPED:
+            for path in nodes(config):
+                place = tuple(min(key, 1) if isinstance(key, int) else key for key in path)
+                if place in places:
+                    continue
+                places.add(place)
+                for leaf in LEAVES:
+                    raw = replaced(json.loads(json.dumps(config)), path, leaf)
+                    verdict = VALIDATOR.is_valid(raw)
+                    assert walker_accepts(raw) == verdict, (path, leaf)
+                    verdicts[verdict] += 1
+        assert min(verdicts.values()) > 500, verdicts
 
-        def counted_validator_for(schema, *args, **kwargs):
-            # jsonschema's own descent looks up a class for each subschema; only a
-            # lookup for the whole schema means a validator is being built afresh
-            if schema is CONFIG_SCHEMA:
-                calls.append("validator_for")
-            return validator_for(schema, *args, **kwargs)
+    def test_deep_nesting_is_a_config_error(self):
+        deep = []
+        for _ in range(5000):
+            deep = [deep]
+        for key, value, where in [
+            ("region", deep, "region: minItems"),
+            ("region", [deep, 1.0], "region/0: type"),
+            ("target", deep, "target: oneOf"),
+            ("channel", {"eta": deep}, "channel/eta: type"),
+            ("surprise", deep, "(top level): additionalProperties"),
+        ]:
+            with pytest.raises(ConfigError) as info:
+                ScenarioConfig.from_dict(with_keys(RSS_RAW, **{key: value}))
+            assert str(info.value).startswith(f"invalid scenario config: {where}: ")
+            assert len(str(info.value)) <= 120
 
-        monkeypatch.setattr(
-            jsonschema.Draft202012Validator, "check_schema", classmethod(counted_check_schema)
+    def test_load_config_builds_no_validator(self):
+        # Configs are checked without jsonschema: the CLI's import and loading every
+        # shipped config leave it out of a fresh interpreter
+        code = (
+            "import pathlib, sys, wsnloc.cli\n"
+            "from wsnloc.harness import load_config\n"
+            "paths = sorted(pathlib.Path(sys.argv[1]).glob('*.json'))\n"
+            "print(len([load_config(p) for p in paths]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))\n"
         )
-        monkeypatch.setattr(jsonschema.validators, "validator_for", counted_validator_for)
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        for path in sorted(configs.glob("*.json")):
-            load_config(path)
-        assert calls == []
+        env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(CONFIGS)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == [str(len(SHIPPED)), "[]"]
 
 
 class TestRunTrial:
