@@ -140,46 +140,42 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def noise_power(src: SourceSet | None, snr_db: float) -> float:
-    """Per-element noise variance for a target SNR; 0 for infinite SNR."""
+def noise_power(amplitudes, snr_db: float) -> float:
+    """Per-element noise variance for a target SNR over sources of these ``amplitudes``
+    (unit reference power where there are none); 0 for infinite SNR."""
     if snr_db is None or math.isinf(snr_db):
         return 0.0
-    total = float(np.sum(src.amplitudes**2)) if src is not None and src.count else 1.0
+    total = float(np.sum(np.asarray(amplitudes) ** 2)) if len(amplitudes) else 1.0
     return total * 10.0 ** (-snr_db / 10.0)
 
 
-def draw_snapshots(
-    geometry: ArrayGeometry,
-    src: SourceSet,
+def draw_signals(
+    amplitudes: np.ndarray,
+    coherent: bool,
+    size: int,
     k: int,
     snr_db: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The factors of :func:`synthesize_snapshots`, drawn from ``rng`` as it draws them.
-
-    Returns the (N, M) steering matrix A, the (M, K) waveforms s(t) and the
-    (N, K) scaled noise n(t), ``None`` when the noise power is 0; then
-    ``A @ s (+ n)`` is the snapshot matrix. A caller that holds many trials'
-    factors forms their products as one stack.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The random factors of :func:`synthesize_snapshots`, drawn from ``rng`` as it draws
+    them: the (M, K) waveforms s(t) of sources with these ``amplitudes`` (one shared
+    waveform if ``coherent``) and the (size, K) scaled noise n(t), ``None`` when the noise
+    power is 0. They do not depend on the sources' azimuths, so a caller that holds many
+    trials' steering matrices A forms their products ``A @ s (+ n)`` as one stack.
     """
     if k < 1:
         raise ValueError("need at least one snapshot")
-    m = src.count
-    if m >= geometry.size:
-        raise TooManySources(f"{m} sources with only {geometry.size} elements")
-    if m:
-        a = steering_matrix(geometry, src.azimuths)
-        if src.coherent:
-            shared = _complex_gaussian(rng, (1, k))
-            s = src.amplitudes[:, None] * shared
-        else:
-            s = src.amplitudes[:, None] * _complex_gaussian(rng, (m, k))
+    m = len(amplitudes)
+    if not m:
+        s = np.zeros((0, k), dtype=complex)
+    elif coherent:
+        s = amplitudes[:, None] * _complex_gaussian(rng, (1, k))
     else:
-        a, s = np.zeros((geometry.size, 0), dtype=complex), np.zeros((0, k), dtype=complex)
-    sigma2 = noise_power(src, snr_db)
+        s = amplitudes[:, None] * _complex_gaussian(rng, (m, k))
+    sigma2 = noise_power(amplitudes, snr_db)
     if sigma2 > 0.0:
-        return a, s, math.sqrt(sigma2) * _complex_gaussian(rng, (geometry.size, k))
-    return a, s, None
+        return s, math.sqrt(sigma2) * _complex_gaussian(rng, (size, k))
+    return s, None
 
 
 def synthesize_snapshots(
@@ -196,8 +192,13 @@ def synthesize_snapshots(
     waveforms are drawn before the noise, so the signal realization for a
     given rng state does not depend on the SNR.
     """
-    a, s, noise = draw_snapshots(geometry, src, k, snr_db, rng)
-    x = a @ s
+    if src.count >= geometry.size:
+        raise TooManySources(f"{src.count} sources with only {geometry.size} elements")
+    s, noise = draw_signals(src.amplitudes, src.coherent, geometry.size, k, snr_db, rng)
+    if src.count:
+        x = steering_matrix(geometry, src.azimuths) @ s
+    else:
+        x = np.zeros((geometry.size, k), dtype=complex)
     return x if noise is None else x + noise
 
 

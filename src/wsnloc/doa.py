@@ -73,8 +73,16 @@ def scan_capacity(geometry, grid_step: float) -> int:
     """The most strict peaks a MUSIC scan of ``geometry`` at ``grid_step`` can show. No two
     neighbours of its g grid points are both peaks, and neither end of a linear field of
     view is one: at most (g - 1) // 2 there, and g // 2 on a full circle, whose two ends
-    are neighbours."""
-    g = _angle_grid(geometry, grid_step).size
+    are neighbours. A geometry whose steering vectors on the grid are one vector to within
+    rounding (a ring or line with no aperture to speak of) has a spectrum that is flat but
+    for rounding, which shows no peak of a source."""
+    grid, a, _ = _scan(geometry, grid_step)
+    g = grid.size
+    if g == 0:
+        return 0
+    spread = np.ptp(a.real, axis=1) + np.ptp(a.imag, axis=1)  # no (n, g) temporaries
+    if np.all(spread <= np.finfo(float).eps * np.abs(a[:, 0])):
+        return 0
     return g // 2 if _circular(geometry) else max(g - 1, 0) // 2
 
 
@@ -180,17 +188,30 @@ def _music_power(noise: np.ndarray, geometry, grid_step: float) -> tuple[np.ndar
         prod = np.empty((vh.shape[0], grid.size), dtype=complex)
         for block in blocks:
             np.matmul(vh, a[:, block], out=prod[:, block])
-    den = np.sum(np.abs(prod) ** 2, axis=0)
+    magnitude = np.abs(prod)
+    den = np.sum(np.square(magnitude, out=magnitude), axis=0)
     return grid, num / np.maximum(den, 1e-300)
 
 
 def music_peaks(
     noise: np.ndarray, geometry, n_sources: int, grid_step: float = DEFAULT_GRID_STEP
-) -> np.ndarray:
-    """The azimuths :func:`music` estimates from a covariance whose noise subspace
-    (the eigenvectors past the n_sources largest eigenvalues, as columns) is ``noise``;
-    for a caller that has split many covariances at once."""
-    return _pick_peaks(*_music_power(noise, geometry, grid_step), n_sources, _circular(geometry))
+) -> tuple[np.ndarray, np.ndarray]:
+    """The azimuths :func:`music` estimates from each covariance of a stack whose noise
+    subspaces (the eigenvectors past the n_sources largest eigenvalues, as columns) are
+    the (T, n, r) ``noise``; for a caller that has split many covariances at once.
+
+    Returns the (T, n_sources) azimuths, each row sorted, and per subspace ``None`` or
+    the ``NoPeaksFound`` that :func:`music` raises when its spectrum shows fewer than
+    n_sources peaks (its row is NaN). The scan and the pick run one subspace at a time."""
+    circular = _circular(geometry)
+    azimuths = np.full((len(noise), n_sources), np.nan)
+    failed = np.full(len(noise), None, dtype=object)
+    for i, vn in enumerate(noise):
+        try:
+            azimuths[i] = _pick_peaks(*_music_power(vn, geometry, grid_step), n_sources, circular)
+        except NoPeaksFound as exc:
+            failed[i] = exc
+    return azimuths, failed
 
 
 def _spectrum(r: np.ndarray, geometry, n_sources: int, grid_step: float) -> tuple:

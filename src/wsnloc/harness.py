@@ -32,10 +32,12 @@ pass gives:
 * both rows solve their trilateration fixes (rss LS, WLS or Huber; hybrid
   ls, wls and the fbss coarse fix) as one stack, and score their (T, 2)
   estimates in one pass;
-* a hybrid row also forms its snapshots (one product per trial) and sample
-  covariances, fbss's beamspace map and smoothing, and the checks and
-  eigendecompositions of :func:`numerics.herm_eig` as stacks; the MUSIC scan
-  of each trial's noise subspace and the fusion run trial by trial.
+* a hybrid row checks its targets' bearings against the interferers, forms
+  its snapshots (one product per trial) and sample covariances, fbss's
+  beamspace map and smoothing, the checks and eigendecompositions of
+  :func:`numerics.herm_eig` and the fusion (the stacked kernels of
+  :mod:`hybrid`) as array operations over its trials; its MUSIC scans and
+  peak picks (:func:`doa.music_peaks`) run one subspace at a time.
 
 A row is stacked in chunks of as many trials as draw at most
 :data:`ROW_VALUES` values (path losses, plus complex snapshot values for
@@ -81,7 +83,7 @@ from .arrays import (
     SourceSet,
     UniformCircularArray,
     UniformLinearArray,
-    draw_snapshots,
+    draw_signals,
     noise_power,
     sample_covariance,
     synthesize_snapshots,
@@ -105,7 +107,7 @@ from .errors import (
     WsnlocError,
 )
 from .geometry import LopMatrix, as_anchor_array, bearing_to, distance, lop_matrix
-from .hybrid import HybridNode, bearing_midpoint, fbss_bearing, hybrid_single_node, two_lines
+from .hybrid import HybridNode, bearing_midpoint, fbss_bearing, single_node_stack, two_lines_stack
 from .numerics import herm_eig_stack
 from .pme import PmeTransform, VandermondeArray, build_transform
 from .rss import MAX_CONDITION, huber_stack, solve_stack, wls_row_weights
@@ -116,6 +118,7 @@ from .rss import MAX_CONDITION, huber_stack, solve_stack, wls_row_weights
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 _BAD_RANGE = "shadowing drove an estimated range to 0 or infinity"
 _BAD_ESTIMATE = "the position estimate left the float range"
+_COINCIDENT = "source azimuths must be distinct"
 ROW_VALUES = 8192  # most values (path losses, complex snapshot values) one row call draws
 
 _XY = {
@@ -695,7 +698,8 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.geometry = p.scan = geometry = cfg.array
     p.sources = sources = cfg.sources
     ring = isinstance(geometry, UniformCircularArray)
-    _per_row(cfg, "noise power", lambda snr: noise_power(sources, snr))  # a check; trials redo it
+    # a check; trials redo it
+    _per_row(cfg, "noise power", lambda snr: noise_power(sources.amplitudes, snr))
     if method != "music" and ring != method.startswith("uca-"):
         raise ConfigError(f"{method} does not run on a {'uca' if ring else 'ula'} array")
     if method not in ("music", "root-music") and prep != "none":
@@ -733,7 +737,7 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.clearance = _clearance(cfg, [node.center], [radius], ranged=positions)
     p.models = _channels(cfg)
     # a check; the overflow is in 10^(-snr/10), whatever power a trial's sources carry
-    _per_row(cfg, "noise power", lambda snr: noise_power(None, snr))
+    _per_row(cfg, "noise power", lambda snr: noise_power((), snr))
     needed = {"ls": 2, "wls": 2, "two-lines": 1}.get(scheme, 0)
     if (0 if cfg.anchors is None else cfg.anchors.shape[0]) < needed:
         raise ConfigError(f"{scheme} fusion needs at least {needed} RSS anchor(s)")
@@ -759,12 +763,9 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         p.scan = VandermondeArray(p.plan.subarray_len)
         if isinstance(cfg.target, np.ndarray):  # every trial sees the target on one bearing
             bearing = bearing_to(node.center, cfg.target)
-            try:
-                _hybrid_sources(p, bearing)
-            except CoincidentSources as exc:
-                raise ConfigError(
-                    f"target bearing {math.degrees(bearing):g} deg is an interferer's"
-                ) from exc
+            if _coincident(p, np.array([bearing]))[0]:
+                bearing = math.degrees(bearing)
+                raise ConfigError(f"target bearing {bearing:g} deg is an interferer's")
     if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
         p.fix = _STEPS["estimator", "wls" if scheme == "wls" else "ls"]
         p.lop = _trilateration(p.ranged, scheme != "wls", p.models)
@@ -813,12 +814,17 @@ def _usable(d: np.ndarray) -> np.ndarray:
     return np.all((d > 0) & (d < math.inf), axis=-1)
 
 
+def _live(failed: np.ndarray) -> np.ndarray:
+    """The indices of the trials ``failed`` does not mark."""
+    return np.flatnonzero(np.equal(failed, None))
+
+
 def _fixes(p: Pipeline, model, d: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, ...]:
     """``p.fix`` of the ranges of every trial that ``failed`` does not mark yet, as one
     stack: the (T, 2) fixes, NaN where there is none (or no ``p.fix``), and ``failed``
     with each fix's failure added."""
     fixes = np.full((len(d), 2), np.nan)
-    live = np.flatnonzero(np.equal(failed, None))
+    live = _live(failed)
     if p.fix is not None:
         fixes[live], failed[live] = p.fix(p, model, d[live])
     return fixes, failed
@@ -883,24 +889,26 @@ def _covariance(p, x):
     return sample_covariance(x if p.transform is None else np.asarray(p.transform.Tv @ x))
 
 
-def _hybrid_sources(p: Pipeline, bearing: float) -> SourceSet:
-    """A hybrid trial's sources: the target's bearing, then (fbss) the coherent
-    interferers; ``CoincidentSources`` if the bearing is an interferer's."""
+def _coincident(p: Pipeline, bearings: np.ndarray) -> np.ndarray:
+    """Whether each of the target ``bearings`` is one of the interferers' azimuths, exactly
+    or as a NaN (two NaNs are one azimuth to :class:`SourceSet`): a trial that draws such
+    a target has two coincident sources."""
     if p.sources is None:
-        return SourceSet(azimuths=np.array([bearing]))
-    azimuths = np.concatenate([[bearing], p.sources.azimuths])
-    return SourceSet(azimuths, np.concatenate([[1.0], p.sources.amplitudes]), coherent=True)
+        return np.zeros(len(bearings), dtype=bool)
+    others, bearings = p.sources.azimuths, bearings[:, None]
+    return np.any((bearings == others) | (np.isnan(bearings) & np.isnan(others)), axis=1)
 
 
-def _noise_subspaces(p: Pipeline, draws: list, failed: np.ndarray) -> tuple[np.ndarray, ...]:
+def _noise_subspaces(p: Pipeline, azimuths, s, noise, failed) -> tuple[np.ndarray, np.ndarray]:
     """The (T, n, n) eigenvectors, descending, of the covariances of T trials' snapshots
-    (fbss: mapped into the beamspace and smoothed), from each trial's factors as
-    :func:`draw_snapshots` gives them; ``failed`` updated by the checks each trial's
+    (fbss: mapped into the beamspace and smoothed): sources at ``azimuths`` (T, M) with
+    the waveforms ``s`` (T, M, K) and ``noise`` (T, N, K) or ``None`` that
+    :func:`draw_signals` gives each trial; ``failed`` updated by the checks each trial's
     own covariance passes through."""
-    a, s, noise = zip(*draws)
-    x = np.array(a) @ np.array(s)  # one product per trial, as synthesize_snapshots makes
-    if noise[0] is not None:  # the noise power is the row's, the same for every trial
-        x += np.array(noise)
+    a = np.ascontiguousarray(p.geometry.steering(azimuths).transpose(1, 0, 2))
+    x = a @ s  # one product per trial, as synthesize_snapshots makes
+    if noise is not None:
+        x += noise
     r = _covariance(p, x)
     if p.plan is not None:  # a sample covariance is Hermitian: smooth skips fbss's check
         r = decorrelate.smooth(r, p.plan, forward_backward=True)
@@ -910,65 +918,80 @@ def _noise_subspaces(p: Pipeline, draws: list, failed: np.ndarray) -> tuple[np.n
 
 def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
     """Each trial draws its target, signal, noise and shadowing from its own stream; the
-    row then forms its snapshots and covariances (fbss: beamspace-mapped and smoothed)
-    as stacks, splits them with one eigendecomposition, inverts its ranges as one (T, k)
-    block and solves its trilateration fixes as one stack. The MUSIC scan and the fusion
-    run trial by trial. A trial gets the error its own pass would raise first: its
-    ranges' (fbss only), its spectrum's, its ranges', its fix's, its fusion's, its
-    score's. Returns each trial's result, or that error."""
+    row then checks the targets' bearings against the interferers, forms its snapshots
+    and covariances (fbss: beamspace-mapped and smoothed) as stacks, splits them with
+    one eigendecomposition, scans their MUSIC spectra and picks their peaks one
+    subspace at a time (:func:`music_peaks`), inverts its ranges as one (T, k) block,
+    solves its trilateration fixes as one stack and fuses them with the scheme's
+    stacked kernel.
+    A trial gets the error its own pass would raise first: its sources' (a target on an
+    interferer's bearing), its ranges' (fbss only), its covariance's, its spectrum's, its
+    ranges', its fix's, its fusion's, its score's. Returns each trial's result, or that
+    error."""
     snr_db, (gen_model, inv_model) = p.cfg.snr_grid_db[snr_index], p.models[snr_index]
-    failed = np.full(len(trials), None, dtype=object)
-    targets, draws, losses = [], [], []
-    for i, rng in enumerate(_trial_rngs(p.cfg.seed, snr_index, trials)):
+    amplitudes = np.ones(1) if p.sources is None else np.concatenate([[1.0], p.sources.amplitudes])
+    size, k, coherent = p.geometry.size, p.cfg.snapshots, p.sources is not None
+    targets, signals, losses = [], [], []
+    for rng in _trial_rngs(p.cfg.seed, snr_index, trials):
         targets.append(_draw_target(p, rng))
-        try:
-            src = _hybrid_sources(p, bearing_to(p.node.center, targets[-1]))
-        except CoincidentSources as exc:  # a random target on an interferer's bearing
-            failed[i] = exc
-            losses.append(np.full(len(p.ranged), np.nan))
-            continue
-        draws.append(draw_snapshots(p.geometry, src, p.cfg.snapshots, snr_db, rng))
+        signals.append(draw_signals(amplitudes, coherent, size, k, snr_db, rng))
         losses.append(_losses(p, targets[-1], gen_model, rng))
     targets, d = np.array(targets), invert_distance(np.array(losses), inv_model)
+    center = p.node.center  # each bearing as bearing_to gives it
+    bearings = np.arctan2(targets[:, 1] - center[1], targets[:, 0] - center[0])
+    azimuths = bearings[:, None]
+    if p.sources is not None:  # the target's bearing first, then the interferers
+        others = np.broadcast_to(p.sources.azimuths, (len(d), p.sources.count))
+        azimuths = np.hstack([azimuths, others])
+    failed = np.where(_coincident(p, bearings), CoincidentSources(_COINCIDENT), None)
     bad_ranges = ~_usable(d)
-    drawn = np.flatnonzero(np.equal(failed, None))
     if p.plan is not None:  # fbss ranges before its spectrum
-        failed[drawn[bad_ranges[drawn]]] = NonPositiveDistance(_BAD_RANGE)
-    if drawn.size:
-        q, failed[drawn] = _noise_subspaces(p, draws, failed[drawn])
-        del draws  # free the row's snapshots before the per-trial scans
-    # what fails a trial once its spectrum has peaks: its ranges, then its fix
-    pending = np.where(bad_ranges, NonPositiveDistance(_BAD_RANGE), failed)
-    fixes, pending = _fixes(p, inv_model, d, pending)
-    est = np.full((len(d), 2), np.nan)
-    n_sources = 1 if p.sources is None else 1 + p.sources.count
-    for j, i in enumerate(drawn):
-        if failed[i] is not None:
-            continue
+        failed[np.equal(failed, None) & bad_ranges] = NonPositiveDistance(_BAD_RANGE)
+    n_sources = azimuths.shape[1]
+    peaks = np.full(azimuths.shape, np.nan)
+    live = _live(failed)
+    if live.size:
+        s, noise = zip(*signals)
+        del signals  # the stacks replace the trials' own arrays
+        s, noise = np.array(s), None if noise[0] is None else np.array(noise)
+        if live.size < len(d):
+            s, noise = s[live], None if noise is None else noise[live]
+        q, failed[live] = _noise_subspaces(p, azimuths[live], s, noise, failed[live])
+        del s, noise  # free the row's snapshots before its scans
+        split = np.equal(failed[live], None)
+        live, noise_q = live[split], q[split][..., n_sources:]
         try:
-            azimuths = music_peaks(q[j][:, n_sources:], p.scan, n_sources, p.grid_step)
-            if pending[i] is not None:
-                raise pending[i]
-            est[i] = p.step(p, azimuths, d[i], fixes[i])
-        except WsnlocError as exc:
-            failed[i] = exc
+            peaks[live], failed[live] = music_peaks(noise_q, p.scan, n_sources, p.grid_step)
+        except WsnlocError as exc:  # a peak search that fails as a whole fails each trial
+            failed[live] = exc
+    # what fails a trial once its spectrum has peaks: its ranges, then its fix
+    failed[np.equal(failed, None) & bad_ranges] = NonPositiveDistance(_BAD_RANGE)
+    fixes, failed = _fixes(p, inv_model, d, failed)
+    est = np.full((len(d), 2), np.nan)
+    live = _live(failed)
+    if live.size:
+        est[live], failed[live] = p.step(p, peaks[live], d[live], fixes[live])
     return _score(targets, est, failed)
 
 
-def _fuse_two_lines(p, azimuths, d, fix):
+def _fuse_midpoint(p, azimuths, d, fixes):
+    return bearing_midpoint(p.node, fixes, azimuths[:, 0]), np.full(len(d), None, dtype=object)
+
+
+def _fuse_two_lines(p, azimuths, d, fixes):
     # The hybrid node's own range pools its per-element measurements
     # (the ring radius is negligible against the node-target distance).
-    # Both ranges stay numpy scalars, whose square past the float range is inf.
-    return two_lines(p.node, p.cfg.anchors[0], d[0], np.mean(d[1:]), float(azimuths[0]))
+    pooled = np.mean(d[:, 1:], axis=1)
+    return two_lines_stack(p.node, p.cfg.anchors[0], d[:, 0], pooled, azimuths[:, 0])
 
 
 # (method setting, value) -> the part of a trial the method decides; each entry looks its
 # kernels up by module-global name when it runs. Arguments: estimator (pipeline, inverting
 # model, (T, k) ranges) -> (T, 2) positions and per-trial failures, as rss.solve_stack,
 # also the hybrid fix; decorrelate and doa (pipeline, snapshots) -> covariance and
-# DoaEstimate; hybrid (pipeline, one trial's MUSIC azimuths, its ranges, its fix or NaN)
-# -> position, the target's bearing first among the azimuths except for fbss, which
-# picks it.
+# DoaEstimate; hybrid (pipeline, a row's (T, M) MUSIC azimuths, its (T, k) ranges, its
+# (T, 2) fixes or NaN) -> (T, 2) positions and per-trial failures, the target's bearing
+# first among each trial's azimuths except for fbss, which picks it.
 _STEPS: dict[tuple[str, str], Callable] = {
     ("estimator", "ls"): lambda p, model, d: solve_stack(p.lop.A, p.lop.rhs(d)),
     ("estimator", "wls"): lambda p, model, d: solve_stack(
@@ -984,12 +1007,12 @@ _STEPS: dict[tuple[str, str], Callable] = {
     ("doa", "esprit"): lambda p, x: esprit(x, p.geometry, p.sources.count),
     ("doa", "uca-root-music"): lambda p, x: uca_root_music(x, p.transform, p.sources.count),
     ("doa", "uca-esprit"): lambda p, x: uca_esprit(x, p.transform, p.sources.count),
-    ("hybrid", "single"): lambda p, az, d, fix: hybrid_single_node(p.node, float(az[0]), d),
-    ("hybrid", "fbss"): lambda p, az, d, fix: hybrid_single_node(
-        p.node, fbss_bearing(p.node, az, fix), d
+    ("hybrid", "single"): lambda p, az, d, fixes: single_node_stack(p.node, az[:, 0], d),
+    ("hybrid", "fbss"): lambda p, az, d, fixes: single_node_stack(
+        p.node, fbss_bearing(p.node, az, fixes), d
     ),
-    ("hybrid", "ls"): lambda p, az, d, fix: bearing_midpoint(p.node, fix, float(az[0])),
-    ("hybrid", "wls"): lambda p, az, d, fix: bearing_midpoint(p.node, fix, float(az[0])),
+    ("hybrid", "ls"): _fuse_midpoint,
+    ("hybrid", "wls"): _fuse_midpoint,
     ("hybrid", "two-lines"): _fuse_two_lines,
 }
 
@@ -1024,11 +1047,13 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
 
     The scenario is compiled before the first trial; a :class:`ConfigError`,
     from compiling or from a trial, propagates, and any other
-    :class:`WsnlocError` counts as a failed trial. Each row is stacked where
-    the kind allows it; every trial a stacked row did not solve goes through
-    :func:`run_trial`, so each failed trial's error leaves it once, for a
-    caller that watches it (a failed rss trial is solved twice). ``workers``
-    is accepted for compatibility and ignored: trials run serially.
+    :class:`WsnlocError` counts as a failed trial. rss and hybrid rows run as
+    stacks (a hybrid row's MUSIC scans one subspace at a time), doa rows
+    trial by trial; every trial a stacked row did not solve goes through
+    :func:`run_trial` again, so each failed trial's error leaves it once, for
+    a caller that watches it (a failed rss or hybrid trial is drawn and solved
+    twice). ``workers`` is accepted for compatibility and ignored: trials run
+    serially.
     """
     p = _pipeline(cfg, kind)
     rows = []

@@ -19,9 +19,18 @@ whole estimates a bearing.
 Every scheme takes its RSS ranges as plain estimated distances. The two
 fusion schemes above solve their trilateration fix with
 :func:`rss.ls_solve` or :func:`rss.wls_solve` on the LOP system of those
-ranges. ``fbss_bearing`` and ``bearing_midpoint`` take the fix itself, so a
-caller that solves many trials' fixes as one stack (the harness's hybrid
-rows, through :func:`rss.solve_stack`) fuses each with them.
+ranges.
+
+Each fusion is written once, for a stack of T trials, so that a caller that
+solves many trials at once (the harness's hybrid rows) fuses them with array
+arithmetic: :func:`single_node_stack` and :func:`two_lines_stack` take T
+bearings and their ranges, and ``fbss_bearing`` and ``bearing_midpoint`` take
+a (T, 2) stack of fixes as readily as one fix. ``hybrid_single_node``,
+``ray_circle_point`` and ``two_lines`` are stacks of one that raise the
+failure recorded for their trial. Products of 2-vectors and their norms are
+written out as sums of products, not handed to BLAS, so a fused point does
+not depend on which BLAS kernel is installed; ``two_lines_stack`` solves its
+2x2 systems through LAPACK, one call per system.
 """
 
 import math
@@ -40,7 +49,7 @@ from .errors import (
     LengthMismatch,
     SingularFusionMatrix,
 )
-from .geometry import bearing_to, lop_matrix
+from .geometry import lop_matrix
 from .pme import PmeTransform, VandermondeArray, to_vula
 from .rss import ls_solve, wls_solve, wls_weights
 
@@ -75,7 +84,7 @@ class BearingRay:
     def __post_init__(self):
         origin = np.asarray(self.origin, dtype=float)
         direction = np.asarray(self.direction, dtype=float)
-        norm = float(np.linalg.norm(direction))
+        norm = math.sqrt(direction[0] * direction[0] + direction[1] * direction[1])
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
         object.__setattr__(self, "origin", origin)
@@ -85,8 +94,28 @@ class BearingRay:
     def from_azimuth(cls, origin, azimuth: float) -> "BearingRay":
         return cls(origin=origin, direction=(math.cos(azimuth), math.sin(azimuth)))
 
-    def point(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
+
+def _directions(doas: np.ndarray) -> np.ndarray:
+    """(T, 2) unit vectors along T azimuths, normalised as :class:`BearingRay` does."""
+    c, s = np.cos(doas), np.sin(doas)
+    norm = np.sqrt(c * c + s * s)
+    return np.stack([c / norm, s / norm], axis=-1)
+
+
+def _forward_points(
+    origin: np.ndarray, directions: np.ndarray, centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of T rays from ``origin`` along unit ``directions`` (T, 2) first meets
+    each of N circles around ``centers`` (N, 2), of radii (T, N), as :func:`ray_circle_point`
+    finds it: the (T, N, 2) points and whether there is one, (T, N)."""
+    rel = centers - origin
+    mid = rel[:, 0] * directions[:, :1] + rel[:, 1] * directions[:, 1:]  # |d| = 1
+    disc = mid * mid - (rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1]) + radii * radii
+    real = disc >= 0.0
+    sq = np.sqrt(np.where(real, disc, 0.0))
+    near, far = mid - sq, mid + sq
+    t = np.where(real & (near > 0.0), near, np.where(real & (far > 0.0), far, mid))
+    return origin + t[..., None] * directions[:, None, :], (real & (far > 0.0)) | (mid > 0.0)
 
 
 def ray_circle_point(ray: BearingRay, center, radius: float) -> np.ndarray:
@@ -100,18 +129,39 @@ def ray_circle_point(ray: BearingRay, center, radius: float) -> np.ndarray:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float)
-    rel = center - ray.origin
-    mid = float(rel @ ray.direction)  # projection parameter, |d| = 1
-    disc = mid * mid - float(rel @ rel) + radius * radius
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        for t in (mid - sq, mid + sq):
-            if t > 0.0:
-                return ray.point(t)
-    if mid > 0.0:
-        return ray.point(mid)
-    raise BehindRay("circle lies behind the ray origin")
+    center = np.asarray(center, dtype=float)[None]
+    points, hit = _forward_points(ray.origin, ray.direction[None], center, np.full((1, 1), radius))
+    if not hit[0, 0]:
+        raise BehindRay("circle lies behind the ray origin")
+    return points[0, 0]
+
+
+def single_node_stack(
+    node: HybridNode, doas: np.ndarray, ranges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hybrid_single_node` of T trials: their bearings ``doas`` (T,) and each one's
+    element ranges, (T, N) in element order.
+
+    Returns the (T, 2) fused points and, per trial, ``None`` or the
+    ``AllIntersectionsFailed`` raised when every element circle lies behind its ray
+    (NaN point). The hits are summed element by element and divided by their count,
+    the bits of their mean.
+    """
+    positions = node.element_positions
+    ranges = np.asarray(ranges, dtype=float)
+    if ranges.shape[-1] != positions.shape[0]:
+        raise LengthMismatch(f"{ranges.shape[-1]} ranges for {positions.shape[0]} elements")
+    if np.any(ranges <= 0):
+        raise ValueError("radius must be positive")
+    points, hit = _forward_points(node.center, _directions(doas), positions, ranges)
+    total = np.full((len(ranges), 2), -0.0)  # -0.0 + x is x, for every x
+    for k in range(positions.shape[0]):
+        total += np.where(hit[:, k, None], points[:, k], -0.0)
+    count = np.count_nonzero(hit, axis=1)
+    fused = total / np.maximum(count, 1)[:, None]
+    fused[count == 0] = np.nan
+    missed = AllIntersectionsFailed("no element circle intersects the bearing ray")
+    return fused, np.where(count == 0, missed, None)
 
 
 def hybrid_single_node(node: HybridNode, doa: float, ranges: Sequence[float]) -> np.ndarray:
@@ -124,31 +174,23 @@ def hybrid_single_node(node: HybridNode, doa: float, ranges: Sequence[float]) ->
     circle falls behind the ray are skipped; if all do,
     ``AllIntersectionsFailed``.
     """
-    positions = node.element_positions
-    if len(ranges) != positions.shape[0]:
-        raise LengthMismatch(f"{len(ranges)} ranges for {positions.shape[0]} elements")
-    ray = BearingRay.from_azimuth(node.center, doa)
-    hits = []
-    for pos, radius in zip(positions, ranges):
-        try:
-            hits.append(ray_circle_point(ray, pos, radius))
-        except BehindRay:
-            continue
-    if not hits:
-        raise AllIntersectionsFailed("no element circle intersects the bearing ray")
-    return np.mean(hits, axis=0)
+    ranges = np.asarray(ranges, dtype=float)
+    if ranges.ndim != 1:
+        raise LengthMismatch("ranges must be one distance per element")
+    fused, failed = single_node_stack(node, np.array([doa], dtype=float), ranges[None])
+    if failed[0] is not None:
+        raise failed[0]
+    return fused[0]
 
 
-def _wrapped_gap(a: float, b: float) -> float:
-    return abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
-
-
-def fbss_bearing(node: HybridNode, azimuths: Sequence[float], fix: np.ndarray) -> float:
+def fbss_bearing(node: HybridNode, azimuths: np.ndarray, fix: np.ndarray):
     """The one of several bearing estimates nearest the direction in which the node
-    sees ``fix``, a coarse LS fix from its element circles."""
-    implied = bearing_to(node.center, fix)
-    gaps = [_wrapped_gap(theta, implied) for theta in azimuths]
-    return float(azimuths[int(np.argmin(gaps))])
+    sees ``fix``, a coarse LS fix from its element circles. Takes a (T, k) stack of
+    estimates with a (T, 2) stack of fixes as well, and then returns T bearings."""
+    azimuths, fix = np.asarray(azimuths, dtype=float), np.asarray(fix, dtype=float)
+    implied = np.arctan2(fix[..., 1] - node.center[1], fix[..., 0] - node.center[0])
+    gaps = np.abs((azimuths - implied[..., None] + np.pi) % (2.0 * np.pi) - np.pi)
+    return np.take_along_axis(azimuths, np.argmin(gaps, axis=-1)[..., None], axis=-1)[..., 0]
 
 
 def hybrid_with_fbss(
@@ -212,12 +254,44 @@ def hybrid_anchor_fusion(
     return bearing_midpoint(node, fix, doa)
 
 
-def bearing_midpoint(node: HybridNode, fix: np.ndarray, doa: float) -> np.ndarray:
+def bearing_midpoint(node: HybridNode, fix, doa) -> np.ndarray:
     """The midpoint of a trilateration ``fix`` and the point the bearing ray from the
-    node's center reaches at the fix's range."""
-    radius = float(np.linalg.norm(fix - node.center))
-    bearing_point = node.center + radius * np.array([math.cos(doa), math.sin(doa)])
+    node's center reaches at the fix's range. Takes a (T, 2) stack of fixes with T
+    bearings as well."""
+    fix, doa = np.asarray(fix, dtype=float), np.asarray(doa, dtype=float)
+    rel = fix - node.center
+    radius = np.sqrt(rel[..., 0] * rel[..., 0] + rel[..., 1] * rel[..., 1])
+    bearing_point = node.center + radius[..., None] * np.stack([np.cos(doa), np.sin(doa)], axis=-1)
     return 0.5 * (fix + bearing_point)
+
+
+def two_lines_stack(
+    node: HybridNode, rss_anchor, d_anchor: np.ndarray, d_hybrid: np.ndarray, doas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`two_lines` of T trials: each one's range to the anchor and to the hybrid
+    node, and its bearing, all (T,).
+
+    Returns the (T, 2) intersections and, per trial, ``None`` or the
+    ``SingularFusionMatrix`` raised when its two lines are parallel (NaN point).
+    """
+    anchor, hyb = np.asarray(rss_anchor, dtype=float), node.center
+    sin, cos = np.sin(doas), np.cos(doas)
+    c_mat = np.empty((len(doas), 2, 2))
+    c_mat[:, 0] = hyb - anchor
+    c_mat[:, 1, 0], c_mat[:, 1, 1] = sin, -cos
+    squares = hyb[0] * hyb[0] + hyb[1] * hyb[1] - (anchor[0] * anchor[0] + anchor[1] * anchor[1])
+    d_vec = np.stack(
+        [0.5 * (squares + d_anchor * d_anchor - d_hybrid * d_hybrid), sin * hyb[0] - cos * hyb[1]],
+        axis=-1,
+    )
+    sq = (c_mat * c_mat).reshape(-1, 4)
+    norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])  # Frobenius
+    singular = np.abs(np.linalg.det(c_mat)) < 1e-12 * np.maximum(norm, 1.0)
+    points = np.full((len(doas), 2), np.nan)
+    if not singular.all():
+        points[~singular] = np.linalg.solve(c_mat[~singular], d_vec[~singular, :, None])[..., 0]
+    parallel = SingularFusionMatrix("bearing line is parallel to the line of position")
+    return points, np.where(singular, parallel, None)
 
 
 def two_lines(
@@ -233,20 +307,8 @@ def two_lines(
     through the hybrid center along the DOA. Raises ``SingularFusionMatrix``
     when the two lines are parallel.
     """
-    anchor = np.asarray(rss_anchor, dtype=float)
-    hyb = node.center
-    c_mat = np.array(
-        [
-            [hyb[0] - anchor[0], hyb[1] - anchor[1]],
-            [math.sin(doa), -math.cos(doa)],
-        ]
-    )
-    d_vec = np.array(
-        [
-            0.5 * (hyb @ hyb - anchor @ anchor + d_anchor**2 - d_hybrid**2),
-            math.sin(doa) * hyb[0] - math.cos(doa) * hyb[1],
-        ]
-    )
-    if abs(np.linalg.det(c_mat)) < 1e-12 * max(np.linalg.norm(c_mat), 1.0):
-        raise SingularFusionMatrix("bearing line is parallel to the line of position")
-    return np.linalg.solve(c_mat, d_vec)
+    trial = np.array([[d_anchor], [d_hybrid], [doa]], dtype=float)
+    points, failed = two_lines_stack(node, rss_anchor, *trial)
+    if failed[0] is not None:
+        raise failed[0]
+    return points[0]

@@ -1,9 +1,10 @@
 """The rss and hybrid rows solve their trials' trilateration fixes as one stack;
 these tests hold them to the systems solved one at a time, byte for byte: the rss
 rows by ``lop_oracle``, which shares no code with the package's solvers, and the
-hybrid fixes by the one-system solvers. A hybrid row forms, maps, smooths and splits
-its covariances as stacks; these tests hold each of its trials to the public kernels
-composed for that trial alone, byte for byte."""
+hybrid fixes by the one-system solvers. A hybrid row does every step after its draws
+as array operations; these tests hold each of its trials to the public kernels composed
+for that trial alone, and to an oracle that shares no code with the row's stacked scan,
+peak pick and fusion, byte for byte."""
 
 import dataclasses
 import json
@@ -15,15 +16,25 @@ import numpy as np
 import pytest
 
 from wsnloc import geometry, harness, hybrid, rss
-from wsnloc.arrays import SourceSet, draw_snapshots, sample_covariance, synthesize_snapshots
+from wsnloc.arrays import (
+    SourceSet,
+    UniformCircularArray,
+    draw_signals,
+    sample_covariance,
+    synthesize_snapshots,
+)
 from wsnloc.channel import invert_distance, path_loss
 from wsnloc.decorrelate import SmoothingPlan, fbss, smooth
-from wsnloc.doa import music
+from wsnloc.doa import music, music_peaks
 from wsnloc.errors import (
+    AllIntersectionsFailed,
+    BehindRay,
+    CoincidentSources,
     ConfigError,
     NonPositiveDistance,
     NoPeaksFound,
     NumericOverflow,
+    SingularFusionMatrix,
     SingularSystem,
     WsnlocError,
 )
@@ -31,7 +42,7 @@ from wsnloc.geometry import bearing_to, distance
 from wsnloc.harness import ScenarioConfig, monte_carlo, rng_for_trial, run_trial
 from wsnloc.hybrid import hybrid_anchor_fusion, hybrid_single_node, hybrid_with_fbss, two_lines
 from wsnloc.numerics import herm_eig
-from wsnloc.pme import build_transform, to_vula
+from wsnloc.pme import VandermondeArray, build_transform, to_vula
 from wsnloc.rss import ls_solve, wls_solve, wls_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -367,13 +378,21 @@ def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
     # the row's eigenvectors themselves must be the bytes of each trial's own kernels
     cfg = hybrid_scenario(scheme, trials=7, snr_grid_db=[snr_db])
     p = harness._pipeline(cfg, "hybrid")
-    draws, looped = [], []
+    azimuths, signals, looped = [], [], []
     for ti in range(cfg.trials):
         for stack in (True, False):
             rng = rng_for_trial(cfg.seed, 0, ti)
-            src = harness._hybrid_sources(p, bearing_to(p.node.center, harness._draw_target(p, rng)))
+            bearing = bearing_to(p.node.center, harness._draw_target(p, rng))
+            if scheme == "fbss":
+                bearings = [bearing, *cfg.interferers.azimuths]
+                src = SourceSet(bearings, [1.0, 0.6, 0.6], coherent=True)
+            else:
+                src = SourceSet([bearing])
             if stack:
-                draws.append(draw_snapshots(p.geometry, src, cfg.snapshots, snr_db, rng))
+                azimuths.append(src.azimuths)
+                size = p.geometry.size
+                k = cfg.snapshots
+                signals.append(draw_signals(src.amplitudes, src.coherent, size, k, snr_db, rng))
                 continue
             x = synthesize_snapshots(p.geometry, src, cfg.snapshots, snr_db, rng)
             if scheme == "fbss":
@@ -381,7 +400,10 @@ def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
             else:
                 r = sample_covariance(x)
             looped.append(herm_eig(r)[1])
-    q, failed = harness._noise_subspaces(p, draws, np.full(cfg.trials, None, dtype=object))
+    s, noise = zip(*signals)
+    noise = None if noise[0] is None else np.array(noise)
+    failed = np.full(cfg.trials, None, dtype=object)
+    q, failed = harness._noise_subspaces(p, np.array(azimuths), np.array(s), noise, failed)
     assert list(failed) == [None] * cfg.trials
     for q_row, q_trial in zip(q, looped):
         assert np.ascontiguousarray(q_row).tobytes() == np.ascontiguousarray(q_trial).tobytes()
@@ -580,36 +602,51 @@ def stacked_fixes(monkeypatch, cfg: ScenarioConfig) -> tuple[list, list]:
     return solved, outcomes
 
 
+def row_peaks(scans: list) -> list:
+    """Each trial's MUSIC azimuths from the recorded ``music_peaks`` calls of whole rows,
+    in row and trial order (none may fail)."""
+    peaks = []
+    for _, (azimuths, failed) in scans:
+        assert list(failed) == [None] * len(azimuths)
+        peaks.extend(azimuths)
+    return peaks
+
+
 @pytest.mark.parametrize("scheme", ["ls", "wls"])
 def test_hybrid_anchor_fix_equals_one_system_solve(monkeypatch, scheme):
     # the rows' stacked fixes are the one-system solves; each fused point is the
     # midpoint of its trial's fix and the bearing point at the fix's range
     cfg = harness.load_config(CONFIGS / "hybrid_single.json")
     cfg = dataclasses.replace(cfg, seed=7, trials=5).with_method(hybrid=scheme)
-    ranged = harness._pipeline(cfg, "hybrid").ranged
-    fusions = recording(monkeypatch, harness, "bearing_midpoint")
+    node, ranged = cfg.node, harness._pipeline(cfg, "hybrid").ranged
+    scans = recording(monkeypatch, harness, "music_peaks")
     solved, outcomes = stacked_fixes(monkeypatch, cfg)
-    assert len(solved) == len(fusions) == len(outcomes) == len(cfg.snr_grid_db) * cfg.trials
-    for (si, d, stacked), ((node, fix, doa), fused), result in zip(solved, fusions, outcomes):
+    peaks = row_peaks(scans)
+    assert len(solved) == len(peaks) == len(outcomes) == len(cfg.snr_grid_db) * cfg.trials
+    for (si, d, stacked), azimuths, result in zip(solved, peaks, outcomes):
         system = geometry.build_lop_system(ranged, d)
         model = cfg.channel_at(cfg.snr_grid_db[si])
         one = ls_solve(system) if scheme == "ls" else wls_solve(system, wls_weights(model, d))
-        assert stacked.tobytes() == fix.tobytes() == one.tobytes()
-        radius = float(np.linalg.norm(one - node.center))
-        point = node.center + radius * np.array([math.cos(doa), math.sin(doa)])
-        assert fused.tobytes() == result.estimate.tobytes() == (0.5 * (one + point)).tobytes()
+        assert stacked.tobytes() == one.tobytes()
+        fused = oracle_midpoint(node.center, one, float(azimuths[0]))
+        assert result.estimate.tobytes() == fused.tobytes()
 
 
 def test_hybrid_fbss_coarse_fix_equals_ls_solve(monkeypatch):
     # the coarse fix only picks a bearing, from the direction the node sees it in
     cfg = harness.load_config(CONFIGS / "hybrid_coherent_fbss.json")
     cfg = dataclasses.replace(cfg, seed=7, trials=5)
-    picks = recording(monkeypatch, harness, "fbss_bearing")
-    solved, _ = stacked_fixes(monkeypatch, cfg)
-    assert len(solved) == len(picks) == len(cfg.snr_grid_db) * cfg.trials
-    for (_, d, stacked), ((node, _, coarse), _) in zip(solved, picks):
+    node = cfg.node
+    scans = recording(monkeypatch, harness, "music_peaks")
+    solved, outcomes = stacked_fixes(monkeypatch, cfg)
+    peaks = row_peaks(scans)
+    assert len(solved) == len(peaks) == len(outcomes) == len(cfg.snr_grid_db) * cfg.trials
+    for (_, d, stacked), azimuths, result in zip(solved, peaks, outcomes):
         fix = ls_solve(geometry.build_lop_system(node.element_positions, d))
-        assert stacked.tobytes() == coarse.tobytes() == fix.tobytes()
+        assert stacked.tobytes() == fix.tobytes()
+        chosen = oracle_fbss_pick(node.center, azimuths, fix)
+        fused = oracle_ray_fusion(node.center, chosen, node.element_positions, d)
+        assert result.estimate.tobytes() == fused.tobytes()
 
 
 def test_rows_stack_in_chunks(monkeypatch):
@@ -632,3 +669,283 @@ def test_rss_row_chunk_holds_bounded_path_losses(anchors, size):
     p.row = lambda p, si, trials: sizes.append(len(trials)) or [None] * len(trials)
     list(harness._row_outcomes(p, 0))
     assert sizes == [size] * (5000 // size) + [5000 % size]
+
+
+# --- an independent oracle for the stacked hybrid row ----------------------------------
+# Each hybrid trial written out on its own, sharing no code with the row's stacked
+# kernels (music_peaks, single_node_stack, two_lines_stack, bearing_midpoint and
+# fbss_bearing): an inline MUSIC scan with a point-by-point peak search, and fusion in
+# scalar arithmetic with every 2-vector product written out.
+
+
+def oracle_music(noise: np.ndarray, geometry, n_sources: int, step: float) -> np.ndarray:
+    """The sorted azimuths of the n_sources largest strict peaks of the MUSIC spectrum of
+    ``noise`` on a full circle; equal powers resolve toward the smaller angle."""
+    grid = np.arange(-np.pi + step, np.pi + step / 2, step)
+    a = geometry.steering(grid)
+    num = np.sum(np.abs(a) ** 2, axis=0)
+    power = num / np.maximum(np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0), 1e-300)
+    g = grid.size
+    peaks = sorted(
+        (-power[i], grid[i])
+        for i in range(g)
+        if power[i] > power[i - 1] and power[i] > power[(i + 1) % g]
+    )
+    if len(peaks) < n_sources:
+        raise NoPeaksFound(f"found {len(peaks)} spectral peaks, need {n_sources}")
+    wrap = grid[-1] > np.pi + 1e-9  # the last point lies past pi, beyond rounding
+    chosen = [angle for _, angle in peaks[:n_sources]]
+    return np.sort([angle - 2.0 * np.pi if wrap and angle > np.pi else angle for angle in chosen])
+
+
+def oracle_ray_fusion(center, doa: float, positions, ranges, paths: list | None = None):
+    """hybrid_single_node in scalar arithmetic: the first forward root of each ray/circle
+    quadratic, else the projection of the circle's centre when it lies ahead; the hits
+    summed in element order and divided by their count. ``paths`` collects which of
+    "root", "projection" or "behind" each element took."""
+    c, s = math.cos(doa), math.sin(doa)
+    norm = math.sqrt(c * c + s * s)
+    dx, dy = c / norm, s / norm
+    ox, oy = float(center[0]), float(center[1])
+    hits = []
+    for (px, py), radius in zip(positions, ranges):
+        rx, ry = float(px) - ox, float(py) - oy
+        mid = rx * dx + ry * dy
+        disc = mid * mid - (rx * rx + ry * ry) + float(radius) * float(radius)
+        roots = [mid - math.sqrt(disc), mid + math.sqrt(disc)] if disc >= 0.0 else []
+        ahead = [t for t in roots if t > 0.0]
+        path = "root" if ahead else ("projection" if mid > 0.0 else "behind")
+        if paths is not None:
+            paths.append(path)
+        if path != "behind":
+            t = ahead[0] if ahead else mid
+            hits.append((ox + t * dx, oy + t * dy))
+    if not hits:
+        raise AllIntersectionsFailed("no element circle intersects the bearing ray")
+    sx, sy = hits[0]
+    for hx, hy in hits[1:]:
+        sx, sy = sx + hx, sy + hy
+    return np.array([sx / len(hits), sy / len(hits)])
+
+
+def oracle_midpoint(center, fix, doa: float) -> np.ndarray:
+    """bearing_midpoint in scalar arithmetic."""
+    cx, cy, fx, fy = float(center[0]), float(center[1]), float(fix[0]), float(fix[1])
+    radius = math.sqrt((fx - cx) * (fx - cx) + (fy - cy) * (fy - cy))
+    px, py = cx + radius * math.cos(doa), cy + radius * math.sin(doa)
+    return np.array([0.5 * (fx + px), 0.5 * (fy + py)])
+
+
+def oracle_fbss_pick(center, azimuths, fix) -> float:
+    """fbss_bearing one estimate at a time: the first nearest the fix's bearing."""
+    implied = bearing_to(center, fix)
+    gaps = [abs((float(a) - implied + math.pi) % (2.0 * math.pi) - math.pi) for a in azimuths]
+    return float(azimuths[gaps.index(min(gaps))])
+
+
+def oracle_two_lines(center, anchor, d_anchor: float, d_hybrid: float, doa: float) -> np.ndarray:
+    """two_lines with its sums of squares written out; the 2x2 system solved by LAPACK."""
+    (hx, hy), (ax, ay) = map(float, center), map(float, anchor)
+    s, c = math.sin(doa), math.cos(doa)
+    c_mat = np.array([[hx - ax, hy - ay], [s, -c]])
+    squares = hx * hx + hy * hy - (ax * ax + ay * ay)
+    d_vec = np.array([0.5 * (squares + d_anchor * d_anchor - d_hybrid * d_hybrid), s * hx - c * hy])
+    (c00, c01), (c10, c11) = c_mat
+    norm = math.sqrt(c00 * c00 + c01 * c01 + c10 * c10 + c11 * c11)
+    if abs(np.linalg.det(c_mat)) < 1e-12 * max(norm, 1.0):
+        raise SingularFusionMatrix("bearing line is parallel to the line of position")
+    return np.linalg.solve(c_mat, d_vec)
+
+
+def oracle_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> tuple:
+    """One hybrid trial as its own pass would run it, every failure in its order: its
+    sources, its ranges (fbss), its covariance, its spectrum, its ranges, its fix, its
+    fusion and its score."""
+    scheme, snr_db, node = cfg.method["hybrid"], cfg.snr_grid_db[snr_index], cfg.node
+    gen_model, inv_model = cfg.channel_at(snr_db, eta=cfg.eta_true), cfg.channel_at(snr_db)
+    step = math.radians(cfg.method["grid_step_deg"])
+    rng = rng_for_trial(cfg.seed, snr_index, trial_index)
+    target = cfg.target
+    clear = max(cfg.d0, 3.0 * node.geometry.radius)
+    anchors = [] if cfg.anchors is None else list(cfg.anchors)
+    while isinstance(target, str):  # a random target, drawn clear of the node and anchors
+        cand = np.array([rng.uniform(0, cfg.region[0]), rng.uniform(0, cfg.region[1])])
+        if distance(cand, node.center) >= clear and all(
+            distance(cand, a) >= cfg.d0 for a in anchors
+        ):
+            target = cand
+    bearing = bearing_to(node.center, target)
+    if scheme == "fbss":  # raises CoincidentSources for a target on an interferer's bearing
+        azimuths = [bearing, *cfg.interferers.azimuths]
+        src = SourceSet(azimuths, [1.0, *cfg.interferers.amplitudes], coherent=True)
+    else:
+        src = SourceSet([bearing])
+    x = synthesize_snapshots(node.geometry, src, cfg.snapshots, snr_db, rng)
+    positions = node.element_positions
+    ranged = {
+        "ls": lambda: np.vstack([cfg.anchors, node.center]),
+        "wls": lambda: np.vstack([cfg.anchors, node.center]),
+        "two-lines": lambda: np.vstack([cfg.anchors[:1], positions]),
+    }.get(scheme, lambda: positions)()
+    diff = ranged - target
+    d = invert_distance(path_loss(np.hypot(diff[:, 0], diff[:, 1]), gen_model, rng), inv_model)
+    usable = np.all((d > 0) & (d < math.inf))
+    if scheme == "fbss":
+        if not usable:
+            raise NonPositiveDistance("range out of the float range")
+        transform = build_transform(node.geometry)
+        plan = SmoothingPlan.design(
+            transform.vula_size, src.count, cfg.method.get("subarray_len"), forward_backward=True
+        )
+        r = fbss(sample_covariance(to_vula(x, transform)), plan)
+        scan = VandermondeArray(plan.subarray_len)
+    else:
+        r, scan = sample_covariance(x), node.geometry
+    q = herm_eig(r)[1]
+    peaks = oracle_music(q[:, src.count :], scan, src.count, step)
+    if not usable:
+        raise NonPositiveDistance("range out of the float range")
+    if scheme in ("ls", "wls", "fbss"):
+        lop = geometry.lop_matrix(ranged)
+        a, b = lop.A, d[:-1] ** 2 - d[-1] ** 2 + lop.ref_sq - lop.pts_sq
+        weights = np.diag(wls_weights(inv_model, d)) if scheme == "wls" else None
+        fix = lop_oracle.normal_solve(a, b, weights)
+    if scheme == "single":
+        est = oracle_ray_fusion(node.center, float(peaks[0]), positions, d)
+    elif scheme == "fbss":
+        chosen = oracle_fbss_pick(node.center, peaks, fix)
+        est = oracle_ray_fusion(node.center, chosen, positions, d)
+    elif scheme in ("ls", "wls"):
+        est = oracle_midpoint(node.center, fix, float(peaks[0]))
+    else:
+        pooled = float(np.mean(d[1:]))
+        est = oracle_two_lines(node.center, cfg.anchors[0], float(d[0]), pooled, float(peaks[0]))
+    error = distance(est, target)
+    if not math.isfinite(error):
+        raise NumericOverflow("estimate out of the float range")
+    return est, target, error
+
+
+def check_oracle_rows(cfg: ScenarioConfig) -> list[type]:
+    """Every stacked row of ``cfg`` against the oracle, trial by trial; returns the
+    outcome classes."""
+    p = harness._pipeline(cfg, "hybrid")
+    classes = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for si in range(len(cfg.snr_grid_db)):
+            for ti, batched in enumerate(p.row(p, si, range(cfg.trials))):
+                assert_same(batched, outcome(oracle_hybrid_trial, cfg, si, ti))
+                classes.append(type(batched))
+    return classes
+
+
+# (config, scheme): every scheme on the 4-element node; the 16-element one has no anchors
+ORACLE_SWEEPS = [("hybrid_single", scheme) for scheme in HYBRID_SCHEMES] + [
+    ("hybrid_coherent_fbss", "single"),
+    ("hybrid_coherent_fbss", "fbss"),
+]
+ORACLE_IDS = [f"{config}-{scheme}" for config, scheme in ORACLE_SWEEPS]
+
+
+@pytest.mark.parametrize("config, scheme", ORACLE_SWEEPS, ids=ORACLE_IDS)
+@pytest.mark.parametrize("seed", [0, 7, 1806])
+def test_hybrid_rows_equal_the_oracle(config, scheme, seed):
+    cfg = harness.load_config(CONFIGS / f"{config}.json")
+    cfg = dataclasses.replace(cfg, seed=seed, trials=4, snr_grid_db=cfg.snr_grid_db[::4])
+    assert set(check_oracle_rows(cfg.with_method(hybrid=scheme))) == {harness.TrialResult}
+
+
+@pytest.mark.parametrize("config, scheme", ORACLE_SWEEPS, ids=ORACLE_IDS)
+def test_hybrid_rows_fail_as_the_oracle(config, scheme):
+    # random targets under heavy shadowing: ranges at 0 or infinity, estimates out of the
+    # float range, and (at -3070 dB) covariances that overflow
+    raw = json.loads((CONFIGS / f"{config}.json").read_text())
+    raw.update(target="random", trials=20, snr_grid_db=[-3070.0, -20.0, -5.0, 10.0])
+    raw["channel"]["sigma_ref_db"] = 300.0
+    cfg = ScenarioConfig.from_dict(raw).with_method(hybrid=scheme)
+    classes = set(check_oracle_rows(cfg))
+    assert {NonPositiveDistance, NumericOverflow} <= classes
+
+
+def test_single_node_stack_falls_back_to_projection_or_fails_as_the_oracle():
+    # ranges shorter than an element's distance from the ray leave the projection of its
+    # centre; a ray with no direction lies behind every circle. On a ring, some element
+    # always lies ahead of a finite bearing, so no finite one misses every circle.
+    ring = UniformCircularArray(n=4, radius=0.15, elevation=np.pi / 2, wavelength=0.3)
+    node = hybrid.HybridNode([2.0, -1.0], ring)
+    rng = np.random.default_rng(3)
+    doas = np.concatenate([rng.uniform(-np.pi, np.pi, 40), [np.nan]])
+    ranges = 10.0 ** rng.uniform(-3, 1, (41, 4))
+    fused, failed = hybrid.single_node_stack(node, doas, ranges)
+    paths = []
+    for est, fail, doa, d in zip(fused, failed, doas, ranges):
+        looped = outcome(oracle_ray_fusion, node.center, doa, node.element_positions, d, paths)
+        if isinstance(looped, WsnlocError):
+            assert type(fail) is type(looped) is AllIntersectionsFailed
+            assert np.all(np.isnan(est))
+        else:
+            assert fail is None and est.tobytes() == looped.tobytes()
+    assert {"root", "projection", "behind"} <= set(paths)
+    assert failed[-1] is not None and all(f is None for f in failed[:-1])
+
+
+def test_ray_circle_point_equals_the_oracle():
+    # the one-circle form, a stack of one, on random rays and circles, behind ones included
+    rng = np.random.default_rng(4)
+    paths = []
+    for _ in range(200):
+        origin, center = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
+        doa, radius = rng.uniform(-np.pi, np.pi), 10.0 ** rng.uniform(-2, 1)
+        ray = hybrid.BearingRay.from_azimuth(origin, doa)
+        looped = outcome(oracle_ray_fusion, origin, doa, [center], [radius], paths)
+        got = outcome(hybrid.ray_circle_point, ray, center, radius)
+        if isinstance(looped, WsnlocError):
+            assert isinstance(got, BehindRay)
+        else:
+            assert got.tobytes() == looped.tobytes()
+    assert set(paths) == {"root", "projection", "behind"}
+
+
+def test_equal_power_peaks_resolve_toward_the_smaller_angle():
+    # A real noise vector (1, 0, 1)/sqrt(2) on a 3-element virtual array scanned every 90
+    # degrees: the spectrum at -90 and +90 degrees is one value, and both are peaks
+    noise = np.array([[1.0], [0.0], [1.0]], dtype=complex) / math.sqrt(2.0)
+    scan, step = VandermondeArray(3), np.pi / 2
+    stack = np.stack([noise, noise])
+    azimuths, failed = music_peaks(stack, scan, 1, step)
+    assert list(failed) == [None, None]
+    assert azimuths.tobytes() == np.array([[-np.pi / 2]] * 2).tobytes()
+    assert azimuths[0].tobytes() == oracle_music(noise, scan, 1, step).tobytes()
+    both, _ = music_peaks(stack, scan, 2, step)
+    assert both[0].tolist() == [-np.pi / 2, np.pi / 2]
+    _, failed = music_peaks(stack, scan, 3, step)
+    assert all(isinstance(f, NoPeaksFound) for f in failed)
+    assert [str(f) for f in failed] == ["found 2 spectral peaks, need 3"] * 2
+    with pytest.raises(NoPeaksFound):
+        oracle_music(noise, scan, 3, step)
+
+
+def target_bearing_in_degrees(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> float:
+    """A value in degrees whose radians are the bearing of the target a trial draws."""
+    p = harness._pipeline(cfg, "hybrid")
+    target = harness._draw_target(p, rng_for_trial(cfg.seed, snr_index, trial_index))
+    bearing = bearing_to(p.node.center, target)
+    deg = math.degrees(bearing)
+    for _ in range(64):
+        if np.radians(deg) == bearing:
+            return deg
+        deg = np.nextafter(deg, math.inf if np.radians(deg) < bearing else -math.inf)
+    raise AssertionError("no degree value maps onto the bearing")
+
+
+def test_random_target_on_an_interferer_bearing_fails_its_trial():
+    cfg = hybrid_scenario("fbss", target="random", trials=6, snr_grid_db=[10.0, 20.0])
+    deg = target_bearing_in_degrees(cfg, 1, 4)
+    cfg = hybrid_scenario(
+        "fbss", target="random", trials=6, snr_grid_db=[10.0, 20.0], interferers_deg=[deg, 32.0]
+    )
+    classes = check_oracle_rows(cfg)
+    assert classes[6 + 4] is CoincidentSources
+    assert classes.count(CoincidentSources) == 1
+    result = monte_carlo(cfg, "hybrid")
+    assert result.rows[1].failures_by_class == (("CoincidentSources", 1),)

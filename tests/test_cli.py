@@ -431,6 +431,21 @@ STRUCTURAL_ERRORS = {
             ("hybrid", "hybrid_single", "hybrid_node", HYBRID_RAW["hybrid_node"]),
         )
     },
+    # an aperture so small that every steering vector on the grid is the same: the
+    # spectrum is flat and shows no peak
+    **{
+        f"{command}_vanishing_aperture_{config}": (
+            command,
+            shipped(config, trials=3, **{section: dict(shipped(config)[section], **{key: 1e-300})}),
+            [],
+        )
+        for command, config, section, key in (
+            ("doa", "spectrum_uca", "array", "elevation_deg"),
+            ("spectrum", "spectrum_uca", "array", "elevation_deg"),
+            ("hybrid", "hybrid_single", "hybrid_node", "elevation_deg"),
+            ("doa", "doa_ula_music", "array", "spacing_wavelengths"),
+        )
+    },
     # a fixed target at zero distance from a point it is ranged from
     "rss_target_on_anchor": ("rss", with_keys(RSS_RAW, target=[0.0, 0.0]), []),
     "hybrid_target_on_anchor": (
@@ -652,6 +667,14 @@ def test_overflowing_covariance_fails_cleanly(tmp_path, capsys, command, config,
 
 
 SHIPPED = sorted(path.stem for path in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("config", SHIPPED)
+def test_shipped_configs_compile(config):
+    # the compile checks (the scan's aperture among them) pass every shipped scenario
+    cfg = harness.load_config(CONFIGS / f"{config}.json")
+    kind = {"spectrum": "doa"}.get(config.split("_")[0], config.split("_")[0])
+    assert harness._pipeline(cfg, kind).cfg is cfg
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,3 +189,43 @@ class TestHybridWithFbss:
         est_fbss = hybrid_with_fbss(node, x, rss, transform, 1, subarray_len=6)
         est_single = hybrid_single_node(node, soi, rss)
         assert distance(est_fbss, est_single) < 0.2
+
+
+# Fixed stacked fusions, printed as hex: single-node fusion (forward roots, projections
+# and a ray that meets no circle), the fbss bearing pick and the bearing midpoint.
+FUSION_CHILD = """
+import numpy as np
+from wsnloc import hybrid
+from wsnloc.arrays import UniformCircularArray
+rng = np.random.default_rng(9)
+node = hybrid.HybridNode([3.0, -2.0], UniformCircularArray(6, 0.2, np.pi / 2, 0.3))
+doas = np.append(rng.uniform(-np.pi, np.pi, 300), np.nan)
+ranges = 10.0 ** rng.uniform(-1.5, 1.5, (301, 6))
+fixes = rng.uniform(-20.0, 20.0, (301, 2))
+fused, failed = hybrid.single_node_stack(node, doas, ranges)
+picked = hybrid.fbss_bearing(node, rng.uniform(-np.pi, np.pi, (301, 3)), fixes)
+for out in (fused, failed != None, picked, hybrid.bearing_midpoint(node, fixes, doas)):
+    print(out.tobytes().hex())
+"""
+
+
+def fusion_bytes(**env) -> list[str]:
+    env = dict(os.environ, **env)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FUSION_CHILD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
+
+
+def test_fusion_bits_do_not_depend_on_the_blas_kernel():
+    # 2-vector products written out: OpenBLAS's Haswell kernels give the bytes of the
+    # default (SkylakeX here) ones, as a BLAS dot product's would not
+    features = np._core._multiarray_umath.__cpu_features__
+    if not features.get("AVX2"):
+        pytest.skip("the Haswell kernels need AVX2")
+    default = fusion_bytes()
+    assert len(default) == 4
+    assert fusion_bytes(OPENBLAS_CORETYPE="Haswell") == default
