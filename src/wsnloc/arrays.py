@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import CoincidentSources, LengthMismatch, TooManySources
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class UniformLinearArray:
@@ -137,7 +139,14 @@ def steering_matrix(geometry, azimuths) -> np.ndarray:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Unit-power circular complex Gaussians: the real parts' draws, then the imaginary
+    parts', each times 1/sqrt(2) (the bits ``(a + 1j*b) / np.sqrt(2.0)`` gives, since
+    numpy divides a complex array by a real one through its reciprocal)."""
+    g = rng.standard_normal((2, *shape))
+    z = np.empty(shape, dtype=complex)
+    np.multiply(g[0], _INV_SQRT2, out=z.real)
+    np.multiply(g[1], _INV_SQRT2, out=z.imag)
+    return z
 
 
 def noise_power(amplitudes, snr_db: float) -> float:

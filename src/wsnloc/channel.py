@@ -81,6 +81,16 @@ def free_space_path_loss(d: float, model: ChannelModel) -> float:
     return 20.0 * np.log10(4.0 * np.pi * np.asarray(d, dtype=float) / model.wavelength)
 
 
+def mean_path_loss(d, model: ChannelModel) -> np.ndarray:
+    """Mean log-normal path loss PL_F(d0) + 10 eta log10(d / d0) at each distance in
+    ``d`` (valid for d >= d0), element by element: any block of distances gets the
+    values each distance gets alone."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d <= 0):
+        raise NonPositiveDistance("path loss needs d > 0")
+    return model.reference_loss_db + 10.0 * model.eta * np.log10(d / model.d0)
+
+
 def path_loss(d: float, model: ChannelModel, rng: np.random.Generator) -> float:
     """Sampled log-normal path loss at distance ``d`` (valid for d >= d0).
 
@@ -88,12 +98,8 @@ def path_loss(d: float, model: ChannelModel, rng: np.random.Generator) -> float:
     drawn from ``rng`` (one draw even when sigma_db == 0, so a scenario's
     draw sequence does not depend on the noise setting).
     """
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise NonPositiveDistance("path loss needs d > 0")
-    mean = model.reference_loss_db + 10.0 * model.eta * np.log10(d / model.d0)
-    shadow = rng.normal(0.0, 1.0, size=d.shape if d.ndim else None) * model.sigma_db
-    return mean + shadow
+    mean = mean_path_loss(d, model)
+    return mean + rng.normal(0.0, 1.0, size=mean.shape if mean.ndim else None) * model.sigma_db
 
 
 def invert_distance(pl_db: float, model: ChannelModel) -> float:

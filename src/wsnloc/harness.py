@@ -29,6 +29,12 @@ kinds range through each row's (generating, inverting) channel pair, so
 the row then does its numerics as stacks, bit for bit what each trial's own
 pass gives:
 
+* both rows range all their trials at once (:func:`_ranges`): besides its
+  target (and a hybrid trial's waveforms and noise), a trial draws only the
+  k standard-normal shadowing terms ``path_loss`` would draw, and the row
+  forms its (T, k) distances with one ``hypot``, their mean losses under the
+  generating model with one :func:`channel.mean_path_loss` call, adds the
+  scaled shadowing and inverts the losses as one block;
 * both rows solve their trilateration fixes (rss LS, WLS or Huber; hybrid
   ls, wls and the fbss coarse fix) as one stack, and score their (T, 2)
   estimates in one pass;
@@ -40,7 +46,7 @@ pass gives:
   peak picks (:func:`doa.music_peaks`) run one subspace at a time.
 
 A row is stacked in chunks of as many trials as draw at most
-:data:`ROW_VALUES` values (path losses, plus complex snapshot values for
+:data:`ROW_VALUES` values (shadowing terms, plus complex snapshot values for
 hybrid), and at least one, so its memory does not grow with ``trials``. doa
 rows run trial by trial through :func:`run_trial`. ``workers`` is still
 ignored.
@@ -92,7 +98,7 @@ from .channel import (
     ChannelModel,
     invert_distance,
     lognormal_sigma_d,
-    path_loss,
+    mean_path_loss,
     sigma_from_snr,
     wavelength_from_frequency,
 )
@@ -119,7 +125,7 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 _BAD_RANGE = "shadowing drove an estimated range to 0 or infinity"
 _BAD_ESTIMATE = "the position estimate left the float range"
 _COINCIDENT = "source azimuths must be distinct"
-ROW_VALUES = 8192  # most values (path losses, complex snapshot values) one row call draws
+ROW_VALUES = 8192  # most values (shadowing terms, complex snapshot values) one row call draws
 
 _XY = {
     "type": "array",
@@ -802,11 +808,17 @@ def _draw_target(p: Pipeline, rng: np.random.Generator) -> np.ndarray:
     raise ConfigError("could not place a random target clear of the ranging nodes")
 
 
-def _losses(p: Pipeline, target, model, rng) -> np.ndarray:
-    """Path losses from each of ``p.ranged`` to ``target``: one ``path_loss`` call draws
-    a shadowing term per point in point order (the draws k scalar calls would make)."""
-    diff = p.ranged - target
-    return path_loss(np.hypot(diff[:, 0], diff[:, 1]), model, rng)
+def _ranges(p: Pipeline, targets: np.ndarray, shadows: list, models: tuple) -> np.ndarray:
+    """The (T, k) ranges T trials read from ``p.ranged``, each trial's ``shadows`` the k
+    standard-normal draws ``path_loss`` would make for its points, in point order. The
+    generating model of the row's ``models`` pair gives each path loss (the row's mean
+    losses in one call, plus the shadows times the shadowing std) and the inverting
+    one reads it back: each range is the value a trial's own ``path_loss`` and
+    ``invert_distance`` give."""
+    gen_model, inv_model = models
+    diff = p.ranged[None] - targets[:, None]
+    mean = mean_path_loss(np.hypot(diff[..., 0], diff[..., 1]), gen_model)
+    return invert_distance(mean + np.array(shadows) * gen_model.sigma_db, inv_model)
 
 
 def _usable(d: np.ndarray) -> np.ndarray:
@@ -843,17 +855,17 @@ def _score(targets: np.ndarray, est: np.ndarray, failed: np.ndarray) -> list:
 
 def _rss_row(p: Pipeline, snr_index: int, trials) -> list:
     """Each trial draws its target and shadowing from its own stream; the row then
-    inverts, checks and solves all its ranges as one (T, k) block. A trial that fails
+    ranges, checks and solves all its trials as one (T, k) block. A trial that fails
     a check gets the error its own solve would raise, and leaves the others alone.
     Returns each trial's result, or that error."""
-    gen_model, inv_model = p.models[snr_index]
-    targets, losses = [], []
+    targets, shadows = [], []
     for rng in _trial_rngs(p.cfg.seed, snr_index, trials):
         targets.append(_draw_target(p, rng))
-        losses.append(_losses(p, targets[-1], gen_model, rng))
-    targets, d = np.array(targets), invert_distance(np.array(losses), inv_model)
+        shadows.append(rng.normal(0.0, 1.0, size=len(p.ranged)))
+    targets, models = np.array(targets), p.models[snr_index]
+    d = _ranges(p, targets, shadows, models)
     failed = np.where(_usable(d), None, NonPositiveDistance(_BAD_RANGE))
-    return _score(targets, *_fixes(p, inv_model, d, failed))
+    return _score(targets, *_fixes(p, models[1], d, failed))
 
 
 def _rss_huber(p, model, d):
@@ -921,22 +933,23 @@ def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
     row then checks the targets' bearings against the interferers, forms its snapshots
     and covariances (fbss: beamspace-mapped and smoothed) as stacks, splits them with
     one eigendecomposition, scans their MUSIC spectra and picks their peaks one
-    subspace at a time (:func:`music_peaks`), inverts its ranges as one (T, k) block,
+    subspace at a time (:func:`music_peaks`), ranges its trials as one (T, k) block,
     solves its trilateration fixes as one stack and fuses them with the scheme's
     stacked kernel.
     A trial gets the error its own pass would raise first: its sources' (a target on an
     interferer's bearing), its ranges' (fbss only), its covariance's, its spectrum's, its
     ranges', its fix's, its fusion's, its score's. Returns each trial's result, or that
     error."""
-    snr_db, (gen_model, inv_model) = p.cfg.snr_grid_db[snr_index], p.models[snr_index]
+    snr_db, models = p.cfg.snr_grid_db[snr_index], p.models[snr_index]
     amplitudes = np.ones(1) if p.sources is None else np.concatenate([[1.0], p.sources.amplitudes])
     size, k, coherent = p.geometry.size, p.cfg.snapshots, p.sources is not None
-    targets, signals, losses = [], [], []
+    targets, signals, shadows = [], [], []
     for rng in _trial_rngs(p.cfg.seed, snr_index, trials):
         targets.append(_draw_target(p, rng))
         signals.append(draw_signals(amplitudes, coherent, size, k, snr_db, rng))
-        losses.append(_losses(p, targets[-1], gen_model, rng))
-    targets, d = np.array(targets), invert_distance(np.array(losses), inv_model)
+        shadows.append(rng.normal(0.0, 1.0, size=len(p.ranged)))
+    targets = np.array(targets)
+    d = _ranges(p, targets, shadows, models)
     center = p.node.center  # each bearing as bearing_to gives it
     bearings = np.arctan2(targets[:, 1] - center[1], targets[:, 0] - center[0])
     azimuths = bearings[:, None]
@@ -966,7 +979,7 @@ def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
             failed[live] = exc
     # what fails a trial once its spectrum has peaks: its ranges, then its fix
     failed[np.equal(failed, None) & bad_ranges] = NonPositiveDistance(_BAD_RANGE)
-    fixes, failed = _fixes(p, inv_model, d, failed)
+    fixes, failed = _fixes(p, models[1], d, failed)
     est = np.full((len(d), 2), np.nan)
     live = _live(failed)
     if live.size:

@@ -5,8 +5,9 @@ robust l1 solver via iteratively reweighted least squares.
 Each recipe is written once, for a stack of right-hand sides against one
 matrix ``A``: :func:`solve_stack` solves the normal equations, unweighted or
 with per-row weights, and :func:`huber_stack` runs the IRLS loop. Each system
-of a stack gets the bits it gets alone: numpy's stacked ``matmul``, ``cond``,
-``solve`` and ``inv`` call the same BLAS or LAPACK routine once per matrix.
+of a stack gets the bits it gets alone: numpy's stacked ``matmul``, ``cond``
+and ``solve`` call the same BLAS or LAPACK routine once per matrix, and the
+condition check's closed form works element by element.
 A system that fails is recorded rather than raised, in an object array that
 holds ``None`` for the systems that solved. The harness's rss rows and
 hybrid fixes solve whole stacks; ``ls_solve``, ``wls_solve`` and
@@ -25,6 +26,7 @@ from .errors import LengthMismatch, NumericOverflow, SingularSystem
 from .geometry import LinearSystem
 
 MAX_CONDITION = 1e12
+_MARGIN = 4.0  # closed-form condition numbers within this factor of the bound go to the SVD
 HUBER_MAX_ITER = 50  # IRLS passes before huber_stack stops
 HUBER_TOL = 1e-6  # a pass that moves the position less than this is the last
 _SINGULAR = "normal equations condition number exceeds 1e12"
@@ -92,6 +94,30 @@ def wls_row_weights(model: ChannelModel, distances: np.ndarray) -> tuple[np.ndar
     return weights, failed
 
 
+def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
+    """Whether each 2x2 matrix of a (..., 2, 2) stack has a condition number past
+    :data:`MAX_CONDITION`, the verdict ``np.linalg.cond(gram) > MAX_CONDITION`` gives.
+
+    The singular values of [[a, b], [c, d]] are (h1 + h2) / 2 and |h1 - h2| / 2 with
+    h1 = hypot(a + d, b - c) and h2 = hypot(a - d, b + c); no symmetry is assumed (a
+    gram that BLAS forms can differ from its transpose in the last bit). The smaller one
+    loses about eps times the larger to cancellation, which moves a condition number
+    near the bound by well under the margin. So the SVD decides only a matrix whose
+    closed-form condition number is within a factor of 4 of the bound, or NaN: an
+    infinite or NaN entry, or a sum past the float range, always gives a NaN there.
+    """
+    stack = gram.reshape(-1, 4)
+    a, b, c, d = stack.T
+    with np.errstate(all="ignore"):
+        h1, h2 = np.hypot(a + d, b - c), np.hypot(a - d, b + c)
+        cond = (h1 + h2) / abs(h1 - h2)
+    singular = cond > MAX_CONDITION
+    unsure = ~((cond < MAX_CONDITION / _MARGIN) | (cond > MAX_CONDITION * _MARGIN))
+    if unsure.any():
+        singular[unsure] = np.linalg.cond(stack[unsure].reshape(-1, 2, 2)) > MAX_CONDITION
+    return singular.reshape(gram.shape[:-2])
+
+
 def solve_stack(
     a: np.ndarray,
     b: np.ndarray,
@@ -114,12 +140,12 @@ def solve_stack(
     live = np.flatnonzero(np.equal(failed, None))
     if weights is None:
         gram = a.T @ a
-        singular = np.full(live.size, np.linalg.cond(gram) > MAX_CONDITION)
+        singular = np.full(live.size, _ill_conditioned(gram))
         rhs = a.T @ b[live, :, None]
     else:
         scaled = np.multiply(a.T, weights[live, None, :], order="C")
         gram, rhs = scaled @ a, scaled @ b[live, :, None]
-        singular = np.linalg.cond(gram) > MAX_CONDITION
+        singular = _ill_conditioned(gram)
         gram = gram[~singular]
     failed[live[singular]] = SingularSystem(_SINGULAR)
     pos = np.full((len(b), 2), np.nan)
@@ -160,10 +186,8 @@ def huber_stack(
     moving = np.equal(failed, None)
     passes = np.zeros(len(b), dtype=int)
     row_std = np.ones_like(b)
-    if weights is not None:  # sqrt(diag(inv(W))), one LAPACK inverse per system
-        w = weights[moving]
-        inverse = np.linalg.inv(w[:, :, None] * np.eye(w.shape[1]))
-        row_std[moving] = np.sqrt(np.diagonal(inverse, axis1=1, axis2=2))
+    if weights is not None:  # sqrt(diag(inv(W))): LAPACK inverts a diagonal as 1 / w
+        row_std[moving] = np.sqrt(1.0 / weights[moving])
     for _ in range(HUBER_MAX_ITER):
         live = np.flatnonzero(moving)
         if live.size == 0:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnloc import arrays
 from wsnloc.arrays import (
     SourceSet,
     UniformCircularArray,
@@ -89,6 +90,18 @@ class TestSynthesizeSnapshots:
         x = synthesize_snapshots(ULA8, src, 10_000, 7.0, np.random.default_rng(3))
         r = sample_covariance(x)
         assert np.mean(np.diag(r).real) == pytest.approx(10 ** (-0.7), rel=0.02)
+
+
+    @pytest.mark.parametrize("shape", [(1, 100), (4, 100), (8, 100), (16, 100), (3, 1)])
+    def test_complex_gaussians_are_the_two_draw_expression(self, shape):
+        # one (2, *shape) draw written into the real and imaginary parts, times 1/sqrt(2):
+        # the bytes of two draws combined as (a + 1j*b) / sqrt(2), and the same stream
+        for seed in range(50):
+            oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            a, b = oracle.standard_normal(shape), oracle.standard_normal(shape)
+            expected = (a + 1j * b) / np.sqrt(2.0)
+            assert arrays._complex_gaussian(rng, shape).tobytes() == expected.tobytes()
+            assert rng.random() == oracle.random()
 
 
 class TestSampleCovariance:

@@ -221,9 +221,9 @@ def test_one_ulp_square_of_the_last_range():
     cfg = harness.load_config(CONFIGS / "rss_equal_distance.json")
     cfg = dataclasses.replace(cfg, seed=7, trials=30).with_method(estimator="ls")
     p = harness._pipeline(cfg, "rss")
-    gen_model, inv_model = p.models[3]
     rng = rng_for_trial(7, 3, 16)
-    d = invert_distance(harness._losses(p, harness._draw_target(p, rng), gen_model, rng), inv_model)
+    target = harness._draw_target(p, rng)
+    d = harness._ranges(p, target[None], [rng.normal(0.0, 1.0, size=4)], p.models[3])[0]
     assert d[-1] ** 2 != (d[None, -1:] ** 2)[0, 0]
     single = run_trial(cfg, "rss", 3, 16)
     batched = p.row(p, 3, range(30))[16]
@@ -347,6 +347,35 @@ def hybrid_scenario(scheme: str, **changes) -> ScenarioConfig:
 def test_hybrid_rows_equal_looped_trials(scheme, changes):
     classes = check_rows(hybrid_scenario(scheme, **changes), "hybrid")
     assert harness.TrialResult in classes
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        scenario(channel={"eta_true": 2.6}, snr_grid_db=[-20.0, 1.0, 9.0]),
+        hybrid_scenario("two-lines", channel={"eta_true": 2.3}, snr_grid_db=[0.0, 30.0]),
+        hybrid_scenario("ls", channel={"eta_true": 1.7, "sigma_ref_db": 0.0}),
+    ],
+    ids=["rss", "hybrid-two-lines", "hybrid-ls-noiseless"],
+)
+def test_row_ranges_equal_looped_path_loss(cfg):
+    # a row's ranges: its one mean-loss call under the generating model (eta_true), plus
+    # each trial's shadows, read back by the inverting model; each is the bytes of that
+    # trial's own path_loss and invert_distance
+    kind = "rss" if cfg.node is None else "hybrid"
+    p = harness._pipeline(cfg, kind)
+    rng = np.random.default_rng(3)
+    targets = rng.uniform(0.0, cfg.region[0], (200, 2))
+    for models in p.models:
+        gen_model, inv_model = models
+        assert gen_model.eta == cfg.eta_true != inv_model.eta
+        shadows = [np.random.default_rng(t).normal(0.0, 1.0, size=len(p.ranged)) for t in range(200)]
+        looped = []
+        for t, target in enumerate(targets):
+            diff = p.ranged - target
+            loss = path_loss(np.hypot(diff[:, 0], diff[:, 1]), gen_model, np.random.default_rng(t))
+            looped.append(invert_distance(loss, inv_model))
+        assert harness._ranges(p, targets, shadows, models).tobytes() == np.array(looped).tobytes()
 
 
 @pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
@@ -565,7 +594,7 @@ def test_collinear_layout_is_a_config_error(monkeypatch, kind, method):
         cfg = cfg.with_method(estimator=method)
     else:
         cfg = ScenarioConfig.from_dict(COLLINEAR_HYBRID).with_method(hybrid=method)
-    monkeypatch.setattr(harness, "path_loss", lambda *a: pytest.fail("a trial drew ranges"))
+    monkeypatch.setattr(harness, "mean_path_loss", lambda *a: pytest.fail("a trial drew ranges"))
     for call in (lambda: run_trial(cfg, kind, 0, 0), lambda: monte_carlo(cfg, kind)):
         with pytest.raises(ConfigError, match="collinear"):
             call()

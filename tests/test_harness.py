@@ -1,4 +1,5 @@
 import collections
+import copy
 import csv
 import json
 import math
@@ -216,6 +217,9 @@ def replaced(raw, path, new):
 
 @st.composite
 def mutated_configs(draw):
+    def leaf():  # a copy: a later mutation of the config must not edit LEAVES itself
+        return copy.deepcopy(draw(st.sampled_from(LEAVES)))
+
     raw = json.loads(json.dumps(draw(st.sampled_from(SHIPPED))))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(nodes(raw))))
@@ -224,13 +228,13 @@ def mutated_configs(draw):
             node = node[key]
         how = draw(st.sampled_from(["leaf", "flip", "wrap", "add", "drop"]))
         if how == "leaf":
-            raw = replaced(raw, path, draw(st.sampled_from(LEAVES)))
+            raw = replaced(raw, path, leaf())
         elif how == "flip" and isinstance(node, (int, float)) and not isinstance(node, bool):
             raw = replaced(raw, path, int(node) if isinstance(node, float) else float(node))
         elif how == "wrap":
             raw = replaced(raw, path, [node])
         elif how == "add" and isinstance(node, dict):
-            node[draw(st.sampled_from([*KEYS, "surprise"]))] = draw(st.sampled_from(LEAVES))
+            node[draw(st.sampled_from([*KEYS, "surprise"]))] = leaf()
         elif how == "drop" and isinstance(node, dict) and node:
             del node[draw(st.sampled_from(sorted(node)))]
     return raw
@@ -630,8 +634,8 @@ def counting(monkeypatch, module, name):
 
 
 class TestTrialCallCounts:
-    """A trial ranges all its points in one call; the anchors' LOP matrix is built
-    once, when the scenario is compiled."""
+    """A row works out the mean path losses of all its trials' points in one call; the
+    anchors' LOP matrix is built once, when the scenario is compiled."""
 
     @pytest.mark.parametrize("estimator", ["ls", "wls", "huber"])
     def test_rss_trial(self, monkeypatch, estimator):
@@ -639,22 +643,27 @@ class TestTrialCallCounts:
         verdicts = counting(monkeypatch, harness, "lop_matrix")
         run_trial(cfg, "rss", 0, 0)  # compiles the pipeline
         assert len(verdicts) == 1
-        ranged = counting(monkeypatch, harness, "path_loss")
+        ranged = counting(monkeypatch, harness, "mean_path_loss")
         systems = counting(monkeypatch, geometry, "build_lop_system")
         run_trial(cfg, "rss", 1, 2)
-        assert [len(args[0]) for args in ranged] == [4]
+        assert [args[0].shape for args in ranged] == [(1, 4)]
         assert systems == []
+        ranged.clear()
         monte_carlo(cfg, "rss")
         assert len(verdicts) == 1
+        assert [args[0].shape for args in ranged] == [(20, 4), (20, 4)]
 
     @pytest.mark.parametrize(
         "scheme, points", [("single", 4), ("fbss", 4), ("ls", 4), ("wls", 4), ("two-lines", 5)]
     )
     def test_hybrid_trial(self, monkeypatch, scheme, points):
         cfg = ScenarioConfig.from_dict(HYBRID_RAW).with_method(hybrid=scheme)
-        ranged = counting(monkeypatch, harness, "path_loss")
+        ranged = counting(monkeypatch, harness, "mean_path_loss")
         run_trial(cfg, "hybrid", 0, 0)
-        assert [len(args[0]) for args in ranged] == [points]
+        assert [args[0].shape for args in ranged] == [(1, points)]
+        ranged.clear()
+        monte_carlo(cfg, "hybrid")
+        assert [args[0].shape for args in ranged] == [(4, points)]
 
     @pytest.mark.parametrize("kind, raw", [("rss", RSS_RAW), ("hybrid", HYBRID_RAW), ("doa", DOA_RAW)])
     def test_trials_draw_on_row_streams(self, monkeypatch, kind, raw):
@@ -668,7 +677,7 @@ class TestTrialCallCounts:
         raw["target"] = [30.0, 60.0]
         cfg = ScenarioConfig.from_dict(raw)
         verdicts = counting(monkeypatch, harness, "lop_matrix")
-        ranged = counting(monkeypatch, harness, "path_loss")
+        ranged = counting(monkeypatch, harness, "mean_path_loss")
         with pytest.raises(ConfigError, match="rss scenario: anchors are collinear"):
             run_trial(cfg, "rss", 0, 0)
         assert len(verdicts) == 1

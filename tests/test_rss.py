@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from wsnloc.channel import ChannelModel, invert_distance, path_loss
 from wsnloc.errors import NumericOverflow, SingularSystem
 from wsnloc.geometry import LinearSystem, build_lop_system, distance, lop_matrix
-from wsnloc.rss import huber_irls, huber_stack, ls_solve, solve_stack, wls_solve, wls_weights
+from wsnloc.rss import MAX_CONDITION, _ill_conditioned, huber_irls, huber_stack, ls_solve
+from wsnloc.rss import solve_stack, wls_solve, wls_weights
 
 ANCHORS = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
 MODEL = ChannelModel(d0=1.0, eta=2.0, sigma_db=4.0, wavelength=0.3)
@@ -365,4 +367,116 @@ def test_stacked_rows_equal_stacks_of_one(seed, trials, rows, kind, weighted, ep
                 assert isinstance(h_failed[t], SingularSystem)
             else:
                 assert h_failed[t] is None and h_pos[t].tobytes() == expected[0].tobytes()
+                assert passes[t] == expected[1]
+
+
+def rotation(angle: float) -> np.ndarray:
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+def with_condition(cond: float, rng, symmetric: bool = True) -> np.ndarray:
+    """A 2x2 matrix with singular values s and s / cond, s log-uniform over 1e-100..1e100."""
+    scale = 10.0 ** rng.uniform(-100.0, 100.0)
+    u = rotation(rng.uniform(0.0, 2.0 * math.pi))
+    v = u if symmetric else rotation(rng.uniform(0.0, 2.0 * math.pi))
+    return u @ np.diag([scale, scale / cond]) @ v.T
+
+
+def assert_verdicts_are_the_svds(grams: np.ndarray) -> None:
+    """The closed-form verdicts, of the stack and of each matrix alone, are
+    ``np.linalg.cond(g) > MAX_CONDITION``, and raise no RuntimeWarning."""
+    with np.errstate(all="ignore"):
+        expected = np.linalg.cond(grams) > MAX_CONDITION
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_ill_conditioned(grams), expected)
+        assert [bool(_ill_conditioned(g)) for g in grams] == expected.tolist()
+
+
+class TestClosedFormCondition:
+    def test_log_uniform_condition_numbers(self):
+        rng = np.random.default_rng(5)
+        grams = np.array(
+            [with_condition(10.0 ** rng.uniform(0.0, 20.0), rng, i % 2 == 0) for i in range(4000)]
+        )
+        assert_verdicts_are_the_svds(grams)
+
+    def test_either_side_of_the_bound(self):
+        rng = np.random.default_rng(6)
+        offsets = 10.0 ** rng.uniform(-12.0, -1.0, 2000) * np.repeat([-1.0, 1.0], 1000)
+        conds = MAX_CONDITION * (1.0 + offsets)
+        # and either side of the margin, where the closed form decides alone
+        conds = np.concatenate([conds, MAX_CONDITION * np.array([0.2, 0.25, 0.3, 3.9, 4.0, 4.1, 5.0])])
+        grams = np.array([with_condition(c, rng, i % 2 == 0) for i, c in enumerate(conds)])
+        assert_verdicts_are_the_svds(grams)
+
+    def test_normal_matrices_of_near_parallel_columns(self):
+        # BLAS-formed grams, weighted and not, whose two entries off the diagonal can
+        # differ in the last bit
+        rng = np.random.default_rng(7)
+        grams = []
+        for _ in range(2000):
+            a = matrix("near-singular", int(rng.integers(2, 12)), rng)
+            w = 10.0 ** rng.uniform(-6.0, 6.0, len(a))
+            grams += [a.T @ a, np.multiply(a.T, w, order="C") @ a]
+        grams = np.array(grams)
+        assert np.any(grams[:, 0, 1] != grams[:, 1, 0])
+        assert_verdicts_are_the_svds(grams)
+
+    def test_singular_and_non_symmetric(self):
+        grams = np.array(
+            [
+                np.zeros((2, 2)),
+                np.ones((2, 2)),
+                [[1.0, 2.0], [2.0, 4.0]],
+                [[1.0, 1.0], [0.0, 0.0]],
+                [[0.0, 1.0], [0.0, 0.0]],
+                [[1.0, 1e-13], [0.0, 1e-13]],
+                [[3.0, -7.0], [5.0, 2.0]],
+                [[1e308, 1e308], [1e308, 1e308]],
+                [[1e308, 0.0], [0.0, 1e308]],  # its closed-form sums overflow: NaN, so the SVD
+                [[5e-324, 0.0], [0.0, 5e-324]],
+                [[5e-324, 0.0], [0.0, 1.0]],
+            ]
+        )
+        assert_verdicts_are_the_svds(grams)
+
+    def test_non_finite_entries(self):
+        values = [0.0, 1.0, -2.5, 1e308, math.inf, -math.inf]
+        grams = np.array(list(itertools.product(values, repeat=4))).reshape(-1, 2, 2)
+        assert_verdicts_are_the_svds(grams[~np.all(np.isfinite(grams), axis=(1, 2))])
+
+    @pytest.mark.parametrize(
+        "gram", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, math.inf]]]
+    )
+    def test_nan_entries_raise_as_the_svd(self, gram):
+        # a NaN gram fails the SVD's convergence as np.linalg.cond does
+        gram = np.array(gram)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cond(gram)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                _ill_conditioned(gram)
+            with pytest.raises(np.linalg.LinAlgError):
+                _ill_conditioned(np.array([np.eye(2), gram]))
+
+
+@pytest.mark.parametrize("rows", [2, 3, 5, 11])
+def test_huber_row_stds_are_the_inverse_diagonal(rows):
+    # huber_stack standardizes residuals by sqrt(1 / w), the diagonal of inv(diag(w)) bit
+    # for bit; the oracle takes the LAPACK inverse
+    rng = np.random.default_rng(rows)
+    w = 10.0 ** rng.uniform(-12.0, 12.0, (500, rows))
+    inverse = np.linalg.inv(w[:, :, None] * np.eye(rows))
+    assert np.sqrt(np.diagonal(inverse, axis1=1, axis2=2)).tobytes() == np.sqrt(1.0 / w).tobytes()
+    a, b = matrix("gaussian", rows, rng), rng.normal(0.0, 100.0, (20, rows))
+    with np.errstate(all="ignore"):
+        pos, failed, passes = huber_stack(a, b, 1.345, w[:20])
+        for t in range(20):
+            expected = oracle_outcome(lambda: lop_oracle.huber(a, b[t], 1.345, w[t]))
+            if isinstance(expected, SingularSystem):
+                assert isinstance(failed[t], SingularSystem)
+            else:
+                assert failed[t] is None and pos[t].tobytes() == expected[0].tobytes()
                 assert passes[t] == expected[1]
