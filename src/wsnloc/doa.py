@@ -177,8 +177,10 @@ def _music_power(noise: np.ndarray, geometry, grid_step: float) -> tuple[np.ndar
 
     The product Vn^H a is one BLAS call where OpenBLAS keeps all of it on the calling
     thread, and otherwise runs in column blocks of the steering matrix that it keeps
-    there (:func:`_scan_blocks`), so its bits do not depend on the BLAS thread count
-    and no worker thread spins between trials."""
+    there (:func:`_scan_blocks`), so no worker thread spins between trials. Under the
+    SkylakeX kernels, which numpy's DYNAMIC_ARCH OpenBLAS 0.3.31 picks on an AVX-512
+    Xeon, the blocks give the one-call product's bits whatever the BLAS thread count;
+    under others (Haswell, Zen) a blocked scan can differ from it even on one thread."""
     grid, a, num = _scan(geometry, grid_step)
     vh = noise.conj().T
     blocks = _scan_blocks(*vh.shape, grid.size)
@@ -245,8 +247,10 @@ def music(
     The grid, its steering matrix and the numerator are built once per
     (geometry, grid_step) and cached, so equal geometries share them; they
     are read-only, and so is the returned ``Spectrum.grid``. The scan runs in
-    column blocks small enough for OpenBLAS to keep on the calling thread, so
-    the spectrum's bits do not depend on the BLAS thread count.
+    column blocks small enough for OpenBLAS to keep on the calling thread; under
+    its SkylakeX kernels the spectrum's bits then do not depend on the BLAS
+    thread count, but under others (Haswell, Zen) a blocked scan can differ in
+    bits from one whole product (see :func:`_music_power`).
     """
     spectrum, power = _spectrum(r, geometry, n_sources, grid_step)
     peaks = _pick_peaks(spectrum.grid, power, n_sources, _circular(geometry))
@@ -254,9 +258,16 @@ def music(
 
 
 def _lag_polynomial(c: np.ndarray) -> np.ndarray:
-    """Descending coefficients of sum_k trace(C, k) z^(k + dim - 1)."""
+    """Descending coefficients of sum_k trace(C, k) z^(k + dim - 1).
+
+    Each diagonal is summed on its own, by the reduction ``np.trace`` runs, so the
+    bits are its; summing them as segments of one array would group the additions
+    differently (numpy's pairwise sum depends on the length it is given)."""
     n = c.shape[0]
-    return np.array([np.trace(c, offset=k) for k in range(n - 1, -n, -1)])
+    out = np.empty(2 * n - 1, dtype=c.dtype)
+    for i, k in enumerate(range(n - 1, -n, -1)):
+        out[i] = c.diagonal(k).sum()
+    return out
 
 
 def _roots_inside_unit_circle(coeffs: np.ndarray, n_sources: int) -> np.ndarray:

@@ -48,8 +48,15 @@ pass gives:
 A row is stacked in chunks of as many trials as draw at most
 :data:`ROW_VALUES` values (shadowing terms, plus complex snapshot values for
 hybrid), and at least one, so its memory does not grow with ``trials``. doa
-rows run trial by trial through :func:`run_trial`. ``workers`` is still
-ignored.
+rows run trial by trial through :func:`run_trial`: the sources' steering
+matrix and sorted truths are built at compile, so a trial draws its
+waveforms and noise (:func:`arrays.draw_signals`, the draws of
+``synthesize_snapshots``), forms ``steer @ s (+ noise)``, runs the method and
+scores its estimates. ``workers`` is still ignored.
+
+A doa or hybrid scenario whose trial would hold more than
+:data:`SIZE_BUDGET` complex values in its snapshots, its covariance or its
+MUSIC scan is a :class:`ConfigError` at compile, before any of them is built.
 
 Randomness: every trial owns an independent PCG64 stream, documented as
 :func:`rng_for_trial`, ``SeedSequence(entropy=seed, spawn_key=(snr_index,
@@ -92,7 +99,7 @@ from .arrays import (
     draw_signals,
     noise_power,
     sample_covariance,
-    synthesize_snapshots,
+    steering_matrix,
 )
 from .channel import (
     ChannelModel,
@@ -126,6 +133,9 @@ _BAD_RANGE = "shadowing drove an estimated range to 0 or infinity"
 _BAD_ESTIMATE = "the position estimate left the float range"
 _COINCIDENT = "source azimuths must be distinct"
 ROW_VALUES = 8192  # most values (shadowing terms, complex snapshot values) one row call draws
+# most complex values one trial's snapshots, its covariance or a MUSIC scan's steering
+# matrix may hold (64 MiB); the shipped configs and tests stay under 600,000
+SIZE_BUDGET = 1 << 22
 
 _XY = {
     "type": "array",
@@ -617,6 +627,9 @@ class Pipeline:
     node: HybridNode | None = None
     ranged: np.ndarray | None = None  # (k, 2) points a trial ranges the target from
     lop: LopMatrix | None = None  # rss, hybrid ls/wls/fbss: the LOP matrix of p.ranged
+    steer: np.ndarray | None = None  # doa: the (N, M) steering matrix of the sources
+    truth: np.ndarray | None = None  # doa: the sources' azimuths, sorted, radians
+    truth_deg: np.ndarray | None = None  # doa: the same in degrees
 
 
 def _clearance(cfg: ScenarioConfig, points: list, radii: list, ranged=()) -> tuple[list, list]:
@@ -673,6 +686,25 @@ def _trilateration(points, ls: bool, models) -> LopMatrix:
     return lop
 
 
+def _check_size(p: Pipeline, geometry, scans: bool) -> None:
+    """A config error where one trial's snapshots (elements x snapshots), its covariance
+    (elements x elements, which also bounds a ring's beamspace transform) or, where the
+    method ``scans``, the MUSIC scan's steering matrix (elements x grid points, the field
+    of view over the grid step) would hold more than :data:`SIZE_BUDGET` complex values.
+    It runs before any of them, or the transform, is built."""
+    n = geometry.size
+    sizes = {"snapshot matrix": n * p.cfg.snapshots, "covariance": n * n}
+    if scans:
+        lo, hi = geometry.fov
+        sizes["MUSIC scan"] = n * math.ceil((hi - lo) / p.grid_step)
+    for what, count in sizes.items():
+        if count > SIZE_BUDGET:
+            raise ConfigError(
+                f"a trial's {what} on {n:,} elements holds {count:,} complex values, "
+                f"over the budget of {SIZE_BUDGET:,}"
+            )
+
+
 def _check_scan(p: Pipeline, n_sources: int) -> None:
     """A MUSIC scan of ``p.scan`` on the method's grid must be able to show ``n_sources``
     peaks (:func:`doa.scan_capacity`), or every trial would find too few."""
@@ -700,6 +732,7 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.array is None or cfg.sources is None:
         raise ConfigError("doa scenario needs an 'array' and a 'sources' section")
     method, prep = cfg.method["doa"], cfg.method["decorrelate"]
+    _check_size(p, cfg.array, scans=method == "music")
     p.trial, p.step, p.prepare = _doa_trial, _STEPS["doa", method], _STEPS["decorrelate", prep]
     p.geometry = p.scan = geometry = cfg.array
     p.sources = sources = cfg.sources
@@ -729,6 +762,13 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
         p.scan = VandermondeArray(sub) if ring else dataclasses.replace(geometry, n=sub)
     if method == "music":
         _check_scan(p, sources.count)
+    # what every trial shares: its snapshots are p.steer @ s (+ noise), and its score
+    # compares its sorted estimates with the sorted truths
+    p.steer = steering_matrix(geometry, sources.azimuths)
+    p.truth = np.sort(sources.azimuths)
+    p.truth_deg = np.degrees(p.truth)  # every trial's TrialResult.truth
+    for arr in (p.steer, p.truth, p.truth_deg):
+        arr.flags.writeable = False
 
 
 def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
@@ -737,6 +777,7 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         raise ConfigError("hybrid scenario needs a 'hybrid_node' section")
     p.row, p.step = _hybrid_row, _STEPS["hybrid", scheme]
     p.node = node = cfg.node
+    _check_size(p, node.geometry, scans=True)
     p.geometry = p.scan = node.geometry
     positions = node.element_positions
     radius = max(cfg.d0, 3.0 * node.geometry.radius)
@@ -882,18 +923,27 @@ def _ring_error(est: np.ndarray, truth: np.ndarray) -> float:
     return math.degrees(math.sqrt(float(np.min(np.mean(d**2, axis=1)))))
 
 
+def _snapshots(p: Pipeline, snr_db: float, rng) -> np.ndarray:
+    """A doa trial's (N, K) snapshots: the draws of :func:`draw_signals` and the bits of
+    ``synthesize_snapshots``, on the sources' steering matrix built at compile."""
+    src, size, k = p.sources, p.geometry.size, p.cfg.snapshots
+    s, noise = draw_signals(src.amplitudes, src.coherent, size, k, snr_db, rng)
+    x = p.steer @ s
+    return x if noise is None else x + noise
+
+
 def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
-    """One doa trial, scored against the sorted truths; on a ring, by the pairing of
+    """One doa trial: it draws its waveforms and noise, forms its snapshots on the
+    compiled steering matrix and runs the method on them. It is scored against the
+    sorted truths (the RMS by ``np.mean``'s arithmetic); on a ring, by the pairing of
     :func:`_ring_error` where that is lower (an estimate near +180 deg of a source near
     -180 deg)."""
-    snr_db = p.cfg.snr_grid_db[snr_index]
-    x = synthesize_snapshots(p.geometry, p.sources, p.cfg.snapshots, snr_db, rng)
-    est = p.step(p, x).azimuths
-    truth = np.sort(p.sources.azimuths)
-    err = math.degrees(math.sqrt(float(np.mean((est - truth) ** 2))))
+    est = p.step(p, _snapshots(p, p.cfg.snr_grid_db[snr_index], rng)).azimuths
+    d = est - p.truth
+    err = math.degrees(math.sqrt(float(np.add.reduce(d * d) / d.size)))
     if isinstance(p.geometry, UniformCircularArray):
-        err = min(err, _ring_error(est, truth))
-    return TrialResult(estimate=np.degrees(est), truth=np.degrees(truth), error=err)
+        err = min(err, _ring_error(est, p.truth))
+    return TrialResult(estimate=np.degrees(est), truth=p.truth_deg, error=err)
 
 
 def _covariance(p, x):
@@ -1102,7 +1152,7 @@ def compute_spectrum(cfg: ScenarioConfig) -> Spectrum:
     rng = rng_for_trial(cfg.seed, 0, 0)
     snr_db = cfg.snr_grid_db[0]
     with np.errstate(**_QUIET):
-        x = synthesize_snapshots(p.geometry, p.sources, cfg.snapshots, snr_db, rng)
+        x = _snapshots(p, snr_db, rng)
         try:
             spectrum = music_spectrum(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)
         except NumericOverflow as exc:  # the sample covariance left the float range

@@ -29,8 +29,9 @@ def _check_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitian(f"expected a square matrix, got shape {m.shape}")
-    scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.conj().T) > rtol * scale:
+    # The scale's norm only matters for a skew above 0; a NaN skew is compared and passes.
+    skew = np.linalg.norm(m - m.conj().T)
+    if skew and skew > rtol * max(np.linalg.norm(m), 1.0):
         raise NonHermitian(_NOT_HERMITIAN)
     return m
 
@@ -80,14 +81,30 @@ def herm_eig_stack(r: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.nd
 def poly_roots(coeffs: np.ndarray) -> PolyRoots:
     """Roots of a polynomial given coefficients in descending-power order.
 
-    Uses companion-matrix eigenvalues (``numpy.roots``). The leading
-    coefficient must be nonzero.
+    The eigenvalues of the companion matrix that ``numpy.roots`` builds, with its
+    bits and its contract (a rank-1 input; one that is not floating point is cast
+    to float; each trailing zero coefficient is a root at 0, appended last), without
+    its wrapper's overhead. The leading coefficient must be nonzero.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs))
-    scale = np.max(np.abs(coeffs)) if coeffs.size else 0.0
+    if coeffs.ndim != 1:
+        raise ValueError("Input must be a rank-1 array.")
+    scale = np.abs(coeffs).max() if coeffs.size else 0.0
     if coeffs.size < 2 or scale == 0.0 or np.abs(coeffs[0]) <= 1e-300 * scale:
         raise DegenerateLeadingCoefficient("leading polynomial coefficient is zero")
-    roots = np.roots(coeffs)
+    if not issubclass(coeffs.dtype.type, (np.floating, np.complexfloating)):
+        coeffs = coeffs.astype(float)
+    nonzero = np.flatnonzero(coeffs)  # a NaN scale lets a zero lead; numpy.roots strips it
+    p = coeffs[nonzero[0] : nonzero[-1] + 1]
+    if p.size > 1:
+        companion = np.diag(np.ones(p.size - 2, p.dtype), -1)
+        companion[0] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.array([])
+    trailing = coeffs.size - 1 - nonzero[-1]
+    if trailing:
+        roots = np.concatenate([roots, np.zeros(trailing, roots.dtype)])
     return PolyRoots(roots=roots, degree=coeffs.size - 1)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -580,6 +581,101 @@ def test_fbss_capacity_boundary(tmp_path, capsys, node, most):
     assert main(["hybrid", "--config", str(cfg), "--out", str(out), "--hybrid", "fbss"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"fbss resolves at most {most} sources" in err
+
+
+WIDE_ULA = {"kind": "ula", "n_elements": 1000, "spacing_wavelengths": 0.5}
+ONE_SNAPSHOT = {"azimuths_deg": [-10.0, 10.0], "snapshots": 1}
+# Each config puts one of a trial's sizes past harness.SIZE_BUDGET (2^22 complex values):
+# its snapshots (elements x snapshots), its covariance (elements^2) or the MUSIC scan's
+# steering matrix (elements x the field of view over the grid step).
+OVER_BUDGET = {
+    "doa_snapshots": (
+        "doa",
+        with_keys(DOA_RAW, array=dict(WIDE_ULA, n_elements=10**9)),
+        [],
+        "snapshot matrix",
+    ),
+    "spectrum_snapshots": (
+        "spectrum",
+        with_keys(shipped("spectrum_uca"), array=dict(UCA, n_elements=10**9)),
+        [],
+        "snapshot matrix",
+    ),
+    "doa_covariance": (
+        "doa",
+        with_keys(DOA_RAW, array=dict(WIDE_ULA, n_elements=3000), sources=ONE_SNAPSHOT),
+        ["--doa", "root-music"],
+        "covariance",
+    ),
+    "doa_scan": (  # 1,000 elements x 18,000 grid points
+        "doa",
+        with_keys(DOA_RAW, array=WIDE_ULA, method={"grid_step_deg": 0.01}),
+        [],
+        "MUSIC scan",
+    ),
+    "uca_esprit_covariance": (
+        "doa",
+        with_keys(DOA_RAW, array=dict(UCA, n_elements=2049), sources=ONE_SNAPSHOT),
+        ["--doa", "uca-esprit"],
+        "covariance",
+    ),
+    "hybrid_snapshots": (
+        "hybrid",
+        with_keys(HYBRID_RAW, hybrid_node=dict(HYBRID_RAW["hybrid_node"], n_elements=10**9)),
+        [],
+        "snapshot matrix",
+    ),
+    "hybrid_scan": (  # 200 elements x 36,000 grid points
+        "hybrid",
+        with_keys(
+            HYBRID_RAW,
+            hybrid_node=dict(HYBRID_RAW["hybrid_node"], n_elements=200),
+            method={"grid_step_deg": 0.01},
+        ),
+        ["--hybrid", "fbss"],
+        "MUSIC scan",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_BUDGET))
+def test_over_budget_sizes_exit_1_before_anything_is_built(tmp_path, monkeypatch, capsys, name):
+    from wsnloc.arrays import UniformCircularArray, UniformLinearArray
+    from wsnloc.pme import VandermondeArray
+
+    built = []
+
+    def refuse(what):
+        def call(*args, **kwargs):
+            built.append(what)
+            raise AssertionError(f"{what} called for an over-budget config")
+
+        return call
+
+    for cls in (UniformLinearArray, UniformCircularArray, VandermondeArray):
+        monkeypatch.setattr(cls, "steering", refuse(f"{cls.__name__}.steering"))
+    monkeypatch.setattr(harness, "build_transform", refuse("build_transform"))
+    monkeypatch.setattr(harness.HybridNode, "element_positions", property(refuse("positions")))
+    command, raw, extra, what = OVER_BUDGET[name]
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"a trial's {what} on " in err
+    assert err.rstrip().endswith("complex values, over the budget of 4,194,304")
+    assert len(err.splitlines()) == 1
+    assert built == []
+    assert not out.exists()
+
+
+def test_size_budget_is_inclusive():
+    # 16 elements x 262,144 snapshots is the budget exactly; one snapshot more is over
+    sources = dict(ONE_SNAPSHOT, snapshots=harness.SIZE_BUDGET // 16)
+    raw = with_keys(DOA_RAW, array=dict(WIDE_ULA, n_elements=16), sources=sources)
+    cfg = harness.ScenarioConfig.from_dict(raw).with_method(doa="root-music")
+    harness._pipeline(cfg, "doa")
+    over = dataclasses.replace(cfg, snapshots=cfg.snapshots + 1)
+    with pytest.raises(harness.ConfigError, match="snapshot matrix on 16 elements holds 4,194,320"):
+        harness._pipeline(over, "doa")
 
 
 def test_random_target_on_interferer_bearing_fails_its_trial(tmp_path, capsys):

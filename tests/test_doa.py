@@ -337,6 +337,24 @@ class TestRootMusic:
             partner = 1.0 / np.conj(z)
             assert np.min(np.abs(roots - partner)) < 1e-8
 
+    def test_lag_polynomial_equals_the_trace_loop_bitwise(self):
+        # each diagonal summed alone is np.trace's reduction, bit for bit, whatever the
+        # magnitudes, NaNs or infinities in it
+        rng = np.random.default_rng(19)
+        for n in range(2, 21):
+            for _ in range(12):
+                mag = 10.0 ** rng.uniform(-8.0, 8.0, size=(2, n, n))
+                c = rng.choice([-1.0, 1.0], size=(2, n, n)) * mag
+                c = c[0] + 1j * c[1]
+                special = rng.uniform(size=(n, n))
+                c[special < 0.05] = np.nan
+                c[(special > 0.05) & (special < 0.08)] = np.inf
+                c[special > 0.97] = complex(-np.inf, 1.0)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    oracle = np.array([np.trace(c, offset=k) for k in range(n - 1, -n, -1)])
+                    got = doa._lag_polynomial(c)
+                assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
+
     def test_matches_music_on_random_scenarios(self):
         g = ula(8)
         for trial in range(50):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnloc import doa, geometry, harness
+from wsnloc import arrays, doa, geometry, harness
 from wsnloc.arrays import UniformCircularArray, UniformLinearArray
 from wsnloc.errors import AllTrialsFailed, ConfigError, WsnlocError
 from wsnloc.harness import (
@@ -664,6 +664,41 @@ class TestTrialCallCounts:
         ranged.clear()
         monte_carlo(cfg, "hybrid")
         assert [args[0].shape for args in ranged] == [(4, points)]
+
+    @pytest.mark.parametrize("method", ["music", "root-music", "esprit"])
+    def test_doa_trial(self, monkeypatch, method):
+        # the sources are steered once, at compile; a trial only draws its waveforms and
+        # noise, and roots its polynomial without numpy.roots
+        cfg = ScenarioConfig.from_dict(DOA_RAW).with_method(doa=method)
+        steered, original = [], UniformLinearArray.steering
+
+        def steering(geometry, theta):
+            steered.append(np.size(theta))
+            return original(geometry, theta)
+
+        monkeypatch.setattr(UniformLinearArray, "steering", steering)
+        synthesized = counting(monkeypatch, arrays, "synthesize_snapshots")
+        rooted = counting(monkeypatch, np, "roots")
+        trials, original_trial = [], harness._doa_trial
+
+        def trial(p, snr_index, rng):
+            result = original_trial(p, snr_index, rng)
+            trials.append((snr_index, result.error))
+            return result
+
+        monkeypatch.setattr(harness, "_doa_trial", trial)
+        result = monte_carlo(cfg, "doa")
+        assert steered.count(2) == 1  # the two sources; a MUSIC grid has 1,799 angles
+        assert synthesized == [] and rooted == []
+        assert [row.failures for row in result.rows] == [0, 0]
+        # a replay gives each trial's error bits; the sweep ran each row's trials in order
+        swept = [err.hex() for _, err in trials]
+        trials.clear()
+        for si in range(len(cfg.snr_grid_db)):
+            for ti in range(cfg.trials):
+                run_trial(cfg, "doa", si, ti)
+        assert [err.hex() for _, err in trials] == swept
+        assert steered.count(2) == 1  # the replays reuse the compiled steering matrix
 
     @pytest.mark.parametrize("kind, raw", [("rss", RSS_RAW), ("hybrid", HYBRID_RAW), ("doa", DOA_RAW)])
     def test_trials_draw_on_row_streams(self, monkeypatch, kind, raw):

@@ -7,7 +7,14 @@ from wsnloc.errors import (
     NonHermitian,
     NumericOverflow,
 )
-from wsnloc.numerics import herm_eig, herm_eig_stack, inv_sqrt_psd, poly_roots
+from wsnloc.numerics import (
+    HERMITIAN_RTOL,
+    _check_hermitian,
+    herm_eig,
+    herm_eig_stack,
+    inv_sqrt_psd,
+    poly_roots,
+)
 
 
 def random_hermitian(n, rng):
@@ -103,6 +110,26 @@ class TestPolyRoots:
         resid = np.abs(np.polyval(coeffs, out.roots))
         assert np.all(resid < 1e-8 * np.max(np.abs(coeffs)))
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [2.0, -3.0, 1.0, 0.0, 0.0],  # two trailing zeros: roots at 0, appended last
+            [3.0, 0.0, 0.0],  # nothing but roots at 0
+            [1.5, -4.25, 0.5, 7.0],  # real
+            [1, -6, 11, -6],  # integers, cast to float
+            [4.0, 2.0],  # degree 1
+            [1.0 + 2.0j, -0.5j, 3.0, 0.0],  # complex, one trailing zero
+            np.conj(np.poly(np.exp(1j * np.linspace(-2.0, 2.0, 6)))),
+        ],
+    )
+    def test_bits_are_numpy_roots(self, coeffs):
+        got, oracle = poly_roots(coeffs).roots, np.roots(coeffs)
+        assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
+
+    def test_rank_one_input(self):
+        with pytest.raises(ValueError, match="rank-1"):
+            poly_roots(np.ones((3, 3)))
+
     @pytest.mark.parametrize("degree", [8, 16, 64])
     def test_residual_bound(self, degree):
         rng = np.random.default_rng(degree)
@@ -114,6 +141,48 @@ class TestPolyRoots:
         # the root magnitude raised to the degree
         scale = np.max(np.abs(coeffs)) * np.maximum(np.abs(out.roots), 1.0) ** degree
         assert np.all(resid < 1e-8 * scale)
+
+
+def two_norm_verdict(m, rtol=HERMITIAN_RTOL):
+    """The Hermitian check as one comparison of the skew's and the matrix's norms."""
+    return not np.linalg.norm(m - m.conj().T) > rtol * max(np.linalg.norm(m), 1.0)
+
+
+def check_verdict(m):
+    try:
+        _check_hermitian(m)
+    except NonHermitian:
+        return False
+    return True
+
+
+class TestCheckHermitian:
+    def test_exact_hermitian_zero_and_nan_matrices_pass(self):
+        rng = np.random.default_rng(5)
+        nan = random_hermitian(4, rng)
+        nan[1, 2] = np.nan
+        for m in (random_hermitian(6, rng), np.zeros((3, 3)), nan, np.full((2, 2), np.nan)):
+            assert check_verdict(m) and two_norm_verdict(m)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_skews_either_side_of_the_tolerance(self, scale):
+        rng = np.random.default_rng(int(scale * 1000))
+        h = scale * random_hermitian(5, rng)
+        e = np.triu(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), 1)
+        unit = np.linalg.norm(e - e.conj().T)  # the skew of h + t e is t times this
+        bound = HERMITIAN_RTOL * max(np.linalg.norm(h), 1.0) / unit
+        verdicts = []
+        for factor in (1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6):
+            m = h + factor * bound * e
+            verdicts.append(two_norm_verdict(m))
+            assert check_verdict(m) == verdicts[-1]
+        assert verdicts[0] and not verdicts[-1]
+
+    def test_infinite_entries_get_the_two_norm_verdict(self):
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert check_verdict(m) == two_norm_verdict(m)
 
 
 class TestInvSqrtPsd:
