@@ -22,37 +22,40 @@ through one table, :data:`_STEPS`.
 An anchor layout that every trial's trilateration would reject is a
 :class:`ConfigError` there too.
 
-Trials run one SNR row at a time. rss and hybrid compile a stacked row
-function, and their :func:`run_trial` is that row with one trial in it. Both
-kinds range through each row's (generating, inverting) channel pair, so
-``channel.eta_true`` applies to either. Each trial draws on its own stream;
-the row then does its numerics as stacks, bit for bit what each trial's own
-pass gives:
+rss and hybrid trials run in chunks of the whole sweep: the (snr_index,
+trial_index) pairs taken in row-major order, as many as draw at most
+:data:`ROW_VALUES` values (shadowing terms, plus complex snapshot values for
+hybrid) and at least one, so a chunk's memory does not grow with ``trials``
+or the grid, and a row does not end a chunk. Each kind compiles a stacked
+chunk function, and its :func:`run_trial` is a chunk of one pair. Both kinds
+range through each row's (generating, inverting) channel pair, so
+``channel.eta_true`` applies to either. Each trial draws on its own stream,
+at its own row's SNR; the chunk then does its numerics as stacks, bit for bit
+what each trial's own pass gives:
 
-* both rows range all their trials at once (:func:`_ranges`): besides its
+* a chunk ranges all its trials at once (:func:`_ranges`): besides its
   target (and a hybrid trial's waveforms and noise), a trial draws only the
-  k standard-normal shadowing terms ``path_loss`` would draw, and the row
-  forms its (T, k) distances with one ``hypot``, their mean losses under the
-  generating model with one :func:`channel.mean_path_loss` call, adds the
-  scaled shadowing and inverts the losses as one block;
-* both rows solve their trilateration fixes (rss LS, WLS or Huber; hybrid
-  ls, wls and the fbss coarse fix) as one stack, and score their (T, 2)
-  estimates in one pass;
-* a hybrid row checks its targets' bearings against the interferers, forms
+  k standard-normal shadowing terms ``path_loss`` would draw, and the chunk
+  forms its (T, k) distances with one ``hypot``, their mean losses with one
+  :func:`channel.mean_path_loss` call (the rows' channels differ only in
+  their shadowing std), adds each trial's shadowing scaled by its row's std
+  and inverts the losses as one block;
+* a chunk solves its trilateration fixes (rss LS, WLS or Huber; hybrid ls,
+  wls and the fbss coarse fix) as one stack, WLS weights from each trial's
+  own row, Huber in at most two (rows with shadowing start from WLS, rows
+  without from LS), and scores its (T, 2) estimates in one pass;
+* a hybrid chunk checks its targets' bearings against the interferers, forms
   its snapshots (one product per trial) and sample covariances, fbss's
   beamspace map and smoothing, the checks and eigendecompositions of
   :func:`numerics.herm_eig` and the fusion (the stacked kernels of
   :mod:`hybrid`) as array operations over its trials; its MUSIC scans and
   peak picks (:func:`doa.music_peaks`) run one subspace at a time.
 
-A row is stacked in chunks of as many trials as draw at most
-:data:`ROW_VALUES` values (shadowing terms, plus complex snapshot values for
-hybrid), and at least one, so its memory does not grow with ``trials``. doa
-rows run trial by trial through :func:`run_trial`: the sources' steering
-matrix and sorted truths are built at compile, so a trial draws its
-waveforms and noise (:func:`arrays.draw_signals`, the draws of
-``synthesize_snapshots``), forms ``steer @ s (+ noise)``, runs the method and
-scores its estimates. ``workers`` is still ignored.
+doa trials run one at a time through :func:`run_trial`, in row-major order:
+the sources' steering matrix and sorted truths are built at compile, so a
+trial draws its waveforms and noise (:func:`arrays.draw_signals`, the draws
+of ``synthesize_snapshots``), forms ``steer @ s (+ noise)``, runs the method
+and scores its estimates. ``workers`` is still ignored.
 
 A doa or hybrid scenario whose trial would hold more than
 :data:`SIZE_BUDGET` complex values in its snapshots, its covariance or its
@@ -61,10 +64,11 @@ MUSIC scan is a :class:`ConfigError` at compile, before any of them is built.
 Randomness: every trial owns an independent PCG64 stream, documented as
 :func:`rng_for_trial`, ``SeedSequence(entropy=seed, spawn_key=(snr_index,
 trial_index))``, so results are bit-identical across reruns and do not
-depend on the order in which trials run or on how many share a row. Trials
-draw on streams derived per row, bit-identical to it: :func:`_trial_rngs`
-mixes a row's seed and SNR-index words once and each trial's own index
-words after them, and seeds a fresh PCG64 per trial. The SNR axis drives both the
+depend on the order in which trials run or on how many share a chunk. Trials
+draw on streams derived per row, bit-identical to it: a chunk calls
+:func:`_trial_rngs` once for each run of its pairs in one row, which mixes
+the row's seed and SNR-index words once and each trial's own index words
+after them, and seeds a fresh PCG64 per trial. The SNR axis drives both the
 array noise floor and the RSS shadowing std through
 ``sigma_db = sigma_ref_db * 10^(-snr/20)``.
 
@@ -132,7 +136,7 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 _BAD_RANGE = "shadowing drove an estimated range to 0 or infinity"
 _BAD_ESTIMATE = "the position estimate left the float range"
 _COINCIDENT = "source azimuths must be distinct"
-ROW_VALUES = 8192  # most values (shadowing terms, complex snapshot values) one row call draws
+ROW_VALUES = 8192  # most values (shadowing terms, complex snapshot values) one chunk draws
 # most complex values one trial's snapshots, its covariance or a MUSIC scan's steering
 # matrix may hold (64 MiB); the shipped configs and tests stay under 600,000
 SIZE_BUDGET = 1 << 22
@@ -603,20 +607,21 @@ def _trial_rngs(seed: int, snr_index: int, trial_indices) -> Iterator[np.random.
 
 @dataclass
 class Pipeline:
-    """A scenario compiled for one kind: ``row(pipeline, snr_index, trial_indices)`` (rss,
-    hybrid) or ``trial(pipeline, snr_index, rng)`` (doa) hands the trilateration to
-    ``fix`` and the method's part to ``step`` (doa preprocessing to ``prepare``), all
-    from :data:`_STEPS`; the other fields are what all trials share, ``None`` where a
-    kind has no use for them."""
+    """A scenario compiled for one kind: ``stack(pipeline, pairs)`` (rss, hybrid), for a
+    chunk of (snr_index, trial_index) pairs in row-major order, or ``trial(pipeline,
+    snr_index, rng)`` (doa) hands the trilateration to ``fix`` and the method's part to
+    ``step`` (doa preprocessing to ``prepare``), all from :data:`_STEPS`; the other
+    fields are what all trials share, ``None`` where a kind has no use for them."""
 
     cfg: ScenarioConfig
     grid_step: float  # MUSIC grid step, radians
-    row: Callable | None = None
+    stack: Callable | None = None
     trial: Callable | None = None
     step: Callable | None = None  # doa estimator, hybrid fusion
-    fix: Callable | None = None  # rss, hybrid ls/wls/fbss: a row's fixes as one stack
-    chunk: int = 1  # trials one row call stacks
+    fix: Callable | None = None  # rss, hybrid ls/wls/fbss: a chunk's fixes as one stack
+    chunk: int = 1  # most pairs one stack call takes
     models: tuple = ()  # per SNR (rss, hybrid): the (generating, inverting) channel pair
+    sigma_db: np.ndarray | None = None  # per SNR (rss, hybrid): both models' shadowing std
     clearance: tuple = ((), ())  # points a random target keeps clear of, and radii
     prepare: Callable | None = None
     geometry: Any = None  # the array (doa) or the hybrid ring
@@ -659,12 +664,14 @@ def _per_row(cfg: ScenarioConfig, quantity: str, fn: Callable) -> tuple:
     return tuple(rows)
 
 
-def _channels(cfg: ScenarioConfig) -> tuple:
+def _channels(p: Pipeline, cfg: ScenarioConfig) -> None:
     """Each row's (generating, inverting) channel pair: ``eta_true``, when set, generates
-    the path losses; ranging inverts them with ``eta``."""
-    return _per_row(
+    the path losses; ranging inverts them with ``eta``. The rows' pairs differ only in
+    their shadowing std, which ``p.sigma_db`` holds per row."""
+    p.models = _per_row(
         cfg, "shadowing std", lambda snr: (cfg.channel_at(snr, eta=cfg.eta_true), cfg.channel_at(snr))
     )
+    p.sigma_db = np.array([inverting.sigma_db for _, inverting in p.models])
 
 
 def _trilateration(points, ls: bool, models) -> LopMatrix:
@@ -717,11 +724,11 @@ def _check_scan(p: Pipeline, n_sources: int) -> None:
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.anchors is None or cfg.anchors.shape[0] < 3:
         raise ConfigError("rss scenario needs at least 3 anchors")
-    p.row, p.fix = _rss_row, _STEPS["estimator", cfg.method["estimator"]]
+    p.stack, p.fix = _rss_stack, _STEPS["estimator", cfg.method["estimator"]]
     p.ranged = cfg.anchors
     p.chunk = max(1, ROW_VALUES // len(p.ranged))
     p.clearance = _clearance(cfg, [], [])
-    p.models = _channels(cfg)
+    _channels(p, cfg)
     p.lop = _trilateration(cfg.anchors, cfg.method["estimator"] == "ls", p.models)
 
 
@@ -775,14 +782,14 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     scheme = cfg.method["hybrid"]
     if cfg.node is None:
         raise ConfigError("hybrid scenario needs a 'hybrid_node' section")
-    p.row, p.step = _hybrid_row, _STEPS["hybrid", scheme]
+    p.stack, p.step = _hybrid_stack, _STEPS["hybrid", scheme]
     p.node = node = cfg.node
     _check_size(p, node.geometry, scans=True)
     p.geometry = p.scan = node.geometry
     positions = node.element_positions
     radius = max(cfg.d0, 3.0 * node.geometry.radius)
     p.clearance = _clearance(cfg, [node.center], [radius], ranged=positions)
-    p.models = _channels(cfg)
+    _channels(p, cfg)
     # a check; the overflow is in 10^(-snr/10), whatever power a trial's sources carry
     _per_row(cfg, "noise power", lambda snr: noise_power((), snr))
     needed = {"ls": 2, "wls": 2, "two-lines": 1}.get(scheme, 0)
@@ -849,17 +856,27 @@ def _draw_target(p: Pipeline, rng: np.random.Generator) -> np.ndarray:
     raise ConfigError("could not place a random target clear of the ranging nodes")
 
 
-def _ranges(p: Pipeline, targets: np.ndarray, shadows: list, models: tuple) -> np.ndarray:
-    """The (T, k) ranges T trials read from ``p.ranged``, each trial's ``shadows`` the k
-    standard-normal draws ``path_loss`` would make for its points, in point order. The
-    generating model of the row's ``models`` pair gives each path loss (the row's mean
-    losses in one call, plus the shadows times the shadowing std) and the inverting
-    one reads it back: each range is the value a trial's own ``path_loss`` and
+def _draws(p: Pipeline, pairs: list, draw: Callable) -> list:
+    """``draw(rng, snr_index)`` for each (snr_index, trial_index) pair of a chunk, on the
+    trial's own stream: one :func:`_trial_rngs` call per run of pairs in one row."""
+    drawn = []
+    for si, run in itertools.groupby(pairs, key=operator.itemgetter(0)):
+        drawn.extend(draw(rng, si) for rng in _trial_rngs(p.cfg.seed, si, [ti for _, ti in run]))
+    return drawn
+
+
+def _ranges(p: Pipeline, targets: np.ndarray, shadows, rows: np.ndarray) -> np.ndarray:
+    """The (T, k) ranges T trials read from ``p.ranged``, trial t in SNR row ``rows[t]``
+    and its ``shadows`` the k standard-normal draws ``path_loss`` would make for its
+    points, in point order. The generating model of each trial's row gives its path
+    losses (all mean losses in one call, as the rows' models differ only in their
+    shadowing std, plus the shadows times the row's std) and the inverting one reads
+    them back: each range is the value a trial's own ``path_loss`` and
     ``invert_distance`` give."""
-    gen_model, inv_model = models
+    gen_model, inv_model = p.models[0]
     diff = p.ranged[None] - targets[:, None]
     mean = mean_path_loss(np.hypot(diff[..., 0], diff[..., 1]), gen_model)
-    return invert_distance(mean + np.array(shadows) * gen_model.sigma_db, inv_model)
+    return invert_distance(mean + np.array(shadows) * p.sigma_db[rows, None], inv_model)
 
 
 def _usable(d: np.ndarray) -> np.ndarray:
@@ -872,14 +889,14 @@ def _live(failed: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.equal(failed, None))
 
 
-def _fixes(p: Pipeline, model, d: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, ...]:
+def _fixes(p: Pipeline, rows, d: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, ...]:
     """``p.fix`` of the ranges of every trial that ``failed`` does not mark yet, as one
-    stack: the (T, 2) fixes, NaN where there is none (or no ``p.fix``), and ``failed``
-    with each fix's failure added."""
+    stack, each trial in SNR row ``rows[t]``: the (T, 2) fixes, NaN where there is none
+    (or no ``p.fix``), and ``failed`` with each fix's failure added."""
     fixes = np.full((len(d), 2), np.nan)
     live = _live(failed)
     if p.fix is not None:
-        fixes[live], failed[live] = p.fix(p, model, d[live])
+        fixes[live], failed[live] = p.fix(p, rows[live], d[live])
     return fixes, failed
 
 
@@ -894,24 +911,40 @@ def _score(targets: np.ndarray, est: np.ndarray, failed: np.ndarray) -> list:
     ]
 
 
-def _rss_row(p: Pipeline, snr_index: int, trials) -> list:
-    """Each trial draws its target and shadowing from its own stream; the row then
-    ranges, checks and solves all its trials as one (T, k) block. A trial that fails
-    a check gets the error its own solve would raise, and leaves the others alone.
-    Returns each trial's result, or that error."""
-    targets, shadows = [], []
-    for rng in _trial_rngs(p.cfg.seed, snr_index, trials):
-        targets.append(_draw_target(p, rng))
-        shadows.append(rng.normal(0.0, 1.0, size=len(p.ranged)))
-    targets, models = np.array(targets), p.models[snr_index]
-    d = _ranges(p, targets, shadows, models)
+def _rss_stack(p: Pipeline, pairs: list) -> list:
+    """Each trial of the chunk ``pairs`` draws its target and shadowing from its own
+    stream; the chunk then ranges, checks and solves all its trials as one (T, k)
+    block. A trial that fails a check gets the error its own solve would raise, and
+    leaves the others alone. Returns each trial's result, or that error."""
+    k = len(p.ranged)
+    drawn = _draws(p, pairs, lambda rng, si: (_draw_target(p, rng), rng.normal(0.0, 1.0, size=k)))
+    targets, shadows = zip(*drawn)
+    targets, rows = np.array(targets), np.array([si for si, _ in pairs])
+    d = _ranges(p, targets, shadows, rows)
     failed = np.where(_usable(d), None, NonPositiveDistance(_BAD_RANGE))
-    return _score(targets, *_fixes(p, models[1], d, failed))
+    return _score(targets, *_fixes(p, rows, d, failed))
 
 
-def _rss_huber(p, model, d):
-    weighted = wls_row_weights(model, d) if model.sigma_db > 0 else ()
-    return huber_stack(p.lop.A, p.lop.rhs(d), p.cfg.method["huber_epsilon"], *weighted)[:2]
+def _wls_weights(p: Pipeline, rows: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's WLS weights and their failures (:func:`wls_row_weights`), under the
+    inverting channel of its own SNR row ``rows[t]``."""
+    weights, failed = np.empty((len(d), d.shape[1] - 1)), np.empty(len(d), dtype=object)
+    for si in set(rows.tolist()):  # not np.unique, whose first call imports numpy.ma
+        at = rows == si
+        weights[at], failed[at] = wls_row_weights(p.models[si][1], d[at])
+    return weights, failed
+
+
+def _rss_huber(p: Pipeline, rows: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Huber fixes in at most two stacks: trials in rows with shadowing start from their
+    WLS fix, the others (no shadowing: every WLS weight alike) from the LS one."""
+    pos, failed = np.empty((len(d), 2)), np.empty(len(d), dtype=object)
+    shadowed, epsilon = p.sigma_db[rows] > 0, p.cfg.method["huber_epsilon"]
+    for at in (np.flatnonzero(shadowed), np.flatnonzero(~shadowed)):
+        if at.size:
+            weighted = _wls_weights(p, rows[at], d[at]) if shadowed[at[0]] else ()
+            pos[at], failed[at] = huber_stack(p.lop.A, p.lop.rhs(d[at]), epsilon, *weighted)[:2]
+    return pos, failed
 
 
 def _ring_error(est: np.ndarray, truth: np.ndarray) -> float:
@@ -964,13 +997,14 @@ def _coincident(p: Pipeline, bearings: np.ndarray) -> np.ndarray:
 def _noise_subspaces(p: Pipeline, azimuths, s, noise, failed) -> tuple[np.ndarray, np.ndarray]:
     """The (T, n, n) eigenvectors, descending, of the covariances of T trials' snapshots
     (fbss: mapped into the beamspace and smoothed): sources at ``azimuths`` (T, M) with
-    the waveforms ``s`` (T, M, K) and ``noise`` (T, N, K) or ``None`` that
+    the waveforms ``s`` (T, M, K) and the T ``noise`` arrays (N, K), or ``None``, that
     :func:`draw_signals` gives each trial; ``failed`` updated by the checks each trial's
     own covariance passes through."""
     a = np.ascontiguousarray(p.geometry.steering(azimuths).transpose(1, 0, 2))
     x = a @ s  # one product per trial, as synthesize_snapshots makes
-    if noise is not None:
-        x += noise
+    for x_t, noise_t in zip(x, noise):  # a trial whose noise power is 0 adds none, not zeros
+        if noise_t is not None:
+            x_t += noise_t
     r = _covariance(p, x)
     if p.plan is not None:  # a sample covariance is Hermitian: smooth skips fbss's check
         r = decorrelate.smooth(r, p.plan, forward_backward=True)
@@ -978,28 +1012,29 @@ def _noise_subspaces(p: Pipeline, azimuths, s, noise, failed) -> tuple[np.ndarra
     return q, failed
 
 
-def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
-    """Each trial draws its target, signal, noise and shadowing from its own stream; the
-    row then checks the targets' bearings against the interferers, forms its snapshots
-    and covariances (fbss: beamspace-mapped and smoothed) as stacks, splits them with
-    one eigendecomposition, scans their MUSIC spectra and picks their peaks one
-    subspace at a time (:func:`music_peaks`), ranges its trials as one (T, k) block,
-    solves its trilateration fixes as one stack and fuses them with the scheme's
-    stacked kernel.
+def _hybrid_stack(p: Pipeline, pairs: list) -> list:
+    """Each trial of the chunk ``pairs`` draws its target, signal, noise (at its row's
+    SNR) and shadowing from its own stream; the chunk then checks the targets' bearings
+    against the interferers, forms its snapshots and covariances (fbss:
+    beamspace-mapped and smoothed) as stacks, splits them with one eigendecomposition,
+    scans their MUSIC spectra and picks their peaks one subspace at a time
+    (:func:`music_peaks`), ranges its trials as one (T, k) block, solves its
+    trilateration fixes as one stack and fuses them with the scheme's stacked kernel.
     A trial gets the error its own pass would raise first: its sources' (a target on an
     interferer's bearing), its ranges' (fbss only), its covariance's, its spectrum's, its
     ranges', its fix's, its fusion's, its score's. Returns each trial's result, or that
     error."""
-    snr_db, models = p.cfg.snr_grid_db[snr_index], p.models[snr_index]
     amplitudes = np.ones(1) if p.sources is None else np.concatenate([[1.0], p.sources.amplitudes])
     size, k, coherent = p.geometry.size, p.cfg.snapshots, p.sources is not None
-    targets, signals, shadows = [], [], []
-    for rng in _trial_rngs(p.cfg.seed, snr_index, trials):
-        targets.append(_draw_target(p, rng))
-        signals.append(draw_signals(amplitudes, coherent, size, k, snr_db, rng))
-        shadows.append(rng.normal(0.0, 1.0, size=len(p.ranged)))
-    targets = np.array(targets)
-    d = _ranges(p, targets, shadows, models)
+
+    def draw(rng, si):
+        target = _draw_target(p, rng)
+        signals = draw_signals(amplitudes, coherent, size, k, p.cfg.snr_grid_db[si], rng)
+        return target, signals, rng.normal(0.0, 1.0, size=len(p.ranged))
+
+    targets, signals, shadows = zip(*_draws(p, pairs, draw))
+    targets, rows = np.array(targets), np.array([si for si, _ in pairs])
+    d = _ranges(p, targets, shadows, rows)
     center = p.node.center  # each bearing as bearing_to gives it
     bearings = np.arctan2(targets[:, 1] - center[1], targets[:, 0] - center[0])
     azimuths = bearings[:, None]
@@ -1016,9 +1051,7 @@ def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
     if live.size:
         s, noise = zip(*signals)
         del signals  # the stacks replace the trials' own arrays
-        s, noise = np.array(s), None if noise[0] is None else np.array(noise)
-        if live.size < len(d):
-            s, noise = s[live], None if noise is None else noise[live]
+        s, noise = np.array([s[t] for t in live]), [noise[t] for t in live]
         q, failed[live] = _noise_subspaces(p, azimuths[live], s, noise, failed[live])
         del s, noise  # free the row's snapshots before its scans
         split = np.equal(failed[live], None)
@@ -1029,7 +1062,7 @@ def _hybrid_row(p: Pipeline, snr_index: int, trials) -> list:
             failed[live] = exc
     # what fails a trial once its spectrum has peaks: its ranges, then its fix
     failed[np.equal(failed, None) & bad_ranges] = NonPositiveDistance(_BAD_RANGE)
-    fixes, failed = _fixes(p, models[1], d, failed)
+    fixes, failed = _fixes(p, rows, d, failed)
     est = np.full((len(d), 2), np.nan)
     live = _live(failed)
     if live.size:
@@ -1049,16 +1082,16 @@ def _fuse_two_lines(p, azimuths, d, fixes):
 
 
 # (method setting, value) -> the part of a trial the method decides; each entry looks its
-# kernels up by module-global name when it runs. Arguments: estimator (pipeline, inverting
-# model, (T, k) ranges) -> (T, 2) positions and per-trial failures, as rss.solve_stack,
-# also the hybrid fix; decorrelate and doa (pipeline, snapshots) -> covariance and
-# DoaEstimate; hybrid (pipeline, a row's (T, M) MUSIC azimuths, its (T, k) ranges, its
-# (T, 2) fixes or NaN) -> (T, 2) positions and per-trial failures, the target's bearing
-# first among each trial's azimuths except for fbss, which picks it.
+# kernels up by module-global name when it runs. Arguments: estimator (pipeline, each
+# trial's (T,) SNR row, (T, k) ranges) -> (T, 2) positions and per-trial failures, as
+# rss.solve_stack, also the hybrid fix; decorrelate and doa (pipeline, snapshots) ->
+# covariance and DoaEstimate; hybrid (pipeline, a chunk's (T, M) MUSIC azimuths, its
+# (T, k) ranges, its (T, 2) fixes or NaN) -> (T, 2) positions and per-trial failures, the
+# target's bearing first among each trial's azimuths except for fbss, which picks it.
 _STEPS: dict[tuple[str, str], Callable] = {
-    ("estimator", "ls"): lambda p, model, d: solve_stack(p.lop.A, p.lop.rhs(d)),
-    ("estimator", "wls"): lambda p, model, d: solve_stack(
-        p.lop.A, p.lop.rhs(d), *wls_row_weights(model, d)
+    ("estimator", "ls"): lambda p, rows, d: solve_stack(p.lop.A, p.lop.rhs(d)),
+    ("estimator", "wls"): lambda p, rows, d: solve_stack(
+        p.lop.A, p.lop.rhs(d), *_wls_weights(p, rows, d)
     ),
     ("estimator", "huber"): _rss_huber,
     ("decorrelate", "none"): _covariance,
@@ -1082,24 +1115,28 @@ _STEPS: dict[tuple[str, str], Callable] = {
 _COMPILERS = {"rss": _compile_rss, "doa": _compile_doa, "hybrid": _compile_hybrid}
 
 
-def _row_outcomes(p: Pipeline, snr_index: int):
-    """Each trial's outcome in row ``snr_index`` from the stacked row function,
-    ``p.chunk`` trials at a time, or ``None`` for every trial where there is none."""
-    if p.row is None:
-        yield from itertools.repeat(None, p.cfg.trials)
-        return
-    for start in range(0, p.cfg.trials, p.chunk):
-        yield from p.row(p, snr_index, range(start, min(start + p.chunk, p.cfg.trials)))
+def _outcomes(p: Pipeline) -> Iterator:
+    """Each trial's outcome over the whole sweep, in row-major order: from the stacked
+    chunk function, ``p.chunk`` (snr_index, trial_index) pairs at a time and a chunk
+    only once an earlier one is used up, or ``None`` for every trial where there is none."""
+    trials = p.cfg.trials
+    total = len(p.cfg.snr_grid_db) * trials
+    if p.stack is None:
+        return itertools.repeat(None, total)
+    return itertools.chain.from_iterable(
+        p.stack(p, [divmod(i, trials) for i in range(start, min(start + p.chunk, total))])
+        for start in range(0, total, p.chunk)
+    )
 
 
 def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) -> TrialResult:
     """One deterministic trial of the configured pipeline; raises the error that fails
-    it. Where the kind stacks its rows, this is a row of one trial."""
+    it. Where the kind stacks its trials, this is a chunk of one pair."""
     p = _pipeline(cfg, kind)
-    if p.row is None:
+    if p.stack is None:
         (rng,) = _trial_rngs(cfg.seed, snr_index, [trial_index])
         return p.trial(p, snr_index, rng)
-    (outcome,) = p.row(p, snr_index, [trial_index])
+    (outcome,) = p.stack(p, [(snr_index, trial_index)])
     if isinstance(outcome, WsnlocError):
         raise outcome
     return outcome
@@ -1110,20 +1147,23 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
 
     The scenario is compiled before the first trial; a :class:`ConfigError`,
     from compiling or from a trial, propagates, and any other
-    :class:`WsnlocError` counts as a failed trial. rss and hybrid rows run as
-    stacks (a hybrid row's MUSIC scans one subspace at a time), doa rows
-    trial by trial; every trial a stacked row did not solve goes through
-    :func:`run_trial` again, so each failed trial's error leaves it once, for
-    a caller that watches it (a failed rss or hybrid trial is drawn and solved
-    twice). ``workers`` is accepted for compatibility and ignored: trials run
+    :class:`WsnlocError` counts as a failed trial. rss and hybrid trials run
+    as stacks, in chunks of the whole sweep that rows do not end (a hybrid
+    chunk's MUSIC scans one subspace at a time), doa trials one at a time;
+    every trial a stack did not solve goes through :func:`run_trial` again,
+    so each failed trial's error leaves it once, for a caller that watches it
+    (a failed rss or hybrid trial is drawn and solved twice). The outcomes
+    are counted row by row in grid order, and the first row whose trials all
+    fail raises :class:`AllTrialsFailed` before a later chunk runs.
+    ``workers`` is accepted for compatibility and ignored: trials run
     serially.
     """
     p = _pipeline(cfg, kind)
-    rows = []
+    rows, outcomes = [], _outcomes(p)
     with np.errstate(**_QUIET):
         for si, snr in enumerate(cfg.snr_grid_db):
             errors, failed = [], collections.Counter()
-            for ti, outcome in enumerate(_row_outcomes(p, si)):
+            for ti, outcome in enumerate(itertools.islice(outcomes, cfg.trials)):
                 if not isinstance(outcome, TrialResult):
                     try:
                         outcome = run_trial(cfg, kind, si, ti)

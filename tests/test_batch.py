@@ -1,10 +1,11 @@
-"""The rss and hybrid rows solve their trials' trilateration fixes as one stack;
+"""The rss and hybrid stacks solve their trials' trilateration fixes as one stack;
 these tests hold them to the systems solved one at a time, byte for byte: the rss
-rows by ``lop_oracle``, which shares no code with the package's solvers, and the
-hybrid fixes by the one-system solvers. A hybrid row does every step after its draws
+trials by ``lop_oracle``, which shares no code with the package's solvers, and the
+hybrid fixes by the one-system solvers. A hybrid stack does every step after its draws
 as array operations; these tests hold each of its trials to the public kernels composed
-for that trial alone, and to an oracle that shares no code with the row's stacked scan,
-peak pick and fusion, byte for byte."""
+for that trial alone, and to an oracle that shares no code with the stack's scan, peak
+pick and fusion, byte for byte. A stack takes a chunk of (snr_index, trial_index) pairs
+that may cross SNR rows; a chunk must give each trial what its row run alone gives."""
 
 import dataclasses
 import json
@@ -14,6 +15,8 @@ from pathlib import Path
 import lop_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnloc import geometry, harness, hybrid, rss
 from wsnloc.arrays import (
@@ -117,6 +120,16 @@ def assert_same(batched, looped):
     assert batched.error == error
 
 
+def row(p, snr_index: int) -> list:
+    """The outcomes of a row's trials, stacked alone as one chunk."""
+    return p.stack(p, [(snr_index, ti) for ti in range(p.cfg.trials)])
+
+
+def sweep_pairs(cfg: ScenarioConfig) -> list:
+    """Every (snr_index, trial_index) pair of the sweep, in row-major order."""
+    return [(si, ti) for si in range(len(cfg.snr_grid_db)) for ti in range(cfg.trials)]
+
+
 def check_rows(cfg: ScenarioConfig, kind: str = "rss") -> list[type]:
     """Every row's stacked trials against the looped ones; returns the failure classes."""
     p = harness._pipeline(cfg, kind)
@@ -124,9 +137,9 @@ def check_rows(cfg: ScenarioConfig, kind: str = "rss") -> list[type]:
     classes = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for si in range(len(cfg.snr_grid_db)):
-            row = p.row(p, si, range(cfg.trials))
-            assert len(row) == cfg.trials
-            for ti, batched in enumerate(row):
+            row_outcomes = row(p, si)
+            assert len(row_outcomes) == cfg.trials
+            for ti, batched in enumerate(row_outcomes):
                 looped = outcome(looped_trial, cfg, si, ti)
                 assert_same(batched, looped)
                 assert_same(outcome(run_trial, cfg, kind, si, ti), looped)
@@ -223,10 +236,10 @@ def test_one_ulp_square_of_the_last_range():
     p = harness._pipeline(cfg, "rss")
     rng = rng_for_trial(7, 3, 16)
     target = harness._draw_target(p, rng)
-    d = harness._ranges(p, target[None], [rng.normal(0.0, 1.0, size=4)], p.models[3])[0]
+    d = harness._ranges(p, target[None], [rng.normal(0.0, 1.0, size=4)], np.array([3]))[0]
     assert d[-1] ** 2 != (d[None, -1:] ** 2)[0, 0]
     single = run_trial(cfg, "rss", 3, 16)
-    batched = p.row(p, 3, range(30))[16]
+    batched = row(p, 3)[16]
     assert single.estimate.tobytes() == batched.estimate.tobytes()
     assert single.estimate.tobytes() == one_trial(cfg, 3, 16)[0].tobytes()
 
@@ -359,23 +372,25 @@ def test_hybrid_rows_equal_looped_trials(scheme, changes):
     ids=["rss", "hybrid-two-lines", "hybrid-ls-noiseless"],
 )
 def test_row_ranges_equal_looped_path_loss(cfg):
-    # a row's ranges: its one mean-loss call under the generating model (eta_true), plus
-    # each trial's shadows, read back by the inverting model; each is the bytes of that
-    # trial's own path_loss and invert_distance
+    # a chunk's ranges: its one mean-loss call under the generating model (eta_true),
+    # plus each trial's shadows scaled by its own row's std, read back by the inverting
+    # model; each is the bytes of that trial's own path_loss and invert_distance, for
+    # a chunk of one row or one whose trials are spread over every row
     kind = "rss" if cfg.node is None else "hybrid"
     p = harness._pipeline(cfg, kind)
     rng = np.random.default_rng(3)
     targets = rng.uniform(0.0, cfg.region[0], (200, 2))
-    for models in p.models:
-        gen_model, inv_model = models
-        assert gen_model.eta == cfg.eta_true != inv_model.eta
-        shadows = [np.random.default_rng(t).normal(0.0, 1.0, size=len(p.ranged)) for t in range(200)]
+    shadows = [np.random.default_rng(t).normal(0.0, 1.0, size=len(p.ranged)) for t in range(200)]
+    spread = np.sort(rng.integers(0, len(p.models), 200))
+    for rows in [np.full(200, si) for si in range(len(p.models))] + [spread]:
         looped = []
         for t, target in enumerate(targets):
+            gen_model, inv_model = p.models[rows[t]]
+            assert gen_model.eta == cfg.eta_true != inv_model.eta
             diff = p.ranged - target
             loss = path_loss(np.hypot(diff[:, 0], diff[:, 1]), gen_model, np.random.default_rng(t))
             looped.append(invert_distance(loss, inv_model))
-        assert harness._ranges(p, targets, shadows, models).tobytes() == np.array(looped).tobytes()
+        assert harness._ranges(p, targets, shadows, rows).tobytes() == np.array(looped).tobytes()
 
 
 @pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
@@ -430,7 +445,6 @@ def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
                 r = sample_covariance(x)
             looped.append(herm_eig(r)[1])
     s, noise = zip(*signals)
-    noise = None if noise[0] is None else np.array(noise)
     failed = np.full(cfg.trials, None, dtype=object)
     q, failed = harness._noise_subspaces(p, np.array(azimuths), np.array(s), noise, failed)
     assert list(failed) == [None] * cfg.trials
@@ -467,9 +481,9 @@ def test_hybrid_peaks_fail_before_ranges_and_fix(monkeypatch, scheme):
         raise NoPeaksFound("no spectral peaks")
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        before = p.row(p, 0, range(cfg.trials))
+        before = row(p, 0)
         monkeypatch.setattr(harness, "music_peaks", no_peaks)
-        after = p.row(p, 0, range(cfg.trials))
+        after = row(p, 0)
     assert NonPositiveDistance in {type(o) for o in before}
     for one, other in zip(before, after):
         ranged_first = scheme == "fbss" and isinstance(one, NonPositiveDistance)
@@ -494,41 +508,68 @@ def test_hybrid_rows_fail_as_looped_trials(scheme):
 
 def chunked(monkeypatch, cfg: ScenarioConfig, kind: str, budget: int) -> tuple:
     """``monte_carlo`` of ``cfg`` compiled afresh under a ``ROW_VALUES`` of ``budget``,
-    and the trial ranges its stacked row calls got (not run_trial's reruns)."""
+    and the chunks of pairs its stack calls got (not run_trial's reruns)."""
     monkeypatch.setattr(harness, "ROW_VALUES", budget)
     cfg = dataclasses.replace(cfg)  # an empty pipeline cache: compiled under the budget
     p = harness._pipeline(cfg, kind)
-    chunks, row = [], p.row
-    monkeypatch.setattr(p, "row", lambda p, si, trials: chunks.append(trials) or row(p, si, trials))
+    chunks, stack, rerun, rerunning = [], p.stack, harness.run_trial, []
+
+    def recorded(p, pairs):
+        if not rerunning:
+            chunks.append(list(pairs))
+        return stack(p, pairs)
+
+    def run_trial(*args):
+        rerunning.append(args)
+        try:
+            return rerun(*args)
+        finally:
+            rerunning.pop()
+
+    monkeypatch.setattr(p, "stack", recorded)
+    monkeypatch.setattr(harness, "run_trial", run_trial)
     result = monte_carlo(cfg, kind)
-    return result, [list(t) for t in chunks if isinstance(t, range)]
+    return result, chunks
+
+
+def sweep_chunks(cfg: ScenarioConfig, size: int) -> list:
+    """The sweep's pairs in row-major order, cut into chunks of ``size``."""
+    pairs = sweep_pairs(cfg)
+    return [pairs[start : start + size] for start in range(0, len(pairs), size)]
 
 
 @pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
 def test_hybrid_rows_stack_in_chunks(monkeypatch, scheme):
-    # one trial per chunk gives the rows of one stack per row
+    # one chunk holds the whole sweep; one pair per chunk, or 4 (chunks that end inside
+    # a row and cross into the next), give the same rows
     cfg = hybrid_scenario(
         scheme, trials=11, snr_grid_db=[-5.0, 10.0], channel={"sigma_ref_db": 30.0}
     )
     whole, chunks = chunked(monkeypatch, cfg, "hybrid", 10**9)
-    assert chunks == 2 * [list(range(11))]
+    assert chunks == [sweep_pairs(cfg)]
     single, chunks = chunked(monkeypatch, cfg, "hybrid", 1)
     assert single == whole
-    assert chunks == [[ti] for ti in 2 * list(range(11))]
+    assert chunks == sweep_chunks(cfg, 1)
+    values = len(harness._pipeline(cfg, "hybrid").ranged) + cfg.node.geometry.size * cfg.snapshots
+    four, chunks = chunked(monkeypatch, cfg, "hybrid", 4 * values)
+    assert four == whole
+    assert chunks == sweep_chunks(cfg, 4)
+    assert [si for si, _ in chunks[2]] == [0, 0, 0, 1]
 
 
 def test_hybrid_row_chunk_holds_bounded_snapshots():
     # 8,192 drawn values: 20 trials of a 4-element ring with 100 snapshots (4 path losses
     # and 400 snapshot values each), 5 of a 16-element one; a trial larger than the limit
-    # still runs, one at a time
+    # still runs, one at a time. The chunks cut the 3 rows of 45 trials as one sweep.
     for scheme, snapshots, size in [("single", 100, 20), ("fbss", 100, 5), ("single", 4096, 1)]:
-        cfg = dataclasses.replace(hybrid_scenario(scheme, snapshots=snapshots), trials=45)
+        cfg = hybrid_scenario(scheme, snapshots=snapshots, snr_grid_db=[5.0, 10.0, 20.0])
+        cfg = dataclasses.replace(cfg, trials=45)
         p = harness._pipeline(cfg, "hybrid")
-        sizes = []
-        row = p.row
-        p.row = lambda p, si, trials: sizes.append(len(trials)) or row(p, si, trials)
-        list(harness._row_outcomes(p, 0))
-        assert sizes[0] == size and sum(sizes) == 45
+        chunks = []
+        stack = p.stack
+        p.stack = lambda p, pairs: chunks.append(pairs) or stack(p, pairs)
+        assert len(list(harness._outcomes(p))) == 135
+        assert chunks == sweep_chunks(cfg, size)
 
 
 def test_hybrid_fbss_follows_the_grid_step():
@@ -613,27 +654,26 @@ def recording(monkeypatch, module, name) -> list:
 
 
 def stacked_fixes(monkeypatch, cfg: ScenarioConfig) -> tuple[list, list]:
-    """Every hybrid row of ``cfg`` run as one stack. Returns, in row and trial order,
-    ``(snr_index, ranges, fix)`` for each trial the rows' stacked fix solved (none may
-    fail), and each trial's outcome."""
+    """The hybrid sweep of ``cfg`` run as one stack. Returns, in row and trial order,
+    ``(snr_index, ranges, fix)`` for each trial the stacked fix solved (none may fail),
+    and each trial's outcome."""
     p = harness._pipeline(cfg, "hybrid")
-    solved, outcomes, fix = [], [], p.fix
+    solved, fix = [], p.fix
 
-    def recorded(p, model, d):
-        pos, failed = fix(p, model, d)
+    def recorded(p, rows, d):
+        pos, failed = fix(p, rows, d)
         assert list(failed) == [None] * len(d)
-        solved.extend((si, d_t, pos_t) for d_t, pos_t in zip(d, pos))
+        solved.extend(zip(rows, d, pos))
         return pos, failed
 
     monkeypatch.setattr(p, "fix", recorded)
-    for si in range(len(cfg.snr_grid_db)):
-        outcomes.extend(p.row(p, si, range(cfg.trials)))
+    outcomes = p.stack(p, sweep_pairs(cfg))
     return solved, outcomes
 
 
 def row_peaks(scans: list) -> list:
-    """Each trial's MUSIC azimuths from the recorded ``music_peaks`` calls of whole rows,
-    in row and trial order (none may fail)."""
+    """Each trial's MUSIC azimuths from the recorded ``music_peaks`` calls of whole
+    chunks, in row and trial order (none may fail)."""
     peaks = []
     for _, (azimuths, failed) in scans:
         assert list(failed) == [None] * len(azimuths)
@@ -679,25 +719,165 @@ def test_hybrid_fbss_coarse_fix_equals_ls_solve(monkeypatch):
 
 
 def test_rows_stack_in_chunks(monkeypatch):
-    # trials 0-39 in chunks of 7, 7, ..., 5: the same rows as one stack of 40
+    # the 80 pairs of two rows of 40 in chunks of 7, 7, ..., 3 (the sixth chunk ends
+    # row 0 and starts row 1): the same rows as one stack of 80
     cfg = scenario(trials=40, snr_grid_db=[0.0, 0.5], channel={"sigma_ref_db": 80.0})
     cfg = cfg.with_method(estimator="wls")
     whole = monte_carlo(cfg, "rss")
     assert any(row.failures for row in whole.rows)
     chunked_result, chunks = chunked(monkeypatch, cfg, "rss", 7 * 4)  # 4 path losses a trial
     assert chunked_result == whole
-    assert chunks == 2 * [list(range(s, min(s + 7, 40))) for s in range(0, 40, 7)]
+    assert chunks == sweep_chunks(cfg, 7)
+    assert chunks[5] == [(0, 35), (0, 36), (0, 37), (0, 38), (0, 39), (1, 0), (1, 1)]
+    one, chunks = chunked(monkeypatch, cfg, "rss", 10**9)
+    assert one == whole and chunks == [sweep_pairs(cfg)]
 
 
 @pytest.mark.parametrize("anchors, size", [(4, 2048), (3, 2730)])
 def test_rss_row_chunk_holds_bounded_path_losses(anchors, size):
-    # 8,192 drawn values: 2,048 trials of 4 path losses, 2,730 of 3
+    # 8,192 drawn values: 2,048 trials of 4 path losses, 2,730 of 3, cut from the
+    # 3 x 5,000 pairs of the sweep whatever row they are in
     cfg = dataclasses.replace(scenario(anchors=RSS_RAW["anchors"][:anchors]), trials=5000)
     p = harness._pipeline(cfg, "rss")
-    sizes = []
-    p.row = lambda p, si, trials: sizes.append(len(trials)) or [None] * len(trials)
-    list(harness._row_outcomes(p, 0))
-    assert sizes == [size] * (5000 // size) + [5000 % size]
+    chunks = []
+    p.stack = lambda p, pairs: chunks.append(pairs) or [None] * len(pairs)
+    assert len(list(harness._outcomes(p))) == 15000
+    assert [len(c) for c in chunks] == [size] * (15000 // size) + [15000 % size]
+    assert [pair for c in chunks for pair in c] == sweep_pairs(cfg)
+
+
+def assert_same_outcome(chunked, alone):
+    """A trial stacked in a chunk and in its row alone: the same failure class and
+    message, or the same estimate, truth and error bytes."""
+    assert type(chunked) is type(alone)
+    if isinstance(alone, WsnlocError):
+        assert str(chunked) == str(alone)
+    else:
+        assert chunked.estimate.tobytes() == alone.estimate.tobytes()
+        assert chunked.truth.tobytes() == alone.truth.tobytes()
+        assert chunked.error.hex() == alone.error.hex()
+
+
+def rows_alone(cfg: ScenarioConfig, kind: str) -> list:
+    """Each row of the sweep stacked on its own, in row-major order."""
+    p = harness._pipeline(cfg, kind)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return [outcome for si in range(len(cfg.snr_grid_db)) for outcome in row(p, si)]
+
+
+def outcomes_under(monkeypatch, cfg: ScenarioConfig, kind: str, budget: int) -> list:
+    """Every outcome of the sweep of ``cfg`` compiled afresh under a ``ROW_VALUES`` of
+    ``budget``, the chunks cut across rows, in row-major order."""
+    monkeypatch.setattr(harness, "ROW_VALUES", budget)
+    p = harness._pipeline(dataclasses.replace(cfg), kind)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return list(harness._outcomes(p))
+
+
+def values_per_trial(cfg: ScenarioConfig, kind: str) -> int:
+    """The values one trial draws, against ``ROW_VALUES``."""
+    p = harness._pipeline(cfg, kind)
+    return len(p.ranged) + (0 if p.node is None else p.geometry.size * cfg.snapshots)
+
+
+# rss (80 dB of shadowing at 0 dB): ranges past the float range at -30 dB, overflowing
+# variances and singular systems at 0 dB, a row at 12 dB and one without shadowing at
+# 7,000 dB. hybrid: heavy shadowing at -20 dB, and no noise and no shadowing at 7,000 dB.
+CROSSING = [("rss", estimator) for estimator in ESTIMATORS] + [
+    ("hybrid", scheme) for scheme in HYBRID_SCHEMES
+]
+
+
+def crossing_scenario(kind: str, method: str, trials: int, grid: list) -> ScenarioConfig:
+    if kind == "rss":
+        channel = {"sigma_ref_db": 80.0}
+        cfg = scenario(trials=trials, snr_grid_db=grid, target="random", channel=channel)
+        return cfg.with_method(estimator=method)
+    return hybrid_scenario(
+        method, trials=trials, snr_grid_db=grid, target="random", channel={"sigma_ref_db": 30.0}
+    )
+
+
+@pytest.mark.parametrize("kind, method", CROSSING, ids=[f"{k}-{m}" for k, m in CROSSING])
+def test_chunks_across_rows_equal_rows_alone(monkeypatch, kind, method):
+    # chunks of 1, 4 and 7 trials end inside rows of 6 and cross into the next; 6 end
+    # with each row; 10**9 values hold the whole sweep
+    grid = [-30.0, 0.0, 12.0, 7000.0] if kind == "rss" else [-20.0, 10.0, 7000.0]
+    cfg = crossing_scenario(kind, method, 6, grid)
+    alone = rows_alone(cfg, kind)
+    assert harness.TrialResult in {type(o) for o in alone}
+    if kind == "rss":
+        assert NonPositiveDistance in {type(o) for o in alone}
+    per_trial = values_per_trial(cfg, kind)
+    for budget in [per_trial, 4 * per_trial, 7 * per_trial + 3, 6 * per_trial, 10**9]:
+        chunked_outcomes = outcomes_under(monkeypatch, cfg, kind, budget)
+        assert len(chunked_outcomes) == len(alone)
+        for one, other in zip(chunked_outcomes, alone):
+            assert_same_outcome(one, other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(CROSSING),
+    grid=st.lists(st.sampled_from([-30.0, 0.0, 9.0, 7000.0]), min_size=1, max_size=4),
+    trials=st.integers(1, 6),
+    size=st.integers(1, 25),
+)
+def test_any_chunking_equals_rows_alone(case, grid, trials, size):
+    kind, method = case
+    cfg = crossing_scenario(kind, method, trials, grid)
+    alone = rows_alone(cfg, kind)
+    with pytest.MonkeyPatch.context() as patch:
+        chunked_outcomes = outcomes_under(patch, cfg, kind, size * values_per_trial(cfg, kind))
+    assert len(chunked_outcomes) == len(alone) == len(grid) * trials
+    for one, other in zip(chunked_outcomes, alone):
+        assert_same_outcome(one, other)
+
+
+@pytest.mark.parametrize("estimator", ["wls", "huber"])
+def test_chunk_mixes_rows_with_and_without_shadowing(monkeypatch, estimator):
+    # at 7,000 dB the shadowing std underflows to 0: WLS weighs that row's ranges all
+    # alike and Huber starts it from LS, while the 0 dB row is weighted
+    cfg = scenario(trials=12, snr_grid_db=[0.0, 7000.0]).with_method(estimator=estimator)
+    p = harness._pipeline(cfg, "rss")
+    assert p.sigma_db[1] == 0.0 < p.sigma_db[0]
+    alone = rows_alone(cfg, "rss")
+    irls = recording(monkeypatch, harness, "huber_stack")
+    weights = recording(monkeypatch, harness, "wls_row_weights")
+    chunk = p.stack(p, sweep_pairs(cfg))
+    for one, other in zip(chunk, alone, strict=True):
+        assert_same_outcome(one, other)
+    by_row = {args[0].sigma_db: w for args, (w, _) in weights}
+    assert np.all(by_row[p.sigma_db[0]] != 1.0)
+    if estimator == "wls":
+        assert np.all(by_row[0.0] == 1.0)
+        assert irls == []
+        return
+    assert list(by_row) == [p.sigma_db[0]]  # the unshadowed row is never weighted
+    # one weighted stack of row 0 (a, b, epsilon, weights, failed), one unweighted of row 1
+    assert [(len(args), len(args[1])) for args, _ in irls] == [(5, 12), (3, 12)]
+    # a chunk holds at most two IRLS loops: 24 pairs in chunks of 5, one of which crosses
+    irls.clear()
+    list(harness._outcomes(dataclasses.replace(p, chunk=5)))
+    assert [len(args[1]) for args, _ in irls] == [5, 5, 2, 3, 5, 4]
+
+
+@pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
+def test_chunk_mixes_noisy_and_noiseless_rows(scheme):
+    # at 7,000 dB the noise power underflows to 0, so those trials draw no noise (and
+    # no shadowing), next to the noisy 10 dB row in one chunk
+    cfg = hybrid_scenario(scheme, trials=4, snr_grid_db=[10.0, 7000.0])
+    p = harness._pipeline(cfg, "hybrid")
+    amplitudes = np.ones(1 if p.sources is None else 1 + p.sources.count)
+    for snr_db, noiseless in [(10.0, False), (7000.0, True)]:
+        rng = np.random.default_rng(0)
+        noise = draw_signals(amplitudes, False, p.geometry.size, cfg.snapshots, snr_db, rng)[1]
+        assert (noise is None) == noiseless
+    alone = rows_alone(cfg, "hybrid")
+    chunk = p.stack(p, sweep_pairs(cfg))
+    for one, other in zip(chunk, alone, strict=True):
+        assert_same_outcome(one, other)
+    assert harness.TrialResult in {type(o) for o in chunk}
 
 
 # --- an independent oracle for the stacked hybrid row ----------------------------------
@@ -862,7 +1042,7 @@ def check_oracle_rows(cfg: ScenarioConfig) -> list[type]:
     classes = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for si in range(len(cfg.snr_grid_db)):
-            for ti, batched in enumerate(p.row(p, si, range(cfg.trials))):
+            for ti, batched in enumerate(row(p, si)):
                 assert_same(batched, outcome(oracle_hybrid_trial, cfg, si, ti))
                 classes.append(type(batched))
     return classes

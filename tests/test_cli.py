@@ -142,6 +142,28 @@ def test_all_trials_failed_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_first_all_failed_row_exit_code_within_one_chunk(tmp_path, capsys):
+    # row 0 at -3,000 dB fails every trial, row 1 does not; one chunk holds both rows
+    raw = dict(RSS_RAW, snr_grid_db=[-3000.0, 12.0])
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    for estimator in ("ls", "wls", "huber"):
+        assert main(["rss", "--config", str(cfg), "--out", str(out), "--estimator", estimator]) == 2
+        assert capsys.readouterr().err == "error: all 8 trials failed at snr=-3000.0 dB\n"
+        assert not out.exists()
+
+
+def test_config_error_from_a_trial_exit_code(tmp_path, capsys):
+    # anchors that keep a random target 5 m clear cover the 1 m region: no trial of any
+    # row can place its target
+    channel = dict(RSS_RAW["channel"], d0_m=5.0)
+    raw = dict(RSS_RAW, region=[1.0, 1.0], target="random", snr_grid_db=[-3000.0, 12.0])
+    cfg, out = write_cfg(tmp_path, dict(raw, channel=channel)), tmp_path / "x.csv"
+    assert main(["rss", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: could not place a random target")
+    assert not out.exists()
+
+
 def test_doa_subcommand_with_decorrelation(tmp_path):
     raw = {
         "seed": 11,

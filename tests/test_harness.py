@@ -475,6 +475,46 @@ class TestMonteCarlo:
                 monte_carlo(cfg, "rss")
 
 
+    @pytest.mark.parametrize("kind", ["rss", "hybrid"])
+    def test_first_all_failed_row_raises_within_one_chunk(self, kind):
+        # at -3,000 dB the shadowing sends every range out of the float range, so rows 0
+        # and 2 fail every trial and row 1 does not; one chunk holds the whole sweep, and
+        # the error names row 0
+        raw = json.loads(json.dumps(RSS_RAW if kind == "rss" else HYBRID_RAW))
+        raw["snr_grid_db"] = [-3000.0, 9.0, -3001.0]
+        cfg = ScenarioConfig.from_dict(raw)
+        p = harness._pipeline(cfg, kind)
+        trials = cfg.trials
+        assert p.chunk >= 3 * trials
+        with np.errstate(**harness._QUIET):
+            outcomes = list(harness._outcomes(p))
+        rows = [{type(o) for o in outcomes[si * trials : (si + 1) * trials]} for si in range(3)]
+        assert harness.TrialResult not in rows[0] | rows[2]
+        assert harness.TrialResult in rows[1]
+        with pytest.raises(AllTrialsFailed, match=rf"all {trials} trials failed at snr=-3000.0 dB"):
+            monte_carlo(cfg, kind)
+
+    def test_config_error_of_a_trial_in_the_chunk_of_an_all_failed_row(self, monkeypatch):
+        # row 0 fails every trial and row 1's first trial cannot place its target. In one
+        # chunk the ConfigError leaves as the chunk draws, before any row is counted; with
+        # a chunk per row, row 0 is counted and raises before row 1 draws
+        raw = json.loads(json.dumps(RSS_RAW))
+        raw.update(snr_grid_db=[-3000.0, 9.0], target="random")
+        cfg = ScenarioConfig.from_dict(raw)
+        unplaced, draw_target = rng_for_trial(cfg.seed, 1, 0).bit_generator.state, harness._draw_target
+
+        def placing(p, rng):
+            if rng.bit_generator.state == unplaced:
+                raise ConfigError("could not place a random target clear of the ranging nodes")
+            return draw_target(p, rng)
+
+        monkeypatch.setattr(harness, "_draw_target", placing)
+        with pytest.raises(ConfigError, match="could not place"):
+            monte_carlo(cfg, "rss")
+        monkeypatch.setattr(harness, "ROW_VALUES", cfg.trials * len(cfg.anchors))
+        with pytest.raises(AllTrialsFailed, match="snr=-3000.0 dB"):
+            monte_carlo(cfg.with_method(), "rss")  # compiled afresh: a chunk per row
+
     @pytest.mark.parametrize("kind", ["doa", "rss"])
     def test_failures_by_class_count_each_failed_trial(self, kind):
         # doa: three sources on four elements at 0 dB, where MUSIC often finds too few
@@ -634,8 +674,8 @@ def counting(monkeypatch, module, name):
 
 
 class TestTrialCallCounts:
-    """A row works out the mean path losses of all its trials' points in one call; the
-    anchors' LOP matrix is built once, when the scenario is compiled."""
+    """A chunk of the sweep works out the mean path losses of all its trials' points in
+    one call; the anchors' LOP matrix is built once, when the scenario is compiled."""
 
     @pytest.mark.parametrize("estimator", ["ls", "wls", "huber"])
     def test_rss_trial(self, monkeypatch, estimator):
@@ -651,7 +691,7 @@ class TestTrialCallCounts:
         ranged.clear()
         monte_carlo(cfg, "rss")
         assert len(verdicts) == 1
-        assert [args[0].shape for args in ranged] == [(20, 4), (20, 4)]
+        assert [args[0].shape for args in ranged] == [(40, 4)]  # the two rows in one chunk
 
     @pytest.mark.parametrize(
         "scheme, points", [("single", 4), ("fbss", 4), ("ls", 4), ("wls", 4), ("two-lines", 5)]
