@@ -27,7 +27,11 @@ trial_index) pairs taken in row-major order, as many as draw at most
 :data:`ROW_VALUES` values (shadowing terms, plus complex snapshot values for
 hybrid) and at least one, so a chunk's memory does not grow with ``trials``
 or the grid, and a row does not end a chunk. Each kind compiles a stacked
-chunk function, and its :func:`run_trial` is a chunk of one pair. Both kinds
+chunk function, and its :func:`run_trial` is a chunk of one pair. A chunk
+returns arrays, as the library's stack kernels do: its (T, 2) truths and
+estimates, its (T,) errors, NaN exactly where a trial failed, and its (T,)
+failures; :func:`monte_carlo` reads each row's errors into one float64
+array and builds no per-trial object. Both kinds
 range through each row's (generating, inverting) channel pair, so
 ``channel.eta_true`` applies to either. Each trial draws on its own stream,
 at its own row's SNR; the chunk then does its numerics as stacks, bit for bit
@@ -66,9 +70,10 @@ Randomness: every trial owns an independent PCG64 stream, documented as
 trial_index))``, so results are bit-identical across reruns and do not
 depend on the order in which trials run or on how many share a chunk. Trials
 draw on streams derived per row, bit-identical to it: a chunk calls
-:func:`_trial_rngs` once for each run of its pairs in one row, which mixes
-the row's seed and SNR-index words once and each trial's own index words
-after them, and seeds a fresh PCG64 per trial. The SNR axis drives both the
+:func:`_trial_rngs` once for each run of its pairs in one row, which takes
+the pool numpy's ``SeedSequence(seed, spawn_key=(snr_index,))`` mixes once
+per row, mixes each trial's own index words into it, and seeds a fresh
+PCG64 per trial. The SNR axis drives both the
 array noise floor and the RSS shadowing std through
 ``sigma_db = sigma_ref_db * 10^(-snr/20)``.
 
@@ -506,8 +511,8 @@ def rng_for_trial(seed: int, snr_index: int, trial_index: int) -> np.random.Gene
 
 
 # SeedSequence's uint32 hash-mix, as numpy's SeedSequence documents it after M. O'Neill,
-# "Developing a seed_seq Alternative" (pcg-random.org, 2015). Written out so that a row
-# mixes its seed and SNR-index words once, and each trial only its own index words.
+# "Developing a seed_seq Alternative" (pcg-random.org, 2015). Written out so that each
+# trial mixes only its own index words into the pool its row's SeedSequence leaves.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -522,22 +527,10 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, hc: int) -> tuple[int, int]:
-    """One word hashed with the hash constant ``hc``; returns it and the next constant."""
-    nxt = hc * _MULT_A & _MASK32
-    value = (value ^ hc) * nxt & _MASK32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x: int, y: int) -> int:
-    x = _MIX_L * x - _MIX_R * y & _MASK32
-    return x ^ x >> 16
-
-
 def _absorb(pool, hc: int, words) -> tuple[list[int], int]:
     """Mix every word of ``words`` into each pool word, as SeedSequence does with the
-    entropy past its pool: ``_mix(p, _hashmix(w, hc))``, written out because it runs
-    once per trial. Returns the pool and the next hash constant."""
+    entropy past its pool: each word hashed with the next hash constant, then mixed in.
+    Returns the pool and the next hash constant."""
     pool = list(pool)
     for w in words:
         for i, p in enumerate(pool):
@@ -552,20 +545,13 @@ def _absorb(pool, hc: int, words) -> tuple[list[int], int]:
 @functools.lru_cache(maxsize=64)
 def _row_pool(seed: int, snr_index: int) -> tuple[tuple[int, ...], int]:
     """The pool and hash constant of ``SeedSequence(seed, spawn_key=(snr_index, ...))``
-    once the seed and SNR-index words are mixed in, before the trial index words."""
-    words = _uint32_words(seed)
-    words += [0] * (_POOL - len(words)) + _uint32_words(snr_index)  # a spawn key pads the seed
-    hc, pool = _INIT_A, []
-    for w in words[:_POOL]:
-        h, hc = _hashmix(w, hc)
-        pool.append(h)
-    for src in range(_POOL):  # every pool word into every other one
-        for dst in range(_POOL):
-            if src != dst:
-                h, hc = _hashmix(pool[src], hc)
-                pool[dst] = _mix(pool[dst], h)
-    pool, hc = _absorb(pool, hc, words[_POOL:])
-    return tuple(pool), hc
+    once the seed and SNR-index words are mixed in, before the trial index words. The
+    pool is numpy's for the key ``(snr_index,)``; the constant has taken one step per
+    hashed word: the 4 padded seed words, the pool's 12 cross-mixes and 4 per SNR-index
+    word."""
+    pool = np.random.SeedSequence(seed, spawn_key=(snr_index,)).pool
+    steps = 16 + _POOL * len(_uint32_words(snr_index))
+    return tuple(pool.tolist()), _INIT_A * _MULT_A**steps & _MASK32
 
 
 # generate_state's (xor, multiplier) hash constants for its 8 uint32 output words
@@ -608,7 +594,8 @@ def _trial_rngs(seed: int, snr_index: int, trial_indices) -> Iterator[np.random.
 @dataclass
 class Pipeline:
     """A scenario compiled for one kind: ``stack(pipeline, pairs)`` (rss, hybrid), for a
-    chunk of (snr_index, trial_index) pairs in row-major order, or ``trial(pipeline,
+    chunk of (snr_index, trial_index) pairs in row-major order (returning the chunk's
+    truths, estimates, errors and failures, :func:`_score`), or ``trial(pipeline,
     snr_index, rng)`` (doa) hands the trilateration to ``fix`` and the method's part to
     ``step`` (doa preprocessing to ``prepare``), all from :data:`_STEPS`; the other
     fields are what all trials share, ``None`` where a kind has no use for them."""
@@ -850,7 +837,7 @@ def _draw_target(p: Pipeline, rng: np.random.Generator) -> np.ndarray:
     width, height = p.cfg.region
     points, radii = p.clearance
     for _ in range(1000):
-        cand = np.array([rng.uniform(0, width), rng.uniform(0, height)])
+        cand = rng.random(2) * (width, height)  # the bits of two uniform(0, side) calls
         if all(distance(cand, q) >= c for q, c in zip(points, radii)):
             return cand
     raise ConfigError("could not place a random target clear of the ranging nodes")
@@ -900,22 +887,21 @@ def _fixes(p: Pipeline, rows, d: np.ndarray, failed: np.ndarray) -> tuple[np.nda
     return fixes, failed
 
 
-def _score(targets: np.ndarray, est: np.ndarray, failed: np.ndarray) -> list:
-    """Each trial's result from its row of the (T, 2) estimates, or its error in
-    ``failed``; an estimate with no finite error fails its trial."""
+def _score(targets: np.ndarray, est: np.ndarray, failed: np.ndarray) -> tuple:
+    """A chunk's outcome: its (T, 2) truths and estimates, the (T,) errors, NaN exactly
+    where a trial failed, and ``failed``; an estimate with no finite error fails its
+    trial."""
     errors = np.hypot(est[:, 0] - targets[:, 0], est[:, 1] - targets[:, 1])
     failed[np.equal(failed, None) & ~np.isfinite(errors)] = NumericOverflow(_BAD_ESTIMATE)
-    return [
-        TrialResult(estimate=e, truth=t, error=float(err)) if f is None else f
-        for e, t, err, f in zip(est, targets, errors, failed)
-    ]
+    errors[np.not_equal(failed, None)] = np.nan
+    return targets, est, errors, failed
 
 
-def _rss_stack(p: Pipeline, pairs: list) -> list:
+def _rss_stack(p: Pipeline, pairs: list) -> tuple:
     """Each trial of the chunk ``pairs`` draws its target and shadowing from its own
     stream; the chunk then ranges, checks and solves all its trials as one (T, k)
     block. A trial that fails a check gets the error its own solve would raise, and
-    leaves the others alone. Returns each trial's result, or that error."""
+    leaves the others alone. Returns the chunk's outcome (:func:`_score`)."""
     k = len(p.ranged)
     drawn = _draws(p, pairs, lambda rng, si: (_draw_target(p, rng), rng.normal(0.0, 1.0, size=k)))
     targets, shadows = zip(*drawn)
@@ -1012,7 +998,7 @@ def _noise_subspaces(p: Pipeline, azimuths, s, noise, failed) -> tuple[np.ndarra
     return q, failed
 
 
-def _hybrid_stack(p: Pipeline, pairs: list) -> list:
+def _hybrid_stack(p: Pipeline, pairs: list) -> tuple:
     """Each trial of the chunk ``pairs`` draws its target, signal, noise (at its row's
     SNR) and shadowing from its own stream; the chunk then checks the targets' bearings
     against the interferers, forms its snapshots and covariances (fbss:
@@ -1022,8 +1008,8 @@ def _hybrid_stack(p: Pipeline, pairs: list) -> list:
     trilateration fixes as one stack and fuses them with the scheme's stacked kernel.
     A trial gets the error its own pass would raise first: its sources' (a target on an
     interferer's bearing), its ranges' (fbss only), its covariance's, its spectrum's, its
-    ranges', its fix's, its fusion's, its score's. Returns each trial's result, or that
-    error."""
+    ranges', its fix's, its fusion's, its score's. Returns the chunk's outcome
+    (:func:`_score`)."""
     amplitudes = np.ones(1) if p.sources is None else np.concatenate([[1.0], p.sources.amplitudes])
     size, k, coherent = p.geometry.size, p.cfg.snapshots, p.sources is not None
 
@@ -1115,31 +1101,33 @@ _STEPS: dict[tuple[str, str], Callable] = {
 _COMPILERS = {"rss": _compile_rss, "doa": _compile_doa, "hybrid": _compile_hybrid}
 
 
-def _outcomes(p: Pipeline) -> Iterator:
-    """Each trial's outcome over the whole sweep, in row-major order: from the stacked
+def _outcomes(p: Pipeline) -> Iterator[float]:
+    """Each trial's error over the whole sweep, in row-major order: from the stacked
     chunk function, ``p.chunk`` (snr_index, trial_index) pairs at a time and a chunk
-    only once an earlier one is used up, or ``None`` for every trial where there is none."""
+    only once an earlier one is used up, NaN where its trial failed; or NaN for every
+    trial where there is none."""
     trials = p.cfg.trials
     total = len(p.cfg.snr_grid_db) * trials
     if p.stack is None:
-        return itertools.repeat(None, total)
+        return itertools.repeat(math.nan, total)
     return itertools.chain.from_iterable(
-        p.stack(p, [divmod(i, trials) for i in range(start, min(start + p.chunk, total))])
+        p.stack(p, [divmod(i, trials) for i in range(start, min(start + p.chunk, total))])[2]
         for start in range(0, total, p.chunk)
     )
 
 
 def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) -> TrialResult:
     """One deterministic trial of the configured pipeline; raises the error that fails
-    it. Where the kind stacks its trials, this is a chunk of one pair."""
+    it. Where the kind stacks its trials, this is a chunk of one pair, read into the
+    only :class:`TrialResult` a stack trial gets."""
     p = _pipeline(cfg, kind)
     if p.stack is None:
         (rng,) = _trial_rngs(cfg.seed, snr_index, [trial_index])
         return p.trial(p, snr_index, rng)
-    (outcome,) = p.stack(p, [(snr_index, trial_index)])
-    if isinstance(outcome, WsnlocError):
-        raise outcome
-    return outcome
+    (truth,), (estimate,), (error,), (failed,) = p.stack(p, [(snr_index, trial_index)])
+    if failed is not None:
+        raise failed
+    return TrialResult(estimate=estimate, truth=truth, error=float(error))
 
 
 def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloResult:
@@ -1149,12 +1137,16 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
     from compiling or from a trial, propagates, and any other
     :class:`WsnlocError` counts as a failed trial. rss and hybrid trials run
     as stacks, in chunks of the whole sweep that rows do not end (a hybrid
-    chunk's MUSIC scans one subspace at a time), doa trials one at a time;
-    every trial a stack did not solve goes through :func:`run_trial` again,
-    so each failed trial's error leaves it once, for a caller that watches it
-    (a failed rss or hybrid trial is drawn and solved twice). The outcomes
-    are counted row by row in grid order, and the first row whose trials all
-    fail raises :class:`AllTrialsFailed` before a later chunk runs.
+    chunk's MUSIC scans one subspace at a time), and each row reads its
+    trials' errors into one float64 array, NaN for each trial a stack did not
+    solve and for every doa trial. Only those trials go through
+    :func:`run_trial`, one at a time: a doa trial runs there, and each failed
+    trial's error leaves it once, for a caller that watches it (a failed rss
+    or hybrid trial is drawn and solved twice). A doa trial whose error is
+    NaN is kept in its row. The rows are counted in grid order, and the
+    first row whose trials all fail raises :class:`AllTrialsFailed` before a
+    later chunk runs. A row whose squared errors overflow is scaled by its
+    largest error.
     ``workers`` is accepted for compatibility and ignored: trials run
     serially.
     """
@@ -1162,25 +1154,25 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
     rows, outcomes = [], _outcomes(p)
     with np.errstate(**_QUIET):
         for si, snr in enumerate(cfg.snr_grid_db):
-            errors, failed = [], collections.Counter()
-            for ti, outcome in enumerate(itertools.islice(outcomes, cfg.trials)):
-                if not isinstance(outcome, TrialResult):
-                    try:
-                        outcome = run_trial(cfg, kind, si, ti)
-                    except WsnlocError as exc:
-                        if isinstance(exc, ConfigError):
-                            raise
-                        failed[type(exc).__name__] += 1
-                        continue
-                errors.append(outcome.error)
-            if not errors:
+            errors = np.fromiter(itertools.islice(outcomes, cfg.trials), float, cfg.trials)
+            failed, kept = collections.Counter(), np.ones(cfg.trials, dtype=bool)
+            for ti in np.flatnonzero(np.isnan(errors)).tolist():
+                try:
+                    errors[ti] = run_trial(cfg, kind, si, ti).error
+                except WsnlocError as exc:
+                    if isinstance(exc, ConfigError):
+                        raise
+                    failed[type(exc).__name__] += 1
+                    kept[ti] = False
+            errors = errors[kept]
+            if not errors.size:
                 raise AllTrialsFailed(f"all {cfg.trials} trials failed at snr={snr} dB")
             rmse = math.sqrt(float(np.mean(np.square(errors))))
             if math.isinf(rmse):  # squares of finite errors overflowed: scale by the largest
-                top = max(errors)
-                rmse = top * math.sqrt(float(np.mean(np.square(np.divide(errors, top)))))
+                top = float(errors.max())
+                rmse = top * math.sqrt(float(np.mean(np.square(errors / top))))
             by_class = tuple(sorted(failed.items()))
-            rows.append(MonteCarloRow(snr, rmse, cfg.trials, cfg.trials - len(errors), by_class))
+            rows.append(MonteCarloRow(snr, rmse, cfg.trials, cfg.trials - errors.size, by_class))
     return MonteCarloResult(unit="deg" if kind == "doa" else "m", rows=tuple(rows))
 
 

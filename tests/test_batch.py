@@ -120,9 +120,20 @@ def assert_same(batched, looped):
     assert batched.error == error
 
 
+def trial_outcomes(chunk: tuple) -> list:
+    """A chunk's (truths, estimates, errors, failures) as one outcome per trial: the
+    error that failed it, or its ``TrialResult``, as ``run_trial`` builds it."""
+    truths, estimates, errors, failed = chunk
+    assert np.array_equal(np.isnan(errors), np.not_equal(failed, None))
+    return [
+        harness.TrialResult(estimate=e, truth=t, error=float(err)) if f is None else f
+        for t, e, err, f in zip(truths, estimates, errors, failed, strict=True)
+    ]
+
+
 def row(p, snr_index: int) -> list:
     """The outcomes of a row's trials, stacked alone as one chunk."""
-    return p.stack(p, [(snr_index, ti) for ti in range(p.cfg.trials)])
+    return trial_outcomes(p.stack(p, [(snr_index, ti) for ti in range(p.cfg.trials)]))
 
 
 def sweep_pairs(cfg: ScenarioConfig) -> list:
@@ -667,7 +678,7 @@ def stacked_fixes(monkeypatch, cfg: ScenarioConfig) -> tuple[list, list]:
         return pos, failed
 
     monkeypatch.setattr(p, "fix", recorded)
-    outcomes = p.stack(p, sweep_pairs(cfg))
+    outcomes = trial_outcomes(p.stack(p, sweep_pairs(cfg)))
     return solved, outcomes
 
 
@@ -740,7 +751,7 @@ def test_rss_row_chunk_holds_bounded_path_losses(anchors, size):
     cfg = dataclasses.replace(scenario(anchors=RSS_RAW["anchors"][:anchors]), trials=5000)
     p = harness._pipeline(cfg, "rss")
     chunks = []
-    p.stack = lambda p, pairs: chunks.append(pairs) or [None] * len(pairs)
+    p.stack = lambda p, pairs: chunks.append(pairs) or (None, None, [math.nan] * len(pairs), None)
     assert len(list(harness._outcomes(p))) == 15000
     assert [len(c) for c in chunks] == [size] * (15000 // size) + [15000 % size]
     assert [pair for c in chunks for pair in c] == sweep_pairs(cfg)
@@ -767,11 +778,18 @@ def rows_alone(cfg: ScenarioConfig, kind: str) -> list:
 
 def outcomes_under(monkeypatch, cfg: ScenarioConfig, kind: str, budget: int) -> list:
     """Every outcome of the sweep of ``cfg`` compiled afresh under a ``ROW_VALUES`` of
-    ``budget``, the chunks cut across rows, in row-major order."""
+    ``budget``, the chunks cut across rows, in row-major order: the chunks ``_outcomes``
+    runs, each read by :func:`trial_outcomes`; the errors it yields must be theirs."""
     monkeypatch.setattr(harness, "ROW_VALUES", budget)
     p = harness._pipeline(dataclasses.replace(cfg), kind)
+    chunks, stack = [], p.stack
+    p.stack = lambda p, pairs: chunks.append(stack(p, pairs)) or chunks[-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return list(harness._outcomes(p))
+        errors = list(harness._outcomes(p))
+    outcomes = [outcome for chunk in chunks for outcome in trial_outcomes(chunk)]
+    scored = [getattr(outcome, "error", math.nan) for outcome in outcomes]
+    assert np.array_equal(scored, errors, equal_nan=True)
+    return outcomes
 
 
 def values_per_trial(cfg: ScenarioConfig, kind: str) -> int:
@@ -844,7 +862,7 @@ def test_chunk_mixes_rows_with_and_without_shadowing(monkeypatch, estimator):
     alone = rows_alone(cfg, "rss")
     irls = recording(monkeypatch, harness, "huber_stack")
     weights = recording(monkeypatch, harness, "wls_row_weights")
-    chunk = p.stack(p, sweep_pairs(cfg))
+    chunk = trial_outcomes(p.stack(p, sweep_pairs(cfg)))
     for one, other in zip(chunk, alone, strict=True):
         assert_same_outcome(one, other)
     by_row = {args[0].sigma_db: w for args, (w, _) in weights}
@@ -874,7 +892,7 @@ def test_chunk_mixes_noisy_and_noiseless_rows(scheme):
         noise = draw_signals(amplitudes, False, p.geometry.size, cfg.snapshots, snr_db, rng)[1]
         assert (noise is None) == noiseless
     alone = rows_alone(cfg, "hybrid")
-    chunk = p.stack(p, sweep_pairs(cfg))
+    chunk = trial_outcomes(p.stack(p, sweep_pairs(cfg)))
     for one, other in zip(chunk, alone, strict=True):
         assert_same_outcome(one, other)
     assert harness.TrialResult in {type(o) for o in chunk}

@@ -10,6 +10,7 @@ of them, or changes what a reader reads, breaks ``bench/run.py --trace 1``.
 ``bench/`` is imported from its directory, without writing bytecode there.
 """
 
+import collections
 import importlib
 import inspect
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsnloc import harness
+from wsnloc import errors, harness
 from wsnloc.arrays import (
     SourceSet,
     UniformCircularArray,
@@ -98,3 +99,46 @@ def test_amount_readers_read_real_calls(tracer):
     report = huber_irls(build_lop_system(anchors, [40.0, 70.0, 65.0, 90.0]))
     assert type(report.iterations) is int and report.iterations >= 1
     assert read["rss.irls"]((), {}, report) == report.iterations
+
+
+@pytest.mark.parametrize("kind", ["doa", "rss"])
+def test_monte_carlo_reruns_each_unsolved_trial_through_run_trial(monkeypatch, kind):
+    # the tracer counts trials and tags failures on run_trial's span: monte_carlo calls
+    # the module-global run_trial once per doa trial and once per trial a stack did not
+    # solve, and each failure raises out of that call
+    if kind == "doa":  # three sources on four elements at 0 dB: MUSIC often finds too few
+        cfg = harness.ScenarioConfig.from_dict({
+            "seed": 5, "trials": 20, "snr_grid_db": [0, 30],
+            "array": {"kind": "ula", "n_elements": 4, "spacing_wavelengths": 0.5},
+            "sources": {"azimuths_deg": [-20.0, 0.0, 20.0], "snapshots": 10},
+        })
+    else:  # 80 dB of shadowing overflows some WLS ranging variances
+        cfg = harness.ScenarioConfig.from_dict({
+            "seed": 1234, "trials": 40, "snr_grid_db": [0.0, 0.5], "target": [30.0, 40.0],
+            "channel": {"sigma_ref_db": 80.0}, "method": {"estimator": "wls"},
+            "anchors": [[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]],
+        })
+    calls, run_trial = [], harness.run_trial
+
+    def traced(cfg, kind, snr_index, trial_index):
+        calls.append([(snr_index, trial_index), None])
+        try:
+            return run_trial(cfg, kind, snr_index, trial_index)
+        except errors.WsnlocError as exc:
+            calls[-1][1] = type(exc).__name__
+            raise
+
+    monkeypatch.setattr(harness, "run_trial", traced)
+    result = harness.monte_carlo(cfg, kind)
+    trials = [pair for pair, _ in calls]
+    assert len(set(trials)) == len(trials)
+    failed = collections.Counter((si, exc) for (si, _), exc in calls if exc is not None)
+    for si, row in enumerate(result.rows):
+        assert row.failures > 0 or si == 1
+        assert tuple(sorted((exc, n) for (s, exc), n in failed.items() if s == si)) == (
+            row.failures_by_class
+        )
+    if kind == "doa":
+        assert trials == [(si, ti) for si in range(2) for ti in range(cfg.trials)]
+    else:
+        assert len(trials) == sum(row.failures for row in result.rows)
