@@ -51,7 +51,7 @@ what each trial's own pass gives:
 * a hybrid chunk checks its targets' bearings against the interferers, forms
   its snapshots (one product per trial) and sample covariances, fbss's
   beamspace map and smoothing, the checks and eigendecompositions of
-  :func:`numerics.herm_eig` and the fusion (the stacked kernels of
+  :func:`numerics.herm_eig_stack` and the fusion (the stacked kernels of
   :mod:`hybrid`) as array operations over its trials; its MUSIC scans and
   peak picks (:func:`doa.music_peaks`) run one subspace at a time.
 
@@ -63,19 +63,24 @@ and scores its estimates. ``workers`` is still ignored.
 
 A doa or hybrid scenario whose trial would hold more than
 :data:`SIZE_BUDGET` complex values in its snapshots, its covariance or its
-MUSIC scan is a :class:`ConfigError` at compile, before any of them is built.
+MUSIC scan is a :class:`ConfigError` at compile, before any of them is built;
+so is a scenario of more than :data:`SIZE_BUDGET` trials per SNR row, whose
+errors :func:`monte_carlo` holds as one float64 array.
 
 Randomness: every trial owns an independent PCG64 stream, documented as
 :func:`rng_for_trial`, ``SeedSequence(entropy=seed, spawn_key=(snr_index,
 trial_index))``, so results are bit-identical across reruns and do not
 depend on the order in which trials run or on how many share a chunk. Trials
-draw on streams derived per row, bit-identical to it: a chunk calls
-:func:`_trial_rngs` once for each run of its pairs in one row, which takes
-the pool numpy's ``SeedSequence(seed, spawn_key=(snr_index,))`` mixes once
-per row, mixes each trial's own index words into it, and seeds a fresh
-PCG64 per trial. The SNR axis drives both the
-array noise floor and the RSS shadowing std through
-``sigma_db = sigma_ref_db * 10^(-snr/20)``.
+draw on streams derived from it bit for bit: numpy's ``SeedSequence(seed,
+spawn_key=(snr_index,))`` mixes each row's pool once (:func:`_row_pool`),
+each trial mixes only its own index word into its row's pool and hashes its
+PCG64 seed words out of it (:func:`_lane`), and numpy seeds a fresh PCG64
+per trial from them. A chunk of :data:`ARRAY_PASS` pairs or more does this
+for all its trials, rows included, in one pass of uint64 arrays
+(:func:`_chunk_rngs`); a smaller chunk, :func:`run_trial` and each doa
+trial do it one trial at a time on Python ints (:func:`_trial_rngs`). The
+SNR axis drives both the array noise floor and the RSS shadowing std
+through ``sigma_db = sigma_ref_db * 10^(-snr/20)``.
 
 A failed trial (a spectrum without enough peaks at low SNR, a ray with no
 forward intersection, a range or estimate that extreme shadowing drives out
@@ -143,7 +148,8 @@ _BAD_ESTIMATE = "the position estimate left the float range"
 _COINCIDENT = "source azimuths must be distinct"
 ROW_VALUES = 8192  # most values (shadowing terms, complex snapshot values) one chunk draws
 # most complex values one trial's snapshots, its covariance or a MUSIC scan's steering
-# matrix may hold (64 MiB); the shipped configs and tests stay under 600,000
+# matrix may hold (64 MiB); the shipped configs and tests stay under 600,000. Also the
+# most trials per SNR row, whose errors monte_carlo holds as one float64 array (32 MiB)
 SIZE_BUDGET = 1 << 22
 
 _XY = {
@@ -511,53 +517,48 @@ def rng_for_trial(seed: int, snr_index: int, trial_index: int) -> np.random.Gene
 
 
 # SeedSequence's uint32 hash-mix, as numpy's SeedSequence documents it after M. O'Neill,
-# "Developing a seed_seq Alternative" (pcg-random.org, 2015). Written out so that each
-# trial mixes only its own index words into the pool its row's SeedSequence leaves.
+# "Developing a seed_seq Alternative" (pcg-random.org, 2015). Written out (:func:`_lane`)
+# so that each trial mixes only its own index word into the pool its row's SeedSequence
+# leaves.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4  # SeedSequence's default pool size, in uint32 words
+# generate_state's hash constants: its uint32 output words i and i + 4 (of 8) hash pool
+# word i, with its i-th and (i + 1)-th and its (i + 4)-th and (i + 5)-th constants
+_STATE = tuple(_INIT_B * _MULT_B**i & _MASK32 for i in range(2 * _POOL + 1))
+_LANES = (_STATE[:_POOL], _STATE[1 : _POOL + 1], _STATE[_POOL:-1], _STATE[_POOL + 1 :])
+ARRAY_PASS = 8  # fewest pairs whose streams one array pass derives faster than one by one
 
 
-def _uint32_words(n: int) -> list[int]:
-    """``n >= 0`` as little-endian uint32 words, at least one, as SeedSequence coerces it."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _absorb(pool, hc: int, words) -> tuple[list[int], int]:
-    """Mix every word of ``words`` into each pool word, as SeedSequence does with the
-    entropy past its pool: each word hashed with the next hash constant, then mixed in.
-    Returns the pool and the next hash constant."""
-    pool = list(pool)
-    for w in words:
-        for i, p in enumerate(pool):
-            h = w ^ hc
-            hc = hc * _MULT_A & _MASK32
-            h = h * hc & _MASK32
-            p = _MIX_L * p - _MIX_R * (h ^ h >> 16) & _MASK32
-            pool[i] = p ^ p >> 16
-    return pool, hc
+def _lane(p, w, x, m, s0, s1, s2, s3):
+    """One pool word's part of a trial's PCG64 seed: the row's pool word ``p`` with the
+    trial index word ``w`` hashed (with the hash constants ``x``, ``m``) and mixed in, as
+    SeedSequence mixes entropy into its pool, then hashed into generate_state's two
+    output words of it (with ``s0``, ``s1`` and ``s2``, ``s3``). It runs on Python ints
+    (one trial) and on uint64 arrays (a chunk's trials) alike: a product of two uint32
+    words fits in 64 bits, a difference that wraps below 0 keeps its low 32 bits, and
+    the mask keeps only those."""
+    h = (w ^ x) * m & _MASK32
+    p = _MIX_L * p - _MIX_R * (h ^ h >> 16) & _MASK32
+    p ^= p >> 16
+    a, b = (p ^ s0) * s1 & _MASK32, (p ^ s2) * s3 & _MASK32
+    return a ^ a >> 16, b ^ b >> 16
 
 
 @functools.lru_cache(maxsize=64)
-def _row_pool(seed: int, snr_index: int) -> tuple[tuple[int, ...], int]:
-    """The pool and hash constant of ``SeedSequence(seed, spawn_key=(snr_index, ...))``
-    once the seed and SNR-index words are mixed in, before the trial index words. The
-    pool is numpy's for the key ``(snr_index,)``; the constant has taken one step per
-    hashed word: the 4 padded seed words, the pool's 12 cross-mixes and 4 per SNR-index
-    word."""
+def _row_pool(seed: int, snr_index: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`_lane`'s arguments but the trial index word, for each of the 4 pool words
+    of ``SeedSequence(seed, spawn_key=(snr_index, ...))`` once the seed and SNR-index
+    words are mixed in: the pool words, the hash constants the trial index word is mixed
+    into each with, and generate_state's constants. The pool is numpy's for the key
+    ``(snr_index,)``; the hash constants have taken one step per hashed word: the 4
+    padded seed words, the pool's 12 cross-mixes and 4 per uint32 word of the SNR
+    index."""
     pool = np.random.SeedSequence(seed, spawn_key=(snr_index,)).pool
-    steps = 16 + _POOL * len(_uint32_words(snr_index))
-    return tuple(pool.tolist()), _INIT_A * _MULT_A**steps & _MASK32
-
-
-# generate_state's (xor, multiplier) hash constants for its 8 uint32 output words
-_STATE_HASHES = tuple(
-    (_INIT_B * _MULT_B**i & _MASK32, _INIT_B * _MULT_B ** (i + 1) & _MASK32) for i in range(8)
-)
+    steps = 16 + _POOL * max(1, -(-snr_index.bit_length() // 32))
+    hc = tuple(_INIT_A * _MULT_A ** (steps + i) & _MASK32 for i in range(_POOL + 1))
+    return tuple(pool.tolist()), hc[:-1], hc[1:], *_LANES
 
 
 class _SeedWords(ISeedSequence):
@@ -571,21 +572,40 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def _trial_rngs(seed: int, snr_index: int, trial_indices) -> Iterator[np.random.Generator]:
     """A fresh Generator per trial index, each in the state :func:`rng_for_trial` gives it,
     bit for bit: the row's seed and SNR-index words are mixed once (:func:`_row_pool`),
-    each trial mixes only its own index words."""
-    pool, hc = _row_pool(seed, snr_index)
+    each trial mixes only its own index word, on Python ints. An index that is not one
+    uint32 word, which no sweep reaches, takes :func:`rng_for_trial` itself."""
+    pool, *lanes = _row_pool(seed, snr_index)
     for ti in trial_indices:
-        mixed, w = _absorb(pool, hc, _uint32_words(ti))[0], []
-        for i, (x, m) in enumerate(_STATE_HASHES):  # generate_state cycles the pool
-            v = (mixed[i % _POOL] ^ x) * m & _MASK32
-            w.append(v ^ v >> 16)
-        words = np.array(
-            [w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32],
-            dtype=np.uint64,
-        )
-        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        if not 0 <= ti <= _MASK32:
+            yield rng_for_trial(seed, snr_index, ti)
+            continue
+        (a0, b0), (a1, b1), (a2, b2), (a3, b3) = map(_lane, pool, itertools.repeat(ti), *lanes)
+        words = [a0 | a1 << 32, a2 | a3 << 32, b0 | b1 << 32, b2 | b3 << 32]
+        yield _generator(np.array(words, np.uint64))
+
+
+def _chunk_rngs(seed: int, pairs: list) -> list[np.random.Generator]:
+    """:func:`_trial_rngs` for each (snr_index, trial_index) pair of a chunk. From
+    :data:`ARRAY_PASS` pairs on, where every trial index is one uint32 word, that is one
+    pass of uint64 arrays over the pairs, rows included: each pair gathers its row's
+    :func:`_row_pool`, and :func:`_lane` takes the (T, 4) pool words to the (T, 8)
+    uint32 words of the trials' states, two to each PCG64 seed word. Fewer pairs go one
+    at a time, on Python ints."""
+    rows, trials = zip(*pairs)
+    if len(pairs) < ARRAY_PASS or max(trials) > _MASK32:
+        return [rng for si, ti in pairs for rng in _trial_rngs(seed, si, [ti])]
+    keys = sorted(set(rows))
+    table = np.array([_row_pool(seed, k) for k in keys], np.uint64)[np.searchsorted(keys, rows)]
+    pool, *lanes = table.transpose(1, 0, 2)  # each (T, 4)
+    v = np.hstack(_lane(pool, np.array(trials, np.uint64)[:, None], *lanes))
+    return [_generator(words) for words in v[:, 0::2] | v[:, 1::2] << 32]
 
 
 # --- pipelines ---------------------------------------------------------------
@@ -820,6 +840,8 @@ def _pipeline(cfg: ScenarioConfig, kind: str) -> Pipeline:
     if kind not in _COMPILERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     if kind not in cfg._pipelines:
+        if cfg.trials > SIZE_BUDGET:  # monte_carlo holds each row's errors as one array
+            raise ConfigError(f"{cfg.trials:,} trials per row, over the budget of {SIZE_BUDGET:,}")
         pipeline = Pipeline(cfg, math.radians(cfg.method["grid_step_deg"]))
         try:
             _COMPILERS[kind](pipeline, cfg)
@@ -845,11 +867,9 @@ def _draw_target(p: Pipeline, rng: np.random.Generator) -> np.ndarray:
 
 def _draws(p: Pipeline, pairs: list, draw: Callable) -> list:
     """``draw(rng, snr_index)`` for each (snr_index, trial_index) pair of a chunk, on the
-    trial's own stream: one :func:`_trial_rngs` call per run of pairs in one row."""
-    drawn = []
-    for si, run in itertools.groupby(pairs, key=operator.itemgetter(0)):
-        drawn.extend(draw(rng, si) for rng in _trial_rngs(p.cfg.seed, si, [ti for _, ti in run]))
-    return drawn
+    trial's own stream; :func:`_chunk_rngs` derives the chunk's streams, from
+    :data:`ARRAY_PASS` pairs on in one array pass over all its rows."""
+    return [draw(rng, si) for rng, (si, _) in zip(_chunk_rngs(p.cfg.seed, pairs), pairs)]
 
 
 def _ranges(p: Pipeline, targets: np.ndarray, shadows, rows: np.ndarray) -> np.ndarray:

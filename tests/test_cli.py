@@ -490,11 +490,21 @@ STRUCTURAL_ERRORS = {
         for command, config in EXTREME_SNR
         for snr in (-7000.0, -1e300)
     },
+    # more trials per row than monte_carlo's one float64 array of a row's errors may hold
+    **{
+        f"{command}_trials_{trials}": (command, with_keys(raw, trials=trials), [])
+        for command, raw in (("rss", RSS_RAW), ("doa", DOA_RAW), ("hybrid", HYBRID_RAW))
+        for trials in (harness.SIZE_BUDGET + 1, 10**9)
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURAL_ERRORS))
-def test_structural_config_errors_exit_1(tmp_path, capsys, name):
+def test_structural_config_errors_exit_1(tmp_path, monkeypatch, capsys, name):
+    def no_chunk(p):  # the error comes before any chunk runs or any row's array is made
+        raise AssertionError(f"{name} reached the trials")
+
+    monkeypatch.setattr(harness, "_outcomes", no_chunk)
     command, raw, extra = STRUCTURAL_ERRORS[name]
     cfg = write_cfg(tmp_path, raw)
     out = tmp_path / "x.csv"
@@ -698,6 +708,15 @@ def test_size_budget_is_inclusive():
     over = dataclasses.replace(cfg, snapshots=cfg.snapshots + 1)
     with pytest.raises(harness.ConfigError, match="snapshot matrix on 16 elements holds 4,194,320"):
         harness._pipeline(over, "doa")
+
+
+def test_trials_budget_is_inclusive():
+    # compiling builds no row, so the budget itself is only compiled, never run
+    cfg = harness.ScenarioConfig.from_dict(with_keys(RSS_RAW, trials=harness.SIZE_BUDGET))
+    harness._pipeline(cfg, "rss")
+    over = dataclasses.replace(cfg, trials=cfg.trials + 1)  # as a caller past the schema would
+    with pytest.raises(harness.ConfigError, match="^4,194,305 trials per row, over the budget"):
+        harness._pipeline(over, "rss")
 
 
 def test_random_target_on_interferer_bearing_fails_its_trial(tmp_path, capsys):

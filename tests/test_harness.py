@@ -1,6 +1,7 @@
 import collections
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -639,6 +640,46 @@ class TestRngStreams:
             assert rng.bit_generator.state == oracle.bit_generator.state
             assert np.array_equal(rng.standard_normal(8), oracle.standard_normal(8))
             assert rng.uniform() == oracle.uniform()
+
+    # a chunk's (snr_index, trial_index) pairs in any order across rows: SNR indices past
+    # one uint32 word take other hash constants, and a trial index past one word (or any
+    # chunk under ARRAY_PASS pairs) sends the chunk one trial at a time on Python ints
+    ONE_WORD = st.integers(0, 10**6) | st.sampled_from([0, 2**32 - 1])
+    WIDE = ONE_WORD | st.sampled_from([2**32, 2**64 - 1])
+    SNR = st.integers(0, 12) | st.sampled_from([2**32 - 1, 2**32, 2**40])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        pairs=st.lists(st.tuples(SNR, ONE_WORD), min_size=1, max_size=40)
+        | st.lists(st.tuples(SNR, WIDE), min_size=1, max_size=40),
+    )
+    def test_chunk_streams_are_rng_for_trial(self, seed, pairs):
+        # numpy's own SeedSequence, behind rng_for_trial, is the oracle of the chunk deriver
+        p = harness.Pipeline(dataclasses.replace(ScenarioConfig.from_dict(RSS_RAW), seed=seed), 0.0)
+        rngs = harness._draws(p, pairs, lambda rng, si: rng)
+        for (si, ti), rng in zip(pairs, rngs, strict=True):
+            oracle = rng_for_trial(seed, si, ti)
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            assert np.array_equal(rng.standard_normal(8), oracle.standard_normal(8))
+            assert rng.uniform() == oracle.uniform()
+
+    def test_chunk_of_array_pass_pairs_derives_its_streams_in_one_pass(self, monkeypatch):
+        one_by_one = []
+        trial_rngs = harness._trial_rngs
+        monkeypatch.setattr(
+            harness, "_trial_rngs", lambda *args: one_by_one.append(args) or trial_rngs(*args)
+        )
+        rows = [3, 0, 2**32, 3, 0, 7, 7, 2**40]  # across rows, in no order
+        pairs = list(zip(rows, [5, 2**32 - 1, 0, 6, 9, 1, 2, 4]))
+        assert len(pairs) == harness.ARRAY_PASS
+        rngs = harness._chunk_rngs(11, pairs)
+        assert one_by_one == []
+        assert [r.bit_generator.state for r in rngs] == [
+            rng_for_trial(11, si, ti).bit_generator.state for si, ti in pairs
+        ]
+        harness._chunk_rngs(11, pairs[1:])
+        assert len(one_by_one) == harness.ARRAY_PASS - 1
 
 
 class TestCsvOutputs:
