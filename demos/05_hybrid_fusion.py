@@ -8,7 +8,8 @@ a small seeded sweep of every scheme against the RSS-only baseline.
 Run:  python demos/05_hybrid_fusion.py   (a few seconds)
 """
 
-from wsnloc.harness import ScenarioConfig, monte_carlo
+from wsnloc.config import ScenarioConfig
+from wsnloc.harness import monte_carlo
 
 A = [18.0, 16.0]   # hybrid node, close to the target
 B = [22.0, 20.0]   # companion RSS node mirrored across the target

@@ -17,7 +17,8 @@ import dataclasses
 import sys
 
 from .errors import AllTrialsFailed, ConfigError
-from .harness import CONFIG_SCHEMA, dump_spectrum, load_config, monte_carlo, write_rmse_csv
+from .config import CONFIG_SCHEMA, load_config
+from .harness import dump_spectrum, monte_carlo, write_rmse_csv
 
 _METHODS = CONFIG_SCHEMA["properties"]["method"]["properties"]
 

@@ -25,7 +25,8 @@ from wsnloc.decorrelate import SmoothingPlan, fbss, fss, toeplitz_reconstruct
 from wsnloc.doa import eig_split, esprit, music, root_music, uca_esprit, uca_root_music
 from wsnloc.errors import InvalidPlan
 from wsnloc.geometry import bearing_to, build_lop_system, distance
-from wsnloc.harness import ScenarioConfig, monte_carlo, rng_for_trial
+from wsnloc.config import ScenarioConfig
+from wsnloc.harness import monte_carlo, rng_for_trial
 from wsnloc.hybrid import (
     HybridNode,
     hybrid_anchor_fusion,

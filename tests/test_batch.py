@@ -42,7 +42,8 @@ from wsnloc.errors import (
     WsnlocError,
 )
 from wsnloc.geometry import bearing_to, distance
-from wsnloc.harness import ScenarioConfig, monte_carlo, rng_for_trial, run_trial
+from wsnloc.config import ScenarioConfig, load_config
+from wsnloc.harness import monte_carlo, rng_for_trial, run_trial
 from wsnloc.hybrid import hybrid_anchor_fusion, hybrid_single_node, hybrid_with_fbss, two_lines
 from wsnloc.numerics import herm_eig
 from wsnloc.pme import VandermondeArray, build_transform, to_vula
@@ -182,7 +183,7 @@ def test_stacked_rows_equal_looped_trials(estimator, changes):
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_shipped_sweeps_equal_looped_trials(estimator):
     for name in ("rss_equal_distance", "rss_heterogeneous"):
-        cfg = harness.load_config(CONFIGS / f"{name}.json")
+        cfg = load_config(CONFIGS / f"{name}.json")
         check_rows(dataclasses.replace(cfg, seed=7, trials=12).with_method(estimator=estimator))
 
 
@@ -242,7 +243,7 @@ def test_one_ulp_square_of_the_last_range():
     # Trial 16 of this row has a last range whose scalar square is one ulp off its
     # array square (2951.261527185499 vs 2951.2615271854984); the stacked right-hand
     # side must square it as the one-trial system does.
-    cfg = harness.load_config(CONFIGS / "rss_equal_distance.json")
+    cfg = load_config(CONFIGS / "rss_equal_distance.json")
     cfg = dataclasses.replace(cfg, seed=7, trials=30).with_method(estimator="ls")
     p = harness._pipeline(cfg, "rss")
     rng = rng_for_trial(7, 3, 16)
@@ -466,7 +467,7 @@ def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
 @pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
 def test_shipped_hybrid_sweeps_equal_looped_trials(scheme):
     name = "hybrid_coherent_fbss" if scheme == "fbss" else "hybrid_single"
-    cfg = harness.load_config(CONFIGS / f"{name}.json")
+    cfg = load_config(CONFIGS / f"{name}.json")
     check_rows(dataclasses.replace(cfg, seed=7, trials=8).with_method(hybrid=scheme), "hybrid")
 
 
@@ -585,7 +586,7 @@ def test_hybrid_row_chunk_holds_bounded_snapshots():
 
 def test_hybrid_fbss_follows_the_grid_step():
     # the fbss MUSIC scan uses the configured grid step, as the single-node one does
-    base = harness.load_config(CONFIGS / "hybrid_coherent_fbss.json")
+    base = load_config(CONFIGS / "hybrid_coherent_fbss.json")
     for scheme in ("fbss", "single"):
         cfg = dataclasses.replace(base, trials=6, snr_grid_db=(30.0,)).with_method(hybrid=scheme)
         fine = monte_carlo(cfg, "hybrid")
@@ -696,7 +697,7 @@ def row_peaks(scans: list) -> list:
 def test_hybrid_anchor_fix_equals_one_system_solve(monkeypatch, scheme):
     # the rows' stacked fixes are the one-system solves; each fused point is the
     # midpoint of its trial's fix and the bearing point at the fix's range
-    cfg = harness.load_config(CONFIGS / "hybrid_single.json")
+    cfg = load_config(CONFIGS / "hybrid_single.json")
     cfg = dataclasses.replace(cfg, seed=7, trials=5).with_method(hybrid=scheme)
     node, ranged = cfg.node, harness._pipeline(cfg, "hybrid").ranged
     scans = recording(monkeypatch, harness, "music_peaks")
@@ -714,7 +715,7 @@ def test_hybrid_anchor_fix_equals_one_system_solve(monkeypatch, scheme):
 
 def test_hybrid_fbss_coarse_fix_equals_ls_solve(monkeypatch):
     # the coarse fix only picks a bearing, from the direction the node sees it in
-    cfg = harness.load_config(CONFIGS / "hybrid_coherent_fbss.json")
+    cfg = load_config(CONFIGS / "hybrid_coherent_fbss.json")
     cfg = dataclasses.replace(cfg, seed=7, trials=5)
     node = cfg.node
     scans = recording(monkeypatch, harness, "music_peaks")
@@ -1077,7 +1078,7 @@ ORACLE_IDS = [f"{config}-{scheme}" for config, scheme in ORACLE_SWEEPS]
 @pytest.mark.parametrize("config, scheme", ORACLE_SWEEPS, ids=ORACLE_IDS)
 @pytest.mark.parametrize("seed", [0, 7, 1806])
 def test_hybrid_rows_equal_the_oracle(config, scheme, seed):
-    cfg = harness.load_config(CONFIGS / f"{config}.json")
+    cfg = load_config(CONFIGS / f"{config}.json")
     cfg = dataclasses.replace(cfg, seed=seed, trials=4, snr_grid_db=cfg.snr_grid_db[::4])
     assert set(check_oracle_rows(cfg.with_method(hybrid=scheme))) == {harness.TrialResult}
 

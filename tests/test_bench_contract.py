@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsnloc import errors, harness
+from wsnloc import config, errors, harness
 from wsnloc.arrays import (
     SourceSet,
     UniformCircularArray,
@@ -107,13 +107,13 @@ def test_monte_carlo_reruns_each_unsolved_trial_through_run_trial(monkeypatch, k
     # the module-global run_trial once per doa trial and once per trial a stack did not
     # solve, and each failure raises out of that call
     if kind == "doa":  # three sources on four elements at 0 dB: MUSIC often finds too few
-        cfg = harness.ScenarioConfig.from_dict({
+        cfg = config.ScenarioConfig.from_dict({
             "seed": 5, "trials": 20, "snr_grid_db": [0, 30],
             "array": {"kind": "ula", "n_elements": 4, "spacing_wavelengths": 0.5},
             "sources": {"azimuths_deg": [-20.0, 0.0, 20.0], "snapshots": 10},
         })
     else:  # 80 dB of shadowing overflows some WLS ranging variances
-        cfg = harness.ScenarioConfig.from_dict({
+        cfg = config.ScenarioConfig.from_dict({
             "seed": 1234, "trials": 40, "snr_grid_db": [0.0, 0.5], "target": [30.0, 40.0],
             "channel": {"sigma_ref_db": 80.0}, "method": {"estimator": "wls"},
             "anchors": [[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]],

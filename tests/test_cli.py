@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from wsnloc import harness
 from wsnloc.channel import wavelength_from_frequency
 from wsnloc.cli import main
-from wsnloc.errors import CoincidentSources
+from wsnloc.config import ScenarioConfig, load_config
+from wsnloc.errors import CoincidentSources, ConfigError
 
 RSS_RAW = {
     "seed": 5,
@@ -579,11 +580,11 @@ def doa_with_sources(array, count, method, prep):
     ids=[f"{m}-{p}-{a['kind']}{a['n_elements']}" for m, p, a, _ in DOA_CAPACITY],
 )
 def test_doa_capacity_boundary(tmp_path, capsys, method, prep, array, most):
-    at_capacity = harness.ScenarioConfig.from_dict(doa_with_sources(array, most, method, prep))
+    at_capacity = ScenarioConfig.from_dict(doa_with_sources(array, most, method, prep))
     if prep == "fss" and array["kind"] == "uca":
         # a (2h+1)-element virtual array forward-smoothed for its 2h sources leaves one
         # subarray: the plan, not the estimator, is the tighter limit on every ring
-        with pytest.raises(harness.ConfigError, match="cannot decorrelate"):
+        with pytest.raises(ConfigError, match="cannot decorrelate"):
             harness._pipeline(at_capacity, "doa")
     else:
         harness._pipeline(at_capacity, "doa")
@@ -606,7 +607,7 @@ def test_fbss_capacity_boundary(tmp_path, capsys, node, most):
     interferers = [100.0, -100.0, 160.0, -40.0, -160.0, 10.0][:most]
     at_capacity = with_keys(HYBRID_RAW, hybrid_node=node, interferers_deg=interferers[:-1])
     if most == 2:
-        cfg = harness.ScenarioConfig.from_dict(at_capacity).with_method(hybrid="fbss")
+        cfg = ScenarioConfig.from_dict(at_capacity).with_method(hybrid="fbss")
         harness._pipeline(cfg, "hybrid")
     cfg = write_cfg(tmp_path, with_keys(at_capacity, interferers_deg=interferers))
     out = tmp_path / "x.csv"
@@ -703,19 +704,19 @@ def test_size_budget_is_inclusive():
     # 16 elements x 262,144 snapshots is the budget exactly; one snapshot more is over
     sources = dict(ONE_SNAPSHOT, snapshots=harness.SIZE_BUDGET // 16)
     raw = with_keys(DOA_RAW, array=dict(WIDE_ULA, n_elements=16), sources=sources)
-    cfg = harness.ScenarioConfig.from_dict(raw).with_method(doa="root-music")
+    cfg = ScenarioConfig.from_dict(raw).with_method(doa="root-music")
     harness._pipeline(cfg, "doa")
     over = dataclasses.replace(cfg, snapshots=cfg.snapshots + 1)
-    with pytest.raises(harness.ConfigError, match="snapshot matrix on 16 elements holds 4,194,320"):
+    with pytest.raises(ConfigError, match="snapshot matrix on 16 elements holds 4,194,320"):
         harness._pipeline(over, "doa")
 
 
 def test_trials_budget_is_inclusive():
     # compiling builds no row, so the budget itself is only compiled, never run
-    cfg = harness.ScenarioConfig.from_dict(with_keys(RSS_RAW, trials=harness.SIZE_BUDGET))
+    cfg = ScenarioConfig.from_dict(with_keys(RSS_RAW, trials=harness.SIZE_BUDGET))
     harness._pipeline(cfg, "rss")
     over = dataclasses.replace(cfg, trials=cfg.trials + 1)  # as a caller past the schema would
-    with pytest.raises(harness.ConfigError, match="^4,194,305 trials per row, over the budget"):
+    with pytest.raises(ConfigError, match="^4,194,305 trials per row, over the budget"):
         harness._pipeline(over, "rss")
 
 
@@ -734,7 +735,7 @@ def test_random_target_on_interferer_bearing_fails_its_trial(tmp_path, capsys):
     cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
     assert main(["hybrid", "--config", str(cfg), "--out", str(out), "--hybrid", "fbss"]) == 0
     assert capsys.readouterr().err == ""
-    scenario = harness.ScenarioConfig.from_dict(raw).with_method(hybrid="fbss")
+    scenario = ScenarioConfig.from_dict(raw).with_method(hybrid="fbss")
     p = harness._pipeline(scenario, "hybrid")
     for si, row in enumerate(csv.DictReader(out.open())):
         above = [
@@ -809,7 +810,7 @@ SHIPPED = sorted(path.stem for path in CONFIGS.glob("*.json"))
 @pytest.mark.parametrize("config", SHIPPED)
 def test_shipped_configs_compile(config):
     # the compile checks (the scan's aperture among them) pass every shipped scenario
-    cfg = harness.load_config(CONFIGS / f"{config}.json")
+    cfg = load_config(CONFIGS / f"{config}.json")
     kind = {"spectrum": "doa"}.get(config.split("_")[0], config.split("_")[0])
     assert harness._pipeline(cfg, kind).cfg is cfg
 

@@ -221,7 +221,7 @@ for i, points in enumerate(inputs["points"]):
 
 WORKER_CHILD = """
 import dataclasses, json, os, sys, time
-from wsnloc import harness
+from wsnloc import config, harness
 
 def ticks():
     main = workers = 0
@@ -235,7 +235,7 @@ def ticks():
             workers += used
     return main, workers
 
-sweeps = [dataclasses.replace(harness.load_config(path), trials=40) for path in sys.argv[1:]]
+sweeps = [dataclasses.replace(config.load_config(path), trials=40) for path in sys.argv[1:]]
 for cfg in sweeps:
     harness.run_trial(cfg, "doa", 0, 0)
 time.sleep(0.2)

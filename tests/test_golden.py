@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from wsnloc.cli import main
-from wsnloc.harness import load_config, monte_carlo, write_rmse_csv
+from wsnloc.config import load_config
+from wsnloc.harness import monte_carlo, write_rmse_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"

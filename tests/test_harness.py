@@ -16,15 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnloc import arrays, doa, geometry, harness
+from wsnloc import arrays, config, doa, geometry, harness
 from wsnloc.arrays import UniformCircularArray, UniformLinearArray
 from wsnloc.errors import AllTrialsFailed, ConfigError, WsnlocError
+from wsnloc.config import CONFIG_SCHEMA, ScenarioConfig, load_config
 from wsnloc.harness import (
-    CONFIG_SCHEMA,
-    ScenarioConfig,
     compute_spectrum,
     dump_spectrum,
-    load_config,
     monte_carlo,
     rng_for_trial,
     run_trial,
@@ -242,7 +240,7 @@ def mutated_configs(draw):
 
 
 def walker_accepts(raw):
-    return harness._schema_error(raw, CONFIG_SCHEMA) is None
+    return config._schema_error(raw, CONFIG_SCHEMA) is None
 
 
 class TestValidator:
@@ -255,7 +253,7 @@ class TestValidator:
         assert all(set(part) <= WALKER_KEYWORDS for part in parts[1:])
         # the forms the walker reads them in
         assert all(part.get("additionalProperties", False) is False for part in parts)
-        assert {part["type"] for part in parts if "type" in part} <= set(harness._TYPES)
+        assert {part["type"] for part in parts if "type" in part} <= set(config._TYPES)
         fixed = [part["const"] for part in parts if "const" in part]
         fixed += [choice for part in parts for choice in part.get("enum", ())]
         assert all(isinstance(choice, str) for choice in fixed)
@@ -326,7 +324,7 @@ class TestValidator:
         # shipped config leave it out of a fresh interpreter
         code = (
             "import pathlib, sys, wsnloc.cli\n"
-            "from wsnloc.harness import load_config\n"
+            "from wsnloc.config import load_config\n"
             "paths = sorted(pathlib.Path(sys.argv[1]).glob('*.json'))\n"
             "print(len([load_config(p) for p in paths]))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))\n"
