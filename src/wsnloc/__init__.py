@@ -7,7 +7,8 @@ forward/backward spatial smoothing, Toeplitz reconstruction), hybrid
 RSS+DOA fusion, and a seeded Monte-Carlo harness with a CSV/CLI surface.
 """
 
-from . import arrays, channel, config, decorrelate, doa, errors, geometry, harness, hybrid, numerics, pme, rss
+from . import arrays, channel, config, decorrelate, doa, errors, geometry, harness, hybrid, numerics
+from . import pme, rss
 
 __all__ = [
     "arrays",

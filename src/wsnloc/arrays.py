@@ -118,11 +118,8 @@ class SourceSet:
         )
         if amp.shape != az.shape:
             raise LengthMismatch("amplitudes must match azimuths in length")
-        # Sorted, NaNs last: a repeat sits next to its twin, and two NaNs count as one
-        # azimuth, as np.unique counts them (which imports numpy.ma on first use).
-        ordered = np.sort(az)
-        if np.any((ordered[1:] == ordered[:-1]) | np.isnan(ordered[:-1])):
-            raise CoincidentSources("source azimuths must be distinct")
+        if coincident(az):
+            raise CoincidentSources()
         if np.any(amp <= 0):
             raise ValueError("amplitudes must be positive")
         object.__setattr__(self, "azimuths", az)
@@ -133,9 +130,34 @@ class SourceSet:
         return int(self.azimuths.size)
 
 
+def coincident(azimuths) -> np.ndarray:
+    """Whether a set of azimuths, the last axis of ``azimuths`` (..., M), holds two that
+    coincide: sorted with NaNs last, a repeat sits next to its twin, and a NaN before
+    the last means two NaNs, which count as one azimuth, as np.unique counts them (it
+    imports numpy.ma on first use). ``-0.0`` and ``0.0`` coincide."""
+    ordered = np.sort(azimuths, axis=-1)
+    return np.any((ordered[..., 1:] == ordered[..., :-1]) | np.isnan(ordered[..., :-1]), axis=-1)
+
+
 def steering_matrix(geometry, azimuths) -> np.ndarray:
-    """Stack steering vectors for several azimuths into an (N, M) matrix."""
-    return geometry.steering(np.atleast_1d(np.asarray(azimuths, dtype=float)))
+    """Stack steering vectors for several azimuths into an (N, M) matrix, or for a
+    (T, M) stack of azimuth sets into a C-ordered (T, N, M) stack of matrices."""
+    a = geometry.steering(np.atleast_1d(np.asarray(azimuths, dtype=float)))
+    return np.ascontiguousarray(np.moveaxis(a, 0, -2))
+
+
+def snapshots(steer: np.ndarray, s: np.ndarray, noise) -> np.ndarray:
+    """The snapshots ``X = A s (+ n)`` of sources with the (N, M) steering matrix
+    ``steer`` and the (M, K) waveforms ``s``, plus the (N, K) ``noise``; or of a stack
+    of T trials, ``steer`` (T, N, M) and ``s`` (T, M, K), one product per trial, and a
+    sequence of T noise arrays. A ``None`` noise, a power of 0 (:func:`draw_signals`),
+    adds nothing, and no array of zeros is made for it."""
+    x = steer @ s
+    stacked = x.ndim == 3
+    for x_t, noise_t in zip(x if stacked else [x], noise if stacked else [noise]):
+        if noise_t is not None:
+            x_t += noise_t
+    return x
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -204,11 +226,7 @@ def synthesize_snapshots(
     if src.count >= geometry.size:
         raise TooManySources(f"{src.count} sources with only {geometry.size} elements")
     s, noise = draw_signals(src.amplitudes, src.coherent, geometry.size, k, snr_db, rng)
-    if src.count:
-        x = steering_matrix(geometry, src.azimuths) @ s
-    else:
-        x = np.zeros((geometry.size, k), dtype=complex)
-    return x if noise is None else x + noise
+    return snapshots(steering_matrix(geometry, src.azimuths), s, noise)
 
 
 def sample_covariance(x: np.ndarray) -> np.ndarray:

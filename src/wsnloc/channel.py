@@ -7,7 +7,8 @@ Inverting a measured loss through the mean model gives a distance
 estimate whose ratio to the true distance is log-normal.
 
 Randomness comes from an explicit ``numpy.random.Generator`` so every
-draw is reproducible; the harness derives one PCG64 stream per trial.
+draw is reproducible; the harness derives one PCG64 stream per trial, and
+ranges many trials' draws at once (:func:`range_stack`).
 """
 
 import math
@@ -118,6 +119,19 @@ def invert_distance(pl_db: float, model: ChannelModel) -> float:
     pl_db = np.asarray(pl_db, dtype=float)
     exponent = (pl_db - model.reference_loss_db) / (10.0 * model.eta)
     return model.d0 * np.array([10.0**x for x in exponent.flat]).reshape(exponent.shape)
+
+
+def range_stack(points, targets, shadows, sigma_db, generating, inverting) -> np.ndarray:
+    """The (T, k) ranges T ``targets`` (T, 2) read from k ``points`` (k, 2), target t
+    with the k standard-normal ``shadows[t]`` that :func:`path_loss` would draw for its
+    points, in point order, and its own shadowing std ``sigma_db[t]``. The
+    ``generating`` model gives every mean loss in one :func:`mean_path_loss` call
+    (models that differ only in their shadowing std share them), and ``inverting``
+    reads the losses back: each range is the value the target's own ``path_loss`` and
+    :func:`invert_distance` give under models with its std."""
+    diff = points[None] - targets[:, None]
+    mean = mean_path_loss(np.hypot(diff[..., 0], diff[..., 1]), generating)
+    return invert_distance(mean + np.array(shadows) * sigma_db[:, None], inverting)
 
 
 def measure_rss(

@@ -7,9 +7,9 @@ Subcommands mirror the experiment kinds::
     wsnloc hybrid   --config scenario.json --out rmse.csv [--hybrid ...]
     wsnloc spectrum --config scenario.json --out spectrum.csv
 
-``--seed`` overrides the config seed. ``--workers`` is accepted for
-compatibility and ignored: trials run serially. Exit codes: 0 success,
-1 configuration error, 2 every trial failed at some SNR.
+``--seed`` overrides the config seed, under the schema's rule for a seed.
+``--workers`` is accepted for compatibility and ignored: trials run serially.
+Exit codes: 0 success, 1 configuration error, 2 every trial failed at some SNR.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import dataclasses
 import sys
 
 from .errors import AllTrialsFailed, ConfigError
-from .config import CONFIG_SCHEMA, load_config
+from .config import CONFIG_SCHEMA, _schema_error, load_config
 from .harness import dump_spectrum, monte_carlo, write_rmse_csv
 
 _METHODS = CONFIG_SCHEMA["properties"]["method"]["properties"]
@@ -63,8 +63,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must be an unsigned 64-bit integer")
+            error = _schema_error(args.seed, CONFIG_SCHEMA["properties"]["seed"], ("--seed",))
+            if error is not None:
+                raise ConfigError(error)
             cfg = dataclasses.replace(cfg, seed=args.seed)
         cfg = cfg.with_method(
             estimator=getattr(args, "estimator", None),

@@ -10,19 +10,23 @@ for linear arrays (a cone ambiguity mirrors angles about the array axis),
 Each estimator resolves at most :func:`capacity` sources: one fewer than
 the elements it works on, and two fewer for the ESPRIT forms, whose subarray
 shift gives up one element. The harness checks a scenario against the same
-rule when it compiles it.
+rule when it compiles it. A caller that runs many trials at once splits their
+covariances as one stack (:func:`noise_subspaces`) and scores each trial's
+estimates with :func:`azimuth_error`.
 
 References: Schmidt (1986) for MUSIC, Barabell (1983) for Root-MUSIC,
 Roy & Kailath (1989) for ESPRIT, Mathews & Zoltowski (1994) for the
 beamspace circular-array forms.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arrays import UniformLinearArray, sample_covariance
+from .arrays import UniformLinearArray, sample_covariance, snapshots
+from .decorrelate import smooth
 from .errors import (
     ArcsinOutOfRange,
     NoPeaksFound,
@@ -32,7 +36,7 @@ from .errors import (
     TooManySources,
     WrongGeometry,
 )
-from .numerics import herm_eig, poly_roots
+from .numerics import herm_eig, herm_eig_stack, poly_roots
 from .pme import PmeTransform, to_vula
 
 DEFAULT_GRID_STEP = np.radians(0.1)
@@ -102,6 +106,44 @@ def eig_split(r: np.ndarray, n_sources: int) -> SubspaceSplit:
     if n_sources >= w.size:
         raise TooManySources(f"{n_sources} sources with dimension {w.size}")
     return SubspaceSplit(signal=q[:, :n_sources], noise=q[:, n_sources:], eigenvalues=w)
+
+
+def covariance(x: np.ndarray, transform: PmeTransform | None) -> np.ndarray:
+    """The sample covariance of (N, K) snapshots or a (T, N, K) stack of them; of their
+    map into the beamspace (the plain transform, which keeps the shift structure
+    smoothing needs) where a ring's ``transform`` is given."""
+    return sample_covariance(x if transform is None else np.asarray(transform.Tv @ x))
+
+
+def noise_subspaces(steer, s, noise, transform, plan, failed) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, n, n - M) noise subspaces, the eigenvectors past the M largest eigenvalues
+    as columns, of the covariances of T trials' snapshots, for a caller that splits
+    many covariances at once: trial t's snapshots ``steer[t] @ s[t] (+ noise[t])``
+    (:func:`arrays.snapshots`, ``steer`` (T, N, M)), mapped by a ring's ``transform``
+    (:func:`covariance`) and smoothed forward/backward by ``plan`` where they
+    are given. Each covariance is checked and split as
+    :func:`numerics.herm_eig_stack` does, which records its failure in ``failed``;
+    each split has the bits of its own trial's ``herm_eig``."""
+    r = covariance(snapshots(steer, s, noise), transform)
+    if plan is not None:  # a sample covariance is Hermitian: smooth skips fbss's check
+        r = smooth(r, plan, forward_backward=True)
+    _, q, failed = herm_eig_stack(r, failed)
+    return q[..., steer.shape[-1] :], failed
+
+
+def azimuth_error(estimates: np.ndarray, truths: np.ndarray, circular: bool) -> float:
+    """The RMS error, degrees, of sorted azimuth ``estimates`` against the sorted
+    ``truths`` (the mean by ``np.add.reduce``'s arithmetic). For an array that sees the
+    full ``circular`` field of view, the best cyclic pairing where that is lower (an
+    estimate near +180 deg of a source near -180 deg): each difference wrapped into
+    [-pi, pi], one within it kept as it is."""
+    d = estimates - truths
+    error = math.sqrt(float(np.add.reduce(d * d) / d.size))
+    if circular:
+        d = np.array([np.roll(estimates, k) - truths for k in range(len(truths))])
+        d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))
+        error = min(error, math.sqrt(float(np.min(np.mean(d**2, axis=1)))))
+    return math.degrees(error)
 
 
 def _circular(geometry) -> bool:

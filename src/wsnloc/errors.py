@@ -2,8 +2,17 @@
 
 Every library error derives from :class:`WsnlocError` so callers (and the
 Monte-Carlo harness, which records failed trials instead of aborting) can
-catch one base class.
+catch one base class. A stack kernel records each system's failure instead of
+raising it; its one-system form raises the failure of a stack of one
+(:func:`only`).
 """
+
+
+def only(values, failed):
+    """The one entry of a stack of one, ``values[0]``, or its recorded failure raised."""
+    if failed[0] is not None:
+        raise failed[0]
+    return values[0]
 
 
 class WsnlocError(Exception):
@@ -48,6 +57,9 @@ class TooFewSources(WsnlocError):
 
 class CoincidentSources(WsnlocError, ValueError):
     """Two sources share an azimuth (a target seen along an interferer's bearing, say)."""
+
+    def __init__(self, message: str = "source azimuths must be distinct"):
+        super().__init__(message)
 
 
 # --- phase-mode beamspace -----------------------------------------------------

@@ -1,4 +1,5 @@
-"""Seeded Monte-Carlo experiment harness.
+"""Seeded Monte-Carlo experiment harness: it compiles a scenario, dispatches its
+trials to the library's kernels and counts their outcomes.
 
 A scenario is loaded and checked by :mod:`wsnloc.config`. Four experiment
 kinds exist, matching the CLI subcommands:
@@ -12,54 +13,24 @@ A scenario is compiled once per kind into a :class:`Pipeline`, which checks that
 kind has the parts it needs and every method/geometry combination (a MUSIC
 grid included: it must be able to show a peak per source), and builds what
 all trials share; a trial then only draws randomness and calls kernels,
-through one table, :data:`_STEPS`.
-An anchor layout that every trial's trilateration would reject is a
-:class:`ConfigError` there too.
+through one table, :data:`_STEPS`. A config that cannot run is a
+:class:`ConfigError` there, before any trial: an anchor layout that every
+trial's trilateration would reject, a trial that would hold more than
+:data:`SIZE_BUDGET` complex values in its snapshots, its covariance or its
+MUSIC scan, or more than :data:`SIZE_BUDGET` trials per SNR row, whose errors
+:func:`monte_carlo` holds as one float64 array.
 
 rss and hybrid trials run in chunks of the whole sweep: the (snr_index,
 trial_index) pairs taken in row-major order, as many as draw at most
 :data:`ROW_VALUES` values (shadowing terms, plus complex snapshot values for
 hybrid) and at least one, so a chunk's memory does not grow with ``trials``
-or the grid, and a row does not end a chunk. Each kind compiles a stacked
-chunk function, and its :func:`run_trial` is a chunk of one pair. A chunk
-returns arrays, as the library's stack kernels do: its (T, 2) truths and
-estimates, its (T,) errors, NaN exactly where a trial failed, and its (T,)
-failures; :func:`monte_carlo` reads each row's errors into one float64
-array and builds no per-trial object. Both kinds
-range through each row's (generating, inverting) channel pair, so
-``channel.eta_true`` applies to either. Each trial draws on its own stream,
-at its own row's SNR; the chunk then does its numerics as stacks, bit for bit
-what each trial's own pass gives:
-
-* a chunk ranges all its trials at once (:func:`_ranges`): besides its
-  target (and a hybrid trial's waveforms and noise), a trial draws only the
-  k standard-normal shadowing terms ``path_loss`` would draw, and the chunk
-  forms its (T, k) distances with one ``hypot``, their mean losses with one
-  :func:`channel.mean_path_loss` call (the rows' channels differ only in
-  their shadowing std), adds each trial's shadowing scaled by its row's std
-  and inverts the losses as one block;
-* a chunk solves its trilateration fixes (rss LS, WLS or Huber; hybrid ls,
-  wls and the fbss coarse fix) as one stack, WLS weights from each trial's
-  own row, Huber in at most two (rows with shadowing start from WLS, rows
-  without from LS), and scores its (T, 2) estimates in one pass;
-* a hybrid chunk checks its targets' bearings against the interferers, forms
-  its snapshots (one product per trial) and sample covariances, fbss's
-  beamspace map and smoothing, the checks and eigendecompositions of
-  :func:`numerics.herm_eig_stack` and the fusion (the stacked kernels of
-  :mod:`hybrid`) as array operations over its trials; its MUSIC scans and
-  peak picks (:func:`doa.music_peaks`) run one subspace at a time.
-
-doa trials run one at a time through :func:`run_trial`, in row-major order:
-the sources' steering matrix and sorted truths are built at compile, so a
-trial draws its waveforms and noise (:func:`arrays.draw_signals`, the draws
-of ``synthesize_snapshots``), forms ``steer @ s (+ noise)``, runs the method
-and scores its estimates. ``workers`` is still ignored.
-
-A doa or hybrid scenario whose trial would hold more than
-:data:`SIZE_BUDGET` complex values in its snapshots, its covariance or its
-MUSIC scan is a :class:`ConfigError` at compile, before any of them is built;
-so is a scenario of more than :data:`SIZE_BUDGET` trials per SNR row, whose
-errors :func:`monte_carlo` holds as one float64 array.
+or the grid, and a row does not end a chunk. Each trial draws on its own
+stream, at its own row's SNR; the chunk hands its draws to the library's
+stack kernels, which give each trial the bits of its own pass, and returns
+arrays: its (T, 2) truths and estimates, its (T,) errors, NaN exactly where a
+trial failed, and its (T,) failures. :func:`run_trial` is a chunk of one pair.
+doa trials run one at a time through :func:`run_trial`, in row-major order.
+``workers`` is still ignored.
 
 Randomness: every trial owns an independent PCG64 stream, documented as
 :func:`rng_for_trial`, ``SeedSequence(entropy=seed, spawn_key=(snr_index,
@@ -89,6 +60,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -96,31 +68,19 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import decorrelate
-from .arrays import (
-    SourceSet,
-    UniformCircularArray,
-    draw_signals,
-    noise_power,
-    sample_covariance,
-    steering_matrix,
-)
-from .channel import invert_distance, lognormal_sigma_d, mean_path_loss
+from .arrays import SourceSet, UniformCircularArray, coincident, draw_signals, noise_power
+from .arrays import snapshots, steering_matrix
+from .channel import lognormal_sigma_d, range_stack
 from .config import ScenarioConfig, load_config  # bench/ reaches load_config here
-from .doa import Spectrum, capacity, esprit, music, music_peaks, music_spectrum, root_music
-from .doa import scan_capacity, uca_esprit, uca_root_music
-from .errors import (
-    AllTrialsFailed,
-    CoincidentSources,
-    ConfigError,
-    NonPositiveDistance,
-    NumericOverflow,
-    WsnlocError,
-)
+from .doa import Spectrum, azimuth_error, capacity, covariance, esprit, music, music_peaks
+from .doa import music_spectrum, noise_subspaces, root_music, scan_capacity, uca_esprit
+from .doa import uca_root_music
+from .errors import AllTrialsFailed, CoincidentSources, ConfigError, NonPositiveDistance
+from .errors import NumericOverflow, WsnlocError
 from .geometry import LopMatrix, as_anchor_array, bearing_to, distance, lop_matrix
-from .hybrid import HybridNode, bearing_midpoint, fbss_bearing, single_node_stack, two_lines_stack
-from .numerics import herm_eig_stack
+from .hybrid import HybridNode, bearing_midpoint, fbss_bearing, single_node_stack, two_lines_pooled
 from .pme import PmeTransform, VandermondeArray, build_transform
-from .rss import MAX_CONDITION, huber_stack, solve_stack, wls_row_weights
+from .rss import MAX_CONDITION, huber_by_row, solve_stack, wls_weights_by_row
 
 # Extreme shadowing drives ranges and estimates out of the float range; a trial fails
 # on an explicit check of them and is counted, so numpy's warnings on the way there
@@ -128,7 +88,6 @@ from .rss import MAX_CONDITION, huber_stack, solve_stack, wls_row_weights
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 _BAD_RANGE = "shadowing drove an estimated range to 0 or infinity"
 _BAD_ESTIMATE = "the position estimate left the float range"
-_COINCIDENT = "source azimuths must be distinct"
 ROW_VALUES = 8192  # most values (shadowing terms, complex snapshot values) one chunk draws
 # most complex values one trial's snapshots, its covariance or a MUSIC scan's steering
 # matrix may hold (64 MiB); the shipped configs and tests stay under 600,000. Also the
@@ -231,9 +190,11 @@ def _trial_rngs(seed: int, snr_index: int, trial_indices) -> Iterator[np.random.
     """A fresh Generator per trial index, each in the state :func:`rng_for_trial` gives it,
     bit for bit: the row's seed and SNR-index words are mixed once (:func:`_row_pool`),
     each trial mixes only its own index word, on Python ints. An index that is not one
-    uint32 word, which no sweep reaches, takes :func:`rng_for_trial` itself."""
+    uint32 word, which no sweep reaches, takes :func:`rng_for_trial` itself. The indices
+    may be any integers that ``operator.index`` takes (numpy's included)."""
+    snr_index = operator.index(snr_index)
     pool, *lanes = _row_pool(seed, snr_index)
-    for ti in trial_indices:
+    for ti in map(operator.index, trial_indices):
         if not 0 <= ti <= _MASK32:
             yield rng_for_trial(seed, snr_index, ti)
             continue
@@ -279,9 +240,11 @@ class Pipeline:
     fix: Callable | None = None  # rss, hybrid ls/wls/fbss: a chunk's fixes as one stack
     chunk: int = 1  # most pairs one stack call takes
     models: tuple = ()  # per SNR (rss, hybrid): the (generating, inverting) channel pair
+    inverting: tuple = ()  # per SNR (rss, hybrid): the inverting model of each pair
     sigma_db: np.ndarray | None = None  # per SNR (rss, hybrid): both models' shadowing std
     clearance: tuple = ((), ())  # points a random target keeps clear of, and radii
     prepare: Callable | None = None
+    draw: Callable | None = None  # doa, hybrid: a trial's waveforms and noise (draw_signals)
     geometry: Any = None  # the array (doa) or the hybrid ring
     sources: SourceSet | None = None  # doa sources, or the hybrid node's interferers
     transform: PmeTransform | None = None
@@ -329,21 +292,22 @@ def _channels(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.models = _per_row(
         cfg, "shadowing std", lambda snr: (cfg.channel_at(snr, eta=cfg.eta_true), cfg.channel_at(snr))
     )
-    p.sigma_db = np.array([inverting.sigma_db for _, inverting in p.models])
+    p.inverting = tuple(inverting for _, inverting in p.models)
+    p.sigma_db = np.array([inverting.sigma_db for inverting in p.inverting])
 
 
-def _trilateration(points, ls: bool, models) -> LopMatrix:
+def _trilateration(points, ls: bool, inverting) -> LopMatrix:
     """The LOP matrix of ``points`` (collinear ones raise). An ``A^T A`` that every
     unweighted solve rejects is a config error for an ``ls`` fix, and for a weighted one
-    if any row's inverting channel (of its ``models`` pair) has no shadowing: there WLS
-    weighs every range alike and Huber starts from LS. Other weighted solves check their
-    own drawn weights."""
+    if any row's ``inverting`` channel has no shadowing: there WLS weighs every range
+    alike and Huber starts from LS. Other weighted solves check their own drawn
+    weights."""
     lop = lop_matrix(points)
     if lop.gram_cond > MAX_CONDITION:
         cond = f"cond(A^T A) {lop.gram_cond:.3g}"
         if ls:
             raise ConfigError(f"anchor layout ill-conditioned for LS: {cond}")
-        if any(lognormal_sigma_d(inverting) == 0.0 for _, inverting in models):
+        if any(lognormal_sigma_d(model) == 0.0 for model in inverting):
             raise ConfigError(
                 f"anchor layout ill-conditioned for the unweighted fix of a row without "
                 f"shadowing: {cond}"
@@ -387,7 +351,7 @@ def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.chunk = max(1, ROW_VALUES // len(p.ranged))
     p.clearance = _clearance(cfg, [], [])
     _channels(p, cfg)
-    p.lop = _trilateration(cfg.anchors, cfg.method["estimator"] == "ls", p.models)
+    p.lop = _trilateration(cfg.anchors, cfg.method["estimator"] == "ls", p.inverting)
 
 
 def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
@@ -429,6 +393,9 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
         _check_scan(p, sources.count)
     # what every trial shares: its snapshots are p.steer @ s (+ noise), and its score
     # compares its sorted estimates with the sorted truths
+    p.draw = functools.partial(
+        draw_signals, sources.amplitudes, sources.coherent, geometry.size, cfg.snapshots
+    )
     p.steer = steering_matrix(geometry, sources.azimuths)
     p.truth = np.sort(sources.azimuths)
     p.truth_deg = np.degrees(p.truth)  # every trial's TrialResult.truth
@@ -475,12 +442,17 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         p.scan = VandermondeArray(p.plan.subarray_len)
         if isinstance(cfg.target, np.ndarray):  # every trial sees the target on one bearing
             bearing = bearing_to(node.center, cfg.target)
-            if _coincident(p, np.array([bearing]))[0]:
+            if coincident(np.append(bearing, p.sources.azimuths)):
                 bearing = math.degrees(bearing)
                 raise ConfigError(f"target bearing {bearing:g} deg is an interferer's")
+    # a trial's target signal, then the interferers' coherent copies of it
+    amplitudes = np.ones(1) if p.sources is None else np.concatenate([[1.0], p.sources.amplitudes])
+    p.draw = functools.partial(
+        draw_signals, amplitudes, p.sources is not None, node.geometry.size, cfg.snapshots
+    )
     if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
         p.fix = _STEPS["estimator", "wls" if scheme == "wls" else "ls"]
-        p.lop = _trilateration(p.ranged, scheme != "wls", p.models)
+        p.lop = _trilateration(p.ranged, scheme != "wls", p.inverting)
     _check_scan(p, 1 if p.sources is None else 1 + p.sources.count)
 
 
@@ -523,20 +495,6 @@ def _draws(p: Pipeline, pairs: list, draw: Callable) -> list:
     return [draw(rng, si) for rng, (si, _) in zip(_chunk_rngs(p.cfg.seed, pairs), pairs)]
 
 
-def _ranges(p: Pipeline, targets: np.ndarray, shadows, rows: np.ndarray) -> np.ndarray:
-    """The (T, k) ranges T trials read from ``p.ranged``, trial t in SNR row ``rows[t]``
-    and its ``shadows`` the k standard-normal draws ``path_loss`` would make for its
-    points, in point order. The generating model of each trial's row gives its path
-    losses (all mean losses in one call, as the rows' models differ only in their
-    shadowing std, plus the shadows times the row's std) and the inverting one reads
-    them back: each range is the value a trial's own ``path_loss`` and
-    ``invert_distance`` give."""
-    gen_model, inv_model = p.models[0]
-    diff = p.ranged[None] - targets[:, None]
-    mean = mean_path_loss(np.hypot(diff[..., 0], diff[..., 1]), gen_model)
-    return invert_distance(mean + np.array(shadows) * p.sigma_db[rows, None], inv_model)
-
-
 def _usable(d: np.ndarray) -> np.ndarray:
     """Whether every range in the last axis of ``d`` is positive and finite."""
     return np.all((d > 0) & (d < math.inf), axis=-1)
@@ -577,128 +535,46 @@ def _rss_stack(p: Pipeline, pairs: list) -> tuple:
     drawn = _draws(p, pairs, lambda rng, si: (_draw_target(p, rng), rng.normal(0.0, 1.0, size=k)))
     targets, shadows = zip(*drawn)
     targets, rows = np.array(targets), np.array([si for si, _ in pairs])
-    d = _ranges(p, targets, shadows, rows)
+    d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.models[0])
     failed = np.where(_usable(d), None, NonPositiveDistance(_BAD_RANGE))
     return _score(targets, *_fixes(p, rows, d, failed))
 
 
-def _wls_weights(p: Pipeline, rows: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's WLS weights and their failures (:func:`wls_row_weights`), under the
-    inverting channel of its own SNR row ``rows[t]``."""
-    weights, failed = np.empty((len(d), d.shape[1] - 1)), np.empty(len(d), dtype=object)
-    for si in set(rows.tolist()):  # not np.unique, whose first call imports numpy.ma
-        at = rows == si
-        weights[at], failed[at] = wls_row_weights(p.models[si][1], d[at])
-    return weights, failed
-
-
-def _rss_huber(p: Pipeline, rows: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Huber fixes in at most two stacks: trials in rows with shadowing start from their
-    WLS fix, the others (no shadowing: every WLS weight alike) from the LS one."""
-    pos, failed = np.empty((len(d), 2)), np.empty(len(d), dtype=object)
-    shadowed, epsilon = p.sigma_db[rows] > 0, p.cfg.method["huber_epsilon"]
-    for at in (np.flatnonzero(shadowed), np.flatnonzero(~shadowed)):
-        if at.size:
-            weighted = _wls_weights(p, rows[at], d[at]) if shadowed[at[0]] else ()
-            pos[at], failed[at] = huber_stack(p.lop.A, p.lop.rhs(d[at]), epsilon, *weighted)[:2]
-    return pos, failed
-
-
-def _ring_error(est: np.ndarray, truth: np.ndarray) -> float:
-    """RMS error, degrees, of sorted azimuths on a circle against the sorted truths: the
-    best cyclic pairing, each difference wrapped into [-pi, pi] (one within it is kept
-    as it is)."""
-    d = np.array([np.roll(est, k) - truth for k in range(len(truth))])
-    d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))
-    return math.degrees(math.sqrt(float(np.min(np.mean(d**2, axis=1)))))
-
-
-def _snapshots(p: Pipeline, snr_db: float, rng) -> np.ndarray:
-    """A doa trial's (N, K) snapshots: the draws of :func:`draw_signals` and the bits of
-    ``synthesize_snapshots``, on the sources' steering matrix built at compile."""
-    src, size, k = p.sources, p.geometry.size, p.cfg.snapshots
-    s, noise = draw_signals(src.amplitudes, src.coherent, size, k, snr_db, rng)
-    x = p.steer @ s
-    return x if noise is None else x + noise
-
-
 def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
-    """One doa trial: it draws its waveforms and noise, forms its snapshots on the
-    compiled steering matrix and runs the method on them. It is scored against the
-    sorted truths (the RMS by ``np.mean``'s arithmetic); on a ring, by the pairing of
-    :func:`_ring_error` where that is lower (an estimate near +180 deg of a source near
-    -180 deg)."""
-    est = p.step(p, _snapshots(p, p.cfg.snr_grid_db[snr_index], rng)).azimuths
-    d = est - p.truth
-    err = math.degrees(math.sqrt(float(np.add.reduce(d * d) / d.size)))
-    if isinstance(p.geometry, UniformCircularArray):
-        err = min(err, _ring_error(est, p.truth))
-    return TrialResult(estimate=np.degrees(est), truth=p.truth_deg, error=err)
-
-
-def _covariance(p, x):
-    """Sample covariance; of the beamspace snapshots when a ring is smoothed."""
-    return sample_covariance(x if p.transform is None else np.asarray(p.transform.Tv @ x))
-
-
-def _coincident(p: Pipeline, bearings: np.ndarray) -> np.ndarray:
-    """Whether each of the target ``bearings`` is one of the interferers' azimuths, exactly
-    or as a NaN (two NaNs are one azimuth to :class:`SourceSet`): a trial that draws such
-    a target has two coincident sources."""
-    if p.sources is None:
-        return np.zeros(len(bearings), dtype=bool)
-    others, bearings = p.sources.azimuths, bearings[:, None]
-    return np.any((bearings == others) | (np.isnan(bearings) & np.isnan(others)), axis=1)
-
-
-def _noise_subspaces(p: Pipeline, azimuths, s, noise, failed) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, n, n) eigenvectors, descending, of the covariances of T trials' snapshots
-    (fbss: mapped into the beamspace and smoothed): sources at ``azimuths`` (T, M) with
-    the waveforms ``s`` (T, M, K) and the T ``noise`` arrays (N, K), or ``None``, that
-    :func:`draw_signals` gives each trial; ``failed`` updated by the checks each trial's
-    own covariance passes through."""
-    a = np.ascontiguousarray(p.geometry.steering(azimuths).transpose(1, 0, 2))
-    x = a @ s  # one product per trial, as synthesize_snapshots makes
-    for x_t, noise_t in zip(x, noise):  # a trial whose noise power is 0 adds none, not zeros
-        if noise_t is not None:
-            x_t += noise_t
-    r = _covariance(p, x)
-    if p.plan is not None:  # a sample covariance is Hermitian: smooth skips fbss's check
-        r = decorrelate.smooth(r, p.plan, forward_backward=True)
-    _, q, failed = herm_eig_stack(r, failed)
-    return q, failed
+    """One doa trial: it draws its waveforms and noise (``p.draw``, the draws of
+    ``synthesize_snapshots``), forms its snapshots on the steering matrix built at
+    compile, runs the method on them and scores its estimates against the sorted truths
+    (:func:`doa.azimuth_error`)."""
+    est = p.step(p, snapshots(p.steer, *p.draw(p.cfg.snr_grid_db[snr_index], rng))).azimuths
+    error = azimuth_error(est, p.truth, isinstance(p.geometry, UniformCircularArray))
+    return TrialResult(estimate=np.degrees(est), truth=p.truth_deg, error=error)
 
 
 def _hybrid_stack(p: Pipeline, pairs: list) -> tuple:
     """Each trial of the chunk ``pairs`` draws its target, signal, noise (at its row's
-    SNR) and shadowing from its own stream; the chunk then checks the targets' bearings
-    against the interferers, forms its snapshots and covariances (fbss:
-    beamspace-mapped and smoothed) as stacks, splits them with one eigendecomposition,
-    scans their MUSIC spectra and picks their peaks one subspace at a time
-    (:func:`music_peaks`), ranges its trials as one (T, k) block, solves its
-    trilateration fixes as one stack and fuses them with the scheme's stacked kernel.
-    A trial gets the error its own pass would raise first: its sources' (a target on an
-    interferer's bearing), its ranges' (fbss only), its covariance's, its spectrum's, its
-    ranges', its fix's, its fusion's, its score's. Returns the chunk's outcome
-    (:func:`_score`)."""
-    amplitudes = np.ones(1) if p.sources is None else np.concatenate([[1.0], p.sources.amplitudes])
-    size, k, coherent = p.geometry.size, p.cfg.snapshots, p.sources is not None
+    SNR) and shadowing from its own stream; the chunk then checks each trial's sources
+    for two on one azimuth (:func:`arrays.coincident`), splits their covariances
+    (:func:`doa.noise_subspaces`), scans their MUSIC spectra and picks their peaks one
+    subspace at a time (:func:`music_peaks`), ranges its trials as one (T, k) block
+    (:func:`channel.range_stack`), solves its trilateration fixes as one stack and fuses
+    them with the scheme's stacked kernel. A trial gets the error its own pass would
+    raise first: its sources' (a target on an interferer's bearing), its ranges' (fbss
+    only), its covariance's, its spectrum's, its ranges', its fix's, its fusion's, its
+    score's. Returns the chunk's outcome (:func:`_score`)."""
 
     def draw(rng, si):
         target = _draw_target(p, rng)
-        signals = draw_signals(amplitudes, coherent, size, k, p.cfg.snr_grid_db[si], rng)
-        return target, signals, rng.normal(0.0, 1.0, size=len(p.ranged))
+        return target, p.draw(p.cfg.snr_grid_db[si], rng), rng.normal(0.0, 1.0, size=len(p.ranged))
 
     targets, signals, shadows = zip(*_draws(p, pairs, draw))
     targets, rows = np.array(targets), np.array([si for si, _ in pairs])
-    d = _ranges(p, targets, shadows, rows)
+    d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.models[0])
     center = p.node.center  # each bearing as bearing_to gives it
-    bearings = np.arctan2(targets[:, 1] - center[1], targets[:, 0] - center[0])
-    azimuths = bearings[:, None]
+    azimuths = np.arctan2(targets[:, 1] - center[1], targets[:, 0] - center[0])[:, None]
     if p.sources is not None:  # the target's bearing first, then the interferers
         others = np.broadcast_to(p.sources.azimuths, (len(d), p.sources.count))
         azimuths = np.hstack([azimuths, others])
-    failed = np.where(_coincident(p, bearings), CoincidentSources(_COINCIDENT), None)
+    failed = np.where(coincident(azimuths), CoincidentSources(), None)
     bad_ranges = ~_usable(d)
     if p.plan is not None:  # fbss ranges before its spectrum
         failed[np.equal(failed, None) & bad_ranges] = NonPositiveDistance(_BAD_RANGE)
@@ -709,10 +585,11 @@ def _hybrid_stack(p: Pipeline, pairs: list) -> tuple:
         s, noise = zip(*signals)
         del signals  # the stacks replace the trials' own arrays
         s, noise = np.array([s[t] for t in live]), [noise[t] for t in live]
-        q, failed[live] = _noise_subspaces(p, azimuths[live], s, noise, failed[live])
-        del s, noise  # free the row's snapshots before its scans
+        steer = steering_matrix(p.geometry, azimuths[live])
+        noise_q, failed[live] = noise_subspaces(steer, s, noise, p.transform, p.plan, failed[live])
+        del steer, s, noise  # free the chunk's snapshots before its scans
         split = np.equal(failed[live], None)
-        live, noise_q = live[split], q[split][..., n_sources:]
+        live, noise_q = live[split], noise_q[split]
         try:
             peaks[live], failed[live] = music_peaks(noise_q, p.scan, n_sources, p.grid_step)
         except WsnlocError as exc:  # a peak search that fails as a whole fails each trial
@@ -731,13 +608,6 @@ def _fuse_midpoint(p, azimuths, d, fixes):
     return bearing_midpoint(p.node, fixes, azimuths[:, 0]), np.full(len(d), None, dtype=object)
 
 
-def _fuse_two_lines(p, azimuths, d, fixes):
-    # The hybrid node's own range pools its per-element measurements
-    # (the ring radius is negligible against the node-target distance).
-    pooled = np.mean(d[:, 1:], axis=1)
-    return two_lines_stack(p.node, p.cfg.anchors[0], d[:, 0], pooled, azimuths[:, 0])
-
-
 # (method setting, value) -> the part of a trial the method decides; each entry looks its
 # kernels up by module-global name when it runs. Arguments: estimator (pipeline, each
 # trial's (T,) SNR row, (T, k) ranges) -> (T, 2) positions and per-trial failures, as
@@ -748,13 +618,17 @@ def _fuse_two_lines(p, azimuths, d, fixes):
 _STEPS: dict[tuple[str, str], Callable] = {
     ("estimator", "ls"): lambda p, rows, d: solve_stack(p.lop.A, p.lop.rhs(d)),
     ("estimator", "wls"): lambda p, rows, d: solve_stack(
-        p.lop.A, p.lop.rhs(d), *_wls_weights(p, rows, d)
+        p.lop.A, p.lop.rhs(d), *wls_weights_by_row(p.inverting, rows, d)
     ),
-    ("estimator", "huber"): _rss_huber,
-    ("decorrelate", "none"): _covariance,
-    ("decorrelate", "fss"): lambda p, x: decorrelate.fss(_covariance(p, x), p.plan),
-    ("decorrelate", "fbss"): lambda p, x: decorrelate.fbss(_covariance(p, x), p.plan),
-    ("decorrelate", "toeplitz"): lambda p, x: decorrelate.toeplitz_reconstruct(_covariance(p, x)),
+    ("estimator", "huber"): lambda p, rows, d: huber_by_row(
+        p.lop, p.inverting, rows, d, p.cfg.method["huber_epsilon"]
+    ),
+    ("decorrelate", "none"): lambda p, x: covariance(x, p.transform),
+    ("decorrelate", "fss"): lambda p, x: decorrelate.fss(covariance(x, p.transform), p.plan),
+    ("decorrelate", "fbss"): lambda p, x: decorrelate.fbss(covariance(x, p.transform), p.plan),
+    ("decorrelate", "toeplitz"): lambda p, x: decorrelate.toeplitz_reconstruct(
+        covariance(x, p.transform)
+    ),
     ("doa", "music"): lambda p, x: music(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)[1],
     ("doa", "root-music"): lambda p, x: root_music(p.prepare(p, x), p.scan, p.sources.count),
     ("doa", "esprit"): lambda p, x: esprit(x, p.geometry, p.sources.count),
@@ -766,7 +640,9 @@ _STEPS: dict[tuple[str, str], Callable] = {
     ),
     ("hybrid", "ls"): _fuse_midpoint,
     ("hybrid", "wls"): _fuse_midpoint,
-    ("hybrid", "two-lines"): _fuse_two_lines,
+    ("hybrid", "two-lines"): lambda p, az, d, fixes: two_lines_pooled(
+        p.node, p.cfg.anchors[0], d, az[:, 0]
+    ),
 }
 
 _COMPILERS = {"rss": _compile_rss, "doa": _compile_doa, "hybrid": _compile_hybrid}
@@ -790,8 +666,10 @@ def _outcomes(p: Pipeline) -> Iterator[float]:
 def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) -> TrialResult:
     """One deterministic trial of the configured pipeline; raises the error that fails
     it. Where the kind stacks its trials, this is a chunk of one pair, read into the
-    only :class:`TrialResult` a stack trial gets."""
+    only :class:`TrialResult` a stack trial gets. The indices may be any integers that
+    ``operator.index`` takes (numpy's included)."""
     p = _pipeline(cfg, kind)
+    snr_index, trial_index = operator.index(snr_index), operator.index(trial_index)
     if p.stack is None:
         (rng,) = _trial_rngs(cfg.seed, snr_index, [trial_index])
         return p.trial(p, snr_index, rng)
@@ -855,7 +733,7 @@ def compute_spectrum(cfg: ScenarioConfig) -> Spectrum:
     rng = rng_for_trial(cfg.seed, 0, 0)
     snr_db = cfg.snr_grid_db[0]
     with np.errstate(**_QUIET):
-        x = _snapshots(p, snr_db, rng)
+        x = snapshots(p.steer, *p.draw(snr_db, rng))
         try:
             spectrum = music_spectrum(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)
         except NumericOverflow as exc:  # the sample covariance left the float range

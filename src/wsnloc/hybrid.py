@@ -22,9 +22,10 @@ fusion schemes above solve their trilateration fix with
 ranges.
 
 Each fusion is written once, for a stack of T trials, so that a caller that
-solves many trials at once (the harness's hybrid rows) fuses them with array
+solves many trials at once (the harness's hybrid chunks) fuses them with array
 arithmetic: :func:`single_node_stack` and :func:`two_lines_stack` take T
-bearings and their ranges, and ``fbss_bearing`` and ``bearing_midpoint`` take
+bearings and their ranges (:func:`two_lines_pooled` pools the node's range from
+its elements'), and ``fbss_bearing`` and ``bearing_midpoint`` take
 a (T, 2) stack of fixes as readily as one fix. ``hybrid_single_node``,
 ``ray_circle_point`` and ``two_lines`` are stacks of one that raise the
 failure recorded for their trial. Products of 2-vectors and their norms are
@@ -48,6 +49,7 @@ from .errors import (
     BehindRay,
     LengthMismatch,
     SingularFusionMatrix,
+    only,
 )
 from .geometry import lop_matrix
 from .pme import PmeTransform, VandermondeArray, to_vula
@@ -177,10 +179,7 @@ def hybrid_single_node(node: HybridNode, doa: float, ranges: Sequence[float]) ->
     ranges = np.asarray(ranges, dtype=float)
     if ranges.ndim != 1:
         raise LengthMismatch("ranges must be one distance per element")
-    fused, failed = single_node_stack(node, np.array([doa], dtype=float), ranges[None])
-    if failed[0] is not None:
-        raise failed[0]
-    return fused[0]
+    return only(*single_node_stack(node, np.array([doa], dtype=float), ranges[None]))
 
 
 def fbss_bearing(node: HybridNode, azimuths: np.ndarray, fix: np.ndarray):
@@ -294,6 +293,14 @@ def two_lines_stack(
     return points, np.where(singular, parallel, None)
 
 
+def two_lines_pooled(node: HybridNode, rss_anchor, ranges, doas) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`two_lines_stack` of T trials whose (T, 1 + N) ``ranges`` are the anchor's,
+    then each ring element's: the node's own range pools its elements' (the ring radius
+    is negligible against the node-target distance)."""
+    pooled = np.mean(ranges[:, 1:], axis=1)
+    return two_lines_stack(node, rss_anchor, ranges[:, 0], pooled, doas)
+
+
 def two_lines(
     node: HybridNode,
     rss_anchor,
@@ -308,7 +315,4 @@ def two_lines(
     when the two lines are parallel.
     """
     trial = np.array([[d_anchor], [d_hybrid], [doa]], dtype=float)
-    points, failed = two_lines_stack(node, rss_anchor, *trial)
-    if failed[0] is not None:
-        raise failed[0]
-    return points[0]
+    return only(*two_lines_stack(node, rss_anchor, *trial))

@@ -9,11 +9,14 @@ of a stack gets the bits it gets alone: numpy's stacked ``matmul``, ``cond``
 and ``solve`` call the same BLAS or LAPACK routine once per matrix, and the
 condition check's closed form works element by element.
 A system that fails is recorded rather than raised, in an object array that
-holds ``None`` for the systems that solved. The harness's rss rows and
-hybrid fixes solve whole stacks; ``ls_solve``, ``wls_solve`` and
-``huber_irls`` check one :class:`LinearSystem` and its weights, solve it as a
-stack of one, and raise the failure recorded for it. Weights are per row: a
-WLS weight matrix is diagonal, as :func:`wls_weights` builds it.
+holds ``None`` for the systems that solved. The harness's chunks solve whole
+stacks whose ranges were read through several channels, one per SNR row:
+:func:`wls_weights_by_row` weighs each range under its own channel, and
+:func:`huber_by_row` starts each system's IRLS from the fix its channel calls
+for. ``ls_solve``, ``wls_solve`` and ``huber_irls`` check one
+:class:`LinearSystem` and its weights, solve it as a stack of one, and raise
+the failure recorded for it (:func:`errors.only`). Weights are per row: a WLS
+weight matrix is diagonal, as :func:`wls_weights` builds it.
 """
 
 import math
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, lognormal_sigma_d
-from .errors import LengthMismatch, NumericOverflow, SingularSystem
-from .geometry import LinearSystem
+from .errors import LengthMismatch, NumericOverflow, SingularSystem, only
+from .geometry import LinearSystem, LopMatrix
 
 MAX_CONDITION = 1e12
 _MARGIN = 4.0  # closed-form condition numbers within this factor of the bound go to the SVD
@@ -66,10 +69,7 @@ def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
         raise LengthMismatch("need estimated distances for at least 3 anchors")
     if np.any(d <= 0):
         raise ValueError("distances must be positive")
-    weights, failed = wls_row_weights(model, d[None])
-    if failed[0] is not None:
-        raise failed[0]
-    return np.diag(weights[0])
+    return np.diag(only(*wls_row_weights(model, d[None])))
 
 
 def wls_row_weights(model: ChannelModel, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,6 +91,17 @@ def wls_row_weights(model: ChannelModel, distances: np.ndarray) -> tuple[np.ndar
     weights = 1.0 / (var[:, :-1] + var[:, -1:])
     failed = np.full(rows, None, dtype=object)
     failed[~np.all((weights > 0) & (weights < math.inf), axis=1)] = NumericOverflow(_DEGENERATE)
+    return weights, failed
+
+
+def wls_weights_by_row(models, rows, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`wls_row_weights` of a (T, S) block of ranges ``d`` whose row t was read
+    through the channel ``models[rows[t]]``, one call per channel in use: the (T, S-1)
+    weights and the per-row failures."""
+    weights, failed = np.empty((len(d), d.shape[1] - 1)), np.empty(len(d), dtype=object)
+    for si in set(rows.tolist()):  # not np.unique, whose first call imports numpy.ma
+        at = rows == si
+        weights[at], failed[at] = wls_row_weights(models[si], d[at])
     return weights, failed
 
 
@@ -204,6 +215,21 @@ def huber_stack(
     return pos, failed, passes
 
 
+def huber_by_row(lop: LopMatrix, models, rows, d, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`huber_stack` of the LOP systems of a (T, S) block of ranges ``d``, row t
+    read through the channel ``models[rows[t]]``, in at most two stacks: rows whose
+    channel shadows start from their WLS fix (:func:`wls_weights_by_row`), the others
+    (no shadowing: every WLS weight alike) from the LS one. Returns the (T, 2) positions
+    and the per-row failures."""
+    pos, failed = np.empty((len(d), 2)), np.empty(len(d), dtype=object)
+    shadowed = np.array([model.sigma_db > 0 for model in models])[rows]
+    for at in (np.flatnonzero(shadowed), np.flatnonzero(~shadowed)):
+        if at.size:
+            weighted = wls_weights_by_row(models, rows[at], d[at]) if shadowed[at[0]] else ()
+            pos[at], failed[at] = huber_stack(lop.A, lop.rhs(d[at]), epsilon, *weighted)[:2]
+    return pos, failed
+
+
 def _row_weights(a: np.ndarray, weights) -> np.ndarray:
     """The diagonal of a WLS weight matrix for ``a``, as a stack of one: (1, m)."""
     w = np.asarray(weights, dtype=float)
@@ -217,24 +243,18 @@ def _row_weights(a: np.ndarray, weights) -> np.ndarray:
     return diag[None]
 
 
-def _one(pos: np.ndarray, failed: np.ndarray) -> np.ndarray:
-    if failed[0] is not None:
-        raise failed[0]
-    return pos[0]
-
-
 def ls_solve(system: LinearSystem) -> np.ndarray:
     """Least-squares node position (A^T A)^-1 A^T b; ``SingularSystem`` past the
     condition bound."""
     a, b = system
-    return _one(*solve_stack(a, b[None]))
+    return only(*solve_stack(a, b[None]))
 
 
 def wls_solve(system: LinearSystem, weights: np.ndarray) -> np.ndarray:
     """Weighted least-squares position (A^T W A)^-1 A^T W b for a diagonal ``W``
     with a finite, positive diagonal; ``SingularSystem`` past the condition bound."""
     a, b = system
-    return _one(*solve_stack(a, b[None], _row_weights(a, weights)))
+    return only(*solve_stack(a, b[None], _row_weights(a, weights)))
 
 
 def huber_irls(
@@ -250,5 +270,5 @@ def huber_irls(
     a, b = system
     weights = None if initial_weights is None else _row_weights(a, initial_weights)
     pos, failed, passes = huber_stack(a, b[None], epsilon, weights)
-    position = _one(pos, failed)
+    position = only(pos, failed)
     return EstimatorReport(position, int(passes[0]), float(np.linalg.norm(a @ position - b)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,21 @@ class TestUcaSteering:
     @given(theta=st.floats(-np.pi, np.pi))
     def test_unit_modulus(self, theta):
         assert np.allclose(np.abs(UCA4.steering(theta)), 1.0)
+
+
+class TestSnapshots:
+    def test_one_trial_and_a_stack(self):
+        # A s, plus the trial's noise where it has any; a stack adds each trial's own
+        steer = np.array([[1.0 + 0j], [-1.0 + 0.5j]])
+        s = np.array([[-0.5 + 0j, 2.0 + 1j]])
+        product = steer @ s
+        x = arrays.snapshots(steer, s, None)
+        assert x.tobytes() == product.tobytes()
+        noise = np.full((2, 2), 0.5 - 0.25j)
+        assert arrays.snapshots(steer, s, noise).tobytes() == (product + noise).tobytes()
+        stack = arrays.snapshots(np.stack([steer, -steer]), np.stack([s, s]), [None, noise])
+        assert stack[0].tobytes() == product.tobytes()
+        assert stack[1].tobytes() == (-steer @ s + noise).tobytes()
 
 
 class TestSynthesizeSnapshots:
@@ -162,6 +179,55 @@ class TestBeampattern:
             closed = np.abs(np.sin(g.n * arg) / (g.n * np.sin(arg)))
         closed[np.abs(arg) < 1e-12] = 1.0
         assert np.allclose(pattern, closed, atol=1e-9)
+
+
+def loop_coincident(azimuths) -> bool:
+    """Whether two of ``azimuths`` are one azimuth: equal as floats (+0.0 and -0.0 are),
+    or both NaN."""
+    return any(
+        a == b or (math.isnan(a) and math.isnan(b))
+        for i, a in enumerate(azimuths)
+        for b in azimuths[i + 1 :]
+    )
+
+
+AZIMUTHS = st.sampled_from([0.0, -0.0, 0.5, -0.5, np.pi, np.inf, -np.inf, np.nan])
+
+
+class TestCoincident:
+    @pytest.mark.parametrize(
+        "azimuths",
+        [
+            [0.3, 0.3],  # an exact repeat
+            [0.1, -0.2, 0.1],
+            [0.0, -0.0],  # +-0 are one azimuth
+            [-0.0, 0.5, 0.0],
+            [np.nan, 0.1],  # one NaN is an azimuth of its own
+            [0.2, np.nan, np.nan],  # two NaNs are one
+            [np.nan, np.nan],
+            [-1.0, 0.0, 1.0, np.pi],  # distinct
+            [np.inf, -np.inf],
+            [0.7],
+        ],
+    )
+    def test_one_set_against_a_loop(self, azimuths):
+        verdict = arrays.coincident(np.array(azimuths))
+        assert verdict.shape == () and bool(verdict) == loop_coincident(azimuths)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.lists(st.lists(AZIMUTHS, min_size=m, max_size=m), min_size=1, max_size=8)
+        )
+    )
+    def test_stacked_sets_against_a_loop(self, sets):
+        # (T, M) sets, and a (2, T, M) stack of them
+        stack = np.array(sets)
+        verdicts = arrays.coincident(stack)
+        assert verdicts.tolist() == [loop_coincident(azimuths) for azimuths in sets]
+        assert arrays.coincident(np.stack([stack, stack[::-1]])).tolist() == [
+            verdicts.tolist(), verdicts[::-1].tolist()
+        ]
 
 
 class TestSourceSet:

@@ -18,17 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnloc import geometry, harness, hybrid, rss
+from wsnloc import channel, geometry, harness, hybrid, rss
 from wsnloc.arrays import (
     SourceSet,
     UniformCircularArray,
     draw_signals,
     sample_covariance,
+    steering_matrix,
     synthesize_snapshots,
 )
-from wsnloc.channel import invert_distance, path_loss
+from wsnloc.channel import invert_distance, path_loss, range_stack
 from wsnloc.decorrelate import SmoothingPlan, fbss, smooth
-from wsnloc.doa import music, music_peaks
+from wsnloc.doa import music, music_peaks, noise_subspaces
 from wsnloc.errors import (
     AllIntersectionsFailed,
     BehindRay,
@@ -248,7 +249,8 @@ def test_one_ulp_square_of_the_last_range():
     p = harness._pipeline(cfg, "rss")
     rng = rng_for_trial(7, 3, 16)
     target = harness._draw_target(p, rng)
-    d = harness._ranges(p, target[None], [rng.normal(0.0, 1.0, size=4)], np.array([3]))[0]
+    shadows = [rng.normal(0.0, 1.0, size=4)]
+    d = range_stack(p.ranged, target[None], shadows, p.sigma_db[[3]], *p.models[0])[0]
     assert d[-1] ** 2 != (d[None, -1:] ** 2)[0, 0]
     single = run_trial(cfg, "rss", 3, 16)
     batched = row(p, 3)[16]
@@ -402,7 +404,8 @@ def test_row_ranges_equal_looped_path_loss(cfg):
             diff = p.ranged - target
             loss = path_loss(np.hypot(diff[:, 0], diff[:, 1]), gen_model, np.random.default_rng(t))
             looped.append(invert_distance(loss, inv_model))
-        assert harness._ranges(p, targets, shadows, rows).tobytes() == np.array(looped).tobytes()
+        d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.models[0])
+        assert d.tobytes() == np.array(looped).tobytes()
 
 
 @pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
@@ -458,10 +461,13 @@ def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
             looped.append(herm_eig(r)[1])
     s, noise = zip(*signals)
     failed = np.full(cfg.trials, None, dtype=object)
-    q, failed = harness._noise_subspaces(p, np.array(azimuths), np.array(s), noise, failed)
+    steer = steering_matrix(p.geometry, np.array(azimuths))
+    q, failed = noise_subspaces(steer, np.array(s), noise, p.transform, p.plan, failed)
     assert list(failed) == [None] * cfg.trials
+    n_sources = len(azimuths[0])
     for q_row, q_trial in zip(q, looped):
-        assert np.ascontiguousarray(q_row).tobytes() == np.ascontiguousarray(q_trial).tobytes()
+        noise_trial = q_trial[:, n_sources:]
+        assert np.ascontiguousarray(q_row).tobytes() == np.ascontiguousarray(noise_trial).tobytes()
 
 
 @pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
@@ -647,7 +653,7 @@ def test_collinear_layout_is_a_config_error(monkeypatch, kind, method):
         cfg = cfg.with_method(estimator=method)
     else:
         cfg = ScenarioConfig.from_dict(COLLINEAR_HYBRID).with_method(hybrid=method)
-    monkeypatch.setattr(harness, "mean_path_loss", lambda *a: pytest.fail("a trial drew ranges"))
+    monkeypatch.setattr(channel, "mean_path_loss", lambda *a: pytest.fail("a trial drew ranges"))
     for call in (lambda: run_trial(cfg, kind, 0, 0), lambda: monte_carlo(cfg, kind)):
         with pytest.raises(ConfigError, match="collinear"):
             call()
@@ -861,8 +867,8 @@ def test_chunk_mixes_rows_with_and_without_shadowing(monkeypatch, estimator):
     p = harness._pipeline(cfg, "rss")
     assert p.sigma_db[1] == 0.0 < p.sigma_db[0]
     alone = rows_alone(cfg, "rss")
-    irls = recording(monkeypatch, harness, "huber_stack")
-    weights = recording(monkeypatch, harness, "wls_row_weights")
+    irls = recording(monkeypatch, rss, "huber_stack")
+    weights = recording(monkeypatch, rss, "wls_row_weights")
     chunk = trial_outcomes(p.stack(p, sweep_pairs(cfg)))
     for one, other in zip(chunk, alone, strict=True):
         assert_same_outcome(one, other)

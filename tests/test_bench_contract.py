@@ -5,11 +5,13 @@
 (module, attribute). Its ``AMOUNTS`` readers take a work count from the
 arguments and result of a traced call, and it tags trials by ``run_trial``'s
 ``snr_index`` and ``trial_index``, by position or name; ``bench/run.py`` calls
-``monte_carlo(..., workers=...)``. A package change that drops or renames one
-of them, or changes what a reader reads, breaks ``bench/run.py --trace 1``.
+``monte_carlo(..., workers=...)``, and every ``bench/*.py`` module reaches
+the package through ``harness.<name>``. A package change that drops or renames
+one of them, or changes what a reader reads, breaks ``bench/run.py``.
 ``bench/`` is imported from its directory, without writing bytecode there.
 """
 
+import ast
 import collections
 import importlib
 import inspect
@@ -33,18 +35,60 @@ from wsnloc.geometry import build_lop_system
 from wsnloc.pme import VandermondeArray
 from wsnloc.rss import huber_irls
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def bench_module(name: str):
+    sys.path.insert(0, str(BENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(BENCH))
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    sys.path.insert(0, str(BENCH))
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        yield importlib.import_module("tracer")
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(str(BENCH))
+    return bench_module("tracer")
+
+
+def harness_chains(source: str) -> set[tuple[str, ...]]:
+    """Each attribute chain ``harness.<name>[.<name>...]`` that ``source`` reads."""
+    chains = set()
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id == "harness":
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_bench_harness_names_resolve():
+    # bench/ is not edited with the package: whatever it reads through harness, names
+    # that moved to another module included, must still be there
+    chains = set().union(*(harness_chains(path.read_text()) for path in BENCH.glob("*.py")))
+    assert {("load_config",), ("ScenarioConfig", "from_dict"), ("monte_carlo",)} <= chains
+    for chain in chains:
+        found = harness
+        for name in chain:
+            found = getattr(found, name, None)
+            assert found is not None, f"harness.{'.'.join(chain)} is gone"
+
+
+def test_bench_workloads_build_their_scenarios():
+    # each sweep loads its config through harness.load_config, then replaces its seed
+    # and trials and applies its method overrides with ScenarioConfig.with_method
+    workloads = bench_module("workloads")
+    for sweeps in workloads.WORKLOADS.values():
+        for sweep in sweeps:
+            cfg = sweep.scenario(harness, ROOT, workloads.HELD_OUT_SEED)
+            assert isinstance(cfg, harness.ScenarioConfig)
+            assert (cfg.seed, cfg.trials) == (workloads.HELD_OUT_SEED, sweep.trials)
+            assert set(dict(sweep.method).items()) <= set(cfg.method.items())
 
 
 def test_traced_functions_resolve(tracer):

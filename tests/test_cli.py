@@ -71,10 +71,15 @@ def test_config_error_exit_code(tmp_path):
     assert main(["rss", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
 
 
-def test_seed_out_of_range_exit_code(tmp_path):
+def test_seed_out_of_range_exit_code(tmp_path, capsys):
+    # the config schema's seed rule checks the override too, both of its bounds
     cfg = write_cfg(tmp_path, RSS_RAW)
     out = str(tmp_path / "x.csv")
-    assert main(["rss", "--config", str(cfg), "--out", out, "--seed", "-3"]) == 1
+    for seed in (-3, 2**64):
+        assert main(["rss", "--config", str(cfg), "--out", out, "--seed", str(seed)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed: ") and len(err.splitlines()) == 1, seed
+    assert main(["rss", "--config", str(cfg), "--out", out, "--seed", str(2**64 - 1)]) == 0
 
 
 def test_missing_config_exit_code(tmp_path):

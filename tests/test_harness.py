@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnloc import arrays, config, doa, geometry, harness
+from wsnloc import arrays, channel, config, doa, geometry, harness
 from wsnloc.arrays import UniformCircularArray, UniformLinearArray
 from wsnloc.errors import AllTrialsFailed, ConfigError, WsnlocError
 from wsnloc.config import CONFIG_SCHEMA, ScenarioConfig, load_config
@@ -383,6 +383,22 @@ class TestRunTrial:
         cfg = ScenarioConfig.from_dict(RSS_RAW)
         with pytest.raises(ConfigError):
             run_trial(cfg, "tdoa", 0, 0)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint32])
+    @pytest.mark.parametrize("kind", ["doa", "rss", "hybrid"])
+    def test_numpy_integer_indices(self, kind, integer):
+        # a numpy index is the Python int it holds: the same trial and stream, bit for
+        # bit, and no overflow warning from the stream's hash-mix on the way
+        cfg = ScenarioConfig.from_dict({"doa": DOA_RAW, "rss": RSS_RAW, "hybrid": HYBRID_RAW}[kind])
+        si, ti = len(cfg.snr_grid_db) - 1, cfg.trials - 1
+        expected = run_trial(cfg, kind, si, ti)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_trial(cfg, kind, integer(si), integer(ti))
+            (rng,) = harness._trial_rngs(cfg.seed, integer(si), [integer(ti)])
+        assert result.error.hex() == expected.error.hex()
+        assert result.estimate.tobytes() == expected.estimate.tobytes()
+        assert rng.bit_generator.state == rng_for_trial(cfg.seed, si, ti).bit_generator.state
 
 
 class TestMonteCarlo:
@@ -756,7 +772,7 @@ class TestTrialCallCounts:
         verdicts = counting(monkeypatch, harness, "lop_matrix")
         run_trial(cfg, "rss", 0, 0)  # compiles the pipeline
         assert len(verdicts) == 1
-        ranged = counting(monkeypatch, harness, "mean_path_loss")
+        ranged = counting(monkeypatch, channel, "mean_path_loss")
         systems = counting(monkeypatch, geometry, "build_lop_system")
         run_trial(cfg, "rss", 1, 2)
         assert [args[0].shape for args in ranged] == [(1, 4)]
@@ -771,7 +787,7 @@ class TestTrialCallCounts:
     )
     def test_hybrid_trial(self, monkeypatch, scheme, points):
         cfg = ScenarioConfig.from_dict(HYBRID_RAW).with_method(hybrid=scheme)
-        ranged = counting(monkeypatch, harness, "mean_path_loss")
+        ranged = counting(monkeypatch, channel, "mean_path_loss")
         run_trial(cfg, "hybrid", 0, 0)
         assert [args[0].shape for args in ranged] == [(1, points)]
         ranged.clear()
@@ -825,7 +841,7 @@ class TestTrialCallCounts:
         raw["target"] = [30.0, 60.0]
         cfg = ScenarioConfig.from_dict(raw)
         verdicts = counting(monkeypatch, harness, "lop_matrix")
-        ranged = counting(monkeypatch, harness, "mean_path_loss")
+        ranged = counting(monkeypatch, channel, "mean_path_loss")
         with pytest.raises(ConfigError, match="rss scenario: anchors are collinear"):
             run_trial(cfg, "rss", 0, 0)
         assert len(verdicts) == 1
