@@ -17,7 +17,7 @@ import dataclasses
 import sys
 
 from .errors import AllTrialsFailed, ConfigError
-from .config import CONFIG_SCHEMA, _schema_error, load_config
+from .config import CONFIG_SCHEMA, _schema_error, _shown, load_config
 from .harness import dump_spectrum, monte_carlo, write_rmse_csv
 
 _METHODS = CONFIG_SCHEMA["properties"]["method"]["properties"]
@@ -58,14 +58,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int) -> None:
+    """Raise :class:`ConfigError` naming the seed's range if ``seed`` breaks the config
+    schema's seed rule. The schema walker raises on a seed past the float range before
+    it reads a bound; that seed is out of the range too."""
+    try:
+        broken = _schema_error(seed, CONFIG_SCHEMA["properties"]["seed"]) is not None
+    except ConfigError:
+        broken = True
+    if broken:
+        raise ConfigError(f"--seed: {_shown(seed)} is outside the seed's range 0 ... 2^64 - 1")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            error = _schema_error(args.seed, CONFIG_SCHEMA["properties"]["seed"], ("--seed",))
-            if error is not None:
-                raise ConfigError(error)
+            _check_seed(args.seed)
             cfg = dataclasses.replace(cfg, seed=args.seed)
         cfg = cfg.with_method(
             estimator=getattr(args, "estimator", None),

@@ -23,14 +23,15 @@ MUSIC scan, or more than :data:`SIZE_BUDGET` trials per SNR row, whose errors
 rss and hybrid trials run in chunks of the whole sweep: the (snr_index,
 trial_index) pairs taken in row-major order, as many as draw at most
 :data:`ROW_VALUES` values (shadowing terms, plus complex snapshot values for
-hybrid) and at least one, so a chunk's memory does not grow with ``trials``
-or the grid, and a row does not end a chunk. Each trial draws on its own
-stream, at its own row's SNR; the chunk hands its draws to the library's
-stack kernels, which give each trial the bits of its own pass, and returns
-arrays: its (T, 2) truths and estimates, its (T,) errors, NaN exactly where a
-trial failed, and its (T,) failures. :func:`run_trial` is a chunk of one pair.
-doa trials run one at a time through :func:`run_trial`, in row-major order.
-``workers`` is still ignored.
+hybrid) and at least one, so a chunk's memory does not grow with ``trials`` or
+the grid, and a row does not end a chunk: 4,096 trials of a 4-anchor rss
+sweep, 40 of the 4-element, 100-snapshot hybrid ring and 10 of a 16-element
+one. Each trial draws on its own stream, at its own row's SNR; the chunk hands
+its draws to the library's stack kernels, which give each trial the bits of
+its own pass, and returns arrays: its (T, 2) truths and estimates, its (T,)
+errors, NaN exactly where a trial failed, and its (T,) failures.
+:func:`run_trial` is a chunk of one pair. doa trials run one at a time through
+:func:`run_trial`, in row-major order. ``workers`` is still ignored.
 
 Randomness: every trial owns an independent PCG64 stream, documented as
 :func:`rng_for_trial`, ``SeedSequence(entropy=seed, spawn_key=(snr_index,
@@ -88,7 +89,10 @@ from .rss import MAX_CONDITION, huber_by_row, solve_stack, wls_weights_by_row
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 _BAD_RANGE = "shadowing drove an estimated range to 0 or infinity"
 _BAD_ESTIMATE = "the position estimate left the float range"
-ROW_VALUES = 8192  # most values (shadowing terms, complex snapshot values) one chunk draws
+# most values (shadowing terms, complex snapshot values) one chunk draws: 40 trials of
+# the 4-element, 100-snapshot hybrid ring, 10 of a 16-element one, so that each shipped
+# hybrid chunk derives its streams in one array pass (ARRAY_PASS)
+ROW_VALUES = 16384
 # most complex values one trial's snapshots, its covariance or a MUSIC scan's steering
 # matrix may hold (64 MiB); the shipped configs and tests stay under 600,000. Also the
 # most trials per SNR row, whose errors monte_carlo holds as one float64 array (32 MiB)

@@ -34,6 +34,7 @@ not depend on which BLAS kernel is installed; ``two_lines_stack`` solves its
 2x2 systems through LAPACK, one call per system.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,12 +69,15 @@ class HybridNode:
         if self.center.shape != (2,):
             raise ValueError("center must be a 2-vector")
 
-    @property
+    @functools.cached_property
     def element_positions(self) -> np.ndarray:
-        """(N, 2) element coordinates on the ring around the center."""
+        """(N, 2) element coordinates on the ring around the center, computed once per
+        node and read-only."""
         angles = self.geometry.element_angles
         offsets = self.geometry.radius * np.column_stack([np.cos(angles), np.sin(angles)])
-        return self.center + offsets
+        positions = self.center + offsets
+        positions.flags.writeable = False
+        return positions
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,6 @@ class BearingRay:
             raise ValueError("direction must be nonzero")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "direction", direction / norm)
-
-    @classmethod
-    def from_azimuth(cls, origin, azimuth: float) -> "BearingRay":
-        return cls(origin=origin, direction=(math.cos(azimuth), math.sin(azimuth)))
 
 
 def _directions(doas: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ that may cross SNR rows; a chunk must give each trial what its row run alone giv
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import lop_oracle
@@ -576,10 +577,11 @@ def test_hybrid_rows_stack_in_chunks(monkeypatch, scheme):
 
 
 def test_hybrid_row_chunk_holds_bounded_snapshots():
-    # 8,192 drawn values: 20 trials of a 4-element ring with 100 snapshots (4 path losses
-    # and 400 snapshot values each), 5 of a 16-element one; a trial larger than the limit
-    # still runs, one at a time. The chunks cut the 3 rows of 45 trials as one sweep.
-    for scheme, snapshots, size in [("single", 100, 20), ("fbss", 100, 5), ("single", 4096, 1)]:
+    # 16,384 drawn values: 40 trials of a 4-element ring with 100 snapshots (4 path losses
+    # and 400 snapshot values each), 10 of a 16-element one; a trial larger than the limit
+    # (4 + 4 x 4,096 = 16,388 values) still runs, one at a time. The chunks cut the 3 rows
+    # of 45 trials as one sweep.
+    for scheme, snapshots, size in [("single", 100, 40), ("fbss", 100, 10), ("single", 4096, 1)]:
         cfg = hybrid_scenario(scheme, snapshots=snapshots, snr_grid_db=[5.0, 10.0, 20.0])
         cfg = dataclasses.replace(cfg, trials=45)
         p = harness._pipeline(cfg, "hybrid")
@@ -588,6 +590,50 @@ def test_hybrid_row_chunk_holds_bounded_snapshots():
         p.stack = lambda p, pairs: chunks.append(pairs) or stack(p, pairs)
         assert len(list(harness._outcomes(p))) == 135
         assert chunks == sweep_chunks(cfg, size)
+
+
+# a full chunk's tracemalloc peak, in units of its drawn values x 16 B (one complex128
+# each): 3.3 to 5.5 under 16,384 values, the 16-element single-node MUSIC scan highest
+CHUNK_PEAK_PER_VALUE = 8
+
+
+def shipped_hybrid_pipelines() -> list:
+    """Each shipped hybrid config compiled under every scheme it runs."""
+    pipelines = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = load_config(path)
+        if cfg.node is None:
+            continue
+        for scheme in HYBRID_SCHEMES:
+            try:
+                pipelines.append(harness._pipeline(cfg.with_method(hybrid=scheme), "hybrid"))
+            except ConfigError:  # too few RSS anchors for the scheme
+                continue
+    return pipelines
+
+
+def test_shipped_hybrid_chunks_take_the_array_stream_pass(monkeypatch):
+    # every shipped hybrid sweep chunks at least ARRAY_PASS pairs, so its chunks derive
+    # their streams in one array pass, never one trial at a time; and a full chunk's
+    # memory stays a bounded multiple of the values it draws
+    pipelines = shipped_hybrid_pipelines()
+    compiled = {(p.cfg.node.geometry.size, p.cfg.method["hybrid"]) for p in pipelines}
+    assert {(4, scheme) for scheme in HYBRID_SCHEMES} | {(16, "fbss"), (16, "single")} == compiled
+    monkeypatch.setattr(harness, "_trial_rngs", None)  # the one-by-one path would call it
+    for p in pipelines:
+        assert p.chunk >= harness.ARRAY_PASS, (p.cfg.method, p.chunk)
+        pairs = sweep_pairs(p.cfg)
+        drawn = p.chunk * (len(p.ranged) + p.geometry.size * p.cfg.snapshots)
+        assert len(pairs) >= 2 * p.chunk and drawn <= harness.ROW_VALUES
+        p.stack(p, pairs[p.chunk : 2 * p.chunk])  # first-use caches out of the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p.stack(p, pairs[: p.chunk])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= CHUNK_PEAK_PER_VALUE * 16 * drawn, (p.cfg.method, peak, drawn)
 
 
 def test_hybrid_fbss_follows_the_grid_step():
@@ -751,9 +797,9 @@ def test_rows_stack_in_chunks(monkeypatch):
     assert one == whole and chunks == [sweep_pairs(cfg)]
 
 
-@pytest.mark.parametrize("anchors, size", [(4, 2048), (3, 2730)])
+@pytest.mark.parametrize("anchors, size", [(4, 4096), (3, 5461)])
 def test_rss_row_chunk_holds_bounded_path_losses(anchors, size):
-    # 8,192 drawn values: 2,048 trials of 4 path losses, 2,730 of 3, cut from the
+    # 16,384 drawn values: 4,096 trials of 4 path losses, 5,461 of 3, cut from the
     # 3 x 5,000 pairs of the sweep whatever row they are in
     cfg = dataclasses.replace(scenario(anchors=RSS_RAW["anchors"][:anchors]), trials=5000)
     p = harness._pipeline(cfg, "rss")
@@ -1130,7 +1176,7 @@ def test_ray_circle_point_equals_the_oracle():
     for _ in range(200):
         origin, center = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
         doa, radius = rng.uniform(-np.pi, np.pi), 10.0 ** rng.uniform(-2, 1)
-        ray = hybrid.BearingRay.from_azimuth(origin, doa)
+        ray = hybrid.BearingRay(origin, (math.cos(doa), math.sin(doa)))
         looped = outcome(oracle_ray_fusion, origin, doa, [center], [radius], paths)
         got = outcome(hybrid.ray_circle_point, ray, center, radius)
         if isinstance(looped, WsnlocError):

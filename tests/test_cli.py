@@ -72,14 +72,19 @@ def test_config_error_exit_code(tmp_path):
 
 
 def test_seed_out_of_range_exit_code(tmp_path, capsys):
-    # the config schema's seed rule checks the override too, both of its bounds
+    # the config schema's seed rule checks the override too, both of its bounds, and a
+    # seed past the float range; each exits 1 on one line that names the seed's range
     cfg = write_cfg(tmp_path, RSS_RAW)
     out = str(tmp_path / "x.csv")
-    for seed in (-3, 2**64):
+    for seed, shown in [(-3, "-3"), (2**64, str(2**64)), (int("9" * 400), "999999999999")]:
         assert main(["rss", "--config", str(cfg), "--out", out, "--seed", str(seed)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: --seed: ") and len(err.splitlines()) == 1, seed
-    assert main(["rss", "--config", str(cfg), "--out", out, "--seed", str(2**64 - 1)]) == 0
+        assert len(err.splitlines()) == 1, seed
+        assert err.startswith(f"config error: --seed: {shown}"), err
+        assert err.rstrip().endswith(" is outside the seed's range 0 ... 2^64 - 1"), err
+        assert "NaN" not in err and "scenario config" not in err
+    for seed in (0, 2**64 - 1):
+        assert main(["rss", "--config", str(cfg), "--out", out, "--seed", str(seed)]) == 0
 
 
 def test_missing_config_exit_code(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -33,29 +34,34 @@ def make_node(center, n=4, radius_wl=1.0 / np.pi, elevation=np.pi / 2):
     return HybridNode(center=np.asarray(center, dtype=float), geometry=geometry)
 
 
+def ray_along(origin, azimuth: float) -> BearingRay:
+    """The ray from ``origin`` along ``azimuth`` (radians from +x, counter-clockwise)."""
+    return BearingRay(origin=origin, direction=(math.cos(azimuth), math.sin(azimuth)))
+
+
 def exact_rss(node, target):
     return [distance(p, target) for p in node.element_positions]
 
 
 class TestRayCirclePoint:
     def test_concentric(self):
-        ray = BearingRay.from_azimuth([0.0, 0.0], np.radians(45.0))
+        ray = ray_along([0.0, 0.0], np.radians(45.0))
         point = ray_circle_point(ray, [0.0, 0.0], np.sqrt(18.0))
         assert np.allclose(point, [3.0, 3.0], atol=1e-12)
 
     def test_offset_circle_quadratic(self):
-        ray = BearingRay.from_azimuth([0.0, 0.0], 0.0)
+        ray = ray_along([0.0, 0.0], 0.0)
         point = ray_circle_point(ray, [5.0, 1.0], np.sqrt(2.0))
         assert np.allclose(point, [4.0, 0.0], atol=1e-12)
 
     def test_projection_fallback(self):
         # circle misses the ray; falls back to projecting its center
-        ray = BearingRay.from_azimuth([0.0, 0.0], 0.0)
+        ray = ray_along([0.0, 0.0], 0.0)
         point = ray_circle_point(ray, [5.0, 3.0], 1.0)
         assert np.allclose(point, [5.0, 0.0], atol=1e-12)
 
     def test_behind_ray(self):
-        ray = BearingRay.from_azimuth([0.0, 0.0], 0.0)
+        ray = ray_along([0.0, 0.0], 0.0)
         with pytest.raises(BehindRay):
             ray_circle_point(ray, [0.0, 5.0], 1.0)
 
@@ -72,6 +78,14 @@ class TestHybridSingleNode:
         node = make_node([2.0, -1.0])
         d = [distance(p, node.center) for p in node.element_positions]
         assert np.allclose(d, node.geometry.radius, atol=1e-12)
+
+    def test_element_positions_built_once_and_read_only(self):
+        node = make_node([2.0, -1.0])
+        positions = node.element_positions
+        assert node.element_positions is positions
+        assert not positions.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            positions[0, 0] = 0.0
 
 
 class TestHybridAnchorFusion:
