@@ -9,7 +9,8 @@ Subcommands mirror the experiment kinds::
 
 ``--seed`` overrides the config seed, under the schema's rule for a seed.
 ``--workers`` is accepted for compatibility and ignored: trials run serially.
-Exit codes: 0 success, 1 configuration error, 2 every trial failed at some SNR.
+Exit codes: 0 success (``--help`` included), 1 configuration error (a malformed
+command line included), 2 every trial failed at some SNR.
 """
 
 import argparse
@@ -21,6 +22,16 @@ from .config import CONFIG_SCHEMA, _schema_error, _shown, load_config
 from .harness import dump_spectrum, monte_carlo, write_rmse_csv
 
 _METHODS = CONFIG_SCHEMA["properties"]["method"]["properties"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejected command line is a configuration error (exit 1), not
+    argparse's exit 2, which the CLI keeps for sweeps whose every trial failed. The
+    message, which repeats the rejected value whole, is cut short."""
+
+    def error(self, message):
+        message = f"{self.prog}: {message}"
+        raise ConfigError(message if len(message) <= 120 else message[:117] + "...")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -36,7 +47,7 @@ def _add_method(parser: argparse.ArgumentParser, key: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wsnloc", description=__doc__)
+    parser = _Parser(prog="wsnloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     rss = sub.add_parser("rss", help="RSS trilateration RMSE vs SNR")
@@ -60,19 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_seed(seed: int) -> None:
     """Raise :class:`ConfigError` naming the seed's range if ``seed`` breaks the config
-    schema's seed rule. The schema walker raises on a seed past the float range before
-    it reads a bound; that seed is out of the range too."""
-    try:
-        broken = _schema_error(seed, CONFIG_SCHEMA["properties"]["seed"]) is not None
-    except ConfigError:
-        broken = True
-    if broken:
+    schema's seed rule."""
+    if _schema_error(seed, CONFIG_SCHEMA["properties"]["seed"]) is not None:
         raise ConfigError(f"--seed: {_shown(seed)} is outside the seed's range 0 ... 2^64 - 1")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.seed is not None:
             _check_seed(args.seed)

@@ -205,12 +205,14 @@ def _schema_error(value, schema: dict, path: tuple = ()) -> str | None:
     draft 2020-12's. Only the keywords the schema uses are known. The walk follows the
     schema, so it never goes deeper than the schema does, however deep ``value`` nests.
 
-    A number it reaches that is NaN, infinite (``json`` reads a literal past the float
-    range, such as ``1e400``, as infinity) or an integer past the float range raises
-    :class:`ConfigError` at once, before any other check of that number."""
+    A number it reaches that is NaN or infinite (``json`` reads a literal past the float
+    range, such as ``1e400``, as infinity) raises :class:`ConfigError` at once, before
+    any other check of that number. So does an integer past the float range, once the
+    schema's checks of it, its bounds among them, have passed: one that breaks a bound
+    is reported as breaking it."""
     at = "/".join(map(str, path)) or "(top level)"
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number and not abs(value) <= sys.float_info.max:
+    if isinstance(value, float) and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"invalid scenario config: {at} is NaN, infinite or too large")
     if "oneOf" in schema:
         fits = sum(_schema_error(value, part, path) is None for part in schema["oneOf"])
@@ -226,6 +228,8 @@ def _schema_error(value, schema: dict, path: tuple = ()) -> str | None:
         if keyword in schema and (isinstance(value, list) if of_list else number):
             if not within(len(value) if of_list else value, schema[keyword]):
                 return f"{at}: {keyword}: {_shown(value)} {reads} {schema[keyword]}"
+    if number and not abs(value) <= sys.float_info.max:  # an integer no float holds
+        raise ConfigError(f"invalid scenario config: {at} is NaN, infinite or too large")
     if isinstance(value, list) and "items" in schema:
         for index, item in enumerate(value):
             error = _schema_error(item, schema["items"], (*path, index))

@@ -11,7 +11,7 @@ Each estimator resolves at most :func:`capacity` sources: one fewer than
 the elements it works on, and two fewer for the ESPRIT forms, whose subarray
 shift gives up one element. The harness checks a scenario against the same
 rule when it compiles it. A caller that runs many trials at once splits their
-covariances as one stack (:func:`noise_subspaces`) and scores each trial's
+covariances as one stack (:func:`eigenbases`) and scores each trial's
 estimates with :func:`azimuth_error`.
 
 References: Schmidt (1986) for MUSIC, Barabell (1983) for Root-MUSIC,
@@ -115,20 +115,20 @@ def covariance(x: np.ndarray, transform: PmeTransform | None) -> np.ndarray:
     return sample_covariance(x if transform is None else np.asarray(transform.Tv @ x))
 
 
-def noise_subspaces(steer, s, noise, transform, plan, failed) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, n, n - M) noise subspaces, the eigenvectors past the M largest eigenvalues
-    as columns, of the covariances of T trials' snapshots, for a caller that splits
-    many covariances at once: trial t's snapshots ``steer[t] @ s[t] (+ noise[t])``
-    (:func:`arrays.snapshots`, ``steer`` (T, N, M)), mapped by a ring's ``transform``
-    (:func:`covariance`) and smoothed forward/backward by ``plan`` where they
-    are given. Each covariance is checked and split as
+def eigenbases(steer, s, noise, transform, plan, failed) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, n, n) orthonormal eigenbases, columns by descending eigenvalue, of the
+    covariances of T trials' snapshots, for a caller that splits many covariances at
+    once and scans them with :func:`music_peaks`: trial t's snapshots
+    ``steer[t] @ s[t] (+ noise[t])`` (:func:`arrays.snapshots`, ``steer`` (T, N, M)),
+    mapped by a ring's ``transform`` (:func:`covariance`) and smoothed forward/backward by
+    ``plan`` where they are given. Each covariance is checked and split as
     :func:`numerics.herm_eig_stack` does, which records its failure in ``failed``;
-    each split has the bits of its own trial's ``herm_eig``."""
+    each basis has the bits of its own trial's ``herm_eig``."""
     r = covariance(snapshots(steer, s, noise), transform)
     if plan is not None:  # a sample covariance is Hermitian: smooth skips fbss's check
         r = smooth(r, plan, forward_backward=True)
     _, q, failed = herm_eig_stack(r, failed)
-    return q[..., steer.shape[-1] :], failed
+    return q, failed
 
 
 def azimuth_error(estimates: np.ndarray, truths: np.ndarray, circular: bool) -> float:
@@ -207,52 +207,81 @@ _ZGEMV_SERIAL = 4_095  # largest m*n the scan gives one zgemv
 @lru_cache(maxsize=32)
 def _scan_blocks(rows: int, n: int, g: int) -> tuple[slice, ...]:
     """Column blocks of a g-point scan of n-element steering vectors against ``rows``
-    noise vectors: the whole grid if OpenBLAS runs it on the calling thread, else blocks
+    subspace vectors: the whole grid if OpenBLAS runs it on the calling thread, else blocks
     of the largest power of two that it runs there (other widths change the bits)."""
     limit, work = (_ZGEMM_SERIAL, rows * n) if rows > 1 else (_ZGEMV_SERIAL, n)
     width = g if work * g <= limit else 1 << max((limit // work).bit_length() - 1, 0)
     return tuple(slice(s, s + width) for s in range(0, g, max(width, 1)))
 
 
-def _music_power(noise: np.ndarray, geometry, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scan grid and P(theta) = (a^H a) / (a^H Vn Vn^H a) for a noise subspace Vn.
-
-    The product Vn^H a is one BLAS call where OpenBLAS keeps all of it on the calling
-    thread, and otherwise runs in column blocks of the steering matrix that it keeps
-    there (:func:`_scan_blocks`), so no worker thread spins between trials. Under the
-    SkylakeX kernels, which numpy's DYNAMIC_ARCH OpenBLAS 0.3.31 picks on an AVX-512
-    Xeon, the blocks give the one-call product's bits whatever the BLAS thread count;
-    under others (Haswell, Zen) a blocked scan can differ from it even on one thread."""
-    grid, a, num = _scan(geometry, grid_step)
-    vh = noise.conj().T
-    blocks = _scan_blocks(*vh.shape, grid.size)
+def _subspace_norms(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """||V^H a||^2 for each column of the steering matrix ``a``. The product V^H a is one
+    BLAS call where OpenBLAS keeps all of it on the calling thread, and otherwise runs in
+    column blocks of ``a`` that it keeps there (:func:`_scan_blocks`), so no worker thread
+    spins between trials. Under the SkylakeX kernels, which numpy's DYNAMIC_ARCH OpenBLAS
+    0.3.31 picks on an AVX-512 Xeon, the blocks give the one-call product's bits whatever
+    the BLAS thread count; under others (Haswell, Zen) a blocked scan can differ from it
+    even on one thread."""
+    vh = v.conj().T
+    blocks = _scan_blocks(*vh.shape, a.shape[1])
     if len(blocks) == 1:
         prod = vh @ a
     else:
-        prod = np.empty((vh.shape[0], grid.size), dtype=complex)
+        prod = np.empty((vh.shape[0], a.shape[1]), dtype=complex)
         for block in blocks:
             np.matmul(vh, a[:, block], out=prod[:, block])
     magnitude = np.abs(prod)
-    den = np.sum(np.square(magnitude, out=magnitude), axis=0)
-    return grid, num / np.maximum(den, 1e-300)
+    return np.add.reduce(np.square(magnitude, out=magnitude), axis=0)  # np.sum, unwrapped
+
+
+def _music_power(q: np.ndarray, m: int, geometry, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid and P(theta) = (a^H a) / (a^H Vn Vn^H a) for one covariance whose
+    orthonormal eigenbasis, columns by descending eigenvalue, is the (n, n) ``q``: its
+    first m columns Vs span the signal subspace, the other n - m columns Vn the noise
+    subspace.
+
+    Vn Vn^H = I - Vs Vs^H for an orthonormal basis, so the denominator is also
+    a^H a - ||Vs^H a||^2 (the projector identity behind MUSIC, Schmidt 1986), and the
+    scan multiplies the steering matrix by the smaller column set: Vs where m < n - m,
+    else Vn (a tie keeps Vn, whose form has no subtraction). The subtraction cancels
+    where the steering vector all but lies in the signal subspace, leaving an absolute
+    error of up to about n eps a^H a. A true denominator that small occurs only at a grid
+    point within about 1e-8 rad of a source of a noiseless or near-noiseless covariance,
+    where the noise form's own denominator is rounding too: which of two such neighbouring
+    points is the peak then depends on the product's last bits, which only the noise
+    form's own product reproduces. So a scan in which any denominator falls below
+    n eps max(a^H a) is redone in the noise form; every other scan keeps the m-row
+    product.
+    Its picks equal the noise form's at any SNR, sources on grid points included
+    (``tests/test_doa.py``' property test)."""
+    grid, a, num = _scan(geometry, grid_step)
+    if m < q.shape[0] - m:
+        den = num - _subspace_norms(q[:, :m], a)
+        if den.min(initial=np.inf) >= q.shape[0] * np.finfo(float).eps * num.max(initial=0.0):
+            return grid, num / den
+    return grid, num / np.maximum(_subspace_norms(q[:, m:], a), 1e-300)
 
 
 def music_peaks(
-    noise: np.ndarray, geometry, n_sources: int, grid_step: float = DEFAULT_GRID_STEP
+    q: np.ndarray, geometry, n_sources: int, grid_step: float = DEFAULT_GRID_STEP
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The azimuths :func:`music` estimates from each covariance of a stack whose noise
-    subspaces (the eigenvectors past the n_sources largest eigenvalues, as columns) are
-    the (T, n, r) ``noise``; for a caller that has split many covariances at once.
+    """The azimuths :func:`music` estimates from each covariance of a stack whose
+    orthonormal eigenbases, columns by descending eigenvalue, are the (T, n, n) ``q``
+    (:func:`eigenbases`); for a caller that has split many covariances at once. Each
+    scan takes the first n_sources columns as the signal subspace and the rest as the
+    noise subspace, and multiplies the steering matrix by the smaller of the two where
+    that keeps its digits (:func:`_music_power`).
 
-    Returns the (T, n_sources) azimuths, each row sorted, and per subspace ``None`` or
+    Returns the (T, n_sources) azimuths, each row sorted, and per basis ``None`` or
     the ``NoPeaksFound`` that :func:`music` raises when its spectrum shows fewer than
-    n_sources peaks (its row is NaN). The scan and the pick run one subspace at a time."""
+    n_sources peaks (its row is NaN). The scan and the pick run one basis at a time."""
     circular = _circular(geometry)
-    azimuths = np.full((len(noise), n_sources), np.nan)
-    failed = np.full(len(noise), None, dtype=object)
-    for i, vn in enumerate(noise):
+    azimuths = np.full((len(q), n_sources), np.nan)
+    failed = np.full(len(q), None, dtype=object)
+    for i, basis in enumerate(q):
         try:
-            azimuths[i] = _pick_peaks(*_music_power(vn, geometry, grid_step), n_sources, circular)
+            grid, power = _music_power(basis, n_sources, geometry, grid_step)
+            azimuths[i] = _pick_peaks(grid, power, n_sources, circular)
         except NoPeaksFound as exc:
             failed[i] = exc
     return azimuths, failed
@@ -261,7 +290,7 @@ def music_peaks(
 def _spectrum(r: np.ndarray, geometry, n_sources: int, grid_step: float) -> tuple:
     """MUSIC's source check, eigensplit and scan: the pseudospectrum and its linear power."""
     _check_sources("music", geometry.size, n_sources)
-    grid, power = _music_power(eig_split(r, n_sources).noise, geometry, grid_step)
+    grid, power = _music_power(herm_eig(r)[1], n_sources, geometry, grid_step)
     return Spectrum(grid=grid, power_db=10.0 * np.log10(power)), power
 
 
@@ -282,8 +311,14 @@ def music(
     """MUSIC pseudospectrum and the angles of its n_sources largest peaks.
 
     P(theta) = (a^H a) / (a^H Vn Vn^H a) evaluated on a regular grid over
-    the geometry's field of view. Works for any hashable geometry that
-    provides a steering model (linear, circular, or beamspace virtual arrays).
+    the geometry's field of view. Since Vn Vn^H = I - Vs Vs^H, the scan
+    computes the denominator as a^H a - ||Vs^H a||^2 where the signal
+    subspace Vs has fewer columns than Vn, and from Vn otherwise. The
+    subtraction loses its digits only at a grid point all but on a noiseless
+    source; a scan where it does is redone from Vn, so the peaks are the
+    noise form's at any SNR (see :func:`_music_power`). Works for any
+    hashable geometry that provides a steering model (linear, circular, or
+    beamspace virtual arrays).
     On a circular field of view the grid's two ends are neighbours, so a
     source near +-180 degrees is a peak like any other.
     The grid, its steering matrix and the numerator are built once per
@@ -292,7 +327,7 @@ def music(
     column blocks small enough for OpenBLAS to keep on the calling thread; under
     its SkylakeX kernels the spectrum's bits then do not depend on the BLAS
     thread count, but under others (Haswell, Zen) a blocked scan can differ in
-    bits from one whole product (see :func:`_music_power`).
+    bits from one whole product (see :func:`_subspace_norms`).
     """
     spectrum, power = _spectrum(r, geometry, n_sources, grid_step)
     peaks = _pick_peaks(spectrum.grid, power, n_sources, _circular(geometry))

@@ -74,7 +74,7 @@ from .arrays import snapshots, steering_matrix
 from .channel import lognormal_sigma_d, range_stack
 from .config import ScenarioConfig, load_config  # bench/ reaches load_config here
 from .doa import Spectrum, azimuth_error, capacity, covariance, esprit, music, music_peaks
-from .doa import music_spectrum, noise_subspaces, root_music, scan_capacity, uca_esprit
+from .doa import eigenbases, music_spectrum, root_music, scan_capacity, uca_esprit
 from .doa import uca_root_music
 from .errors import AllTrialsFailed, CoincidentSources, ConfigError, NonPositiveDistance
 from .errors import NumericOverflow, WsnlocError
@@ -558,8 +558,8 @@ def _hybrid_stack(p: Pipeline, pairs: list) -> tuple:
     """Each trial of the chunk ``pairs`` draws its target, signal, noise (at its row's
     SNR) and shadowing from its own stream; the chunk then checks each trial's sources
     for two on one azimuth (:func:`arrays.coincident`), splits their covariances
-    (:func:`doa.noise_subspaces`), scans their MUSIC spectra and picks their peaks one
-    subspace at a time (:func:`music_peaks`), ranges its trials as one (T, k) block
+    (:func:`doa.eigenbases`), scans their MUSIC spectra and picks their peaks one
+    basis at a time (:func:`music_peaks`), ranges its trials as one (T, k) block
     (:func:`channel.range_stack`), solves its trilateration fixes as one stack and fuses
     them with the scheme's stacked kernel. A trial gets the error its own pass would
     raise first: its sources' (a target on an interferer's bearing), its ranges' (fbss
@@ -590,12 +590,12 @@ def _hybrid_stack(p: Pipeline, pairs: list) -> tuple:
         del signals  # the stacks replace the trials' own arrays
         s, noise = np.array([s[t] for t in live]), [noise[t] for t in live]
         steer = steering_matrix(p.geometry, azimuths[live])
-        noise_q, failed[live] = noise_subspaces(steer, s, noise, p.transform, p.plan, failed[live])
+        q, failed[live] = eigenbases(steer, s, noise, p.transform, p.plan, failed[live])
         del steer, s, noise  # free the chunk's snapshots before its scans
         split = np.equal(failed[live], None)
-        live, noise_q = live[split], noise_q[split]
+        live, q = live[split], q[split]
         try:
-            peaks[live], failed[live] = music_peaks(noise_q, p.scan, n_sources, p.grid_step)
+            peaks[live], failed[live] = music_peaks(q, p.scan, n_sources, p.grid_step)
         except WsnlocError as exc:  # a peak search that fails as a whole fails each trial
             failed[live] = exc
     # what fails a trial once its spectrum has peaks: its ranges, then its fix

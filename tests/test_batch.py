@@ -30,7 +30,7 @@ from wsnloc.arrays import (
 )
 from wsnloc.channel import invert_distance, path_loss, range_stack
 from wsnloc.decorrelate import SmoothingPlan, fbss, smooth
-from wsnloc.doa import music, music_peaks, noise_subspaces
+from wsnloc.doa import eigenbases, music, music_peaks
 from wsnloc.errors import (
     AllIntersectionsFailed,
     BehindRay,
@@ -435,7 +435,7 @@ def test_row_covariances_are_exactly_hermitian(seed):
 @pytest.mark.parametrize("snr_db", [5.0, 30.0, 1e300])
 def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
     # MUSIC picks grid points, so an estimate hides small changes in the covariances:
-    # the row's eigenvectors themselves must be the bytes of each trial's own kernels
+    # the row's eigenbases themselves must be the bytes of each trial's own kernels
     cfg = hybrid_scenario(scheme, trials=7, snr_grid_db=[snr_db])
     p = harness._pipeline(cfg, "hybrid")
     azimuths, signals, looped = [], [], []
@@ -463,12 +463,11 @@ def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
     s, noise = zip(*signals)
     failed = np.full(cfg.trials, None, dtype=object)
     steer = steering_matrix(p.geometry, np.array(azimuths))
-    q, failed = noise_subspaces(steer, np.array(s), noise, p.transform, p.plan, failed)
+    q, failed = eigenbases(steer, np.array(s), noise, p.transform, p.plan, failed)
     assert list(failed) == [None] * cfg.trials
-    n_sources = len(azimuths[0])
+    assert q.shape == (cfg.trials, *looped[0].shape)
     for q_row, q_trial in zip(q, looped):
-        noise_trial = q_trial[:, n_sources:]
-        assert np.ascontiguousarray(q_row).tobytes() == np.ascontiguousarray(noise_trial).tobytes()
+        assert q_row.tobytes() == q_trial.tobytes()
 
 
 @pytest.mark.parametrize("scheme", HYBRID_SCHEMES)
@@ -958,12 +957,15 @@ def test_chunk_mixes_noisy_and_noiseless_rows(scheme):
 # scalar arithmetic with every 2-vector product written out.
 
 
-def oracle_music(noise: np.ndarray, geometry, n_sources: int, step: float) -> np.ndarray:
-    """The sorted azimuths of the n_sources largest strict peaks of the MUSIC spectrum of
-    ``noise`` on a full circle; equal powers resolve toward the smaller angle."""
+def oracle_music(q: np.ndarray, geometry, n_sources: int, step: float) -> np.ndarray:
+    """The sorted azimuths of the n_sources largest strict peaks of the MUSIC spectrum on
+    a full circle of the covariance whose descending eigenbasis is ``q``, scanned in the
+    noise form a^H a / ||Vn^H a||^2 whatever the subspaces' sizes; equal powers resolve
+    toward the smaller angle."""
     grid = np.arange(-np.pi + step, np.pi + step / 2, step)
     a = geometry.steering(grid)
     num = np.sum(np.abs(a) ** 2, axis=0)
+    noise = q[:, n_sources:]
     power = num / np.maximum(np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0), 1e-300)
     g = grid.size
     peaks = sorted(
@@ -1082,7 +1084,7 @@ def oracle_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -
     else:
         r, scan = sample_covariance(x), node.geometry
     q = herm_eig(r)[1]
-    peaks = oracle_music(q[:, src.count :], scan, src.count, step)
+    peaks = oracle_music(q, scan, src.count, step)
     if not usable:
         raise NonPositiveDistance("range out of the float range")
     if scheme in ("ls", "wls", "fbss"):
@@ -1187,22 +1189,33 @@ def test_ray_circle_point_equals_the_oracle():
 
 
 def test_equal_power_peaks_resolve_toward_the_smaller_angle():
-    # A real noise vector (1, 0, 1)/sqrt(2) on a 3-element virtual array scanned every 90
-    # degrees: the spectrum at -90 and +90 degrees is one value, and both are peaks
-    noise = np.array([[1.0], [0.0], [1.0]], dtype=complex) / math.sqrt(2.0)
+    # A real eigenbasis of a 3-element virtual array scanned every 90 degrees. With one
+    # source the scan takes the signal column (1, 0, -1)/sqrt(2), with two the noise
+    # column (1, 0, 1)/sqrt(2); either way the spectrum at -90 and +90 degrees is one
+    # value, and both are peaks.
+    q = np.array([[1.0, 0.0, 1.0], [0.0, math.sqrt(2.0), 0.0], [-1.0, 0.0, 1.0]], dtype=complex)
+    q /= math.sqrt(2.0)
     scan, step = VandermondeArray(3), np.pi / 2
-    stack = np.stack([noise, noise])
+    a = scan.steering(np.arange(-np.pi + step, np.pi + step / 2, step))
+    num = np.sum(np.abs(a) ** 2, axis=0)
+    den = num - np.abs(q[:, :1].conj().T @ a)[0] ** 2  # the signal form, inline
+    assert num[0] == num[2] and den[0] == den[2] and den[0] < den[1]
+    stack = np.stack([q, q])
     azimuths, failed = music_peaks(stack, scan, 1, step)
     assert list(failed) == [None, None]
     assert azimuths.tobytes() == np.array([[-np.pi / 2]] * 2).tobytes()
-    assert azimuths[0].tobytes() == oracle_music(noise, scan, 1, step).tobytes()
+    assert azimuths[0].tobytes() == oracle_music(q, scan, 1, step).tobytes()
     both, _ = music_peaks(stack, scan, 2, step)
     assert both[0].tolist() == [-np.pi / 2, np.pi / 2]
-    _, failed = music_peaks(stack, scan, 3, step)
+    assert both[0].tobytes() == oracle_music(q, scan, 2, step).tobytes()
+    # a noise column (1, 1, 0)/sqrt(2) leaves one peak, at 180 degrees, for two sources
+    q = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, math.sqrt(2.0), 0.0]], dtype=complex)
+    q /= math.sqrt(2.0)
+    _, failed = music_peaks(np.stack([q, q]), scan, 2, step)
     assert all(isinstance(f, NoPeaksFound) for f in failed)
-    assert [str(f) for f in failed] == ["found 2 spectral peaks, need 3"] * 2
+    assert [str(f) for f in failed] == ["found 1 spectral peaks, need 2"] * 2
     with pytest.raises(NoPeaksFound):
-        oracle_music(noise, scan, 3, step)
+        oracle_music(q, scan, 2, step)
 
 
 def target_bearing_in_degrees(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> float:

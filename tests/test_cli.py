@@ -87,6 +87,53 @@ def test_seed_out_of_range_exit_code(tmp_path, capsys):
         assert main(["rss", "--config", str(cfg), "--out", out, "--seed", str(seed)]) == 0
 
 
+@pytest.mark.parametrize(
+    "extra, says",
+    [
+        (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["--workers", "x"], "argument --workers: invalid int value: 'x'"),
+        (["--seed", "9" * 4301], "argument --seed: invalid int value: '9999"),  # int() refuses it
+        (["--estimator", "nope"], "argument --estimator: invalid choice: 'nope'"),
+        (["--surprise"], "unrecognized arguments: --surprise"),
+        (["--seed"], "argument --seed: expected one argument"),
+    ],
+)
+def test_malformed_options_exit_1(tmp_path, capsys, extra, says):
+    # argparse's own exit code, 2, is the one kept for sweeps whose every trial failed
+    cfg, out = write_cfg(tmp_path, RSS_RAW), tmp_path / "x.csv"
+    assert main(["rss", "--config", str(cfg), "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 160, err
+    prefix = "config error: wsnloc rss: " if extra != ["--surprise"] else "config error: wsnloc: "
+    assert err.startswith(prefix + says), err
+    assert not out.exists()
+
+
+def test_missing_subcommand_or_option_exits_1(tmp_path, capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == (
+        "config error: wsnloc: the following arguments are required: command\n"
+    )
+    assert main(["rss", "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: wsnloc rss: the following arguments are required: --config\n"
+
+
+def test_cli_process_exit_codes(tmp_path):
+    cfg = write_cfg(tmp_path, RSS_RAW)
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    cli = [sys.executable, "-m", "wsnloc.cli"]
+    for args, code in [
+        (["--help"], 0),
+        (["rss", "--help"], 0),
+        (["rss", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--seed", "abc"], 1),
+        (["rss", "--config", str(cfg), "--out", str(tmp_path / "x.csv")], 0),
+    ]:
+        proc = subprocess.run(cli + args, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (args, proc.stderr[-2000:])
+        assert (proc.stdout.startswith("usage: wsnloc")) == (code == 0 and "--help" in args)
+
+
 def test_missing_config_exit_code(tmp_path):
     assert (
         main(["rss", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "x.csv")])
@@ -547,6 +594,29 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, command, config, key, liter
     assert err.startswith(f"config error: invalid scenario config: {key}")
     assert err.rstrip().endswith("is NaN, infinite or too large")
     assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, literal, says",
+    [
+        ("seed", "9" * 400, "seed: maximum: 99999"),
+        ("seed", "-" + "9" * 400, "seed: minimum: -9999"),
+        ("trials", "9" * 400, "trials is NaN, infinite or too large"),  # within its bound
+    ],
+)
+def test_integer_past_the_float_range_in_a_config(tmp_path, capsys, key, literal, says):
+    # an integer no float holds is checked against its rule's bounds first, so a seed
+    # past them is reported as breaking them, as the same --seed is
+    cfg, out = tmp_path / "scenario.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps(dict(RSS_RAW, **{key: "@"})).replace('"@"', literal))
+    assert main(["rss", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid scenario config: {says}"), err
+    assert len(err.splitlines()) == 1 and len(err) < 160, err
+    if key == "seed":
+        bound = 2**64 - 1 if literal[0] == "9" else 0
+        assert err.rstrip().endswith(f" {bound}"), err
     assert not out.exists()
 
 

@@ -30,6 +30,7 @@ from wsnloc.doa import (
     uca_root_music,
 )
 from wsnloc.errors import (
+    CoincidentSources,
     NoPeaksFound,
     NonHermitian,
     NumericOverflow,
@@ -129,6 +130,22 @@ class TestMusic:
         with pytest.raises(TooManySources):
             music(np.eye(4), ula(4), 4)
 
+    @pytest.mark.parametrize("n_sources", [1, 2])  # the signal form, then the noise form
+    def test_empty_grid_has_no_peaks(self, n_sources):
+        with pytest.raises(NoPeaksFound, match="found 0 spectral peaks"):
+            music(np.eye(4), ula(4), n_sources, grid_step=4.0)
+
+
+def scan_power(signal, noise, a, num):
+    """MUSIC's power a^H a / (a^H Vn Vn^H a) on steering columns ``a``, written out: the
+    denominator a^H a - ||Vs^H a||^2 from the signal columns where they are fewer than the
+    noise columns and none of it falls below n eps max(a^H a), else ||Vn^H a||^2."""
+    if signal.shape[1] < noise.shape[1]:
+        den = num - np.sum(np.abs(signal.conj().T @ a) ** 2, axis=0)
+        if np.all(den >= a.shape[0] * np.finfo(float).eps * np.max(num, initial=0.0)):
+            return num / den
+    return num / np.maximum(np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0), 1e-300)
+
 
 def uncached_music(r, g, n_sources, step):
     """MUSIC with its grid, steering matrix and numerator built inline."""
@@ -137,8 +154,8 @@ def uncached_music(r, g, n_sources, step):
     grid = np.arange(lo + step, stop, step)
     a = g.steering(grid)
     num = np.sum(np.abs(a) ** 2, axis=0)
-    noise = eig_split(r, n_sources).noise
-    power = num / np.maximum(np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0), 1e-300)
+    split = eig_split(r, n_sources)
+    power = scan_power(split.signal, split.noise, a, num)
     return 10.0 * np.log10(power), _pick_peaks(grid, power, n_sources)
 
 
@@ -147,6 +164,72 @@ SCAN_GEOMETRIES = {
     "uca": lambda: UniformCircularArray(n=8, radius=0.55, elevation=np.radians(40.0), wavelength=1.0),
     "vandermonde": lambda: VandermondeArray(7),
 }
+
+
+# The shipped scans: doa_ula_music's ULA, the hybrid rings of 4 and 16 elements and the
+# 6-element virtual subarray that hybrid fbss smooths onto.
+FORM_GEOMETRIES = [
+    ula(8),
+    UniformCircularArray(n=4, radius=0.3183, elevation=np.pi / 2, wavelength=1.0),
+    UniformCircularArray(n=16, radius=0.7, elevation=np.pi / 2, wavelength=1.0),
+    VandermondeArray(6),
+]
+
+
+def noise_form_music(r, g, n_sources, step):
+    """The n_sources azimuths MUSIC picks, with the denominator ||Vn^H a||^2 on every
+    scan, or the NoPeaksFound message of a spectrum with too few peaks."""
+    lo, hi = g.fov
+    circular = hi == np.pi
+    grid = np.arange(lo + step, hi + step / 2 if circular else hi - step / 2, step)
+    a = g.steering(grid)
+    num = np.sum(np.abs(a) ** 2, axis=0)
+    noise = eig_split(r, n_sources).noise
+    power = num / np.maximum(np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0), 1e-300)
+    try:
+        return _pick_peaks(grid, power, n_sources, circular).tobytes()
+    except NoPeaksFound as exc:
+        return str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    which=st.integers(0, len(FORM_GEOMETRIES) - 1),
+    n_sources=st.integers(1, 3),
+    snr_db=st.sampled_from([30.0, 300.0, 7000.0, None]),  # None: the exact covariance
+    on_grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_music_picks_equal_the_noise_form(which, n_sources, snr_db, on_grid, seed, data):
+    # The scan takes the M signal columns where M < n - M: its picks and its failures
+    # must be the noise form's at any SNR, for sources on grid points (a noiseless
+    # source's own grid point has a denominator of rounding in either form) and
+    # neighbouring ones included
+    g, step = FORM_GEOMETRIES[which], np.radians(0.1)
+    grid = doa._scan(g, step)[0]
+    if on_grid:
+        gap = st.one_of(st.integers(1, 3), st.integers(1, grid.size // n_sources))
+        start = data.draw(st.integers(0, grid.size - 1))
+        gaps = data.draw(st.lists(gap, min_size=n_sources - 1, max_size=n_sources - 1))
+        azimuths = grid[(start + np.cumsum([0, *gaps])) % grid.size]
+    else:
+        lo, hi = g.fov
+        angle = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+        azimuths = np.array(data.draw(st.lists(angle, min_size=n_sources, max_size=n_sources)))
+    try:
+        src = SourceSet(azimuths=np.sort(azimuths))
+    except CoincidentSources:
+        assume(False)
+    if snr_db is None:
+        r = analytic_covariance(g, src)
+    else:
+        r = sample_covariance(synthesize_snapshots(g, src, 20, snr_db, np.random.default_rng(seed)))
+    try:
+        got = music(r, g, n_sources, step)[1].azimuths.tobytes()
+    except NoPeaksFound as exc:
+        got = str(exc)
+    assert got == noise_form_music(r, g, n_sources, step)
 
 
 class TestMusicScanCache:
@@ -195,14 +278,22 @@ class TestMusicScanCache:
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (elements, noise columns, grid points) of ULA scans
+# (elements, signal columns, grid points) of ULA scans; a scan multiplies by the smaller
+# of the signal and noise column sets, the noise set at a tie
 THREAD_SHAPES = [
-    (7, 1, 1801),  # a two-thread zgemv over the whole grid changes these three's bits
+    (7, 6, 1801),  # a two-thread zgemv over the whole grid changes these three's bits
+    (7, 6, 3601),
+    (16, 15, 2570),
+    (7, 6, 3599),  # doa_coherent_toeplitz
+    (8, 6, 1799),
+    (6, 3, 3600),  # a tie: under the zgemm limit, as every hybrid fbss scan: one block
+    (16, 4, 2570),
+    (9, 7, 5000),
+    (7, 1, 1801),  # the signal form, one zgemv row
     (7, 1, 3601),
     (16, 1, 2570),
-    (7, 1, 3599),  # doa_coherent_toeplitz
-    (8, 6, 1799),  # doa_ula_music
-    (6, 3, 3600),  # under the zgemm limit, as every hybrid scan: one block
+    (4, 1, 3600),  # a hybrid single or wls scan of the 4-element ring
+    (8, 2, 1799),  # doa_ula_music
     (16, 12, 2570),
     (9, 2, 5000),
 ]
@@ -213,10 +304,10 @@ import numpy as np
 from wsnloc import doa
 from wsnloc.arrays import UniformLinearArray
 inputs = np.load(sys.argv[1])
-for i, points in enumerate(inputs["points"]):
-    noise = inputs[f"noise{i}"]
-    ula = UniformLinearArray(n=noise.shape[0], spacing=0.5, wavelength=1.0)
-    print(doa._music_power(noise, ula, np.pi / (points + 1))[1].tobytes().hex())
+for i, (points, m) in enumerate(zip(inputs["points"], inputs["signal"])):
+    q = inputs[f"basis{i}"]
+    ula = UniformLinearArray(n=q.shape[0], spacing=0.5, wavelength=1.0)
+    print(doa._music_power(q, m, ula, np.pi / (points + 1))[1].tobytes().hex())
 """
 
 WORKER_CHILD = """
@@ -268,21 +359,32 @@ def serial(rows, n, width):
 class TestScanBlocks:
     def test_bits_equal_single_thread_blas(self, tmp_path):
         # A thread split changes the bits of only a column or two, and only for some
-        # subspaces, so each shape gets three.
+        # subspaces, so each shape gets three orthonormal bases. A scan that OpenBLAS runs
+        # on one thread whole also has the bits of the inline form's one product.
         rng = np.random.default_rng(15)
         shapes = [shape for shape in THREAD_SHAPES for _ in range(3)]
-        noises = [rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)) for n, r, _ in shapes]
-        inputs = {f"noise{i}": noise for i, noise in enumerate(noises)}
-        np.savez(tmp_path / "scan.npz", points=[g for *_, g in shapes], **inputs)
+        bases = [
+            np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            for n, _, _ in shapes
+        ]
+        inputs = {f"basis{i}": q for i, q in enumerate(bases)}
+        signal = [m for _, m, _ in shapes]
+        np.savez(tmp_path / "scan.npz", points=[g for *_, g in shapes], signal=signal, **inputs)
         lines = run_child(SCAN_CHILD, tmp_path / "scan.npz", OPENBLAS_NUM_THREADS="1").split()
         assert len(lines) == len(shapes)
-        changed = []
-        for (n, r, g), noise, line in zip(shapes, noises, lines):
-            grid, power = doa._music_power(noise, ula(n), np.pi / (g + 1))
+        changed, forms = [], set()
+        for (n, m, g), q, line in zip(shapes, bases, lines):
+            grid, power = doa._music_power(q, m, ula(n), np.pi / (g + 1))
             assert grid.size == g
+            if serial(min(m, n - m), n, g):
+                a = ula(n).steering(grid)
+                num = np.sum(np.abs(a) ** 2, axis=0)
+                assert power.tobytes() == scan_power(q[:, :m], q[:, m:], a, num).tobytes()
             if power.tobytes().hex() != line:
-                changed.append((n, r, g))
+                changed.append((n, m, g))
+            forms.add(m < n - m)
         assert not changed, changed
+        assert forms == {True, False}
 
     @given(rows=st.integers(1, 16), extra=st.integers(1, 32), points=st.integers(0, 40_000))
     def test_blocks_cover_the_grid_under_the_thread_limits(self, rows, extra, points):
@@ -299,7 +401,14 @@ class TestScanBlocks:
 
     @pytest.mark.parametrize(
         "rows, n, points, width, count",
-        [(6, 8, 1799, 1024, 2), (1, 7, 3599, 512, 8), (3, 6, 3600, 3600, 1), (3, 4, 3600, 3600, 1)],
+        [
+            (6, 8, 1799, 1024, 2),
+            (1, 7, 3599, 512, 8),
+            (3, 6, 3600, 3600, 1),
+            (3, 4, 3600, 3600, 1),
+            (2, 8, 1799, 1799, 1),  # doa_ula_music's two signal columns
+            (1, 4, 3600, 512, 8),  # the 4-element ring's one signal column
+        ],
     )
     def test_shipped_scans(self, rows, n, points, width, count):
         blocks = doa._scan_blocks(rows, n, points)
