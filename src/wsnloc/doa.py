@@ -36,7 +36,7 @@ from .errors import (
     TooManySources,
     WrongGeometry,
 )
-from .numerics import herm_eig, herm_eig_stack, poly_roots
+from .numerics import herm_eig, herm_eig_stack, one_blas_thread, poly_roots
 from .pme import PmeTransform, to_vula
 
 DEFAULT_GRID_STEP = np.radians(0.1)
@@ -196,41 +196,12 @@ def _pick_peaks(
     return np.sort(chosen)
 
 
-# OpenBLAS 0.3.31 hands part of a complex product to a worker thread once the work
-# passes these sizes: zgemm at m*n*k = 65,568 but not 65,520, and zgemv (numpy's route
-# for a one-row product) at m*n = 4,102 but not 4,095, measured from the worker's CPU
-# ticks in /proc/self/task on a 2-core machine. The worker then spins between calls.
-_ZGEMM_SERIAL = 65_536  # largest m*n*k the scan gives one zgemm
-_ZGEMV_SERIAL = 4_095  # largest m*n the scan gives one zgemv
-
-
-@lru_cache(maxsize=32)
-def _scan_blocks(rows: int, n: int, g: int) -> tuple[slice, ...]:
-    """Column blocks of a g-point scan of n-element steering vectors against ``rows``
-    subspace vectors: the whole grid if OpenBLAS runs it on the calling thread, else blocks
-    of the largest power of two that it runs there (other widths change the bits)."""
-    limit, work = (_ZGEMM_SERIAL, rows * n) if rows > 1 else (_ZGEMV_SERIAL, n)
-    width = g if work * g <= limit else 1 << max((limit // work).bit_length() - 1, 0)
-    return tuple(slice(s, s + width) for s in range(0, g, max(width, 1)))
-
-
 def _subspace_norms(v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """||V^H a||^2 for each column of the steering matrix ``a``. The product V^H a is one
-    BLAS call where OpenBLAS keeps all of it on the calling thread, and otherwise runs in
-    column blocks of ``a`` that it keeps there (:func:`_scan_blocks`), so no worker thread
-    spins between trials. Under the SkylakeX kernels, which numpy's DYNAMIC_ARCH OpenBLAS
-    0.3.31 picks on an AVX-512 Xeon, the blocks give the one-call product's bits whatever
-    the BLAS thread count; under others (Haswell, Zen) a blocked scan can differ from it
-    even on one thread."""
-    vh = v.conj().T
-    blocks = _scan_blocks(*vh.shape, a.shape[1])
-    if len(blocks) == 1:
-        prod = vh @ a
-    else:
-        prod = np.empty((vh.shape[0], a.shape[1]), dtype=complex)
-        for block in blocks:
-            np.matmul(vh, a[:, block], out=prod[:, block])
-    magnitude = np.abs(prod)
+    """||V^H a||^2 for each column of the steering matrix ``a``, from one product V^H a.
+    Its caller holds OpenBLAS on one thread (:data:`numerics.one_blas_thread`), so the
+    product's bits do not depend on the caller's BLAS thread count and no worker thread
+    spins between scans."""
+    magnitude = np.abs(v.conj().T @ a)
     return np.add.reduce(np.square(magnitude, out=magnitude), axis=0)  # np.sum, unwrapped
 
 
@@ -255,11 +226,13 @@ def _music_power(q: np.ndarray, m: int, geometry, grid_step: float) -> tuple[np.
     Its picks equal the noise form's at any SNR, sources on grid points included
     (``tests/test_doa.py``' property test)."""
     grid, a, num = _scan(geometry, grid_step)
-    if m < q.shape[0] - m:
-        den = num - _subspace_norms(q[:, :m], a)
-        if den.min(initial=np.inf) >= q.shape[0] * np.finfo(float).eps * num.max(initial=0.0):
-            return grid, num / den
-    return grid, num / np.maximum(_subspace_norms(q[:, m:], a), 1e-300)
+    with one_blas_thread:
+        if m < q.shape[0] - m:
+            den = num - _subspace_norms(q[:, :m], a)
+            if den.min(initial=np.inf) >= q.shape[0] * np.finfo(float).eps * num.max(initial=0.0):
+                return grid, num / den
+        den = _subspace_norms(q[:, m:], a)
+    return grid, num / np.maximum(den, 1e-300)
 
 
 def music_peaks(
@@ -323,11 +296,11 @@ def music(
     source near +-180 degrees is a peak like any other.
     The grid, its steering matrix and the numerator are built once per
     (geometry, grid_step) and cached, so equal geometries share them; they
-    are read-only, and so is the returned ``Spectrum.grid``. The scan runs in
-    column blocks small enough for OpenBLAS to keep on the calling thread; under
-    its SkylakeX kernels the spectrum's bits then do not depend on the BLAS
-    thread count, but under others (Haswell, Zen) a blocked scan can differ in
-    bits from one whole product (see :func:`_subspace_norms`).
+    are read-only, and so is the returned ``Spectrum.grid``. Each scan is one
+    product, run with numpy's OpenBLAS held on one thread
+    (:data:`numerics.one_blas_thread`), so the spectrum's bits do not depend on
+    the BLAS thread count, under any of OpenBLAS's kernels. With another BLAS
+    the guard does nothing, and they may.
     """
     spectrum, power = _spectrum(r, geometry, n_sources, grid_step)
     peaks = _pick_peaks(spectrum.grid, power, n_sources, _circular(geometry))

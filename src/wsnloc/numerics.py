@@ -1,11 +1,14 @@
 """Shared numerical kernels: Hermitian eigendecomposition (of one matrix or of a
-stack of them), polynomial roots, and the inverse matrix square root of a
-Hermitian positive definite matrix.
+stack of them), polynomial roots, the inverse matrix square root of a
+Hermitian positive definite matrix, and a guard that runs numpy's OpenBLAS on
+one thread.
 
 These delegate to LAPACK through numpy; the contracts (ordering, residual
 bounds, error conditions) are what the rest of the package relies on.
 """
 
+import ctypes
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,3 +118,61 @@ def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:
     if w[0] <= 1e-12 * max(np.trace(m).real, np.finfo(float).tiny):
         raise NearSingular("smallest eigenvalue below 1e-12 * trace")
     return (q * (1.0 / np.sqrt(w))) @ q.conj().T
+
+
+def _keep_count(count: int) -> int:
+    """The thread-count setter where numpy's BLAS has none: it changes nothing."""
+    return count
+
+
+def _openblas_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` from the library numpy links, which
+    sets the BLAS thread count and returns the count it replaces; :func:`_keep_count`
+    where numpy's BLAS is not OpenBLAS or lacks the symbol. The symbol is looked up
+    through numpy's LAPACK extension, which links the same BLAS as its matmul, so another
+    OpenBLAS in the process (scipy's, say) is never the one found."""
+    try:
+        lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        setter = lapack.openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return _keep_count
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+class _OneBlasThread:
+    """A context manager that runs numpy's OpenBLAS on one thread while it is held and
+    gives the caller's thread count back on exit, an exception's exit included.
+
+    The setting is process-wide: on the pthreads builds numpy bundles, the count that
+    ``openblas_set_num_threads_local`` sets holds for every thread of the process, so
+    BLAS calls on other threads also run on one thread while any holder is inside.
+    Holds are therefore counted under a lock: the first entry saves the count and sets
+    it to 1, nested or concurrent entries only count, and the last exit restores the
+    saved count. The library is looked up on the first entry, not at import. Where
+    numpy's BLAS is not OpenBLAS, the guard does nothing, and the bits of a product it
+    guards may then depend on the BLAS thread count."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+        self._set = None
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._depth:
+                if self._set is None:
+                    self._set = _openblas_setter()
+                self._saved = self._set(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if not self._depth:
+                self._set(self._saved)
+
+
+# The BLAS thread count is one per process, so one guard serves the package.
+one_blas_thread = _OneBlasThread()

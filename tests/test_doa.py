@@ -1,8 +1,10 @@
+import ctypes
 import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,7 @@ from wsnloc.errors import (
     WsnlocError,
 )
 from wsnloc.harness import rng_for_trial
-from wsnloc.numerics import herm_eig, inv_sqrt_psd, poly_roots
+from wsnloc.numerics import herm_eig, inv_sqrt_psd, one_blas_thread, poly_roots
 from wsnloc.pme import build_transform, VandermondeArray
 
 
@@ -178,14 +180,18 @@ FORM_GEOMETRIES = [
 
 def noise_form_music(r, g, n_sources, step):
     """The n_sources azimuths MUSIC picks, with the denominator ||Vn^H a||^2 on every
-    scan, or the NoPeaksFound message of a spectrum with too few peaks."""
+    scan, or the NoPeaksFound message of a spectrum with too few peaks. The product runs
+    on one BLAS thread, as the library's does: on a noiseless source its last bits pick
+    the peak, and a thread split changes them under some OpenBLAS kernels."""
     lo, hi = g.fov
     circular = hi == np.pi
     grid = np.arange(lo + step, hi + step / 2 if circular else hi - step / 2, step)
     a = g.steering(grid)
     num = np.sum(np.abs(a) ** 2, axis=0)
     noise = eig_split(r, n_sources).noise
-    power = num / np.maximum(np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0), 1e-300)
+    with one_blas_thread:
+        den = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
+    power = num / np.maximum(den, 1e-300)
     try:
         return _pick_peaks(grid, power, n_sources, circular).tobytes()
     except NoPeaksFound as exc:
@@ -286,7 +292,7 @@ THREAD_SHAPES = [
     (16, 15, 2570),
     (7, 6, 3599),  # doa_coherent_toeplitz
     (8, 6, 1799),
-    (6, 3, 3600),  # a tie: under the zgemm limit, as every hybrid fbss scan: one block
+    (6, 3, 3600),  # a tie, as every hybrid fbss scan
     (16, 4, 2570),
     (9, 7, 5000),
     (7, 1, 1801),  # the signal form, one zgemv row
@@ -326,16 +332,45 @@ def ticks():
             workers += used
     return main, workers
 
-sweeps = [dataclasses.replace(config.load_config(path), trials=40) for path in sys.argv[1:]]
-for cfg in sweeps:
-    harness.run_trial(cfg, "doa", 0, 0)
+def run(kind, cfg, warm):
+    if kind == "spectrum":
+        for _ in range(1 if warm else 200):  # one scan each
+            harness.compute_spectrum(cfg)
+    elif warm:
+        harness.run_trial(cfg, kind, 0, 0)
+    else:
+        harness.monte_carlo(cfg, kind)
+
+sweeps = [arg.split("=", 1) for arg in sys.argv[1:]]
+sweeps = [(kind, dataclasses.replace(config.load_config(path), trials=40)) for kind, path in sweeps]
+for kind, cfg in sweeps:
+    run(kind, cfg, warm=True)
 time.sleep(0.2)
 before = ticks()
-for cfg in sweeps:
-    harness.monte_carlo(cfg, "doa")
+for kind, cfg in sweeps:
+    run(kind, cfg, warm=False)
 after = ticks()
 threads = len(os.listdir("/proc/self/task"))
 print(json.dumps({"threads": threads, "main": after[0] - before[0], "workers": after[1] - before[1]}))
+"""
+
+COUNT_CHILD = """
+import ctypes
+import numpy as np
+from wsnloc import doa
+from wsnloc.arrays import UniformLinearArray
+count = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_
+seen = [count()]
+norms = doa._subspace_norms
+
+def observed(v, a):
+    seen.append(count())
+    return norms(v, a)
+
+doa._subspace_norms = observed
+ula = UniformLinearArray(n=8, spacing=0.5, wavelength=1.0)
+doa._music_power(np.eye(8, dtype=complex), 2, ula, 0.01)
+print(*seen, count())
 """
 
 
@@ -350,17 +385,41 @@ def run_child(code, *args, **env):
     return proc.stdout
 
 
-def serial(rows, n, width):
-    """Whether OpenBLAS 0.3.31 keeps a block of ``width`` scan columns on the calling thread:
-    one zgemm up to m*n*k = 65,536, one zgemv (a one-row product) below m*n = 4,096."""
-    return rows * n * width <= 65_536 if rows > 1 else n * width < 4_096
+def openblas_counter():
+    """numpy's OpenBLAS thread-count getter, or a skip where numpy's BLAS has none."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    count = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if count is None:
+        pytest.skip("numpy's BLAS is not the bundled scipy-openblas")
+    count.argtypes, count.restype = [], ctypes.c_int
+    return count
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS at 2 threads, so that a scan's count of 1 is not the caller's;
+    yields the count getter and gives the process its own count back afterwards."""
+    count = openblas_counter()
+    setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    own = setter(2)
+    try:
+        yield count
+    finally:
+        setter(own)
+
+
+class Boom(Exception):
+    pass
 
 
 class TestScanBlocks:
+    """Each MUSIC scan is one product, run on one BLAS thread."""
+
     def test_bits_equal_single_thread_blas(self, tmp_path):
         # A thread split changes the bits of only a column or two, and only for some
-        # subspaces, so each shape gets three orthonormal bases. A scan that OpenBLAS runs
-        # on one thread whole also has the bits of the inline form's one product.
+        # subspaces, so each shape gets three orthonormal bases. Every scan also has the
+        # bits of the inline form's one product on one thread.
         rng = np.random.default_rng(15)
         shapes = [shape for shape in THREAD_SHAPES for _ in range(3)]
         bases = [
@@ -376,9 +435,9 @@ class TestScanBlocks:
         for (n, m, g), q, line in zip(shapes, bases, lines):
             grid, power = doa._music_power(q, m, ula(n), np.pi / (g + 1))
             assert grid.size == g
-            if serial(min(m, n - m), n, g):
-                a = ula(n).steering(grid)
-                num = np.sum(np.abs(a) ** 2, axis=0)
+            a = ula(n).steering(grid)
+            num = np.sum(np.abs(a) ** 2, axis=0)
+            with one_blas_thread:
                 assert power.tobytes() == scan_power(q[:, :m], q[:, m:], a, num).tobytes()
             if power.tobytes().hex() != line:
                 changed.append((n, m, g))
@@ -386,43 +445,103 @@ class TestScanBlocks:
         assert not changed, changed
         assert forms == {True, False}
 
-    @given(rows=st.integers(1, 16), extra=st.integers(1, 32), points=st.integers(0, 40_000))
-    def test_blocks_cover_the_grid_under_the_thread_limits(self, rows, extra, points):
-        n = rows + extra
-        blocks = doa._scan_blocks(rows, n, points)
-        assert [i for block in blocks for i in range(points)[block]] == list(range(points))
-        if serial(rows, n, points):
-            assert blocks == ((slice(0, points),) if points else ())
-            return
-        width = blocks[0].stop - blocks[0].start
-        assert width & (width - 1) == 0
-        assert {block.stop - block.start for block in blocks} == {width}
-        assert serial(rows, n, width) and not serial(rows, n, 2 * width)
+    @pytest.mark.parametrize("leave", ["return", "exception", "nested"])
+    def test_scan_runs_on_one_thread_and_restores_the_count(
+        self, two_blas_threads, monkeypatch, leave
+    ):
+        count, seen = two_blas_threads, []
+        norms = doa._subspace_norms
 
-    @pytest.mark.parametrize(
-        "rows, n, points, width, count",
-        [
-            (6, 8, 1799, 1024, 2),
-            (1, 7, 3599, 512, 8),
-            (3, 6, 3600, 3600, 1),
-            (3, 4, 3600, 3600, 1),
-            (2, 8, 1799, 1799, 1),  # doa_ula_music's two signal columns
-            (1, 4, 3600, 512, 8),  # the 4-element ring's one signal column
-        ],
-    )
-    def test_shipped_scans(self, rows, n, points, width, count):
-        blocks = doa._scan_blocks(rows, n, points)
-        assert len(blocks) == count
-        assert blocks[0] == slice(0, width)
+        def observed(v, a):
+            seen.append(count())
+            if leave == "exception":
+                raise Boom
+            return norms(v, a)
+
+        monkeypatch.setattr(doa, "_subspace_norms", observed)
+        r = analytic_covariance(ula(8), SourceSet(azimuths=np.radians([-20.0, 35.0])), 0.1)
+        if leave == "nested":
+            with one_blas_thread:
+                music(r, ula(8), 2)
+                assert count() == 1
+        elif leave == "exception":
+            with pytest.raises(Boom):
+                music(r, ula(8), 2)
+        else:
+            music(r, ula(8), 2)
+        assert seen and set(seen) == {1}
+        assert count() == 2
+
+    def test_concurrent_scans_restore_the_count(self, two_blas_threads, monkeypatch):
+        # More threads than a two-core machine has, and a short switch interval, so that
+        # entries and exits interleave: a lost update would leave the count at 1.
+        count, seen = two_blas_threads, []
+        norms = doa._subspace_norms
+
+        def observed(v, a):
+            seen.append(count())
+            return norms(v, a)
+
+        monkeypatch.setattr(doa, "_subspace_norms", observed)
+        ring = UniformCircularArray(n=4, radius=0.3183, elevation=np.pi / 2, wavelength=1.0)
+        q = np.linalg.qr(np.random.default_rng(26).standard_normal((4, 4)) + 0j)[0]
+
+        def scans():
+            for _ in range(200):
+                doa._music_power(q, 1, ring, np.radians(0.1))
+
+        threads = [threading.Thread(target=scans) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 800 and set(seen) == {1}
+        assert count() == 2
+
+    def test_a_child_at_two_threads_gets_them_back(self):
+        openblas_counter()
+        before, inside, after = map(int, run_child(COUNT_CHILD, OPENBLAS_NUM_THREADS="2").split())
+        if before != 2:
+            pytest.skip("OpenBLAS starts one thread on this machine")
+        assert (inside, after) == (1, 2)
 
     def test_doa_sweeps_leave_the_blas_worker_idle(self):
         if not Path("/proc/self/task").is_dir():
             pytest.skip("no per-thread CPU times in /proc/self/task")
-        configs = [ROOT / "configs" / f"{name}.json" for name in ("doa_ula_music", "doa_coherent_toeplitz")]
-        ticks = json.loads(run_child(WORKER_CHILD, *configs))
+        # every scanning path: doa and hybrid sweeps, and the spectrum dump
+        sweeps = [
+            ("doa", "doa_ula_music"),
+            ("doa", "doa_coherent_toeplitz"),
+            ("hybrid", "hybrid_single"),
+            ("hybrid", "hybrid_coherent_fbss"),
+            ("spectrum", "spectrum_uca"),
+        ]
+        args = [f"{kind}={ROOT / 'configs' / name}.json" for kind, name in sweeps]
+        ticks = json.loads(run_child(WORKER_CHILD, *args))
         if ticks["threads"] == 1:
             pytest.skip("BLAS runs on the main thread only")
         assert 4 * ticks["workers"] < ticks["main"], ticks
+
+
+def test_scan_tests_hold_under_the_haswell_kernels():
+    # OpenBLAS picks its kernels by CPU; OPENBLAS_CORETYPE runs another set. The scan's
+    # one-thread product and the noise-form property must not depend on which.
+    cpuinfo = Path("/proc/cpuinfo")
+    if not cpuinfo.is_file() or "avx2" not in cpuinfo.read_text().split():
+        pytest.skip("the Haswell kernels need AVX2")
+    tests = [f"{__file__}::TestScanBlocks", f"{__file__}::test_music_picks_equal_the_noise_form"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"), cwd=ROOT,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:]
 
 
 class TestRootMusic:

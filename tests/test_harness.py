@@ -623,6 +623,21 @@ def test_ring_doa_pairs_estimates_across_the_seam():
 
 
 class TestRngStreams:
+    def test_numpy_streams_are_the_pinned_ones(self):
+        # Every golden CSV rests on numpy's PCG64 Generator streams, which NEP 19 does not
+        # freeze: a numpy release that changed them would fail every golden at once, and
+        # this test names that cause
+        draws = {
+            "random": np.random.Generator(np.random.PCG64(1806)).random(3),
+            "standard_normal": np.random.Generator(np.random.PCG64(1806)).standard_normal(3),
+            "rng_for_trial": rng_for_trial(1806, 0, 0).standard_normal(1),
+        }
+        assert {name: [float(x).hex() for x in values] for name, values in draws.items()} == {
+            "random": ["0x1.c1baceb056ac4p-3", "0x1.8b4af476493dep-2", "0x1.c8a44cd8d91e1p-1"],
+            "standard_normal": ["0x1.55faf57c4e5bap-1", "-0x1.dbc38879b065ap-3", "-0x1.22d841b353a63p-2"],
+            "rng_for_trial": ["0x1.f1d4560525800p+0"],
+        }, f"numpy {np.__version__} draws other PCG64 streams than the goldens were made with"
+
     def test_streams_independent_of_each_other(self):
         a = rng_for_trial(9, 0, 0).standard_normal(4)
         b = rng_for_trial(9, 0, 1).standard_normal(4)
