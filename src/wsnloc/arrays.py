@@ -37,6 +37,8 @@ class UniformLinearArray:
             raise ValueError("array needs at least 2 elements")
         if self.spacing <= 0 or self.wavelength <= 0:
             raise ValueError("spacing and wavelength must be positive")
+        if not (self.spacing < math.inf and self.wavelength < math.inf):
+            raise ValueError("spacing and wavelength must be finite")
 
     @property
     def size(self) -> int:
@@ -66,6 +68,8 @@ class UniformCircularArray:
             raise ValueError("array needs at least 2 elements")
         if self.radius <= 0 or self.wavelength <= 0:
             raise ValueError("radius and wavelength must be positive")
+        if not (self.radius < math.inf and self.wavelength < math.inf):
+            raise ValueError("radius and wavelength must be finite")
         if not (0.0 <= self.elevation <= np.pi / 2):
             raise ValueError("elevation must lie in [0, pi/2]")
 
@@ -173,11 +177,16 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def noise_power(amplitudes, snr_db: float) -> float:
     """Per-element noise variance for a target SNR over sources of these ``amplitudes``
-    (unit reference power where there are none); 0 for infinite SNR."""
+    (unit reference power where there are none); 0 for infinite SNR. Raises
+    ``OverflowError`` where the sources' total power or the noise variance leaves the
+    float range (numpy warns on a total that overflows, as its errstate says)."""
     if snr_db is None or math.isinf(snr_db):
         return 0.0
     total = float(np.sum(np.asarray(amplitudes) ** 2)) if len(amplitudes) else 1.0
-    return total * 10.0 ** (-snr_db / 10.0)
+    power = total * 10.0 ** (-snr_db / 10.0)
+    if not power < math.inf:  # NaN too: an infinite total at an SNR whose factor is 0
+        raise OverflowError("the noise power leaves the float range")
+    return power
 
 
 def draw_signals(

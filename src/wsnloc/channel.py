@@ -46,6 +46,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.d0 <= 0 or self.eta <= 0 or self.wavelength <= 0:
             raise ValueError("d0, eta and wavelength must be positive")
+        if not (self.d0 < math.inf and self.wavelength < math.inf):
+            raise ValueError("d0 and wavelength must be finite")
         if self.sigma_db < 0:
             raise ValueError("sigma_db must be non-negative")
 

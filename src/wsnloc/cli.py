@@ -10,12 +10,14 @@ Subcommands mirror the experiment kinds::
 ``--seed`` overrides the config seed, under the schema's rule for a seed.
 ``--workers`` is accepted for compatibility and ignored: trials run serially.
 Exit codes: 0 success (``--help`` included), 1 configuration error (a malformed
-command line included), 2 every trial failed at some SNR.
+command line included), 2 every trial failed at some SNR. Each warning is one
+``warning: ...`` line on stderr, and an error one line after them.
 """
 
 import argparse
 import dataclasses
 import sys
+import warnings
 
 from .errors import AllTrialsFailed, ConfigError
 from .config import CONFIG_SCHEMA, _schema_error, _shown, load_config
@@ -24,14 +26,23 @@ from .harness import dump_spectrum, monte_carlo, write_rmse_csv
 _METHODS = CONFIG_SCHEMA["properties"]["method"]["properties"]
 
 
+def _cut(message: str) -> str:
+    """``message`` cut to 120 characters, for one that may repeat a long value whole."""
+    return message if len(message) <= 120 else message[:117] + "..."
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose rejected command line is a configuration error (exit 1), not
     argparse's exit 2, which the CLI keeps for sweeps whose every trial failed. The
     message, which repeats the rejected value whole, is cut short."""
 
     def error(self, message):
-        message = f"{self.prog}: {message}"
-        raise ConfigError(message if len(message) <= 120 else message[:117] + "...")
+        raise ConfigError(_cut(f"{self.prog}: {message}"))
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` as the CLI shows a warning: one line, cut short."""
+    print(f"warning: {_cut(str(message))}", file=sys.stderr)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -77,29 +88,31 @@ def _check_seed(seed: int) -> None:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            _check_seed(args.seed)
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        cfg = cfg.with_method(
-            estimator=getattr(args, "estimator", None),
-            doa=getattr(args, "doa", None),
-            decorrelate=getattr(args, "decorrelate", None),
-            hybrid=getattr(args, "hybrid", None),
-        )
-        if args.command == "spectrum":
-            dump_spectrum(cfg, args.out)
-        else:
-            result = monte_carlo(cfg, args.command, workers=args.workers)
-            write_rmse_csv(result, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except AllTrialsFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # the filters stay; only the display changes
+        warnings.showwarning = _warning_line
+        try:
+            args = build_parser().parse_args(argv)
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                _check_seed(args.seed)
+                cfg = dataclasses.replace(cfg, seed=args.seed)
+            cfg = cfg.with_method(
+                estimator=getattr(args, "estimator", None),
+                doa=getattr(args, "doa", None),
+                decorrelate=getattr(args, "decorrelate", None),
+                hybrid=getattr(args, "hybrid", None),
+            )
+            if args.command == "spectrum":
+                dump_spectrum(cfg, args.out)
+            else:
+                result = monte_carlo(cfg, args.command, workers=args.workers)
+                write_rmse_csv(result, args.out)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
+        except AllTrialsFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

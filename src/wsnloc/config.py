@@ -32,6 +32,9 @@ _XY = {
     "maxItems": 2,
 }
 
+# an azimuth within one turn either way, so that an estimate's error squares to a float
+_AZIMUTH = {"type": "number", "minimum": -360, "maximum": 360}
+
 CONFIG_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "wsnloc scenario",
@@ -85,11 +88,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "additionalProperties": False,
             "required": ["azimuths_deg"],
             "properties": {
-                "azimuths_deg": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 1,
-                },
+                "azimuths_deg": {"type": "array", "items": _AZIMUTH, "minItems": 1},
                 "amplitudes": {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
@@ -109,7 +108,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
                 "elevation_deg": {"type": "number", "exclusiveMinimum": 0, "maximum": 90},
             },
         },
-        "interferers_deg": {"type": "array", "items": {"type": "number"}},
+        "interferers_deg": {"type": "array", "items": _AZIMUTH},
         "interferer_amplitudes": {
             "type": "array",
             "items": {"type": "number", "exclusiveMinimum": 0},

@@ -10,15 +10,17 @@ kinds exist, matching the CLI subcommands:
 * ``spectrum`` - one seeded MUSIC spectrum dump (angle_deg, power_db).
 
 A scenario is compiled once per kind into a :class:`Pipeline`, which checks that the
-kind has the parts it needs and every method/geometry combination (a MUSIC
-grid included: it must be able to show a peak per source), and builds what
-all trials share; a trial then only draws randomness and calls kernels,
-through one table, :data:`_STEPS`. A config that cannot run is a
-:class:`ConfigError` there, before any trial: an anchor layout that every
-trial's trilateration would reject, a trial that would hold more than
-:data:`SIZE_BUDGET` complex values in its snapshots, its covariance or its
-MUSIC scan, or more than :data:`SIZE_BUDGET` trials per SNR row, whose errors
-:func:`monte_carlo` holds as one float64 array.
+kind has the parts it needs and every method/geometry combination, and builds what
+all trials share; a trial then only draws randomness and calls kernels, through one
+table, :data:`_STEPS`. doa and hybrid share one array front end,
+:func:`_front_end`: the ring's phase-mode beamspace, the smoothing plan, the
+geometry MUSIC scans (its grid must be able to show a peak per source) and the
+draws. A config that cannot run is a :class:`ConfigError` there, before any trial:
+an anchor layout that every trial's trilateration would reject, sources whose
+power, or an SNR row whose noise power, leaves the float range, a trial that would
+hold more than :data:`SIZE_BUDGET` complex values in its snapshots, its covariance
+or its MUSIC scan, or more than :data:`SIZE_BUDGET` trials per SNR row, whose
+errors :func:`monte_carlo` holds as one float64 array.
 
 rss and hybrid trials run in chunks of the whole sweep: the (snr_index,
 trial_index) pairs taken in row-major order, as many as draw at most
@@ -229,12 +231,14 @@ def _chunk_rngs(seed: int, pairs: list) -> list[np.random.Generator]:
 
 @dataclass
 class Pipeline:
-    """A scenario compiled for one kind: ``stack(pipeline, pairs)`` (rss, hybrid), for a
-    chunk of (snr_index, trial_index) pairs in row-major order (returning the chunk's
-    truths, estimates, errors and failures, :func:`_score`), or ``trial(pipeline,
-    snr_index, rng)`` (doa) hands the trilateration to ``fix`` and the method's part to
-    ``step`` (doa preprocessing to ``prepare``), all from :data:`_STEPS`; the other
-    fields are what all trials share, ``None`` where a kind has no use for them."""
+    """A scenario compiled for one kind. rss and hybrid run a chunk of (snr_index,
+    trial_index) pairs, in row-major order, through ``stack(pipeline, pairs)``, which
+    returns the chunk's truths, estimates, errors and failures (:func:`_score`); doa runs
+    one trial through ``trial(pipeline, snr_index, rng)``. The method's parts come from
+    :data:`_STEPS`: ``fix`` trilaterates a chunk's ranges (rss, hybrid ls/wls/fbss),
+    ``step`` is the doa estimator or the hybrid fusion, and ``prepare`` the doa
+    covariance and its decorrelation. The other fields are what all trials share,
+    ``None`` where a kind has no use for them."""
 
     cfg: ScenarioConfig
     grid_step: float  # MUSIC grid step, radians
@@ -338,15 +342,6 @@ def _check_size(p: Pipeline, geometry, scans: bool) -> None:
             )
 
 
-def _check_scan(p: Pipeline, n_sources: int) -> None:
-    """A MUSIC scan of ``p.scan`` on the method's grid must be able to show ``n_sources``
-    peaks (:func:`doa.scan_capacity`), or every trial would find too few."""
-    most = scan_capacity(p.scan, p.grid_step)
-    if n_sources > most:
-        step = p.cfg.method["grid_step_deg"]
-        raise ConfigError(f"a {step:g} deg MUSIC grid shows at most {most} peaks, not {n_sources}")
-
-
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.anchors is None or cfg.anchors.shape[0] < 3:
         raise ConfigError("rss scenario needs at least 3 anchors")
@@ -358,6 +353,43 @@ def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     p.lop = _trilateration(cfg.anchors, cfg.method["estimator"] == "ls", p.inverting)
 
 
+def _front_end(
+    p: Pipeline, geometry, method: str, prep: str, name: str, amplitudes, coherent: bool
+) -> None:
+    """What every trial of an array kind (doa, hybrid) shares to estimate its bearings,
+    built once on the ``geometry``: ``method`` estimates them, after spatial smoothing
+    where ``prep`` is fss or fbss, and ``name`` is what a capacity error names. The
+    trials draw ``len(amplitudes)`` sources of these ``amplitudes``, one shared waveform
+    if ``coherent``; their power, and each row's noise power, must be floats. A ring
+    reaches smoothing, and every estimator but MUSIC, only through its phase-mode
+    beamspace, whose 2h+1-element virtual array is then what the estimator works on.
+    Builds ``p.transform``, ``p.plan``, ``p.scan`` (a MUSIC scan must be able to show
+    a peak per source, :func:`doa.scan_capacity`) and ``p.draw``."""
+    count, ring = len(amplitudes), isinstance(geometry, UniformCircularArray)
+    with np.errstate(over="ignore"):  # a check; each trial's draw redoes it
+        _per_row(p.cfg, "noise power", lambda snr: noise_power(amplitudes, snr))
+    smoothed = prep in ("fss", "fbss")
+    if ring and (smoothed or method != "music"):
+        p.transform = build_transform(geometry)
+    size = geometry.size if p.transform is None else p.transform.vula_size
+    most = capacity(method, size)
+    if count > most:
+        raise ConfigError(f"{name} resolves at most {most} sources, not {count}")
+    p.geometry = p.scan = geometry
+    if smoothed:
+        p.plan = decorrelate.SmoothingPlan.design(
+            size, count, p.cfg.method.get("subarray_len"), forward_backward=prep == "fbss"
+        )
+        sub = p.plan.subarray_len
+        p.scan = VandermondeArray(sub) if ring else dataclasses.replace(geometry, n=sub)
+    if method == "music":  # the scan must be able to show a peak per source
+        most = scan_capacity(p.scan, p.grid_step)
+        if count > most:
+            step = p.cfg.method["grid_step_deg"]
+            raise ConfigError(f"a {step:g} deg MUSIC grid shows at most {most} peaks, not {count}")
+    p.draw = functools.partial(draw_signals, amplitudes, coherent, geometry.size, p.cfg.snapshots)
+
+
 def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     """Linear arrays smooth (or Toeplitz-rebuild) their own covariance;
     circular arrays reach spatial smoothing only through the phase-mode
@@ -367,40 +399,18 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     method, prep = cfg.method["doa"], cfg.method["decorrelate"]
     _check_size(p, cfg.array, scans=method == "music")
     p.trial, p.step, p.prepare = _doa_trial, _STEPS["doa", method], _STEPS["decorrelate", prep]
-    p.geometry = p.scan = geometry = cfg.array
     p.sources = sources = cfg.sources
-    ring = isinstance(geometry, UniformCircularArray)
-    # a check; trials redo it
-    _per_row(cfg, "noise power", lambda snr: noise_power(sources.amplitudes, snr))
+    ring = isinstance(cfg.array, UniformCircularArray)
     if method != "music" and ring != method.startswith("uca-"):
         raise ConfigError(f"{method} does not run on a {'uca' if ring else 'ula'} array")
     if method not in ("music", "root-music") and prep != "none":
         raise ConfigError(f"{method} operates on raw snapshots; decorrelate must be none")
     if prep == "toeplitz" and ring:
         raise ConfigError("toeplitz preprocessing is only supported on ula arrays")
-
-    smoothed = prep in ("fss", "fbss")
-    if ring and (smoothed or method != "music"):
-        p.transform = build_transform(geometry)
-    # a transform's 2h+1-element virtual array is what the estimator works on
-    size = geometry.size if p.transform is None else p.transform.vula_size
-    most = capacity(method, size)
-    if sources.count > most:
-        raise ConfigError(f"{method} resolves at most {most} sources, not {sources.count}")
-    if smoothed:
-        p.plan = decorrelate.SmoothingPlan.design(
-            size, sources.count, cfg.method.get("subarray_len"), forward_backward=prep == "fbss"
-        )
-        sub = p.plan.subarray_len
-        p.scan = VandermondeArray(sub) if ring else dataclasses.replace(geometry, n=sub)
-    if method == "music":
-        _check_scan(p, sources.count)
-    # what every trial shares: its snapshots are p.steer @ s (+ noise), and its score
-    # compares its sorted estimates with the sorted truths
-    p.draw = functools.partial(
-        draw_signals, sources.amplitudes, sources.coherent, geometry.size, cfg.snapshots
-    )
-    p.steer = steering_matrix(geometry, sources.azimuths)
+    _front_end(p, cfg.array, method, prep, method, sources.amplitudes, sources.coherent)
+    # every trial's snapshots are p.steer @ s (+ noise), and its score compares its
+    # sorted estimates with the sorted truths
+    p.steer = steering_matrix(cfg.array, sources.azimuths)
     p.truth = np.sort(sources.azimuths)
     p.truth_deg = np.degrees(p.truth)  # every trial's TrialResult.truth
     for arr in (p.steer, p.truth, p.truth_deg):
@@ -408,19 +418,18 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
 
 
 def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
+    """The ring scans the target's bearing; fbss also smooths out the interferers, the
+    target signal's coherent copies, through the ring's phase-mode beamspace."""
     scheme = cfg.method["hybrid"]
     if cfg.node is None:
         raise ConfigError("hybrid scenario needs a 'hybrid_node' section")
     p.stack, p.step = _hybrid_stack, _STEPS["hybrid", scheme]
     p.node = node = cfg.node
     _check_size(p, node.geometry, scans=True)
-    p.geometry = p.scan = node.geometry
     positions = node.element_positions
     radius = max(cfg.d0, 3.0 * node.geometry.radius)
     p.clearance = _clearance(cfg, [node.center], [radius], ranged=positions)
     _channels(p, cfg)
-    # a check; the overflow is in 10^(-snr/10), whatever power a trial's sources carry
-    _per_row(cfg, "noise power", lambda snr: noise_power((), snr))
     needed = {"ls": 2, "wls": 2, "two-lines": 1}.get(scheme, 0)
     if (0 if cfg.anchors is None else cfg.anchors.shape[0]) < needed:
         raise ConfigError(f"{scheme} fusion needs at least {needed} RSS anchor(s)")
@@ -433,31 +442,21 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     else:
         p.ranged = positions
     p.chunk = max(1, ROW_VALUES // (len(p.ranged) + node.geometry.size * cfg.snapshots))
+    # a trial's target signal, then (fbss) the interferers' coherent copies of it
+    amplitudes = np.ones(1)
     if scheme == "fbss":
         p.sources = cfg.interferers
-        n_sources = p.sources.count + 1  # the target's bearing comes first
-        p.transform = build_transform(node.geometry)
-        most = capacity("music", p.transform.vula_size)
-        if n_sources > most:
-            raise ConfigError(f"fbss resolves at most {most} sources, not {n_sources}")
-        p.plan = decorrelate.SmoothingPlan.design(
-            p.transform.vula_size, n_sources, cfg.method.get("subarray_len"), forward_backward=True
-        )
-        p.scan = VandermondeArray(p.plan.subarray_len)
-        if isinstance(cfg.target, np.ndarray):  # every trial sees the target on one bearing
-            bearing = bearing_to(node.center, cfg.target)
-            if coincident(np.append(bearing, p.sources.azimuths)):
-                bearing = math.degrees(bearing)
-                raise ConfigError(f"target bearing {bearing:g} deg is an interferer's")
-    # a trial's target signal, then the interferers' coherent copies of it
-    amplitudes = np.ones(1) if p.sources is None else np.concatenate([[1.0], p.sources.amplitudes])
-    p.draw = functools.partial(
-        draw_signals, amplitudes, p.sources is not None, node.geometry.size, cfg.snapshots
-    )
+        amplitudes = np.concatenate([amplitudes, p.sources.amplitudes])
+    # MUSIC on the ring; the scheme is the smoothing (fbss smooths) and the capacity's name
+    _front_end(p, node.geometry, "music", scheme, scheme, amplitudes, p.sources is not None)
+    if p.sources is not None and isinstance(cfg.target, np.ndarray):
+        bearing = bearing_to(node.center, cfg.target)  # every trial sees the target on it
+        if coincident(np.append(bearing, p.sources.azimuths)):
+            bearing = math.degrees(bearing)
+            raise ConfigError(f"target bearing {bearing:g} deg is an interferer's")
     if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
         p.fix = _STEPS["estimator", "wls" if scheme == "wls" else "ls"]
         p.lop = _trilateration(p.ranged, scheme != "wls", p.inverting)
-    _check_scan(p, 1 if p.sources is None else 1 + p.sources.count)
 
 
 def _pipeline(cfg: ScenarioConfig, kind: str) -> Pipeline:
@@ -594,10 +593,7 @@ def _hybrid_stack(p: Pipeline, pairs: list) -> tuple:
         del steer, s, noise  # free the chunk's snapshots before its scans
         split = np.equal(failed[live], None)
         live, q = live[split], q[split]
-        try:
-            peaks[live], failed[live] = music_peaks(q, p.scan, n_sources, p.grid_step)
-        except WsnlocError as exc:  # a peak search that fails as a whole fails each trial
-            failed[live] = exc
+        peaks[live], failed[live] = music_peaks(q, p.scan, n_sources, p.grid_step)
     # what fails a trial once its spectrum has peaks: its ranges, then its fix
     failed[np.equal(failed, None) & bad_ranges] = NonPositiveDistance(_BAD_RANGE)
     fixes, failed = _fixes(p, rows, d, failed)

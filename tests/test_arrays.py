@@ -121,6 +121,36 @@ class TestSynthesizeSnapshots:
             assert rng.random() == oracle.random()
 
 
+class TestNoisePower:
+    def test_unit_reference_and_infinite_snr(self):
+        assert arrays.noise_power((), 10.0) == pytest.approx(0.1)
+        assert arrays.noise_power(np.array([1.0, 2.0]), 0.0) == 5.0
+        assert arrays.noise_power(np.array([1e300]), math.inf) == 0.0
+
+    @pytest.mark.parametrize(
+        "amplitudes, snr_db", [([1e300], 0.0), ([1e300], 1e300), ([1e150], -100.0)]
+    )
+    def test_power_past_the_float_range_raises(self, amplitudes, snr_db):
+        # the total (squared with numpy's warning silenced), or the noise power it scales to
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            arrays.noise_power(np.array(amplitudes), snr_db)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda length: UniformLinearArray(n=4, spacing=length, wavelength=1.0),
+        lambda length: UniformLinearArray(n=4, spacing=0.5, wavelength=length),
+        lambda length: UniformCircularArray(n=4, radius=length, elevation=1.0, wavelength=1.0),
+        lambda length: UniformCircularArray(n=4, radius=0.5, elevation=1.0, wavelength=length),
+    ],
+)
+@pytest.mark.parametrize("length", [math.inf, math.nan])
+def test_array_lengths_must_be_finite(make, length):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(length)
+
+
 class TestSampleCovariance:
     def test_zero_snapshots_give_zero(self):
         assert np.allclose(sample_covariance(np.zeros((4, 3), complex)), 0.0)

@@ -495,8 +495,10 @@ def test_hybrid_peaks_fail_before_ranges_and_fix(monkeypatch, scheme):
     )
     p = harness._pipeline(cfg, "hybrid")
 
-    def no_peaks(*args):
-        raise NoPeaksFound("no spectral peaks")
+    def no_peaks(q, geometry, n_sources, grid_step):  # music_peaks' contract: per basis
+        failed = np.empty(len(q), dtype=object)
+        failed[:] = [NoPeaksFound("no spectral peaks") for _ in q]
+        return np.full((len(q), n_sources), np.nan), failed
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         before = row(p, 0)

@@ -152,3 +152,6 @@ class TestScenarioHelpers:
             ChannelModel(d0=0.0, eta=2.0, sigma_db=1.0, wavelength=0.3)
         with pytest.raises(ValueError):
             ChannelModel(d0=1.0, eta=2.0, sigma_db=-1.0, wavelength=0.3)
+        for d0, wavelength in [(math.inf, 0.3), (1.0, math.inf), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="must be finite"):
+                ChannelModel(d0=d0, eta=2.0, sigma_db=1.0, wavelength=wavelength)

@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsnloc import harness
+from wsnloc import cli, config, harness
 from wsnloc.channel import wavelength_from_frequency
 from wsnloc.cli import main
 from wsnloc.config import ScenarioConfig, load_config
@@ -548,6 +549,34 @@ STRUCTURAL_ERRORS = {
         for command, config in EXTREME_SNR
         for snr in (-7000.0, -1e300)
     },
+    # a wavelength past the float range (a 1e-300 Hz carrier), under each kind
+    **{
+        f"{command}_frequency_1e-300": (
+            command,
+            shipped(config, trials=3, channel={"frequency_hz": 1e-300}),
+            [],
+        )
+        for command, config in EXTREME_SNR
+    },
+    # an azimuth whose estimate's error would square past the float range
+    "doa_azimuth_1e200": (
+        "doa",
+        shipped("doa_ula_music", trials=3, sources={"azimuths_deg": [1e200, 10.0]}),
+        [],
+    ),
+    # a total source power past the float range: the doa sources', the fbss interferers'
+    "doa_source_amplitude_1e300": (
+        "doa",
+        shipped(
+            "doa_ula_music", trials=3, sources={"azimuths_deg": [-10, 10], "amplitudes": [1e300, 1]}
+        ),
+        [],
+    ),
+    "hybrid_interferer_amplitude_1e300": (
+        "hybrid",
+        shipped("hybrid_coherent_fbss", trials=3, interferer_amplitudes=[1e300, 0.6]),
+        [],
+    ),
     # more trials per row than monte_carlo's one float64 array of a row's errors may hold
     **{
         f"{command}_trials_{trials}": (command, with_keys(raw, trials=trials), [])
@@ -917,6 +946,122 @@ def test_schema_edges_end_in_an_exit_code(config, command, grid_step, elevation)
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= (0 if code == 0 else 1)
     assert "Traceback" not in err.getvalue()
+
+
+def numeric_leaves(value, path=()):
+    """The paths of the numbers in a JSON value, depth first."""
+    if isinstance(value, dict):
+        return [leaf for key, item in value.items() for leaf in numeric_leaves(item, (*path, key))]
+    if isinstance(value, list):
+        return [leaf for i, item in enumerate(value) for leaf in numeric_leaves(item, (*path, i))]
+    return [path] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def rule_at(path):
+    """The part of the config schema that the value at ``path`` must meet."""
+    rule = config.CONFIG_SCHEMA
+    for key in path:
+        if "oneOf" in rule:  # the target: its coordinates
+            rule = next(part for part in rule["oneOf"] if part.get("type") == "array")
+        rule = rule["items"] if isinstance(key, int) else rule["properties"][key]
+    return rule
+
+
+def extremes(path):
+    """The schema-valid extremes of the number at ``path``: its minimum, 1e-300, 1e300
+    and -1e300, and for an SNR +-400 dB."""
+    rule = rule_at(path)
+    values = [rule.get("minimum"), 1e-300, 1e300, -1e300]
+    values += [400.0, -400.0] if path[0] == "snr_grid_db" else []
+    values = [v for v in dict.fromkeys(values) if v is not None]
+    return [v for v in values if config._schema_error(v, rule) is None]
+
+
+# every shipped config with one number set to one of its extremes, under its subcommand
+EXTREME_LEAVES = [
+    (name, path, value, ())
+    for name in SHIPPED
+    for path in numeric_leaves(shipped(name))
+    for value in extremes(path)
+]
+
+
+def set_leaf(raw, path, value):
+    *parents, last = path
+    for key in parents:
+        raw = raw.setdefault(key, {}) if isinstance(raw, dict) else raw[key]
+    raw[last] = value
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=len(EXTREME_LEAVES), deadline=None)
+@given(case=st.sampled_from(EXTREME_LEAVES))
+# an infinite wavelength, under each subcommand
+@example(case=("rss_heterogeneous", ("channel", "frequency_hz"), 1e-300, ()))
+@example(case=("doa_ula_music", ("channel", "frequency_hz"), 1e-300, ()))
+@example(case=("hybrid_single", ("channel", "frequency_hz"), 1e-300, ()))
+@example(case=("spectrum_uca", ("channel", "frequency_hz"), 1e-300, ()))
+# a source azimuth whose error squares past the float range
+@example(case=("doa_ula_music", ("sources", "azimuths_deg", 0), 1e200, ()))
+# source power past the float range: the doa sources', the hybrid interferers'
+@example(case=("doa_ula_music", ("sources", "amplitudes"), [1e300, 1.0], ()))
+@example(case=("hybrid_coherent_fbss", ("interferer_amplitudes",), [1e300, 0.6], ()))
+# rings whose phase-mode order is clamped, one with a 300-digit order
+@example(case=("spectrum_uca", ("array", "n_elements"), 3, ("--decorrelate", "fss")))
+@example(case=("hybrid_coherent_fbss", ("hybrid_node", "n_elements"), 3, ()))
+@example(case=("spectrum_uca", ("array", "radius_wavelengths"), 1e300, ("--decorrelate", "fss")))
+def test_one_extreme_number_ends_cleanly(case):
+    # exit 0, 1 or 2; one stderr line per warning and at most one error line after them,
+    # each short; no RuntimeWarning (it raises here); every RMSE finite
+    name, path, value, extra = case
+    command = name.split("_")[0]
+    raw = shipped(name, trials=2)
+    set_leaf(raw, path, value)
+    err, shown = io.StringIO(), []
+
+    def counted(message, *args, **kwargs):  # cli's own warning line, counted
+        shown.append(message)
+        warning_line(message, *args, **kwargs)
+
+    warning_line = cli._warning_line
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg, out = write_cfg(Path(tmp), raw), Path(tmp) / "x.csv"
+        with unittest.mock.patch.object(cli, "_warning_line", counted):
+            code = main([command, "--config", str(cfg), "--out", str(out), *extra])
+        rows = list(csv.DictReader(out.open())) if code == 0 and command != "spectrum" else []
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    warned = [f"warning: {cli._cut(str(message))}" for message in shown]
+    assert lines[: len(warned)] == warned, lines
+    assert len(lines) == len(warned) + (code != 0), lines
+    assert all(line.startswith(("config error:", "error:")) for line in lines[len(warned) :])
+    assert all(len(line) <= 200 for line in lines)
+    assert all(math.isfinite(float(row["rmse"])) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "name, path, value, extra, says",
+    [
+        ("spectrum_uca", ("array", "n_elements"), 3, ["--decorrelate", "fss"], "music resolves"),
+        ("hybrid_coherent_fbss", ("hybrid_node", "n_elements"), 3, [], "fbss resolves"),
+        ("spectrum_uca", ("array", "radius_wavelengths"), 1e300, ["--decorrelate", "fss"], "doa"),
+    ],
+)
+def test_clamped_ring_warns_on_one_line_in_a_process(tmp_path, name, path, value, extra, says):
+    # a process shows warnings as Python does (pytest records them instead): the clamp is
+    # one short line before the error's
+    raw = shipped(name, trials=2)
+    set_leaf(raw, path, value)
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    command = [sys.executable, "-m", "wsnloc.cli", name.split("_")[0], "--config", str(cfg)]
+    proc = subprocess.run(
+        [*command, "--out", str(out), *extra], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1
+    warning, error = proc.stderr.splitlines()
+    assert warning.startswith("warning: clamping phase-mode order from ") and len(warning) <= 129
+    assert error.startswith(f"config error: {says}")
 
 
 def test_runtime_imports_no_scipy():
