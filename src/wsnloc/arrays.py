@@ -194,14 +194,16 @@ def draw_signals(
     coherent: bool,
     size: int,
     k: int,
-    snr_db: float,
+    sigma2: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The random factors of :func:`synthesize_snapshots`, drawn from ``rng`` as it draws
     them: the (M, K) waveforms s(t) of sources with these ``amplitudes`` (one shared
-    waveform if ``coherent``) and the (size, K) scaled noise n(t), ``None`` when the noise
-    power is 0. They do not depend on the sources' azimuths, so a caller that holds many
-    trials' steering matrices A forms their products ``A @ s (+ n)`` as one stack.
+    waveform if ``coherent``) and the (size, K) noise n(t) of per-element power
+    ``sigma2`` (:func:`noise_power`), ``None`` when that power is 0. They do not depend
+    on the sources' azimuths, so a caller that holds many trials' steering matrices A
+    forms their products ``A @ s (+ n)`` as one stack; nor on the SNR but through
+    ``sigma2``, so a caller that draws many trials at one SNR works it out once.
     """
     if k < 1:
         raise ValueError("need at least one snapshot")
@@ -212,7 +214,6 @@ def draw_signals(
         s = amplitudes[:, None] * _complex_gaussian(rng, (1, k))
     else:
         s = amplitudes[:, None] * _complex_gaussian(rng, (m, k))
-    sigma2 = noise_power(amplitudes, snr_db)
     if sigma2 > 0.0:
         return s, math.sqrt(sigma2) * _complex_gaussian(rng, (size, k))
     return s, None
@@ -234,7 +235,8 @@ def synthesize_snapshots(
     """
     if src.count >= geometry.size:
         raise TooManySources(f"{src.count} sources with only {geometry.size} elements")
-    s, noise = draw_signals(src.amplitudes, src.coherent, geometry.size, k, snr_db, rng)
+    sigma2 = noise_power(src.amplitudes, snr_db)
+    s, noise = draw_signals(src.amplitudes, src.coherent, geometry.size, k, sigma2, rng)
     return snapshots(steering_matrix(geometry, src.azimuths), s, noise)
 
 

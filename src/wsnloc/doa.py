@@ -198,9 +198,9 @@ def _pick_peaks(
 
 def _subspace_norms(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """||V^H a||^2 for each column of the steering matrix ``a``, from one product V^H a.
-    Its caller holds OpenBLAS on one thread (:data:`numerics.one_blas_thread`), so the
-    product's bits do not depend on the caller's BLAS thread count and no worker thread
-    spins between scans."""
+    Its callers' entry points (:func:`music_peaks`, :func:`_spectrum`) hold OpenBLAS on
+    one thread (:data:`numerics.one_blas_thread`), so the product's bits do not depend
+    on the caller's BLAS thread count and no worker thread spins between scans."""
     magnitude = np.abs(v.conj().T @ a)
     return np.add.reduce(np.square(magnitude, out=magnitude), axis=0)  # np.sum, unwrapped
 
@@ -224,14 +224,14 @@ def _music_power(q: np.ndarray, m: int, geometry, grid_step: float) -> tuple[np.
     n eps max(a^H a) is redone in the noise form; every other scan keeps the m-row
     product.
     Its picks equal the noise form's at any SNR, sources on grid points included
-    (``tests/test_doa.py``' property test)."""
+    (``tests/test_doa.py``' property test). The caller holds
+    :data:`numerics.one_blas_thread`, once for all the scans it makes."""
     grid, a, num = _scan(geometry, grid_step)
-    with one_blas_thread:
-        if m < q.shape[0] - m:
-            den = num - _subspace_norms(q[:, :m], a)
-            if den.min(initial=np.inf) >= q.shape[0] * np.finfo(float).eps * num.max(initial=0.0):
-                return grid, num / den
-        den = _subspace_norms(q[:, m:], a)
+    if m < q.shape[0] - m:
+        den = num - _subspace_norms(q[:, :m], a)
+        if den.min(initial=np.inf) >= q.shape[0] * np.finfo(float).eps * num.max(initial=0.0):
+            return grid, num / den
+    den = _subspace_norms(q[:, m:], a)
     return grid, num / np.maximum(den, 1e-300)
 
 
@@ -247,23 +247,28 @@ def music_peaks(
 
     Returns the (T, n_sources) azimuths, each row sorted, and per basis ``None`` or
     the ``NoPeaksFound`` that :func:`music` raises when its spectrum shows fewer than
-    n_sources peaks (its row is NaN). The scan and the pick run one basis at a time."""
+    n_sources peaks (its row is NaN). The scan and the pick run one basis at a time,
+    all of them under one hold of :data:`numerics.one_blas_thread`."""
     circular = _circular(geometry)
     azimuths = np.full((len(q), n_sources), np.nan)
     failed = np.full(len(q), None, dtype=object)
-    for i, basis in enumerate(q):
-        try:
-            grid, power = _music_power(basis, n_sources, geometry, grid_step)
-            azimuths[i] = _pick_peaks(grid, power, n_sources, circular)
-        except NoPeaksFound as exc:
-            failed[i] = exc
+    with one_blas_thread:
+        for i, basis in enumerate(q):
+            try:
+                grid, power = _music_power(basis, n_sources, geometry, grid_step)
+                azimuths[i] = _pick_peaks(grid, power, n_sources, circular)
+            except NoPeaksFound as exc:
+                failed[i] = exc
     return azimuths, failed
 
 
 def _spectrum(r: np.ndarray, geometry, n_sources: int, grid_step: float) -> tuple:
-    """MUSIC's source check, eigensplit and scan: the pseudospectrum and its linear power."""
+    """MUSIC's source check, eigensplit and scan (the scan under one hold of
+    :data:`numerics.one_blas_thread`): the pseudospectrum and its linear power."""
     _check_sources("music", geometry.size, n_sources)
-    grid, power = _music_power(herm_eig(r)[1], n_sources, geometry, grid_step)
+    q = herm_eig(r)[1]
+    with one_blas_thread:
+        grid, power = _music_power(q, n_sources, geometry, grid_step)
     return Spectrum(grid=grid, power_db=10.0 * np.log10(power)), power
 
 

@@ -43,12 +43,13 @@ draw on streams derived from it bit for bit: numpy's ``SeedSequence(seed,
 spawn_key=(snr_index,))`` mixes each row's pool once (:func:`_row_pool`),
 each trial mixes only its own index word into its row's pool and hashes its
 PCG64 seed words out of it (:func:`_lane`), and numpy seeds a fresh PCG64
-per trial from them. A chunk of :data:`ARRAY_PASS` pairs or more does this
-for all its trials, rows included, in one pass of uint64 arrays
-(:func:`_chunk_rngs`); a smaller chunk, :func:`run_trial` and each doa
-trial do it one trial at a time on Python ints (:func:`_trial_rngs`). The
-SNR axis drives both the array noise floor and the RSS shadowing std
-through ``sigma_db = sigma_ref_db * 10^(-snr/20)``.
+per trial from them. One function builds every trial's Generator
+(:func:`_chunk_rngs`): for a chunk of :data:`ARRAY_PASS` pairs or more, all
+its trials, rows included, in one pass of uint64 arrays; for a smaller chunk,
+:func:`run_trial`, each doa trial and the spectrum dump, one trial at a time
+on Python ints. The SNR axis drives both the array noise floor and the RSS
+shadowing std through ``sigma_db = sigma_ref_db * 10^(-snr/20)``; each row's
+noise power and channel are worked out once, at compile.
 
 A failed trial (a spectrum without enough peaks at low SNR, a ray with no
 forward intersection, a range or estimate that extreme shadowing drives out
@@ -73,7 +74,7 @@ from numpy.random.bit_generator import ISeedSequence
 from . import decorrelate
 from .arrays import SourceSet, UniformCircularArray, coincident, draw_signals, noise_power
 from .arrays import snapshots, steering_matrix
-from .channel import lognormal_sigma_d, range_stack
+from .channel import range_stack
 from .config import ScenarioConfig, load_config  # bench/ reaches load_config here
 from .doa import Spectrum, azimuth_error, capacity, covariance, esprit, music, music_peaks
 from .doa import eigenbases, music_spectrum, root_music, scan_capacity, uca_esprit
@@ -83,7 +84,7 @@ from .errors import NumericOverflow, WsnlocError
 from .geometry import LopMatrix, as_anchor_array, bearing_to, distance, lop_matrix
 from .hybrid import HybridNode, bearing_midpoint, fbss_bearing, single_node_stack, two_lines_pooled
 from .pme import PmeTransform, VandermondeArray, build_transform
-from .rss import MAX_CONDITION, huber_by_row, solve_stack, wls_weights_by_row
+from .rss import MAX_CONDITION, huber_by_row, solve_stack, unshadowed, wls_weights_by_row
 
 # Extreme shadowing drives ranges and estimates out of the float range; a trial fails
 # on an explicit check of them and is counted, so numpy's warnings on the way there
@@ -192,38 +193,34 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _trial_rngs(seed: int, snr_index: int, trial_indices) -> Iterator[np.random.Generator]:
-    """A fresh Generator per trial index, each in the state :func:`rng_for_trial` gives it,
-    bit for bit: the row's seed and SNR-index words are mixed once (:func:`_row_pool`),
-    each trial mixes only its own index word, on Python ints. An index that is not one
-    uint32 word, which no sweep reaches, takes :func:`rng_for_trial` itself. The indices
-    may be any integers that ``operator.index`` takes (numpy's included)."""
-    snr_index = operator.index(snr_index)
-    pool, *lanes = _row_pool(seed, snr_index)
-    for ti in map(operator.index, trial_indices):
+def _chunk_rngs(seed: int, pairs: list) -> list[np.random.Generator]:
+    """A fresh Generator for each (snr_index, trial_index) pair of a chunk, the indices
+    Python ints, each in the state :func:`rng_for_trial` gives it, bit for bit: each
+    row's seed and SNR-index words are mixed once (:func:`_row_pool`), and each trial
+    mixes only its own index word in (:func:`_lane`). From :data:`ARRAY_PASS` pairs on
+    that is one pass of uint64 arrays over the pairs, rows included: each pair gathers
+    its row's pool, and :func:`_lane` takes the (T, 4) pool words to the (T, 8) uint32
+    words of the trials' states, two to each PCG64 seed word. Every trial index of such a
+    chunk must be one uint32 word, as a sweep's are (:data:`SIZE_BUDGET` trials per row
+    at most). Fewer pairs go one at a time, on Python ints, and an index that is not one
+    uint32 word takes :func:`rng_for_trial` itself."""
+    if len(pairs) >= ARRAY_PASS:
+        rows, trials = zip(*pairs)
+        keys = sorted(set(rows))
+        table = np.array([_row_pool(seed, k) for k in keys], np.uint64)[np.searchsorted(keys, rows)]
+        pool, *lanes = table.transpose(1, 0, 2)  # each (T, 4)
+        v = np.hstack(_lane(pool, np.array(trials, np.uint64)[:, None], *lanes))
+        return [_generator(words) for words in v[:, 0::2] | v[:, 1::2] << 32]
+    rngs = []
+    for si, ti in pairs:
         if not 0 <= ti <= _MASK32:
-            yield rng_for_trial(seed, snr_index, ti)
+            rngs.append(rng_for_trial(seed, si, ti))
             continue
+        pool, *lanes = _row_pool(seed, si)
         (a0, b0), (a1, b1), (a2, b2), (a3, b3) = map(_lane, pool, itertools.repeat(ti), *lanes)
         words = [a0 | a1 << 32, a2 | a3 << 32, b0 | b1 << 32, b2 | b3 << 32]
-        yield _generator(np.array(words, np.uint64))
-
-
-def _chunk_rngs(seed: int, pairs: list) -> list[np.random.Generator]:
-    """:func:`_trial_rngs` for each (snr_index, trial_index) pair of a chunk. From
-    :data:`ARRAY_PASS` pairs on, where every trial index is one uint32 word, that is one
-    pass of uint64 arrays over the pairs, rows included: each pair gathers its row's
-    :func:`_row_pool`, and :func:`_lane` takes the (T, 4) pool words to the (T, 8)
-    uint32 words of the trials' states, two to each PCG64 seed word. Fewer pairs go one
-    at a time, on Python ints."""
-    rows, trials = zip(*pairs)
-    if len(pairs) < ARRAY_PASS or max(trials) > _MASK32:
-        return [rng for si, ti in pairs for rng in _trial_rngs(seed, si, [ti])]
-    keys = sorted(set(rows))
-    table = np.array([_row_pool(seed, k) for k in keys], np.uint64)[np.searchsorted(keys, rows)]
-    pool, *lanes = table.transpose(1, 0, 2)  # each (T, 4)
-    v = np.hstack(_lane(pool, np.array(trials, np.uint64)[:, None], *lanes))
-    return [_generator(words) for words in v[:, 0::2] | v[:, 1::2] << 32]
+        rngs.append(_generator(np.array(words, np.uint64)))
+    return rngs
 
 
 # --- pipelines ---------------------------------------------------------------
@@ -238,7 +235,9 @@ class Pipeline:
     :data:`_STEPS`: ``fix`` trilaterates a chunk's ranges (rss, hybrid ls/wls/fbss),
     ``step`` is the doa estimator or the hybrid fusion, and ``prepare`` the doa
     covariance and its decorrelation. The other fields are what all trials share,
-    ``None`` where a kind has no use for them."""
+    ``None`` where a kind has no use for them; what an SNR row fixes for all its trials
+    (its array noise power ``noise``, its inverting channel and shadowing std) is held
+    per row, and a trial reads its row's entry instead of working it out again."""
 
     cfg: ScenarioConfig
     grid_step: float  # MUSIC grid step, radians
@@ -247,12 +246,13 @@ class Pipeline:
     step: Callable | None = None  # doa estimator, hybrid fusion
     fix: Callable | None = None  # rss, hybrid ls/wls/fbss: a chunk's fixes as one stack
     chunk: int = 1  # most pairs one stack call takes
-    models: tuple = ()  # per SNR (rss, hybrid): the (generating, inverting) channel pair
-    inverting: tuple = ()  # per SNR (rss, hybrid): the inverting model of each pair
-    sigma_db: np.ndarray | None = None  # per SNR (rss, hybrid): both models' shadowing std
+    channel: tuple = ()  # rss, hybrid: the (generating, inverting) pair all rows range by
+    inverting: tuple = ()  # per SNR (rss, hybrid): the inverting channel, at its row's std
+    sigma_db: np.ndarray | None = None  # per SNR (rss, hybrid): the row's shadowing std
     clearance: tuple = ((), ())  # points a random target keeps clear of, and radii
     prepare: Callable | None = None
-    draw: Callable | None = None  # doa, hybrid: a trial's waveforms and noise (draw_signals)
+    noise: tuple = ()  # per SNR (doa, hybrid): the array's per-element noise power
+    draw: Callable | None = None  # doa, hybrid: a trial's waveforms and noise, (p.noise[si], rng)
     geometry: Any = None  # the array (doa) or the hybrid ring
     sources: SourceSet | None = None  # doa sources, or the hybrid node's interferers
     transform: PmeTransform | None = None
@@ -294,32 +294,26 @@ def _per_row(cfg: ScenarioConfig, quantity: str, fn: Callable) -> tuple:
 
 
 def _channels(p: Pipeline, cfg: ScenarioConfig) -> None:
-    """Each row's (generating, inverting) channel pair: ``eta_true``, when set, generates
-    the path losses; ranging inverts them with ``eta``. The rows' pairs differ only in
-    their shadowing std, which ``p.sigma_db`` holds per row."""
-    p.models = _per_row(
-        cfg, "shadowing std", lambda snr: (cfg.channel_at(snr, eta=cfg.eta_true), cfg.channel_at(snr))
-    )
-    p.inverting = tuple(inverting for _, inverting in p.models)
+    """Each row's inverting channel, ``eta`` at the row's shadowing std (held in
+    ``p.sigma_db``), which weighs its ranges; and the one (generating, inverting) pair
+    that ranges every row (:func:`channel.range_stack`): ``eta_true``, when set,
+    generates the path losses, and ranging inverts them with ``eta``. The rows' channels
+    differ only in their shadowing std, which range_stack takes per trial instead."""
+    p.inverting = _per_row(cfg, "shadowing std", cfg.channel_at)
     p.sigma_db = np.array([inverting.sigma_db for inverting in p.inverting])
+    p.channel = (cfg.channel_at(cfg.snr_grid_db[0], eta=cfg.eta_true), p.inverting[0])
 
 
 def _trilateration(points, ls: bool, inverting) -> LopMatrix:
     """The LOP matrix of ``points`` (collinear ones raise). An ``A^T A`` that every
     unweighted solve rejects is a config error for an ``ls`` fix, and for a weighted one
-    if any row's ``inverting`` channel has no shadowing: there WLS weighs every range
-    alike and Huber starts from LS. Other weighted solves check their own drawn
-    weights."""
+    if any row's ``inverting`` channel has no shadowing (:func:`rss.unshadowed`): there
+    WLS weighs every range alike and Huber starts from LS. Other weighted solves check
+    their own drawn weights."""
     lop = lop_matrix(points)
-    if lop.gram_cond > MAX_CONDITION:
-        cond = f"cond(A^T A) {lop.gram_cond:.3g}"
-        if ls:
-            raise ConfigError(f"anchor layout ill-conditioned for LS: {cond}")
-        if any(lognormal_sigma_d(model) == 0.0 for model in inverting):
-            raise ConfigError(
-                f"anchor layout ill-conditioned for the unweighted fix of a row without "
-                f"shadowing: {cond}"
-            )
+    if lop.gram_cond > MAX_CONDITION and (ls or any(map(unshadowed, inverting))):
+        fix = "LS" if ls else "the unweighted fix of a row without shadowing"
+        raise ConfigError(f"anchor layout ill-conditioned for {fix}: cond(A^T A) {lop.gram_cond:.3g}")
     return lop
 
 
@@ -363,11 +357,11 @@ def _front_end(
     if ``coherent``; their power, and each row's noise power, must be floats. A ring
     reaches smoothing, and every estimator but MUSIC, only through its phase-mode
     beamspace, whose 2h+1-element virtual array is then what the estimator works on.
-    Builds ``p.transform``, ``p.plan``, ``p.scan`` (a MUSIC scan must be able to show
-    a peak per source, :func:`doa.scan_capacity`) and ``p.draw``."""
+    Builds ``p.noise``, ``p.transform``, ``p.plan``, ``p.scan`` (a MUSIC scan must be
+    able to show a peak per source, :func:`doa.scan_capacity`) and ``p.draw``."""
     count, ring = len(amplitudes), isinstance(geometry, UniformCircularArray)
-    with np.errstate(over="ignore"):  # a check; each trial's draw redoes it
-        _per_row(p.cfg, "noise power", lambda snr: noise_power(amplitudes, snr))
+    with np.errstate(over="ignore"):  # a total power past the float range raises instead
+        p.noise = _per_row(p.cfg, "noise power", lambda snr: noise_power(amplitudes, snr))
     smoothed = prep in ("fss", "fbss")
     if ring and (smoothed or method != "music"):
         p.transform = build_transform(geometry)
@@ -454,15 +448,20 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
         if coincident(np.append(bearing, p.sources.azimuths)):
             bearing = math.degrees(bearing)
             raise ConfigError(f"target bearing {bearing:g} deg is an interferer's")
+    # fbss's fix trilaterates from the ring's elements: name the first two that coincide
+    if scheme == "fbss":
+        for i, j in np.argwhere(np.triu(np.all(positions[:, None] == positions, axis=-1), 1))[:1]:
+            raise ConfigError(f"fbss trilaterates from ring elements {i} and {j}, which coincide")
     if scheme in ("ls", "wls", "fbss"):  # the points fusion trilaterates from
         p.fix = _STEPS["estimator", "wls" if scheme == "wls" else "ls"]
         p.lop = _trilateration(p.ranged, scheme != "wls", p.inverting)
 
 
-def _pipeline(cfg: ScenarioConfig, kind: str) -> Pipeline:
+def _pipeline(cfg: ScenarioConfig, kind: str, command: str | None = None) -> Pipeline:
     """The scenario compiled for ``kind``, built on first use and cached on the config.
     Compiling draws no randomness, so whatever fails in it fails for the config alone
-    and is reported as a :class:`ConfigError` (a ``KeyError`` means an unknown method)."""
+    and is reported as a :class:`ConfigError` (a ``KeyError`` means an unknown method)
+    that names the ``command`` compiling it, ``kind`` by default."""
     if kind not in _COMPILERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     if kind not in cfg._pipelines:
@@ -474,7 +473,7 @@ def _pipeline(cfg: ScenarioConfig, kind: str) -> Pipeline:
         except ConfigError:
             raise
         except (KeyError, ValueError, WsnlocError) as exc:
-            raise ConfigError(f"{kind} scenario: {exc}") from exc
+            raise ConfigError(f"{command or kind} scenario: {exc}") from exc
         cfg._pipelines[kind] = pipeline
     return cfg._pipelines[kind]
 
@@ -538,7 +537,7 @@ def _rss_stack(p: Pipeline, pairs: list) -> tuple:
     drawn = _draws(p, pairs, lambda rng, si: (_draw_target(p, rng), rng.normal(0.0, 1.0, size=k)))
     targets, shadows = zip(*drawn)
     targets, rows = np.array(targets), np.array([si for si, _ in pairs])
-    d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.models[0])
+    d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.channel)
     failed = np.where(_usable(d), None, NonPositiveDistance(_BAD_RANGE))
     return _score(targets, *_fixes(p, rows, d, failed))
 
@@ -548,7 +547,7 @@ def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
     ``synthesize_snapshots``), forms its snapshots on the steering matrix built at
     compile, runs the method on them and scores its estimates against the sorted truths
     (:func:`doa.azimuth_error`)."""
-    est = p.step(p, snapshots(p.steer, *p.draw(p.cfg.snr_grid_db[snr_index], rng))).azimuths
+    est = p.step(p, snapshots(p.steer, *p.draw(p.noise[snr_index], rng))).azimuths
     error = azimuth_error(est, p.truth, isinstance(p.geometry, UniformCircularArray))
     return TrialResult(estimate=np.degrees(est), truth=p.truth_deg, error=error)
 
@@ -567,11 +566,11 @@ def _hybrid_stack(p: Pipeline, pairs: list) -> tuple:
 
     def draw(rng, si):
         target = _draw_target(p, rng)
-        return target, p.draw(p.cfg.snr_grid_db[si], rng), rng.normal(0.0, 1.0, size=len(p.ranged))
+        return target, p.draw(p.noise[si], rng), rng.normal(0.0, 1.0, size=len(p.ranged))
 
     targets, signals, shadows = zip(*_draws(p, pairs, draw))
     targets, rows = np.array(targets), np.array([si for si, _ in pairs])
-    d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.models[0])
+    d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.channel)
     center = p.node.center  # each bearing as bearing_to gives it
     azimuths = np.arctan2(targets[:, 1] - center[1], targets[:, 0] - center[0])[:, None]
     if p.sources is not None:  # the target's bearing first, then the interferers
@@ -671,8 +670,7 @@ def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) 
     p = _pipeline(cfg, kind)
     snr_index, trial_index = operator.index(snr_index), operator.index(trial_index)
     if p.stack is None:
-        (rng,) = _trial_rngs(cfg.seed, snr_index, [trial_index])
-        return p.trial(p, snr_index, rng)
+        return p.trial(p, snr_index, *_chunk_rngs(cfg.seed, [(snr_index, trial_index)]))
     (truth,), (estimate,), (error,), (failed,) = p.stack(p, [(snr_index, trial_index)])
     if failed is not None:
         raise failed
@@ -729,15 +727,13 @@ def compute_spectrum(cfg: ScenarioConfig) -> Spectrum:
     """The seeded MUSIC spectrum for trial 0 at the first grid SNR."""
     if cfg.method["doa"] != "music":
         raise ConfigError("spectrum dumps need method.doa == 'music'")
-    p = _pipeline(cfg, "doa")
-    rng = rng_for_trial(cfg.seed, 0, 0)
-    snr_db = cfg.snr_grid_db[0]
+    p = _pipeline(cfg, "doa", "spectrum")
     with np.errstate(**_QUIET):
-        x = snapshots(p.steer, *p.draw(snr_db, rng))
+        x = snapshots(p.steer, *p.draw(p.noise[0], *_chunk_rngs(cfg.seed, [(0, 0)])))
         try:
             spectrum = music_spectrum(p.prepare(p, x), p.scan, p.sources.count, p.grid_step)
         except NumericOverflow as exc:  # the sample covariance left the float range
-            raise ConfigError(f"snr {snr_db:g} dB: {exc}") from exc
+            raise ConfigError(f"snr {cfg.snr_grid_db[0]:g} dB: {exc}") from exc
     return spectrum
 
 

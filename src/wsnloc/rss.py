@@ -58,8 +58,9 @@ def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
     The weight matrix is the inverse of the diagonal of that covariance
     (rows are treated as independent; with equal anchor distances the
     weights collapse to a multiple of the identity and WLS reduces to
-    plain LS). With sigma_db = 0 every variance vanishes and the identity
-    is returned.
+    plain LS). Where s^2 is 0 (:func:`unshadowed`) every variance vanishes
+    and the identity is returned. Where s^2 is so small that the difference
+    rounds to 0, it is taken as exp(4 s^2) expm1(4 s^2).
 
     Raises ``NumericOverflow`` when a variance or weight leaves the float
     range (shadowing beyond about 41 eta dB, or ranges near 1e77 or 1e-77).
@@ -72,6 +73,15 @@ def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
     return np.diag(only(*wls_row_weights(model, d[None])))
 
 
+def unshadowed(model: ChannelModel) -> bool:
+    """Whether ranging through ``model`` has no shadowing to weigh: its log-domain
+    variance s^2 (:func:`channel.lognormal_sigma_d` squared) is 0, which it also is where
+    a tiny std, or a huge path-loss exponent, underflows it. (``s * s``: ``s ** 2``
+    raises ``OverflowError`` where s^2 is past the float range.)"""
+    s = lognormal_sigma_d(model)
+    return s * s == 0.0
+
+
 def wls_row_weights(model: ChannelModel, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal of :func:`wls_weights` for each row of a (T, S) block of ranges.
 
@@ -79,14 +89,16 @@ def wls_row_weights(model: ChannelModel, distances: np.ndarray) -> tuple[np.ndar
     ``wls_weights`` raises for it, or ``None``. The ranges are not checked.
     """
     rows, cols = distances.shape[0], distances.shape[1] - 1
-    sigma_d = lognormal_sigma_d(model)
-    if sigma_d == 0.0:
+    if unshadowed(model):
         return np.ones((rows, cols)), np.full(rows, None, dtype=object)
     try:
-        spread = math.exp(8.0 * sigma_d**2) - math.exp(4.0 * sigma_d**2)
+        s2 = lognormal_sigma_d(model) ** 2
+        spread = math.exp(8.0 * s2) - math.exp(4.0 * s2)
     except OverflowError:
         error = NumericOverflow(f"ranging variance overflows at {model.sigma_db:g} dB")
         return np.full((rows, cols), np.nan), np.full(rows, error, dtype=object)
+    if not spread > 0.0:  # exp(8 s^2) and exp(4 s^2) round alike: keep s^2's digits
+        spread = math.exp(4.0 * s2) * math.expm1(4.0 * s2)
     var = np.exp(4.0 * np.log(distances)) * spread
     weights = 1.0 / (var[:, :-1] + var[:, -1:])
     failed = np.full(rows, None, dtype=object)
@@ -222,7 +234,7 @@ def huber_by_row(lop: LopMatrix, models, rows, d, epsilon) -> tuple[np.ndarray, 
     (no shadowing: every WLS weight alike) from the LS one. Returns the (T, 2) positions
     and the per-row failures."""
     pos, failed = np.empty((len(d), 2)), np.empty(len(d), dtype=object)
-    shadowed = np.array([model.sigma_db > 0 for model in models])[rows]
+    shadowed = np.array([not unshadowed(model) for model in models])[rows]
     for at in (np.flatnonzero(shadowed), np.flatnonzero(~shadowed)):
         if at.size:
             weighted = wls_weights_by_row(models, rows[at], d[at]) if shadowed[at[0]] else ()

@@ -24,6 +24,7 @@ from wsnloc.arrays import (
     SourceSet,
     UniformCircularArray,
     draw_signals,
+    noise_power,
     sample_covariance,
     steering_matrix,
     synthesize_snapshots,
@@ -76,7 +77,8 @@ def scenario(**changes) -> ScenarioConfig:
 def one_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> tuple:
     """One trial ranged and solved on its own, the way trials ran before rows were
     stacked: its LOP system, then ``lop_oracle``'s LS, WLS or Huber solve of it."""
-    gen_model, inv_model = harness._pipeline(cfg, "rss").models[snr_index]
+    snr_db = cfg.snr_grid_db[snr_index]
+    gen_model, inv_model = cfg.channel_at(snr_db, eta=cfg.eta_true), cfg.channel_at(snr_db)
     rng = rng_for_trial(cfg.seed, snr_index, trial_index)
     target = cfg.target
     while isinstance(target, str):  # a random target, drawn clear of the anchors
@@ -95,7 +97,9 @@ def one_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> tuple:
     elif estimator == "wls":
         est = lop_oracle.normal_solve(a, b, np.diag(wls_weights(inv_model, d)))
     else:
-        weights = np.diag(wls_weights(inv_model, d)) if inv_model.sigma_db > 0 else None
+        # a log-domain variance that is 0, or underflows to it, has nothing to weigh
+        shadowed = (inv_model.sigma_db * math.log(10.0) / (10.0 * inv_model.eta)) ** 2 > 0.0
+        weights = np.diag(wls_weights(inv_model, d)) if shadowed else None
         est, _ = lop_oracle.huber(a, b, cfg.method["huber_epsilon"], weights)
     error = distance(est, target)
     if not math.isfinite(error):
@@ -174,8 +178,15 @@ ESTIMATORS = ("ls", "wls", "huber")
         {"target": "random", "channel": {"eta_true": 1.7, "sigma_ref_db": 3.0}},
         # no shadowing: WLS weighs every row alike and Huber starts from LS
         {"channel": {"sigma_ref_db": 0.0}},
+        # a log-domain variance so small that exp(8 s^2) and exp(4 s^2) round alike
+        {"snr_grid_db": [200.0, 400.0]},
+        # one that underflows to 0, from a tiny std or a huge path-loss exponent
+        {"channel": {"sigma_ref_db": 1e-300}},
+        {"channel": {"eta": 1e300}},
     ],
-    ids=["fixed", "random", "eta-true", "random-eta-true", "noiseless"],
+    ids=[
+        "fixed", "random", "eta-true", "random-eta-true", "noiseless", "vanishing", "tiny", "steep"
+    ],
 )
 def test_stacked_rows_equal_looped_trials(estimator, changes):
     classes = check_rows(scenario(**changes).with_method(estimator=estimator))
@@ -221,6 +232,15 @@ def test_ill_conditioned_layout_without_shadowing_is_a_config_error(estimator):
     }
 
 
+@pytest.mark.parametrize("estimator", ["wls", "huber"])
+@pytest.mark.parametrize("channel", [{"sigma_ref_db": 1e-300}, {"eta": 1e300}])
+def test_ill_conditioned_layout_with_underflowing_shadowing_is_a_config_error(estimator, channel):
+    # a shadowing whose log-domain variance underflows to 0 is no shadowing
+    flat = scenario(anchors=FOUND_LAYOUT, target=[30.0, 60.0], channel=channel)
+    with pytest.raises(ConfigError, match="ill-conditioned .* without shadowing"):
+        monte_carlo(flat.with_method(estimator=estimator), "rss")
+
+
 @pytest.mark.parametrize(
     "estimator, sigma_ref, expected",
     [
@@ -251,7 +271,7 @@ def test_one_ulp_square_of_the_last_range():
     rng = rng_for_trial(7, 3, 16)
     target = harness._draw_target(p, rng)
     shadows = [rng.normal(0.0, 1.0, size=4)]
-    d = range_stack(p.ranged, target[None], shadows, p.sigma_db[[3]], *p.models[0])[0]
+    d = range_stack(p.ranged, target[None], shadows, p.sigma_db[[3]], *p.channel)[0]
     assert d[-1] ** 2 != (d[None, -1:] ** 2)[0, 0]
     single = run_trial(cfg, "rss", 3, 16)
     batched = row(p, 3)[16]
@@ -396,16 +416,17 @@ def test_row_ranges_equal_looped_path_loss(cfg):
     rng = np.random.default_rng(3)
     targets = rng.uniform(0.0, cfg.region[0], (200, 2))
     shadows = [np.random.default_rng(t).normal(0.0, 1.0, size=len(p.ranged)) for t in range(200)]
-    spread = np.sort(rng.integers(0, len(p.models), 200))
-    for rows in [np.full(200, si) for si in range(len(p.models))] + [spread]:
+    spread = np.sort(rng.integers(0, len(cfg.snr_grid_db), 200))
+    for rows in [np.full(200, si) for si in range(len(cfg.snr_grid_db))] + [spread]:
         looped = []
         for t, target in enumerate(targets):
-            gen_model, inv_model = p.models[rows[t]]
+            snr_db = cfg.snr_grid_db[rows[t]]
+            gen_model, inv_model = cfg.channel_at(snr_db, eta=cfg.eta_true), cfg.channel_at(snr_db)
             assert gen_model.eta == cfg.eta_true != inv_model.eta
             diff = p.ranged - target
             loss = path_loss(np.hypot(diff[:, 0], diff[:, 1]), gen_model, np.random.default_rng(t))
             looped.append(invert_distance(loss, inv_model))
-        d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.models[0])
+        d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.channel)
         assert d.tobytes() == np.array(looped).tobytes()
 
 
@@ -452,7 +473,8 @@ def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
                 azimuths.append(src.azimuths)
                 size = p.geometry.size
                 k = cfg.snapshots
-                signals.append(draw_signals(src.amplitudes, src.coherent, size, k, snr_db, rng))
+                sigma2 = noise_power(src.amplitudes, snr_db)
+                signals.append(draw_signals(src.amplitudes, src.coherent, size, k, sigma2, rng))
                 continue
             x = synthesize_snapshots(p.geometry, src, cfg.snapshots, snr_db, rng)
             if scheme == "fbss":
@@ -620,7 +642,13 @@ def test_shipped_hybrid_chunks_take_the_array_stream_pass(monkeypatch):
     pipelines = shipped_hybrid_pipelines()
     compiled = {(p.cfg.node.geometry.size, p.cfg.method["hybrid"]) for p in pipelines}
     assert {(4, scheme) for scheme in HYBRID_SCHEMES} | {(16, "fbss"), (16, "single")} == compiled
-    monkeypatch.setattr(harness, "_trial_rngs", None)  # the one-by-one path would call it
+    lane = harness._lane
+
+    def array_lane(pool, word, *constants):  # the one-by-one path passes a Python int
+        assert isinstance(word, np.ndarray)
+        return lane(pool, word, *constants)
+
+    monkeypatch.setattr(harness, "_lane", array_lane)
     for p in pipelines:
         assert p.chunk >= harness.ARRAY_PASS, (p.cfg.method, p.chunk)
         pairs = sweep_pairs(p.cfg)
@@ -940,10 +968,11 @@ def test_chunk_mixes_noisy_and_noiseless_rows(scheme):
     # no shadowing), next to the noisy 10 dB row in one chunk
     cfg = hybrid_scenario(scheme, trials=4, snr_grid_db=[10.0, 7000.0])
     p = harness._pipeline(cfg, "hybrid")
-    amplitudes = np.ones(1 if p.sources is None else 1 + p.sources.count)
-    for snr_db, noiseless in [(10.0, False), (7000.0, True)]:
+    amplitudes = np.ones(1) if p.sources is None else np.append(1.0, p.sources.amplitudes)
+    assert p.noise == (noise_power(amplitudes, 10.0), 0.0)  # each row's, worked out once
+    for sigma2, noiseless in zip(p.noise, [False, True]):
         rng = np.random.default_rng(0)
-        noise = draw_signals(amplitudes, False, p.geometry.size, cfg.snapshots, snr_db, rng)[1]
+        noise = draw_signals(amplitudes, False, p.geometry.size, cfg.snapshots, sigma2, rng)[1]
         assert (noise is None) == noiseless
     alone = rows_alone(cfg, "hybrid")
     chunk = trial_outcomes(p.stack(p, sweep_pairs(cfg)))

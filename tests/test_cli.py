@@ -868,6 +868,52 @@ def test_extreme_high_snr_runs(tmp_path, capsys, command, config):
     assert out.exists()
 
 
+def test_coincident_ring_elements_name_themselves(tmp_path, capsys):
+    # at 1e300 Hz the 0.7-wavelength ring shrinks into its center: fbss trilaterates from
+    # its elements, and the error names two of them, not "anchors"
+    raw = shipped("hybrid_coherent_fbss", trials=2)
+    raw["channel"]["frequency_hz"] = 1e300
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    assert main(["hybrid", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: fbss trilaterates from ring elements 0 and 1, which coincide\n"
+    assert not out.exists()
+
+
+# Where the log-domain shadowing variance s^2 underflows to 0, or is so small that
+# exp(8 s^2) and exp(4 s^2) round alike, WLS weighs the ranges as without shadowing, or
+# by exp(4 s^2) expm1(4 s^2); neither fails a trial
+VANISHING_SHADOWING = [
+    ("snr_grid_db", [200.0]),
+    ("snr_grid_db", [400.0]),
+    ("channel", {"sigma_ref_db": 1e-300}),
+    ("channel", {"eta": 1e300}),
+]
+
+
+@pytest.mark.parametrize("estimator", ["wls", "huber"])
+@pytest.mark.parametrize("key, value", VANISHING_SHADOWING)
+def test_vanishing_shadowing_runs(tmp_path, capsys, estimator, key, value):
+    raw = shipped("rss_heterogeneous", trials=3)
+    raw[key] = dict(raw[key], **value) if key == "channel" else value
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    assert main(["rss", "--config", str(cfg), "--out", str(out), "--estimator", estimator]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(out.open()))
+    assert all(row["failures"] == "0" and math.isfinite(float(row["rmse"])) for row in rows)
+
+
+@pytest.mark.parametrize("estimator", ["wls", "huber"])
+@pytest.mark.parametrize("channel", [{"eta": 1e-300}, {"sigma_ref_db": 1e300}])
+def test_log_variance_past_the_float_range_fails_cleanly(tmp_path, capsys, estimator, channel):
+    # s^2 itself overflows: every range leaves the float range, and no trial can run
+    raw = shipped("rss_heterogeneous", trials=3)
+    raw["channel"].update(channel)
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    assert main(["rss", "--config", str(cfg), "--out", str(out), "--estimator", estimator]) == 2
+    assert capsys.readouterr().err.startswith("error: all 3 trials failed at snr=1.0 dB")
+
+
 # Shipped scenarios with sigma_ref_db 100 or 1000 down to -20 dB SNR (a shadowing std of
 # 1000 or 10000 dB): ranges overflow to infinity or underflow to 0, and squared ranges
 # and ranging variances leave the float range
@@ -1044,7 +1090,13 @@ def test_one_extreme_number_ends_cleanly(case):
     [
         ("spectrum_uca", ("array", "n_elements"), 3, ["--decorrelate", "fss"], "music resolves"),
         ("hybrid_coherent_fbss", ("hybrid_node", "n_elements"), 3, [], "fbss resolves"),
-        ("spectrum_uca", ("array", "radius_wavelengths"), 1e300, ["--decorrelate", "fss"], "doa"),
+        (
+            "spectrum_uca",
+            ("array", "radius_wavelengths"),
+            1e300,
+            ["--decorrelate", "fss"],
+            "spectrum scenario: unsupported Bessel range",
+        ),
     ],
 )
 def test_clamped_ring_warns_on_one_line_in_a_process(tmp_path, name, path, value, extra, says):

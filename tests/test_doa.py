@@ -369,7 +369,7 @@ def observed(v, a):
 
 doa._subspace_norms = observed
 ula = UniformLinearArray(n=8, spacing=0.5, wavelength=1.0)
-doa._music_power(np.eye(8, dtype=complex), 2, ula, 0.01)
+doa.music_peaks(np.eye(8, dtype=complex)[None], ula, 2, 0.01)
 print(*seen, count())
 """
 
@@ -433,11 +433,11 @@ class TestScanBlocks:
         assert len(lines) == len(shapes)
         changed, forms = [], set()
         for (n, m, g), q, line in zip(shapes, bases, lines):
-            grid, power = doa._music_power(q, m, ula(n), np.pi / (g + 1))
-            assert grid.size == g
-            a = ula(n).steering(grid)
-            num = np.sum(np.abs(a) ** 2, axis=0)
-            with one_blas_thread:
+            with one_blas_thread:  # as every caller of the scan holds it
+                grid, power = doa._music_power(q, m, ula(n), np.pi / (g + 1))
+                assert grid.size == g
+                a = ula(n).steering(grid)
+                num = np.sum(np.abs(a) ** 2, axis=0)
                 assert power.tobytes() == scan_power(q[:, :m], q[:, m:], a, num).tobytes()
             if power.tobytes().hex() != line:
                 changed.append((n, m, g))
@@ -488,7 +488,7 @@ class TestScanBlocks:
 
         def scans():
             for _ in range(200):
-                doa._music_power(q, 1, ring, np.radians(0.1))
+                doa.music_peaks(q[None], ring, 1, np.radians(0.1))
 
         threads = [threading.Thread(target=scans) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -503,6 +503,28 @@ class TestScanBlocks:
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 800 and set(seen) == {1}
         assert count() == 2
+
+    def test_one_hold_per_call(self, monkeypatch):
+        # a stack of scans holds the guard once, not once per basis; so does a spectrum
+        entries = []
+
+        class Counted:
+            def __enter__(self):
+                entries.append(None)
+                one_blas_thread.__enter__()
+
+            def __exit__(self, *exc_info):
+                one_blas_thread.__exit__(*exc_info)
+
+        monkeypatch.setattr(doa, "one_blas_thread", Counted())
+        rng = np.random.default_rng(28)
+        q = np.linalg.qr(rng.standard_normal((5, 8, 8)) + 1j * rng.standard_normal((5, 8, 8)))[0]
+        assert doa.music_peaks(q, ula(8), 2)[0].shape == (5, 2)
+        assert len(entries) == 1
+        r = analytic_covariance(ula(8), SourceSet(azimuths=np.radians([-20.0, 35.0])), 0.1)
+        music(r, ula(8), 2)
+        doa.music_spectrum(r, ula(8), 2)
+        assert len(entries) == 3
 
     def test_a_child_at_two_threads_gets_them_back(self):
         openblas_counter()

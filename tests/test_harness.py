@@ -386,19 +386,28 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint32])
     @pytest.mark.parametrize("kind", ["doa", "rss", "hybrid"])
-    def test_numpy_integer_indices(self, kind, integer):
+    def test_numpy_integer_indices(self, kind, integer, monkeypatch):
         # a numpy index is the Python int it holds: the same trial and stream, bit for
         # bit, and no overflow warning from the stream's hash-mix on the way
         cfg = ScenarioConfig.from_dict({"doa": DOA_RAW, "rss": RSS_RAW, "hybrid": HYBRID_RAW}[kind])
         si, ti = len(cfg.snr_grid_db) - 1, cfg.trials - 1
         expected = run_trial(cfg, kind, si, ti)
+        chunk_rngs, made = harness._chunk_rngs, []
+
+        def recorded(seed, pairs):  # each stream's state as the trial receives it
+            rngs = chunk_rngs(seed, pairs)
+            made.append((pairs, [rng.bit_generator.state for rng in rngs]))
+            return rngs
+
+        monkeypatch.setattr(harness, "_chunk_rngs", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_trial(cfg, kind, integer(si), integer(ti))
-            (rng,) = harness._trial_rngs(cfg.seed, integer(si), [integer(ti)])
         assert result.error.hex() == expected.error.hex()
         assert result.estimate.tobytes() == expected.estimate.tobytes()
-        assert rng.bit_generator.state == rng_for_trial(cfg.seed, si, ti).bit_generator.state
+        ((pairs, states),) = made
+        assert pairs == [(si, ti)] and all(type(i) is int for i in pairs[0])
+        assert states == [rng_for_trial(cfg.seed, si, ti).bit_generator.state]
 
 
 class TestMonteCarlo:
@@ -663,16 +672,20 @@ class TestRngStreams:
         ),
     )
     def test_row_streams_are_rng_for_trial(self, seed, snr_index, trials):
-        # numpy's own SeedSequence, behind rng_for_trial, is the oracle of the row deriver
-        for ti, rng in zip(trials, harness._trial_rngs(seed, snr_index, trials), strict=True):
+        # numpy's own SeedSequence, behind rng_for_trial, is the oracle of a chunk under
+        # ARRAY_PASS pairs, which derives its streams one at a time on Python ints
+        rngs = harness._chunk_rngs(seed, [(snr_index, ti) for ti in trials])
+        for ti, rng in zip(trials, rngs, strict=True):
             oracle = rng_for_trial(seed, snr_index, ti)
             assert rng.bit_generator.state == oracle.bit_generator.state
             assert np.array_equal(rng.standard_normal(8), oracle.standard_normal(8))
             assert rng.uniform() == oracle.uniform()
 
     # a chunk's (snr_index, trial_index) pairs in any order across rows: SNR indices past
-    # one uint32 word take other hash constants, and a trial index past one word (or any
-    # chunk under ARRAY_PASS pairs) sends the chunk one trial at a time on Python ints
+    # one uint32 word take other hash constants. A chunk under ARRAY_PASS pairs goes one
+    # trial at a time on Python ints, where a trial index past one word takes
+    # rng_for_trial itself; a larger chunk's trial indices are one word each, as every
+    # sweep's are (at most SIZE_BUDGET trials per row)
     ONE_WORD = st.integers(0, 10**6) | st.sampled_from([0, 2**32 - 1])
     WIDE = ONE_WORD | st.sampled_from([2**32, 2**64 - 1])
     SNR = st.integers(0, 12) | st.sampled_from([2**32 - 1, 2**32, 2**40])
@@ -681,7 +694,7 @@ class TestRngStreams:
     @given(
         seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
         pairs=st.lists(st.tuples(SNR, ONE_WORD), min_size=1, max_size=40)
-        | st.lists(st.tuples(SNR, WIDE), min_size=1, max_size=40),
+        | st.lists(st.tuples(SNR, WIDE), min_size=1, max_size=harness.ARRAY_PASS - 1),
     )
     def test_chunk_streams_are_rng_for_trial(self, seed, pairs):
         # numpy's own SeedSequence, behind rng_for_trial, is the oracle of the chunk deriver
@@ -694,21 +707,26 @@ class TestRngStreams:
             assert rng.uniform() == oracle.uniform()
 
     def test_chunk_of_array_pass_pairs_derives_its_streams_in_one_pass(self, monkeypatch):
-        one_by_one = []
-        trial_rngs = harness._trial_rngs
-        monkeypatch.setattr(
-            harness, "_trial_rngs", lambda *args: one_by_one.append(args) or trial_rngs(*args)
-        )
+        # one _lane call on arrays for the whole chunk; one per pool word and trial, on
+        # Python ints, for a chunk under ARRAY_PASS pairs
+        words, lane = [], harness._lane
+
+        def recorded(pool, word, *constants):
+            words.append(word)
+            return lane(pool, word, *constants)
+
+        monkeypatch.setattr(harness, "_lane", recorded)
         rows = [3, 0, 2**32, 3, 0, 7, 7, 2**40]  # across rows, in no order
         pairs = list(zip(rows, [5, 2**32 - 1, 0, 6, 9, 1, 2, 4]))
         assert len(pairs) == harness.ARRAY_PASS
         rngs = harness._chunk_rngs(11, pairs)
-        assert one_by_one == []
+        assert len(words) == 1 and words[0].shape == (harness.ARRAY_PASS, 1)
         assert [r.bit_generator.state for r in rngs] == [
             rng_for_trial(11, si, ti).bit_generator.state for si, ti in pairs
         ]
+        words.clear()
         harness._chunk_rngs(11, pairs[1:])
-        assert len(one_by_one) == harness.ARRAY_PASS - 1
+        assert words == [ti for _, ti in pairs[1:] for _ in range(4)]
 
 
 class TestCsvOutputs:

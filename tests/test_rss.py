@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnloc import rss
 from wsnloc.channel import ChannelModel, invert_distance, path_loss
 from wsnloc.errors import NumericOverflow, SingularSystem
 from wsnloc.geometry import LinearSystem, build_lop_system, distance, lop_matrix
@@ -109,6 +110,34 @@ class TestWlsWeights:
     def test_zero_sigma_identity_fallback(self):
         noiseless = ChannelModel(d0=1.0, eta=2.0, sigma_db=0.0, wavelength=0.3)
         assert np.allclose(wls_weights(noiseless, np.array([5.0, 9.0, 3.0])), np.eye(2))
+
+    # a log-domain variance s^2 that underflows to 0: a std of 1e-300, or a path-loss
+    # exponent of 1e300
+    @pytest.mark.parametrize("sigma_db, eta", [(1e-300, 2.0), (8.0, 1e300)])
+    def test_underflowing_sigma_identity_fallback(self, sigma_db, eta):
+        noiseless = ChannelModel(d0=1.0, eta=eta, sigma_db=sigma_db, wavelength=0.3)
+        assert np.array_equal(wls_weights(noiseless, np.array([5.0, 9.0, 3.0])), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "sigma_db, eta, expected",
+        [(0.0, 2.0, True), (1e-300, 2.0, True), (8.0, 1e300, True), (8e-20, 2.0, False)]
+        # s^2 past the float range is shadowing, not an OverflowError
+        + [(8.0, 1e-300, False), (1e300, 2.0, False)],
+    )
+    def test_unshadowed_is_a_zero_log_variance(self, sigma_db, eta, expected):
+        model = ChannelModel(d0=1.0, eta=eta, sigma_db=sigma_db, wavelength=0.3)
+        assert rss.unshadowed(model) is expected
+
+    @pytest.mark.parametrize("sigma_db", [8e-10, 8e-20, 1e-150])
+    def test_vanishing_sigma_keeps_its_digits(self, sigma_db):
+        # exp(8 s^2) and exp(4 s^2) round alike, and their difference to 0: the variance
+        # is d^4 (exp(8 s^2) - exp(4 s^2)), which is 4 s^2 d^4 to within s^2
+        model = ChannelModel(d0=1.0, eta=2.0, sigma_db=sigma_db, wavelength=0.3)
+        s2 = (sigma_db * math.log(10) / (10 * model.eta)) ** 2
+        assert s2 > 0.0 and math.exp(8 * s2) == math.exp(4 * s2)
+        d = np.array([5.0, 9.0, 3.0])
+        expected = 1.0 / (4.0 * s2 * (d[:-1] ** 4 + d[-1] ** 4))
+        assert np.diag(wls_weights(model, d)) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "sigma_db, d",
