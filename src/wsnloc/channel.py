@@ -126,14 +126,15 @@ def invert_distance(pl_db: float, model: ChannelModel) -> float:
 def range_stack(points, targets, shadows, sigma_db, generating, inverting) -> np.ndarray:
     """The (T, k) ranges T ``targets`` (T, 2) read from k ``points`` (k, 2), target t
     with the k standard-normal ``shadows[t]`` that :func:`path_loss` would draw for its
-    points, in point order, and its own shadowing std ``sigma_db[t]``. The
+    points, in point order, and its own shadowing std ``sigma_db[t]``. ``shadows`` is a
+    (T, k) float array, taken as it is, or anything ``np.asarray`` makes one of. The
     ``generating`` model gives every mean loss in one :func:`mean_path_loss` call
     (models that differ only in their shadowing std share them), and ``inverting``
     reads the losses back: each range is the value the target's own ``path_loss`` and
     :func:`invert_distance` give under models with its std."""
     diff = points[None] - targets[:, None]
     mean = mean_path_loss(np.hypot(diff[..., 0], diff[..., 1]), generating)
-    return invert_distance(mean + np.array(shadows) * sigma_db[:, None], inverting)
+    return invert_distance(mean + np.asarray(shadows) * sigma_db[:, None], inverting)
 
 
 def measure_rss(

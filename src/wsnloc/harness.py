@@ -28,10 +28,13 @@ trial_index) pairs taken in row-major order, as many as draw at most
 hybrid) and at least one, so a chunk's memory does not grow with ``trials`` or
 the grid, and a row does not end a chunk: 4,096 trials of a 4-anchor rss
 sweep, 40 of the 4-element, 100-snapshot hybrid ring and 10 of a 16-element
-one. Each trial draws on its own stream, at its own row's SNR; the chunk hands
-its draws to the library's stack kernels, which give each trial the bits of
-its own pass, and returns arrays: its (T, 2) truths and estimates, its (T,)
-errors, NaN exactly where a trial failed, and its (T,) failures.
+one. Each trial draws on its own stream, at its own row's SNR, its target
+first; the chunk draws them as arrays, its (T, 2) targets and then its (T, k)
+shadowing terms, one trial's row at a time (a hybrid trial's waveforms and
+noise come in between, per trial), hands them to the library's stack kernels,
+which give each trial the bits of its own pass, and returns arrays: its (T, 2)
+truths and estimates, its (T,) errors, NaN exactly where a trial failed, and
+its (T,) failures.
 :func:`run_trial` is a chunk of one pair. doa trials run one at a time through
 :func:`run_trial`, in row-major order. ``workers`` is still ignored.
 
@@ -241,6 +244,7 @@ class Pipeline:
 
     cfg: ScenarioConfig
     grid_step: float  # MUSIC grid step, radians
+    name: str = ""  # the command compiling it, which its config errors name
     stack: Callable | None = None
     trial: Callable | None = None
     step: Callable | None = None  # doa estimator, hybrid fusion
@@ -338,7 +342,7 @@ def _check_size(p: Pipeline, geometry, scans: bool) -> None:
 
 def _compile_rss(p: Pipeline, cfg: ScenarioConfig) -> None:
     if cfg.anchors is None or cfg.anchors.shape[0] < 3:
-        raise ConfigError("rss scenario needs at least 3 anchors")
+        raise ConfigError(f"{p.name} scenario needs at least 3 anchors")
     p.stack, p.fix = _rss_stack, _STEPS["estimator", cfg.method["estimator"]]
     p.ranged = cfg.anchors
     p.chunk = max(1, ROW_VALUES // len(p.ranged))
@@ -389,7 +393,7 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
     circular arrays reach spatial smoothing only through the phase-mode
     beamspace, and Toeplitz reconstruction is not offered for them."""
     if cfg.array is None or cfg.sources is None:
-        raise ConfigError("doa scenario needs an 'array' and a 'sources' section")
+        raise ConfigError(f"{p.name} scenario needs an 'array' and a 'sources' section")
     method, prep = cfg.method["doa"], cfg.method["decorrelate"]
     _check_size(p, cfg.array, scans=method == "music")
     p.trial, p.step, p.prepare = _doa_trial, _STEPS["doa", method], _STEPS["decorrelate", prep]
@@ -416,7 +420,7 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
     target signal's coherent copies, through the ring's phase-mode beamspace."""
     scheme = cfg.method["hybrid"]
     if cfg.node is None:
-        raise ConfigError("hybrid scenario needs a 'hybrid_node' section")
+        raise ConfigError(f"{p.name} scenario needs a 'hybrid_node' section")
     p.stack, p.step = _hybrid_stack, _STEPS["hybrid", scheme]
     p.node = node = cfg.node
     _check_size(p, node.geometry, scans=True)
@@ -460,27 +464,27 @@ def _compile_hybrid(p: Pipeline, cfg: ScenarioConfig) -> None:
 def _pipeline(cfg: ScenarioConfig, kind: str, command: str | None = None) -> Pipeline:
     """The scenario compiled for ``kind``, built on first use and cached on the config.
     Compiling draws no randomness, so whatever fails in it fails for the config alone
-    and is reported as a :class:`ConfigError` (a ``KeyError`` means an unknown method)
-    that names the ``command`` compiling it, ``kind`` by default."""
+    and is reported as a :class:`ConfigError` (a ``KeyError`` means an unknown method);
+    a missing section, or an error the compiler does not raise itself, names the
+    ``command`` compiling it (``Pipeline.name``), ``kind`` by default."""
     if kind not in _COMPILERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     if kind not in cfg._pipelines:
         if cfg.trials > SIZE_BUDGET:  # monte_carlo holds each row's errors as one array
             raise ConfigError(f"{cfg.trials:,} trials per row, over the budget of {SIZE_BUDGET:,}")
-        pipeline = Pipeline(cfg, math.radians(cfg.method["grid_step_deg"]))
+        pipeline = Pipeline(cfg, math.radians(cfg.method["grid_step_deg"]), command or kind)
         try:
             _COMPILERS[kind](pipeline, cfg)
         except ConfigError:
             raise
         except (KeyError, ValueError, WsnlocError) as exc:
-            raise ConfigError(f"{command or kind} scenario: {exc}") from exc
+            raise ConfigError(f"{pipeline.name} scenario: {exc}") from exc
         cfg._pipelines[kind] = pipeline
     return cfg._pipelines[kind]
 
 
 def _draw_target(p: Pipeline, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(p.cfg.target, np.ndarray):
-        return p.cfg.target
+    """One random target, placed by rejection clear of ``p.clearance``."""
     width, height = p.cfg.region
     points, radii = p.clearance
     for _ in range(1000):
@@ -490,11 +494,24 @@ def _draw_target(p: Pipeline, rng: np.random.Generator) -> np.ndarray:
     raise ConfigError("could not place a random target clear of the ranging nodes")
 
 
-def _draws(p: Pipeline, pairs: list, draw: Callable) -> list:
-    """``draw(rng, snr_index)`` for each (snr_index, trial_index) pair of a chunk, on the
-    trial's own stream; :func:`_chunk_rngs` derives the chunk's streams, from
-    :data:`ARRAY_PASS` pairs on in one array pass over all its rows."""
-    return [draw(rng, si) for rng, (si, _) in zip(_chunk_rngs(p.cfg.seed, pairs), pairs)]
+def _draw_targets(p: Pipeline, rngs: list) -> np.ndarray:
+    """The (T, 2) targets of a chunk's trials, each the first draw on its trial's
+    stream in ``rngs``: a fixed target is tiled, with no draw; a random one is placed
+    trial by trial by rejection (:func:`_draw_target`), so its draws vary per trial."""
+    if isinstance(p.cfg.target, np.ndarray):
+        return np.tile(p.cfg.target, (len(rngs), 1))
+    return np.array([_draw_target(p, rng) for rng in rngs])
+
+
+def _draw_shadows(rngs: list, k: int) -> np.ndarray:
+    """The (T, k) standard-normal shadowing terms of a chunk's trials, row t the next k
+    normals on trial t's stream, filled in place: the bits of ``rng.normal(0.0, 1.0,
+    size=k)``, whose ``0.0 + 1.0 * z`` turns a drawn -0.0 into +0.0, as adding 0.0 does."""
+    shadows = np.empty((len(rngs), k))
+    for rng, row in zip(rngs, shadows):
+        rng.standard_normal(out=row)
+    shadows += 0.0
+    return shadows
 
 
 def _usable(d: np.ndarray) -> np.ndarray:
@@ -529,14 +546,15 @@ def _score(targets: np.ndarray, est: np.ndarray, failed: np.ndarray) -> tuple:
 
 
 def _rss_stack(p: Pipeline, pairs: list) -> tuple:
-    """Each trial of the chunk ``pairs`` draws its target and shadowing from its own
-    stream; the chunk then ranges, checks and solves all its trials as one (T, k)
+    """Each trial of the chunk ``pairs`` draws its target, then its k shadowing terms,
+    from its own stream (:func:`_chunk_rngs`): the chunk draws its (T, 2) targets
+    (:func:`_draw_targets`), then fills its (T, k) shadowing one trial's row at a time
+    (:func:`_draw_shadows`), and ranges, checks and solves all its trials as one (T, k)
     block. A trial that fails a check gets the error its own solve would raise, and
     leaves the others alone. Returns the chunk's outcome (:func:`_score`)."""
-    k = len(p.ranged)
-    drawn = _draws(p, pairs, lambda rng, si: (_draw_target(p, rng), rng.normal(0.0, 1.0, size=k)))
-    targets, shadows = zip(*drawn)
-    targets, rows = np.array(targets), np.array([si for si, _ in pairs])
+    rngs = _chunk_rngs(p.cfg.seed, pairs)
+    targets, rows = _draw_targets(p, rngs), np.array([si for si, _ in pairs])
+    shadows = _draw_shadows(rngs, len(p.ranged))
     d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.channel)
     failed = np.where(_usable(d), None, NonPositiveDistance(_BAD_RANGE))
     return _score(targets, *_fixes(p, rows, d, failed))
@@ -554,7 +572,9 @@ def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
 
 def _hybrid_stack(p: Pipeline, pairs: list) -> tuple:
     """Each trial of the chunk ``pairs`` draws its target, signal, noise (at its row's
-    SNR) and shadowing from its own stream; the chunk then checks each trial's sources
+    SNR) and shadowing from its own stream, in that order: the chunk draws its targets
+    (:func:`_draw_targets`), then each trial's signal and noise (``p.draw``), then its
+    shadowing (:func:`_draw_shadows`). The chunk then checks each trial's sources
     for two on one azimuth (:func:`arrays.coincident`), splits their covariances
     (:func:`doa.eigenbases`), scans their MUSIC spectra and picks their peaks one
     basis at a time (:func:`music_peaks`), ranges its trials as one (T, k) block
@@ -563,13 +583,10 @@ def _hybrid_stack(p: Pipeline, pairs: list) -> tuple:
     raise first: its sources' (a target on an interferer's bearing), its ranges' (fbss
     only), its covariance's, its spectrum's, its ranges', its fix's, its fusion's, its
     score's. Returns the chunk's outcome (:func:`_score`)."""
-
-    def draw(rng, si):
-        target = _draw_target(p, rng)
-        return target, p.draw(p.noise[si], rng), rng.normal(0.0, 1.0, size=len(p.ranged))
-
-    targets, signals, shadows = zip(*_draws(p, pairs, draw))
-    targets, rows = np.array(targets), np.array([si for si, _ in pairs])
+    rngs = _chunk_rngs(p.cfg.seed, pairs)
+    targets, rows = _draw_targets(p, rngs), np.array([si for si, _ in pairs])
+    signals = [p.draw(p.noise[si], rng) for rng, (si, _) in zip(rngs, pairs)]
+    shadows = _draw_shadows(rngs, len(p.ranged))
     d = range_stack(p.ranged, targets, shadows, p.sigma_db[rows], *p.channel)
     center = p.node.center  # each bearing as bearing_to gives it
     azimuths = np.arctan2(targets[:, 1] - center[1], targets[:, 0] - center[0])[:, None]

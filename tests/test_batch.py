@@ -269,7 +269,7 @@ def test_one_ulp_square_of_the_last_range():
     cfg = dataclasses.replace(cfg, seed=7, trials=30).with_method(estimator="ls")
     p = harness._pipeline(cfg, "rss")
     rng = rng_for_trial(7, 3, 16)
-    target = harness._draw_target(p, rng)
+    (target,) = harness._draw_targets(p, [rng])
     shadows = [rng.normal(0.0, 1.0, size=4)]
     d = range_stack(p.ranged, target[None], shadows, p.sigma_db[[3]], *p.channel)[0]
     assert d[-1] ** 2 != (d[None, -1:] ** 2)[0, 0]
@@ -463,7 +463,7 @@ def test_hybrid_row_subspaces_equal_looped_kernels(scheme, snr_db):
     for ti in range(cfg.trials):
         for stack in (True, False):
             rng = rng_for_trial(cfg.seed, 0, ti)
-            bearing = bearing_to(p.node.center, harness._draw_target(p, rng))
+            bearing = bearing_to(p.node.center, harness._draw_targets(p, [rng])[0])
             if scheme == "fbss":
                 bearings = [bearing, *cfg.interferers.azimuths]
                 src = SourceSet(bearings, [1.0, 0.6, 0.6], coherent=True)
@@ -837,6 +837,101 @@ def test_rss_row_chunk_holds_bounded_path_losses(anchors, size):
     assert len(list(harness._outcomes(p))) == 15000
     assert [len(c) for c in chunks] == [size] * (15000 // size) + [15000 % size]
     assert [pair for c in chunks for pair in c] == sweep_pairs(cfg)
+
+
+# --- a chunk's draws against each trial's own --------------------------------------------
+# A chunk draws all its targets, then (hybrid) each trial's waveforms and noise, then its
+# (T, k) shadowing; each trial's stream is its own, so that is each trial's own order.
+
+
+def looped_draws(p, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's target and shadowing drawn on its own, on ``rng_for_trial``'s stream:
+    a random target placed by rejection clear of the compiled clearance points, then
+    (hybrid) the trial's waveforms and noise, then ``normal(0.0, 1.0, k)``."""
+    cfg, (points, radii) = p.cfg, p.clearance
+    targets, shadows = [], []
+    for si, ti in pairs:
+        rng = rng_for_trial(cfg.seed, si, ti)
+        target = cfg.target
+        while isinstance(target, str):
+            cand = np.array([rng.uniform(0, cfg.region[0]), rng.uniform(0, cfg.region[1])])
+            if all(distance(cand, q) >= r for q, r in zip(points, radii)):
+                target = cand
+        targets.append(target)
+        if p.draw is not None:
+            p.draw(p.noise[si], rng)
+        shadows.append(rng.normal(0.0, 1.0, len(p.ranged)))
+    return np.array(targets), np.array(shadows)
+
+
+def stacked_draws(monkeypatch, p, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The targets and shadowing a chunk of ``pairs`` ranges, as ``range_stack`` gets
+    them; the chunk's truths are its targets."""
+    seen = []
+
+    def spy(points, targets, shadows, *rest):
+        seen.append((targets, shadows))
+        return range_stack(points, targets, shadows, *rest)
+
+    monkeypatch.setattr(harness, "range_stack", spy)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        truths = p.stack(p, pairs)[0]
+    ((targets, shadows),) = seen
+    assert truths.tobytes() == targets.tobytes()
+    return targets, shadows
+
+
+@pytest.mark.parametrize(
+    "kind, changes",
+    [
+        ("rss", {}),
+        ("rss", {"target": "random"}),
+        # 7,000 dB: the row's shadowing std underflows to 0, and its trials still draw
+        ("rss", {"target": "random", "trials": 40, "snr_grid_db": [1.0, 7000.0]}),
+        ("hybrid", {"target": "random", "trials": 40, "snr_grid_db": [10.0, 20.0]}),
+    ],
+    ids=["rss-fixed", "rss-random", "rss-unshadowed-row", "hybrid-random"],
+)
+@pytest.mark.parametrize("size", [harness.ARRAY_PASS - 1, harness.ARRAY_PASS, 30])
+def test_chunk_draws_equal_looped_draws(monkeypatch, kind, changes, size):
+    # chunks that cross a row, under ARRAY_PASS pairs (streams one at a time) and at or
+    # past it (one array pass); a random target's rejection draws vary per trial
+    cfg = scenario(**changes) if kind == "rss" else hybrid_scenario("single", **changes)
+    p = harness._pipeline(cfg, kind)
+    pairs = sweep_pairs(cfg)[cfg.trials - 3 :][:size]
+    assert len(pairs) == size and pairs[0][0] != pairs[-1][0]
+    targets, shadows = stacked_draws(monkeypatch, p, pairs)
+    assert isinstance(shadows, np.ndarray) and shadows.shape == (size, len(p.ranged))
+    oracle_targets, oracle_shadows = looped_draws(p, pairs)
+    assert targets.tobytes() == oracle_targets.tobytes()
+    assert shadows.tobytes() == oracle_shadows.tobytes()
+    rows = np.array([si for si, _ in pairs])
+    if 7000.0 in cfg.snr_grid_db:
+        assert p.sigma_db[1] == 0.0 and np.all(shadows[rows == 1] != 0.0)
+    if isinstance(cfg.target, str):  # distinct draws, not one target repeated
+        assert len(np.unique(targets, axis=0)) == size
+
+
+def test_a_drawn_negative_zero_shadowing_term_reads_positive_zero():
+    # Generator.normal(0.0, 1.0) returns 0.0 + 1.0 * z, so a standard normal of -0.0
+    # reads +0.0; the chunk's in-place fill adds the 0.0 itself
+    class NegativeZeros:
+        def standard_normal(self, out):
+            out[...] = -0.0
+
+    shadows = harness._draw_shadows([NegativeZeros(), NegativeZeros()], 3)
+    assert shadows.shape == (2, 3) and not np.signbit(shadows).any()
+    assert not np.signbit(0.0 + 1.0 * -0.0)
+
+
+def test_range_stack_takes_an_array_or_its_rows():
+    p = harness._pipeline(scenario(), "rss")
+    rng = np.random.default_rng(11)
+    targets, shadows = rng.uniform(0.0, 100.0, (9, 2)), rng.standard_normal((9, 4))
+    sigma_db = p.sigma_db[rng.integers(0, 3, 9)]
+    whole = range_stack(p.ranged, targets, shadows, sigma_db, *p.channel)
+    rows = range_stack(p.ranged, targets, list(shadows), sigma_db, *p.channel)
+    assert whole.shape == (9, 4) and whole.tobytes() == rows.tobytes()
 
 
 def assert_same_outcome(chunked, alone):

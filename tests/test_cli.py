@@ -880,6 +880,22 @@ def test_coincident_ring_elements_name_themselves(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, says",
+    [
+        ("spectrum", "spectrum scenario needs an 'array' and a 'sources' section"),
+        ("doa", "doa scenario needs an 'array' and a 'sources' section"),
+        ("hybrid", "hybrid scenario needs a 'hybrid_node' section"),
+    ],
+)
+def test_missing_section_names_the_command(tmp_path, capsys, command, says):
+    # spectrum compiles the doa pipeline; its error names the command that was run
+    cfg, out = CONFIGS / "rss_heterogeneous.json", tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {says}\n"
+    assert not out.exists()
+
+
 # Where the log-domain shadowing variance s^2 underflows to 0, or is so small that
 # exp(8 s^2) and exp(4 s^2) round alike, WLS weighs the ranges as without shadowing, or
 # by exp(4 s^2) expm1(4 s^2); neither fails a trial

@@ -698,8 +698,7 @@ class TestRngStreams:
     )
     def test_chunk_streams_are_rng_for_trial(self, seed, pairs):
         # numpy's own SeedSequence, behind rng_for_trial, is the oracle of the chunk deriver
-        p = harness.Pipeline(dataclasses.replace(ScenarioConfig.from_dict(RSS_RAW), seed=seed), 0.0)
-        rngs = harness._draws(p, pairs, lambda rng, si: rng)
+        rngs = harness._chunk_rngs(seed, pairs)
         for (si, ti), rng in zip(pairs, rngs, strict=True):
             oracle = rng_for_trial(seed, si, ti)
             assert rng.bit_generator.state == oracle.bit_generator.state
