@@ -80,7 +80,7 @@ def scan_capacity(geometry, grid_step: float) -> int:
     are neighbours. A geometry whose steering vectors on the grid are one vector to within
     rounding (a ring or line with no aperture to speak of) has a spectrum that is flat but
     for rounding, which shows no peak of a source."""
-    grid, a, _, _ = _scan(geometry, grid_step)
+    grid, a, _ = _scan(geometry, grid_step)
     g = grid.size
     if g == 0:
         return 0
@@ -161,9 +161,8 @@ def _angle_grid(geometry, step: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _scan(geometry, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.float64]:
-    """The MUSIC scan of a geometry: grid, steering matrix, the a^H a numerator and its
-    largest value (0 on an empty grid).
+def _scan(geometry, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The MUSIC scan of a geometry: grid, steering matrix and the a^H a numerator.
 
     They depend only on the (hashable, frozen) geometry and the step, so every
     equal geometry shares one read-only copy.
@@ -173,7 +172,7 @@ def _scan(geometry, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     num = np.sum(np.abs(a) ** 2, axis=0)
     for arr in (grid, a, num):
         arr.flags.writeable = False
-    return grid, a, num, num.max(initial=0.0)
+    return grid, a, num
 
 
 def _pick_peaks(
@@ -201,12 +200,9 @@ def _subspace_norms(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """||V^H a||^2 for each column of the steering matrix ``a``, from one product V^H a.
     Its callers' entry points (:func:`music_peaks`, :func:`_spectrum`) hold OpenBLAS on
     one thread (:data:`numerics.one_blas_thread`), so the product's bits do not depend
-    on the caller's BLAS thread count and no worker thread spins between scans. A
-    one-column ``v`` returns the row's squares as they are: a sum over one term is that
-    term, bit for bit."""
+    on the caller's BLAS thread count and no worker thread spins between scans."""
     magnitude = np.abs(v.conj().T @ a)
-    np.square(magnitude, out=magnitude)
-    return magnitude[0] if len(magnitude) == 1 else np.add.reduce(magnitude, axis=0)
+    return np.add.reduce(np.square(magnitude, out=magnitude), axis=0)  # np.sum, unwrapped
 
 
 def _music_power(q: np.ndarray, m: int, geometry, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -230,10 +226,10 @@ def _music_power(q: np.ndarray, m: int, geometry, grid_step: float) -> tuple[np.
     Its picks equal the noise form's at any SNR, sources on grid points included
     (``tests/test_doa.py``' property test). The caller holds
     :data:`numerics.one_blas_thread`, once for all the scans it makes."""
-    grid, a, num, peak = _scan(geometry, grid_step)
+    grid, a, num = _scan(geometry, grid_step)
     if m < q.shape[0] - m:
         den = num - _subspace_norms(q[:, :m], a)
-        if den.min(initial=np.inf) >= q.shape[0] * np.finfo(float).eps * peak:
+        if den.min(initial=np.inf) >= q.shape[0] * np.finfo(float).eps * num.max(initial=0.0):
             return grid, num / den
     den = _subspace_norms(q[:, m:], a)
     return grid, num / np.maximum(den, 1e-300)

@@ -244,7 +244,7 @@ class Pipeline:
 
     cfg: ScenarioConfig
     grid_step: float  # MUSIC grid step, radians
-    name: str = ""  # the command compiling it, which its config errors name
+    name: str  # the command compiling it, which its config errors name
     stack: Callable | None = None
     trial: Callable | None = None
     step: Callable | None = None  # doa estimator, hybrid fusion

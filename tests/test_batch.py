@@ -272,6 +272,9 @@ def test_one_ulp_square_of_the_last_range():
     (target,) = harness._draw_targets(p, [rng])
     shadows = [rng.normal(0.0, 1.0, size=4)]
     d = range_stack(p.ranged, target[None], shadows, p.sigma_db[[3]], *p.channel)[0]
+    # a (T, k) array of the rows ranges as the list of them does
+    whole = range_stack(p.ranged, target[None], np.array(shadows), p.sigma_db[[3]], *p.channel)
+    assert whole.tobytes() == d.tobytes()
     assert d[-1] ** 2 != (d[None, -1:] ** 2)[0, 0]
     single = run_trial(cfg, "rss", 3, 16)
     batched = row(p, 3)[16]
@@ -921,17 +924,6 @@ def test_a_drawn_negative_zero_shadowing_term_reads_positive_zero():
 
     shadows = harness._draw_shadows([NegativeZeros(), NegativeZeros()], 3)
     assert shadows.shape == (2, 3) and not np.signbit(shadows).any()
-    assert not np.signbit(0.0 + 1.0 * -0.0)
-
-
-def test_range_stack_takes_an_array_or_its_rows():
-    p = harness._pipeline(scenario(), "rss")
-    rng = np.random.default_rng(11)
-    targets, shadows = rng.uniform(0.0, 100.0, (9, 2)), rng.standard_normal((9, 4))
-    sigma_db = p.sigma_db[rng.integers(0, 3, 9)]
-    whole = range_stack(p.ranged, targets, shadows, sigma_db, *p.channel)
-    rows = range_stack(p.ranged, targets, list(shadows), sigma_db, *p.channel)
-    assert whole.shape == (9, 4) and whole.tobytes() == rows.tobytes()
 
 
 def assert_same_outcome(chunked, alone):
