@@ -10,7 +10,13 @@ Run:  python demos/01_rss_trilateration.py
 
 import numpy as np
 
-from wsnloc.channel import ChannelModel, measure_rss, sigma_from_snr, wavelength_from_frequency
+from wsnloc.channel import (
+    ChannelModel,
+    invert_distance,
+    path_loss,
+    sigma_from_snr,
+    wavelength_from_frequency,
+)
 from wsnloc.geometry import build_lop_system, distance
 from wsnloc.rss import huber_irls, ls_solve, wls_solve, wls_weights
 
@@ -32,15 +38,13 @@ target = np.array([10.0, 15.0])
 # ---------------------------------------------------------------------------
 # One measurement round: path loss in, distance estimate out.
 # ---------------------------------------------------------------------------
-measurements = [measure_rss(distance(a, target), model, rng) for a in anchors]
+true_d = np.array([distance(a, target) for a in anchors])
+losses = path_loss(true_d, model, rng)  # one shadowing draw per anchor, in anchor order
+est_d = invert_distance(losses, model)
 print("\nanchor      true d     est d      path loss")
-for a, m in zip(anchors, measurements):
-    print(
-        f"({a[0]:5.1f},{a[1]:5.1f})  {distance(a, target):7.2f} m  "
-        f"{m.est_distance:7.2f} m  {m.path_loss_db:7.2f} dB"
-    )
+for a, d, d_hat, pl in zip(anchors, true_d, est_d, losses):
+    print(f"({a[0]:5.1f},{a[1]:5.1f})  {d:7.2f} m  {d_hat:7.2f} m  {pl:7.2f} dB")
 
-est_d = [m.est_distance for m in measurements]
 system = build_lop_system(anchors, est_d)
 weights = wls_weights(model, est_d)
 
@@ -67,8 +71,7 @@ for snr in (2, 6, 10, 14):
     errs = {k: [] for k in fixes}
     trial_rng = np.random.default_rng(snr)
     for _ in range(200):
-        meas = [measure_rss(distance(a, target), noisy, trial_rng) for a in anchors]
-        d_hat = [m.est_distance for m in meas]
+        d_hat = invert_distance(path_loss(true_d, noisy, trial_rng), noisy)
         sys_t = build_lop_system(anchors, d_hat)
         w = wls_weights(noisy, d_hat)
         errs["LS"].append(distance(ls_solve(sys_t), target))

@@ -25,7 +25,7 @@ print(f"highest usable phase mode: h = {max_mode(ring.radius, ring.wavelength)}"
 transform = build_transform(ring)
 print(f"virtual array size: {transform.vula_size}")
 print("mode amplitudes |J_p(zeta)|:",
-      np.round([abs(bessel_j(p, transform.zeta)) for p in range(transform.h + 1)], 4))
+      np.round([abs(bessel_j(p, ring.zeta)) for p in range(transform.h + 1)], 4))
 
 # ---------------------------------------------------------------------------
 # How vandermonde is the mapped steering vector?

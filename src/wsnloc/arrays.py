@@ -180,7 +180,7 @@ def noise_power(amplitudes, snr_db: float) -> float:
     (unit reference power where there are none); 0 for infinite SNR. Raises
     ``OverflowError`` where the sources' total power or the noise variance leaves the
     float range (numpy warns on a total that overflows, as its errstate says)."""
-    if snr_db is None or math.isinf(snr_db):
+    if math.isinf(snr_db):
         return 0.0
     total = float(np.sum(np.asarray(amplitudes) ** 2)) if len(amplitudes) else 1.0
     power = total * 10.0 ** (-snr_db / 10.0)

@@ -58,18 +58,6 @@ class ChannelModel:
         return free_space_path_loss(self.d0, self)
 
 
-@dataclass(frozen=True)
-class RssMeasurement:
-    """One path-loss observation and the distance it back-solves to."""
-
-    path_loss_db: float
-    est_distance: float
-
-    def __post_init__(self):
-        if self.est_distance <= 0:
-            raise ValueError("estimated distance must be positive")
-
-
 def wavelength_from_frequency(frequency_hz: float) -> float:
     """Free-space wavelength for a carrier frequency."""
     if frequency_hz <= 0:
@@ -135,14 +123,6 @@ def range_stack(points, targets, shadows, sigma_db, generating, inverting) -> np
     diff = points[None] - targets[:, None]
     mean = mean_path_loss(np.hypot(diff[..., 0], diff[..., 1]), generating)
     return invert_distance(mean + np.asarray(shadows) * sigma_db[:, None], inverting)
-
-
-def measure_rss(
-    true_distance: float, model: ChannelModel, rng: np.random.Generator
-) -> RssMeasurement:
-    """Simulate one RSS ranging observation for a true distance."""
-    pl = float(path_loss(true_distance, model, rng))
-    return RssMeasurement(path_loss_db=pl, est_distance=float(invert_distance(pl, model)))
 
 
 def sigma_from_snr(snr_db: float, sigma_ref_db: float = 8.0) -> float:

@@ -7,7 +7,9 @@ reported inside the geometry's unambiguous field of view: (-90, 90) degrees
 for linear arrays (a cone ambiguity mirrors angles about the array axis),
 (-180, 180] for circular and virtual arrays.
 
-Each estimator resolves at most :func:`capacity` sources: one fewer than
+Each estimator returns its sorted azimuths as a :class:`DoaEstimate`, and
+:func:`eig_split` gives the signal and noise eigenvectors as a pair of column
+blocks. Each estimator resolves at most :func:`capacity` sources: one fewer than
 the elements it works on, and two fewer for the ESPRIT forms, whose subarray
 shift gives up one element. The harness checks a scenario against the same
 rule when it compiles it. A caller that runs many trials at once splits their
@@ -43,15 +45,6 @@ DEFAULT_GRID_STEP = np.radians(0.1)
 
 
 @dataclass(frozen=True)
-class SubspaceSplit:
-    """Signal/noise eigenvector split of a covariance matrix."""
-
-    signal: np.ndarray  # (N, M)
-    noise: np.ndarray  # (N, N-M)
-    eigenvalues: np.ndarray  # descending, real
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Angular pseudospectrum sampled on a strictly increasing grid."""
 
@@ -61,10 +54,9 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class DoaEstimate:
-    """Sorted azimuth estimates (radians) and the method that produced them."""
+    """Sorted azimuth estimates (radians)."""
 
     azimuths: np.ndarray
-    method: str
 
 
 def capacity(method: str, size: int) -> int:
@@ -98,14 +90,15 @@ def _check_sources(method: str, size: int, n_sources: int) -> None:
         raise TooManySources(f"{method} resolves at most {most} sources, not {n_sources}")
 
 
-def eig_split(r: np.ndarray, n_sources: int) -> SubspaceSplit:
-    """Split a Hermitian covariance into signal and noise subspaces."""
+def eig_split(r: np.ndarray, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split a Hermitian (N, N) covariance into its (N, M) signal and (N, N - M) noise
+    subspaces: the eigenvectors of its n_sources largest eigenvalues and of the rest."""
     if n_sources < 1:
         raise TooFewSources("need at least one source")
-    w, q = herm_eig(r)
-    if n_sources >= w.size:
-        raise TooManySources(f"{n_sources} sources with dimension {w.size}")
-    return SubspaceSplit(signal=q[:, :n_sources], noise=q[:, n_sources:], eigenvalues=w)
+    q = herm_eig(r)[1]
+    if n_sources >= len(q):
+        raise TooManySources(f"{n_sources} sources with dimension {len(q)}")
+    return q[:, :n_sources], q[:, n_sources:]
 
 
 def covariance(x: np.ndarray, transform: PmeTransform | None) -> np.ndarray:
@@ -309,7 +302,7 @@ def music(
     """
     spectrum, power = _spectrum(r, geometry, n_sources, grid_step)
     peaks = _pick_peaks(spectrum.grid, power, n_sources, _circular(geometry))
-    return spectrum, DoaEstimate(azimuths=peaks, method="music")
+    return spectrum, DoaEstimate(peaks)
 
 
 def _lag_polynomial(c: np.ndarray) -> np.ndarray:
@@ -341,7 +334,7 @@ def _roots_inside_unit_circle(coeffs: np.ndarray, n_sources: int) -> np.ndarray:
     For a simple root the partner is 1/conj(z) to rounding and the phase
     is unchanged.
     """
-    roots = poly_roots(coeffs).roots
+    roots = poly_roots(coeffs)
     inside = np.nonzero(np.abs(roots) < 1.0)[0]
     if inside.size < n_sources:
         raise RootSolveFailure(
@@ -377,16 +370,13 @@ def root_music(r: np.ndarray, geometry, n_sources: int) -> DoaEstimate:
     if not isinstance(geometry, UniformLinearArray):
         raise WrongGeometry("root_music needs a UniformLinearArray")
     _check_sources("root-music", geometry.size, n_sources)
-    split = eig_split(r, n_sources)
-    c = split.noise @ split.noise.conj().T
+    noise = eig_split(r, n_sources)[1]
+    c = noise @ noise.conj().T
     # The physical steering phase decreases along the array, so conjugate
     # the lag polynomial to place signal roots at exp(+j phi).
     coeffs = np.conj(_lag_polynomial(c))
     roots = _roots_inside_unit_circle(coeffs, n_sources)
-    return DoaEstimate(
-        azimuths=_ula_angles_from_phases(np.angle(roots), geometry),
-        method="root-music",
-    )
+    return DoaEstimate(_ula_angles_from_phases(np.angle(roots), geometry))
 
 
 def _invariance_eigs(vs: np.ndarray, n_sources: int) -> np.ndarray:
@@ -408,13 +398,10 @@ def esprit(x: np.ndarray, geometry, n_sources: int) -> DoaEstimate:
     if not isinstance(geometry, UniformLinearArray):
         raise WrongGeometry("esprit needs a UniformLinearArray")
     _check_sources("esprit", geometry.size, n_sources)
-    split = eig_split(sample_covariance(x), n_sources)
-    eigs = _invariance_eigs(split.signal, n_sources)
+    signal = eig_split(sample_covariance(x), n_sources)[0]
+    eigs = _invariance_eigs(signal, n_sources)
     # Steering phase decreases along the array, so negate before arcsin.
-    return DoaEstimate(
-        azimuths=_ula_angles_from_phases(-np.angle(eigs), geometry),
-        method="esprit",
-    )
+    return DoaEstimate(_ula_angles_from_phases(-np.angle(eigs), geometry))
 
 
 def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> DoaEstimate:
@@ -429,10 +416,10 @@ def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> Do
     """
     _check_sources("uca-root-music", transform.vula_size, n_sources)
     xv = to_vula(x, transform, prewhitened=True)
-    split = eig_split(sample_covariance(xv), n_sources)
-    c = transform.whiten @ (split.noise @ split.noise.conj().T) @ transform.whiten
+    noise = eig_split(sample_covariance(xv), n_sources)[1]
+    c = transform.whiten @ (noise @ noise.conj().T) @ transform.whiten
     roots = _roots_inside_unit_circle(_lag_polynomial(c), n_sources)
-    return DoaEstimate(azimuths=np.sort(np.angle(roots)), method="uca-root-music")
+    return DoaEstimate(np.sort(np.angle(roots)))
 
 
 def uca_esprit(x: np.ndarray, transform: PmeTransform, n_sources: int) -> DoaEstimate:
@@ -448,7 +435,6 @@ def uca_esprit(x: np.ndarray, transform: PmeTransform, n_sources: int) -> DoaEst
     """
     _check_sources("uca-esprit", transform.vula_size, n_sources)
     xv = to_vula(x, transform, prewhitened=True)
-    split = eig_split(sample_covariance(xv), n_sources)
-    vs = transform.color @ split.signal
+    vs = transform.color @ eig_split(sample_covariance(xv), n_sources)[0]
     eigs = _invariance_eigs(vs, n_sources)
-    return DoaEstimate(azimuths=np.sort(np.angle(eigs)), method="uca-esprit")
+    return DoaEstimate(np.sort(np.angle(eigs)))

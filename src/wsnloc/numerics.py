@@ -3,13 +3,13 @@ stack of them), polynomial roots, the inverse matrix square root of a
 Hermitian positive definite matrix, and a guard that runs numpy's OpenBLAS on
 one thread.
 
-These delegate to LAPACK through numpy; the contracts (ordering, residual
-bounds, error conditions) are what the rest of the package relies on.
+These delegate to LAPACK through numpy and return plain arrays (roots as one
+array, eigenpairs as a pair); the contracts (ordering, residual bounds, error
+conditions) are what the rest of the package relies on.
 """
 
 import ctypes
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,21 +20,13 @@ _NOT_FINITE = "matrix has entries outside the float range"
 _NOT_HERMITIAN = "matrix is not Hermitian within tolerance"
 
 
-@dataclass(frozen=True)
-class PolyRoots:
-    """All complex roots of a polynomial, with its degree."""
-
-    roots: np.ndarray
-    degree: int
-
-
-def _check_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitian(f"expected a square matrix, got shape {m.shape}")
     # The scale's norm only matters for a skew above 0; a NaN skew is compared and passes.
     skew = np.linalg.norm(m - m.conj().T)
-    if skew and skew > rtol * max(np.linalg.norm(m), 1.0):
+    if skew and skew > HERMITIAN_RTOL * max(np.linalg.norm(m), 1.0):
         raise NonHermitian(_NOT_HERMITIAN)
     return m
 
@@ -81,7 +73,7 @@ def herm_eig_stack(r: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.nd
     return w[:, ::-1], q[:, :, ::-1], failed
 
 
-def poly_roots(coeffs: np.ndarray) -> PolyRoots:
+def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of a polynomial given coefficients in descending-power order.
 
     The eigenvalues of the companion matrix that ``numpy.roots`` builds, with its
@@ -108,7 +100,7 @@ def poly_roots(coeffs: np.ndarray) -> PolyRoots:
     trailing = coeffs.size - 1 - nonzero[-1]
     if trailing:
         roots = np.concatenate([roots, np.zeros(trailing, roots.dtype)])
-    return PolyRoots(roots=roots, degree=coeffs.size - 1)
+    return roots
 
 
 def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:

@@ -143,12 +143,11 @@ class PmeTransform:
     ----------
     h : int
         Highest excited mode; the virtual array has 2h+1 elements.
-    zeta : float
-        Ring aperture (2 pi r / lambda) sin(elevation).
     F : ndarray (2h+1, N)
         Phase-mode beamformer rows, ordered p = -h..h.
     J : ndarray (2h+1,)
-        Diagonal mode equalizer entries 1 / (j^p J_p(zeta)).
+        Diagonal mode equalizer entries 1 / (j^p J_p(zeta)), zeta the ring's
+        aperture ``UniformCircularArray.zeta``.
     Tv : ndarray (2h+1, N)
         Beamspace transform diag(J) @ F (vandermonde output, colored noise).
     Tw : ndarray (2h+1, N)
@@ -158,7 +157,6 @@ class PmeTransform:
     """
 
     h: int
-    zeta: float
     F: np.ndarray
     J: np.ndarray
     Tv: np.ndarray
@@ -175,28 +173,24 @@ class PmeTransform:
         return 2 * self.h + 1
 
 
-def build_transform(geometry: UniformCircularArray, h: int | None = None) -> PmeTransform:
+def build_transform(geometry: UniformCircularArray) -> PmeTransform:
     """Construct the UCA -> virtual-ULA transform for a circular geometry.
 
-    ``h`` defaults to the ring's highest excitable mode and is clamped (with
-    a warning) so that N > 2h; passing an explicit ``h`` that violates
-    N > 2h raises ``InsufficientElements``. Any mode with |J_p(zeta)| below
-    1e-10 cannot be equalized and raises ``BesselNearZero``.
+    The highest mode h is the ring's highest excitable one (:func:`max_mode`),
+    clamped (with a warning) so that N > 2h; a ring that leaves h < 1 raises
+    ``InsufficientElements``. Any mode with |J_p(zeta)| below 1e-10 cannot be
+    equalized and raises ``BesselNearZero``.
     """
     if not isinstance(geometry, UniformCircularArray):
         raise WrongGeometry("phase mode excitation needs a UniformCircularArray")
     n = geometry.n
-    if h is None:
-        h = max_mode(geometry.radius, geometry.wavelength)
-        if n <= 2 * h:
-            clamped = (n - 1) // 2
-            warnings.warn(
-                f"clamping phase-mode order from {h} to {clamped} so that N > 2h",
-                stacklevel=2,
-            )
-            h = clamped
-    elif n <= 2 * h:
-        raise InsufficientElements(f"N={n} must exceed 2h={2 * h}")
+    h = max_mode(geometry.radius, geometry.wavelength)
+    if n <= 2 * h:
+        clamped = (n - 1) // 2
+        warnings.warn(
+            f"clamping phase-mode order from {h} to {clamped} so that N > 2h", stacklevel=2
+        )
+        h = clamped
     if h < 1:
         raise InsufficientElements("ring too small to excite any usable mode")
 
@@ -214,10 +208,7 @@ def build_transform(geometry: UniformCircularArray, h: int | None = None) -> Pme
     whiten = inv_sqrt_psd(gram)
     w, q = herm_eig(gram)
     color = (q * np.sqrt(w)) @ q.conj().T
-    return PmeTransform(
-        h=int(h), zeta=float(zeta), F=f_mat, J=j_diag, Tv=tv, Tw=whiten @ tv,
-        whiten=whiten, color=color,
-    )
+    return PmeTransform(h=h, F=f_mat, J=j_diag, Tv=tv, Tw=whiten @ tv, whiten=whiten, color=color)
 
 
 def to_vula(x: np.ndarray, transform: PmeTransform, prewhitened: bool = False) -> np.ndarray:

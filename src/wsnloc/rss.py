@@ -15,8 +15,9 @@ stacks whose ranges were read through several channels, one per SNR row:
 :func:`huber_by_row` starts each system's IRLS from the fix its channel calls
 for. ``ls_solve``, ``wls_solve`` and ``huber_irls`` check one
 :class:`LinearSystem` and its weights, solve it as a stack of one, and raise
-the failure recorded for it (:func:`errors.only`). Weights are per row: a WLS
-weight matrix is diagonal, as :func:`wls_weights` builds it.
+the failure recorded for it (:func:`errors.only`); ``huber_irls`` returns the
+position with the IRLS passes it ran (:class:`EstimatorReport`). Weights are per
+row: a WLS weight matrix is diagonal, as :func:`wls_weights` builds it.
 """
 
 import math
@@ -38,11 +39,10 @@ _DEGENERATE = "ranging variance leaves the float range; WLS weights are degenera
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Solver outcome: position, iteration count, and final residual norm."""
+    """Solver outcome: position and the IRLS passes run."""
 
     position: np.ndarray
     iterations: int
-    final_residual_norm: float
 
 
 def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
@@ -282,5 +282,4 @@ def huber_irls(
     a, b = system
     weights = None if initial_weights is None else _row_weights(a, initial_weights)
     pos, failed, passes = huber_stack(a, b[None], epsilon, weights)
-    position = only(pos, failed)
-    return EstimatorReport(position, int(passes[0]), float(np.linalg.norm(a @ position - b)))
+    return EstimatorReport(only(pos, failed), int(passes[0]))

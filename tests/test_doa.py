@@ -57,25 +57,26 @@ def wrapped_deg(a, b):
 
 class TestEigSplit:
     def test_isotropic_split_still_orthogonal(self):
-        split = eig_split(2.0 * np.eye(6), 2)
-        assert np.allclose(split.eigenvalues, 2.0)
-        assert np.max(np.abs(split.signal.conj().T @ split.noise)) < 1e-10
+        signal, noise = eig_split(2.0 * np.eye(6), 2)
+        assert signal.shape == (6, 2) and noise.shape == (6, 4)
+        assert np.max(np.abs(signal.conj().T @ noise)) < 1e-10
 
     def test_single_source_signal_space(self):
         g = ula(6)
         theta = np.radians(15.0)
         r = analytic_covariance(g, SourceSet(azimuths=[theta]))
-        split = eig_split(r, 1)
+        signal, _ = eig_split(r, 1)
         a = g.steering(theta) / np.sqrt(6)
-        overlap = np.abs(a.conj() @ split.signal[:, 0])
+        overlap = np.abs(a.conj() @ signal[:, 0])
         assert np.arccos(min(overlap, 1.0)) < 1e-8
 
     def test_noise_eigenvalues_at_noise_floor(self):
         g = ula(7)
         src = SourceSet(azimuths=np.radians([-20.0, 35.0]))
         r = analytic_covariance(g, src, noise_var=0.3)
-        split = eig_split(r, 2)
-        assert np.allclose(split.eigenvalues[2:], 0.3, atol=1e-8)
+        _, noise = eig_split(r, 2)
+        # the noise subspace's Rayleigh quotients are its eigenvalues
+        assert np.allclose(noise.conj().T @ r @ noise, 0.3 * np.eye(5), atol=1e-8)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
@@ -115,10 +116,10 @@ class TestMusic:
         g = ula(6)
         src = SourceSet(azimuths=np.radians([5.0, 40.0]))
         x = synthesize_snapshots(g, src, 100, 5.0, rng_for_trial(3, 0, 0))
-        split = eig_split(sample_covariance(x), 2)
+        _, noise = eig_split(sample_covariance(x), 2)
         grid = np.linspace(-np.pi / 2 + 0.01, np.pi / 2 - 0.01, 721)
         a = g.steering(grid)
-        den = np.sum(np.abs(split.noise.conj().T @ a) ** 2, axis=0)
+        den = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
         assert np.all(den >= 0)
 
     def test_detects_n_minus_one_uncorrelated(self):
@@ -156,8 +157,7 @@ def uncached_music(r, g, n_sources, step):
     grid = np.arange(lo + step, stop, step)
     a = g.steering(grid)
     num = np.sum(np.abs(a) ** 2, axis=0)
-    split = eig_split(r, n_sources)
-    power = scan_power(split.signal, split.noise, a, num)
+    power = scan_power(*eig_split(r, n_sources), a, num)
     return 10.0 * np.log10(power), _pick_peaks(grid, power, n_sources)
 
 
@@ -188,7 +188,7 @@ def noise_form_music(r, g, n_sources, step):
     grid = np.arange(lo + step, hi + step / 2 if circular else hi - step / 2, step)
     a = g.steering(grid)
     num = np.sum(np.abs(a) ** 2, axis=0)
-    noise = eig_split(r, n_sources).noise
+    noise = eig_split(r, n_sources)[1]
     with one_blas_thread:
         den = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
     power = num / np.maximum(den, 1e-300)
@@ -576,12 +576,12 @@ class TestRootMusic:
     def test_roots_close_under_conjugate_reciprocal(self):
         g = ula(5)
         r = analytic_covariance(g, SourceSet(azimuths=[np.radians(20.0)]), 0.05)
-        split = eig_split(r, 1)
-        c = split.noise @ split.noise.conj().T
+        noise = eig_split(r, 1)[1]
+        c = noise @ noise.conj().T
         coeffs = np.conj(
             np.array([np.trace(c, offset=k) for k in range(4, -5, -1)])
         )
-        roots = poly_roots(coeffs).roots
+        roots = poly_roots(coeffs)
         assert roots.size == 2 * (g.n - 1)
         for z in roots:
             partner = 1.0 / np.conj(z)
@@ -669,8 +669,8 @@ class TestEsprit:
         g = ula(6)
         src = SourceSet(azimuths=np.radians([-25.0, 15.0]))
         x = synthesize_snapshots(g, src, 200, np.inf, rng_for_trial(6, 0, 0))
-        split = eig_split(sample_covariance(x), 2)
-        v1, v2 = split.signal[:-1], split.signal[1:]
+        signal, _ = eig_split(sample_covariance(x), 2)
+        v1, v2 = signal[:-1], signal[1:]
         psi, *_ = np.linalg.lstsq(v1, v2, rcond=None)
         assert np.allclose(np.abs(np.linalg.eigvals(psi)), 1.0, atol=1e-6)
 
@@ -718,7 +718,8 @@ class TestUcaVariants:
             g = UniformCircularArray(
                 n=n, radius=0.55, elevation=np.radians(20.0), wavelength=1.0
             )
-            t = build_transform(g, h=3)
+            t = build_transform(g)
+            assert t.h == 3  # max_mode of a 0.55-wavelength ring, below both N / 2
             x = synthesize_snapshots(
                 g, SourceSet(azimuths=truth), 400, np.inf, rng_for_trial(9, 0, 0)
             )
@@ -1017,17 +1018,17 @@ def test_music_spectrum_is_music_without_its_peaks():
 
 def uca_root_music_per_call(x, t, n_sources):
     """uca_root_music with (Tv Tv^H)^(-1/2) recomputed from the transform on every call."""
-    split = eig_split(sample_covariance(t.Tw @ x), n_sources)
+    _, noise = eig_split(sample_covariance(t.Tw @ x), n_sources)
     whiten = inv_sqrt_psd(t.Tv @ t.Tv.conj().T)
-    c = whiten @ (split.noise @ split.noise.conj().T) @ whiten
+    c = whiten @ (noise @ noise.conj().T) @ whiten
     return np.sort(np.angle(_roots_inside_unit_circle(doa._lag_polynomial(c), n_sources)))
 
 
 def uca_esprit_per_call(x, t, n_sources):
     """uca_esprit with (Tv Tv^H)^(1/2) recomputed from the transform on every call."""
-    split = eig_split(sample_covariance(t.Tw @ x), n_sources)
+    signal, _ = eig_split(sample_covariance(t.Tw @ x), n_sources)
     w, q = herm_eig(t.Tv @ t.Tv.conj().T)
-    vs = ((q * np.sqrt(w)) @ q.conj().T) @ split.signal
+    vs = ((q * np.sqrt(w)) @ q.conj().T) @ signal
     return np.sort(np.angle(doa._invariance_eigs(vs, n_sources)))
 
 

@@ -106,7 +106,8 @@ class TestBuildTransform:
         resids = []
         for n in (2 * h + 1, 2 * h + 4, 2 * h + 8):
             g = uca(n, 0.55, np.radians(40.0))
-            t = build_transform(g, h=h)
+            t = build_transform(g)
+            assert t.h == h  # max_mode of a 0.55-wavelength ring, below every N / 2
             grid = np.radians(np.arange(-180.0, 180.0, 2.0))
             mapped = t.Tv @ g.steering(grid)
             ideal = vula_steering(grid, t)
@@ -115,16 +116,16 @@ class TestBuildTransform:
             )
         assert resids[0] > resids[1] > resids[2]
 
-    def test_explicit_mode_count_needs_elements(self):
-        with pytest.raises(InsufficientElements):
-            build_transform(uca(6, 0.5), h=3)
-
     def test_auto_mode_clamped_with_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             t = build_transform(uca(7, 1.0))  # ring suggests h=6, needs N>12
         assert t.h == 3
         assert any("clamp" in str(w.message) for w in caught)
+
+    def test_ring_too_small_for_any_mode(self):
+        with pytest.raises(InsufficientElements):
+            build_transform(uca(9, 0.1))  # max_mode 0
 
     def test_zero_elevation_has_no_invertible_modes(self):
         with pytest.raises(BesselNearZero):
