@@ -36,13 +36,13 @@ for left in range(-90, 90, 2):
     marker = " <-- true" if any(abs(t - (left + 1)) <= 1 for t in truth) else ""
     print(f"{left:+4d} deg |{bar}{marker}")
 
-print(f"\nMUSIC peaks      : {np.round(np.degrees(est.azimuths), 2)} deg")
+print(f"\nMUSIC peaks      : {np.round(np.degrees(est), 2)} deg")
 
 # ---------------------------------------------------------------------------
 # Search-free estimators on the same data
 # ---------------------------------------------------------------------------
-print(f"Root-MUSIC roots : {np.round(np.degrees(root_music(r, array, 2).azimuths), 2)} deg")
-print(f"ESPRIT rotations : {np.round(np.degrees(esprit(x, array, 2).azimuths), 2)} deg")
+print(f"Root-MUSIC roots : {np.round(np.degrees(root_music(r, array, 2)), 2)} deg")
+print(f"ESPRIT rotations : {np.round(np.degrees(esprit(x, array, 2)), 2)} deg")
 
 # ---------------------------------------------------------------------------
 # Resolution improves with aperture: repeat with 4 elements
@@ -50,5 +50,5 @@ print(f"ESPRIT rotations : {np.round(np.degrees(esprit(x, array, 2).azimuths), 2
 small = UniformLinearArray(n=4, spacing=0.5, wavelength=1.0)
 x4 = synthesize_snapshots(small, src, 200, 10.0, np.random.default_rng(99))
 _, est4 = music(sample_covariance(x4), small, 2)
-print(f"\nsame scene, N=4  : {np.round(np.degrees(est4.azimuths), 2)} deg "
+print(f"\nsame scene, N=4  : {np.round(np.degrees(est4), 2)} deg "
       "(wider peaks, larger spread)")

@@ -32,7 +32,7 @@ def try_music(r, n_sub, label):
     geometry = UniformLinearArray(n=n_sub, spacing=0.5, wavelength=1.0)
     try:
         _, est = music(r, geometry, 6, grid_step=np.radians(0.05))
-        print(f"  {label}: rank {rank(r)}, peaks {np.round(np.degrees(est.azimuths), 1)}")
+        print(f"  {label}: rank {rank(r)}, peaks {np.round(np.degrees(est), 1)}")
     except NoPeaksFound as exc:
         print(f"  {label}: rank {rank(r)}, MUSIC fails ({exc})")
 

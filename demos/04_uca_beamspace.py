@@ -43,9 +43,9 @@ print(f"\nmapped-steering residual over azimuth: max {resid.max():.2e} "
 for truth_deg in (30.0, 150.0, -120.0):
     src = SourceSet(azimuths=[np.radians(truth_deg)])
     x = synthesize_snapshots(ring, src, 500, 20.0, rng)
-    m = music(sample_covariance(x), ring, 1)[1].azimuths[0]
-    rm = uca_root_music(x, transform, 1).azimuths[0]
-    es = uca_esprit(x, transform, 1).azimuths[0]
+    m = music(sample_covariance(x), ring, 1)[1][0]
+    rm = uca_root_music(x, transform, 1)[0]
+    es = uca_esprit(x, transform, 1)[0]
     print(
         f"source {truth_deg:+7.1f} deg -> MUSIC {np.degrees(m):+8.2f}, "
         f"beamspace root-MUSIC {np.degrees(rm):+8.2f}, "

@@ -177,10 +177,11 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def noise_power(amplitudes, snr_db: float) -> float:
     """Per-element noise variance for a target SNR over sources of these ``amplitudes``
-    (unit reference power where there are none); 0 for infinite SNR. Raises
+    (unit reference power where there are none); 0 for an SNR of +inf. Raises
     ``OverflowError`` where the sources' total power or the noise variance leaves the
-    float range (numpy warns on a total that overflows, as its errstate says)."""
-    if math.isinf(snr_db):
+    float range, an SNR of -inf included (numpy warns on a total that overflows, as its
+    errstate says)."""
+    if snr_db == math.inf:
         return 0.0
     total = float(np.sum(np.asarray(amplitudes) ** 2)) if len(amplitudes) else 1.0
     power = total * 10.0 ** (-snr_db / 10.0)

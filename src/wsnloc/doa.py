@@ -7,14 +7,14 @@ reported inside the geometry's unambiguous field of view: (-90, 90) degrees
 for linear arrays (a cone ambiguity mirrors angles about the array axis),
 (-180, 180] for circular and virtual arrays.
 
-Each estimator returns its sorted azimuths as a :class:`DoaEstimate`, and
-:func:`eig_split` gives the signal and noise eigenvectors as a pair of column
-blocks. Each estimator resolves at most :func:`capacity` sources: one fewer than
-the elements it works on, and two fewer for the ESPRIT forms, whose subarray
-shift gives up one element. The harness checks a scenario against the same
-rule when it compiles it. A caller that runs many trials at once splits their
-covariances as one stack (:func:`eigenbases`) and scores each trial's
-estimates with :func:`azimuth_error`.
+Each estimator returns its sorted azimuths as one array (:func:`music` returns
+its :class:`Spectrum` with them), and :func:`eig_split` gives the signal and noise
+eigenvectors as a pair of column blocks. Each estimator resolves at most
+:func:`capacity` sources: one fewer than the elements it works on, and two fewer
+for the ESPRIT forms, whose subarray shift gives up one element. The harness
+checks a scenario against the same rule when it compiles it. A caller that runs
+many trials at once splits their covariances as one stack (:func:`eigenbases`)
+and scores each trial's estimates with :func:`azimuth_error`.
 
 References: Schmidt (1986) for MUSIC, Barabell (1983) for Root-MUSIC,
 Roy & Kailath (1989) for ESPRIT, Mathews & Zoltowski (1994) for the
@@ -46,17 +46,15 @@ DEFAULT_GRID_STEP = np.radians(0.1)
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Angular pseudospectrum sampled on a strictly increasing grid."""
+    """Angular pseudospectrum sampled on a strictly increasing grid: its linear power
+    and, as a property, that power in dB."""
 
     grid: np.ndarray  # radians
-    power_db: np.ndarray
+    power: np.ndarray  # linear
 
-
-@dataclass(frozen=True)
-class DoaEstimate:
-    """Sorted azimuth estimates (radians)."""
-
-    azimuths: np.ndarray
+    @property
+    def power_db(self) -> np.ndarray:
+        return 10.0 * np.log10(self.power)
 
 
 def capacity(method: str, size: int) -> int:
@@ -191,9 +189,10 @@ def _pick_peaks(
 
 def _subspace_norms(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """||V^H a||^2 for each column of the steering matrix ``a``, from one product V^H a.
-    Its callers' entry points (:func:`music_peaks`, :func:`_spectrum`) hold OpenBLAS on
-    one thread (:data:`numerics.one_blas_thread`), so the product's bits do not depend
-    on the caller's BLAS thread count and no worker thread spins between scans."""
+    Its callers' entry points (:func:`music_peaks`, :func:`music_spectrum`) hold
+    OpenBLAS on one thread (:data:`numerics.one_blas_thread`), so the product's bits do
+    not depend on the caller's BLAS thread count and no worker thread spins between
+    scans."""
     magnitude = np.abs(v.conj().T @ a)
     return np.add.reduce(np.square(magnitude, out=magnitude), axis=0)  # np.sum, unwrapped
 
@@ -255,22 +254,18 @@ def music_peaks(
     return azimuths, failed
 
 
-def _spectrum(r: np.ndarray, geometry, n_sources: int, grid_step: float) -> tuple:
-    """MUSIC's source check, eigensplit and scan (the scan under one hold of
-    :data:`numerics.one_blas_thread`): the pseudospectrum and its linear power."""
+def music_spectrum(
+    r: np.ndarray, geometry, n_sources: int, grid_step: float = DEFAULT_GRID_STEP
+) -> Spectrum:
+    """The pseudospectrum :func:`music` returns, without its peak search: MUSIC's source
+    check, eigensplit and scan (the scan under one hold of
+    :data:`numerics.one_blas_thread`). A spectrum with fewer peaks than ``n_sources`` is
+    still returned."""
     _check_sources("music", geometry.size, n_sources)
     q = herm_eig(r)[1]
     with one_blas_thread:
         grid, power = _music_power(q, n_sources, geometry, grid_step)
-    return Spectrum(grid=grid, power_db=10.0 * np.log10(power)), power
-
-
-def music_spectrum(
-    r: np.ndarray, geometry, n_sources: int, grid_step: float = DEFAULT_GRID_STEP
-) -> Spectrum:
-    """The pseudospectrum :func:`music` returns, without its peak search: a spectrum with
-    fewer peaks than ``n_sources`` is still returned."""
-    return _spectrum(r, geometry, n_sources, grid_step)[0]
+    return Spectrum(grid=grid, power=power)
 
 
 def music(
@@ -278,8 +273,8 @@ def music(
     geometry,
     n_sources: int,
     grid_step: float = DEFAULT_GRID_STEP,
-) -> tuple[Spectrum, DoaEstimate]:
-    """MUSIC pseudospectrum and the angles of its n_sources largest peaks.
+) -> tuple[Spectrum, np.ndarray]:
+    """MUSIC pseudospectrum and the sorted angles of its n_sources largest peaks.
 
     P(theta) = (a^H a) / (a^H Vn Vn^H a) evaluated on a regular grid over
     the geometry's field of view. Since Vn Vn^H = I - Vs Vs^H, the scan
@@ -300,9 +295,8 @@ def music(
     the BLAS thread count, under any of OpenBLAS's kernels. With another BLAS
     the guard does nothing, and they may.
     """
-    spectrum, power = _spectrum(r, geometry, n_sources, grid_step)
-    peaks = _pick_peaks(spectrum.grid, power, n_sources, _circular(geometry))
-    return spectrum, DoaEstimate(peaks)
+    spectrum = music_spectrum(r, geometry, n_sources, grid_step)
+    return spectrum, _pick_peaks(spectrum.grid, spectrum.power, n_sources, _circular(geometry))
 
 
 def _lag_polynomial(c: np.ndarray) -> np.ndarray:
@@ -355,7 +349,7 @@ def _ula_angles_from_phases(phases: np.ndarray, geometry: UniformLinearArray) ->
     return np.sort(np.arcsin(sin_arg))
 
 
-def root_music(r: np.ndarray, geometry, n_sources: int) -> DoaEstimate:
+def root_music(r: np.ndarray, geometry, n_sources: int) -> np.ndarray:
     """Root-MUSIC on a uniform linear array.
 
     The MUSIC denominator is a Laurent polynomial in z on the unit circle;
@@ -376,7 +370,7 @@ def root_music(r: np.ndarray, geometry, n_sources: int) -> DoaEstimate:
     # the lag polynomial to place signal roots at exp(+j phi).
     coeffs = np.conj(_lag_polynomial(c))
     roots = _roots_inside_unit_circle(coeffs, n_sources)
-    return DoaEstimate(_ula_angles_from_phases(np.angle(roots), geometry))
+    return _ula_angles_from_phases(np.angle(roots), geometry)
 
 
 def _invariance_eigs(vs: np.ndarray, n_sources: int) -> np.ndarray:
@@ -388,7 +382,7 @@ def _invariance_eigs(vs: np.ndarray, n_sources: int) -> np.ndarray:
     return np.linalg.eigvals(psi)
 
 
-def esprit(x: np.ndarray, geometry, n_sources: int) -> DoaEstimate:
+def esprit(x: np.ndarray, geometry, n_sources: int) -> np.ndarray:
     """ESPRIT on a uniform linear array from raw snapshots.
 
     The two maximally overlapping (N-1)-element subarrays see signal
@@ -401,10 +395,10 @@ def esprit(x: np.ndarray, geometry, n_sources: int) -> DoaEstimate:
     signal = eig_split(sample_covariance(x), n_sources)[0]
     eigs = _invariance_eigs(signal, n_sources)
     # Steering phase decreases along the array, so negate before arcsin.
-    return DoaEstimate(_ula_angles_from_phases(-np.angle(eigs), geometry))
+    return _ula_angles_from_phases(-np.angle(eigs), geometry)
 
 
-def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> DoaEstimate:
+def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> np.ndarray:
     """Root-MUSIC for a circular array through the prewhitened beamspace.
 
     Snapshots are mapped with the row-orthonormal transform so the noise
@@ -419,10 +413,10 @@ def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> Do
     noise = eig_split(sample_covariance(xv), n_sources)[1]
     c = transform.whiten @ (noise @ noise.conj().T) @ transform.whiten
     roots = _roots_inside_unit_circle(_lag_polynomial(c), n_sources)
-    return DoaEstimate(np.sort(np.angle(roots)))
+    return np.sort(np.angle(roots))
 
 
-def uca_esprit(x: np.ndarray, transform: PmeTransform, n_sources: int) -> DoaEstimate:
+def uca_esprit(x: np.ndarray, transform: PmeTransform, n_sources: int) -> np.ndarray:
     """ESPRIT for a circular array through the beamspace transform.
 
     The virtual-array noise is colored by the mode equalizer (covariance
@@ -437,4 +431,4 @@ def uca_esprit(x: np.ndarray, transform: PmeTransform, n_sources: int) -> DoaEst
     xv = to_vula(x, transform, prewhitened=True)
     vs = transform.color @ eig_split(sample_covariance(xv), n_sources)[0]
     eigs = _invariance_eigs(vs, n_sources)
-    return DoaEstimate(np.sort(np.angle(eigs)))
+    return np.sort(np.angle(eigs))

@@ -85,7 +85,7 @@ from .doa import uca_root_music
 from .errors import AllTrialsFailed, CoincidentSources, ConfigError, NonPositiveDistance
 from .errors import NumericOverflow, WsnlocError
 from .geometry import LopMatrix, as_anchor_array, bearing_to, distance, lop_matrix
-from .hybrid import HybridNode, bearing_midpoint, fbss_bearing, single_node_stack, two_lines_pooled
+from .hybrid import HybridNode, bearing_midpoint, fbss_bearing, single_node_stack, two_lines_stack
 from .pme import PmeTransform, VandermondeArray, build_transform
 from .rss import MAX_CONDITION, huber_by_row, solve_stack, unshadowed, wls_weights_by_row
 
@@ -126,7 +126,6 @@ class MonteCarloRow:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    unit: str  # "m" or "deg"
     rows: tuple[MonteCarloRow, ...]
 
 
@@ -565,7 +564,7 @@ def _doa_trial(p: Pipeline, snr_index: int, rng) -> TrialResult:
     ``synthesize_snapshots``), forms its snapshots on the steering matrix built at
     compile, runs the method on them and scores its estimates against the sorted truths
     (:func:`doa.azimuth_error`)."""
-    est = p.step(p, snapshots(p.steer, *p.draw(p.noise[snr_index], rng))).azimuths
+    est = p.step(p, snapshots(p.steer, *p.draw(p.noise[snr_index], rng)))
     error = azimuth_error(est, p.truth, isinstance(p.geometry, UniformCircularArray))
     return TrialResult(estimate=np.degrees(est), truth=p.truth_deg, error=error)
 
@@ -628,7 +627,7 @@ def _fuse_midpoint(p, azimuths, d, fixes):
 # kernels up by module-global name when it runs. Arguments: estimator (pipeline, each
 # trial's (T,) SNR row, (T, k) ranges) -> (T, 2) positions and per-trial failures, as
 # rss.solve_stack, also the hybrid fix; decorrelate and doa (pipeline, snapshots) ->
-# covariance and DoaEstimate; hybrid (pipeline, a chunk's (T, M) MUSIC azimuths, its
+# covariance and sorted azimuths; hybrid (pipeline, a chunk's (T, M) MUSIC azimuths, its
 # (T, k) ranges, its (T, 2) fixes or NaN) -> (T, 2) positions and per-trial failures, the
 # target's bearing first among each trial's azimuths except for fbss, which picks it.
 _STEPS: dict[tuple[str, str], Callable] = {
@@ -656,7 +655,7 @@ _STEPS: dict[tuple[str, str], Callable] = {
     ),
     ("hybrid", "ls"): _fuse_midpoint,
     ("hybrid", "wls"): _fuse_midpoint,
-    ("hybrid", "two-lines"): lambda p, az, d, fixes: two_lines_pooled(
+    ("hybrid", "two-lines"): lambda p, az, d, fixes: two_lines_stack(
         p.node, p.cfg.anchors[0], d, az[:, 0]
     ),
 }
@@ -737,7 +736,7 @@ def monte_carlo(cfg: ScenarioConfig, kind: str, workers: int = 1) -> MonteCarloR
                 rmse = top * math.sqrt(float(np.mean(np.square(errors / top))))
             by_class = tuple(sorted(failed.items()))
             rows.append(MonteCarloRow(snr, rmse, cfg.trials, cfg.trials - errors.size, by_class))
-    return MonteCarloResult(unit="deg" if kind == "doa" else "m", rows=tuple(rows))
+    return MonteCarloResult(rows=tuple(rows))
 
 
 def compute_spectrum(cfg: ScenarioConfig) -> Spectrum:

@@ -24,18 +24,17 @@ ranges.
 Each fusion is written once, for a stack of T trials, so that a caller that
 solves many trials at once (the harness's hybrid chunks) fuses them with array
 arithmetic: :func:`single_node_stack` and :func:`two_lines_stack` take T
-bearings and their ranges (:func:`two_lines_pooled` pools the node's range from
-its elements'), and ``fbss_bearing`` and ``bearing_midpoint`` take
-a (T, 2) stack of fixes as readily as one fix. ``hybrid_single_node``,
-``ray_circle_point`` and ``two_lines`` are stacks of one that raise the
-failure recorded for their trial. Products of 2-vectors and their norms are
-written out as sums of products, not handed to BLAS, so a fused point does
-not depend on which BLAS kernel is installed; ``two_lines_stack`` solves its
-2x2 systems through LAPACK, one call per system.
+bearings and their ranges (``two_lines_stack`` pools the node's range from its
+elements'), and ``fbss_bearing`` and ``bearing_midpoint`` take a (T, 2) stack of
+fixes as readily as one fix. ``hybrid_single_node``, ``ray_circle_point`` and
+``two_lines`` are stacks of one that raise the failure recorded for their trial.
+Products of 2-vectors and their norms are written out as sums of products, not
+handed to BLAS, so a fused point does not depend on which BLAS kernel is
+installed; ``two_lines_stack`` solves its 2x2 systems through LAPACK, one call
+per system.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,25 +79,9 @@ class HybridNode:
         return positions
 
 
-@dataclass(frozen=True)
-class BearingRay:
-    """Half-line from an origin along a unit direction vector."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=float)
-        direction = np.asarray(self.direction, dtype=float)
-        norm = math.sqrt(direction[0] * direction[0] + direction[1] * direction[1])
-        if norm == 0.0:
-            raise ValueError("direction must be nonzero")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", direction / norm)
-
-
 def _directions(doas: np.ndarray) -> np.ndarray:
-    """(T, 2) unit vectors along T azimuths, normalised as :class:`BearingRay` does."""
+    """(T, 2) unit vectors along T azimuths: each (cos, sin) divided by its norm, which
+    rounding may leave off 1."""
     c, s = np.cos(doas), np.sin(doas)
     norm = np.sqrt(c * c + s * s)
     return np.stack([c / norm, s / norm], axis=-1)
@@ -120,8 +103,9 @@ def _forward_points(
     return origin + t[..., None] * directions[:, None, :], (real & (far > 0.0)) | (mid > 0.0)
 
 
-def ray_circle_point(ray: BearingRay, center, radius: float) -> np.ndarray:
-    """First forward intersection of a ray with a circle.
+def ray_circle_point(origin, doa: float, center, radius: float) -> np.ndarray:
+    """First forward intersection of the ray from ``origin`` along azimuth ``doa`` with a
+    circle.
 
     Solves |origin + t d - center|^2 = radius^2 and returns the point at
     the smallest t > 0. When the ray misses the circle, falls back to the
@@ -131,8 +115,9 @@ def ray_circle_point(ray: BearingRay, center, radius: float) -> np.ndarray:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float)[None]
-    points, hit = _forward_points(ray.origin, ray.direction[None], center, np.full((1, 1), radius))
+    origin, center = np.asarray(origin, dtype=float), np.asarray(center, dtype=float)[None]
+    directions = _directions(np.array([doa], dtype=float))
+    points, hit = _forward_points(origin, directions, center, np.full((1, 1), radius))
     if not hit[0, 0]:
         raise BehindRay("circle lies behind the ray origin")
     return points[0, 0]
@@ -220,9 +205,9 @@ def hybrid_with_fbss(
         transform.vula_size, n_sources, subarray_len=subarray_len, forward_backward=True
     )
     r = fbss(sample_covariance(xv), plan)
-    _, estimate = music(r, VandermondeArray(plan.subarray_len), n_sources, grid_step)
+    _, azimuths = music(r, VandermondeArray(plan.subarray_len), n_sources, grid_step)
     fix = ls_solve(lop_matrix(node.element_positions).system(ranges))
-    chosen = fbss_bearing(node, estimate.azimuths, fix)
+    chosen = fbss_bearing(node, azimuths, fix)
     return hybrid_single_node(node, chosen, ranges)
 
 
@@ -265,15 +250,18 @@ def bearing_midpoint(node: HybridNode, fix, doa) -> np.ndarray:
 
 
 def two_lines_stack(
-    node: HybridNode, rss_anchor, d_anchor: np.ndarray, d_hybrid: np.ndarray, doas: np.ndarray
+    node: HybridNode, rss_anchor, ranges: np.ndarray, doas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`two_lines` of T trials: each one's range to the anchor and to the hybrid
-    node, and its bearing, all (T,).
+    """:func:`two_lines` of T trials: their (T, 1 + N) ``ranges``, each row the range to
+    the anchor followed by the node's N element ranges, and their (T,) bearings. The
+    node's range is the mean of its element ranges (the ring radius is negligible against
+    the node-target distance); :func:`two_lines` passes its one range as N = 1.
 
     Returns the (T, 2) intersections and, per trial, ``None`` or the
     ``SingularFusionMatrix`` raised when its two lines are parallel (NaN point).
     """
     anchor, hyb = np.asarray(rss_anchor, dtype=float), node.center
+    d_anchor, d_hybrid = ranges[:, 0], np.mean(ranges[:, 1:], axis=1)
     sin, cos = np.sin(doas), np.cos(doas)
     c_mat = np.empty((len(doas), 2, 2))
     c_mat[:, 0] = hyb - anchor
@@ -293,14 +281,6 @@ def two_lines_stack(
     return points, np.where(singular, parallel, None)
 
 
-def two_lines_pooled(node: HybridNode, rss_anchor, ranges, doas) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`two_lines_stack` of T trials whose (T, 1 + N) ``ranges`` are the anchor's,
-    then each ring element's: the node's own range pools its elements' (the ring radius
-    is negligible against the node-target distance)."""
-    pooled = np.mean(ranges[:, 1:], axis=1)
-    return two_lines_stack(node, rss_anchor, ranges[:, 0], pooled, doas)
-
-
 def two_lines(
     node: HybridNode,
     rss_anchor,
@@ -314,5 +294,5 @@ def two_lines(
     through the hybrid center along the DOA. Raises ``SingularFusionMatrix``
     when the two lines are parallel.
     """
-    trial = np.array([[d_anchor], [d_hybrid], [doa]], dtype=float)
-    return only(*two_lines_stack(node, rss_anchor, *trial))
+    ranges = np.array([[d_anchor, d_hybrid]], dtype=float)
+    return only(*two_lines_stack(node, rss_anchor, ranges, np.array([doa], dtype=float)))

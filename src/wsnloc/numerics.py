@@ -1,7 +1,6 @@
 """Shared numerical kernels: Hermitian eigendecomposition (of one matrix or of a
-stack of them), polynomial roots, the inverse matrix square root of a
-Hermitian positive definite matrix, and a guard that runs numpy's OpenBLAS on
-one thread.
+stack of them), polynomial roots, and a guard that runs numpy's OpenBLAS on one
+thread.
 
 These delegate to LAPACK through numpy and return plain arrays (roots as one
 array, eigenpairs as a pair); the contracts (ordering, residual bounds, error
@@ -13,7 +12,7 @@ import threading
 
 import numpy as np
 
-from .errors import DegenerateLeadingCoefficient, NearSingular, NonHermitian, NumericOverflow
+from .errors import DegenerateLeadingCoefficient, NonHermitian, NumericOverflow
 
 HERMITIAN_RTOL = 1e-10
 _NOT_FINITE = "matrix has entries outside the float range"
@@ -74,42 +73,15 @@ def herm_eig_stack(r: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a polynomial given coefficients in descending-power order.
-
-    The eigenvalues of the companion matrix that ``numpy.roots`` builds, with its
-    bits and its contract (a rank-1 input; one that is not floating point is cast
-    to float; each trailing zero coefficient is a root at 0, appended last), without
-    its wrapper's overhead. The leading coefficient must be nonzero.
-    """
+    """Roots of a polynomial given coefficients in descending-power order, by
+    ``numpy.roots``. The input must be rank-1 and its leading coefficient nonzero."""
     coeffs = np.atleast_1d(np.asarray(coeffs))
     if coeffs.ndim != 1:
         raise ValueError("Input must be a rank-1 array.")
     scale = np.abs(coeffs).max() if coeffs.size else 0.0
     if coeffs.size < 2 or scale == 0.0 or np.abs(coeffs[0]) <= 1e-300 * scale:
         raise DegenerateLeadingCoefficient("leading polynomial coefficient is zero")
-    if not issubclass(coeffs.dtype.type, (np.floating, np.complexfloating)):
-        coeffs = coeffs.astype(float)
-    nonzero = np.flatnonzero(coeffs)  # a NaN scale lets a zero lead; numpy.roots strips it
-    p = coeffs[nonzero[0] : nonzero[-1] + 1]
-    if p.size > 1:
-        companion = np.diag(np.ones(p.size - 2, p.dtype), -1)
-        companion[0] = -p[1:] / p[0]
-        roots = np.linalg.eigvals(companion)
-    else:
-        roots = np.array([])
-    trailing = coeffs.size - 1 - nonzero[-1]
-    if trailing:
-        roots = np.concatenate([roots, np.zeros(trailing, roots.dtype)])
-    return roots
-
-
-def inv_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Inverse square root ``X`` of a Hermitian PSD matrix, ``X m X = I``."""
-    m = _check_hermitian(m)
-    w, q = np.linalg.eigh(m)
-    if w[0] <= 1e-12 * max(np.trace(m).real, np.finfo(float).tiny):
-        raise NearSingular("smallest eigenvalue below 1e-12 * trace")
-    return (q * (1.0 / np.sqrt(w))) @ q.conj().T
+    return np.roots(coeffs)
 
 
 def _keep_count(count: int) -> int:

@@ -28,10 +28,11 @@ from .errors import (
     BesselNearZero,
     DimensionMismatch,
     InsufficientElements,
+    NearSingular,
     OutOfSupportedRange,
     WrongGeometry,
 )
-from .numerics import herm_eig, inv_sqrt_psd
+from .numerics import herm_eig
 
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ARG = 128.0
@@ -143,13 +144,11 @@ class PmeTransform:
     ----------
     h : int
         Highest excited mode; the virtual array has 2h+1 elements.
-    F : ndarray (2h+1, N)
-        Phase-mode beamformer rows, ordered p = -h..h.
-    J : ndarray (2h+1,)
-        Diagonal mode equalizer entries 1 / (j^p J_p(zeta)), zeta the ring's
-        aperture ``UniformCircularArray.zeta``.
     Tv : ndarray (2h+1, N)
-        Beamspace transform diag(J) @ F (vandermonde output, colored noise).
+        Beamspace transform diag(J) @ F (vandermonde output, colored noise): the
+        phase-mode beamformer rows F, ordered p = -h..h, each scaled by its mode
+        equalizer entry J_p = 1 / (j^p J_p(zeta)), zeta the ring's aperture
+        ``UniformCircularArray.zeta``.
     Tw : ndarray (2h+1, N)
         Row-orthonormal prewhitened variant (white noise stays white).
     whiten, color : ndarray (2h+1, 2h+1)
@@ -157,8 +156,6 @@ class PmeTransform:
     """
 
     h: int
-    F: np.ndarray
-    J: np.ndarray
     Tv: np.ndarray
     Tw: np.ndarray
     whiten: np.ndarray
@@ -166,7 +163,7 @@ class PmeTransform:
 
     @property
     def n_elements(self) -> int:
-        return self.F.shape[1]
+        return self.Tv.shape[1]
 
     @property
     def vula_size(self) -> int:
@@ -179,7 +176,9 @@ def build_transform(geometry: UniformCircularArray) -> PmeTransform:
     The highest mode h is the ring's highest excitable one (:func:`max_mode`),
     clamped (with a warning) so that N > 2h; a ring that leaves h < 1 raises
     ``InsufficientElements``. Any mode with |J_p(zeta)| below 1e-10 cannot be
-    equalized and raises ``BesselNearZero``.
+    equalized and raises ``BesselNearZero``. A Gram matrix Tv Tv^H whose smallest
+    eigenvalue is below 1e-12 of its trace cannot be whitened and raises
+    ``NearSingular``.
     """
     if not isinstance(geometry, UniformCircularArray):
         raise WrongGeometry("phase mode excitation needs a UniformCircularArray")
@@ -205,10 +204,13 @@ def build_transform(geometry: UniformCircularArray) -> PmeTransform:
     j_diag = 1.0 / (1j**modes * amp)
     tv = j_diag[:, None] * f_mat
     gram = tv @ tv.conj().T
-    whiten = inv_sqrt_psd(gram)
     w, q = herm_eig(gram)
+    if w[-1] <= 1e-12 * max(np.trace(gram).real, np.finfo(float).tiny):
+        raise NearSingular("smallest eigenvalue below 1e-12 * trace")
+    # whiten sums its eigenpairs in eigh's ascending order; the descending one rounds apart
+    whiten = (q[:, ::-1] * (1.0 / np.sqrt(w[::-1]))) @ q[:, ::-1].conj().T
     color = (q * np.sqrt(w)) @ q.conj().T
-    return PmeTransform(h=h, F=f_mat, J=j_diag, Tv=tv, Tw=whiten @ tv, whiten=whiten, color=color)
+    return PmeTransform(h=h, Tv=tv, Tw=whiten @ tv, whiten=whiten, color=color)
 
 
 def to_vula(x: np.ndarray, transform: PmeTransform, prewhitened: bool = False) -> np.ndarray:

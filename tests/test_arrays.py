@@ -127,6 +127,16 @@ class TestNoisePower:
         assert arrays.noise_power(np.array([1.0, 2.0]), 0.0) == 5.0
         assert arrays.noise_power(np.array([1e300]), math.inf) == 0.0
 
+    def test_minus_infinite_snr_raises_and_plus_infinite_is_noiseless(self):
+        # -inf dB asks for infinite noise power; +inf dB draws no noise at all
+        src = SourceSet(azimuths=[0.3])
+        with pytest.raises(OverflowError, match="float range"):
+            synthesize_snapshots(ULA8, src, 4, -math.inf, np.random.default_rng(0))
+        x = synthesize_snapshots(ULA8, src, 4, math.inf, np.random.default_rng(0))
+        s, noise = arrays.draw_signals(src.amplitudes, False, 8, 4, 0.0, np.random.default_rng(0))
+        assert noise is None
+        assert x.tobytes() == arrays.snapshots(ULA8.steering(np.array([0.3])), s, None).tobytes()
+
     @pytest.mark.parametrize(
         "amplitudes, snr_db", [([1e300], 0.0), ([1e300], 1e300), ([1e150], -100.0)]
     )

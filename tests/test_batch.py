@@ -348,7 +348,7 @@ def one_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> t
         subarray_len = cfg.method.get("subarray_len")
         est = hybrid_with_fbss(node, x, d, transform, src.count, subarray_len, grid_step=grid_step)
     else:
-        doa = float(music(sample_covariance(x), node.geometry, 1, grid_step)[1].azimuths[0])
+        doa = float(music(sample_covariance(x), node.geometry, 1, grid_step)[1][0])
         if scheme == "single":
             est = hybrid_single_node(node, doa, ranges(positions))
         elif scheme in ("ls", "wls"):
@@ -1296,9 +1296,8 @@ def test_ray_circle_point_equals_the_oracle():
     for _ in range(200):
         origin, center = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
         doa, radius = rng.uniform(-np.pi, np.pi), 10.0 ** rng.uniform(-2, 1)
-        ray = hybrid.BearingRay(origin, (math.cos(doa), math.sin(doa)))
         looped = outcome(oracle_ray_fusion, origin, doa, [center], [radius], paths)
-        got = outcome(hybrid.ray_circle_point, ray, center, radius)
+        got = outcome(hybrid.ray_circle_point, origin, doa, center, radius)
         if isinstance(looped, WsnlocError):
             assert isinstance(got, BehindRay)
         else:

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -13,7 +12,6 @@ from wsnloc.arrays import SourceSet, UniformCircularArray, synthesize_snapshots
 from wsnloc.errors import BehindRay, SingularFusionMatrix
 from wsnloc.geometry import bearing_to, distance
 from wsnloc.hybrid import (
-    BearingRay,
     HybridNode,
     hybrid_anchor_fusion,
     hybrid_single_node,
@@ -34,36 +32,27 @@ def make_node(center, n=4, radius_wl=1.0 / np.pi, elevation=np.pi / 2):
     return HybridNode(center=np.asarray(center, dtype=float), geometry=geometry)
 
 
-def ray_along(origin, azimuth: float) -> BearingRay:
-    """The ray from ``origin`` along ``azimuth`` (radians from +x, counter-clockwise)."""
-    return BearingRay(origin=origin, direction=(math.cos(azimuth), math.sin(azimuth)))
-
-
 def exact_rss(node, target):
     return [distance(p, target) for p in node.element_positions]
 
 
 class TestRayCirclePoint:
     def test_concentric(self):
-        ray = ray_along([0.0, 0.0], np.radians(45.0))
-        point = ray_circle_point(ray, [0.0, 0.0], np.sqrt(18.0))
+        point = ray_circle_point([0.0, 0.0], np.radians(45.0), [0.0, 0.0], np.sqrt(18.0))
         assert np.allclose(point, [3.0, 3.0], atol=1e-12)
 
     def test_offset_circle_quadratic(self):
-        ray = ray_along([0.0, 0.0], 0.0)
-        point = ray_circle_point(ray, [5.0, 1.0], np.sqrt(2.0))
+        point = ray_circle_point([0.0, 0.0], 0.0, [5.0, 1.0], np.sqrt(2.0))
         assert np.allclose(point, [4.0, 0.0], atol=1e-12)
 
     def test_projection_fallback(self):
         # circle misses the ray; falls back to projecting its center
-        ray = ray_along([0.0, 0.0], 0.0)
-        point = ray_circle_point(ray, [5.0, 3.0], 1.0)
+        point = ray_circle_point([0.0, 0.0], 0.0, [5.0, 3.0], 1.0)
         assert np.allclose(point, [5.0, 0.0], atol=1e-12)
 
     def test_behind_ray(self):
-        ray = ray_along([0.0, 0.0], 0.0)
         with pytest.raises(BehindRay):
-            ray_circle_point(ray, [0.0, 5.0], 1.0)
+            ray_circle_point([0.0, 0.0], 0.0, [0.0, 5.0], 1.0)
 
 
 class TestHybridSingleNode:

@@ -3,7 +3,6 @@ import pytest
 
 from wsnloc.errors import (
     DegenerateLeadingCoefficient,
-    NearSingular,
     NonHermitian,
     NumericOverflow,
 )
@@ -12,7 +11,6 @@ from wsnloc.numerics import (
     _check_hermitian,
     herm_eig,
     herm_eig_stack,
-    inv_sqrt_psd,
     poly_roots,
 )
 
@@ -183,23 +181,3 @@ class TestCheckHermitian:
         m[0, 1] = np.inf
         with np.errstate(invalid="ignore"):
             assert check_verdict(m) == two_norm_verdict(m)
-
-
-class TestInvSqrtPsd:
-    def test_identity(self):
-        assert np.allclose(inv_sqrt_psd(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        x = inv_sqrt_psd(np.diag([4.0, 9.0]))
-        assert np.allclose(x, np.diag([0.5, 1.0 / 3.0]))
-
-    def test_defining_equation(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(5, 5))
-        m = a @ a.T + 5 * np.eye(5)
-        x = inv_sqrt_psd(m)
-        assert np.linalg.norm(x @ m @ x - np.eye(5)) < 1e-9
-
-    def test_near_singular(self):
-        with pytest.raises(NearSingular):
-            inv_sqrt_psd(np.diag([1.0, 1e-16]))

@@ -11,6 +11,7 @@ from wsnloc.errors import (
     BesselNearZero,
     DimensionMismatch,
     InsufficientElements,
+    NearSingular,
     OutOfSupportedRange,
     WrongGeometry,
 )
@@ -75,9 +76,11 @@ class TestBesselJ:
 
 class TestBuildTransform:
     def test_beamformer_rows_orthogonal(self):
+        # Tv = diag(J) F with F F^H = I / N, so Tv Tv^H is diagonal
         t = build_transform(uca(12, 0.5))
-        eye = np.eye(2 * t.h + 1) / 12
-        assert np.max(np.abs(t.F @ t.F.conj().T - eye)) < 1e-12
+        gram = t.Tv @ t.Tv.conj().T
+        off = gram - np.diag(np.diag(gram))
+        assert np.max(np.abs(off)) < 1e-12 * np.max(np.abs(np.diag(gram)))
 
     def test_prewhitened_rows_orthonormal(self):
         t = build_transform(uca(12, 0.5))
@@ -85,10 +88,28 @@ class TestBuildTransform:
         assert np.max(np.abs(t.Tw @ t.Tw.conj().T - eye)) < 1e-10
 
     def test_equalizer_symmetric_in_mode(self):
+        # element 0 sits at angle 0, where every beamformer row is 1 / N: n Tv[:, 0] = J
         t = build_transform(uca(12, 0.5))
-        h = t.h
+        h, j = t.h, 12 * t.Tv[:, 0]
         for p in range(1, h + 1):
-            assert t.J[h + p] == pytest.approx(t.J[h - p], rel=1e-12)
+            assert j[h + p] == pytest.approx(j[h - p], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, r, elevation_deg", [(3, 0.2, 90.0), (12, 0.5, 90.0), (16, 1.1, 40.0)]
+    )
+    def test_whiten_and_color_are_the_gram_square_roots(self, n, r, elevation_deg):
+        t = build_transform(uca(n, r, np.radians(elevation_deg)))
+        gram = t.Tv @ t.Tv.conj().T
+        eye = np.eye(t.vula_size)
+        assert np.linalg.norm(t.whiten @ gram @ t.whiten - eye) < 1e-9
+        assert np.linalg.norm(t.color @ t.color - gram) < 1e-9 * np.linalg.norm(gram)
+
+    def test_near_singular_gram_raises(self):
+        # just off J_0's first zero: |J_0| stays above the Bessel floor, but its row's
+        # 1 / |J_0|^2 swamps the others, whose eigenvalues fall below 1e-12 of the trace
+        zeta = 2.404825557695773 + 1e-8
+        with pytest.raises(NearSingular):
+            build_transform(uca(6, zeta / (2.0 * np.pi)))
 
     @pytest.mark.parametrize("elevation_deg", [90.0, 20.0])
     def test_mapped_steering_close_to_vandermonde(self, elevation_deg):
