@@ -16,7 +16,18 @@ checks a scenario against the same rule when it compiles it. A caller that runs
 many trials at once splits their covariances as one stack (:func:`eigenbases`)
 and scores each trial's estimates with :func:`azimuth_error`.
 
+Both Root-MUSIC forms root a real polynomial (:func:`_signal_phases`): the Cayley
+map z = (1 + jt) / (1 - jt) takes the conjugate-symmetric polynomial in z to a
+real one in t of the same degree, whose roots with Im t > 0 lie inside the unit
+circle and come with their exact conjugate-reciprocal partners. Where the map's
+pole z = -1 lies near a root, the polynomial is first turned to put the pole at
+the largest of 2n fixed points. On n elements the real polynomial's coefficients
+grow as 4^(n - 1), and its roots lose digits that the complex one's keep, so both
+forms root at most :data:`ROOTING_MOST` elements, where they stay within 1e-14 rad
+of the exact roots.
+
 References: Schmidt (1986) for MUSIC, Barabell (1983) for Root-MUSIC,
+Pesavento, Gershman & Haardt (2000) for rooting it as a real polynomial,
 Roy & Kailath (1989) for ESPRIT, Mathews & Zoltowski (1994) for the
 beamspace circular-array forms.
 """
@@ -26,6 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as poly
 
 from .arrays import UniformLinearArray, sample_covariance, snapshots
 from .decorrelate import smooth
@@ -42,6 +54,11 @@ from .numerics import herm_eig, herm_eig_stack, one_blas_thread, poly_roots
 from .pme import PmeTransform, to_vula
 
 DEFAULT_GRID_STEP = np.radians(0.1)
+# The most elements a Root-MUSIC polynomial is rooted on (:func:`_signal_phases`). On
+# two-source half-wavelength ULAs the real form's phases were at most 1e-14 rad off the
+# exact roots at 16 elements and 8e-11 at 32 (noiseless covariances, and noisy ones
+# against 60-digit mpmath roots); at 64, noiseless sources came out tens of degrees off.
+ROOTING_MOST = 16
 
 
 @dataclass(frozen=True)
@@ -86,6 +103,8 @@ def _check_sources(method: str, size: int, n_sources: int) -> None:
     most = capacity(method, size)
     if n_sources > most:
         raise TooManySources(f"{method} resolves at most {most} sources, not {n_sources}")
+    if method.endswith("root-music") and size > ROOTING_MOST:
+        raise WrongGeometry(f"{method} roots at most {ROOTING_MOST} elements, not {size}")
 
 
 def eig_split(r: np.ndarray, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,46 +319,82 @@ def music(
 
 
 def _lag_polynomial(c: np.ndarray) -> np.ndarray:
-    """Descending coefficients of sum_k trace(C, k) z^(k + dim - 1).
+    """The upper-diagonal sums p_k = trace(C, k), k = 0 ... dim - 1: the coefficients of
+    z^k in the Laurent polynomial D(z) = sum_k trace(C, k) z^k of a Hermitian C, whose
+    lower diagonals sum to their conjugates.
 
     Each diagonal is summed on its own, by the reduction ``np.trace`` runs, so the
     bits are its; summing them as segments of one array would group the additions
     differently (numpy's pairwise sum depends on the length it is given)."""
-    n = c.shape[0]
-    out = np.empty(2 * n - 1, dtype=c.dtype)
-    for i, k in enumerate(range(n - 1, -n, -1)):
-        out[i] = c.diagonal(k).sum()
-    return out
+    return np.array([c.diagonal(k).sum() for k in range(c.shape[0])])
 
 
-def _roots_inside_unit_circle(coeffs: np.ndarray, n_sources: int) -> np.ndarray:
-    """The n_sources roots inside the unit circle with the largest modulus,
-    each averaged with its conjugate-reciprocal partner.
+@lru_cache(maxsize=8)
+def _cayley_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed real basis that maps n upper-diagonal sums p to the descending
+    coefficients of Q(t) = (1 + t^2)^(n - 1) D(z(t)), z(t) = (1 + jt) / (1 - jt), and
+    the two (2n, n) tables of the pole rule for the points psi_i = pi i / n.
 
-    The coefficients are conjugate-symmetric, so the roots come in pairs
-    (z, 1/conj(z)). A noiseless source is a double root on the circle,
-    which the companion-matrix eigensolver splits by about sqrt(eps) in a
-    direction that depends on the LAPACK build: the inside member alone
-    is then off in phase by ~1e-8 rad. The partner of a selected root z is
-    the nearest other root to 1/conj(z), searched over all roots so that a
-    split leaving both halves on one side is still paired. The returned
-    root z exp(0.5j arg(w / z)), with w = 1/conj(partner), has the phase of
-    the geometric mean of z and w, which cancels the split to first order.
-    For a simple root the partner is 1/conj(z) to rounding and the phase
-    is unchanged.
-    """
-    roots = poly_roots(coeffs)
-    inside = np.nonzero(np.abs(roots) < 1.0)[0]
-    if inside.size < n_sources:
-        raise RootSolveFailure(
-            f"only {inside.size} roots inside the unit circle, need {n_sources}"
-        )
-    chosen = inside[np.argsort(-np.abs(roots[inside]))[:n_sources]]
-    z = roots[chosen]
-    dist = np.abs(roots[None, :] - 1.0 / np.conj(z)[:, None])
-    dist[np.arange(n_sources), chosen] = np.inf
-    w = 1.0 / np.conj(roots[np.argmin(dist, axis=1)])
-    return z * np.exp(0.5j * np.angle(w / z))
+    With m = n - 1, Q(t) = sum_k w_k Re(p_k (1 + jt)^(m + k) (1 - jt)^(m - k)), w_0 = 1
+    and w_k = 2 otherwise. The t^d coefficient of the k-th product is j^d times an
+    integer, so an even power of Q takes the real parts of p alone and an odd power the
+    imaginary parts. The basis is that real (2n - 1) x n matrix with its columns spread
+    over the slots of ``p.view(float)`` (real, imaginary, real, ...), zero in the slot a
+    row does not read; its integers stay below 2^31 for n <= :data:`ROOTING_MOST`, so
+    floats hold them exactly. ``turns[i, k]`` is exp(j k psi_i), and ``poles[i] @ p`` has the
+    real part D(-exp(j psi_i)): the value at z' = -1 of the polynomial turned by psi_i,
+    p_k exp(j k psi_i)."""
+    m, w, d = n - 1, np.where(np.arange(n) == 0, 1.0, 2.0), np.arange(2 * n - 1)
+    basis, sign = np.zeros((2 * m + 1, 2 * n)), np.array([1.0, -1.0, -1.0, 1.0])[d % 4]
+    for k in range(n):  # (1 + x)^(m + k) (1 - x)^(m - k) at x^d, x = jt
+        e = poly.polymul(poly.polypow([1.0, 1.0], m + k), poly.polypow([1.0, -1.0], m - k))
+        basis[2 * m - d, 2 * k + d % 2] = w[k] * sign * e  # Re(j^d p): Re p, -Im p, -Re p, Im p
+    turns = np.exp(1j * np.pi / n * np.outer(np.arange(2 * n), np.arange(n)))
+    poles = turns * w * (-1.0) ** np.arange(n)
+    for arr in (basis, turns, poles):
+        arr.flags.writeable = False
+    return basis, turns, poles
+
+
+def _signal_phases(p: np.ndarray, n_sources: int) -> np.ndarray:
+    """The phases of the n_sources signal roots of D(z) = sum_k p_k z^k, p_(-k) =
+    conj(p_k), from its n <= :data:`ROOTING_MOST` upper-diagonal sums p
+    (:func:`_lag_polynomial`).
+
+    The Cayley map z = (1 + jt) / (1 - jt) takes the unit circle to the real line, so
+    Q(t) = (1 + t^2)^(n - 1) D(z(t)) is a real polynomial of D's degree, 2(n - 1)
+    (:func:`_cayley_basis`), and LAPACK's real eigensolver returns its complex roots in
+    exact conjugate pairs: real-valued rooting as in unitary Root-MUSIC (Pesavento,
+    Gershman & Haardt, 2000), without its forward-backward averaging. A root with
+    Im t > 0 is a root inside the circle, and its conjugate-reciprocal partner is exactly
+    conj(t). Those rank by |z|, largest first, as Root-MUSIC ranks its roots inside the
+    circle. A noiseless source is a double root on the circle, which rounding splits
+    into a conjugate pair, whose z has the source's phase to second order, or into two
+    real roots t1 < t2, adjacent in sorted order: their phase is atan t1 + atan t2, the
+    midpoint's, and such pairs rank first. Q keeps its full degree (the pole rule below)
+    and its complex roots come in pairs, so its real roots are even in number.
+
+    Q's leading coefficient is D(-1): the Cayley pole z = -1 must not sit on a root.
+    Where |D(-1)| < 1e-6 p_0 the polynomial is turned to p_k exp(j k psi), with psi the
+    one of the 2n points pi i / n that puts the largest |D| at the pole, and psi is added
+    back to the phases, wrapped into (-pi, pi]."""
+    p = np.ascontiguousarray(p, dtype=np.complex128)
+    basis, turns, poles = _cayley_basis(p.size)
+    q = basis @ p.view(np.float64)
+    psi = 0.0
+    if not abs(q[0]) >= 1e-6 * p[0].real:  # a NaN turns too
+        i = int(np.argmax(np.abs((poles @ p).real)))
+        psi = np.pi * i / p.size
+        q = basis @ (p * turns[i]).view(np.float64)
+    t = poly_roots(q)
+    real = np.arctan(np.sort(t[t.imag == 0].real))
+    upper = t[t.imag > 0]
+    z = (1.0 + 1j * upper) / (1.0 - 1j * upper)
+    phases = np.concatenate([real[0::2] + real[1::2], np.angle(z[np.argsort(-np.abs(z))])])
+    if phases.size < n_sources:
+        raise RootSolveFailure(f"only {phases.size} roots in or on the circle, need {n_sources}")
+    phases = phases[:n_sources]
+    return np.pi - np.mod(np.pi - (phases + psi), 2.0 * np.pi) if psi else phases
 
 
 def _ula_angles_from_phases(phases: np.ndarray, geometry: UniformLinearArray) -> np.ndarray:
@@ -356,10 +411,18 @@ def root_music(r: np.ndarray, geometry, n_sources: int) -> np.ndarray:
     its 2(N-1) roots come in conjugate-reciprocal pairs, and the n_sources
     members inside the circle with the largest modulus sit next to the
     signal zeros. Angles follow from arcsin(arg(z) lambda / (2 pi d)).
-    Without noise each signal zero is a double root on the circle, which
-    root finding splits by ~sqrt(eps); each selected root is therefore
-    averaged with its conjugate-reciprocal partner so the noiseless
-    estimate is exact to rounding whatever LAPACK is installed.
+    The polynomial is rooted in t, through the Cayley map
+    z = (1 + jt) / (1 - jt), as a real polynomial of the same degree
+    (Pesavento, Gershman & Haardt, 2000): a root inside the circle is one
+    with Im t > 0, and its partner is exactly conj(t). Without noise each
+    signal zero is a double root on the circle, which root finding splits
+    by ~sqrt(eps), into a conjugate pair or two real roots; a real pair
+    t1, t2 gives the phase atan t1 + atan t2, and ranks first, so the
+    noiseless estimate is exact to rounding whatever LAPACK is installed.
+    The map's pole z = -1 is turned away from a source whose phase is
+    near pi (:func:`_signal_phases`). The real polynomial loses digits as
+    N grows, so an array of more than :data:`ROOTING_MOST` elements raises
+    ``WrongGeometry``.
     """
     if not isinstance(geometry, UniformLinearArray):
         raise WrongGeometry("root_music needs a UniformLinearArray")
@@ -368,9 +431,8 @@ def root_music(r: np.ndarray, geometry, n_sources: int) -> np.ndarray:
     c = noise @ noise.conj().T
     # The physical steering phase decreases along the array, so conjugate
     # the lag polynomial to place signal roots at exp(+j phi).
-    coeffs = np.conj(_lag_polynomial(c))
-    roots = _roots_inside_unit_circle(coeffs, n_sources)
-    return _ula_angles_from_phases(np.angle(roots), geometry)
+    phases = _signal_phases(np.conj(_lag_polynomial(c)), n_sources)
+    return _ula_angles_from_phases(phases, geometry)
 
 
 def _invariance_eigs(vs: np.ndarray, n_sources: int) -> np.ndarray:
@@ -404,16 +466,18 @@ def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> np
     Snapshots are mapped with the row-orthonormal transform so the noise
     stays white; the rooted polynomial carries the (Tv Tv^H)^(-1/2)
     equalizer (``transform.whiten``) on both sides of the noise projector,
-    and each selected root gives the azimuth directly as its phase. As in root_music, each root is
-    averaged with its conjugate-reciprocal partner, which cancels the
-    ~sqrt(eps) split of the double root a noiseless source produces.
+    and each selected root gives the azimuth directly as its phase. As in
+    root_music, the polynomial is rooted as a real one through the Cayley
+    map, whose pole z = -1 is turned away from a source near 180 degrees,
+    and the two real roots into which rounding splits the double root of a
+    noiseless source give its phase as atan t1 + atan t2. A virtual array
+    of more than :data:`ROOTING_MOST` elements raises ``WrongGeometry``.
     """
     _check_sources("uca-root-music", transform.vula_size, n_sources)
     xv = to_vula(x, transform, prewhitened=True)
     noise = eig_split(sample_covariance(xv), n_sources)[1]
     c = transform.whiten @ (noise @ noise.conj().T) @ transform.whiten
-    roots = _roots_inside_unit_circle(_lag_polynomial(c), n_sources)
-    return np.sort(np.angle(roots))
+    return np.sort(_signal_phases(_lag_polynomial(c), n_sources))
 
 
 def uca_esprit(x: np.ndarray, transform: PmeTransform, n_sources: int) -> np.ndarray:

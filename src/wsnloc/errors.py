@@ -44,7 +44,7 @@ class SingularSystem(WsnlocError):
 # --- array model --------------------------------------------------------------
 
 class WrongGeometry(WsnlocError):
-    """Operation requires a different array geometry (ULA vs UCA)."""
+    """Operation requires a different array geometry (ULA vs UCA, or fewer elements)."""
 
 
 class TooManySources(WsnlocError):

@@ -81,7 +81,7 @@ from .channel import range_stack
 from .config import ScenarioConfig, load_config  # bench/ reaches load_config here
 from .doa import Spectrum, azimuth_error, capacity, covariance, esprit, music, music_peaks
 from .doa import eigenbases, music_spectrum, root_music, scan_capacity, uca_esprit
-from .doa import uca_root_music
+from .doa import ROOTING_MOST, uca_root_music
 from .errors import AllTrialsFailed, CoincidentSources, ConfigError, NonPositiveDistance
 from .errors import NumericOverflow, WsnlocError
 from .geometry import LopMatrix, as_anchor_array, bearing_to, distance, lop_matrix
@@ -361,7 +361,8 @@ def _front_end(
     reaches smoothing, and every estimator but MUSIC, only through its phase-mode
     beamspace, whose 2h+1-element virtual array is then what the estimator works on.
     Builds ``p.noise``, ``p.transform``, ``p.plan``, ``p.scan`` (a MUSIC scan must be
-    able to show a peak per source, :func:`doa.scan_capacity`) and ``p.draw``."""
+    able to show a peak per source, :func:`doa.scan_capacity`) and ``p.draw``. A
+    Root-MUSIC polynomial roots at most :data:`doa.ROOTING_MOST` elements."""
     count, ring = len(amplitudes), isinstance(geometry, UniformCircularArray)
     with np.errstate(over="ignore"):  # a total power past the float range raises instead
         p.noise = _per_row(p.cfg, "noise power", lambda snr: noise_power(amplitudes, snr))
@@ -379,6 +380,9 @@ def _front_end(
         )
         sub = p.plan.subarray_len
         p.scan = VandermondeArray(sub) if ring else dataclasses.replace(geometry, n=sub)
+    rooted = p.scan.size if method == "root-music" else size
+    if method.endswith("root-music") and rooted > ROOTING_MOST:
+        raise ConfigError(f"{name} roots at most {ROOTING_MOST} elements, not {rooted}")
     if method == "music":  # the scan must be able to show a peak per source
         most = scan_capacity(p.scan, p.grid_step)
         if count > most:

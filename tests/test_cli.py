@@ -703,6 +703,32 @@ def test_doa_capacity_boundary(tmp_path, capsys, method, prep, array, most):
     assert err.startswith("config error:") and f"resolves at most {most} sources" in err
 
 
+# Root-MUSIC roots polynomials of at most doa.ROOTING_MOST = 16 elements: a ULA's own,
+# its smoothing subarray's, or a ring's 2h + 1 virtual elements (h = 7 at 1.2
+# wavelengths, 8 at 1.3)
+ROOTING = [
+    ("root-music", "none", {**ULA[5], "n_elements": 16}, {}, None),
+    ("root-music", "none", {**ULA[5], "n_elements": 17}, {}, 17),
+    ("root-music", "fbss", {**ULA[5], "n_elements": 20}, {"subarray_len": 16}, None),
+    ("root-music", "fbss", {**ULA[5], "n_elements": 20}, {"subarray_len": 17}, 17),
+    ("uca-root-music", "none", {**RING5, "n_elements": 17, "radius_wavelengths": 1.2}, {}, None),
+    ("uca-root-music", "none", {**RING5, "n_elements": 17, "radius_wavelengths": 1.3}, {}, 17),
+]
+
+
+@pytest.mark.parametrize("method, prep, array, extra, rooted", ROOTING)
+def test_root_music_rooting_bound(tmp_path, capsys, method, prep, array, extra, rooted):
+    raw = doa_with_sources(array, 2, method, prep)
+    raw["method"].update(extra)
+    if rooted is None:
+        harness._pipeline(ScenarioConfig.from_dict(raw), "doa")
+        return
+    cfg = write_cfg(tmp_path, raw)
+    assert main(["doa", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"roots at most 16 elements, not {rooted}" in err
+
+
 TINY_NODE = {"center": [18.0, 16.0], "n_elements": 4, "radius_wavelengths": 0.2}
 
 

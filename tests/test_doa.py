@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,7 @@ from wsnloc.arrays import (
 from wsnloc import doa
 from wsnloc.doa import (
     _pick_peaks,
-    _roots_inside_unit_circle,
+    _signal_phases,
     eig_split,
     esprit,
     music,
@@ -31,6 +32,7 @@ from wsnloc.doa import (
     uca_esprit,
     uca_root_music,
 )
+from wsnloc.decorrelate import SmoothingPlan, fbss
 from wsnloc.errors import (
     CoincidentSources,
     NoPeaksFound,
@@ -551,19 +553,36 @@ class TestScanBlocks:
         assert 4 * ticks["workers"] < ticks["main"], ticks
 
 
-def test_scan_tests_hold_under_the_haswell_kernels():
-    # OpenBLAS picks its kernels by CPU; OPENBLAS_CORETYPE runs another set. The scan's
-    # one-thread product and the noise-form property must not depend on which.
+def run_under_haswell(*args):
+    """Runs pytest with ``args`` in a child process on OpenBLAS's Haswell kernels.
+    OpenBLAS picks its kernels by CPU; OPENBLAS_CORETYPE runs another set."""
     cpuinfo = Path("/proc/cpuinfo")
     if not cpuinfo.is_file() or "avx2" not in cpuinfo.read_text().split():
         pytest.skip("the Haswell kernels need AVX2")
-    tests = [f"{__file__}::TestScanBlocks", f"{__file__}::test_music_picks_equal_the_noise_form"]
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
         env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"), cwd=ROOT,
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:]
+
+
+def test_scan_tests_hold_under_the_haswell_kernels():
+    # The scan's one-thread product and the noise-form property must not depend on the
+    # kernels.
+    run_under_haswell(
+        f"{__file__}::TestScanBlocks", f"{__file__}::test_music_picks_equal_the_noise_form"
+    )
+
+
+def test_rooting_tests_hold_under_the_haswell_kernels():
+    # Nor must the real-polynomial rooting. The closure check of the complex companion
+    # matrix's roots is left out: its 1e-8 bound sits at the sqrt(eps) split of a double
+    # root, which these kernels widen past it (1.24e-8).
+    run_under_haswell(
+        f"{__file__}::TestRootMusic", "-k", "not test_roots_close_under_conjugate_reciprocal",
+        f"{__file__}::TestUcaVariants::test_uca_root_music_source_on_the_cayley_pole",
+    )
 
 
 class TestRootMusic:
@@ -588,8 +607,8 @@ class TestRootMusic:
             assert np.min(np.abs(roots - partner)) < 1e-8
 
     def test_lag_polynomial_equals_the_trace_loop_bitwise(self):
-        # each diagonal summed alone is np.trace's reduction, bit for bit, whatever the
-        # magnitudes, NaNs or infinities in it
+        # each upper diagonal summed alone is np.trace's reduction, bit for bit, whatever
+        # the magnitudes, NaNs or infinities in it
         rng = np.random.default_rng(19)
         for n in range(2, 21):
             for _ in range(12):
@@ -601,7 +620,7 @@ class TestRootMusic:
                 c[(special > 0.05) & (special < 0.08)] = np.inf
                 c[special > 0.97] = complex(-np.inf, 1.0)
                 with np.errstate(invalid="ignore", over="ignore"):
-                    oracle = np.array([np.trace(c, offset=k) for k in range(n - 1, -n, -1)])
+                    oracle = np.array([np.trace(c, offset=k) for k in range(n)])
                     got = doa._lag_polynomial(c)
                 assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
 
@@ -624,29 +643,129 @@ class TestRootMusic:
             root_music(np.eye(6), g, 1)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(3, 12))
-    def test_noiseless_exact_on_random_ulas(self, data, n):
-        # Each noiseless source is a double root on the unit circle; its
-        # sqrt(eps) split moved the inside root alone by up to ~1e-5 deg.
+    @given(data=st.data(), n=st.integers(3, doa.ROOTING_MOST), spacing=st.floats(0.1, 1.0))
+    def test_noiseless_exact_on_random_ulas(self, data, n, spacing):
+        # Each noiseless source is a double root on the unit circle; its sqrt(eps) split
+        # moved the inside root alone by up to ~1e-5 deg. Spacing up to one wavelength
+        # puts the phases 2 pi d sin(theta) anywhere in (-pi, pi), next to the Cayley
+        # pole at pi included.
         k = data.draw(st.integers(1, min(3, n - 1)))
-        truth = np.sort(
-            data.draw(st.lists(st.floats(-69.9, 69.9), min_size=k, max_size=k))
-        )
-        assume(k == 1 or np.min(np.diff(truth)) >= 5.0)
-        g = ula(n)
-        r = analytic_covariance(g, SourceSet(azimuths=np.radians(truth)))
-        est = root_music(r, g, k)
+        most = min(np.sin(np.radians(69.9)), 0.999 / (2.0 * spacing))
+        sines = np.sort(data.draw(st.lists(st.floats(-most, most), min_size=k, max_size=k)))
+        phases = 2.0 * np.pi * spacing * sines
+        assume(k == 1 or np.min(np.diff(np.append(phases, phases[0] + 2.0 * np.pi))) >= 0.1)
+        truth = np.degrees(np.arcsin(sines))
+        g = UniformLinearArray(n=n, spacing=spacing, wavelength=1.0)
+        est = root_music(analytic_covariance(g, SourceSet(azimuths=np.radians(truth))), g, k)
         assert np.max(np.abs(np.degrees(est) - truth)) < 1e-6
 
     @pytest.mark.parametrize("phi_deg", [-150.0, -30.0, 0.0, 30.0, 95.0, 180.0])
     def test_double_root_on_circle_paired(self, phi_deg):
-        # exact double root at exp(j phi) times one conjugate-reciprocal
-        # pair off the circle: the split double root must be averaged back
+        # exact double root at exp(j phi) times one conjugate-reciprocal pair off the
+        # circle, scaled to be conjugate-symmetric: the split double root must be
+        # averaged back (at 180 deg it sits on the Cayley pole, which is turned away)
         u = np.exp(1j * np.radians(phi_deg))
         a = 0.6 * np.exp(1j * (np.radians(phi_deg) + 1.0))
         coeffs = np.poly([u, u, a, 1.0 / np.conj(a)])
-        z = _roots_inside_unit_circle(coeffs, 1)
-        assert abs(np.angle(z[0] * np.conj(u))) < 1e-12
+        coeffs *= np.sqrt(np.conj(coeffs[-1]) / coeffs[0])  # z^(4 - i) <-> conj, z^i
+        phase = _signal_phases(coeffs[2::-1].copy(), 1)
+        assert abs(np.angle(np.exp(1j * phase[0]) * np.conj(u))) < 1e-12
+
+    @pytest.mark.parametrize("n, trials", [(8, 200), (doa.ROOTING_MOST, 60)])
+    def test_phases_equal_mpmath_roots_of_the_symmetric_polynomial(self, n, trials):
+        # 50-digit roots of the exactly conjugate-symmetric polynomial that the float
+        # upper diagonals define; the float roots of the complex companion matrix only
+        # seed mpmath's iteration. The real form's error grows with n (8e-11 rad at 32
+        # elements), so the largest polynomial it roots is checked too.
+        g = ula(n)
+        worst = 0.0
+        for trial in range(trials):
+            rng = rng_for_trial(32, n, trial)
+            a1 = rng.uniform(-60.0, 40.0)
+            src = SourceSet(azimuths=np.radians([a1, a1 + rng.uniform(8.0, 20.0)]))
+            r = sample_covariance(synthesize_snapshots(g, src, 100, rng.uniform(0.0, 20.0), rng))
+            noise = eig_split(r, 2)[1]
+            d = np.conj(doa._lag_polynomial(noise @ noise.conj().T))
+            coeffs = np.concatenate([d[:0:-1], [d[0].real], np.conj(d[1:])])
+            with mpmath.workdps(50):
+                roots = mpmath.polyroots(
+                    [mpmath.mpc(complex(c)) for c in coeffs], maxsteps=200, extraprec=50,
+                    roots_init=[mpmath.mpc(complex(z)) for z in np.roots(coeffs)],
+                )
+                inside = sorted((z for z in roots if abs(z) < 1), key=lambda z: -abs(z))[:2]
+                exact = np.sort([float(mpmath.arg(z)) for z in inside])
+            worst = max(worst, np.max(np.abs(np.sort(_signal_phases(d, 2)) - exact)))
+        assert worst < 1e-13
+
+    def test_split_double_roots_of_a_three_element_subarray(self, monkeypatch):
+        # fbss makes the 3-element subarray's one noise vector conjugate-symmetric, so
+        # both its roots lie on the circle: each source is a double root of D, which
+        # rounding splits into a conjugate pair or two real t. The two roots of the
+        # noise vector's own quadratic are the oracle.
+        real_splits = []
+
+        def spy(q):
+            t = poly_roots(q)
+            real_splits.append(np.count_nonzero(t.imag == 0))
+            return t
+
+        monkeypatch.setattr(doa, "poly_roots", spy)
+        g, sub = ula(8), ula(3)
+        plan = SmoothingPlan.design(8, 2, forward_backward=True)
+        for trial in range(40):
+            rng = rng_for_trial(33, 0, trial)
+            src = SourceSet(azimuths=np.radians([-10.0, 10.0]), coherent=trial % 2 == 1)
+            r = fbss(sample_covariance(synthesize_snapshots(g, src, 100, 10.0, rng)), plan)
+            est = root_music(r, sub, 2)
+            v = eig_split(r, 2)[1][:, 0]
+            exact = np.arcsin(np.angle(np.roots(v[::-1])) / np.pi)
+            assert np.max(np.abs(est - np.sort(exact))) < 1e-12
+        assert any(real_splits)
+
+    def test_source_on_the_cayley_pole(self):
+        # phase pi on an 8-element 0.75-wavelength ULA: +-asin(2/3) steer alike
+        g = UniformLinearArray(n=8, spacing=0.75, wavelength=1.0)
+        r = analytic_covariance(g, SourceSet(azimuths=[np.arcsin(2.0 / 3.0)]))
+        est = root_music(r, g, 1)
+        assert abs(abs(est[0]) - np.arcsin(2.0 / 3.0)) < 1e-10
+
+    def test_real_roots_pair_in_sorted_order(self, monkeypatch):
+        # whatever order the eigensolver returns them in, the real roots pair as sorted
+        # neighbours and rank ahead of the roots inside the circle
+        real = [0.4, -0.3, 0.2, -0.1]
+        pair = [0.5 + 0.5j, 0.5 - 0.5j]
+        z = (1.0 + 0.5j * (1.0 + 1j)) / (1.0 - 0.5j * (1.0 + 1j))
+        expected = [
+            np.arctan(-0.3) + np.arctan(-0.1), np.arctan(0.2) + np.arctan(0.4), np.angle(z)
+        ]
+        for order in itertools.permutations(real + pair):
+            monkeypatch.setattr(doa, "poly_roots", lambda q: np.array(order))
+            assert np.array_equal(_signal_phases(np.array([1.0, 0.0, 0.0, 0.0]), 3), expected)
+
+    def test_real_and_single_precision_covariances(self):
+        # the helper roots the lag sums of any float or complex covariance
+        g = ula(6)
+        r = analytic_covariance(g, SourceSet(azimuths=[0.0]), 0.1)
+        assert np.abs(r.imag).max() == 0.0
+        assert abs(root_music(np.ascontiguousarray(r.real), g, 1)[0]) < 1e-10
+        truth = np.radians([-20.0, 30.0])
+        r = analytic_covariance(g, SourceSet(azimuths=truth), 0.1).astype(np.complex64)
+        assert np.max(np.abs(root_music(r, g, 2) - truth)) < 1e-4
+
+    def test_polynomials_past_the_rooting_bound_raise(self):
+        n = doa.ROOTING_MOST + 1
+        g = ula(n)
+        with pytest.raises(WrongGeometry, match=f"at most {n - 1} elements, not {n}"):
+            root_music(analytic_covariance(g, SourceSet(azimuths=[0.3]), 0.1), g, 1)
+        g = ula(doa.ROOTING_MOST)
+        est = root_music(analytic_covariance(g, SourceSet(azimuths=[0.3]), 0.1), g, 1)
+        assert abs(est[0] - 0.3) < 1e-10
+        ring = UniformCircularArray(n=n, radius=1.3, elevation=np.pi / 2, wavelength=1.0)
+        t = build_transform(ring)
+        assert t.vula_size == n
+        x = synthesize_snapshots(ring, SourceSet(azimuths=[0.3]), 50, 20.0, rng_for_trial(3, 0, 0))
+        with pytest.raises(WrongGeometry, match=f"uca-root-music roots at most {n - 1} elements"):
+            uca_root_music(x, t, 1)
 
 
 class TestEsprit:
@@ -698,6 +817,17 @@ class TestUcaVariants:
         )
         est = uca_root_music(x, t, 1)
         assert wrapped_deg(est[0], np.radians(30.0)) < 1.0
+
+    def test_uca_root_music_source_on_the_cayley_pole(self):
+        # on this ring, a rooting that keeps the pole at -1 splits the source's double
+        # root at t = +-inf into two real roots, whose atans average to 0 deg
+        g = UniformCircularArray(n=16, radius=0.4, elevation=np.radians(40.0), wavelength=1.0)
+        t = build_transform(g)
+        x = synthesize_snapshots(
+            g, SourceSet(azimuths=[np.pi]), 100, np.inf, rng_for_trial(12, 0, 0)
+        )
+        est = uca_root_music(x, t, 1)
+        assert wrapped_deg(est[0], np.pi) < 1e-6
 
     def test_uca_esprit_single_source(self):
         g = self.make_uca()
@@ -1022,7 +1152,7 @@ def uca_root_music_per_call(x, t, n_sources):
     w, q = np.linalg.eigh(t.Tv @ t.Tv.conj().T)
     whiten = (q * (1.0 / np.sqrt(w))) @ q.conj().T
     c = whiten @ (noise @ noise.conj().T) @ whiten
-    return np.sort(np.angle(_roots_inside_unit_circle(doa._lag_polynomial(c), n_sources)))
+    return np.sort(_signal_phases(doa._lag_polynomial(c), n_sources))
 
 
 def uca_esprit_per_call(x, t, n_sources):
