@@ -45,7 +45,6 @@ from .errors import (
     ArcsinOutOfRange,
     NoPeaksFound,
     RankDeficientSubspace,
-    RootSolveFailure,
     TooFewSources,
     TooManySources,
     WrongGeometry,
@@ -372,7 +371,8 @@ def _signal_phases(p: np.ndarray, n_sources: int) -> np.ndarray:
     into a conjugate pair, whose z has the source's phase to second order, or into two
     real roots t1 < t2, adjacent in sorted order: their phase is atan t1 + atan t2, the
     midpoint's, and such pairs rank first. Q keeps its full degree (the pole rule below)
-    and its complex roots come in pairs, so its real roots are even in number.
+    and its complex roots come in pairs, so its real roots are even in number and there
+    are always n - 1 phases, as many as sources the array resolves.
 
     Q's leading coefficient is D(-1): the Cayley pole z = -1 must not sit on a root.
     Where |D(-1)| < 1e-6 p_0 the polynomial is turned to p_k exp(j k psi), with psi the
@@ -391,8 +391,6 @@ def _signal_phases(p: np.ndarray, n_sources: int) -> np.ndarray:
     upper = t[t.imag > 0]
     z = (1.0 + 1j * upper) / (1.0 - 1j * upper)
     phases = np.concatenate([real[0::2] + real[1::2], np.angle(z[np.argsort(-np.abs(z))])])
-    if phases.size < n_sources:
-        raise RootSolveFailure(f"only {phases.size} roots in or on the circle, need {n_sources}")
     phases = phases[:n_sources]
     return np.pi - np.mod(np.pi - (phases + psi), 2.0 * np.pi) if psi else phases
 

@@ -96,10 +96,6 @@ class NoPeaksFound(WsnlocError):
     """Spectrum has fewer local maxima than requested sources."""
 
 
-class RootSolveFailure(WsnlocError):
-    """Could not extract the requested number of polynomial roots."""
-
-
 class ArcsinOutOfRange(WsnlocError):
     """Recovered phase maps outside the arcsin domain (|sin| > 1)."""
 

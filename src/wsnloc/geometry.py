@@ -1,6 +1,12 @@
 """Planar geometry shared by all estimators: distances, line-of-position
 systems for trilateration, and point-to-point bearings.
 
+A line-of-position system is built one way: :func:`lop_matrix` fixes its
+matrix for an anchor layout, and :meth:`LopMatrix.rhs` its right-hand sides
+for a block of ranges; :func:`build_lop_system` is that for one row of them.
+Whether a layout's normal matrix is too ill-conditioned to solve is the
+solvers' call (:func:`rss.ill_conditioned`), not the geometry's.
+
 Positions are 2-vectors ``[x, y]`` in meters. Azimuths are measured
 counter-clockwise from the +x axis, in radians (the CLI converts degrees).
 """
@@ -44,26 +50,13 @@ def as_anchor_array(anchors) -> np.ndarray:
 class LopMatrix(NamedTuple):
     """The anchor half of the line-of-position system, fixed by the anchor layout.
 
-    Built once by :func:`lop_matrix`, with the condition number of the
-    least-squares normal matrix ``A^T A``; :meth:`system` adds the right-hand
-    side for one set of ranges, :meth:`rhs` for a block of them.
+    Built once by :func:`lop_matrix`; :meth:`rhs` adds the right-hand sides for a
+    block of ranges.
     """
 
     A: np.ndarray  # (S-1, 2) rows 2 (p_S - p_i)
     ref_sq: float  # |p_S|^2
     pts_sq: np.ndarray  # (S-1,) |p_i|^2
-    gram_cond: float  # 2-norm condition number of A^T A
-
-    def system(self, distances: Sequence[float]) -> LinearSystem:
-        """``A p = b`` with ``b_i = d_i^2 - d_S^2 + |p_S|^2 - |p_i|^2``."""
-        d = np.asarray(distances, dtype=float)
-        if d.ndim != 1 or d.shape[0] != self.A.shape[0] + 1:
-            raise LengthMismatch(
-                f"{self.A.shape[0] + 1} anchors but {d.shape[0]} distances"
-            )
-        if np.any(d <= 0):
-            raise ValueError("distances must be positive")
-        return LinearSystem(A=self.A, b=self.rhs(d[None])[0])
 
     def rhs(self, distances: np.ndarray) -> np.ndarray:
         """``b`` for each row of a (T, S) block of ranges, unchecked: (T, S-1).
@@ -94,12 +87,7 @@ def lop_matrix(anchors) -> LopMatrix:
     s = np.linalg.svd(a_mat, compute_uv=False)
     if s[-1] <= 1e-12 * max(s[0], 1.0):
         raise CollinearAnchors("anchors are collinear; LOP system is rank deficient")
-    return LopMatrix(
-        A=a_mat,
-        ref_sq=np.sum(ref**2),
-        pts_sq=np.sum(pts[:-1] ** 2, axis=1),
-        gram_cond=np.linalg.cond(a_mat.T @ a_mat),
-    )
+    return LopMatrix(A=a_mat, ref_sq=np.sum(ref**2), pts_sq=np.sum(pts[:-1] ** 2, axis=1))
 
 
 def build_lop_system(anchors, distances: Sequence[float]) -> LinearSystem:
@@ -110,7 +98,9 @@ def build_lop_system(anchors, distances: Sequence[float]) -> LinearSystem:
 
         2 (p_S - p_i) . p = d_i^2 - d_S^2 + |p_S|^2 - |p_i|^2
 
-    A point satisfying all circle equations exactly satisfies ``A p = b``.
+    A point satisfying all circle equations exactly satisfies ``A p = b``: the
+    :func:`lop_matrix` of the anchors with its :meth:`LopMatrix.rhs` for one row of
+    ranges.
 
     Raises
     ------
@@ -118,8 +108,16 @@ def build_lop_system(anchors, distances: Sequence[float]) -> LinearSystem:
         If ``len(distances) != len(anchors)`` or fewer than 3 anchors.
     CollinearAnchors
         If the anchor layout leaves rank(A) < 2.
+    ValueError
+        If a distance is not positive.
     """
-    return lop_matrix(anchors).system(distances)
+    lop = lop_matrix(anchors)
+    d = np.asarray(distances, dtype=float)
+    if d.ndim != 1 or d.shape[0] != lop.A.shape[0] + 1:
+        raise LengthMismatch(f"{lop.A.shape[0] + 1} anchors but {d.size} distances")
+    if np.any(d <= 0):
+        raise ValueError("distances must be positive")
+    return LinearSystem(lop.A, lop.rhs(d[None])[0])
 
 
 def bearing_to(origin, target) -> float:

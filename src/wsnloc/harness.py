@@ -87,7 +87,7 @@ from .errors import NumericOverflow, WsnlocError
 from .geometry import LopMatrix, as_anchor_array, bearing_to, distance, lop_matrix
 from .hybrid import HybridNode, bearing_midpoint, fbss_bearing, single_node_stack, two_lines_stack
 from .pme import PmeTransform, VandermondeArray, build_transform
-from .rss import MAX_CONDITION, huber_by_row, solve_stack, unshadowed, wls_weights_by_row
+from .rss import huber_by_row, ill_conditioned, solve_stack, unshadowed, wls_weights_by_row
 
 # Extreme shadowing drives ranges and estimates out of the float range; a trial fails
 # on an explicit check of them and is counted, so numpy's warnings on the way there
@@ -233,7 +233,7 @@ class Pipeline:
     """A scenario compiled for one kind. rss and hybrid run a chunk of (snr_index,
     trial_index) pairs, in row-major order, through ``stack(pipeline, pairs)``, which
     returns the chunk's truths, estimates, errors and failures (:func:`_score`); doa runs
-    one trial through ``trial(pipeline, snr_index, rng)``. The method's parts come from
+    one trial at a time through :func:`_doa_trial`. The method's parts come from
     :data:`_STEPS`: ``fix`` trilaterates a chunk's ranges (rss, hybrid ls/wls/fbss),
     ``step`` is the doa estimator or the hybrid fusion, and ``prepare`` the doa
     covariance and its decorrelation. The other fields are what all trials share,
@@ -245,7 +245,6 @@ class Pipeline:
     grid_step: float  # MUSIC grid step, radians
     name: str  # the command compiling it, which its config errors name
     stack: Callable | None = None
-    trial: Callable | None = None
     step: Callable | None = None  # doa estimator, hybrid fusion
     fix: Callable | None = None  # rss, hybrid ls/wls/fbss: a chunk's fixes as one stack
     chunk: int = 1  # most pairs one stack call takes
@@ -312,11 +311,15 @@ def _trilateration(points, ls: bool, inverting) -> LopMatrix:
     unweighted solve rejects is a config error for an ``ls`` fix, and for a weighted one
     if any row's ``inverting`` channel has no shadowing (:func:`rss.unshadowed`): there
     WLS weighs every range alike and Huber starts from LS. Other weighted solves check
-    their own drawn weights."""
+    their own drawn weights. The verdict is :func:`rss.ill_conditioned` of the
+    ``A^T A`` that every unweighted :func:`rss.solve_stack` forms, so it is the
+    solves' own."""
     lop = lop_matrix(points)
-    if lop.gram_cond > MAX_CONDITION and (ls or any(map(unshadowed, inverting))):
+    gram = lop.A.T @ lop.A
+    if (ls or any(map(unshadowed, inverting))) and ill_conditioned(gram):
         fix = "LS" if ls else "the unweighted fix of a row without shadowing"
-        raise ConfigError(f"anchor layout ill-conditioned for {fix}: cond(A^T A) {lop.gram_cond:.3g}")
+        cond = np.linalg.cond(gram)
+        raise ConfigError(f"anchor layout ill-conditioned for {fix}: cond(A^T A) {cond:.3g}")
     return lop
 
 
@@ -399,7 +402,7 @@ def _compile_doa(p: Pipeline, cfg: ScenarioConfig) -> None:
         raise ConfigError(f"{p.name} scenario needs an 'array' and a 'sources' section")
     method, prep = cfg.method["doa"], cfg.method["decorrelate"]
     _check_size(p, cfg.array, scans=method == "music")
-    p.trial, p.step, p.prepare = _doa_trial, _STEPS["doa", method], _STEPS["decorrelate", prep]
+    p.step, p.prepare = _STEPS["doa", method], _STEPS["decorrelate", prep]
     p.sources = sources = cfg.sources
     ring = isinstance(cfg.array, UniformCircularArray)
     if method != "music" and ring != method.startswith("uca-"):
@@ -690,7 +693,7 @@ def run_trial(cfg: ScenarioConfig, kind: str, snr_index: int, trial_index: int) 
     p = _pipeline(cfg, kind)
     snr_index, trial_index = operator.index(snr_index), operator.index(trial_index)
     if p.stack is None:
-        return p.trial(p, snr_index, *_chunk_rngs(cfg.seed, [(snr_index, trial_index)]))
+        return _doa_trial(p, snr_index, *_chunk_rngs(cfg.seed, [(snr_index, trial_index)]))
     (truth,), (estimate,), (error,), (failed,) = p.stack(p, [(snr_index, trial_index)])
     if failed is not None:
         raise failed

@@ -18,7 +18,8 @@ whole estimates a bearing.
 
 Every scheme takes its RSS ranges as plain estimated distances. The two
 fusion schemes above solve their trilateration fix with
-:func:`rss.ls_solve` or :func:`rss.wls_solve` on the LOP system of those
+:func:`rss.ls_solve` or :func:`rss.wls_solve` (weighted by the row that
+:func:`rss.wls_weights` builds) on :func:`geometry.build_lop_system` of those
 ranges.
 
 Each fusion is written once, for a stack of T trials, so that a caller that
@@ -51,7 +52,7 @@ from .errors import (
     SingularFusionMatrix,
     only,
 )
-from .geometry import lop_matrix
+from .geometry import build_lop_system
 from .pme import PmeTransform, VandermondeArray, to_vula
 from .rss import ls_solve, wls_solve, wls_weights
 
@@ -206,7 +207,7 @@ def hybrid_with_fbss(
     )
     r = fbss(sample_covariance(xv), plan)
     _, azimuths = music(r, VandermondeArray(plan.subarray_len), n_sources, grid_step)
-    fix = ls_solve(lop_matrix(node.element_positions).system(ranges))
+    fix = ls_solve(build_lop_system(node.element_positions, ranges))
     chosen = fbss_bearing(node, azimuths, fix)
     return hybrid_single_node(node, chosen, ranges)
 
@@ -233,7 +234,7 @@ def hybrid_anchor_fusion(
     if estimator == "wls" and model is None:
         raise ValueError("wls fusion needs the channel model for its weights")
     anchors = np.vstack([np.asarray(rss_anchors, dtype=float), node.center])
-    system = lop_matrix(anchors).system(distances)
+    system = build_lop_system(anchors, distances)
     fix = ls_solve(system) if estimator == "ls" else wls_solve(system, wls_weights(model, distances))
     return bearing_midpoint(node, fix, doa)
 

@@ -7,7 +7,9 @@ matrix ``A``: :func:`solve_stack` solves the normal equations, unweighted or
 with per-row weights, and :func:`huber_stack` runs the IRLS loop. Each system
 of a stack gets the bits it gets alone: numpy's stacked ``matmul``, ``cond``
 and ``solve`` call the same BLAS or LAPACK routine once per matrix, and the
-condition check's closed form works element by element.
+condition check's closed form works element by element. That check,
+:func:`ill_conditioned`, is the one verdict on a normal matrix: the harness
+asks it about an anchor layout's ``A^T A`` when it compiles a scenario.
 A system that fails is recorded rather than raised, in an object array that
 holds ``None`` for the systems that solved. The harness's chunks solve whole
 stacks whose ranges were read through several channels, one per SNR row:
@@ -17,7 +19,8 @@ for. ``ls_solve``, ``wls_solve`` and ``huber_irls`` check one
 :class:`LinearSystem` and its weights, solve it as a stack of one, and raise
 the failure recorded for it (:func:`errors.only`); ``huber_irls`` returns the
 position with the IRLS passes it ran (:class:`EstimatorReport`). Weights are per
-row: a WLS weight matrix is diagonal, as :func:`wls_weights` builds it.
+row, as the stacks take them: one positive weight per LOP row, the (S-1,) row
+that :func:`wls_weights` builds.
 """
 
 import math
@@ -46,7 +49,7 @@ class EstimatorReport:
 
 
 def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
-    """Weight matrix for the LOP system built from S anchor range estimates.
+    """Per-row weights, (S-1,), for the LOP system built from S anchor range estimates.
 
     The right-hand side entry for the pair (anchor i, last anchor) carries
     the ranging variance Var(d_i^2) + Var(d_S^2). Under the log-normal
@@ -55,12 +58,12 @@ def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
         Var(d^2) = exp(4 mu)(exp(8 s^2) - exp(4 s^2)),
         mu = ln(d_est), s = sigma_db ln(10) / (10 eta).
 
-    The weight matrix is the inverse of the diagonal of that covariance
-    (rows are treated as independent; with equal anchor distances the
-    weights collapse to a multiple of the identity and WLS reduces to
-    plain LS). Where s^2 is 0 (:func:`unshadowed`) every variance vanishes
-    and the identity is returned. Where s^2 is so small that the difference
-    rounds to 0, it is taken as exp(4 s^2) expm1(4 s^2).
+    The weights are the inverse of the diagonal of that covariance (rows
+    are treated as independent; with equal anchor distances the weights
+    are all alike and WLS reduces to plain LS). Where s^2 is 0
+    (:func:`unshadowed`) every variance vanishes and every weight is 1.
+    Where s^2 is so small that the difference rounds to 0, it is taken as
+    exp(4 s^2) expm1(4 s^2).
 
     Raises ``NumericOverflow`` when a variance or weight leaves the float
     range (shadowing beyond about 41 eta dB, or ranges near 1e77 or 1e-77).
@@ -70,7 +73,7 @@ def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
         raise LengthMismatch("need estimated distances for at least 3 anchors")
     if np.any(d <= 0):
         raise ValueError("distances must be positive")
-    return np.diag(only(*wls_row_weights(model, d[None])))
+    return only(*wls_row_weights(model, d[None]))
 
 
 def unshadowed(model: ChannelModel) -> bool:
@@ -83,7 +86,7 @@ def unshadowed(model: ChannelModel) -> bool:
 
 
 def wls_row_weights(model: ChannelModel, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal of :func:`wls_weights` for each row of a (T, S) block of ranges.
+    """:func:`wls_weights` for each row of a (T, S) block of ranges.
 
     Returns the (T, S-1) weights and, per row, the ``NumericOverflow`` that
     ``wls_weights`` raises for it, or ``None``. The ranges are not checked.
@@ -117,7 +120,7 @@ def wls_weights_by_row(models, rows, d: np.ndarray) -> tuple[np.ndarray, np.ndar
     return weights, failed
 
 
-def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
+def ill_conditioned(gram: np.ndarray) -> np.ndarray:
     """Whether each 2x2 matrix of a (..., 2, 2) stack has a condition number past
     :data:`MAX_CONDITION`, the verdict ``np.linalg.cond(gram) > MAX_CONDITION`` gives.
 
@@ -163,12 +166,12 @@ def solve_stack(
     live = np.flatnonzero(np.equal(failed, None))
     if weights is None:
         gram = a.T @ a
-        singular = np.full(live.size, _ill_conditioned(gram))
+        singular = np.full(live.size, ill_conditioned(gram))
         rhs = a.T @ b[live, :, None]
     else:
         scaled = np.multiply(a.T, weights[live, None, :], order="C")
         gram, rhs = scaled @ a, scaled @ b[live, :, None]
-        singular = _ill_conditioned(gram)
+        singular = ill_conditioned(gram)
         gram = gram[~singular]
     failed[live[singular]] = SingularSystem(_SINGULAR)
     pos = np.full((len(b), 2), np.nan)
@@ -194,7 +197,7 @@ def huber_stack(
     A system stops after the pass that moves it less than ``HUBER_TOL``, or
     after ``HUBER_MAX_ITER`` passes (non-convergence is not an error).
 
-    With (T, m) ``weights`` (the diagonal of each system's WLS matrix) the first
+    With (T, m) ``weights`` (each system's WLS row weights) the first
     iterate is the WLS solution, and residuals are standardized by the per-row
     stds those weights imply before reweighting, so the robust loss is applied
     to comparably-scaled rows and epsilon is in standardized units. Under purely
@@ -243,16 +246,15 @@ def huber_by_row(lop: LopMatrix, models, rows, d, epsilon) -> tuple[np.ndarray, 
 
 
 def _row_weights(a: np.ndarray, weights) -> np.ndarray:
-    """The diagonal of a WLS weight matrix for ``a``, as a stack of one: (1, m)."""
+    """WLS row weights for ``a``, checked, as a stack of one: (1, m)."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != (a.shape[0], a.shape[0]):
-        raise LengthMismatch(f"weight matrix {w.shape} does not match {a.shape[0]} rows")
+    if w.shape != (a.shape[0],):
+        raise LengthMismatch(f"weights {w.shape} do not match {a.shape[0]} rows")
     if not np.all(np.isfinite(w)):
-        raise ValueError("weight matrix has NaN or infinite entries")
-    diag = np.diagonal(w)
-    if np.any(w != np.diag(diag)) or np.any(diag <= 0):
-        raise ValueError("weight matrix must be diagonal, with a positive diagonal")
-    return diag[None]
+        raise ValueError("weights have NaN or infinite entries")
+    if np.any(w <= 0):
+        raise ValueError("weights must be positive: W = diag(weights) needs a positive diagonal")
+    return w[None]
 
 
 def ls_solve(system: LinearSystem) -> np.ndarray:
@@ -263,8 +265,9 @@ def ls_solve(system: LinearSystem) -> np.ndarray:
 
 
 def wls_solve(system: LinearSystem, weights: np.ndarray) -> np.ndarray:
-    """Weighted least-squares position (A^T W A)^-1 A^T W b for a diagonal ``W``
-    with a finite, positive diagonal; ``SingularSystem`` past the condition bound."""
+    """Weighted least-squares position (A^T W A)^-1 A^T W b, ``W = diag(weights)``
+    for a row of finite, positive ``weights``; ``SingularSystem`` past the condition
+    bound."""
     a, b = system
     return only(*solve_stack(a, b[None], _row_weights(a, weights)))
 
@@ -275,7 +278,7 @@ def huber_irls(
     initial_weights: np.ndarray | None = None,
 ) -> EstimatorReport:
     """:func:`huber_stack` for one system, started from the WLS solution with the
-    diagonal matrix ``initial_weights`` (checked as for :func:`wls_solve`) when it is
+    row weights ``initial_weights`` (checked as for :func:`wls_solve`) when they are
     given. Raises ``SingularSystem`` when a pass fails the condition check."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

@@ -14,6 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import lop_oracle
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,11 +96,11 @@ def one_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -> tuple:
     if estimator == "ls":
         est = lop_oracle.normal_solve(a, b)
     elif estimator == "wls":
-        est = lop_oracle.normal_solve(a, b, np.diag(wls_weights(inv_model, d)))
+        est = lop_oracle.normal_solve(a, b, wls_weights(inv_model, d))
     else:
         # a log-domain variance that is 0, or underflows to it, has nothing to weigh
         shadowed = (inv_model.sigma_db * math.log(10.0) / (10.0 * inv_model.eta)) ** 2 > 0.0
-        weights = np.diag(wls_weights(inv_model, d)) if shadowed else None
+        weights = wls_weights(inv_model, d) if shadowed else None
         est, _ = lop_oracle.huber(a, b, cfg.method["huber_epsilon"], weights)
     error = distance(est, target)
     if not math.isfinite(error):
@@ -206,7 +207,8 @@ def test_ill_conditioned_layout_fails_ls_at_compile(estimator):
     # the layout is not collinear; WLS and Huber check their drawn weights per trial
     cfg = scenario(anchors=[[0.0, 0.0], [50.0, 50.0], [100.0, 100.0001]], target=[30.0, 60.0])
     cfg = cfg.with_method(estimator=estimator)
-    assert geometry.lop_matrix(cfg.anchors).gram_cond > rss.MAX_CONDITION
+    a = geometry.lop_matrix(cfg.anchors).A
+    assert rss.ill_conditioned(a.T @ a)
     if estimator == "ls":
         with pytest.raises(ConfigError, match="ill-conditioned"):
             monte_carlo(cfg, "rss")
@@ -215,6 +217,40 @@ def test_ill_conditioned_layout_fails_ls_at_compile(estimator):
 
 
 FOUND_LAYOUT = [[0.0, 0.0], [50.0, 50.0], [100.0, 100.0001]]  # cond(A^T A) about 2.5e13
+
+
+def test_one_conditioning_verdict_at_compile_and_in_the_solves():
+    # layouts whose cond(A^T A) runs from 1e11 to 1e13, the band within a factor of 4 of
+    # the 1e12 bound (where rss.ill_conditioned defers to the SVD) included: the compile
+    # check, the unweighted stack solve and a 50-digit SVD of the same float gram agree
+    rng = np.random.default_rng(33)
+    sides = []
+    for offset in np.geomspace(1.6e-4, 1.6e-3, 80):
+        turn = rng.uniform(0.0, 2.0 * math.pi)
+        rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+        layout = np.array([[0.0, 0.0], [50.0, 50.0], [100.0, 100.0 + offset]]) @ rot.T
+        layout += rng.uniform(-100.0, 100.0, 2)
+        lop = geometry.lop_matrix(layout)
+        gram = lop.A.T @ lop.A
+        with mpmath.workdps(50):
+            s = mpmath.svd_r(mpmath.matrix(gram.tolist()), compute_uv=False)
+            exact = float(max(s) / min(s))
+        # the float SVD holds a condition number near 1e12 to about eps * 1e12: no layout
+        # is that close to the bound
+        assert abs(exact / rss.MAX_CONDITION - 1.0) > 1e-3
+        try:
+            harness._trilateration(layout, True, ())
+            compiled = False
+        except ConfigError:
+            compiled = True
+        d = np.hypot(*(layout - rng.uniform(0.0, 100.0, 2)).T)
+        _, failed = rss.solve_stack(lop.A, lop.rhs(d[None]))
+        solved = isinstance(failed[0], SingularSystem)
+        assert compiled == solved == (exact > rss.MAX_CONDITION), exact
+        sides.append(exact / rss.MAX_CONDITION)
+    sides = np.array(sides)
+    assert np.any(sides < 0.25) and np.any(sides > 4.0)
+    assert np.any((sides > 0.25) & (sides < 1.0)) and np.any((sides > 1.0) & (sides < 4.0))
 
 
 @pytest.mark.parametrize("estimator", ["wls", "huber"])
@@ -700,7 +736,7 @@ def test_hybrid_trials_build_no_lop_matrix(monkeypatch, scheme):
     cfg = ScenarioConfig.from_dict(HYBRID_RAW).with_method(hybrid=scheme)
     run_trial(cfg, "hybrid", 0, 0)  # compiles the pipeline
     built = []
-    for module, name in [(hybrid, "lop_matrix"), (geometry, "build_lop_system")]:
+    for module, name in [(hybrid, "build_lop_system"), (geometry, "lop_matrix")]:
         original = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *args, _f=original: built.append(args) or _f(*args)
@@ -1208,7 +1244,7 @@ def oracle_hybrid_trial(cfg: ScenarioConfig, snr_index: int, trial_index: int) -
     if scheme in ("ls", "wls", "fbss"):
         lop = geometry.lop_matrix(ranged)
         a, b = lop.A, d[:-1] ** 2 - d[-1] ** 2 + lop.ref_sq - lop.pts_sq
-        weights = np.diag(wls_weights(inv_model, d)) if scheme == "wls" else None
+        weights = wls_weights(inv_model, d) if scheme == "wls" else None
         fix = lop_oracle.normal_solve(a, b, weights)
     if scheme == "single":
         est = oracle_ray_fusion(node.center, float(peaks[0]), positions, d)

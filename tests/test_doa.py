@@ -576,11 +576,9 @@ def test_scan_tests_hold_under_the_haswell_kernels():
 
 
 def test_rooting_tests_hold_under_the_haswell_kernels():
-    # Nor must the real-polynomial rooting. The closure check of the complex companion
-    # matrix's roots is left out: its 1e-8 bound sits at the sqrt(eps) split of a double
-    # root, which these kernels widen past it (1.24e-8).
+    # Nor must the real-polynomial rooting.
     run_under_haswell(
-        f"{__file__}::TestRootMusic", "-k", "not test_roots_close_under_conjugate_reciprocal",
+        f"{__file__}::TestRootMusic",
         f"{__file__}::TestUcaVariants::test_uca_root_music_source_on_the_cayley_pole",
     )
 
@@ -592,19 +590,42 @@ class TestRootMusic:
         est = root_music(r, g, 1)
         assert np.degrees(est[0]) == pytest.approx(20.0, abs=1e-6)
 
-    def test_roots_close_under_conjugate_reciprocal(self):
+    def test_roots_close_under_conjugate_reciprocal(self, monkeypatch):
+        # the roots the estimator finds, in t, mapped back through the Cayley map
+        # z = (1 + jt) / (1 - jt): a real polynomial's conjugate pairs are exact, and
+        # conj(t) maps to 1 / conj(z), so the set closes to rounding
+        rooted = []
+        monkeypatch.setattr(doa, "poly_roots", lambda q: rooted.append(poly_roots(q)) or rooted[-1])
         g = ula(5)
-        r = analytic_covariance(g, SourceSet(azimuths=[np.radians(20.0)]), 0.05)
-        noise = eig_split(r, 1)[1]
-        c = noise @ noise.conj().T
-        coeffs = np.conj(
-            np.array([np.trace(c, offset=k) for k in range(4, -5, -1)])
-        )
-        roots = poly_roots(coeffs)
+        root_music(analytic_covariance(g, SourceSet(azimuths=[np.radians(20.0)]), 0.05), g, 1)
+        (t,) = rooted
+        roots = (1.0 + 1j * t) / (1.0 - 1j * t)
         assert roots.size == 2 * (g.n - 1)
         for z in roots:
             partner = 1.0 / np.conj(z)
-            assert np.min(np.abs(roots - partner)) < 1e-8
+            assert np.min(np.abs(roots - partner)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, doa.ROOTING_MOST),
+        rank=st.integers(1, doa.ROOTING_MOST),
+        turned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_polynomial_gives_one_phase_per_resolvable_source(self, n, rank, turned, seed):
+        # Q keeps its degree 2(n - 1) and its complex roots come in exact conjugate pairs,
+        # so a Hermitian PSD C gives n - 1 phases, the most sources n elements resolve;
+        # with C blind to the steering vector at z = -1, D(-1) = 0 and the pole is turned
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(n, min(rank, n))) + 1j * rng.normal(size=(n, min(rank, n)))
+        if turned:
+            a = (-1.0) ** np.arange(n) / np.sqrt(n)
+            b -= np.outer(a, a @ b)
+        p = doa._lag_polynomial(b @ b.conj().T)
+        q0 = (doa._cayley_basis(n)[0] @ p.view(np.float64))[0]
+        assert (abs(q0) < 1e-6 * p[0].real) == turned
+        phases = _signal_phases(p, n - 1)
+        assert phases.size == n - 1 and np.all(np.abs(phases) <= np.pi)
 
     def test_lag_polynomial_equals_the_trace_loop_bitwise(self):
         # each upper diagonal summed alone is np.trace's reduction, bit for bit, whatever

@@ -71,8 +71,10 @@ class TestBuildLopSystem:
             build_lop_system(bad, [1.0, 2.0, 3.0])
 
     def test_count_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            build_lop_system(ANCHORS, [1.0, 2.0])
+        # a scalar or a 2-D block is no row of ranges, and is reported as such
+        for distances in ([1.0, 2.0], 5.0, np.ones((1, len(ANCHORS)))):
+            with pytest.raises(LengthMismatch, match="distances"):
+                build_lop_system(ANCHORS, distances)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -590,8 +590,7 @@ class TestMonteCarlo:
     def test_doa_trial_with_a_nan_error_is_kept_in_its_row(self, monkeypatch):
         # a doa trial that returns a NaN error is scored, not failed: its row's RMSE is NaN
         cfg = ScenarioConfig.from_dict(dict(DOA_RAW, trials=3))
-        p = harness._pipeline(cfg, "doa")
-        trial, scored = p.trial, []
+        trial, scored = harness._doa_trial, []
 
         def scoring(p, snr_index, rng):  # the second trial of each row scores NaN
             result = trial(p, snr_index, rng)
@@ -600,7 +599,7 @@ class TestMonteCarlo:
                 result = harness.TrialResult(result.estimate, result.truth, math.nan)
             return result
 
-        monkeypatch.setattr(p, "trial", scoring)
+        monkeypatch.setattr(harness, "_doa_trial", scoring)
         result = monte_carlo(cfg, "doa")
         assert len(scored) == cfg.trials * len(cfg.snr_grid_db)
         assert [row.failures for row in result.rows] == [0, 0]

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from wsnloc import rss
 from wsnloc.channel import ChannelModel, invert_distance, path_loss
-from wsnloc.errors import NumericOverflow, SingularSystem
+from wsnloc.errors import LengthMismatch, NumericOverflow, SingularSystem
 from wsnloc.geometry import LinearSystem, build_lop_system, distance, lop_matrix
-from wsnloc.rss import MAX_CONDITION, _ill_conditioned, huber_irls, huber_stack, ls_solve
+from wsnloc.rss import MAX_CONDITION, huber_irls, huber_stack, ill_conditioned, ls_solve
 from wsnloc.rss import solve_stack, wls_solve, wls_weights
 
 ANCHORS = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
@@ -84,7 +84,7 @@ class TestLsSolve:
 class TestWlsWeights:
     def test_equal_distances_give_identity_scaling(self):
         w = wls_weights(MODEL, np.full(4, 50.0))
-        assert np.allclose(w, w[0, 0] * np.eye(3))
+        assert w.shape == (3,) and np.allclose(w, w[0])
 
     def test_equal_distance_wls_equals_ls(self):
         truth = np.array([50.0, 50.0])
@@ -104,19 +104,19 @@ class TestWlsWeights:
         )
         w = wls_weights(MODEL, np.array([d, 2 * d, 30.0]))
         assert var(2 * d) / var(d) == pytest.approx(16.0, rel=1e-9)
-        assert w[0, 0] > w[1, 1]
-        assert w[0, 0] == pytest.approx(1.0 / (var(d) + var(30.0)), rel=1e-9)
+        assert w[0] > w[1]
+        assert w[0] == pytest.approx(1.0 / (var(d) + var(30.0)), rel=1e-9)
 
     def test_zero_sigma_identity_fallback(self):
         noiseless = ChannelModel(d0=1.0, eta=2.0, sigma_db=0.0, wavelength=0.3)
-        assert np.allclose(wls_weights(noiseless, np.array([5.0, 9.0, 3.0])), np.eye(2))
+        assert np.allclose(wls_weights(noiseless, np.array([5.0, 9.0, 3.0])), np.ones(2))
 
     # a log-domain variance s^2 that underflows to 0: a std of 1e-300, or a path-loss
     # exponent of 1e300
     @pytest.mark.parametrize("sigma_db, eta", [(1e-300, 2.0), (8.0, 1e300)])
     def test_underflowing_sigma_identity_fallback(self, sigma_db, eta):
         noiseless = ChannelModel(d0=1.0, eta=eta, sigma_db=sigma_db, wavelength=0.3)
-        assert np.array_equal(wls_weights(noiseless, np.array([5.0, 9.0, 3.0])), np.eye(2))
+        assert np.array_equal(wls_weights(noiseless, np.array([5.0, 9.0, 3.0])), np.ones(2))
 
     @pytest.mark.parametrize(
         "sigma_db, eta, expected",
@@ -137,7 +137,7 @@ class TestWlsWeights:
         assert s2 > 0.0 and math.exp(8 * s2) == math.exp(4 * s2)
         d = np.array([5.0, 9.0, 3.0])
         expected = 1.0 / (4.0 * s2 * (d[:-1] ** 4 + d[-1] ** 4))
-        assert np.diag(wls_weights(model, d)) == pytest.approx(expected, rel=1e-12)
+        assert wls_weights(model, d) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "sigma_db, d",
@@ -156,21 +156,23 @@ class TestWlsWeights:
 class TestWlsSolve:
     def test_identity_weights_reduce_to_ls(self):
         system = build_lop_system(ANCHORS, np.array([10.0, 90.0, 95.0, 130.0]))
-        assert np.allclose(wls_solve(system, np.eye(3)), ls_solve(system), atol=1e-12)
+        assert np.allclose(wls_solve(system, np.ones(3)), ls_solve(system), atol=1e-12)
 
     def test_noiseless_any_positive_diagonal_weights_exact(self):
         truth = np.array([20.0, 30.0])
         system = noiseless_system(ANCHORS, truth)
-        w = np.diag(np.random.default_rng(2).uniform(0.1, 10.0, 3))
+        w = np.random.default_rng(2).uniform(0.1, 10.0, 3)
         assert np.allclose(wls_solve(system, w), truth, atol=1e-9)
 
     @pytest.mark.parametrize("solve", [wls_solve, huber_from], ids=["wls", "huber"])
     def test_rejects_off_diagonal_weights(self, solve):
-        # symmetric and positive definite, but WLS weights are per row
+        # symmetric and positive definite, but WLS weights are a row, one per LOP row;
+        # a matrix, diagonal or not, is no such row
         m = np.random.default_rng(2).normal(size=(3, 3))
         system = noiseless_system(ANCHORS, np.array([20.0, 30.0]))
-        with pytest.raises(ValueError, match="diagonal"):
-            solve(system, m @ m.T + 3 * np.eye(3))
+        for weights in (m @ m.T + 3 * np.eye(3), np.eye(3), np.ones(4)):
+            with pytest.raises(LengthMismatch, match="do not match 3 rows"):
+                solve(system, weights)
 
     @pytest.mark.parametrize("solve", [wls_solve, huber_from], ids=["wls", "huber"])
     @pytest.mark.parametrize(
@@ -188,14 +190,14 @@ class TestWlsSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # raised before any arithmetic warns
             with pytest.raises(ValueError, match=message):
-                solve(system, np.diag([entry, 1.0, 1.0]))
+                solve(system, [entry, 1.0, 1.0])
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(1e-3, 1e3))
     def test_scaled_identity_invariance(self, c):
         system = noiseless_system(ANCHORS, np.array([15.0, 85.0, 99.0, 128.0]))
         assert np.allclose(
-            wls_solve(system, c * np.eye(3)), ls_solve(system), atol=1e-8
+            wls_solve(system, np.full(3, c)), ls_solve(system), atol=1e-8
         )
 
 
@@ -268,8 +270,7 @@ class TestHuberIrls:
             weights = wls_weights(MODEL, d) if standardized else None
             for epsilon in (1e-3, 1.345):
                 report = huber_irls(system, epsilon=epsilon, initial_weights=weights)
-                w = None if weights is None else np.diag(weights)
-                pos, iterations = lop_oracle.huber(*system, epsilon, w)
+                pos, iterations = lop_oracle.huber(*system, epsilon, weights)
                 assert np.array_equal(report.position, pos)
                 assert report.iterations == iterations
 
@@ -420,8 +421,8 @@ def assert_verdicts_are_the_svds(grams: np.ndarray) -> None:
         expected = np.linalg.cond(grams) > MAX_CONDITION
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(_ill_conditioned(grams), expected)
-        assert [bool(_ill_conditioned(g)) for g in grams] == expected.tolist()
+        assert np.array_equal(ill_conditioned(grams), expected)
+        assert [bool(ill_conditioned(g)) for g in grams] == expected.tolist()
 
 
 class TestClosedFormCondition:
@@ -488,9 +489,9 @@ class TestClosedFormCondition:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
-                _ill_conditioned(gram)
+                ill_conditioned(gram)
             with pytest.raises(np.linalg.LinAlgError):
-                _ill_conditioned(np.array([np.eye(2), gram]))
+                ill_conditioned(np.array([np.eye(2), gram]))
 
 
 @pytest.mark.parametrize("rows", [2, 3, 5, 11])
