@@ -16,6 +16,14 @@ checks a scenario against the same rule when it compiles it. A caller that runs
 many trials at once splits their covariances as one stack (:func:`eigenbases`)
 and scores each trial's estimates with :func:`azimuth_error`.
 
+On a uniform linear array, and on the beamspace virtual array, MUSIC and Root-MUSIC
+share one kernel. There the MUSIC denominator a^H Vn Vn^H a is the lag polynomial D(z)
+that Root-MUSIC roots, taken on the unit circle (Barabell 1983), and both read it from
+the upper-diagonal sums of Vn Vn^H (:func:`_lag_sums`). The scan multiplies them by a
+real table of cosines and sines cached with its grid (:func:`_scan`,
+:func:`_music_power`). A ring's scan multiplies its steering matrix by the smaller of
+the signal and noise subspaces.
+
 Both Root-MUSIC forms root a real polynomial (:func:`_signal_phases`): the Cayley
 map z = (1 + jt) / (1 - jt) takes the conjugate-symmetric polynomial in z to a
 real one in t of the same degree, whose roots with Im t > 0 lie inside the unit
@@ -23,8 +31,8 @@ circle and come with their exact conjugate-reciprocal partners. Where the map's
 pole z = -1 lies near a root, the polynomial is first turned to put the pole at
 the largest of 2n fixed points. On n elements the real polynomial's coefficients
 grow as 4^(n - 1), and its roots lose digits that the complex one's keep, so both
-forms root at most :data:`ROOTING_MOST` elements, where they stay within 1e-14 rad
-of the exact roots.
+forms root at most :data:`ROOTING_MOST` elements, where they stay within about 2e-14
+rad of the exact roots.
 
 References: Schmidt (1986) for MUSIC, Barabell (1983) for Root-MUSIC,
 Pesavento, Gershman & Haardt (2000) for rooting it as a real polynomial,
@@ -35,6 +43,7 @@ beamspace circular-array forms.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as poly
@@ -50,13 +59,15 @@ from .errors import (
     WrongGeometry,
 )
 from .numerics import herm_eig, herm_eig_stack, one_blas_thread, poly_roots
-from .pme import PmeTransform, to_vula
+from .pme import PmeTransform, VandermondeArray, to_vula
 
 DEFAULT_GRID_STEP = np.radians(0.1)
+_EPS = np.finfo(float).eps
 # The most elements a Root-MUSIC polynomial is rooted on (:func:`_signal_phases`). On
-# two-source half-wavelength ULAs the real form's phases were at most 1e-14 rad off the
+# two-source half-wavelength ULAs the real form's phases were at most 1.7e-14 rad off the
 # exact roots at 16 elements and 8e-11 at 32 (noiseless covariances, and noisy ones
-# against 60-digit mpmath roots); at 64, noiseless sources came out tens of degrees off.
+# against 50- or 60-digit mpmath roots); at 64, noiseless sources came out tens of
+# degrees off.
 ROOTING_MOST = 16
 
 
@@ -86,12 +97,12 @@ def scan_capacity(geometry, grid_step: float) -> int:
     are neighbours. A geometry whose steering vectors on the grid are one vector to within
     rounding (a ring or line with no aperture to speak of) has a spectrum that is flat but
     for rounding, which shows no peak of a source."""
-    grid, a, _ = _scan(geometry, grid_step)
+    grid, a = _scan(geometry, grid_step)[:2]
     g = grid.size
     if g == 0:
         return 0
     spread = np.ptp(a.real, axis=1) + np.ptp(a.imag, axis=1)  # no (n, g) temporaries
-    if np.all(spread <= np.finfo(float).eps * np.abs(a[:, 0])):
+    if np.all(spread <= _EPS * np.abs(a[:, 0])):
         return 0
     return g // 2 if _circular(geometry) else max(g - 1, 0) // 2
 
@@ -169,9 +180,28 @@ def _angle_grid(geometry, step: float) -> np.ndarray:
     return np.arange(lo + step, stop, step)
 
 
+class _Scan(NamedTuple):
+    """The MUSIC scan of a geometry at a grid step (:func:`_scan`)."""
+
+    grid: np.ndarray  # (g,) angles, radians
+    a: np.ndarray  # (n, g) steering matrix
+    num: np.ndarray  # (g,) numerator a^H a
+    floor: float  # n eps max(a^H a), below which the signal form's subtraction is rounding
+    table: np.ndarray | None  # (g, 2n) lag table of a Vandermonde geometry, else None
+    bound: np.ndarray | None  # (2n,) 2n eps w_k, twice each: the table product's rounding
+
+
 @lru_cache(maxsize=8)
-def _scan(geometry, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The MUSIC scan of a geometry: grid, steering matrix and the a^H a numerator.
+def _scan(geometry, step: float) -> _Scan:
+    """The MUSIC scan of a geometry: grid, steering matrix, the a^H a numerator, the
+    signal form's fallback floor n eps max(a^H a) and, on a Vandermonde geometry (a
+    :class:`UniformLinearArray` or :class:`pme.VandermondeArray`, whose element k steers
+    exp(jk psi)), the real (g, 2n) lag table whose row at psi is w_k cos(k psi),
+    -w_k sin(k psi), k = 0 ... n - 1, interleaved, with w_0 = 1 and w_k = 2 otherwise.
+    psi is -2 pi (d / lambda) sin(theta) on a ULA and theta on the virtual array; the
+    table takes cos and sin from the steering matrix itself (times 1 or 2, exactly), so
+    both forms of the scan see the same steering vectors. The table's row times the
+    lag sums of a Hermitian C (:func:`_lag_sums`) is a^H C a.
 
     They depend only on the (hashable, frozen) geometry and the step, so every
     equal geometry shares one read-only copy.
@@ -179,9 +209,19 @@ def _scan(geometry, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     grid = _angle_grid(geometry, step)
     a = geometry.steering(grid)
     num = np.sum(np.abs(a) ** 2, axis=0)
-    for arr in (grid, a, num):
-        arr.flags.writeable = False
-    return grid, a, num
+    n = a.shape[0]
+    floor = n * _EPS * num.max(initial=0.0)
+    table = bound = None
+    if isinstance(geometry, (UniformLinearArray, VandermondeArray)):
+        w = np.where(np.arange(n) == 0, 1.0, 2.0)
+        table = np.empty((grid.size, 2 * n))
+        np.multiply(a.real.T, w, out=table[:, 0::2])
+        np.multiply(a.imag.T, -w, out=table[:, 1::2])
+        bound = 2 * n * _EPS * np.repeat(w, 2)
+    for arr in (grid, a, num, table, bound):
+        if arr is not None:
+            arr.flags.writeable = False
+    return _Scan(grid, a, num, floor, table, bound)
 
 
 def _pick_peaks(
@@ -219,30 +259,48 @@ def _music_power(q: np.ndarray, m: int, geometry, grid_step: float) -> tuple[np.
     """The scan grid and P(theta) = (a^H a) / (a^H Vn Vn^H a) for one covariance whose
     orthonormal eigenbasis, columns by descending eigenvalue, is the (n, n) ``q``: its
     first m columns Vs span the signal subspace, the other n - m columns Vn the noise
-    subspace.
+    subspace. The denominator takes one of three forms.
 
-    Vn Vn^H = I - Vs Vs^H for an orthonormal basis, so the denominator is also
-    a^H a - ||Vs^H a||^2 (the projector identity behind MUSIC, Schmidt 1986), and the
-    scan multiplies the steering matrix by the smaller column set: Vs where m < n - m,
-    else Vn (a tie keeps Vn, whose form has no subtraction). The subtraction cancels
-    where the steering vector all but lies in the signal subspace, leaving an absolute
-    error of up to about n eps a^H a. A true denominator that small occurs only at a grid
-    point within about 1e-8 rad of a source of a noiseless or near-noiseless covariance,
-    where the noise form's own denominator is rounding too: which of two such neighbouring
-    points is the peak then depends on the product's last bits, which only the noise
-    form's own product reproduces. So a scan in which any denominator falls below
-    n eps max(a^H a) is redone in the noise form; every other scan keeps the m-row
-    product.
-    Its picks equal the noise form's at any SNR, sources on grid points included
-    (``tests/test_doa.py``' property test). The caller holds
+    - **Lag form**, on a Vandermonde geometry (a ULA or the virtual array). There the
+      denominator is the lag polynomial that Root-MUSIC roots, taken on the unit circle
+      (Barabell 1983): a^H C a = sum_k w_k Re(p_k exp(jk psi)) for the upper-diagonal
+      sums p of C = Vn Vn^H (:func:`_lag_sums`). So the scan is one real matrix-vector
+      product of the cached (g, 2n) lag table (:func:`_scan`) with p's real and
+      imaginary parts. Whatever the order of its additions, that product is within
+      gamma_2n sum_k w_k (|Re p_k| + |Im p_k|) of the table times p, gamma_2n < 2n eps
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5).
+    - **Signal form**, on a ring where m < n - m. Vn Vn^H = I - Vs Vs^H for an
+      orthonormal basis, so the denominator is also a^H a - ||Vs^H a||^2 (the projector
+      identity behind MUSIC, Schmidt 1986), one product of the steering matrix with the
+      m signal columns. The subtraction cancels where a steering vector all but lies in
+      the signal subspace, leaving an absolute error of up to about n eps a^H a.
+    - **Noise form**, ||Vn^H a||^2, everywhere else (a tie keeps it, as it has no
+      subtraction), and wherever the other two forms cannot be trusted.
+
+    A true denominator at the size of those errors occurs only at a grid point within
+    about 1e-8 rad of a source of a noiseless or near-noiseless covariance, where the
+    noise form's own denominator is rounding too: which of two such neighbouring points
+    is the peak then depends on the product's last bits, which only the noise form's own
+    product reproduces. So a lag-form scan whose smallest denominator falls below
+    2n eps sum_k w_k (|Re p_k| + |Im p_k|), or a signal-form scan whose smallest
+    denominator falls below n eps max(a^H a) (the scan's cached ``floor``), is redone in
+    the noise form. Its picks equal the noise form's at any SNR, sources on grid points
+    included (``tests/test_doa.py``' property test). The caller holds
     :data:`numerics.one_blas_thread`, once for all the scans it makes."""
-    grid, a, num = _scan(geometry, grid_step)
-    if m < q.shape[0] - m:
-        den = num - _subspace_norms(q[:, :m], a)
-        if den.min(initial=np.inf) >= q.shape[0] * np.finfo(float).eps * num.max(initial=0.0):
-            return grid, num / den
-    den = _subspace_norms(q[:, m:], a)
-    return grid, num / np.maximum(den, 1e-300)
+    scan = _scan(geometry, grid_step)
+    noise = q[:, m:]
+    if scan.table is not None:
+        lags = _lag_sums(noise @ noise.conj().T)
+        parts = np.ascontiguousarray(lags, np.complex128).view(np.float64)  # Re, Im, Re, ...
+        den = scan.table @ parts
+        if den.min(initial=np.inf) >= scan.bound @ np.abs(parts):
+            return scan.grid, scan.num / den
+    elif m < q.shape[0] - m:
+        den = scan.num - _subspace_norms(q[:, :m], scan.a)
+        if den.min(initial=np.inf) >= scan.floor:
+            return scan.grid, scan.num / den
+    den = _subspace_norms(noise, scan.a)
+    return scan.grid, scan.num / np.maximum(den, 1e-300)
 
 
 def music_peaks(
@@ -252,8 +310,7 @@ def music_peaks(
     orthonormal eigenbases, columns by descending eigenvalue, are the (T, n, n) ``q``
     (:func:`eigenbases`); for a caller that has split many covariances at once. Each
     scan takes the first n_sources columns as the signal subspace and the rest as the
-    noise subspace, and multiplies the steering matrix by the smaller of the two where
-    that keeps its digits (:func:`_music_power`).
+    noise subspace, and is one product (:func:`_music_power`).
 
     Returns the (T, n_sources) azimuths, each row sorted, and per basis ``None`` or
     the ``NoPeaksFound`` that :func:`music` raises when its spectrum shows fewer than
@@ -295,19 +352,21 @@ def music(
     """MUSIC pseudospectrum and the sorted angles of its n_sources largest peaks.
 
     P(theta) = (a^H a) / (a^H Vn Vn^H a) evaluated on a regular grid over
-    the geometry's field of view. Since Vn Vn^H = I - Vs Vs^H, the scan
-    computes the denominator as a^H a - ||Vs^H a||^2 where the signal
-    subspace Vs has fewer columns than Vn, and from Vn otherwise. The
-    subtraction loses its digits only at a grid point all but on a noiseless
-    source; a scan where it does is redone from Vn, so the peaks are the
-    noise form's at any SNR (see :func:`_music_power`). Works for any
-    hashable geometry that provides a steering model (linear, circular, or
-    beamspace virtual arrays).
+    the geometry's field of view. On a linear or virtual array the
+    denominator is the lag polynomial of Vn Vn^H on the unit circle, one real
+    product of a cached table with its upper-diagonal sums. On a ring, since
+    Vn Vn^H = I - Vs Vs^H, it is a^H a - ||Vs^H a||^2 where the signal
+    subspace Vs has fewer columns than Vn, and ||Vn^H a||^2 otherwise. Either
+    form loses its digits only at a grid point all but on a noiseless source;
+    a scan where one does is redone from Vn, so the peaks are the noise
+    form's at any SNR (see :func:`_music_power`). Works for any hashable
+    geometry that provides a steering model (linear, circular, or beamspace
+    virtual arrays).
     On a circular field of view the grid's two ends are neighbours, so a
     source near +-180 degrees is a peak like any other.
-    The grid, its steering matrix and the numerator are built once per
-    (geometry, grid_step) and cached, so equal geometries share them; they
-    are read-only, and so is the returned ``Spectrum.grid``. Each scan is one
+    The grid, its steering matrix, the numerator and the lag table are built
+    once per (geometry, grid_step) and cached, so equal geometries share them;
+    they are read-only, and so is the returned ``Spectrum.grid``. Each scan is one
     product, run with numpy's OpenBLAS held on one thread
     (:data:`numerics.one_blas_thread`), so the spectrum's bits do not depend on
     the BLAS thread count, under any of OpenBLAS's kernels. With another BLAS
@@ -317,15 +376,25 @@ def music(
     return spectrum, _pick_peaks(spectrum.grid, spectrum.power, n_sources, _circular(geometry))
 
 
-def _lag_polynomial(c: np.ndarray) -> np.ndarray:
-    """The upper-diagonal sums p_k = trace(C, k), k = 0 ... dim - 1: the coefficients of
-    z^k in the Laurent polynomial D(z) = sum_k trace(C, k) z^k of a Hermitian C, whose
-    lower diagonals sum to their conjugates.
+@lru_cache(maxsize=32)
+def _diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the n upper diagonals of an (n, n) matrix, diagonal 0 first,
+    and the offset at which each diagonal starts among them."""
+    index = np.concatenate([np.arange(k, n * n, n + 1)[: n - k] for k in range(n)])
+    starts = np.r_[0, np.cumsum(np.arange(n, 1, -1))]  # diagonal k holds n - k entries
+    for arr in (index, starts):
+        arr.flags.writeable = False
+    return index, starts
 
-    Each diagonal is summed on its own, by the reduction ``np.trace`` runs, so the
-    bits are its; summing them as segments of one array would group the additions
-    differently (numpy's pairwise sum depends on the length it is given)."""
-    return np.array([c.diagonal(k).sum() for k in range(c.shape[0])])
+
+def _lag_sums(c: np.ndarray) -> np.ndarray:
+    """The upper-diagonal sums p_k = trace(C, k), k = 0 ... n - 1, of an (n, n) C: the
+    coefficients of z^k in the Laurent polynomial D(z) = sum_k p_k z^k of a Hermitian C,
+    whose lower diagonals sum to their conjugates. One gather of the diagonals (cached
+    per n) and one ``np.add.reduceat``; each sum is within (n - k - 1) eps / 2 times the
+    sum of its terms' magnitudes of the exact one, whatever the order of its additions."""
+    index, starts = _diagonals(c.shape[0])
+    return np.add.reduceat(np.take(c, index), starts)
 
 
 @lru_cache(maxsize=8)
@@ -358,7 +427,7 @@ def _cayley_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _signal_phases(p: np.ndarray, n_sources: int) -> np.ndarray:
     """The phases of the n_sources signal roots of D(z) = sum_k p_k z^k, p_(-k) =
     conj(p_k), from its n <= :data:`ROOTING_MOST` upper-diagonal sums p
-    (:func:`_lag_polynomial`).
+    (:func:`_lag_sums`).
 
     The Cayley map z = (1 + jt) / (1 - jt) takes the unit circle to the real line, so
     Q(t) = (1 + t^2)^(n - 1) D(z(t)) is a real polynomial of D's degree, 2(n - 1)
@@ -429,7 +498,7 @@ def root_music(r: np.ndarray, geometry, n_sources: int) -> np.ndarray:
     c = noise @ noise.conj().T
     # The physical steering phase decreases along the array, so conjugate
     # the lag polynomial to place signal roots at exp(+j phi).
-    phases = _signal_phases(np.conj(_lag_polynomial(c)), n_sources)
+    phases = _signal_phases(np.conj(_lag_sums(c)), n_sources)
     return _ula_angles_from_phases(phases, geometry)
 
 
@@ -475,7 +544,7 @@ def uca_root_music(x: np.ndarray, transform: PmeTransform, n_sources: int) -> np
     xv = to_vula(x, transform, prewhitened=True)
     noise = eig_split(sample_covariance(xv), n_sources)[1]
     c = transform.whiten @ (noise @ noise.conj().T) @ transform.whiten
-    return np.sort(_signal_phases(_lag_polynomial(c), n_sources))
+    return np.sort(_signal_phases(_lag_sums(c), n_sources))
 
 
 def uca_esprit(x: np.ndarray, transform: PmeTransform, n_sources: int) -> np.ndarray:

@@ -77,7 +77,7 @@ from numpy.random.bit_generator import ISeedSequence
 from . import decorrelate
 from .arrays import SourceSet, UniformCircularArray, coincident, draw_signals, noise_power
 from .arrays import snapshots, steering_matrix
-from .channel import range_stack
+from .channel import invert_distance, range_stack
 from .config import ScenarioConfig, load_config  # bench/ reaches load_config here
 from .doa import Spectrum, azimuth_error, capacity, covariance, esprit, music, music_peaks
 from .doa import eigenbases, music_spectrum, root_music, scan_capacity, uca_esprit
@@ -300,10 +300,24 @@ def _channels(p: Pipeline, cfg: ScenarioConfig) -> None:
     ``p.sigma_db``), which weighs its ranges; and the one (generating, inverting) pair
     that ranges every row (:func:`channel.range_stack`): ``eta_true``, when set,
     generates the path losses, and ranging inverts them with ``eta``. The rows' channels
-    differ only in their shadowing std, which range_stack takes per trial instead."""
+    differ only in their shadowing std, which range_stack takes per trial instead.
+
+    A config error where ``eta`` is so small that the inverting channel reads no range
+    but ``d0``: a loss one float step from its reference loss already inverts to 0 or
+    infinity. Every mean loss of such a channel rounds to the reference loss (range
+    d0, whatever the distance), and every other loss, so every shadowed range, leaves
+    the float range; no trial of the config ranges a distance."""
     p.inverting = _per_row(cfg, "shadowing std", cfg.channel_at)
     p.sigma_db = np.array([inverting.sigma_db for inverting in p.inverting])
     p.channel = (cfg.channel_at(cfg.snr_grid_db[0], eta=cfg.eta_true), p.inverting[0])
+    inverting = p.channel[1]
+    with np.errstate(over="ignore"):
+        steps = invert_distance(np.nextafter(inverting.reference_loss_db, [-np.inf, np.inf]), inverting)
+    if not np.any((steps > 0.0) & (steps < np.inf)):
+        raise ConfigError(
+            f"channel eta {inverting.eta:g} ranges nothing: a loss one float step from the "
+            f"reference loss inverts to 0 or infinity"
+        )
 
 
 def _trilateration(points, ls: bool, inverting) -> LopMatrix:

@@ -9,6 +9,7 @@ conditions) are what the rest of the package relies on.
 
 import ctypes
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,16 +73,35 @@ def herm_eig_stack(r: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.nd
     return w[:, ::-1], q[:, :, ::-1], failed
 
 
+@lru_cache(maxsize=32)
+def _companion_template(n: int, dtype: np.dtype) -> np.ndarray:
+    """The (n, n) companion matrix of a degree-n polynomial with its first row zero:
+    ones on the sub-diagonal, zeros elsewhere, the matrix ``numpy.roots`` builds."""
+    template = np.eye(n, k=-1, dtype=dtype)
+    template.flags.writeable = False
+    return template
+
+
 def poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a polynomial given coefficients in descending-power order, by
-    ``numpy.roots``. The input must be rank-1 and its leading coefficient nonzero."""
+    """Roots of a polynomial given coefficients in descending-power order, with the bits
+    of ``numpy.roots``. The input must be rank-1 and its leading coefficient nonzero.
+
+    For float or complex coefficients whose last one is nonzero this is ``numpy.roots``'
+    own computation without its stripping and casting: the eigenvalues of the companion
+    matrix, copied from a cached template per degree and dtype, with first row
+    -coeffs[1:] / coeffs[0]. A trailing zero (a root at 0, which ``numpy.roots`` appends
+    last) or other input goes through ``numpy.roots`` itself."""
     coeffs = np.atleast_1d(np.asarray(coeffs))
     if coeffs.ndim != 1:
         raise ValueError("Input must be a rank-1 array.")
     scale = np.abs(coeffs).max() if coeffs.size else 0.0
     if coeffs.size < 2 or scale == 0.0 or np.abs(coeffs[0]) <= 1e-300 * scale:
         raise DegenerateLeadingCoefficient("leading polynomial coefficient is zero")
-    return np.roots(coeffs)
+    if coeffs[-1] == 0 or coeffs.dtype.kind not in "fc":
+        return np.roots(coeffs)
+    companion = _companion_template(coeffs.size - 1, coeffs.dtype).copy()
+    companion[0] = -coeffs[1:] / coeffs[0]
+    return np.linalg.eigvals(companion)
 
 
 def _keep_count(count: int) -> int:

@@ -38,6 +38,7 @@ HUBER_MAX_ITER = 50  # IRLS passes before huber_stack stops
 HUBER_TOL = 1e-6  # a pass that moves the position less than this is the last
 _SINGULAR = "normal equations condition number exceeds 1e12"
 _DEGENERATE = "ranging variance leaves the float range; WLS weights are degenerate"
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,10 @@ def wls_weights(model: ChannelModel, est_distances) -> np.ndarray:
     Where s^2 is so small that the difference rounds to 0, it is taken as
     exp(4 s^2) expm1(4 s^2).
 
-    Raises ``NumericOverflow`` when a variance or weight leaves the float
-    range (shadowing beyond about 41 eta dB, or ranges near 1e77 or 1e-77).
+    Where a sum of two variances is subnormal, the variances are rescaled by their
+    largest first (:func:`wls_row_weights`). Raises
+    ``NumericOverflow`` when a variance or weight leaves the float range (shadowing
+    beyond about 41 eta dB, or ranges near 1e77 or 1e-77).
     """
     d = np.asarray(est_distances, dtype=float)
     if d.ndim != 1 or d.size < 3:
@@ -90,6 +93,12 @@ def wls_row_weights(model: ChannelModel, distances: np.ndarray) -> tuple[np.ndar
 
     Returns the (T, S-1) weights and, per row, the ``NumericOverflow`` that
     ``wls_weights`` raises for it, or ``None``. The ranges are not checked.
+
+    A row in which a sum Var(d_i^2) + Var(d_S^2) is subnormal (s^2 subnormal or barely
+    normal), whose inverse would overflow or lose digits, is weighed by its variances
+    rescaled by their largest: a WLS fix depends only on the ratios of its weights, and
+    the common factor exp(8 s^2) - exp(4 s^2) cancels from them. Every other row keeps
+    the weights 1 / (Var(d_i^2) + Var(d_S^2)).
     """
     rows, cols = distances.shape[0], distances.shape[1] - 1
     if unshadowed(model):
@@ -103,7 +112,13 @@ def wls_row_weights(model: ChannelModel, distances: np.ndarray) -> tuple[np.ndar
     if not spread > 0.0:  # exp(8 s^2) and exp(4 s^2) round alike: keep s^2's digits
         spread = math.exp(4.0 * s2) * math.expm1(4.0 * s2)
     var = np.exp(4.0 * np.log(distances)) * spread
-    weights = 1.0 / (var[:, :-1] + var[:, -1:])
+    pairs = var[:, :-1] + var[:, -1:]
+    if pairs.min(initial=np.inf) < _TINY:  # subnormal sums: their inverses overflow
+        rescale = np.any(pairs < _TINY, axis=1)
+        var = np.exp(4.0 * np.log(distances[rescale]))
+        var /= np.max(var, axis=1, keepdims=True)  # the spread cancels from the ratios
+        pairs[rescale] = var[:, :-1] + var[:, -1:]
+    weights = 1.0 / pairs
     failed = np.full(rows, None, dtype=object)
     failed[~np.all((weights > 0) & (weights < math.inf), axis=1)] = NumericOverflow(_DEGENERATE)
     return weights, failed

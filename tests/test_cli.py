@@ -924,12 +924,16 @@ def test_missing_section_names_the_command(tmp_path, capsys, command, says):
 
 # Where the log-domain shadowing variance s^2 underflows to 0, or is so small that
 # exp(8 s^2) and exp(4 s^2) round alike, WLS weighs the ranges as without shadowing, or
-# by exp(4 s^2) expm1(4 s^2); neither fails a trial
+# by exp(4 s^2) expm1(4 s^2); where s^2 is subnormal or barely normal (a std of 1e-158
+# or 1e-160 dB) and the variances fall below 1e-308, by the variances rescaled by their
+# largest. None of these fails a trial.
 VANISHING_SHADOWING = [
     ("snr_grid_db", [200.0]),
     ("snr_grid_db", [400.0]),
     ("channel", {"sigma_ref_db": 1e-300}),
     ("channel", {"eta": 1e300}),
+    ("channel", {"sigma_ref_db": 1e-158}),
+    ("channel", {"sigma_ref_db": 1e-160}),
 ]
 
 
@@ -948,12 +952,44 @@ def test_vanishing_shadowing_runs(tmp_path, capsys, estimator, key, value):
 @pytest.mark.parametrize("estimator", ["wls", "huber"])
 @pytest.mark.parametrize("channel", [{"eta": 1e-300}, {"sigma_ref_db": 1e300}])
 def test_log_variance_past_the_float_range_fails_cleanly(tmp_path, capsys, estimator, channel):
-    # s^2 itself overflows: every range leaves the float range, and no trial can run
+    # s^2 itself overflows: every range leaves the float range, and no trial can run. At
+    # eta 1e-300 the channel itself reads no range but d0, which compiling finds: a
+    # config error. A 1e300 dB std leaves it to each trial's shadowing draws, which fail.
     raw = shipped("rss_heterogeneous", trials=3)
     raw["channel"].update(channel)
     cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
-    assert main(["rss", "--config", str(cfg), "--out", str(out), "--estimator", estimator]) == 2
-    assert capsys.readouterr().err.startswith("error: all 3 trials failed at snr=1.0 dB")
+    code = main(["rss", "--config", str(cfg), "--out", str(out), "--estimator", estimator])
+    err = capsys.readouterr().err
+    if "eta" in channel:
+        assert code == 1 and err.startswith("config error: channel eta 1e-300 ranges nothing")
+    else:
+        assert code == 2 and err.startswith("error: all 3 trials failed at snr=1.0 dB")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, flag, value",
+    [("rss", "rss_heterogeneous", "--estimator", "ls"), ("hybrid", "hybrid_single", "--hybrid", "wls")],
+)
+@pytest.mark.parametrize("sigma_ref", [0.0, 8.0])
+def test_a_channel_that_ranges_nothing_is_a_config_error(tmp_path, capsys, command, config, flag, value, sigma_ref):
+    # below eta ~1e-17 a loss one float step from the reference loss inverts past the
+    # float range, and every mean loss rounds to the reference one: with shadowing or
+    # without it, no range but d0 can be read
+    raw = shipped(config, trials=3)
+    raw["channel"].update(eta=1e-20, sigma_ref_db=sigma_ref)
+    cfg, out = write_cfg(tmp_path, raw), tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == (
+        "config error: channel eta 1e-20 ranges nothing: a loss one float step from the "
+        "reference loss inverts to 0 or infinity\n"
+    )
+    # at eta 1e-10 a loss step moves a range by 2e-5 of d0: without shadowing the trials
+    # run, and an 8 dB shadow drives every range out of the float range, a trial failure
+    raw["channel"]["eta"] = 1e-10
+    cfg = write_cfg(tmp_path, raw)
+    code = main([command, "--config", str(cfg), "--out", str(out), flag, value])
+    assert code == (0 if sigma_ref == 0.0 else 2)
 
 
 # Shipped scenarios with sigma_ref_db 100 or 1000 down to -20 dB SNR (a shadowing std of

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -141,15 +142,38 @@ class TestMusic:
             music(np.eye(4), ula(4), n_sources, grid_step=4.0)
 
 
-def scan_power(signal, noise, a, num):
-    """MUSIC's power a^H a / (a^H Vn Vn^H a) on steering columns ``a``, written out: the
-    denominator a^H a - ||Vs^H a||^2 from the signal columns where they are fewer than the
-    noise columns and none of it falls below n eps max(a^H a), else ||Vn^H a||^2."""
-    if signal.shape[1] < noise.shape[1]:
+def scan_power(signal, noise, a, num, lag):
+    """MUSIC's power a^H a / (a^H Vn Vn^H a) on steering columns ``a``, written out. On a
+    Vandermonde geometry (``lag``) the denominator is the real lag table, w_k cos(k psi)
+    and -w_k sin(k psi) interleaved (w_0 = 1, w_k = 2) from ``a``'s own entries, times
+    the real and imaginary parts of the upper-diagonal sums of Vn Vn^H, each diagonal
+    taken in turn and summed by one ``np.add.reduceat``, where none of it falls below
+    2n eps sum_k w_k (|Re p_k| + |Im p_k|). Elsewhere it is a^H a - ||Vs^H a||^2 from the
+    signal columns where they are fewer than the noise columns and none of it falls below
+    n eps max(a^H a). Otherwise it is ||Vn^H a||^2."""
+    n = a.shape[0]
+    if lag:
+        c = noise @ noise.conj().T
+        lengths = np.arange(n, 0, -1)
+        diagonals = np.concatenate([c.diagonal(k) for k in range(n)])
+        p = np.add.reduceat(diagonals, np.concatenate([[0], np.cumsum(lengths[:-1])]))
+        parts = p.astype(np.complex128).view(np.float64)
+        w = np.where(np.arange(n) == 0, 1.0, 2.0)
+        table = np.empty((a.shape[1], 2 * n))
+        table[:, 0::2], table[:, 1::2] = (w[:, None] * a.real).T, (-w[:, None] * a.imag).T
+        den = table @ parts
+        if np.all(den >= 2 * n * np.finfo(float).eps * np.sum(np.repeat(w, 2) * np.abs(parts))):
+            return num / den
+    elif signal.shape[1] < noise.shape[1]:
         den = num - np.sum(np.abs(signal.conj().T @ a) ** 2, axis=0)
-        if np.all(den >= a.shape[0] * np.finfo(float).eps * np.max(num, initial=0.0)):
+        if np.all(den >= n * np.finfo(float).eps * np.max(num, initial=0.0)):
             return num / den
     return num / np.maximum(np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0), 1e-300)
+
+
+def vandermonde(g):
+    """Whether ``g`` steers exp(jk psi) on element k, where MUSIC scans in the lag form."""
+    return isinstance(g, (UniformLinearArray, VandermondeArray))
 
 
 def uncached_music(r, g, n_sources, step):
@@ -159,7 +183,8 @@ def uncached_music(r, g, n_sources, step):
     grid = np.arange(lo + step, stop, step)
     a = g.steering(grid)
     num = np.sum(np.abs(a) ** 2, axis=0)
-    power = scan_power(*eig_split(r, n_sources), a, num)
+    with one_blas_thread:  # as the library's scan
+        power = scan_power(*eig_split(r, n_sources), a, num, vandermonde(g))
     return 10.0 * np.log10(power), _pick_peaks(grid, power, n_sources)
 
 
@@ -284,23 +309,66 @@ class TestMusicScanCache:
             spectrum.grid[0] = 0.0
 
 
+@pytest.mark.parametrize("kind", ["ula", "vandermonde"])
+def test_lag_form_denominator_within_its_bound_of_exact(kind):
+    # The lag-form denominator, the cached table times the lag sums of C = Vn Vn^H,
+    # against a^H C a at 50 digits at each grid point checked: the double sum over
+    # C[i, l] conj(a_i) a_l, with conj(a_i) a_l = a_(l - i) (a Vandermonde steering
+    # vector; a_(-k) = conj(a_k)) taken from the float steering matrix and C the Hermitian
+    # matrix its float upper triangle defines. The bound adds the lag sums' error (each
+    # within (n - k - 1) u of its terms' magnitudes, u = eps / 2) to the table product's
+    # (2n eps sum_k w_k (|Re p_k| + |Im p_k|), the scan's fallback bound). Noise
+    # subspaces of 40 dB covariances put grid points next to the sources, where the
+    # denominator cancels to a small fraction of its terms.
+    step, u = np.radians(0.5), np.finfo(float).eps / 2
+    for n in range(2, 17):
+        g = ula(n) if kind == "ula" else VandermondeArray(n)
+        scan = doa._scan(g, step)
+        rng = np.random.default_rng(n)
+        m = int(rng.integers(1, n))
+        src = SourceSet(azimuths=np.sort(rng.choice(scan.grid, size=m, replace=False)))
+        x = synthesize_snapshots(g, src, 4 * n, 40.0, rng)
+        noise = eig_split(sample_covariance(x), m)[1]
+        c = noise @ noise.conj().T
+        lags = doa._lag_sums(c)
+        parts = lags.view(np.float64)
+        with one_blas_thread:
+            den = scan.table @ parts
+        w = np.where(np.arange(n) == 0, 1.0, 2.0)
+        magnitudes = [np.abs(c.diagonal(k).real).sum() + np.abs(c.diagonal(k).imag).sum() for k in range(n)]
+        bound = 2 * n * np.finfo(float).eps * np.repeat(w, 2) @ np.abs(parts)
+        # 1.01 covers gamma_m = m u / (1 - m u) over m u
+        bound += 1.01 * sum(w[k] * (n - k - 1) * u * magnitudes[k] for k in range(n))
+        points = np.unique(np.concatenate([np.arange(0, scan.grid.size, 40), np.argsort(den)[:5]]))
+        with mpmath.workdps(50):
+            upper = {(i, l): mpmath.mpc(complex(c[i, l])) for i in range(n) for l in range(i, n)}
+            for j in points:
+                lag = [mpmath.mpc(complex(z)) for z in scan.a[:, j]]
+                terms = [
+                    (upper[i, l] * lag[l - i] if i <= l else mpmath.conj(upper[l, i]) * mpmath.conj(lag[i - l]))
+                    for i in range(n) for l in range(n)
+                ]
+                exact = mpmath.fsum(terms).real
+                assert abs(den[j] - exact) <= bound, (n, j, float(den[j] - exact), bound)
+        assert np.min(den[points]) < 1e-3 * np.max(den)  # points next to the sources
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
-# (elements, signal columns, grid points) of ULA scans; a scan multiplies by the smaller
-# of the signal and noise column sets, the noise set at a tie
+# (elements, signal columns, grid points) of ULA scans, each one dgemv of the lag table
 THREAD_SHAPES = [
-    (7, 6, 1801),  # a two-thread zgemv over the whole grid changes these three's bits
+    (7, 6, 1801),  # a two-thread noise-form zgemv changes these three's bits
     (7, 6, 3601),
     (16, 15, 2570),
     (7, 6, 3599),  # doa_coherent_toeplitz
     (8, 6, 1799),
-    (6, 3, 3600),  # a tie, as every hybrid fbss scan
+    (6, 3, 3600),  # the shape of every hybrid fbss scan
     (16, 4, 2570),
     (9, 7, 5000),
-    (7, 1, 1801),  # the signal form, one zgemv row
+    (7, 1, 1801),
     (7, 1, 3601),
     (16, 1, 2570),
-    (4, 1, 3600),  # a hybrid single or wls scan of the 4-element ring
+    (4, 1, 3600),  # the shape of a hybrid single or wls scan of the 4-element ring
     (8, 2, 1799),  # doa_ula_music
     (16, 12, 2570),
     (9, 2, 5000),
@@ -363,13 +431,13 @@ from wsnloc import doa
 from wsnloc.arrays import UniformLinearArray
 count = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_
 seen = [count()]
-norms = doa._subspace_norms
+power = doa._music_power
 
-def observed(v, a):
+def observed(*args):
     seen.append(count())
-    return norms(v, a)
+    return power(*args)
 
-doa._subspace_norms = observed
+doa._music_power = observed
 ula = UniformLinearArray(n=8, spacing=0.5, wavelength=1.0)
 doa.music_peaks(np.eye(8, dtype=complex)[None], ula, 2, 0.01)
 print(*seen, count())
@@ -440,7 +508,7 @@ class TestScanBlocks:
                 assert grid.size == g
                 a = ula(n).steering(grid)
                 num = np.sum(np.abs(a) ** 2, axis=0)
-                assert power.tobytes() == scan_power(q[:, :m], q[:, m:], a, num).tobytes()
+                assert power.tobytes() == scan_power(q[:, :m], q[:, m:], a, num, True).tobytes()
             if power.tobytes().hex() != line:
                 changed.append((n, m, g))
             forms.add(m < n - m)
@@ -568,10 +636,12 @@ def run_under_haswell(*args):
 
 
 def test_scan_tests_hold_under_the_haswell_kernels():
-    # The scan's one-thread product and the noise-form property must not depend on the
-    # kernels.
+    # The scan's one-thread product, the noise-form property and the lag form's bound
+    # must not depend on the kernels.
     run_under_haswell(
-        f"{__file__}::TestScanBlocks", f"{__file__}::test_music_picks_equal_the_noise_form"
+        f"{__file__}::TestScanBlocks",
+        f"{__file__}::test_music_picks_equal_the_noise_form",
+        f"{__file__}::test_lag_form_denominator_within_its_bound_of_exact",
     )
 
 
@@ -581,6 +651,15 @@ def test_rooting_tests_hold_under_the_haswell_kernels():
         f"{__file__}::TestRootMusic",
         f"{__file__}::TestUcaVariants::test_uca_root_music_source_on_the_cayley_pole",
     )
+
+
+def test_demos_and_goldens_hold_under_the_haswell_kernels():
+    # Nor must any pinned output byte that the scan's lag-form product or the rooting
+    # reach: the five demo pins and the goldens, the doa and hybrid fbss sweeps among
+    # them. The hybrid wls golden (overrides13) is left out: its weighted normal
+    # equations run through dgemm, whose bits move with the kernel (ROADMAP, direction 9).
+    tests = Path(__file__).resolve().parent
+    run_under_haswell(str(tests / "test_demos.py"), str(tests / "test_golden.py"), "-k", "not overrides13")
 
 
 class TestRootMusic:
@@ -621,29 +700,51 @@ class TestRootMusic:
         if turned:
             a = (-1.0) ** np.arange(n) / np.sqrt(n)
             b -= np.outer(a, a @ b)
-        p = doa._lag_polynomial(b @ b.conj().T)
+        p = doa._lag_sums(b @ b.conj().T)
         q0 = (doa._cayley_basis(n)[0] @ p.view(np.float64))[0]
         assert (abs(q0) < 1e-6 * p[0].real) == turned
         phases = _signal_phases(p, n - 1)
         assert phases.size == n - 1 and np.all(np.abs(phases) <= np.pi)
 
-    def test_lag_polynomial_equals_the_trace_loop_bitwise(self):
-        # each upper diagonal summed alone is np.trace's reduction, bit for bit, whatever
-        # the magnitudes, NaNs or infinities in it
+    def test_lag_sums_within_the_summation_bound_of_exact_sums(self):
+        # each upper-diagonal sum against the exact sum of its float terms (fractions):
+        # m terms added in any order are within (m - 1) u sum |x_i| of it, u = eps / 2
+        # (Higham 2002, sec. 4.2), real and imaginary parts each on their own
         rng = np.random.default_rng(19)
+        u, worst = Fraction(np.finfo(float).eps) / 2, Fraction(0)
         for n in range(2, 21):
             for _ in range(12):
                 mag = 10.0 ** rng.uniform(-8.0, 8.0, size=(2, n, n))
                 c = rng.choice([-1.0, 1.0], size=(2, n, n)) * mag
                 c = c[0] + 1j * c[1]
+                got = doa._lag_sums(c)
+                assert got.dtype == c.dtype and got.shape == (n,)
+                for k in range(n):
+                    for terms, value in [(c.diagonal(k).real, got[k].real), (c.diagonal(k).imag, got[k].imag)]:
+                        exact = sum(map(Fraction, terms))
+                        scale = sum(abs(Fraction(x)) for x in terms)
+                        error = abs(Fraction(value) - exact)
+                        assert error <= (n - k - 1) * u * scale
+                        worst = max(worst, error / (u * scale))
+        assert worst > 0  # the bound is met by rounding, not by exact sums alone
+
+    def test_lag_sums_keep_the_non_finite_entries_of_the_trace(self):
+        # a NaN or infinity in a diagonal leaves its sum non-finite as np.trace's: which
+        # part is NaN or infinite does not depend on the order of the additions
+        rng = np.random.default_rng(19)
+        for n in range(2, 21):
+            for _ in range(12):
+                c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                 special = rng.uniform(size=(n, n))
                 c[special < 0.05] = np.nan
                 c[(special > 0.05) & (special < 0.08)] = np.inf
                 c[special > 0.97] = complex(-np.inf, 1.0)
                 with np.errstate(invalid="ignore", over="ignore"):
                     oracle = np.array([np.trace(c, offset=k) for k in range(n)])
-                    got = doa._lag_polynomial(c)
-                assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
+                    got = doa._lag_sums(c)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.isnan(part(got)), np.isnan(part(oracle)))
+                    assert np.array_equal(np.isinf(part(got)), np.isinf(part(oracle)))
 
     def test_matches_music_on_random_scenarios(self):
         g = ula(8)
@@ -706,7 +807,7 @@ class TestRootMusic:
             src = SourceSet(azimuths=np.radians([a1, a1 + rng.uniform(8.0, 20.0)]))
             r = sample_covariance(synthesize_snapshots(g, src, 100, rng.uniform(0.0, 20.0), rng))
             noise = eig_split(r, 2)[1]
-            d = np.conj(doa._lag_polynomial(noise @ noise.conj().T))
+            d = np.conj(doa._lag_sums(noise @ noise.conj().T))
             coeffs = np.concatenate([d[:0:-1], [d[0].real], np.conj(d[1:])])
             with mpmath.workdps(50):
                 roots = mpmath.polyroots(
@@ -1173,7 +1274,7 @@ def uca_root_music_per_call(x, t, n_sources):
     w, q = np.linalg.eigh(t.Tv @ t.Tv.conj().T)
     whiten = (q * (1.0 / np.sqrt(w))) @ q.conj().T
     c = whiten @ (noise @ noise.conj().T) @ whiten
-    return np.sort(_signal_phases(doa._lag_polynomial(c), n_sources))
+    return np.sort(_signal_phases(doa._lag_sums(c), n_sources))
 
 
 def uca_esprit_per_call(x, t, n_sources):

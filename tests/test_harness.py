@@ -826,7 +826,7 @@ class TestTrialCallCounts:
     @pytest.mark.parametrize("method", ["music", "root-music", "esprit"])
     def test_doa_trial(self, monkeypatch, method):
         # the sources are steered once, at compile; a trial only draws its waveforms and
-        # noise, and a root-music trial roots one polynomial, through numpy.roots
+        # noise, and a root-music trial roots one polynomial, through numerics.poly_roots
         cfg = ScenarioConfig.from_dict(DOA_RAW).with_method(doa=method)
         steered, original = [], UniformLinearArray.steering
 
@@ -836,7 +836,7 @@ class TestTrialCallCounts:
 
         monkeypatch.setattr(UniformLinearArray, "steering", steering)
         synthesized = counting(monkeypatch, arrays, "synthesize_snapshots")
-        rooted = counting(monkeypatch, np, "roots")
+        rooted = counting(monkeypatch, doa, "poly_roots")
         trials, original_trial = [], harness._doa_trial
 
         def trial(p, snr_index, rng):

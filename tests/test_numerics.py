@@ -124,6 +124,22 @@ class TestPolyRoots:
         got, oracle = poly_roots(coeffs), np.roots(coeffs)
         assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
 
+    def test_bits_are_numpy_roots_at_every_degree(self):
+        # the companion path, against numpy.roots itself: real and complex coefficients
+        # of degree 1 to 30 over twelve decades, single precision too; and each with a
+        # trailing zero or as integers, which go through numpy.roots
+        rng = np.random.default_rng(30)
+        for degree in range(1, 31):
+            for _ in range(4):
+                scale = 10.0 ** rng.uniform(-6.0, 6.0, size=degree + 1)
+                real = rng.normal(size=degree + 1) * scale
+                inputs = [real, real + 1j * rng.normal(size=degree + 1) * scale]
+                inputs += [real.astype(np.float32), np.append(real, 0.0)]
+                inputs.append(np.append(rng.integers(1, 9, size=degree), rng.integers(-9, 9)))
+                for coeffs in inputs:
+                    got, oracle = poly_roots(coeffs), np.roots(coeffs)
+                    assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
+
     def test_rank_one_input(self):
         with pytest.raises(ValueError, match="rank-1"):
             poly_roots(np.ones((3, 3)))

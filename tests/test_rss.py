@@ -139,6 +139,35 @@ class TestWlsWeights:
         expected = 1.0 / (4.0 * s2 * (d[:-1] ** 4 + d[-1] ** 4))
         assert wls_weights(model, d) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma_db", [1e-150, 1e-155, 1e-158, 1e-160])  # 1e-161: s^2 is 0
+    def test_tiny_variances_keep_their_log_domain_ratios(self, sigma_db):
+        # Near and below s^2 = 1e-308 each variance d^4 4 s^2 leaves the float range's
+        # digits and its inverse overflows: the row is weighed by its variances rescaled
+        # by their largest. Only the ratios of a row's weights move a WLS fix; in the log
+        # domain, w_i / w_j = exp(log(d_j^4 + d_S^4) - log(d_i^4 + d_S^4)), with no
+        # s^2 in it. Each weight's rounding (about |4 log d| u from d^4) keeps the
+        # ratios within 1e-13 of it.
+        model = ChannelModel(d0=1.0, eta=2.0, sigma_db=sigma_db, wavelength=0.3)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            d = rng.uniform(1.0, 150.0, size=5)
+            w = wls_weights(model, d)
+            assert np.all((w > 0) & (w < math.inf))
+            log_var = np.logaddexp(4.0 * np.log(d[:-1]), 4.0 * np.log(d[-1]))
+            oracle = np.exp(log_var[None, :] - log_var[:, None])  # w_i / w_j
+            assert np.allclose(w[:, None] / w[None, :], oracle, rtol=1e-13, atol=0.0)
+
+    def test_weights_finite_at_a_normal_s2_keep_their_bits(self):
+        # the rescale touches only rows with a subnormal variance sum
+        model = ChannelModel(d0=1.0, eta=2.0, sigma_db=8.0, wavelength=0.3)
+        d = np.array([[5.0, 9.0, 3.0], [1e-90, 20.0, 1e-90]])
+        s2 = (8.0 * math.log(10) / (10 * model.eta)) ** 2
+        with np.errstate(divide="ignore"):
+            w, failed = rss.wls_row_weights(model, d)
+        var = np.exp(4.0 * np.log(d[0])) * (math.exp(8 * s2) - math.exp(4 * s2))
+        assert w[0].tobytes() == (1.0 / (var[:-1] + var[-1:])).tobytes()
+        assert failed[0] is None and isinstance(failed[1], NumericOverflow)
+
     @pytest.mark.parametrize(
         "sigma_db, d",
         [
